@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import uuid
 from dataclasses import replace
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from fedmm.federation import (
     ProblemKind,
     RunLog,
     run_experiment,
+    simulated_clients,
 )
 from fedmm.optim import OptimizerKind
 
@@ -145,6 +147,14 @@ def parse_config(path: str | Path, overrides: list[str] | None = None) -> Experi
 
     if config.problem_file is not None and not Path(config.problem_file).is_file():
         raise ConfigError(f"problem.file does not exist: {config.problem_file}")
+    try:
+        n_clients = simulated_clients(config)
+    except ValueError as e:
+        raise ConfigError(f"problem.file: {e}") from None
+    try:
+        config.hyper.expanded(n_clients)
+    except ValueError as e:
+        raise ConfigError(f"hyper.local_steps: {e}") from None
 
     env_seed = os.environ.get("FEDMM_SEED")
     if env_seed is not None:
@@ -173,12 +183,18 @@ def _summary_line(log: RunLog, output: str) -> str:
 
 
 def _write_atomic(path: str, text: str) -> None:
-    """Write-then-rename so failures never leave a partial file behind."""
-    tmp = Path(f"{path}.tmp")
+    """Write-then-rename so failures never leave a partial file behind.
+
+    Each call writes its own uniquely named temp file next to the target, so
+    concurrent writers to one path never share a temp file; the last rename wins.
+    """
+    target = Path(path)
+    tmp = target.with_name(f"{target.name}.{uuid.uuid4().hex}.tmp")
     try:
-        tmp.write_text(text)
-        os.replace(tmp, path)
-    except OSError:
+        with open(tmp, "x") as f:
+            f.write(text)
+        os.replace(tmp, target)
+    except BaseException:
         try:
             tmp.unlink(missing_ok=True)
         except OSError:

@@ -190,6 +190,10 @@ class HyperParams:
             raise ValueError(f"prox_mu must be nonnegative, got {self.prox_mu}")
         if self.tol <= 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
+        if self.local_tol < 0:
+            raise ValueError(f"local_tol must be nonnegative, got {self.local_tol}")
+        if self.local_max_iters < 1:
+            raise ValueError(f"local_max_iters must be >= 1, got {self.local_max_iters}")
 
     def steps_for(self, client_id: int) -> int:
         if len(self.local_steps) == 1:

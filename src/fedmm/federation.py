@@ -8,7 +8,6 @@ seeds spawned from the config seed.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
@@ -180,7 +179,6 @@ class RunLog:
     config_echo: dict
     seed: int
     rounds: list[RoundMetrics] = field(default_factory=list)
-    wall_clock: list[float] = field(default_factory=list)
 
     def csv_text(self) -> str:
         lines = [CSV_HEADER]
@@ -238,6 +236,13 @@ class ExperimentConfig:
     batch_size: int = 0
 
     def __post_init__(self):
+        for key, value in (
+            ("problem.n_clients", self.quad_n_clients),
+            ("problem.d1", self.quad_d1),
+            ("problem.d2", self.quad_d2),
+        ):
+            if value < 1:
+                raise ValueError(f"{key} must be >= 1, got {value}")
         if self.metrics_every < 1:
             raise ValueError(f"metrics_every must be >= 1, got {self.metrics_every}")
         if self.batch_size < 0:
@@ -276,6 +281,17 @@ class ExperimentConfig:
         ):
             d[f"hyper.{k}"] = getattr(self.hyper, k)
         return d
+
+
+def simulated_clients(config: ExperimentConfig) -> int:
+    """Number of clients the round loop runs; central_gda runs one pooled client."""
+    if config.optimizer is OptimizerKind.CENTRAL_GDA:
+        return 1
+    if config.problem is ProblemKind.DOMAIN_ADAPT:
+        return config.partition.n_clients
+    if config.problem_file:
+        return len(load_quadratic_specs(config.problem_file))
+    return config.quad_n_clients
 
 
 @dataclass
@@ -362,7 +378,6 @@ def run_experiment(config: ExperimentConfig) -> RunLog:
     batch_rng = np.random.Generator(np.random.PCG64(batch_seq))
 
     for t in range(hp.rounds):
-        t0 = time.perf_counter()
         if config.batch_size > 0 and built.shards is not None:
             # seeded minibatch mode: fresh per-round subsample of each shard
             clients = [
@@ -414,6 +429,5 @@ def run_experiment(config: ExperimentConfig) -> RunLog:
                 floats_communicated=server.floats_sent,
             )
         )
-        log.wall_clock.append(time.perf_counter() - t0)
 
     return log

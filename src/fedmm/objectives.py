@@ -1,6 +1,11 @@
 """Local minimax objectives: quadratic saddles and the domain-adaptation toy.
 
-Both families expose value / grad_omega / grad_psi on flat parameter vectors.
+Both families expose value / grad_omega / grad_psi on flat parameter vectors,
+plus grads(omega, psi) -> (grad_omega, grad_psi), which the optimizers' local
+steps call once per step. Its default evaluates the two single-block methods;
+the domain-adaptation objective overrides it to get both blocks from one
+forward/backward pass.
+
 The quadratic family is the closed-form-verifiable workhorse:
 
     f(omega, psi) = 1/2 om'A om + om'B ps - 1/2 ps'C ps + a'om + c'ps
@@ -47,6 +52,10 @@ class LocalObjective(ABC):
 
     @abstractmethod
     def grad_psi(self, omega: Vector, psi: Vector) -> Vector: ...
+
+    def grads(self, omega: Vector, psi: Vector) -> tuple[Vector, Vector]:
+        """(grad_omega, grad_psi) at one point; override to share work between blocks."""
+        return self.grad_omega(omega, psi), self.grad_psi(omega, psi)
 
 
 # --------------------------- quadratic family --------------------------- #
@@ -239,6 +248,10 @@ class DomainAdaptObjective(LocalObjective):
         self.layout = layout
         self.alpha = 1.0 / len(dataset) if alpha is None else float(alpha)
         self._labeled = dataset.domain == SOURCE
+        # constant per shard: labeled rows, their labels, and a row index for them
+        self._lab_idx = np.flatnonzero(self._labeled)
+        self._lab_y = dataset.y[self._lab_idx]
+        self._lab_rows = np.arange(len(self._lab_idx))
 
     @property
     def dims(self) -> tuple[int, int]:
@@ -255,40 +268,47 @@ class DomainAdaptObjective(LocalObjective):
         _, _, _, logits, t = self._forward(omega, psi)
         lab = self._labeled
         total = 0.0
-        if lab.any():
-            lse = np.logaddexp.reduce(logits[lab], axis=1)
-            picked = logits[lab, self.dataset.y[lab]]
+        if self._lab_idx.size:
+            lab_logits = logits[self._lab_idx]
+            lse = np.logaddexp.reduce(lab_logits, axis=1)
+            picked = lab_logits[self._lab_rows, self._lab_y]
             total += float(np.sum(lse - picked))            # cross-entropy
             total += float(np.sum(-self.nu * _softplus(t[lab])))    # nu*log(1-h)
         if (~lab).any():
             total += float(np.sum(-self.nu * _softplus(-t[~lab])))  # nu*log(h)
         return self.alpha * total
 
+    def _dt(self, t: np.ndarray) -> np.ndarray:
+        """d(loss)/dt of the domain terms, per point."""
+        s = _sigmoid(t)
+        return np.where(self._labeled, -self.nu * s, self.nu * (1.0 - s))
+
     def _backward(self, omega: Vector, psi: Vector):
         W, V, Z, logits, t = self._forward(omega, psi)
-        lab = self._labeled
-        n, _ = Z.shape
-        s = _sigmoid(t)
         dlogits = np.zeros_like(logits)
-        if lab.any():
-            shifted = logits[lab] - logits[lab].max(axis=1, keepdims=True)
-            p = np.exp(shifted)
+        if self._lab_idx.size:
+            lab_logits = logits[self._lab_idx]
+            p = np.exp(lab_logits - lab_logits.max(axis=1, keepdims=True))
             p /= p.sum(axis=1, keepdims=True)
-            p[np.arange(lab.sum()), self.dataset.y[lab]] -= 1.0
-            dlogits[lab] = p
-        dt = np.where(lab, -self.nu * s, self.nu * (1.0 - s))
-        return W, V, Z, dlogits, dt
+            p[self._lab_rows, self._lab_y] -= 1.0
+            dlogits[self._lab_idx] = p
+        return W, V, Z, dlogits, self._dt(t)
 
-    def grad_omega(self, omega: Vector, psi: Vector) -> Vector:
+    def grads(self, omega: Vector, psi: Vector) -> tuple[Vector, Vector]:
         _, V, Z, dlogits, dt = self._backward(omega, psi)
         gV = self.alpha * (dlogits.T @ Z)
         dZ = dlogits @ V + dt[:, None] * psi[None, :]
         gW = self.alpha * (dZ.T @ self.dataset.X)
-        return self.layout.pack_omega(gW, gV)
+        return self.layout.pack_omega(gW, gV), vector(self.alpha * (Z.T @ dt))
+
+    def grad_omega(self, omega: Vector, psi: Vector) -> Vector:
+        return self.grads(omega, psi)[0]
 
     def grad_psi(self, omega: Vector, psi: Vector) -> Vector:
-        _, _, Z, _, dt = self._backward(omega, psi)
-        return vector(self.alpha * (Z.T @ dt))
+        # no predictor pass: the psi block needs only the features and dt
+        W, _ = self.layout.unpack_omega(omega)
+        Z = self.dataset.X @ W.T
+        return vector(self.alpha * (Z.T @ self._dt(Z @ psi)))
 
     def predict(self, omega: Vector, X: np.ndarray) -> np.ndarray:
         """Predictor argmax over classes; ties resolve to the lowest index."""
@@ -435,11 +455,18 @@ def _tokens(path: str | Path) -> list[str]:
     return out
 
 
-def load_quadratic_specs(path: str | Path) -> list[QuadraticSaddleSpec]:
-    toks = _tokens(path)
+def _header(toks: list[str], path: str | Path) -> tuple[int, int, int]:
     if len(toks) < 3:
         raise ValueError(f"{path}: missing 'd1 d2 N' header")
     d1, d2, n = (int(t) for t in toks[:3])
+    if min(d1, d2, n) < 1:
+        raise ValueError(f"{path}: header 'd1 d2 N' must be positive, got {d1} {d2} {n}")
+    return d1, d2, n
+
+
+def load_quadratic_specs(path: str | Path) -> list[QuadraticSaddleSpec]:
+    toks = _tokens(path)
+    d1, d2, n = _header(toks, path)
     per = d1 * d1 + d1 * d2 + d2 * d2 + d1 + d2
     body = toks[3:]
     if len(body) != n * per:
@@ -480,9 +507,7 @@ def save_quadratic_specs(path: str | Path, specs: Sequence[QuadraticSaddleSpec])
 def load_dataset(path: str | Path) -> tuple[DomainAdaptDataset, int]:
     """Read a dataset file; returns (dataset, n_classes)."""
     toks = _tokens(path)
-    if len(toks) < 3:
-        raise ValueError(f"{path}: missing 'd1 d2 N' header")
-    d1, n_classes, n = (int(t) for t in toks[:3])
+    d1, n_classes, n = _header(toks, path)
     body = toks[3:]
     per = 2 + d1
     if len(body) != n * per:

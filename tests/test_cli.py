@@ -1,7 +1,10 @@
 
+import sys
+import threading
+
 import pytest
 
-from fedmm.cli import ConfigError, main, parse_config
+from fedmm.cli import ConfigError, _write_atomic, main, parse_config
 from fedmm.federation import run_experiment
 from fedmm.optim import OptimizerKind
 
@@ -118,6 +121,29 @@ class TestCmdRun:
         cfg_path = write(tmp_path, "optimizer = warp\nproblem = quadratic\n")
         assert main(["run", "--config", str(cfg_path)]) == 2
 
+    @pytest.mark.parametrize(
+        "override, key",
+        [
+            ("problem.n_clients=0", "problem.n_clients"),
+            ("hyper.local_steps=5,6", "hyper.local_steps"),
+            ("hyper.local_tol=-1", "local_tol"),
+            ("hyper.local_max_iters=0", "local_max_iters"),
+        ],
+    )
+    def test_invalid_value_is_config_error(self, tmp_path, capsys, override, key):
+        cfg_path = write(tmp_path, MINIMAL + f"output_path = {tmp_path / 'x.csv'}\n")
+        assert main(["run", "--config", str(cfg_path), "--set", override]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and key in err
+
+    def test_bad_problem_file_header_is_config_error(self, tmp_path, capsys):
+        problem = tmp_path / "neg.txt"
+        problem.write_text("-1 2 0\n")
+        cfg_path = write(tmp_path, MINIMAL + f"problem.file = {problem}\n")
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: problem.file") and "neg.txt" in err
+
     def test_divergent_run_exit_code(self, tmp_path, capsys):
         out = tmp_path / "div.csv"
         text = (
@@ -128,6 +154,43 @@ class TestCmdRun:
         rc = main(["run", "--config", str(write(tmp_path, text))])
         assert rc == 3
         assert not out.exists()
+
+
+class TestWriteAtomic:
+    def test_other_writers_temp_file_untouched(self, tmp_path):
+        out = tmp_path / "run.csv"
+        other = tmp_path / "run.csv.tmp"
+        other.write_text("another writer's partial output")
+        _write_atomic(str(out), "a,b\n")
+        assert out.read_text() == "a,b\n"
+        assert other.read_text() == "another writer's partial output"
+
+    def test_concurrent_writers_to_one_path(self, tmp_path):
+        out = tmp_path / "run.csv"
+        texts = [f"writer {i}\n" * 200 for i in range(8)]
+        errors = []
+
+        def write_many(text):
+            try:
+                for _ in range(25):
+                    _write_atomic(str(out), text)
+            except OSError as e:
+                errors.append(e)
+
+        threads = [threading.Thread(target=write_many, args=(t,)) for t in texts]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert errors == []
+        assert out.read_text() in texts
+        assert [p.name for p in tmp_path.iterdir()] == ["run.csv"]
 
 
 class TestCmdSweep:

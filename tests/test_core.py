@@ -132,6 +132,13 @@ class TestHyperParams:
         with pytest.raises(ValueError):
             HyperParams(rounds=-1)
 
+    def test_local_solve_fields_validated(self):
+        with pytest.raises(ValueError, match="local_tol"):
+            HyperParams(local_tol=-1e-9)
+        with pytest.raises(ValueError, match="local_max_iters"):
+            HyperParams(local_max_iters=0)
+        assert HyperParams(local_tol=0.0, local_max_iters=1).local_max_iters == 1
+
     def test_rounds_zero_allowed(self):
         assert HyperParams(rounds=0).rounds == 0
 

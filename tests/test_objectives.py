@@ -8,6 +8,7 @@ from fedmm.objectives import (
     TARGET,
     UNLABELED,
     DomainAdaptDataset,
+    LocalObjective,
     MeanObjective,
     ModelLayout,
     QuadraticSaddle,
@@ -178,6 +179,93 @@ class TestDomainAdaptObjective:
         assert np.array_equal(obj.grad_omega(om, ps), obj.grad_omega(om, ps))
 
 
+def reference_dann_grads(obj, om, ps):
+    """Both DANN gradient blocks, two-pass style with boolean-mask indexing."""
+    ds = obj.dataset
+    lab = ds.domain == SOURCE
+    W, V = obj.layout.unpack_omega(om)
+    Z = ds.X @ W.T
+    logits = Z @ V.T
+    t = Z @ ps
+    s = np.exp(-np.logaddexp(0.0, -t))
+    dlogits = np.zeros_like(logits)
+    if lab.any():
+        shifted = logits[lab] - logits[lab].max(axis=1, keepdims=True)
+        p = np.exp(shifted)
+        p /= p.sum(axis=1, keepdims=True)
+        p[np.arange(lab.sum()), ds.y[lab]] -= 1.0
+        dlogits[lab] = p
+    dt = np.where(lab, -obj.nu * s, obj.nu * (1.0 - s))
+    gV = obj.alpha * (dlogits.T @ Z)
+    dZ = dlogits @ V + dt[:, None] * ps[None, :]
+    gW = obj.alpha * (dZ.T @ ds.X)
+    return np.concatenate([gW.reshape(-1), gV.reshape(-1)]), obj.alpha * (Z.T @ dt)
+
+
+class SingleBlockOnly(LocalObjective):
+    """Test-only objective defining just the single-block gradient methods."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    @property
+    def dims(self):
+        return self.inner.dims
+
+    def value(self, omega, psi):
+        return self.inner.value(omega, psi)
+
+    def grad_omega(self, omega, psi):
+        return self.inner.grad_omega(omega, psi)
+
+    def grad_psi(self, omega, psi):
+        return self.inner.grad_psi(omega, psi)
+
+
+def assert_grads_match_single_blocks(obj, seed):
+    d1, d2 = obj.dims
+    rng = seeded_rng(seed)
+    for _ in range(5):
+        om = vector(rng.standard_normal(d1))
+        ps = vector(rng.standard_normal(d2))
+        g_om, g_ps = obj.grads(om, ps)
+        assert np.array_equal(g_om, obj.grad_omega(om, ps))
+        assert np.array_equal(g_ps, obj.grad_psi(om, ps))
+
+
+class TestFusedGrads:
+    @pytest.mark.parametrize("shard", ["all_labeled", "all_unlabeled", "mixed"])
+    @pytest.mark.parametrize("layout", [None, ModelLayout(in_dim=2, feat_dim=3, n_classes=3)])
+    def test_dann_matches_single_blocks_and_reference(self, shard, layout):
+        train, _, toy_layout = domain_shift_toy(seeded_rng(26), n_per_domain=12, holdout_n=4)
+        layout = layout or toy_layout
+        idx = {
+            "all_labeled": np.flatnonzero(train.domain == SOURCE),
+            "all_unlabeled": np.flatnonzero(train.domain == TARGET),
+            "mixed": np.arange(0, len(train), 3),
+        }[shard]
+        obj = make_domain_adapt_client(train.subset(idx), nu=0.4, layout=layout)
+        assert_grads_match_single_blocks(obj, seed=27)
+        rng = seeded_rng(28)
+        om = vector(rng.standard_normal(layout.d1))
+        ps = vector(rng.standard_normal(layout.d2))
+        got = obj.grads(om, ps)
+        for g, want in zip(got, reference_dann_grads(obj, om, ps)):
+            assert np.array_equal(g, want)
+            assert not g.flags.writeable
+
+    def test_quadratic(self):
+        assert_grads_match_single_blocks(QuadraticSaddle(synthetic_quadratic_specs(1)[0]), 29)
+
+    def test_mean_objective(self):
+        objs = [QuadraticSaddle(s) for s in synthetic_quadratic_specs(3)]
+        assert_grads_match_single_blocks(MeanObjective(objs), 30)
+
+    def test_default_for_single_block_subclass(self):
+        obj = SingleBlockOnly(QuadraticSaddle(synthetic_quadratic_specs(1)[0]))
+        assert_grads_match_single_blocks(obj, 31)
+
+
 class TestInnerMax:
     def test_closed_form_single_client(self):
         obj = scalar_saddle()
@@ -269,6 +357,13 @@ class TestTextFormats:
         path.write_text("# a scalar saddle\n1 1 1\n0.0  # A\n1.0\n1.0\n0.0\n0.0\n")
         (spec,) = load_quadratic_specs(path)
         assert spec.B[0, 0] == 1.0
+
+    @pytest.mark.parametrize("header", ["-1 2 0", "0 1 1", "1 0 1", "1 1 0"])
+    def test_non_positive_header_rejected(self, tmp_path, header):
+        path = tmp_path / "bad_header.txt"
+        path.write_text(header + "\n")
+        with pytest.raises(ValueError, match="bad_header.txt.*positive"):
+            load_quadratic_specs(path)
 
     def test_truncated_file_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"

@@ -14,6 +14,7 @@ from fedmm.objectives import LocalObjective, QuadraticSaddle, QuadraticSaddleSpe
 from fedmm.optim import (
     LocalRoundOutput,
     OptimizerKind,
+    _check_finite,
     augmented_lagrangian_grads,
     centralized_gda_step,
     fedavg_gda_local,
@@ -144,6 +145,25 @@ class TestFedmmLocalRound:
             ClientState(0, obj, new_state.pair, state.lam, state.beta), gp, hp
         )
         assert max(np.linalg.norm(g_om), np.linalg.norm(g_ps)) <= 1e-11
+
+
+class TestCheckFinite:
+    CAP = 1e100
+
+    @pytest.mark.parametrize(
+        "bad", [np.nan, np.inf, -np.inf, np.nextafter(1e100, np.inf), -np.nextafter(1e100, np.inf)]
+    )
+    @pytest.mark.parametrize("block", ["omega", "psi"])
+    def test_raises_in_either_block(self, bad, block):
+        om = np.array([0.5, -2.0, 3.0])
+        ps = np.array([1.0, 0.0])
+        (om if block == "omega" else ps)[1] = bad
+        with pytest.raises(DivergenceError) as exc:
+            _check_finite(om, ps, "test", 7)
+        assert exc.value.step == 7
+
+    def test_passes_at_the_cap(self):
+        _check_finite(np.array([self.CAP, -self.CAP]), np.array([-self.CAP]), "test", 0)
 
 
 class TestFedmmAggregate:
