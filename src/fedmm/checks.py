@@ -32,6 +32,7 @@ from fedmm.optim import (
     fedavg_gda_local,
     fedprox_gda_local,
     fedmm_local_round,
+    local_solve,
     run_round,
 )
 from fedmm.problems import domain_shift_toy, synthetic_quadratic_specs
@@ -176,6 +177,45 @@ def check_equiv_fedavg_fedsgda() -> str:
     return "50 rounds bit-exact"
 
 
+def check_row_independence() -> str:
+    """One N-client stacked round equals N single-client rounds of the same kernel, bit for bit."""
+    quad = [QuadraticSaddle(s) for s in synthetic_quadratic_specs(3)]
+    train, _, layout = domain_shift_toy(seeded_rng(19), n_per_domain=20, holdout_n=4)
+    shards = partition_label_shift(train, PartitionSpec(n_clients=2, p=0.75), seeded_rng(20))
+    shards[1] = shards[1].subset(np.arange(len(shards[1]) - 7))  # shards of unequal size
+    dann = [make_domain_adapt_client(s, nu=0.5, layout=layout) for s in shards]
+    cases = [
+        (quad, HyperParams(eta1=0.1, eta2=0.1, local_steps=(20, 20, 25)), None),
+        (quad, HyperParams(eta1=0.2, eta2=0.2), 1e-10),
+        (dann, HyperParams(eta1=0.1, eta2=0.25, nu=0.5, local_steps=(10,)), None),
+    ]
+    rng = seeded_rng(21)
+    rows = 0
+    for objs, hp, local_tol in cases:
+        d1, d2 = objs[0].dims
+        start = PrimalDualPair(
+            vector(0.1 * rng.standard_normal(d1)), vector(0.1 * rng.standard_normal(d2))
+        )
+        for kind in (k for k in OptimizerKind if k is not OptimizerKind.CENTRAL_GDA):
+            # one round first, so that FedMM's duals are no longer zero
+            server = ServerState(start)
+            clients = [ClientState.initial(i, o, start) for i, o in enumerate(objs)]
+            clients = run_round(kind, clients, server, hp, local_tol=local_tol)
+            args = (server.global_pair, hp, server.round, local_tol)
+            whole = local_solve(kind, clients, *args)
+            for r, c in enumerate(clients):
+                alone = local_solve(kind, [c], *args)
+                for name in ("omega", "psi", "lam", "beta", "omega_out", "psi_out"):
+                    a, b = getattr(whole, name), getattr(alone, name)
+                    if (a is None) != (b is None) or (a is not None and not np.array_equal(a[r], b[0])):
+                        raise AssertionError(
+                            f"{kind.value}: client {c.id}'s {name} differs between the "
+                            f"{len(clients)}-client and the single-client round"
+                        )
+                rows += 1
+    return f"{rows} client rows bit-exact"
+
+
 def check_stationary_saddle_fixed() -> str:
     # A=0, B=I, C=I, a=0, c=0: the origin is an exact per-client saddle.
     d = 3
@@ -263,6 +303,7 @@ def builtin_checks() -> list[tuple[str, "object"]]:
         ("equiv_fedsgda_central", check_equiv_fedsgda_central),
         ("equiv_fedprox_fedavg", check_equiv_fedprox_fedavg),
         ("equiv_fedavg_fedsgda", check_equiv_fedavg_fedsgda),
+        ("row_independence", check_row_independence),
         ("stationary_saddle_fixed", check_stationary_saddle_fixed),
         ("kappa_bound", check_kappa_bound),
         ("partition_cover", check_partition_cover),

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import uuid
 from dataclasses import replace
 from pathlib import Path
 
@@ -27,6 +26,8 @@ from fedmm.federation import (
     run_experiment,
     simulated_clients,
 )
+from fedmm.federation import write_atomic as _write_atomic
+from fedmm.objectives import load_dataset
 from fedmm.optim import OptimizerKind
 
 EXIT_OK = 0
@@ -149,6 +150,8 @@ def parse_config(path: str | Path, overrides: list[str] | None = None) -> Experi
         raise ConfigError(f"problem.file does not exist: {config.problem_file}")
     try:
         n_clients = simulated_clients(config)
+        if config.problem is ProblemKind.DOMAIN_ADAPT and config.problem_file is not None:
+            load_dataset(config.problem_file)
     except ValueError as e:
         raise ConfigError(f"problem.file: {e}") from None
     try:
@@ -182,26 +185,6 @@ def _summary_line(log: RunLog, output: str) -> str:
     return " ".join(parts)
 
 
-def _write_atomic(path: str, text: str) -> None:
-    """Write-then-rename so failures never leave a partial file behind.
-
-    Each call writes its own uniquely named temp file next to the target, so
-    concurrent writers to one path never share a temp file; the last rename wins.
-    """
-    target = Path(path)
-    tmp = target.with_name(f"{target.name}.{uuid.uuid4().hex}.tmp")
-    try:
-        with open(tmp, "x") as f:
-            f.write(text)
-        os.replace(tmp, target)
-    except BaseException:
-        try:
-            tmp.unlink(missing_ok=True)
-        except OSError:
-            pass
-        raise
-
-
 def cmd_run(config: ExperimentConfig) -> int:
     try:
         log = run_experiment(config)
@@ -212,7 +195,7 @@ def cmd_run(config: ExperimentConfig) -> int:
         print(f"status=failed error={e}", file=sys.stderr)
         return EXIT_DIVERGENCE
     try:
-        _write_atomic(config.output_path, log.csv_text())
+        log.write_csv(config.output_path)
     except OSError as e:
         print(f"status=io_error error={e}", file=sys.stderr)
         return EXIT_IO
@@ -246,7 +229,7 @@ def cmd_sweep(config: ExperimentConfig, axis: str, values: list[str]) -> int:
             sub = _apply_axis(config, axis, raw)
             sub = replace(sub, output_path=str(sub_path))
             log = run_experiment(sub)
-            _write_atomic(sub.output_path, log.csv_text())
+            log.write_csv(sub.output_path)
             final = log.final()
             index_rows.append(
                 [

@@ -8,6 +8,8 @@ seeds spawned from the config seed.
 
 from __future__ import annotations
 
+import os
+import uuid
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
@@ -172,6 +174,26 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+def write_atomic(path: str | Path, text: str) -> None:
+    """Write-then-rename so failures never leave a partial file behind.
+
+    Each call writes its own uniquely named temp file next to the target, so
+    concurrent writers to one path never share a temp file; the last rename wins.
+    """
+    target = Path(path)
+    tmp = target.with_name(f"{target.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "x") as f:
+            f.write(text)
+        os.replace(tmp, target)
+    except BaseException:
+        try:
+            tmp.unlink(missing_ok=True)
+        except OSError:
+            pass
+        raise
+
+
 @dataclass
 class RunLog:
     """Per-round metrics plus the config echo; serializes to the run CSV."""
@@ -199,7 +221,7 @@ class RunLog:
         return "\n".join(lines) + "\n"
 
     def write_csv(self, path: str | Path) -> None:
-        Path(path).write_text(self.csv_text())
+        write_atomic(path, self.csv_text())
 
     def final(self) -> RoundMetrics | None:
         return self.rounds[-1] if self.rounds else None

@@ -4,7 +4,8 @@ Both families expose value / grad_omega / grad_psi on flat parameter vectors,
 plus grads(omega, psi) -> (grad_omega, grad_psi), which the optimizers' local
 steps call once per step. Its default evaluates the two single-block methods;
 the domain-adaptation objective overrides it to get both blocks from one
-forward/backward pass.
+forward/backward pass. `stacked(objectives)` evaluates N clients at N points
+in one call, as the optimizers' client-stacked local solve needs.
 
 The quadratic family is the closed-form-verifiable workhorse:
 
@@ -22,6 +23,7 @@ nu*log(h(z)), with z = W x the extracted feature.
 
 from __future__ import annotations
 
+import weakref
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path
@@ -333,6 +335,102 @@ def make_domain_adapt_client(
     return DomainAdaptObjective(dataset, nu, layout, alpha=alpha)
 
 
+# ---------------------------- stacked views ---------------------------- #
+
+
+def _common_dims(objectives: Sequence[LocalObjective]) -> tuple[int, int]:
+    if not objectives:
+        raise ValueError("a stacked view needs at least one objective")
+    dims = objectives[0].dims
+    for i, o in enumerate(objectives):
+        if o.dims != dims:
+            raise ValueError(f"objective {i} has dims {o.dims}, objective 0 has {dims}")
+    return dims
+
+
+class StackedObjectives:
+    """N objectives evaluated at N points at once: row i of every array is objective i.
+
+    This general view calls each objective's own grads and writes the result
+    into fresh (N, d) arrays, so any LocalObjective works; all-quadratic
+    client lists get a batched-matmul view instead (see `stacked`).
+    """
+
+    def __init__(self, objectives: Sequence[LocalObjective]):
+        self.dims = _common_dims(objectives)
+        self.objectives = tuple(objectives)
+
+    def grads(
+        self, OM: np.ndarray, PS: np.ndarray, rows: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(G_OM, G_PS) at the (N, d1) / (N, d2) points; `rows` masks the rows to evaluate.
+
+        Rows left out of the mask read zero.
+        """
+        alloc = np.empty if rows is None else np.zeros
+        G_OM, G_PS = alloc(OM.shape), alloc(PS.shape)
+        for r, obj in enumerate(self.objectives):
+            if rows is None or rows[r]:
+                G_OM[r], G_PS[r] = obj.grads(OM[r], PS[r])
+        return G_OM, G_PS
+
+
+class _StackedQuadratic(StackedObjectives):
+    """Quadratic clients: every row's gradient from one batched matvec per term.
+
+    It keeps the stacked matrices, not the objectives: those are held weakly,
+    only to recognise them again, so a cached view never keeps a finished
+    run's objectives alive.
+    """
+
+    def __init__(self, objectives: Sequence[QuadraticSaddle]):
+        self.dims = _common_dims(objectives)
+        self.refs = tuple(weakref.ref(o, _drop_cached_view) for o in objectives)
+        self.A = np.stack([o.A for o in objectives])
+        self.B = np.stack([o.B for o in objectives])
+        # a transposed view, like QuadraticSaddle's B.T, so BLAS sees the same layout
+        self.BT = np.swapaxes(self.B, 1, 2)
+        self.C = np.stack([o.C for o in objectives])
+        self.a = np.stack([o.a for o in objectives])
+        self.c = np.stack([o.c for o in objectives])
+
+    def grads(self, OM, PS, rows=None):
+        om, ps = OM[..., None], PS[..., None]
+        return (
+            (self.A @ om)[..., 0] + (self.B @ ps)[..., 0] + self.a,
+            (self.BT @ om)[..., 0] - (self.C @ ps)[..., 0] + self.c,
+        )
+
+
+_cached_view: _StackedQuadratic | None = None
+
+
+def _drop_cached_view(_dead) -> None:
+    # one of the cached view's objectives was freed: free its matrix stacks too
+    global _cached_view
+    _cached_view = None
+
+
+def stacked(objectives: Sequence[LocalObjective]) -> StackedObjectives:
+    """The stacked view of these objectives.
+
+    A run keeps its objectives from round to round, so the quadratic matrix
+    stacks are built once per run, not once per round: the most recent
+    quadratic view is reused while its objectives are the same objects.
+    Other views only wrap the list and are built on each call.
+    """
+    global _cached_view
+    objs = tuple(objectives)
+    if not all(type(o) is QuadraticSaddle for o in objs):
+        return StackedObjectives(objs)
+    view = _cached_view
+    if view is None or len(view.refs) != len(objs) or any(
+        ref() is not o for ref, o in zip(view.refs, objs)
+    ):
+        view = _cached_view = _StackedQuadratic(objs)
+    return view
+
+
 # ----------------------------- global views ----------------------------- #
 
 
@@ -520,7 +618,15 @@ def load_dataset(path: str | Path) -> tuple[DomainAdaptDataset, int]:
         dom[i] = int(rec[0])
         y[i] = int(rec[1])
         X[i] = [float(v) for v in rec[2:]]
-    return DomainAdaptDataset(X, y, dom), n_classes
+    bad = (y >= n_classes) | (y < UNLABELED)
+    if bad.any():
+        raise ValueError(
+            f"{path}: label {y[bad][0]} outside class range 0..{n_classes - 1} (or -1 unlabeled)"
+        )
+    try:
+        return DomainAdaptDataset(X, y, dom), n_classes
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
 
 
 def save_dataset(path: str | Path, ds: DomainAdaptDataset, n_classes: int) -> None:

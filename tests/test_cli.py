@@ -144,6 +144,20 @@ class TestCmdRun:
         err = capsys.readouterr().err
         assert err.startswith("config error: problem.file") and "neg.txt" in err
 
+    def test_dataset_label_outside_class_range_is_config_error(self, tmp_path, capsys):
+        data = tmp_path / "bad_label.txt"
+        data.write_text("2 2 1\n0 5 1.0 2.0\n")
+        out = tmp_path / "never.csv"
+        text = (
+            "optimizer = fedmm\nproblem = domain_adapt\n"
+            f"problem.file = {data}\noutput_path = {out}\n"
+        )
+        assert main(["run", "--config", str(write(tmp_path, text))]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: problem.file: ")
+        assert "bad_label.txt" in err and "label 5" in err
+        assert not out.exists()
+
     def test_divergent_run_exit_code(self, tmp_path, capsys):
         out = tmp_path / "div.csv"
         text = (

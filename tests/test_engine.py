@@ -1,0 +1,311 @@
+"""The client-stacked local solve against a plain per-client numpy reference.
+
+Every comparison is exact (np.array_equal): stacking the clients must not
+change a single bit of any client's iterates, duals, uploads or the average.
+"""
+
+import weakref
+
+import numpy as np
+import pytest
+
+from fedmm.checks import check_row_independence
+from fedmm.core import (
+    ClientState,
+    ConvergenceError,
+    DivergenceError,
+    HyperParams,
+    PrimalDualPair,
+    ServerState,
+    seeded_rng,
+    vector,
+)
+from fedmm.federation import PartitionMode, PartitionSpec, partition_label_shift
+from fedmm.objectives import (
+    MeanObjective,
+    QuadraticSaddle,
+    QuadraticSaddleSpec,
+    StackedObjectives,
+    make_domain_adapt_client,
+    stacked,
+)
+from fedmm.optim import OptimizerKind, run_round
+from fedmm.problems import domain_shift_toy, synthetic_quadratic_specs
+
+K = OptimizerKind
+MULTI_STEP = (K.FEDMM, K.FEDAVG_GDA, K.FEDPROX_GDA)
+FEDERATED = (K.FEDMM, K.FEDSGDA, K.FEDAVG_GDA, K.FEDPROX_GDA)
+
+
+def reference_round(kind, clients, gp, hp, t, local_tol=None):
+    """One round, one client after the other, in plain numpy.
+
+    Returns ({id: (omega, psi, lam, beta)}, (omega_bar, psi_bar)).
+    """
+    states, uploads = {}, []
+    for c in sorted(clients, key=lambda c: c.id):
+        obj, lam, beta = c.objective, c.lam, c.beta
+
+        def grads(om, ps):
+            g_om, g_ps = obj.grad_omega(om, ps), obj.grad_psi(om, ps)
+            if kind is K.FEDMM:
+                g_om = g_om + lam + hp.mu1 * (om - gp.omega)
+                g_ps = g_ps - beta - hp.mu2 * (ps - gp.psi)
+            elif kind is K.FEDPROX_GDA and hp.prox_mu != 0.0:
+                g_om = g_om + hp.prox_mu * (om - gp.omega)
+                g_ps = g_ps - hp.prox_mu * (ps - gp.psi)
+            return g_om, g_ps
+
+        om, ps = np.array(gp.omega), np.array(gp.psi)
+        if kind is K.FEDMM and local_tol:
+            for _ in range(hp.local_max_iters):
+                g_om, g_ps = grads(om, ps)
+                if max(np.linalg.norm(g_om), np.linalg.norm(g_ps)) <= local_tol:
+                    break
+                om, ps = om - hp.eta1 * g_om, ps + hp.eta2 * g_ps
+            else:
+                g_om, g_ps = grads(om, ps)
+                gn = max(float(np.linalg.norm(g_om)), float(np.linalg.norm(g_ps)))
+                if gn > local_tol:
+                    raise ConvergenceError(f"client {c.id}", gn, hp.local_max_iters)
+        else:
+            for _ in range(hp.steps_for(c.id) if kind in MULTI_STEP else 1):
+                g_om, g_ps = grads(om, ps)
+                om, ps = om - hp.eta1 * g_om, ps + hp.eta2 * g_ps
+        up_om, up_ps = om, ps
+        if kind is K.FEDMM:
+            lam = lam + hp.mu1 * (om - gp.omega)
+            beta = beta + hp.mu2 * (ps - gp.psi)
+            up_om = om + (hp.eta3**t / hp.mu1) * lam
+            up_ps = ps + (hp.eta3**t / hp.mu2) * beta
+        states[c.id] = (om, ps, lam, beta)
+        uploads.append((up_om, up_ps))
+    bar_om, bar_ps = np.zeros(len(gp.omega)), np.zeros(len(gp.psi))
+    for up_om, up_ps in uploads:
+        bar_om += up_om
+        bar_ps += up_ps
+    return states, (bar_om / len(uploads), bar_ps / len(uploads))
+
+
+def assert_rounds_match(kind, objectives, hp, rounds=3, local_tol=None, start=None):
+    """Run `rounds` stacked rounds, checking each one against the reference."""
+    d1, d2 = objectives[0].dims
+    if start is None:
+        rng = seeded_rng(5)
+        start = PrimalDualPair(vector(0.1 * rng.standard_normal(d1)), vector(0.1 * rng.standard_normal(d2)))
+    server = ServerState(start)
+    clients = [ClientState.initial(i, o, start) for i, o in enumerate(objectives)]
+    hp = hp.expanded(len(clients))
+    for t in range(rounds):
+        want_states, want_bar = reference_round(
+            kind, clients, server.global_pair, hp, t, local_tol
+        )
+        clients = run_round(kind, clients, server, hp, local_tol=local_tol)
+        assert np.array_equal(server.global_pair.omega, want_bar[0])
+        assert np.array_equal(server.global_pair.psi, want_bar[1])
+        for c in clients:
+            om, ps, lam, beta = want_states[c.id]
+            assert np.array_equal(c.pair.omega, om) and np.array_equal(c.pair.psi, ps)
+            assert np.array_equal(c.lam, lam) and np.array_equal(c.beta, beta)
+    return clients
+
+
+def quadratics(n, d1=4, d2=3):
+    return [QuadraticSaddle(s) for s in synthetic_quadratic_specs(n, d1, d2)]
+
+
+def dann_shards():
+    """Three DANN clients on shards of 40, 20 and 20 points."""
+    train, _, layout = domain_shift_toy(seeded_rng(8), n_per_domain=40, holdout_n=4)
+    spec = PartitionSpec(n_clients=3, mode=PartitionMode.ONE_SOURCE_TWO_TARGET)
+    shards = partition_label_shift(train, spec, seeded_rng(9))
+    assert sorted(len(s) for s in shards) == [20, 20, 40]
+    return [make_domain_adapt_client(s, nu=0.5, layout=layout) for s in shards]
+
+
+class TestStackedEqualsReference:
+    @pytest.mark.parametrize("kind", FEDERATED)
+    @pytest.mark.parametrize("n", [1, 3, 32])
+    def test_quadratic_fixed_steps(self, kind, n):
+        objs = quadratics(n, 6, 4) if n == 32 else quadratics(n)
+        hp = HyperParams(eta1=0.05, eta2=0.05, mu1=0.8, mu2=1.3, eta3=0.9, prox_mu=0.4, local_steps=(7,))
+        assert_rounds_match(kind, objs, hp)
+
+    @pytest.mark.parametrize("kind", FEDERATED)
+    def test_heterogeneous_local_steps(self, kind):
+        hp = HyperParams(eta1=0.1, eta2=0.1, local_steps=(20, 20, 25))
+        assert_rounds_match(kind, quadratics(3), hp)
+
+    @pytest.mark.parametrize("kind", FEDERATED)
+    def test_dann_shards_of_unequal_size(self, kind):
+        hp = HyperParams(eta1=0.1, eta2=0.25, nu=0.5, local_steps=(5, 8, 5))
+        assert_rounds_match(kind, dann_shards(), hp, rounds=2)
+
+    @pytest.mark.parametrize("n", [1, 32])
+    def test_central_gda(self, n):
+        # central GDA runs one pooled client; a MeanObjective takes the per-row path
+        pooled = MeanObjective(quadratics(n)) if n > 1 else quadratics(1)[0]
+        assert_rounds_match(K.CENTRAL_GDA, [pooled], HyperParams(eta1=0.05, eta2=0.05), rounds=5)
+
+    def test_central_gda_dann(self):
+        pooled = MeanObjective(dann_shards())
+        assert_rounds_match(K.CENTRAL_GDA, [pooled], HyperParams(eta1=0.1, eta2=0.25), rounds=3)
+
+    def test_prox_zero_takes_no_penalty(self):
+        hp = HyperParams(eta1=0.05, eta2=0.05, prox_mu=0.0, local_steps=(9,))
+        objs = quadratics(3)
+        a = assert_rounds_match(K.FEDPROX_GDA, objs, hp)
+        b = assert_rounds_match(K.FEDAVG_GDA, objs, hp)
+        for x, y in zip(a, b):
+            assert np.array_equal(x.pair.omega, y.pair.omega)
+            assert np.array_equal(x.pair.psi, y.pair.psi)
+
+
+class TestRunToTolerance:
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_matches_reference(self, n):
+        objs = quadratics(n, 10, 6) if n == 8 else quadratics(n)
+        hp = HyperParams(eta1=0.2, eta2=0.2)
+        assert_rounds_match(K.FEDMM, objs, hp, rounds=4, local_tol=1e-10)
+
+    def test_dann_matches_reference(self):
+        hp = HyperParams(eta1=0.1, eta2=0.25, nu=0.5, local_max_iters=2000)
+        assert_rounds_match(K.FEDMM, dann_shards(), hp, rounds=2, local_tol=1e-5)
+
+    def test_convergence_error_names_the_failing_client(self):
+        # client 0 starts at its own saddle and converges at once; 1 and 2 hit the cap
+        d = 2
+        still = QuadraticSaddle(
+            QuadraticSaddleSpec(A=np.zeros((d, d)), B=np.eye(d), C=np.eye(d), a=np.zeros(d), c=np.zeros(d))
+        )
+        objs = [still] + quadratics(2, d, d)
+        hp = HyperParams(eta1=0.2, eta2=0.2, local_max_iters=5).expanded(3)
+        start = PrimalDualPair(vector(np.zeros(d)), vector(np.zeros(d)))
+        clients = [ClientState.initial(i, o, start) for i, o in enumerate(objs)]
+        with pytest.raises(ConvergenceError) as want:
+            reference_round(K.FEDMM, clients, start, hp, 0, local_tol=1e-10)
+        with pytest.raises(ConvergenceError) as got:
+            run_round(K.FEDMM, clients, ServerState(start), hp, local_tol=1e-10)
+        assert "(client 1)" in str(got.value) and "client 1" in str(want.value)
+        assert got.value.grad_norm == want.value.grad_norm
+        assert got.value.iterations == want.value.iterations == 5
+
+
+class TestRoundErrors:
+    def test_divergence_names_the_diverging_client_and_step(self):
+        calm = QuadraticSaddleSpec(
+            A=np.zeros((1, 1)), B=np.zeros((1, 1)), C=np.eye(1), a=np.zeros(1), c=np.zeros(1)
+        )
+        wild = QuadraticSaddleSpec(
+            A=np.array([[-100.0]]), B=np.zeros((1, 1)), C=np.eye(1), a=np.ones(1), c=np.zeros(1)
+        )
+        objs = [QuadraticSaddle(calm), QuadraticSaddle(calm), QuadraticSaddle(wild)]
+        start = PrimalDualPair(vector([1.0]), vector([0.0]))
+        hp = HyperParams(eta1=10.0, eta2=0.1, local_steps=(500,))
+        # the step at which client 2 alone first passes the divergence cap
+        om, want_step = 1.0, None
+        for m in range(500):
+            om = om - hp.eta1 * (-100.0 * om + 1.0)
+            if not abs(om) <= 1e100:
+                want_step = m
+                break
+        assert want_step is not None
+        for kind in MULTI_STEP:
+            clients = [ClientState.initial(i, o, start) for i, o in enumerate(objs)]
+            with pytest.raises(DivergenceError) as exc:
+                run_round(kind, clients, ServerState(start), hp)
+            assert "(client 2)" in exc.value.where
+            assert exc.value.step == want_step
+
+    def test_lowest_failing_client_is_named(self):
+        wild = QuadraticSaddle(
+            QuadraticSaddleSpec(
+                A=np.array([[-100.0]]), B=np.zeros((1, 1)), C=np.eye(1), a=np.ones(1), c=np.zeros(1)
+            )
+        )
+        start = PrimalDualPair(vector([1.0]), vector([0.0]))
+        clients = [ClientState.initial(i, wild, start) for i in range(3)]
+        with pytest.raises(DivergenceError) as exc:
+            run_round(K.FEDAVG_GDA, clients[::-1], ServerState(start), HyperParams(eta1=10.0, local_steps=(500,)))
+        assert "(client 0)" in exc.value.where
+
+    def test_duplicate_and_missing_ids_rejected(self):
+        obj = quadratics(1)[0]
+        start = PrimalDualPair(vector(np.zeros(4)), vector(np.zeros(3)))
+        dup = [ClientState.initial(i, obj, start) for i in (0, 1, 1)]
+        with pytest.raises(ValueError, match="duplicate client ids: \\[1\\]"):
+            run_round(K.FEDMM, dup, ServerState(start), HyperParams())
+        gap = [ClientState.initial(i, obj, start) for i in (0, 2)]
+        with pytest.raises(ValueError, match="missing client ids: \\[1\\]"):
+            run_round(K.FEDMM, gap, ServerState(start), HyperParams())
+
+    def test_disagreeing_dims_rejected(self):
+        with pytest.raises(ValueError, match="dims"):
+            stacked(quadratics(1) + quadratics(1, 5, 3))
+
+
+class TestClientOrder:
+    @pytest.mark.parametrize("kind", FEDERATED)
+    def test_out_of_order_list_aggregates_identically(self, kind):
+        objs = quadratics(5)
+        start = PrimalDualPair(vector(np.full(4, 0.3)), vector(np.full(3, -0.2)))
+        hp = HyperParams(eta1=0.05, eta2=0.05, local_steps=(3, 4, 5, 6, 7))
+        sorted_clients = [ClientState.initial(i, o, start) for i, o in enumerate(objs)]
+        shuffled = [sorted_clients[k] for k in (3, 0, 4, 2, 1)]
+        a, b = ServerState(start), ServerState(start)
+        for _ in range(3):
+            sorted_clients = run_round(kind, sorted_clients, a, hp)
+            shuffled = run_round(kind, shuffled, b, hp)
+            assert [c.id for c in shuffled] == [3, 0, 4, 2, 1]
+            assert np.array_equal(a.global_pair.omega, b.global_pair.omega)
+            assert np.array_equal(a.global_pair.psi, b.global_pair.psi)
+        for c in shuffled:
+            assert np.array_equal(c.lam, sorted_clients[c.id].lam)
+
+
+class TestStackedView:
+    def test_quadratic_rows_match_single_client_gradients(self):
+        objs = quadratics(6)
+        rng = seeded_rng(3)
+        OM, PS = rng.standard_normal((6, 4)), rng.standard_normal((6, 3))
+        G_OM, G_PS = stacked(objs).grads(OM, PS)
+        for r, o in enumerate(objs):
+            assert np.array_equal(G_OM[r], o.grad_omega(OM[r], PS[r]))
+            assert np.array_equal(G_PS[r], o.grad_psi(OM[r], PS[r]))
+
+    def test_subclasses_take_the_per_row_path(self):
+        class Scaled(QuadraticSaddle):
+            def grad_omega(self, omega, psi):
+                return 2.0 * super().grad_omega(omega, psi)
+
+        spec = synthetic_quadratic_specs(1)[0]
+        view = stacked([Scaled(spec), QuadraticSaddle(spec)])
+        assert type(view) is StackedObjectives
+        om, ps = np.ones((2, 4)), np.ones((2, 3))
+        G_OM, _ = view.grads(om, ps)
+        assert np.array_equal(G_OM[0], 2.0 * G_OM[1])
+
+    def test_masked_rows_read_zero(self):
+        view = stacked(dann_shards())
+        d1, d2 = view.dims
+        G_OM, G_PS = view.grads(np.ones((3, d1)), np.ones((3, d2)), np.array([True, False, True]))
+        assert not G_OM[1].any() and not G_PS[1].any()
+        assert G_OM[0].any()
+
+    def test_built_once_per_set_of_objectives(self):
+        objs = quadratics(3)
+        assert stacked(objs) is stacked(list(objs))
+        assert stacked(quadratics(3)) is not stacked(objs)
+
+    def test_cached_view_does_not_keep_objectives_alive(self):
+        objs = quadratics(3)
+        view = stacked(objs)
+        ref = weakref.ref(objs[0])
+        del objs
+        assert ref() is None
+        G_OM, _ = view.grads(np.zeros((3, 4)), np.zeros((3, 3)))
+        assert G_OM.shape == (3, 4)
+
+
+def test_row_independence_check():
+    assert "bit-exact" in check_row_independence()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fedmm import federation
 from fedmm.core import HyperParams, seeded_rng, vector
 from fedmm.federation import (
     CSV_HEADER,
@@ -13,6 +14,7 @@ from fedmm.federation import (
     evaluate_target_accuracy,
     partition_label_shift,
     run_experiment,
+    write_atomic,
 )
 from fedmm.objectives import (
     SOURCE,
@@ -248,3 +250,34 @@ class TestRunLogCsv:
         assert lines[0] == CSV_HEADER
         assert lines[1] == "0,,0.5,0.25,-1.5,,12"
         assert text.endswith("\n")
+
+
+class TestWriteCsv:
+    def test_writes_the_csv_text(self, tmp_path):
+        log = run_experiment(quad_config(hyper=HyperParams(rounds=2)))
+        out = tmp_path / "run.csv"
+        log.write_csv(out)
+        assert out.read_text() == log.csv_text()
+        assert [p.name for p in tmp_path.iterdir()] == ["run.csv"]
+
+    def test_failed_rename_keeps_target_and_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        out = tmp_path / "run.csv"
+        out.write_text("previous run\n")
+        log = run_experiment(quad_config(hyper=HyperParams(rounds=2)))
+
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(federation.os, "replace", refuse)
+        with pytest.raises(OSError, match="rename refused"):
+            log.write_csv(out)
+        assert out.read_text() == "previous run\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["run.csv"]
+
+    def test_failed_write_keeps_target_and_leaves_no_temp_file(self, tmp_path):
+        out = tmp_path / "run.csv"
+        out.write_text("previous run\n")
+        with pytest.raises(UnicodeEncodeError):
+            write_atomic(out, "round\n\ud800 is not encodable\n")
+        assert out.read_text() == "previous run\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["run.csv"]
