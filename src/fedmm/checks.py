@@ -17,7 +17,7 @@ from fedmm.diagnostics import (
     quadratic_kappa_bound,
     run_identity_suite,
 )
-from fedmm.federation import PartitionMode, PartitionSpec, partition_label_shift
+from fedmm.federation import PartitionMode, PartitionSpec, consensus, partition_label_shift
 from fedmm.objectives import (
     MeanObjective,
     QuadraticSaddle,
@@ -25,6 +25,8 @@ from fedmm.objectives import (
     inner_max,
     make_domain_adapt_client,
     make_quadratic_client,
+    phi_value_and_grad,
+    stacked,
 )
 from fedmm.optim import (
     OptimizerKind,
@@ -177,13 +179,18 @@ def check_equiv_fedavg_fedsgda() -> str:
     return "50 rounds bit-exact"
 
 
+def _dann_split() -> list:
+    """Two DANN clients on shards of unequal size."""
+    train, _, layout = domain_shift_toy(seeded_rng(19), n_per_domain=20, holdout_n=4)
+    shards = partition_label_shift(train, PartitionSpec(n_clients=2, p=0.75), seeded_rng(20))
+    shards[1] = shards[1].subset(np.arange(len(shards[1]) - 7))
+    return [make_domain_adapt_client(s, nu=0.5, layout=layout) for s in shards]
+
+
 def check_row_independence() -> str:
     """One N-client stacked round equals N single-client rounds of the same kernel, bit for bit."""
     quad = [QuadraticSaddle(s) for s in synthetic_quadratic_specs(3)]
-    train, _, layout = domain_shift_toy(seeded_rng(19), n_per_domain=20, holdout_n=4)
-    shards = partition_label_shift(train, PartitionSpec(n_clients=2, p=0.75), seeded_rng(20))
-    shards[1] = shards[1].subset(np.arange(len(shards[1]) - 7))  # shards of unequal size
-    dann = [make_domain_adapt_client(s, nu=0.5, layout=layout) for s in shards]
+    dann = _dann_split()
     cases = [
         (quad, HyperParams(eta1=0.1, eta2=0.1, local_steps=(20, 20, 25)), None),
         (quad, HyperParams(eta1=0.2, eta2=0.2), 1e-10),
@@ -214,6 +221,72 @@ def check_row_independence() -> str:
                         )
                 rows += 1
     return f"{rows} client rows bit-exact"
+
+
+def _mean_in_client_order(rows) -> np.ndarray:
+    total = rows[0].copy()
+    for row in rows[1:]:
+        total += row
+    return total / len(rows)
+
+
+def _per_client_oracles(objs, clients, pair: PrimalDualPair, tol: float):
+    """(loss, (phi value, phi gradient), consensus), one objective after the other."""
+    om, ps = pair.omega, pair.psi
+    n = len(objs)
+    loss = sum(o.value(om, ps) for o in objs) / n
+    if all(isinstance(o, QuadraticSaddle) for o in objs):
+        Bbar, Cbar, cbar = (sum(getattr(o, k) for o in objs) / n for k in "BCc")
+        psi = np.linalg.solve(Cbar, Bbar.T @ om + cbar)
+    else:
+        step = 1.0 / max(max(o.ascent_curvature_bound(om) for o in objs), 1e-12)
+        psi = np.zeros(objs[0].dims[1])
+        g = _mean_in_client_order([o.grad_psi(om, psi) for o in objs])
+        while float(np.linalg.norm(g)) > tol:
+            psi = psi + step * g
+            g = _mean_in_client_order([o.grad_psi(om, psi) for o in objs])
+    phi = (
+        sum(o.value(om, psi) for o in objs) / n,
+        _mean_in_client_order([o.grad_omega(om, psi) for o in objs]),
+    )
+    cons = (
+        max(float(np.linalg.norm(c.pair.omega - om)) for c in clients),
+        max(float(np.linalg.norm(c.pair.psi - ps)) for c in clients),
+    )
+    return loss, phi, cons
+
+
+def check_stacked_oracles() -> str:
+    """The per-round metric oracles through the stacked view equal the per-client path, bit for bit."""
+    cases = [
+        ([QuadraticSaddle(s) for s in synthetic_quadratic_specs(3)], 1e-12),
+        ([QuadraticSaddle(s) for s in synthetic_quadratic_specs(32, 20, 10)], 1e-12),
+        (_dann_split(), 1e-6),
+    ]
+    hp = HyperParams(eta1=0.1, eta2=0.1, local_steps=(5,))
+    rng = seeded_rng(22)
+    samples = 0
+    for objs, tol in cases:
+        d1, d2 = objs[0].dims
+        start = PrimalDualPair(
+            vector(0.1 * rng.standard_normal(d1)), vector(0.1 * rng.standard_normal(d2))
+        )
+        server = ServerState(start)
+        clients = [ClientState.initial(i, o, start) for i, o in enumerate(objs)]
+        for _ in range(3):
+            clients = run_round(OptimizerKind.FEDMM, clients, server, hp)
+            gp = server.global_pair
+            loss, (phi_value, phi_grad), cons = _per_client_oracles(objs, clients, gp, tol)
+            got_value, got_grad = phi_value_and_grad(objs, gp.omega, tol)
+            where = f"{len(objs)}-client {type(objs[0]).__name__} round {server.round}"
+            if stacked(objs).mean_value(gp.omega, gp.psi) != loss:
+                raise AssertionError(f"{where}: stacked global loss differs")
+            if got_value != phi_value or not np.array_equal(got_grad, phi_grad):
+                raise AssertionError(f"{where}: stacked phi oracle differs")
+            if consensus(clients, gp) != cons:
+                raise AssertionError(f"{where}: stacked consensus differs")
+            samples += 1
+    return f"loss, phi oracle and consensus bit-exact at {samples} rounds"
 
 
 def check_stationary_saddle_fixed() -> str:
@@ -304,6 +377,7 @@ def builtin_checks() -> list[tuple[str, "object"]]:
         ("equiv_fedprox_fedavg", check_equiv_fedprox_fedavg),
         ("equiv_fedavg_fedsgda", check_equiv_fedavg_fedsgda),
         ("row_independence", check_row_independence),
+        ("stacked_oracles", check_stacked_oracles),
         ("stationary_saddle_fixed", check_stationary_saddle_fixed),
         ("kappa_bound", check_kappa_bound),
         ("partition_cover", check_partition_cover),

@@ -23,11 +23,12 @@ from fedmm.federation import (
     PartitionSpec,
     ProblemKind,
     RunLog,
+    partition_counts,
     run_experiment,
     simulated_clients,
 )
 from fedmm.federation import write_atomic as _write_atomic
-from fedmm.objectives import load_dataset
+from fedmm.objectives import SOURCE, TARGET, load_dataset
 from fedmm.optim import OptimizerKind
 
 EXIT_OK = 0
@@ -148,12 +149,26 @@ def parse_config(path: str | Path, overrides: list[str] | None = None) -> Experi
 
     if config.problem_file is not None and not Path(config.problem_file).is_file():
         raise ConfigError(f"problem.file does not exist: {config.problem_file}")
+    dataset = None
     try:
         n_clients = simulated_clients(config)
         if config.problem is ProblemKind.DOMAIN_ADAPT and config.problem_file is not None:
-            load_dataset(config.problem_file)
+            dataset, _ = load_dataset(config.problem_file)
     except ValueError as e:
         raise ConfigError(f"problem.file: {e}") from None
+    # central_gda pools the file; the built-in toy has at least two points per
+    # domain, which no mode or p leaves a client without
+    if dataset is not None and config.optimizer is not OptimizerKind.CENTRAL_GDA:
+        n_src = int((dataset.domain == SOURCE).sum())
+        n_tgt = int((dataset.domain == TARGET).sum())
+        try:
+            partition_counts(n_src, n_tgt, config.partition)
+        except ValueError as e:
+            raise ConfigError(
+                f"partition: {e}: problem.file {config.problem_file} has {n_src} source and "
+                f"{n_tgt} target points, partition.mode={config.partition.mode.value} "
+                f"partition.p={config.partition.p}"
+            ) from None
     try:
         config.hyper.expanded(n_clients)
     except ValueError as e:

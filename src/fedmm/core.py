@@ -79,6 +79,22 @@ def norm(x: Vector) -> float:
     return float(np.linalg.norm(x))
 
 
+def row_dot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Each row's X[r] . Y[r], bit for bit the dot product a 1-D `x @ y` takes.
+
+    A plain (N, d) @ (d,) matvec rounds differently.
+    """
+    return (X[:, None, :] @ Y[:, :, None])[:, 0, 0]
+
+
+def row_norms(G: np.ndarray) -> np.ndarray:
+    """Each row's Euclidean norm, bit for bit what np.linalg.norm gives for that row.
+
+    np.linalg.norm takes a vector's norm as sqrt(g . g), with the same dot product.
+    """
+    return np.sqrt(row_dot(G, G))
+
+
 def seeded_rng(seed: int) -> np.random.Generator:
     """Deterministic generator: PCG64 keyed by the 64-bit seed, nothing else."""
     return np.random.Generator(np.random.PCG64(seed))

@@ -27,10 +27,11 @@ from fedmm.core import (
     PrimalDualPair,
     ServerState,
     Vector,
+    row_norms,
     vector,
 )
-from fedmm.objectives import LocalObjective, QuadraticSaddle, inner_max
-from fedmm.optim import run_round, OptimizerKind
+from fedmm.objectives import LocalObjective, QuadraticSaddle, inner_max, quadratic_bars, stacked
+from fedmm.optim import OptimizerKind, run_round
 
 BASE_TOL = 1e-8
 TOL_ERROR_FACTOR = 10.0
@@ -58,6 +59,20 @@ def reports_to_csv(reports: Sequence[IdentityReport]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _rows_and_grads(states: Sequence[ClientState]):
+    """(OM, PS, G_OM, G_PS): the states' (N, d) rows and, in one stacked call, their gradients."""
+    OM = np.array([s.pair.omega for s in states])
+    PS = np.array([s.pair.psi for s in states])
+    return (OM, PS, *stacked([s.objective for s in states]).grads(OM, PS))
+
+
+def _solve_errors(states: Sequence[ClientState], G_OM: np.ndarray, G_PS: np.ndarray) -> np.ndarray:
+    # each row's max(||grad_om f + lam||, ||grad_ps f - beta||)
+    e_om = row_norms(G_OM + np.array([s.lam for s in states]))
+    e_ps = row_norms(G_PS - np.array([s.beta for s in states]))
+    return np.maximum(e_om, e_ps)
+
+
 def local_solve_error(state: ClientState) -> float:
     """Achieved local gradient norm after a round, read off the dual recovery.
 
@@ -65,10 +80,7 @@ def local_solve_error(state: ClientState) -> float:
     beta = +grad_ps f at the end-of-round iterate, so the mismatch equals the
     residual gradient of the local augmented Lagrangian.
     """
-    om, ps = state.pair.omega, state.pair.psi
-    e_om = float(np.linalg.norm(state.objective.grad_omega(om, ps) + state.lam))
-    e_ps = float(np.linalg.norm(state.objective.grad_psi(om, ps) - state.beta))
-    return max(e_om, e_ps)
+    return float(_solve_errors([state], *_rows_and_grads([state])[2:])[0])
 
 
 def check_identities(
@@ -82,44 +94,24 @@ def check_identities(
 
     `before`/`after` are the client states captured immediately around one
     FedMM round with run-to-tolerance local solves; `global_before` is the
-    consensus pair the round started from.
+    consensus pair the round started from. Each side's gradients are one
+    stacked call; client sums run in client order.
     """
     if len(before) != len(after) or any(
         b.id != a.id for b, a in zip(before, after)
     ):
         raise ValueError("before/after client lists do not match")
     n = len(before)
-    e = max(local_solve_error(a) for a in after)
+    OM_a, PS_a, G_OM_a, G_PS_a = _rows_and_grads(after)
+    OM_b, PS_b, G_OM_b, G_PS_b = _rows_and_grads(before)
+    e = max(_solve_errors(after, G_OM_a, G_PS_a).tolist())
     tol_step = BASE_TOL + TOL_ERROR_FACTOR * e
     tol_sum = tol_step * n
 
-    g_om_after = [a.objective.grad_omega(a.pair.omega, a.pair.psi) for a in after]
-    g_ps_after = [a.objective.grad_psi(a.pair.omega, a.pair.psi) for a in after]
-    g_om_before = [b.objective.grad_omega(b.pair.omega, b.pair.psi) for b in before]
-    g_ps_before = [b.objective.grad_psi(b.pair.omega, b.pair.psi) for b in before]
-
-    sum_psi = sum(a.pair.psi for a in after) - sum(b.pair.psi for b in before)
-    res_a1 = float(np.linalg.norm(sum_psi - sum(g_ps_after) / hp.mu2))
-
-    sum_om = sum(a.pair.omega for a in after) - sum(b.pair.omega for b in before)
-    res_a2 = float(np.linalg.norm(sum_om + sum(g_om_after) / hp.mu1))
-
-    res_a3 = max(
-        float(
-            np.linalg.norm(
-                hp.mu2 * (a.pair.psi - global_before.psi) - (ga - gb)
-            )
-        )
-        for a, ga, gb in zip(after, g_ps_after, g_ps_before)
-    )
-    res_a4 = max(
-        float(
-            np.linalg.norm(
-                hp.mu1 * (a.pair.omega - global_before.omega) - (gb - ga)
-            )
-        )
-        for a, ga, gb in zip(after, g_om_after, g_om_before)
-    )
+    res_a1 = float(np.linalg.norm(sum(PS_a) - sum(PS_b) - sum(G_PS_a) / hp.mu2))
+    res_a2 = float(np.linalg.norm(sum(OM_a) - sum(OM_b) + sum(G_OM_a) / hp.mu1))
+    res_a3 = max(row_norms(hp.mu2 * (PS_a - global_before.psi) - (G_PS_a - G_PS_b)).tolist())
+    res_a4 = max(row_norms(hp.mu1 * (OM_a - global_before.omega) - (G_OM_b - G_OM_a)).tolist())
 
     return [
         IdentityReport("sum_identity_psi", round_index, res_a1, tol_sum),
@@ -218,25 +210,15 @@ def stationarity_series(log, tol: float) -> StationaritySummary:
 # ------------------------- quadratic closed forms ------------------------- #
 
 
-def _quad_bars(objectives: Sequence[QuadraticSaddle]):
-    n = len(objectives)
-    Abar = sum(o.A for o in objectives) / n
-    Bbar = sum(o.B for o in objectives) / n
-    Cbar = sum(o.C for o in objectives) / n
-    abar = sum(o.a for o in objectives) / n
-    cbar = sum(o.c for o in objectives) / n
-    return Abar, Bbar, Cbar, abar, cbar
-
-
 def quadratic_phi_hessian(objectives: Sequence[QuadraticSaddle]) -> np.ndarray:
     """Hessian of the max-function: Abar + Bbar Cbar^-1 Bbar'."""
-    Abar, Bbar, Cbar, _, _ = _quad_bars(objectives)
+    Abar, Bbar, Cbar, _, _ = quadratic_bars(objectives)
     return Abar + Bbar @ np.linalg.solve(Cbar, Bbar.T)
 
 
 def quadratic_phi_minimizer(objectives: Sequence[QuadraticSaddle]) -> Vector:
     """Brute-force reference: the unique stationary point of the max-function."""
-    Abar, Bbar, Cbar, abar, cbar = _quad_bars(objectives)
+    Abar, Bbar, Cbar, abar, cbar = quadratic_bars(objectives)
     H = Abar + Bbar @ np.linalg.solve(Cbar, Bbar.T)
     rhs = -(abar + Bbar @ np.linalg.solve(Cbar, cbar))
     return vector(np.linalg.solve(H, rhs))
@@ -244,5 +226,5 @@ def quadratic_phi_minimizer(objectives: Sequence[QuadraticSaddle]) -> Vector:
 
 def quadratic_kappa_bound(objectives: Sequence[QuadraticSaddle]) -> float:
     """Closed-form operator norm of Cbar^-1 Bbar' (the true kappa)."""
-    _, Bbar, Cbar, _, _ = _quad_bars(objectives)
+    _, Bbar, Cbar, _, _ = quadratic_bars(objectives)
     return float(np.linalg.norm(np.linalg.solve(Cbar, Bbar.T), 2))

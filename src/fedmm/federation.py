@@ -8,11 +8,13 @@ seeds spawned from the config seed.
 
 from __future__ import annotations
 
+import functools
 import os
 import uuid
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -24,6 +26,7 @@ from fedmm.core import (
     PrimalDualPair,
     ServerState,
     Vector,
+    row_norms,
     vector,
     zeros,
 )
@@ -36,10 +39,12 @@ from fedmm.objectives import (
     MeanObjective,
     ModelLayout,
     QuadraticSaddle,
+    StackedObjectives,
     load_dataset,
     load_quadratic_specs,
     make_domain_adapt_client,
     phi_value_and_grad,
+    stacked,
 )
 from fedmm.optim import OptimizerKind, run_round
 from fedmm import problems
@@ -86,9 +91,39 @@ class PartitionSpec:
             )
 
 
-def _split_uniform(idx: np.ndarray, parts: int, rng: np.random.Generator) -> list[np.ndarray]:
+def _halves(n: int) -> list[int]:
+    # np.array_split's sizes: the first part takes the odd point
+    return [n - n // 2, n // 2]
+
+
+def partition_counts(n_source: int, n_target: int, spec: PartitionSpec) -> list[tuple[int, int]]:
+    """(source points, target points) of each client, in client order.
+
+    The counts depend only on the domain sizes, p and the mode, never on the
+    RNG, so a config can be checked before any data is drawn. A client left
+    with no points at all is an error (its objective would be degenerate).
+    """
+    if spec.mode is PartitionMode.TWO_CLIENT_P:
+        n_src_1 = int(round(spec.p * n_source))
+        n_tgt_1 = int(round((1.0 - spec.p) * n_target))
+        counts = [(n_src_1, n_tgt_1), (n_source - n_src_1, n_target - n_tgt_1)]
+    elif spec.mode is PartitionMode.ONE_SOURCE_ONE_TARGET:
+        counts = [(n_source, 0), (0, n_target)]
+    elif spec.mode is PartitionMode.ONE_SOURCE_TWO_TARGET:
+        counts = [(n_source, 0)] + [(0, k) for k in _halves(n_target)]
+    elif spec.mode is PartitionMode.TWO_SOURCE_ONE_TARGET:
+        counts = [(k, 0) for k in _halves(n_source)] + [(0, n_target)]
+    else:  # pragma: no cover
+        raise ValueError(f"unhandled mode {spec.mode}")
+    for i, (n_src, n_tgt) in enumerate(counts):
+        if n_src + n_tgt == 0:
+            raise ValueError(f"client {i} receives zero points (degenerate objective)")
+    return counts
+
+
+def _split_uniform(idx: np.ndarray, sizes: list[int], rng: np.random.Generator) -> list[np.ndarray]:
     perm = rng.permutation(idx)
-    return [np.sort(chunk) for chunk in np.array_split(perm, parts)]
+    return [np.sort(chunk) for chunk in np.split(perm, np.cumsum(sizes)[:-1])]
 
 
 def partition_label_shift(
@@ -99,16 +134,17 @@ def partition_label_shift(
     TWO_CLIENT_P gives client 0 a uniform fraction p of the source points and
     (1-p) of the target points; client 1 gets the complement. p=1.0 fully
     separates the domains. The multi-client modes pin one domain per client
-    group and split that group's pool uniformly.
+    group and split that group's pool uniformly. The group sizes are
+    `partition_counts`.
     """
     if len(dataset) == 0:
         raise ValueError("dataset is empty")
     src = np.flatnonzero(dataset.domain == SOURCE)
     tgt = np.flatnonzero(dataset.domain == TARGET)
+    counts = partition_counts(len(src), len(tgt), spec)
 
     if spec.mode is PartitionMode.TWO_CLIENT_P:
-        n_src_1 = int(round(spec.p * len(src)))
-        n_tgt_1 = int(round((1.0 - spec.p) * len(tgt)))
+        (n_src_1, n_tgt_1), _ = counts
         src_perm = rng.permutation(src)
         tgt_perm = rng.permutation(tgt)
         one = np.sort(np.concatenate([src_perm[:n_src_1], tgt_perm[:n_tgt_1]]))
@@ -117,15 +153,9 @@ def partition_label_shift(
     elif spec.mode is PartitionMode.ONE_SOURCE_ONE_TARGET:
         groups = [src, tgt]
     elif spec.mode is PartitionMode.ONE_SOURCE_TWO_TARGET:
-        groups = [src] + _split_uniform(tgt, 2, rng)
-    elif spec.mode is PartitionMode.TWO_SOURCE_ONE_TARGET:
-        groups = _split_uniform(src, 2, rng) + [tgt]
-    else:  # pragma: no cover
-        raise ValueError(f"unhandled mode {spec.mode}")
-
-    for i, g in enumerate(groups):
-        if len(g) == 0:
-            raise ValueError(f"client {i} receives zero points (degenerate objective)")
+        groups = [src] + _split_uniform(tgt, [n for _, n in counts[1:]], rng)
+    else:  # TWO_SOURCE_ONE_TARGET
+        groups = _split_uniform(src, [n for n, _ in counts[:2]], rng) + [tgt]
     return [dataset.subset(g) for g in groups]
 
 
@@ -172,6 +202,13 @@ def _fmt(x) -> str:
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return repr(float(x))
+
+
+def consensus(clients: Sequence[ClientState], pair: PrimalDualPair) -> tuple[float, float]:
+    """(max_i ||omega_i - omega||, max_i ||psi_i - psi||): the clients' spread around the pair."""
+    OM = np.array([c.pair.omega for c in clients])
+    PS = np.array([c.pair.psi for c in clients])
+    return max(row_norms(OM - pair.omega).tolist()), max(row_norms(PS - pair.psi).tolist())
 
 
 def write_atomic(path: str | Path, text: str) -> None:
@@ -328,6 +365,11 @@ class _BuiltProblem:
     shards: list[DomainAdaptDataset] | None
     layout: ModelLayout | None
 
+    @functools.cached_property
+    def oracle(self) -> StackedObjectives:
+        """The metric oracles' stacked view of oracle_objectives, built on first use."""
+        return stacked(self.oracle_objectives)
+
 
 def _build_problem(config: ExperimentConfig, seed_seq: np.random.SeedSequence) -> _BuiltProblem:
     data_seq, init_seq, part_seq = seed_seq.spawn(3)
@@ -393,7 +435,6 @@ def run_experiment(config: ExperimentConfig) -> RunLog:
         ClientState.initial(i, obj, built.init_pair)
         for i, obj in enumerate(built.sim_objectives)
     ]
-    n = len(clients)
     local_tol = hp.local_tol if hp.local_tol > 0 else None
 
     log = RunLog(config_echo=config.echo(), seed=config.seed)
@@ -417,12 +458,8 @@ def run_experiment(config: ExperimentConfig) -> RunLog:
             raise DivergenceError(f"round {t}: {e.where}", e.step) from e
 
         gp = server.global_pair
-        consensus_om = max(float(np.linalg.norm(c.pair.omega - gp.omega)) for c in clients)
-        consensus_ps = max(float(np.linalg.norm(c.pair.psi - gp.psi)) for c in clients)
-        global_loss = float(
-            sum(o.value(gp.omega, gp.psi) for o in built.oracle_objectives)
-            / len(built.oracle_objectives)
-        )
+        consensus_om, consensus_ps = consensus(clients, gp)
+        global_loss = built.oracle.mean_value(gp.omega, gp.psi)
 
         phi_grad_norm: float | None = None
         if t % config.metrics_every == 0 or t == hp.rounds - 1:

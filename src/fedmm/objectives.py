@@ -5,7 +5,9 @@ plus grads(omega, psi) -> (grad_omega, grad_psi), which the optimizers' local
 steps call once per step. Its default evaluates the two single-block methods;
 the domain-adaptation objective overrides it to get both blocks from one
 forward/backward pass. `stacked(objectives)` evaluates N clients at N points
-in one call, as the optimizers' client-stacked local solve needs.
+in one call, as the optimizers' client-stacked local solve needs; the same
+view gives the per-round metric oracles their client averages (the global
+loss, MeanObjective, inner_max and the phi oracle), summed in client order.
 
 The quadratic family is the closed-form-verifiable workhorse:
 
@@ -23,15 +25,16 @@ nu*log(h(z)), with z = W x the extracted feature.
 
 from __future__ import annotations
 
+import functools
 import weakref
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from fedmm.core import ConvergenceError, Vector, vector
+from fedmm.core import ConvergenceError, Vector, row_dot, vector
 
 SOURCE = 0
 TARGET = 1
@@ -348,17 +351,46 @@ def _common_dims(objectives: Sequence[LocalObjective]) -> tuple[int, int]:
     return dims
 
 
+def _row_vecmat(X: np.ndarray, M: np.ndarray) -> np.ndarray:
+    # each row's X[r] @ M[r], the vector-matrix product of a 1-D `x @ M`
+    return (X[:, None, :] @ M)[:, 0]
+
+
+def _row_sum(rows: np.ndarray) -> np.ndarray:
+    """rows[0] + rows[1] + ... in row order, from a copy of the first row.
+
+    np.sum would switch to pairwise summation when the rows have one entry.
+    """
+    total = np.array(rows[0])
+    for row in rows[1:]:
+        total += row
+    return total
+
+
 class StackedObjectives:
     """N objectives evaluated at N points at once: row i of every array is objective i.
 
-    This general view calls each objective's own grads and writes the result
-    into fresh (N, d) arrays, so any LocalObjective works; all-quadratic
-    client lists get a batched-matmul view instead (see `stacked`).
+    This general view calls each objective's own value / grads / grad_psi and
+    writes the results into fresh arrays, so any LocalObjective works;
+    all-quadratic client lists get a batched-matmul view instead (see
+    `stacked`). The mean_* methods evaluate the uniform average of the
+    objectives at one point, the global f of the metric oracles; their client
+    sums run in row order, as one client after the other would add them.
     """
 
     def __init__(self, objectives: Sequence[LocalObjective]):
         self.dims = _common_dims(objectives)
+        self.n = len(objectives)
         self.objectives = tuple(objectives)
+        # duck-typed objectives with only the single-block methods get the default grads
+        self._grads = [
+            getattr(o, "grads", None) or functools.partial(LocalObjective.grads, o)
+            for o in self.objectives
+        ]
+
+    def values(self, OM: np.ndarray, PS: np.ndarray) -> np.ndarray:
+        """Row r's objective value at (OM[r], PS[r]), shape (N,)."""
+        return np.array([o.value(OM[r], PS[r]) for r, o in enumerate(self.objectives)])
 
     def grads(
         self, OM: np.ndarray, PS: np.ndarray, rows: np.ndarray | None = None
@@ -369,14 +401,55 @@ class StackedObjectives:
         """
         alloc = np.empty if rows is None else np.zeros
         G_OM, G_PS = alloc(OM.shape), alloc(PS.shape)
-        for r, obj in enumerate(self.objectives):
+        for r, grads in enumerate(self._grads):
             if rows is None or rows[r]:
-                G_OM[r], G_PS[r] = obj.grads(OM[r], PS[r])
+                G_OM[r], G_PS[r] = grads(OM[r], PS[r])
         return G_OM, G_PS
+
+    def grad_psi(self, OM: np.ndarray, PS: np.ndarray) -> np.ndarray:
+        """The psi block of `grads` alone, (N, d2)."""
+        G_PS = np.empty(PS.shape)
+        for r, obj in enumerate(self.objectives):
+            G_PS[r] = obj.grad_psi(OM[r], PS[r])
+        return G_PS
+
+    def _at(self, omega: Vector, psi: Vector) -> tuple[np.ndarray, np.ndarray]:
+        # every row at the one point; filling an empty array is cheaper than np.tile
+        OM, PS = np.empty((self.n, len(omega))), np.empty((self.n, len(psi)))
+        OM[:], PS[:] = omega, psi
+        return OM, PS
+
+    def mean_value(self, omega: Vector, psi: Vector) -> float:
+        return sum(self.values(*self._at(omega, psi)).tolist()) / self.n
+
+    def mean_grads(self, omega: Vector, psi: Vector) -> tuple[Vector, Vector]:
+        G_OM, G_PS = self.grads(*self._at(omega, psi))
+        return _row_sum(G_OM) / self.n, _row_sum(G_PS) / self.n
+
+    def mean_grad_psi(self, omega: Vector, psi: Vector) -> Vector:
+        return _row_sum(self.grad_psi(*self._at(omega, psi))) / self.n
+
+
+class QuadraticBars(NamedTuple):
+    """Client averages of a quadratic instance's matrices, the closed forms' inputs."""
+
+    A: np.ndarray
+    B: np.ndarray
+    C: np.ndarray
+    a: Vector
+    c: Vector
+
+
+def _bars(*stacks) -> QuadraticBars:
+    # Python's sum adds the clients in order, one after the other
+    bars = [sum(stack) / len(stack) for stack in stacks]
+    for b in bars:
+        b.flags.writeable = False
+    return QuadraticBars(*bars)
 
 
 class _StackedQuadratic(StackedObjectives):
-    """Quadratic clients: every row's gradient from one batched matvec per term.
+    """Quadratic clients: every row's value and gradient from batched matmuls.
 
     It keeps the stacked matrices, not the objectives: those are held weakly,
     only to recognise them again, so a cached view never keeps a finished
@@ -385,6 +458,7 @@ class _StackedQuadratic(StackedObjectives):
 
     def __init__(self, objectives: Sequence[QuadraticSaddle]):
         self.dims = _common_dims(objectives)
+        self.n = len(objectives)
         self.refs = tuple(weakref.ref(o, _drop_cached_view) for o in objectives)
         self.A = np.stack([o.A for o in objectives])
         self.B = np.stack([o.B for o in objectives])
@@ -394,30 +468,45 @@ class _StackedQuadratic(StackedObjectives):
         self.a = np.stack([o.a for o in objectives])
         self.c = np.stack([o.c for o in objectives])
 
-    def grads(self, OM, PS, rows=None):
-        om, ps = OM[..., None], PS[..., None]
+    def values(self, OM, PS):
+        # QuadraticSaddle.value's five terms, in its order and association
         return (
-            (self.A @ om)[..., 0] + (self.B @ ps)[..., 0] + self.a,
-            (self.BT @ om)[..., 0] - (self.C @ ps)[..., 0] + self.c,
+            row_dot(_row_vecmat(0.5 * OM, self.A), OM)
+            + row_dot(_row_vecmat(OM, self.B), PS)
+            - row_dot(_row_vecmat(0.5 * PS, self.C), PS)
+            + row_dot(self.a, OM)
+            + row_dot(self.c, PS)
         )
+
+    def grads(self, OM, PS, rows=None):
+        G_OM = (self.A @ OM[..., None])[..., 0] + (self.B @ PS[..., None])[..., 0] + self.a
+        return G_OM, self.grad_psi(OM, PS)
+
+    def grad_psi(self, OM, PS):
+        return (self.BT @ OM[..., None])[..., 0] - (self.C @ PS[..., None])[..., 0] + self.c
+
+    @functools.cached_property
+    def bars(self) -> QuadraticBars:
+        return _bars(self.A, self.B, self.C, self.a, self.c)
 
 
 _cached_view: _StackedQuadratic | None = None
 
 
-def _drop_cached_view(_dead) -> None:
+def _drop_cached_view(dead: weakref.ref) -> None:
     # one of the cached view's objectives was freed: free its matrix stacks too
     global _cached_view
-    _cached_view = None
+    if _cached_view is not None and any(ref is dead for ref in _cached_view.refs):
+        _cached_view = None
 
 
 def stacked(objectives: Sequence[LocalObjective]) -> StackedObjectives:
     """The stacked view of these objectives.
 
     A run keeps its objectives from round to round, so the quadratic matrix
-    stacks are built once per run, not once per round: the most recent
-    quadratic view is reused while its objectives are the same objects.
-    Other views only wrap the list and are built on each call.
+    stacks (and their client averages) are built once per run, not once per
+    round: the most recent quadratic view is reused while its objectives are
+    the same objects. Other views only wrap the list and are built on each call.
     """
     global _cached_view
     objs = tuple(objectives)
@@ -431,39 +520,43 @@ def stacked(objectives: Sequence[LocalObjective]) -> StackedObjectives:
     return view
 
 
+def quadratic_bars(objectives: Sequence[QuadraticSaddle]) -> QuadraticBars:
+    """(Abar, Bbar, Cbar, abar, cbar) of quadratic clients, averaged in client order.
+
+    Plain QuadraticSaddle lists share the ones cached with their stacked
+    view; subclasses are averaged on each call.
+    """
+    view = stacked(objectives)
+    if isinstance(view, _StackedQuadratic):
+        return view.bars
+    return _bars(*([getattr(o, k) for o in objectives] for k in QuadraticBars._fields))
+
+
 # ----------------------------- global views ----------------------------- #
 
 
 class MeanObjective(LocalObjective):
-    """Uniform average of client objectives: the pooled/global f."""
+    """Uniform average of client objectives: the pooled/global f, through their stacked view."""
 
     def __init__(self, parts: Sequence[LocalObjective]):
-        if not parts:
-            raise ValueError("MeanObjective needs at least one objective")
-        dims = parts[0].dims
-        if any(p.dims != dims for p in parts):
-            raise ValueError("all client objectives must share (d1, d2)")
-        self.parts = list(parts)
-        self._dims = dims
+        self.parts = list(parts)  # strong references: a quadratic view holds them weakly
+        self.view = stacked(self.parts)
 
     @property
     def dims(self) -> tuple[int, int]:
-        return self._dims
+        return self.view.dims
 
     def value(self, omega: Vector, psi: Vector) -> float:
-        return sum(p.value(omega, psi) for p in self.parts) / len(self.parts)
+        return self.view.mean_value(omega, psi)
+
+    def grads(self, omega: Vector, psi: Vector) -> tuple[Vector, Vector]:
+        return self.view.mean_grads(omega, psi)
 
     def grad_omega(self, omega: Vector, psi: Vector) -> Vector:
-        g = self.parts[0].grad_omega(omega, psi).copy()
-        for p in self.parts[1:]:
-            g += p.grad_omega(omega, psi)
-        return g / len(self.parts)
+        return self.grads(omega, psi)[0]
 
     def grad_psi(self, omega: Vector, psi: Vector) -> Vector:
-        g = self.parts[0].grad_psi(omega, psi).copy()
-        for p in self.parts[1:]:
-            g += p.grad_psi(omega, psi)
-        return g / len(self.parts)
+        return self.view.mean_grad_psi(omega, psi)
 
 
 def inner_max(
@@ -477,43 +570,40 @@ def inner_max(
     """Maximize the averaged objective over psi at fixed omega.
 
     Quadratic clients get the closed form psibar = Cbar^-1 (Bbar' omega + cbar);
-    anything else falls back to gradient ascent with a curvature-derived step,
-    raising ConvergenceError (with the final gradient norm) at the cap.
+    domain-adaptation clients get gradient ascent with a curvature-derived
+    step, raising ConvergenceError (with the final gradient norm) at the cap.
+    Gradient ascent on quadratics steps by 1 / ||Cbar||; any other objective
+    type has no known curvature bound and is rejected.
     """
     all_quadratic = all(isinstance(o, QuadraticSaddle) for o in objectives)
     if method not in ("auto", "closed_form", "gradient_ascent"):
         raise ValueError(f"unknown inner_max method {method!r}")
-    if method == "closed_form" and not all_quadratic:
-        raise ValueError("closed_form inner_max requires quadratic clients")
-
-    if all_quadratic and method in ("auto", "closed_form"):
-        n = len(objectives)
-        Cbar = sum(o.C for o in objectives) / n
-        Bbar = sum(o.B for o in objectives) / n
-        cbar = sum(o.c for o in objectives) / n
-        psi = np.linalg.solve(Cbar, Bbar.T @ omega + cbar)
-        return vector(psi)
-
-    mean = MeanObjective(objectives)
-    d2 = mean.dims[1]
-    psi = np.array(psi0, dtype=np.float64) if psi0 is not None else np.zeros(d2)
-
     if all_quadratic:
-        curv = float(np.linalg.norm(sum(o.C for o in objectives) / len(objectives), 2))
+        bars = quadratic_bars(objectives)
+        if method != "gradient_ascent":
+            return vector(np.linalg.solve(bars.C, bars.B.T @ omega + bars.c))
+        curv = float(np.linalg.norm(bars.C, 2))
     else:
-        curv = max(
-            o.ascent_curvature_bound(omega) if isinstance(o, DomainAdaptObjective) else 1.0
-            for o in objectives
-        )
+        if method == "closed_form":
+            raise ValueError("closed_form inner_max requires quadratic clients")
+        for o in objectives:
+            if not isinstance(o, DomainAdaptObjective):
+                raise ValueError(
+                    f"inner_max has no ascent curvature bound for {type(o).__name__} "
+                    "objectives (only QuadraticSaddle or DomainAdaptObjective lists)"
+                )
+        curv = max(o.ascent_curvature_bound(omega) for o in objectives)
     step = 1.0 / max(curv, 1e-12)
 
-    g = mean.grad_psi(omega, psi)
+    view = stacked(objectives)
+    psi = np.array(psi0, dtype=np.float64) if psi0 is not None else np.zeros(view.dims[1])
+    g = view.mean_grad_psi(omega, psi)
     gnorm = float(np.linalg.norm(g))
     for _ in range(max_iters):
         if gnorm <= tol:
             return vector(psi)
         psi = psi + step * g
-        g = mean.grad_psi(omega, psi)
+        g = view.mean_grad_psi(omega, psi)
         gnorm = float(np.linalg.norm(g))
     if gnorm <= tol:
         return vector(psi)
@@ -528,8 +618,8 @@ def phi_value_and_grad(
 ) -> tuple[float, Vector]:
     """Max-function value and its gradient at omega (Danskin: grad at the maximizer)."""
     psi_star = inner_max(objectives, omega, tol, **inner_kwargs)
-    mean = MeanObjective(objectives)
-    return mean.value(omega, psi_star), mean.grad_omega(omega, psi_star)
+    view = stacked(objectives)
+    return view.mean_value(omega, psi_star), view.mean_grads(omega, psi_star)[0]
 
 
 # ------------------------- plain-text instance files ------------------------- #

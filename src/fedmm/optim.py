@@ -16,7 +16,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from fedmm.core import ClientState, ConvergenceError, DivergenceError, HyperParams
-from fedmm.core import PrimalDualPair, Vector, vector
+from fedmm.core import PrimalDualPair, Vector, row_norms, vector
 from fedmm.objectives import StackedObjectives, stacked
 
 
@@ -142,11 +142,6 @@ def _step(OM, PS, G, rows, hp: HyperParams):
     return np.where(rows[:, None], new_om, OM), np.where(rows[:, None], new_ps, PS)
 
 
-def _row_norms(G: np.ndarray) -> np.ndarray:
-    # each row's sqrt(g . g), which is how np.linalg.norm takes a vector's norm
-    return np.sqrt((G[:, None, :] @ G[:, :, None])[:, 0, 0])
-
-
 def local_solve(
     kind: OptimizerKind, clients: Sequence[ClientState], global_pair: PrimalDualPair,
     hp: HyperParams, t: int = 0, local_tol: float | None = None,
@@ -191,7 +186,7 @@ def local_solve(
         # the last pass only evaluates: rows still above tolerance then fail
         for m in range(hp.local_max_iters + 1):
             G = grads(OM, PS, rows)
-            gn = np.maximum(_row_norms(G[0]), _row_norms(G[1]))
+            gn = np.maximum(row_norms(G[0]), row_norms(G[1]))
             rows &= gn > local_tol
             if not rows.any():
                 break

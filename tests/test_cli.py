@@ -158,6 +158,39 @@ class TestCmdRun:
         assert "bad_label.txt" in err and "label 5" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "partition",
+        [
+            "partition.p = 1.0\n",
+            "partition.mode = one_source_one_target\n",
+            "partition.mode = one_source_two_target\npartition.n_clients = 3\n",
+        ],
+        ids=["p_1", "one_source_one_target", "one_source_two_target"],
+    )
+    def test_partition_leaving_a_client_empty_is_config_error(self, tmp_path, capsys, partition):
+        # a valid dataset with no target points: client 1 would get no data at all
+        data = tmp_path / "no_target.txt"
+        data.write_text("2 2 2\n0 1 1.0 2.0\n0 0 0.5 0.1\n")
+        out = tmp_path / "never.csv"
+        text = (
+            "optimizer = fedmm\nproblem = domain_adapt\n"
+            f"problem.file = {data}\noutput_path = {out}\n" + partition
+        )
+        assert main(["run", "--config", str(write(tmp_path, text))]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: partition: client 1 receives zero points")
+        assert "no_target.txt" in err and "0 target points" in err
+        assert not out.exists()
+
+    def test_central_gda_pools_a_single_domain_file(self, tmp_path):
+        data = tmp_path / "no_target.txt"
+        data.write_text("2 2 2\n0 1 1.0 2.0\n0 0 0.5 0.1\n")
+        text = (
+            "optimizer = central_gda\nproblem = domain_adapt\n"
+            f"problem.file = {data}\npartition.p = 1.0\n"
+        )
+        assert parse_config(write(tmp_path, text)).partition.p == 1.0
+
     def test_divergent_run_exit_code(self, tmp_path, capsys):
         out = tmp_path / "div.csv"
         text = (

@@ -10,6 +10,8 @@ from fedmm.core import (
     axpy,
     dot,
     norm,
+    row_dot,
+    row_norms,
     seeded_rng,
     vector,
     zeros,
@@ -91,6 +93,13 @@ class TestNormDot:
         for n in (1, 10, 1000, 10_000):
             x = vector(rng.standard_normal(n))
             assert norm(x) == pytest.approx(np.sqrt(dot(x, x)), rel=1e-12)
+
+    @pytest.mark.parametrize("n, d", [(1, 1), (40, 1), (32, 30), (7, 257)])
+    def test_row_forms_are_bit_equal_to_one_row_at_a_time(self, n, d):
+        rng = seeded_rng(8)
+        X, Y = rng.standard_normal((n, d)), rng.standard_normal((n, d))
+        assert np.array_equal(row_dot(X, Y), [x @ y for x, y in zip(X, Y)])
+        assert np.array_equal(row_norms(X), [np.linalg.norm(x) for x in X])
 
 
 class TestStates:

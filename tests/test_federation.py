@@ -1,5 +1,9 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fedmm import federation
 from fedmm.core import HyperParams, seeded_rng, vector
@@ -12,6 +16,7 @@ from fedmm.federation import (
     RoundMetrics,
     RunLog,
     evaluate_target_accuracy,
+    partition_counts,
     partition_label_shift,
     run_experiment,
     write_atomic,
@@ -89,6 +94,34 @@ class TestPartitionLabelShift:
             shards = partition_label_shift(train, spec, seeded_rng(3))
             assert len(shards) == n
             assert sum(len(s) for s in shards) == len(train)
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(
+        n_src=st.integers(0, 7),
+        n_tgt=st.integers(0, 7),
+        p=st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0]),
+        mode=st.sampled_from(list(PartitionMode)),
+        seed=st.integers(0, 2**16),
+    )
+    def test_counts_predict_every_shard(self, n_src, n_tgt, p, mode, seed):
+        # partition_counts alone decides the shard sizes (and the empty-client
+        # error) before the RNG draws anything
+        assume(n_src + n_tgt > 0)
+        spec = PartitionSpec(n_clients=federation._MODE_CLIENTS[mode], p=p, mode=mode)
+        domain = np.array([SOURCE] * n_src + [TARGET] * n_tgt, dtype=np.int64)
+        y = np.where(domain == SOURCE, 0, -1)
+        X = np.arange(2.0 * len(domain)).reshape(-1, 2)
+        ds = DomainAdaptDataset(X=X, y=y, domain=domain)
+        try:
+            counts = partition_counts(n_src, n_tgt, spec)
+        except ValueError as e:
+            with pytest.raises(ValueError, match=re.escape(str(e))):
+                partition_label_shift(ds, spec, seeded_rng(seed))
+            return
+        shards = partition_label_shift(ds, spec, seeded_rng(seed))
+        assert [(int((s.domain == SOURCE).sum()), int((s.domain == TARGET).sum())) for s in shards] == counts
+        merged = np.sort(np.concatenate([s.X[:, 0] for s in shards]))
+        assert np.array_equal(merged, X[:, 0])  # disjoint cover
 
     def test_empty_client_rejected(self):
         # a single source point and p=0 sends no source data to client 1 and

@@ -302,6 +302,52 @@ class TestInnerMax:
             assert abs(float(g @ v)) <= 1e-9 * float(np.linalg.norm(v))
 
 
+class SteepSaddle(LocalObjective):
+    """f = omega . psi - (k/2) ||psi||^2: psi-curvature k = 50, far above 1."""
+
+    k = 50.0
+    dims = (2, 2)
+
+    def value(self, omega, psi):
+        return float(omega @ psi - 0.5 * self.k * psi @ psi)
+
+    def grad_omega(self, omega, psi):
+        return np.array(psi)
+
+    def grad_psi(self, omega, psi):
+        return omega - self.k * psi
+
+
+class TestInnerMaxObjectiveTypes:
+    def test_unknown_type_rejected_at_entry(self):
+        # a unit ascent step on curvature 50 diverges; there is no bound to
+        # size the step from, so inner_max must refuse instead of guessing
+        with pytest.raises(ValueError, match="SteepSaddle"):
+            inner_max([SteepSaddle()], vector([1.0, -2.0]), tol=1e-10, max_iters=200)
+        with pytest.raises(ValueError, match="SteepSaddle"):
+            phi_value_and_grad([SteepSaddle()], vector([1.0, -2.0]), tol=1e-10, max_iters=200)
+
+    def test_mixed_list_rejected(self):
+        train, _, layout = domain_shift_toy(seeded_rng(44), n_per_domain=8, holdout_n=4)
+        dann = make_domain_adapt_client(train, nu=0.5, layout=layout)
+
+        class Wrapped(SteepSaddle):
+            dims = dann.dims
+
+        with pytest.raises(ValueError, match="Wrapped"):
+            inner_max([dann, Wrapped()], vector(np.zeros(layout.d1)), tol=1e-8)
+
+    def test_quadratic_subclass_keeps_the_closed_form(self):
+        class Tagged(QuadraticSaddle):
+            pass
+
+        specs = synthetic_quadratic_specs(3)
+        om = vector(seeded_rng(45).standard_normal(4))
+        plain = inner_max([QuadraticSaddle(s) for s in specs], om, tol=1e-12, method="closed_form")
+        tagged = inner_max([Tagged(s) for s in specs], om, tol=1e-12, method="closed_form")
+        assert np.array_equal(plain, tagged)
+
+
 class TestPhi:
     def test_symbolic_elimination(self):
         # f = om*ps - ps^2/2 has psi*(om) = om and max-value om^2/2
