@@ -22,6 +22,8 @@ from fedmm.objectives import (
     MeanObjective,
     QuadraticSaddle,
     QuadraticSaddleSpec,
+    StackedObjectives,
+    _StackedDomainAdapt,
     inner_max,
     make_domain_adapt_client,
     make_quadratic_client,
@@ -179,23 +181,45 @@ def check_equiv_fedavg_fedsgda() -> str:
     return "50 rounds bit-exact"
 
 
-def _dann_split() -> list:
-    """Two DANN clients on shards of unequal size."""
+def _dann_split(p: float = 0.75, drop: int = 7) -> list:
+    """Two DANN clients on the toy split at p; the second shard loses its last `drop` points."""
     train, _, layout = domain_shift_toy(seeded_rng(19), n_per_domain=20, holdout_n=4)
-    shards = partition_label_shift(train, PartitionSpec(n_clients=2, p=0.75), seeded_rng(20))
-    shards[1] = shards[1].subset(np.arange(len(shards[1]) - 7))
+    shards = partition_label_shift(train, PartitionSpec(n_clients=2, p=p), seeded_rng(20))
+    shards[1] = shards[1].subset(np.arange(len(shards[1]) - drop))
     return [make_domain_adapt_client(s, nu=0.5, layout=layout) for s in shards]
+
+
+def _dann_cases() -> list:
+    """(objectives, the view stacked() must give them): unequal shards, then equal ones.
+
+    At p = 1.0 one shard holds every labeled point and the other none; at
+    p = 0.5 both shards mix labeled and unlabeled points.
+    """
+    return [
+        (_dann_split(), StackedObjectives),
+        (_dann_split(1.0, drop=0), _StackedDomainAdapt),
+        (_dann_split(0.5, drop=0), _StackedDomainAdapt),
+    ]
+
+
+def _assert_view(objs, view_type) -> None:
+    got = type(stacked(objs))
+    if got is not view_type:
+        sizes = [len(o.dataset) for o in objs]
+        raise AssertionError(f"shards of {sizes} points got {got.__name__}, not {view_type.__name__}")
 
 
 def check_row_independence() -> str:
     """One N-client stacked round equals N single-client rounds of the same kernel, bit for bit."""
     quad = [QuadraticSaddle(s) for s in synthetic_quadratic_specs(3)]
-    dann = _dann_split()
+    dann_hp = HyperParams(eta1=0.1, eta2=0.25, nu=0.5, local_steps=(10,))
     cases = [
         (quad, HyperParams(eta1=0.1, eta2=0.1, local_steps=(20, 20, 25)), None),
         (quad, HyperParams(eta1=0.2, eta2=0.2), 1e-10),
-        (dann, HyperParams(eta1=0.1, eta2=0.25, nu=0.5, local_steps=(10,)), None),
     ]
+    for objs, view_type in _dann_cases():
+        _assert_view(objs, view_type)
+        cases.append((objs, dann_hp, None))
     rng = seeded_rng(21)
     rows = 0
     for objs, hp, local_tol in cases:
@@ -261,8 +285,10 @@ def check_stacked_oracles() -> str:
     cases = [
         ([QuadraticSaddle(s) for s in synthetic_quadratic_specs(3)], 1e-12),
         ([QuadraticSaddle(s) for s in synthetic_quadratic_specs(32, 20, 10)], 1e-12),
-        (_dann_split(), 1e-6),
     ]
+    for objs, view_type in _dann_cases():
+        _assert_view(objs, view_type)
+        cases.append((objs, 1e-6))
     hp = HyperParams(eta1=0.1, eta2=0.1, local_steps=(5,))
     rng = seeded_rng(22)
     samples = 0

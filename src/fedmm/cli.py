@@ -221,14 +221,38 @@ def cmd_run(config: ExperimentConfig) -> int:
 _AXES = ("partition_p", "optimizer", "local_steps")
 
 
-def _apply_axis(config: ExperimentConfig, axis: str, raw: str) -> ExperimentConfig:
+def _apply_axis(config: ExperimentConfig, axis: str, raw: str) -> tuple[str, ExperimentConfig]:
+    """The config for one axis value, and that value's canonical form (its name in file and index)."""
     if axis == "partition_p":
-        return replace(config, partition=replace(config.partition, p=float(raw)))
+        p = float(raw)
+        return repr(p), replace(config, partition=replace(config.partition, p=p))
     if axis == "optimizer":
-        return replace(config, optimizer=OptimizerKind.parse(raw))
+        kind = OptimizerKind.parse(raw)
+        return kind.value, replace(config, optimizer=kind)
     if axis == "local_steps":
-        return replace(config, hyper=replace(config.hyper, local_steps=(int(raw),)))
+        m = int(raw)
+        return str(m), replace(config, hyper=replace(config.hyper, local_steps=(m,)))
     raise ConfigError(f"unknown sweep axis {axis!r} (expected one of: {', '.join(_AXES)})")
+
+
+def _sweep_runs(
+    config: ExperimentConfig, axis: str, values: list[str]
+) -> dict[str, ExperimentConfig]:
+    """Each value's run by canonical name; a value that does not parse, or repeats one, is a config error."""
+    runs: dict[str, ExperimentConfig] = {}
+    raw_of: dict[str, str] = {}
+    for raw in values:
+        try:
+            name, sub = _apply_axis(config, axis, raw)
+        except ValueError as e:
+            raise ConfigError(f"--values: {raw!r}: {e}") from None
+        if name in runs:
+            raise ConfigError(
+                f"--values: {raw_of[name]!r} and {raw!r} are the same {axis} value {name!r}"
+            )
+        raw_of[name] = raw
+        runs[name] = sub
+    return runs
 
 
 def cmd_sweep(config: ExperimentConfig, axis: str, values: list[str]) -> int:
@@ -238,17 +262,16 @@ def cmd_sweep(config: ExperimentConfig, axis: str, values: list[str]) -> int:
     out_dir = Path(config.output_path).parent
     index_rows = []
     any_failed = False
-    for raw in values:
-        sub_path = out_dir / f"sweep_{axis}_{raw}.csv"
+    for name, sub in _sweep_runs(config, axis, values).items():
+        sub_path = out_dir / f"sweep_{axis}_{name}.csv"
         try:
-            sub = _apply_axis(config, axis, raw)
             sub = replace(sub, output_path=str(sub_path))
             log = run_experiment(sub)
             log.write_csv(sub.output_path)
             final = log.final()
             index_rows.append(
                 [
-                    raw,
+                    name,
                     "ok",
                     str(len(log.rounds)),
                     "" if final is None or final.phi_grad_norm is None else repr(final.phi_grad_norm),
@@ -261,11 +284,11 @@ def cmd_sweep(config: ExperimentConfig, axis: str, values: list[str]) -> int:
                     "",
                 ]
             )
-            print(f"sweep {axis}={raw} status=ok output={sub_path}")
+            print(f"sweep {axis}={name} status=ok output={sub_path}")
         except Exception as e:
             any_failed = True
-            index_rows.append([raw, "error", "", "", "", "", "", "", str(e).replace(",", ";")])
-            print(f"sweep {axis}={raw} status=error error={e}", file=sys.stderr)
+            index_rows.append([name, "error", "", "", "", "", "", "", str(e).replace(",", ";")])
+            print(f"sweep {axis}={name} status=error error={e}", file=sys.stderr)
 
     header = (
         "value,status,rounds,final_phi_grad_norm,final_consensus_omega,"

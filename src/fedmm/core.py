@@ -50,10 +50,15 @@ class ConvergenceError(RuntimeError):
 def vector(data: Sequence[float] | np.ndarray) -> Vector:
     """Build a frozen float64 parameter vector, rejecting NaN/Inf."""
     v = np.array(data, dtype=np.float64).reshape(-1)
-    if not np.isfinite(v).all():
-        raise ValueError("parameter vector contains non-finite entries")
+    require_finite(v)
     v.flags.writeable = False
     return v
+
+
+def require_finite(a: np.ndarray) -> None:
+    """Raise vector()'s ValueError if `a` holds a NaN or an infinity."""
+    if not np.isfinite(a).all():
+        raise ValueError("parameter vector contains non-finite entries")
 
 
 def zeros(n: int) -> Vector:

@@ -34,7 +34,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from fedmm.core import ConvergenceError, Vector, row_dot, vector
+from fedmm.core import ConvergenceError, Vector, require_finite, row_dot, vector
 
 SOURCE = 0
 TARGET = 1
@@ -459,7 +459,7 @@ class _StackedQuadratic(StackedObjectives):
     def __init__(self, objectives: Sequence[QuadraticSaddle]):
         self.dims = _common_dims(objectives)
         self.n = len(objectives)
-        self.refs = tuple(weakref.ref(o, _drop_cached_view) for o in objectives)
+        self.refs = tuple(weakref.ref(o, _drop_cached_views) for o in objectives)
         self.A = np.stack([o.A for o in objectives])
         self.B = np.stack([o.B for o in objectives])
         # a transposed view, like QuadraticSaddle's B.T, so BLAS sees the same layout
@@ -490,33 +490,111 @@ class _StackedQuadratic(StackedObjectives):
         return _bars(self.A, self.B, self.C, self.a, self.c)
 
 
-_cached_view: _StackedQuadratic | None = None
+class _StackedDomainAdapt(StackedObjectives):
+    """DANN clients with one layout, one nu and one shard size: gradients for all rows at once.
+
+    grads and grad_psi run DomainAdaptObjective's forward/backward pass with a
+    leading client axis. Each row's matmuls keep the shapes and memory layout
+    the single-client pass gives them, and the labeled points are picked with
+    np.where instead of by indexing, so every row is bit for bit what its
+    objective computes alone. Values stay on the per-row path: a batched sum
+    over the labeled points would round differently.
+    """
+
+    def __init__(self, objectives: Sequence[DomainAdaptObjective]):
+        super().__init__(objectives)
+        first = objectives[0]
+        self.layout, self.nu = first.layout, first.nu
+        self.X = np.stack([o.dataset.X for o in objectives])  # (N, n, in_dim)
+        self.labeled = np.stack([o._labeled for o in objectives])  # (N, n)
+        self.onehot = np.zeros(self.labeled.shape + (self.layout.n_classes,))
+        for r, o in enumerate(objectives):
+            self.onehot[r, o._lab_idx, o._lab_y] = 1.0
+        self.alpha = np.array([o.alpha for o in objectives])[:, None, None]
+
+    def _features(self, OM):
+        # Z = X W' (N, n, feat), W unpacked as unpack_omega and multiplied as _forward does per row
+        L = self.layout
+        W = OM[:, : L.feat_dim * L.in_dim].reshape(self.n, L.feat_dim, L.in_dim)
+        return self.X @ W.swapaxes(1, 2)
+
+    def _dt(self, Z, PS):
+        s = _sigmoid((Z @ PS[:, :, None])[..., 0])
+        return np.where(self.labeled, -self.nu * s, self.nu * (1.0 - s))
+
+    def _finish(self, G: np.ndarray, rows) -> np.ndarray:
+        # rows left out read zero and never raise; evaluated rows raise as vector() would
+        if rows is not None:
+            G = np.where(rows[:, None], G, 0.0)
+        require_finite(G)
+        return G
+
+    def grads(self, OM, PS, rows=None):
+        L = self.layout
+        nw, d1 = L.feat_dim * L.in_dim, L.d1
+        Z = self._features(OM)
+        V = OM[:, nw:].reshape(self.n, L.n_classes, L.feat_dim)
+        logits = Z @ V.swapaxes(1, 2)
+        # the row max class by class: max is exact, so any order gives the reduction's bits
+        top = logits[..., :1]
+        for k in range(1, L.n_classes):
+            top = np.maximum(top, logits[..., k : k + 1])
+        p = np.exp(logits - top)
+        p /= p.sum(axis=2, keepdims=True)
+        dlogits = np.where(self.labeled[..., None], p - self.onehot, 0.0)
+        dt = self._dt(Z, PS)
+        dZ = dlogits @ V + dt[:, :, None] * PS[:, None, :]
+        # [gW | gV | g_psi] in one buffer, as pack_omega lays out the omega block
+        G = np.empty((self.n, d1 + L.d2))
+        G[:, :nw] = (self.alpha * (dZ.swapaxes(1, 2) @ self.X)).reshape(self.n, -1)
+        G[:, nw:d1] = (self.alpha * (dlogits.swapaxes(1, 2) @ Z)).reshape(self.n, -1)
+        G[:, d1:] = (self.alpha * (Z.swapaxes(1, 2) @ dt[:, :, None]))[..., 0]
+        G = self._finish(G, rows)
+        return G[:, :d1], G[:, d1:]
+
+    def grad_psi(self, OM, PS):
+        Z = self._features(OM)
+        G_PS = (self.alpha * (Z.swapaxes(1, 2) @ self._dt(Z, PS)[:, :, None]))[..., 0]
+        return self._finish(G_PS, None)
 
 
-def _drop_cached_view(dead: weakref.ref) -> None:
-    # one of the cached view's objectives was freed: free its matrix stacks too
-    global _cached_view
-    if _cached_view is not None and any(ref is dead for ref in _cached_view.refs):
-        _cached_view = None
+# quadratic views by the ids of their objectives; an entry goes when one of them dies
+_cached_views: dict[tuple[int, ...], _StackedQuadratic] = {}
+
+
+def _drop_cached_views(dead: weakref.ref) -> None:
+    # one of a cached view's objectives was freed: free that view's matrix stacks too
+    for key in [k for k, view in _cached_views.items() if any(ref is dead for ref in view.refs)]:
+        del _cached_views[key]
+
+
+def _equal_dann_shards(objs: Sequence[LocalObjective]) -> bool:
+    return all(type(o) is DomainAdaptObjective for o in objs) and len(
+        {(o.layout, o.nu, len(o.dataset)) for o in objs}
+    ) == 1
 
 
 def stacked(objectives: Sequence[LocalObjective]) -> StackedObjectives:
     """The stacked view of these objectives.
 
-    A run keeps its objectives from round to round, so the quadratic matrix
-    stacks (and their client averages) are built once per run, not once per
-    round: the most recent quadratic view is reused while its objectives are
-    the same objects. Other views only wrap the list and are built on each call.
+    Plain QuadraticSaddle lists get batched matmuls. A run keeps its
+    objectives from round to round, so their matrix stacks (and client
+    averages) are built once per run: a quadratic view is cached while all of
+    its objectives live, so calls on other lists (one client's, say) never
+    evict it. Plain DomainAdaptObjective lists with one layout, one nu and
+    one shard size get batched gradients. Any other list (unequal shards,
+    MeanObjective, subclasses) takes the per-row view, which calls each
+    objective; the non-quadratic views are built on each call.
     """
-    global _cached_view
     objs = tuple(objectives)
+    if objs and _equal_dann_shards(objs):
+        return _StackedDomainAdapt(objs)
     if not all(type(o) is QuadraticSaddle for o in objs):
         return StackedObjectives(objs)
-    view = _cached_view
-    if view is None or len(view.refs) != len(objs) or any(
-        ref() is not o for ref, o in zip(view.refs, objs)
-    ):
-        view = _cached_view = _StackedQuadratic(objs)
+    key = tuple(map(id, objs))
+    view = _cached_views.get(key)
+    if view is None or any(ref() is not o for ref, o in zip(view.refs, objs)):
+        view = _cached_views[key] = _StackedQuadratic(objs)
     return view
 
 

@@ -286,6 +286,48 @@ class TestCmdSweep:
         assert (tmp_path / "sweep_partition_p_0.5.csv").exists()
         assert (tmp_path / "sweep_partition_p_1.0.csv").exists()
 
+    def test_files_and_index_rows_named_by_canonical_value(self, tmp_path):
+        cfg_path = write(tmp_path, QUAD_RUN.format(out=tmp_path / "base.csv"))
+        rc = main([
+            "sweep", "--config", str(cfg_path), "--axis", "optimizer",
+            "--values", " FedSGDA,fedavg_gda ",
+        ])
+        assert rc == 0
+        assert sorted(p.name for p in tmp_path.glob("sweep_*")) == [
+            "sweep_optimizer_fedavg_gda.csv",
+            "sweep_optimizer_fedsgda.csv",
+            "sweep_optimizer_index.csv",
+        ]
+        index = (tmp_path / "sweep_optimizer_index.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in index[1:]] == ["fedsgda", "fedavg_gda"]
+
+    @pytest.mark.parametrize(
+        "axis, values, first, second",
+        [
+            ("optimizer", "fedmm, FedMM", "fedmm", " FedMM"),
+            ("partition_p", "0.5,1,1.0", "1", "1.0"),
+            ("local_steps", "10,010", "10", "010"),
+        ],
+    )
+    def test_values_that_parse_to_one_run_are_a_config_error(
+        self, tmp_path, capsys, axis, values, first, second
+    ):
+        text = QUAD_RUN if axis != "partition_p" else TOY_SWEEP.replace("hyper.rounds = 200", "hyper.rounds = 2")
+        cfg_path = write(tmp_path, text.format(out=tmp_path / "base.csv"))
+        rc = main(["sweep", "--config", str(cfg_path), "--axis", axis, "--values", values])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --values:")
+        assert f"{first!r} and {second!r}" in err
+        assert not list(tmp_path.glob("sweep_*"))  # nothing ran
+
+    def test_unparseable_value_is_a_config_error(self, tmp_path, capsys):
+        cfg_path = write(tmp_path, QUAD_RUN.format(out=tmp_path / "base.csv"))
+        rc = main(["sweep", "--config", str(cfg_path), "--axis", "local_steps", "--values", "10,ten"])
+        assert rc == 2
+        assert "'ten'" in capsys.readouterr().err
+        assert not list(tmp_path.glob("sweep_*"))
+
 
 TOY_SWEEP = """\
 optimizer = fedavg_gda

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from fedmm.checks import check_row_independence
+from fedmm.diagnostics import local_solve_error
 from fedmm.core import (
     ClientState,
     ConvergenceError,
@@ -26,10 +27,11 @@ from fedmm.objectives import (
     QuadraticSaddle,
     QuadraticSaddleSpec,
     StackedObjectives,
+    _StackedDomainAdapt,
     make_domain_adapt_client,
     stacked,
 )
-from fedmm.optim import OptimizerKind, run_round
+from fedmm.optim import OptimizerKind, augmented_lagrangian_grads, fedmm_local_round, run_round
 from fedmm.problems import domain_shift_toy, synthetic_quadratic_specs
 
 K = OptimizerKind
@@ -123,6 +125,15 @@ def dann_shards():
     return [make_domain_adapt_client(s, nu=0.5, layout=layout) for s in shards]
 
 
+def equal_dann_shards(p):
+    """Two DANN clients on the toy's 40-point shards at p (1.0: all labeled points on client 0)."""
+    train, _, layout = domain_shift_toy(seeded_rng(8), n_per_domain=40, holdout_n=4)
+    shards = partition_label_shift(train, PartitionSpec(n_clients=2, p=p), seeded_rng(9))
+    objs = [make_domain_adapt_client(s, nu=0.5, layout=layout) for s in shards]
+    assert type(stacked(objs)) is _StackedDomainAdapt
+    return objs
+
+
 class TestStackedEqualsReference:
     @pytest.mark.parametrize("kind", FEDERATED)
     @pytest.mark.parametrize("n", [1, 3, 32])
@@ -140,6 +151,12 @@ class TestStackedEqualsReference:
     def test_dann_shards_of_unequal_size(self, kind):
         hp = HyperParams(eta1=0.1, eta2=0.25, nu=0.5, local_steps=(5, 8, 5))
         assert_rounds_match(kind, dann_shards(), hp, rounds=2)
+
+    @pytest.mark.parametrize("kind", FEDERATED)
+    @pytest.mark.parametrize("p", [1.0, 0.5])
+    def test_dann_shards_of_equal_size(self, kind, p):
+        hp = HyperParams(eta1=0.1, eta2=0.25, nu=0.5, local_steps=(5, 8))
+        assert_rounds_match(kind, equal_dann_shards(p), hp, rounds=2)
 
     @pytest.mark.parametrize("n", [1, 32])
     def test_central_gda(self, n):
@@ -171,6 +188,10 @@ class TestRunToTolerance:
     def test_dann_matches_reference(self):
         hp = HyperParams(eta1=0.1, eta2=0.25, nu=0.5, local_max_iters=2000)
         assert_rounds_match(K.FEDMM, dann_shards(), hp, rounds=2, local_tol=1e-5)
+
+    def test_dann_equal_shards_match_reference(self):
+        hp = HyperParams(eta1=0.1, eta2=0.25, nu=0.5, local_max_iters=2000)
+        assert_rounds_match(K.FEDMM, equal_dann_shards(0.5), hp, rounds=2, local_tol=1e-5)
 
     def test_convergence_error_names_the_failing_client(self):
         # client 0 starts at its own saddle and converges at once; 1 and 2 hit the cap
@@ -296,6 +317,24 @@ class TestStackedView:
         objs = quadratics(3)
         assert stacked(objs) is stacked(list(objs))
         assert stacked(quadratics(3)) is not stacked(objs)
+
+    def test_run_view_survives_one_client_calls(self):
+        objs = quadratics(3)
+        view = stacked(objs)
+        start = PrimalDualPair(vector(np.zeros(4)), vector(np.zeros(3)))
+        state = ClientState.initial(0, objs[0], start)
+        hp = HyperParams(eta1=0.1, eta2=0.1)
+        local_solve_error(state)
+        fedmm_local_round(state, start, hp, t=0)
+        augmented_lagrangian_grads(state, start, hp)
+        assert stacked(objs) is view
+        assert stacked(objs[:1]) is stacked([objs[0]])
+
+    def test_every_cached_view_goes_with_its_objectives(self):
+        objs = quadratics(3)
+        views = [weakref.ref(stacked(objs)), weakref.ref(stacked(objs[1:]))]
+        del objs
+        assert all(v() is None for v in views)
 
     def test_cached_view_does_not_keep_objectives_alive(self):
         objs = quadratics(3)
