@@ -1,16 +1,11 @@
 """Federated minimax optimization: FedMM, GDA baselines, and a simulation harness."""
 
 from fedmm.core import (
-    ClientState,
     ConvergenceError,
-    DimensionMismatchError,
     DivergenceError,
     HyperParams,
     PrimalDualPair,
     ServerState,
-    axpy,
-    dot,
-    norm,
     seeded_rng,
     vector,
     zeros,
@@ -23,14 +18,13 @@ from fedmm.federation import (
     RunLog,
     run_experiment,
 )
-from fedmm.optim import OptimizerKind
+from fedmm.optim import Federation, OptimizerKind
 
 __all__ = [
-    "ClientState",
     "ConvergenceError",
-    "DimensionMismatchError",
     "DivergenceError",
     "ExperimentConfig",
+    "Federation",
     "HyperParams",
     "OptimizerKind",
     "PartitionMode",
@@ -39,9 +33,6 @@ __all__ = [
     "ProblemKind",
     "RunLog",
     "ServerState",
-    "axpy",
-    "dot",
-    "norm",
     "run_experiment",
     "seeded_rng",
     "vector",

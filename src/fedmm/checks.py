@@ -7,9 +7,11 @@ up as a named failure instead of a crash.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
-from fedmm.core import ClientState, HyperParams, PrimalDualPair, ServerState, seeded_rng, vector
+from fedmm.core import HyperParams, PrimalDualPair, ServerState, seeded_rng, vector
 from fedmm.diagnostics import (
     estimate_kappa,
     finite_diff_grad,
@@ -19,26 +21,17 @@ from fedmm.diagnostics import (
 )
 from fedmm.federation import PartitionMode, PartitionSpec, consensus, partition_label_shift
 from fedmm.objectives import (
+    DomainAdaptObjective,
     MeanObjective,
     QuadraticSaddle,
     QuadraticSaddleSpec,
     StackedObjectives,
     _StackedDomainAdapt,
     inner_max,
-    make_domain_adapt_client,
-    make_quadratic_client,
     phi_value_and_grad,
     stacked,
 )
-from fedmm.optim import (
-    OptimizerKind,
-    centralized_gda_step,
-    fedavg_gda_local,
-    fedprox_gda_local,
-    fedmm_local_round,
-    local_solve,
-    run_round,
-)
+from fedmm.optim import Federation, OptimizerKind, local_solve, run_round
 from fedmm.problems import domain_shift_toy, synthetic_quadratic_specs
 
 
@@ -71,7 +64,7 @@ def check_quadratic_gradients() -> str:
 
 def check_domain_adapt_gradients() -> str:
     train, _, layout = domain_shift_toy(seeded_rng(12), n_per_domain=20, holdout_n=4)
-    obj = make_domain_adapt_client(train, nu=0.5, layout=layout)
+    obj = DomainAdaptObjective(train, nu=0.5, layout=layout)
     worst = _grad_check(obj, seeded_rng(13), 10)
     return f"max rel err {worst:.2e}"
 
@@ -80,8 +73,9 @@ def check_inner_max_paths_agree() -> str:
     objs = [QuadraticSaddle(s) for s in synthetic_quadratic_specs(3)]
     rng = seeded_rng(14)
     om = vector(rng.standard_normal(objs[0].dims[0]))
-    closed = inner_max(objs, om, tol=1e-12, method="closed_form")
-    ascent = inner_max(objs, om, tol=1e-10, method="gradient_ascent")
+    view = stacked(objs)
+    closed = inner_max(view, om, tol=1e-12, method="closed_form")
+    ascent = inner_max(view, om, tol=1e-10, method="gradient_ascent")
     gap = float(np.linalg.norm(closed - ascent))
     if gap > 1e-8:
         raise AssertionError(f"inner_max paths disagree by {gap:.3e}")
@@ -93,7 +87,7 @@ def check_danskin_stationarity() -> str:
     mean = MeanObjective(objs)
     rng = seeded_rng(15)
     om = vector(rng.standard_normal(objs[0].dims[0]))
-    psi_star = inner_max(objs, om, tol=1e-12)
+    psi_star = inner_max(mean.view, om, tol=1e-12)
     g = mean.grad_psi(om, psi_star)
     worst = 0.0
     for _ in range(10):
@@ -119,11 +113,10 @@ def check_dual_recovery() -> str:
     hp = HyperParams(eta1=0.2, eta2=0.2)
     d1, d2 = objs[0].dims
     pair = PrimalDualPair(vector(np.zeros(d1)), vector(np.zeros(d2)))
-    worst = 0.0
-    for i, o in enumerate(objs):
-        state = ClientState.initial(i, o, pair)
-        new_state, _ = fedmm_local_round(state, pair, hp, t=0, local_tol=1e-12)
-        worst = max(worst, local_solve_error(new_state))
+    fed, _, _ = local_solve(
+        OptimizerKind.FEDMM, Federation.initial(objs, pair), pair, hp, t=0, local_tol=1e-12
+    )
+    worst = max(local_solve_error(fed).tolist())
     if worst > 1e-8:
         raise AssertionError(f"dual recovery residual {worst:.3e} > 1e-8")
     return f"worst residual {worst:.2e}"
@@ -139,13 +132,12 @@ def check_equiv_fedsgda_central() -> str:
     pair = PrimalDualPair(vector(np.zeros(d1)), vector(np.zeros(d2)))
     hp = HyperParams(eta1=0.05, eta2=0.05)
 
-    server = ServerState(pair)
-    clients = [ClientState.initial(0, obj, pair)]
-    central = pair
+    fed, server = Federation.initial([obj], pair), ServerState(pair)
+    central_fed, central = fed, ServerState(pair)
     for _ in range(100):
-        clients = run_round(OptimizerKind.FEDSGDA, clients, server, hp)
-        central = centralized_gda_step(obj, central, hp.eta1, hp.eta2)
-        if not _bit_equal(server.global_pair, central):
+        fed = run_round(OptimizerKind.FEDSGDA, fed, server, hp)
+        central_fed = run_round(OptimizerKind.CENTRAL_GDA, central_fed, central, hp)
+        if not _bit_equal(server.global_pair, central.global_pair):
             raise AssertionError("FedSGDA(N=1) diverged from centralized GDA")
     return "100 steps bit-exact"
 
@@ -156,9 +148,10 @@ def check_equiv_fedprox_fedavg() -> str:
     rng = seeded_rng(16)
     pair = PrimalDualPair(vector(rng.standard_normal(d1)), vector(rng.standard_normal(d2)))
     hp = HyperParams(eta1=0.05, eta2=0.05, prox_mu=0.0, local_steps=(13,))
-    a = fedavg_gda_local(obj, pair, hp, 0)
-    b = fedprox_gda_local(obj, pair, hp, 0)
-    if not (np.array_equal(a.omega_out, b.omega_out) and np.array_equal(a.psi_out, b.psi_out)):
+    fed = Federation.initial([obj], pair)
+    _, a_om, a_ps = local_solve(OptimizerKind.FEDAVG_GDA, fed, pair, hp)
+    _, b_om, b_ps = local_solve(OptimizerKind.FEDPROX_GDA, fed, pair, hp)
+    if not (np.array_equal(a_om, b_om) and np.array_equal(a_ps, b_ps)):
         raise AssertionError("FedProxGDA(prox_mu=0) differs from FedAvgGDA")
     return "outputs bit-exact"
 
@@ -169,13 +162,11 @@ def check_equiv_fedavg_fedsgda() -> str:
     pair = PrimalDualPair(vector(np.zeros(d1)), vector(np.zeros(d2)))
     hp = HyperParams(eta1=0.05, eta2=0.05, local_steps=(1,))
 
-    server_a = ServerState(pair)
-    clients_a = [ClientState.initial(i, o, pair) for i, o in enumerate(objs)]
-    server_b = ServerState(pair)
-    clients_b = [ClientState.initial(i, o, pair) for i, o in enumerate(objs)]
+    server_a, server_b = ServerState(pair), ServerState(pair)
+    fed_a = fed_b = Federation.initial(objs, pair)
     for _ in range(50):
-        clients_a = run_round(OptimizerKind.FEDAVG_GDA, clients_a, server_a, hp)
-        clients_b = run_round(OptimizerKind.FEDSGDA, clients_b, server_b, hp)
+        fed_a = run_round(OptimizerKind.FEDAVG_GDA, fed_a, server_a, hp)
+        fed_b = run_round(OptimizerKind.FEDSGDA, fed_b, server_b, hp)
         if not _bit_equal(server_a.global_pair, server_b.global_pair):
             raise AssertionError("FedAvgGDA(M=1) differs from FedSGDA")
     return "50 rounds bit-exact"
@@ -186,7 +177,7 @@ def _dann_split(p: float = 0.75, drop: int = 7) -> list:
     train, _, layout = domain_shift_toy(seeded_rng(19), n_per_domain=20, holdout_n=4)
     shards = partition_label_shift(train, PartitionSpec(n_clients=2, p=p), seeded_rng(20))
     shards[1] = shards[1].subset(np.arange(len(shards[1]) - drop))
-    return [make_domain_adapt_client(s, nu=0.5, layout=layout) for s in shards]
+    return [DomainAdaptObjective(s, nu=0.5, layout=layout) for s in shards]
 
 
 def _dann_cases() -> list:
@@ -207,6 +198,14 @@ def _assert_view(objs, view_type) -> None:
     if got is not view_type:
         sizes = [len(o.dataset) for o in objs]
         raise AssertionError(f"shards of {sizes} points got {got.__name__}, not {view_type.__name__}")
+
+
+_OUTCOME = ("omega", "psi", "lam", "beta", "omega_out", "psi_out")
+
+
+def _outcome(fed: Federation, *uploads) -> tuple:
+    # a round's arrays in _OUTCOME order
+    return (fed.omega, fed.psi, fed.lam, fed.beta, *uploads)
 
 
 def check_row_independence() -> str:
@@ -230,18 +229,18 @@ def check_row_independence() -> str:
         for kind in (k for k in OptimizerKind if k is not OptimizerKind.CENTRAL_GDA):
             # one round first, so that FedMM's duals are no longer zero
             server = ServerState(start)
-            clients = [ClientState.initial(i, o, start) for i, o in enumerate(objs)]
-            clients = run_round(kind, clients, server, hp, local_tol=local_tol)
-            args = (server.global_pair, hp, server.round, local_tol)
-            whole = local_solve(kind, clients, *args)
-            for r, c in enumerate(clients):
-                alone = local_solve(kind, [c], *args)
-                for name in ("omega", "psi", "lam", "beta", "omega_out", "psi_out"):
-                    a, b = getattr(whole, name), getattr(alone, name)
-                    if (a is None) != (b is None) or (a is not None and not np.array_equal(a[r], b[0])):
+            fed = run_round(kind, Federation.initial(objs, start), server, hp, local_tol=local_tol)
+            gp, t = server.global_pair, server.round
+            whole = _outcome(*local_solve(kind, fed, gp, hp, t, local_tol))
+            for r, obj in enumerate(objs):
+                one = Federation(stacked([obj]), *(a[r : r + 1] for a in _outcome(fed)))
+                hp_r = replace(hp, local_steps=(hp.steps_for(r),))
+                alone = _outcome(*local_solve(kind, one, gp, hp_r, t, local_tol))
+                for name, a, b in zip(_OUTCOME, whole, alone):
+                    if not np.array_equal(a[r], b[0]):
                         raise AssertionError(
-                            f"{kind.value}: client {c.id}'s {name} differs between the "
-                            f"{len(clients)}-client and the single-client round"
+                            f"{kind.value}: client {r}'s {name} differs between the "
+                            f"{len(objs)}-client and the single-client round"
                         )
                 rows += 1
     return f"{rows} client rows bit-exact"
@@ -254,7 +253,7 @@ def _mean_in_client_order(rows) -> np.ndarray:
     return total / len(rows)
 
 
-def _per_client_oracles(objs, clients, pair: PrimalDualPair, tol: float):
+def _per_client_oracles(objs, fed: Federation, pair: PrimalDualPair, tol: float):
     """(loss, (phi value, phi gradient), consensus), one objective after the other."""
     om, ps = pair.omega, pair.psi
     n = len(objs)
@@ -274,8 +273,8 @@ def _per_client_oracles(objs, clients, pair: PrimalDualPair, tol: float):
         _mean_in_client_order([o.grad_omega(om, psi) for o in objs]),
     )
     cons = (
-        max(float(np.linalg.norm(c.pair.omega - om)) for c in clients),
-        max(float(np.linalg.norm(c.pair.psi - ps)) for c in clients),
+        max(float(np.linalg.norm(row - om)) for row in fed.omega),
+        max(float(np.linalg.norm(row - ps)) for row in fed.psi),
     )
     return loss, phi, cons
 
@@ -298,18 +297,18 @@ def check_stacked_oracles() -> str:
             vector(0.1 * rng.standard_normal(d1)), vector(0.1 * rng.standard_normal(d2))
         )
         server = ServerState(start)
-        clients = [ClientState.initial(i, o, start) for i, o in enumerate(objs)]
+        fed = Federation.initial(objs, start)
         for _ in range(3):
-            clients = run_round(OptimizerKind.FEDMM, clients, server, hp)
+            fed = run_round(OptimizerKind.FEDMM, fed, server, hp)
             gp = server.global_pair
-            loss, (phi_value, phi_grad), cons = _per_client_oracles(objs, clients, gp, tol)
-            got_value, got_grad = phi_value_and_grad(objs, gp.omega, tol)
+            loss, (phi_value, phi_grad), cons = _per_client_oracles(objs, fed, gp, tol)
+            got_value, got_grad = phi_value_and_grad(fed.view, gp.omega, tol)
             where = f"{len(objs)}-client {type(objs[0]).__name__} round {server.round}"
-            if stacked(objs).mean_value(gp.omega, gp.psi) != loss:
+            if fed.view.mean_value(gp.omega, gp.psi) != loss:
                 raise AssertionError(f"{where}: stacked global loss differs")
             if got_value != phi_value or not np.array_equal(got_grad, phi_grad):
                 raise AssertionError(f"{where}: stacked phi oracle differs")
-            if consensus(clients, gp) != cons:
+            if consensus(fed, gp) != cons:
                 raise AssertionError(f"{where}: stacked consensus differs")
             samples += 1
     return f"loss, phi oracle and consensus bit-exact at {samples} rounds"
@@ -324,22 +323,15 @@ def check_stationary_saddle_fixed() -> str:
     objs = [QuadraticSaddle(spec) for _ in range(2)]
     pair = PrimalDualPair(vector(np.zeros(d)), vector(np.zeros(d)))
     hp = HyperParams(eta1=0.1, eta2=0.1, local_steps=(5,))
-    for kind in (
-        OptimizerKind.FEDMM,
-        OptimizerKind.FEDSGDA,
-        OptimizerKind.FEDAVG_GDA,
-        OptimizerKind.FEDPROX_GDA,
-    ):
+    for kind in OptimizerKind:
+        pooled = kind is OptimizerKind.CENTRAL_GDA
         server = ServerState(pair)
-        clients = [ClientState.initial(i, o, pair) for i, o in enumerate(objs)]
-        clients = run_round(kind, clients, server, hp)
+        fed = Federation.initial([MeanObjective(objs)] if pooled else objs, pair)
+        fed = run_round(kind, fed, server, hp)
         if not _bit_equal(server.global_pair, pair):
             raise AssertionError(f"{kind.value} moved an exact stationary saddle")
-        if any(float(np.linalg.norm(c.lam)) + float(np.linalg.norm(c.beta)) != 0.0 for c in clients):
+        if fed.lam.any() or fed.beta.any():
             raise AssertionError(f"{kind.value} perturbed zero duals at a saddle")
-    central = centralized_gda_step(MeanObjective(objs), pair, hp.eta1, hp.eta2)
-    if not _bit_equal(central, pair):
-        raise AssertionError("central_gda moved an exact stationary saddle")
     return "all optimizers leave the saddle fixed"
 
 
@@ -383,7 +375,7 @@ def check_non_pd_rejected() -> str:
         c=vector([0.0]),
     )
     try:
-        make_quadratic_client(spec)
+        QuadraticSaddle(spec)
     except ValueError as e:
         if "eigenvalue" not in str(e):
             raise AssertionError(f"wrong error for non-PD C: {e}")

@@ -18,6 +18,7 @@ from pathlib import Path
 from fedmm.checks import run_builtin_checks
 from fedmm.core import ConvergenceError, DivergenceError, HyperParams
 from fedmm.federation import (
+    METRIC_FIELDS,
     ExperimentConfig,
     PartitionMode,
     PartitionSpec,
@@ -25,6 +26,7 @@ from fedmm.federation import (
     RunLog,
     partition_counts,
     run_experiment,
+    _fmt,
     simulated_clients,
 )
 from fedmm.federation import write_atomic as _write_atomic
@@ -177,9 +179,12 @@ def parse_config(path: str | Path, overrides: list[str] | None = None) -> Experi
     env_seed = os.environ.get("FEDMM_SEED")
     if env_seed is not None:
         try:
-            config = replace(config, seed=int(env_seed))
+            seed = int(env_seed)
         except ValueError:
             raise ConfigError(f"FEDMM_SEED must be an integer, got {env_seed!r}") from None
+        if seed < 0:
+            raise ConfigError(f"FEDMM_SEED must be non-negative, got {seed}")
+        config = replace(config, seed=seed)
     return config
 
 
@@ -187,15 +192,7 @@ def _summary_line(log: RunLog, output: str) -> str:
     parts = ["status=ok", f"rounds={len(log.rounds)}"]
     final = log.final()
     if final is not None:
-        parts += [
-            f"round={final.round}",
-            f"phi_grad_norm={'' if final.phi_grad_norm is None else repr(final.phi_grad_norm)}",
-            f"consensus_omega={final.consensus_omega!r}",
-            f"consensus_psi={final.consensus_psi!r}",
-            f"global_loss={final.global_loss!r}",
-            f"target_accuracy={'' if final.target_accuracy is None else repr(final.target_accuracy)}",
-            f"floats_communicated={final.floats_communicated}",
-        ]
+        parts += [f"{name}={_fmt(getattr(final, name))}" for name in METRIC_FIELDS]
     parts.append(f"output={output}")
     return " ".join(parts)
 
@@ -219,6 +216,10 @@ def cmd_run(config: ExperimentConfig) -> int:
 
 
 _AXES = ("partition_p", "optimizer", "local_steps")
+# the final-round metrics of the sweep index, in its column order
+_INDEX_METRICS = (
+    "phi_grad_norm", "consensus_omega", "global_loss", "target_accuracy", "floats_communicated"
+)
 
 
 def _apply_axis(config: ExperimentConfig, axis: str, raw: str) -> tuple[str, ExperimentConfig]:
@@ -270,19 +271,9 @@ def cmd_sweep(config: ExperimentConfig, axis: str, values: list[str]) -> int:
             log.write_csv(sub.output_path)
             final = log.final()
             index_rows.append(
-                [
-                    name,
-                    "ok",
-                    str(len(log.rounds)),
-                    "" if final is None or final.phi_grad_norm is None else repr(final.phi_grad_norm),
-                    "" if final is None else repr(final.consensus_omega),
-                    "" if final is None else repr(final.global_loss),
-                    ""
-                    if final is None or final.target_accuracy is None
-                    else repr(final.target_accuracy),
-                    "" if final is None else str(final.floats_communicated),
-                    "",
-                ]
+                [name, "ok", str(len(log.rounds))]
+                + [_fmt(None if final is None else getattr(final, c)) for c in _INDEX_METRICS]
+                + [""]
             )
             print(f"sweep {axis}={name} status=ok output={sub_path}")
         except Exception as e:

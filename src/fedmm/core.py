@@ -1,4 +1,4 @@
-"""Parameter containers, deterministic RNG, and the small vector kernel.
+"""Parameter containers, deterministic RNG, and the per-row vector kernels.
 
 Parameter vectors are flat 1-D float64 numpy arrays, frozen (read-only) at
 construction. Every operation here is pure: inputs are never modified and
@@ -9,21 +9,13 @@ identical seeds give identical streams across runs and platforms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 Vector = np.ndarray
-
-
-class DimensionMismatchError(ValueError):
-    """Two vectors of unequal length were combined."""
-
-    def __init__(self, op: str, len_a: int, len_b: int):
-        super().__init__(f"{op}: dimension mismatch, {len_a} vs {len_b}")
-        self.len_a = len_a
-        self.len_b = len_b
 
 
 class DivergenceError(RuntimeError):
@@ -67,23 +59,6 @@ def zeros(n: int) -> Vector:
     return v
 
 
-def axpy(a: float, x: Vector, y: Vector) -> Vector:
-    """Return a*x + y without touching the inputs."""
-    if len(x) != len(y):
-        raise DimensionMismatchError("axpy", len(x), len(y))
-    return a * x + y
-
-
-def dot(x: Vector, y: Vector) -> float:
-    if len(x) != len(y):
-        raise DimensionMismatchError("dot", len(x), len(y))
-    return float(np.dot(x, y))
-
-
-def norm(x: Vector) -> float:
-    return float(np.linalg.norm(x))
-
-
 def row_dot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Each row's X[r] . Y[r], bit for bit the dot product a 1-D `x @ y` takes.
 
@@ -115,46 +90,6 @@ class PrimalDualPair:
     @property
     def dims(self) -> tuple[int, int]:
         return len(self.omega), len(self.psi)
-
-
-@dataclass
-class ClientState:
-    """One client's primal pair, dual pair, and local objective handle.
-
-    lambda/beta are the consensus multipliers for omega/psi; they start at
-    zero and are updated once per round by the FedMM dual step.
-    """
-
-    id: int
-    objective: "object"
-    pair: PrimalDualPair
-    lam: Vector
-    beta: Vector
-
-    def __post_init__(self):
-        d1, d2 = self.pair.dims
-        if len(self.lam) != d1:
-            raise DimensionMismatchError("ClientState.lam", len(self.lam), d1)
-        if len(self.beta) != d2:
-            raise DimensionMismatchError("ClientState.beta", len(self.beta), d2)
-
-    @classmethod
-    def initial(cls, client_id: int, objective, global_pair: PrimalDualPair) -> "ClientState":
-        """Round-0 state: primal copies the globals, duals are zero."""
-        d1, d2 = global_pair.dims
-        od1, od2 = objective.dims
-        if (d1, d2) != (od1, od2):
-            raise DimensionMismatchError("ClientState.initial", d1 + d2, od1 + od2)
-        return cls(
-            id=client_id,
-            objective=objective,
-            pair=global_pair,
-            lam=zeros(d1),
-            beta=zeros(d2),
-        )
-
-    def with_pair(self, omega: Vector, psi: Vector) -> "ClientState":
-        return replace(self, pair=PrimalDualPair(omega, psi))
 
 
 @dataclass
@@ -195,6 +130,10 @@ class HyperParams:
     local_max_iters: int = 200_000
 
     def __post_init__(self):
+        for name in ("mu1", "mu2", "eta1", "eta2", "nu", "prox_mu", "tol", "local_tol"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"hyper.{name} must be finite, got {value!r}")
         if self.mu1 <= 0 or self.mu2 <= 0:
             raise ValueError(f"mu1/mu2 must be positive, got {self.mu1}, {self.mu2}")
         if self.eta1 <= 0 or self.eta2 <= 0:

@@ -21,17 +21,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from fedmm.core import (
-    ClientState,
-    HyperParams,
-    PrimalDualPair,
-    ServerState,
-    Vector,
-    row_norms,
-    vector,
-)
+from fedmm.core import HyperParams, PrimalDualPair, ServerState, Vector, row_norms, vector
 from fedmm.objectives import LocalObjective, QuadraticSaddle, inner_max, quadratic_bars, stacked
-from fedmm.optim import OptimizerKind, run_round
+from fedmm.optim import Federation, OptimizerKind, run_round
 
 BASE_TOL = 1e-8
 TOL_ERROR_FACTOR = 10.0
@@ -59,51 +51,41 @@ def reports_to_csv(reports: Sequence[IdentityReport]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _rows_and_grads(states: Sequence[ClientState]):
-    """(OM, PS, G_OM, G_PS): the states' (N, d) rows and, in one stacked call, their gradients."""
-    OM = np.array([s.pair.omega for s in states])
-    PS = np.array([s.pair.psi for s in states])
-    return (OM, PS, *stacked([s.objective for s in states]).grads(OM, PS))
-
-
-def _solve_errors(states: Sequence[ClientState], G_OM: np.ndarray, G_PS: np.ndarray) -> np.ndarray:
+def _solve_errors(fed: Federation, G_OM: np.ndarray, G_PS: np.ndarray) -> np.ndarray:
     # each row's max(||grad_om f + lam||, ||grad_ps f - beta||)
-    e_om = row_norms(G_OM + np.array([s.lam for s in states]))
-    e_ps = row_norms(G_PS - np.array([s.beta for s in states]))
-    return np.maximum(e_om, e_ps)
+    return np.maximum(row_norms(G_OM + fed.lam), row_norms(G_PS - fed.beta))
 
 
-def local_solve_error(state: ClientState) -> float:
-    """Achieved local gradient norm after a round, read off the dual recovery.
+def local_solve_error(fed: Federation) -> np.ndarray:
+    """Each client's achieved local gradient norm after a round, read off the dual recovery.
 
     At an exact local solve the new duals satisfy lam = -grad_om f and
     beta = +grad_ps f at the end-of-round iterate, so the mismatch equals the
     residual gradient of the local augmented Lagrangian.
     """
-    return float(_solve_errors([state], *_rows_and_grads([state])[2:])[0])
+    return _solve_errors(fed, *fed.view.grads(fed.omega, fed.psi))
 
 
 def check_identities(
-    before: Sequence[ClientState],
-    after: Sequence[ClientState],
+    before: Federation,
+    after: Federation,
     global_before: PrimalDualPair,
     hp: HyperParams,
     round_index: int = 0,
 ) -> list[IdentityReport]:
     """Residuals of the four converged-round identities for one federated round.
 
-    `before`/`after` are the client states captured immediately around one
-    FedMM round with run-to-tolerance local solves; `global_before` is the
-    consensus pair the round started from. Each side's gradients are one
-    stacked call; client sums run in client order.
+    `before`/`after` are the federation records just before and just after
+    one FedMM round with run-to-tolerance local solves; `global_before` is
+    the consensus pair the round started from. Each side's gradients are one stacked call;
+    client sums run in client order.
     """
-    if len(before) != len(after) or any(
-        b.id != a.id for b, a in zip(before, after)
-    ):
-        raise ValueError("before/after client lists do not match")
-    n = len(before)
-    OM_a, PS_a, G_OM_a, G_PS_a = _rows_and_grads(after)
-    OM_b, PS_b, G_OM_b, G_PS_b = _rows_and_grads(before)
+    if before.omega.shape != after.omega.shape or before.psi.shape != after.psi.shape:
+        raise ValueError("before/after federations do not match")
+    n = after.n
+    OM_a, PS_a, OM_b, PS_b = after.omega, after.psi, before.omega, before.psi
+    G_OM_a, G_PS_a = after.view.grads(OM_a, PS_a)
+    G_OM_b, G_PS_b = before.view.grads(OM_b, PS_b)
     e = max(_solve_errors(after, G_OM_a, G_PS_a).tolist())
     tol_step = BASE_TOL + TOL_ERROR_FACTOR * e
     tol_sum = tol_step * n
@@ -138,15 +120,14 @@ def run_identity_suite(
     d1, d2 = objectives[0].dims
     pair = init or PrimalDualPair(vector(np.zeros(d1)), vector(np.zeros(d2)))
     server = ServerState(pair)
-    clients = [ClientState.initial(i, o, pair) for i, o in enumerate(objectives)]
-    hp = hp.expanded(len(clients))
+    fed = Federation.initial(objectives, pair)
+    hp = hp.expanded(fed.n)
 
     reports: list[IdentityReport] = []
     for t in range(rounds):
-        before = list(clients)
-        global_before = server.global_pair
-        clients = run_round(OptimizerKind.FEDMM, clients, server, hp, local_tol=local_tol)
-        round_reports = check_identities(before, clients, global_before, hp, round_index=t)
+        before, global_before = fed, server.global_pair
+        fed = run_round(OptimizerKind.FEDMM, fed, server, hp, local_tol=local_tol)
+        round_reports = check_identities(before, fed, global_before, hp, round_index=t)
         if t == 0 and skip_first_step_identities:
             round_reports = [r for r in round_reports if r.name.startswith("sum_")]
         reports.extend(round_reports)
@@ -179,13 +160,14 @@ def estimate_kappa(
     """Empirical Lipschitz modulus of the inner maximizer over probe pairs."""
     if not omega_pairs:
         raise ValueError("estimate_kappa needs at least one probe pair")
+    view = stacked(objectives)
     best = 0.0
     for om, om_prime in omega_pairs:
         denom = float(np.linalg.norm(np.asarray(om) - np.asarray(om_prime)))
         if denom == 0.0:
             raise ValueError("duplicate probe pair (omega == omega'): ratio undefined")
-        psi_a = inner_max(objectives, om, tol)
-        psi_b = inner_max(objectives, om_prime, tol)
+        psi_a = inner_max(view, om, tol)
+        psi_b = inner_max(view, om_prime, tol)
         best = max(best, float(np.linalg.norm(psi_a - psi_b)) / denom)
     return best
 
@@ -212,13 +194,13 @@ def stationarity_series(log, tol: float) -> StationaritySummary:
 
 def quadratic_phi_hessian(objectives: Sequence[QuadraticSaddle]) -> np.ndarray:
     """Hessian of the max-function: Abar + Bbar Cbar^-1 Bbar'."""
-    Abar, Bbar, Cbar, _, _ = quadratic_bars(objectives)
+    Abar, Bbar, Cbar, _, _ = quadratic_bars(stacked(objectives))
     return Abar + Bbar @ np.linalg.solve(Cbar, Bbar.T)
 
 
 def quadratic_phi_minimizer(objectives: Sequence[QuadraticSaddle]) -> Vector:
     """Brute-force reference: the unique stationary point of the max-function."""
-    Abar, Bbar, Cbar, abar, cbar = quadratic_bars(objectives)
+    Abar, Bbar, Cbar, abar, cbar = quadratic_bars(stacked(objectives))
     H = Abar + Bbar @ np.linalg.solve(Cbar, Bbar.T)
     rhs = -(abar + Bbar @ np.linalg.solve(Cbar, cbar))
     return vector(np.linalg.solve(H, rhs))
@@ -226,5 +208,5 @@ def quadratic_phi_minimizer(objectives: Sequence[QuadraticSaddle]) -> Vector:
 
 def quadratic_kappa_bound(objectives: Sequence[QuadraticSaddle]) -> float:
     """Closed-form operator norm of Cbar^-1 Bbar' (the true kappa)."""
-    _, Bbar, Cbar, _, _ = quadratic_bars(objectives)
+    _, Bbar, Cbar, _, _ = quadratic_bars(stacked(objectives))
     return float(np.linalg.norm(np.linalg.solve(Cbar, Bbar.T), 2))

@@ -8,18 +8,15 @@ seeds spawned from the config seed.
 
 from __future__ import annotations
 
-import functools
 import os
 import uuid
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
 from fedmm.core import (
-    ClientState,
     ConvergenceError,
     DivergenceError,
     HyperParams,
@@ -42,11 +39,10 @@ from fedmm.objectives import (
     StackedObjectives,
     load_dataset,
     load_quadratic_specs,
-    make_domain_adapt_client,
     phi_value_and_grad,
     stacked,
 )
-from fedmm.optim import OptimizerKind, run_round
+from fedmm.optim import Federation, OptimizerKind, run_round
 from fedmm import problems
 
 
@@ -186,10 +182,8 @@ class RoundMetrics:
     floats_communicated: int
 
 
-CSV_HEADER = (
-    "round,phi_grad_norm,consensus_omega,consensus_psi,"
-    "global_loss,target_accuracy,floats_communicated"
-)
+METRIC_FIELDS = tuple(f.name for f in fields(RoundMetrics))
+CSV_HEADER = ",".join(METRIC_FIELDS)
 
 # the metric oracle must never dominate a round: past this budget the sample
 # degrades to an empty field instead
@@ -204,11 +198,12 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def consensus(clients: Sequence[ClientState], pair: PrimalDualPair) -> tuple[float, float]:
+def consensus(fed: Federation, pair: PrimalDualPair) -> tuple[float, float]:
     """(max_i ||omega_i - omega||, max_i ||psi_i - psi||): the clients' spread around the pair."""
-    OM = np.array([c.pair.omega for c in clients])
-    PS = np.array([c.pair.psi for c in clients])
-    return max(row_norms(OM - pair.omega).tolist()), max(row_norms(PS - pair.psi).tolist())
+    return (
+        max(row_norms(fed.omega - pair.omega).tolist()),
+        max(row_norms(fed.psi - pair.psi).tolist()),
+    )
 
 
 def write_atomic(path: str | Path, text: str) -> None:
@@ -242,19 +237,7 @@ class RunLog:
     def csv_text(self) -> str:
         lines = [CSV_HEADER]
         for m in self.rounds:
-            lines.append(
-                ",".join(
-                    [
-                        str(m.round),
-                        _fmt(m.phi_grad_norm),
-                        _fmt(m.consensus_omega),
-                        _fmt(m.consensus_psi),
-                        _fmt(m.global_loss),
-                        _fmt(m.target_accuracy),
-                        str(m.floats_communicated),
-                    ]
-                )
-            )
+            lines.append(",".join(_fmt(getattr(m, name)) for name in METRIC_FIELDS))
         return "\n".join(lines) + "\n"
 
     def write_csv(self, path: str | Path) -> None:
@@ -302,6 +285,8 @@ class ExperimentConfig:
         ):
             if value < 1:
                 raise ValueError(f"{key} must be >= 1, got {value}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.metrics_every < 1:
             raise ValueError(f"metrics_every must be >= 1, got {self.metrics_every}")
         if self.batch_size < 0:
@@ -355,20 +340,20 @@ def simulated_clients(config: ExperimentConfig) -> int:
 
 @dataclass
 class _BuiltProblem:
-    """Everything run_experiment needs after problem construction."""
+    """Everything run_experiment needs after problem construction.
+
+    oracle is the metric oracles' view when it is not the simulated clients'
+    own: central GDA on quadratics trains one MeanObjective, whose view holds
+    the clients it pools.
+    """
 
     sim_objectives: list[LocalObjective]
-    oracle_objectives: list[LocalObjective]
     init_pair: PrimalDualPair
     holdout: DomainAdaptDataset | None
     accuracy_objective: DomainAdaptObjective | None
     shards: list[DomainAdaptDataset] | None
     layout: ModelLayout | None
-
-    @functools.cached_property
-    def oracle(self) -> StackedObjectives:
-        """The metric oracles' stacked view of oracle_objectives, built on first use."""
-        return stacked(self.oracle_objectives)
+    oracle: StackedObjectives | None = None
 
 
 def _build_problem(config: ExperimentConfig, seed_seq: np.random.SeedSequence) -> _BuiltProblem:
@@ -385,10 +370,9 @@ def _build_problem(config: ExperimentConfig, seed_seq: np.random.SeedSequence) -
         d1, d2 = objs[0].dims
         init = PrimalDualPair(zeros(d1), zeros(d2))
         if config.optimizer is OptimizerKind.CENTRAL_GDA:
-            sim: list[LocalObjective] = [MeanObjective(objs)]
-        else:
-            sim = objs
-        return _BuiltProblem(sim, objs, init, None, None, None, None)
+            pooled = MeanObjective(objs)
+            return _BuiltProblem([pooled], init, None, None, None, None, pooled.view)
+        return _BuiltProblem(objs, init, None, None, None, None)
 
     # domain adaptation
     if config.problem_file:
@@ -402,7 +386,7 @@ def _build_problem(config: ExperimentConfig, seed_seq: np.random.SeedSequence) -
             holdout_n=config.toy_holdout_n,
         )
 
-    pooled = make_domain_adapt_client(dataset, config.hyper.nu, layout)
+    pooled = DomainAdaptObjective(dataset, config.hyper.nu, layout)
     init_rng = np.random.Generator(np.random.PCG64(init_seq))
     init = PrimalDualPair(
         vector(0.1 * init_rng.standard_normal(layout.d1)),
@@ -410,12 +394,12 @@ def _build_problem(config: ExperimentConfig, seed_seq: np.random.SeedSequence) -
     )
 
     if config.optimizer is OptimizerKind.CENTRAL_GDA:
-        return _BuiltProblem([pooled], [pooled], init, holdout, pooled, None, layout)
+        return _BuiltProblem([pooled], init, holdout, pooled, None, layout)
 
     part_rng = np.random.Generator(np.random.PCG64(part_seq))
     shards = partition_label_shift(dataset, config.partition, part_rng)
-    objs = [make_domain_adapt_client(s, config.hyper.nu, layout) for s in shards]
-    return _BuiltProblem(list(objs), list(objs), init, holdout, pooled, shards, layout)
+    objs = [DomainAdaptObjective(s, config.hyper.nu, layout) for s in shards]
+    return _BuiltProblem(objs, init, holdout, pooled, shards, layout)
 
 
 def run_experiment(config: ExperimentConfig) -> RunLog:
@@ -431,10 +415,8 @@ def run_experiment(config: ExperimentConfig) -> RunLog:
 
     hp = config.hyper.expanded(len(built.sim_objectives))
     server = ServerState(built.init_pair)
-    clients = [
-        ClientState.initial(i, obj, built.init_pair)
-        for i, obj in enumerate(built.sim_objectives)
-    ]
+    fed = Federation.initial(built.sim_objectives, built.init_pair)
+    oracle = fed.view if built.oracle is None else built.oracle
     local_tol = hp.local_tol if hp.local_tol > 0 else None
 
     log = RunLog(config_echo=config.echo(), seed=config.seed)
@@ -443,29 +425,24 @@ def run_experiment(config: ExperimentConfig) -> RunLog:
     for t in range(hp.rounds):
         if config.batch_size > 0 and built.shards is not None:
             # seeded minibatch mode: fresh per-round subsample of each shard
-            clients = [
-                replace(
-                    c,
-                    objective=make_domain_adapt_client(
-                        shard.sample(batch_rng, config.batch_size), hp.nu, built.layout
-                    ),
-                )
-                for c, shard in zip(clients, built.shards)
-            ]
+            batches = [shard.sample(batch_rng, config.batch_size) for shard in built.shards]
+            fed = replace(
+                fed, view=stacked([DomainAdaptObjective(b, hp.nu, built.layout) for b in batches])
+            )
         try:
-            clients = run_round(config.optimizer, clients, server, hp, local_tol=local_tol)
+            fed = run_round(config.optimizer, fed, server, hp, local_tol=local_tol)
         except DivergenceError as e:
             raise DivergenceError(f"round {t}: {e.where}", e.step) from e
 
         gp = server.global_pair
-        consensus_om, consensus_ps = consensus(clients, gp)
-        global_loss = built.oracle.mean_value(gp.omega, gp.psi)
+        consensus_om, consensus_ps = consensus(fed, gp)
+        global_loss = oracle.mean_value(gp.omega, gp.psi)
 
         phi_grad_norm: float | None = None
         if t % config.metrics_every == 0 or t == hp.rounds - 1:
             try:
                 _, phi_grad = phi_value_and_grad(
-                    built.oracle_objectives, gp.omega, hp.tol, max_iters=_PHI_ORACLE_ITER_CAP
+                    oracle, gp.omega, hp.tol, max_iters=_PHI_ORACLE_ITER_CAP
                 )
                 phi_grad_norm = float(np.linalg.norm(phi_grad))
             except ConvergenceError:

@@ -26,7 +26,6 @@ nu*log(h(z)), with z = W x the extracted feature.
 from __future__ import annotations
 
 import functools
-import weakref
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path
@@ -138,10 +137,6 @@ class QuadraticSaddle(LocalObjective):
         }
 
 
-def make_quadratic_client(spec: QuadraticSaddleSpec, min_curvature: float = 0.0) -> QuadraticSaddle:
-    return QuadraticSaddle(spec, min_curvature=min_curvature)
-
-
 # ----------------------- domain-adaptation family ----------------------- #
 
 
@@ -196,7 +191,7 @@ class DomainAdaptDataset:
         n = len(self.X)
         if self.y.shape != (n,) or self.domain.shape != (n,):
             raise ValueError("X, y, domain must have matching first dimension")
-        if not np.isin(self.domain, (SOURCE, TARGET)).all():
+        if not ((self.domain == SOURCE) | (self.domain == TARGET)).all():
             raise ValueError("domain flags must be SOURCE (0) or TARGET (1)")
         if (self.y[self.domain == SOURCE] < 0).any():
             raise ValueError("every source point must carry a label")
@@ -329,15 +324,6 @@ class DomainAdaptObjective(LocalObjective):
         return 0.25 * self.nu * float(np.linalg.norm(gram, 2))
 
 
-def make_domain_adapt_client(
-    dataset: DomainAdaptDataset,
-    nu: float,
-    layout: ModelLayout,
-    alpha: float | None = None,
-) -> DomainAdaptObjective:
-    return DomainAdaptObjective(dataset, nu, layout, alpha=alpha)
-
-
 # ---------------------------- stacked views ---------------------------- #
 
 
@@ -451,15 +437,12 @@ def _bars(*stacks) -> QuadraticBars:
 class _StackedQuadratic(StackedObjectives):
     """Quadratic clients: every row's value and gradient from batched matmuls.
 
-    It keeps the stacked matrices, not the objectives: those are held weakly,
-    only to recognise them again, so a cached view never keeps a finished
-    run's objectives alive.
+    It keeps the stacked matrices, not the objectives.
     """
 
     def __init__(self, objectives: Sequence[QuadraticSaddle]):
         self.dims = _common_dims(objectives)
         self.n = len(objectives)
-        self.refs = tuple(weakref.ref(o, _drop_cached_views) for o in objectives)
         self.A = np.stack([o.A for o in objectives])
         self.B = np.stack([o.B for o in objectives])
         # a transposed view, like QuadraticSaddle's B.T, so BLAS sees the same layout
@@ -480,7 +463,10 @@ class _StackedQuadratic(StackedObjectives):
 
     def grads(self, OM, PS, rows=None):
         G_OM = (self.A @ OM[..., None])[..., 0] + (self.B @ PS[..., None])[..., 0] + self.a
-        return G_OM, self.grad_psi(OM, PS)
+        G_PS = self.grad_psi(OM, PS)
+        if rows is None:
+            return G_OM, G_PS
+        return np.where(rows[:, None], G_OM, 0.0), np.where(rows[:, None], G_PS, 0.0)
 
     def grad_psi(self, OM, PS):
         return (self.BT @ OM[..., None])[..., 0] - (self.C @ PS[..., None])[..., 0] + self.c
@@ -558,16 +544,6 @@ class _StackedDomainAdapt(StackedObjectives):
         return self._finish(G_PS, None)
 
 
-# quadratic views by the ids of their objectives; an entry goes when one of them dies
-_cached_views: dict[tuple[int, ...], _StackedQuadratic] = {}
-
-
-def _drop_cached_views(dead: weakref.ref) -> None:
-    # one of a cached view's objectives was freed: free that view's matrix stacks too
-    for key in [k for k, view in _cached_views.items() if any(ref is dead for ref in view.refs)]:
-        del _cached_views[key]
-
-
 def _equal_dann_shards(objs: Sequence[LocalObjective]) -> bool:
     return all(type(o) is DomainAdaptObjective for o in objs) and len(
         {(o.layout, o.nu, len(o.dataset)) for o in objs}
@@ -575,39 +551,40 @@ def _equal_dann_shards(objs: Sequence[LocalObjective]) -> bool:
 
 
 def stacked(objectives: Sequence[LocalObjective]) -> StackedObjectives:
-    """The stacked view of these objectives.
+    """A new stacked view of these objectives; nothing is cached.
 
-    Plain QuadraticSaddle lists get batched matmuls. A run keeps its
-    objectives from round to round, so their matrix stacks (and client
-    averages) are built once per run: a quadratic view is cached while all of
-    its objectives live, so calls on other lists (one client's, say) never
-    evict it. Plain DomainAdaptObjective lists with one layout, one nu and
-    one shard size get batched gradients. Any other list (unequal shards,
-    MeanObjective, subclasses) takes the per-row view, which calls each
-    objective; the non-quadratic views are built on each call.
+    Plain QuadraticSaddle lists get batched matmuls. Plain
+    DomainAdaptObjective lists with one layout, one nu and one shard size get
+    batched gradients. Any other list (unequal shards, MeanObjective,
+    subclasses) takes the per-row view, which calls each objective. A caller
+    that evaluates the same objectives again keeps the view it got.
     """
     objs = tuple(objectives)
     if objs and _equal_dann_shards(objs):
         return _StackedDomainAdapt(objs)
-    if not all(type(o) is QuadraticSaddle for o in objs):
-        return StackedObjectives(objs)
-    key = tuple(map(id, objs))
-    view = _cached_views.get(key)
-    if view is None or any(ref() is not o for ref, o in zip(view.refs, objs)):
-        view = _cached_views[key] = _StackedQuadratic(objs)
-    return view
+    if objs and all(type(o) is QuadraticSaddle for o in objs):
+        return _StackedQuadratic(objs)
+    return StackedObjectives(objs)
 
 
-def quadratic_bars(objectives: Sequence[QuadraticSaddle]) -> QuadraticBars:
-    """(Abar, Bbar, Cbar, abar, cbar) of quadratic clients, averaged in client order.
+def _all_quadratic(view: StackedObjectives) -> bool:
+    # subclasses sit on the per-row view but keep the quadratic closed forms
+    return isinstance(view, _StackedQuadratic) or all(
+        isinstance(o, QuadraticSaddle) for o in view.objectives
+    )
 
-    Plain QuadraticSaddle lists share the ones cached with their stacked
-    view; subclasses are averaged on each call.
+
+def quadratic_bars(view: StackedObjectives) -> QuadraticBars:
+    """(Abar, Bbar, Cbar, abar, cbar) of a view's quadratic clients, averaged in client order.
+
+    The batched quadratic view computes them once and keeps them; the
+    per-row view of QuadraticSaddle subclasses averages on each call.
     """
-    view = stacked(objectives)
     if isinstance(view, _StackedQuadratic):
         return view.bars
-    return _bars(*([getattr(o, k) for o in objectives] for k in QuadraticBars._fields))
+    if not _all_quadratic(view):
+        raise ValueError("quadratic_bars needs QuadraticSaddle objectives")
+    return _bars(*([getattr(o, k) for o in view.objectives] for k in QuadraticBars._fields))
 
 
 # ----------------------------- global views ----------------------------- #
@@ -617,8 +594,7 @@ class MeanObjective(LocalObjective):
     """Uniform average of client objectives: the pooled/global f, through their stacked view."""
 
     def __init__(self, parts: Sequence[LocalObjective]):
-        self.parts = list(parts)  # strong references: a quadratic view holds them weakly
-        self.view = stacked(self.parts)
+        self.view = stacked(parts)
 
     @property
     def dims(self) -> tuple[int, int]:
@@ -638,14 +614,14 @@ class MeanObjective(LocalObjective):
 
 
 def inner_max(
-    objectives: Sequence[LocalObjective],
+    view: StackedObjectives,
     omega: Vector,
     tol: float,
     method: str = "auto",
     max_iters: int = 100_000,
     psi0: Vector | None = None,
 ) -> Vector:
-    """Maximize the averaged objective over psi at fixed omega.
+    """Maximize the view's client average over psi at fixed omega.
 
     Quadratic clients get the closed form psibar = Cbar^-1 (Bbar' omega + cbar);
     domain-adaptation clients get gradient ascent with a curvature-derived
@@ -653,27 +629,25 @@ def inner_max(
     Gradient ascent on quadratics steps by 1 / ||Cbar||; any other objective
     type has no known curvature bound and is rejected.
     """
-    all_quadratic = all(isinstance(o, QuadraticSaddle) for o in objectives)
     if method not in ("auto", "closed_form", "gradient_ascent"):
         raise ValueError(f"unknown inner_max method {method!r}")
-    if all_quadratic:
-        bars = quadratic_bars(objectives)
+    if _all_quadratic(view):
+        bars = quadratic_bars(view)
         if method != "gradient_ascent":
             return vector(np.linalg.solve(bars.C, bars.B.T @ omega + bars.c))
         curv = float(np.linalg.norm(bars.C, 2))
     else:
         if method == "closed_form":
             raise ValueError("closed_form inner_max requires quadratic clients")
-        for o in objectives:
+        for o in view.objectives:
             if not isinstance(o, DomainAdaptObjective):
                 raise ValueError(
                     f"inner_max has no ascent curvature bound for {type(o).__name__} "
                     "objectives (only QuadraticSaddle or DomainAdaptObjective lists)"
                 )
-        curv = max(o.ascent_curvature_bound(omega) for o in objectives)
+        curv = max(o.ascent_curvature_bound(omega) for o in view.objectives)
     step = 1.0 / max(curv, 1e-12)
 
-    view = stacked(objectives)
     psi = np.array(psi0, dtype=np.float64) if psi0 is not None else np.zeros(view.dims[1])
     g = view.mean_grad_psi(omega, psi)
     gnorm = float(np.linalg.norm(g))
@@ -689,14 +663,13 @@ def inner_max(
 
 
 def phi_value_and_grad(
-    objectives: Sequence[LocalObjective],
+    view: StackedObjectives,
     omega: Vector,
     tol: float,
     **inner_kwargs,
 ) -> tuple[float, Vector]:
     """Max-function value and its gradient at omega (Danskin: grad at the maximizer)."""
-    psi_star = inner_max(objectives, omega, tol, **inner_kwargs)
-    view = stacked(objectives)
+    psi_star = inner_max(view, omega, tol, **inner_kwargs)
     return view.mean_value(omega, psi_star), view.mean_grads(omega, psi_star)[0]
 
 

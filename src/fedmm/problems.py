@@ -82,11 +82,6 @@ def synthetic_quadratic_specs(
     raise RuntimeError("could not synthesize a PD max-function Hessian")  # pragma: no cover
 
 
-def three_client_quadratic(d1: int = 4, d2: int = 3) -> list[QuadraticSaddleSpec]:
-    """The frozen 3-client heterogeneous instance used by the acceptance suite."""
-    return synthetic_quadratic_specs(3, d1, d2)
-
-
 def _gaussian_domain(
     rng: np.random.Generator, n_class0: int, n_class1: int, shift: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from fedmm.core import ClientState, HyperParams, PrimalDualPair, ServerState, seeded_rng, vector, zeros
+from fedmm.core import HyperParams, PrimalDualPair, ServerState, seeded_rng, vector, zeros
 from fedmm.diagnostics import (
     quadratic_phi_minimizer,
     run_identity_suite,
@@ -30,18 +30,12 @@ from fedmm.objectives import (
     TARGET,
     UNLABELED,
     DomainAdaptDataset,
+    DomainAdaptObjective,
     ModelLayout,
     QuadraticSaddle,
-    make_domain_adapt_client,
 )
-from fedmm.optim import (
-    OptimizerKind,
-    centralized_gda_step,
-    fedavg_gda_local,
-    fedprox_gda_local,
-    run_round,
-)
-from fedmm.problems import synthetic_quadratic_specs, three_client_quadratic
+from fedmm.optim import Federation, OptimizerKind, local_solve, run_round
+from fedmm.problems import synthetic_quadratic_specs
 
 # ----- frozen experiment constants ---------------------------------------
 # Quadratic stationarity/communication runs (criteria 4, 5):
@@ -82,7 +76,7 @@ def big_domain_adapt_objective():
     X = rng.standard_normal((n, 8))
     y = np.concatenate([rng.integers(0, 3, size=n // 2), np.full(n - n // 2, UNLABELED)])
     dom = np.concatenate([np.full(n // 2, SOURCE), np.full(n - n // 2, TARGET)])
-    return make_domain_adapt_client(DomainAdaptDataset(X, y, dom), nu=0.4, layout=layout)
+    return DomainAdaptObjective(DomainAdaptDataset(X, y, dom), nu=0.4, layout=layout)
 
 
 class TestCriterion1GradientOracle:
@@ -111,7 +105,7 @@ class TestCriterion1GradientOracle:
 class TestCriterion2IdentitySuite:
     def test_all_four_identities_hold_50_rounds(self):
         t0 = time.time()
-        objs = [QuadraticSaddle(s) for s in three_client_quadratic()]
+        objs = [QuadraticSaddle(s) for s in synthetic_quadratic_specs(3)]
         hp = HyperParams(eta1=0.2, eta2=0.2, eta3=1.0, rounds=51)
         reports = run_identity_suite(objs, hp, rounds=51, local_tol=1e-10)
         elapsed = time.time() - t0
@@ -143,15 +137,14 @@ class TestCriterion3OracleEquivalence:
         d1, d2 = obj.dims
         pair = PrimalDualPair(zeros(d1), zeros(d2))
         hp = HyperParams(eta1=0.05, eta2=0.08)
-        server = ServerState(pair)
-        clients = [ClientState.initial(0, obj, pair)]
-        central = pair
+        server, central = ServerState(pair), ServerState(pair)
+        fed = central_fed = Federation.initial([obj], pair)
         ok = True
         for _ in range(100):
-            clients = run_round(OptimizerKind.FEDSGDA, clients, server, hp)
-            central = centralized_gda_step(obj, central, hp.eta1, hp.eta2)
-            ok = ok and np.array_equal(server.global_pair.omega, central.omega)
-            ok = ok and np.array_equal(server.global_pair.psi, central.psi)
+            fed = run_round(OptimizerKind.FEDSGDA, fed, server, hp)
+            central_fed = run_round(OptimizerKind.CENTRAL_GDA, central_fed, central, hp)
+            ok = ok and np.array_equal(server.global_pair.omega, central.global_pair.omega)
+            ok = ok and np.array_equal(server.global_pair.psi, central.global_pair.psi)
         _line(3, "oracle_equivalence_fedsgda_central", ok)
         assert ok
 
@@ -161,9 +154,10 @@ class TestCriterion3OracleEquivalence:
         rng = seeded_rng(1003)
         pair = PrimalDualPair(vector(rng.standard_normal(d1)), vector(rng.standard_normal(d2)))
         hp = HyperParams(eta1=0.04, eta2=0.04, prox_mu=0.0, local_steps=(17,))
-        a = fedavg_gda_local(obj, pair, hp, 0)
-        b = fedprox_gda_local(obj, pair, hp, 0)
-        ok = np.array_equal(a.omega_out, b.omega_out) and np.array_equal(a.psi_out, b.psi_out)
+        fed = Federation.initial([obj], pair)
+        _, a_om, a_ps = local_solve(OptimizerKind.FEDAVG_GDA, fed, pair, hp)
+        _, b_om, b_ps = local_solve(OptimizerKind.FEDPROX_GDA, fed, pair, hp)
+        ok = np.array_equal(a_om, b_om) and np.array_equal(a_ps, b_ps)
         _line(3, "oracle_equivalence_fedprox_fedavg", ok)
         assert ok
 
@@ -173,9 +167,9 @@ class TestCriterion3OracleEquivalence:
         pair = PrimalDualPair(zeros(d1), zeros(d2))
         hp = HyperParams(eta1=0.05, eta2=0.05, local_steps=(1,))
         sa = ServerState(pair)
-        ca = [ClientState.initial(i, o, pair) for i, o in enumerate(objs)]
+        ca = Federation.initial(objs, pair)
         sb = ServerState(pair)
-        cb = [ClientState.initial(i, o, pair) for i, o in enumerate(objs)]
+        cb = Federation.initial(objs, pair)
         ok = True
         for _ in range(100):
             ca = run_round(OptimizerKind.FEDAVG_GDA, ca, sa, hp)
@@ -209,15 +203,15 @@ class TestCriterion4StationarityConvergence:
         # brute-force reference solve: drive the same rounds at state level and
         # compare the final consensus point against the closed-form minimizer
         # of the max-function, which is what the 1e-4 threshold was tuned on
-        objs = [QuadraticSaddle(s) for s in three_client_quadratic()]
+        objs = [QuadraticSaddle(s) for s in synthetic_quadratic_specs(3)]
         wstar = quadratic_phi_minimizer(objs)
         d1, d2 = objs[0].dims
         pair = PrimalDualPair(zeros(d1), zeros(d2))
         server = ServerState(pair)
-        clients = [ClientState.initial(i, o, pair) for i, o in enumerate(objs)]
+        fed = Federation.initial(objs, pair)
         hp = cfg.hyper.expanded(3)
         for _ in range(ROUND_BUDGET):
-            clients = run_round(OptimizerKind.FEDMM, clients, server, hp)
+            fed = run_round(OptimizerKind.FEDMM, fed, server, hp)
         dist = float(np.linalg.norm(server.global_pair.omega - wstar))
 
         elapsed = time.time() - t0

@@ -191,6 +191,35 @@ class TestCmdRun:
         )
         assert parse_config(write(tmp_path, text)).partition.p == 1.0
 
+    @pytest.mark.parametrize(
+        "key", ["mu1", "mu2", "eta1", "eta2", "nu", "prox_mu", "tol", "local_tol"]
+    )
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_hyperparameter_is_config_error(self, tmp_path, capsys, key, value):
+        out = tmp_path / "x.csv"
+        cfg_path = write(tmp_path, MINIMAL + f"output_path = {out}\n")
+        assert main(["run", "--config", str(cfg_path), "--set", f"hyper.{key}={value}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and f"hyper.{key}" in err
+        assert not out.exists()
+
+    def test_huge_finite_step_may_diverge(self, tmp_path, capsys):
+        cfg_path = write(tmp_path, MINIMAL + f"output_path = {tmp_path / 'x.csv'}\n")
+        assert main(["run", "--config", str(cfg_path), "--set", "hyper.eta1=1e308"]) == 3
+
+    def test_negative_seed_is_config_error(self, tmp_path, capsys):
+        cfg_path = write(tmp_path, MINIMAL + f"output_path = {tmp_path / 'x.csv'}\n")
+        assert main(["run", "--config", str(cfg_path), "--set", "seed=-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "seed must be non-negative" in err
+
+    def test_negative_env_seed_is_config_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("FEDMM_SEED", "-3")
+        cfg_path = write(tmp_path, MINIMAL + f"output_path = {tmp_path / 'x.csv'}\n")
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: FEDMM_SEED must be non-negative, got -3")
+
     def test_divergent_run_exit_code(self, tmp_path, capsys):
         out = tmp_path / "div.csv"
         text = (

@@ -2,14 +2,9 @@ import numpy as np
 import pytest
 
 from fedmm.core import (
-    ClientState,
-    DimensionMismatchError,
     HyperParams,
     PrimalDualPair,
     ServerState,
-    axpy,
-    dot,
-    norm,
     row_dot,
     row_norms,
     seeded_rng,
@@ -17,6 +12,7 @@ from fedmm.core import (
     zeros,
 )
 from fedmm.objectives import QuadraticSaddle, QuadraticSaddleSpec
+from fedmm.optim import Federation
 
 
 def simple_objective(d1=2, d2=2):
@@ -29,30 +25,6 @@ def simple_objective(d1=2, d2=2):
             c=vector(np.zeros(d2)),
         )
     )
-
-
-class TestAxpy:
-    def test_zero_scale_identity(self):
-        assert np.array_equal(axpy(0.0, vector([5, 7]), vector([1, 2])), [1, 2])
-
-    def test_additive_inverse(self):
-        assert np.array_equal(axpy(1.0, vector([1, 1]), vector([-1, -1])), [0, 0])
-
-    def test_hand_arithmetic(self):
-        got = axpy(2.0, vector([1, -3]), vector([0.5, 0.5]))
-        assert np.allclose(got, [2.5, -5.5], atol=0, rtol=0)
-
-    def test_dimension_mismatch_names_lengths(self):
-        with pytest.raises(DimensionMismatchError) as exc:
-            axpy(1.0, vector([1, 2, 3]), vector([1, 2]))
-        assert "3" in str(exc.value) and "2" in str(exc.value)
-
-    def test_inputs_unmodified(self):
-        x = vector([1.0, 2.0])
-        y = vector([3.0, 4.0])
-        x_copy, y_copy = x.copy(), y.copy()
-        axpy(2.5, x, y)
-        assert np.array_equal(x, x_copy) and np.array_equal(y, y_copy)
 
 
 class TestVector:
@@ -91,8 +63,8 @@ class TestNormDot:
     def test_norm_matches_sqrt_dot(self):
         rng = seeded_rng(7)
         for n in (1, 10, 1000, 10_000):
-            x = vector(rng.standard_normal(n))
-            assert norm(x) == pytest.approx(np.sqrt(dot(x, x)), rel=1e-12)
+            x = rng.standard_normal((1, n))
+            assert row_norms(x)[0] == pytest.approx(np.sqrt(row_dot(x, x)[0]), rel=1e-12)
 
     @pytest.mark.parametrize("n, d", [(1, 1), (40, 1), (32, 30), (7, 257)])
     def test_row_forms_are_bit_equal_to_one_row_at_a_time(self, n, d):
@@ -104,18 +76,20 @@ class TestNormDot:
 
 class TestStates:
     def test_client_initial_zero_duals(self):
-        obj = simple_objective()
-        pair = PrimalDualPair(zeros(2), zeros(2))
-        state = ClientState.initial(3, obj, pair)
-        assert state.id == 3
-        assert np.array_equal(state.lam, [0, 0])
-        assert np.array_equal(state.beta, [0, 0])
+        pair = PrimalDualPair(vector([0.5, -1.0]), vector([2.0, 0.0]))
+        fed = Federation.initial([simple_objective() for _ in range(4)], pair)
+        assert fed.n == 4
+        assert np.array_equal(fed.omega, [[0.5, -1.0]] * 4)
+        assert np.array_equal(fed.psi, [[2.0, 0.0]] * 4)
+        assert np.array_equal(fed.lam, np.zeros((4, 2)))
+        assert np.array_equal(fed.beta, np.zeros((4, 2)))
+        for a in (fed.omega, fed.psi, fed.lam, fed.beta):
+            assert not a.flags.writeable
 
     def test_client_dual_dims_checked(self):
-        obj = simple_objective()
-        pair = PrimalDualPair(zeros(2), zeros(2))
-        with pytest.raises(DimensionMismatchError):
-            ClientState(0, obj, pair, lam=zeros(3), beta=zeros(2))
+        pair = PrimalDualPair(zeros(3), zeros(2))
+        with pytest.raises(ValueError, match="dims"):
+            Federation.initial([simple_objective()], pair)
 
     def test_server_ledger_nondecreasing(self):
         server = ServerState(PrimalDualPair(zeros(2), zeros(3)))

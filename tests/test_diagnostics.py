@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fedmm.core import ClientState, HyperParams, PrimalDualPair, ServerState, seeded_rng, vector, zeros
+from fedmm.core import HyperParams, PrimalDualPair, ServerState, seeded_rng, vector, zeros
 from fedmm.diagnostics import (
     IdentityReport,
     StationaritySummary,
@@ -17,8 +17,8 @@ from fedmm.diagnostics import (
     stationarity_series,
 )
 from fedmm.federation import RoundMetrics, RunLog
-from fedmm.objectives import QuadraticSaddle, QuadraticSaddleSpec, phi_value_and_grad
-from fedmm.optim import OptimizerKind, run_round
+from fedmm.objectives import QuadraticSaddle, QuadraticSaddleSpec, phi_value_and_grad, stacked
+from fedmm.optim import Federation, OptimizerKind, run_round
 from fedmm.problems import synthetic_quadratic_specs
 
 
@@ -61,8 +61,8 @@ class TestFiniteDiffGrad:
             TARGET,
             UNLABELED,
             DomainAdaptDataset,
+            DomainAdaptObjective,
             ModelLayout,
-            make_domain_adapt_client,
         )
 
         rng = seeded_rng(44)
@@ -74,7 +74,7 @@ class TestFiniteDiffGrad:
                 y=np.concatenate([rng.integers(0, 2, n_src), np.full(n_tgt, UNLABELED)]),
                 domain=np.concatenate([np.full(n_src, SOURCE), np.full(n_tgt, TARGET)]),
             )
-            obj = make_domain_adapt_client(ds, nu=float(rng.uniform(0.1, 1.0)), layout=layout)
+            obj = DomainAdaptObjective(ds, nu=float(rng.uniform(0.1, 1.0)), layout=layout)
             om = vector(0.6 * rng.standard_normal(layout.d1))
             ps = vector(0.6 * rng.standard_normal(layout.d2))
             fd = finite_diff_grad(lambda v: obj.value(v, ps), om, 1e-6)
@@ -103,8 +103,8 @@ class TestCheckIdentities:
         objs = [ZeroObjective() for _ in range(2)]
         pair = PrimalDualPair(zeros(2), zeros(2))
         hp = HyperParams()
-        states = [ClientState.initial(i, o, pair) for i, o in enumerate(objs)]
-        reports = check_identities(states, states, pair, hp)
+        fed = Federation.initial(objs, pair)
+        reports = check_identities(fed, fed, pair, hp)
         assert all(r.residual_norm == 0.0 for r in reports)
         assert all(r.passed for r in reports)
 
@@ -118,15 +118,15 @@ class TestCheckIdentities:
         objs = three_clients()
         pair = PrimalDualPair(zeros(objs[0].dims[0]), zeros(objs[0].dims[1]))
         server = ServerState(pair)
-        clients = [ClientState.initial(i, o, pair) for i, o in enumerate(objs)]
+        fed = Federation.initial(objs, pair)
         hp = HyperParams(eta1=0.05, eta2=0.05, local_steps=(1,))
         failed_any = False
         for t in range(3):
-            before = list(clients)
+            before = fed
             gb = server.global_pair
-            clients = run_round(OptimizerKind.FEDMM, clients, server, hp)
+            fed = run_round(OptimizerKind.FEDMM, fed, server, hp)
             # fixed tolerance shows that one M=1 step is nowhere near converged
-            reports = check_identities(before, clients, gb, hp, round_index=t)
+            reports = check_identities(before, fed, gb, hp, round_index=t)
             fixed = [r.residual_norm <= 1e-8 for r in reports]
             failed_any = failed_any or not all(fixed)
         assert failed_any
@@ -137,15 +137,15 @@ class TestCheckIdentities:
         objs = three_clients()
         pair = PrimalDualPair(zeros(objs[0].dims[0]), zeros(objs[0].dims[1]))
         server = ServerState(pair)
-        clients = [ClientState.initial(i, o, pair) for i, o in enumerate(objs)]
-        clients = run_round(
-            OptimizerKind.FEDMM, clients, server, HyperParams(eta1=0.05, eta2=0.05, local_steps=(1,))
+        fed = run_round(
+            OptimizerKind.FEDMM, Federation.initial(objs, pair), server,
+            HyperParams(eta1=0.05, eta2=0.05, local_steps=(1,)),
         )
-        before = list(clients)
+        before = fed
         gb = server.global_pair
         hp = HyperParams(eta1=0.2, eta2=0.2)
-        clients = run_round(OptimizerKind.FEDMM, clients, server, hp, local_tol=1e-12)
-        reports = {r.name: r for r in check_identities(before, clients, gb, hp, round_index=1)}
+        fed = run_round(OptimizerKind.FEDMM, fed, server, hp, local_tol=1e-12)
+        reports = {r.name: r for r in check_identities(before, fed, gb, hp, round_index=1)}
         assert not reports["step_identity_psi"].passed
         assert not reports["step_identity_omega"].passed
         assert reports["sum_identity_psi"].passed
@@ -155,12 +155,11 @@ class TestCheckIdentities:
         objs = three_clients()
         pair = PrimalDualPair(zeros(objs[0].dims[0]), zeros(objs[0].dims[1]))
         server = ServerState(pair)
-        clients = [ClientState.initial(i, o, pair) for i, o in enumerate(objs)]
+        before = Federation.initial(objs, pair)
         hp = HyperParams(eta1=0.2, eta2=0.2, local_steps=(4,))
-        before = list(clients)
-        clients = run_round(OptimizerKind.FEDMM, clients, server, hp)
-        e = max(local_solve_error(c) for c in clients)
-        reports = check_identities(before, clients, pair, hp)
+        fed = run_round(OptimizerKind.FEDMM, before, server, hp)
+        e = max(local_solve_error(fed))
+        reports = check_identities(before, fed, pair, hp)
         assert e > 1e-6
         for r in reports:
             assert r.tolerance >= 1e-8 + 10 * e
@@ -168,25 +167,21 @@ class TestCheckIdentities:
     def test_mismatched_lists_rejected(self):
         objs = three_clients()
         pair = PrimalDualPair(zeros(objs[0].dims[0]), zeros(objs[0].dims[1]))
-        states = [ClientState.initial(i, o, pair) for i, o in enumerate(objs)]
+        three, two = Federation.initial(objs, pair), Federation.initial(objs[:2], pair)
         with pytest.raises(ValueError, match="match"):
-            check_identities(states, states[:2], pair, HyperParams())
+            check_identities(three, two, pair, HyperParams())
 
     def test_check_is_side_effect_free(self):
         objs = three_clients()
         pair = PrimalDualPair(zeros(objs[0].dims[0]), zeros(objs[0].dims[1]))
         server = ServerState(pair)
-        clients = [ClientState.initial(i, o, pair) for i, o in enumerate(objs)]
         hp = HyperParams(eta1=0.2, eta2=0.2)
-        before = list(clients)
-        clients = run_round(OptimizerKind.FEDMM, clients, server, hp, local_tol=1e-11)
-        snap = [(c.pair.omega.copy(), c.pair.psi.copy(), c.lam.copy(), c.beta.copy()) for c in clients]
-        check_identities(before, clients, pair, hp)
-        for c, (om, ps, lam, beta) in zip(clients, snap):
-            assert np.array_equal(c.pair.omega, om)
-            assert np.array_equal(c.pair.psi, ps)
-            assert np.array_equal(c.lam, lam)
-            assert np.array_equal(c.beta, beta)
+        before = Federation.initial(objs, pair)
+        fed = run_round(OptimizerKind.FEDMM, before, server, hp, local_tol=1e-11)
+        snap = [a.copy() for a in (fed.omega, fed.psi, fed.lam, fed.beta)]
+        check_identities(before, fed, pair, hp)
+        for a, want in zip((fed.omega, fed.psi, fed.lam, fed.beta), snap):
+            assert np.array_equal(a, want)
 
     def test_residuals_decay_with_local_tolerance(self):
         objs = three_clients()
@@ -204,14 +199,14 @@ class TestCheckIdentities:
         objs = three_clients()
         pair = PrimalDualPair(zeros(objs[0].dims[0]), zeros(objs[0].dims[1]))
         server = ServerState(pair)
-        clients = [ClientState.initial(i, o, pair) for i, o in enumerate(objs)]
-        clients = run_round(
-            OptimizerKind.FEDMM, clients, server, HyperParams(eta1=0.2, eta2=0.2), local_tol=1e-12
+        fed = run_round(
+            OptimizerKind.FEDMM, Federation.initial(objs, pair), server,
+            HyperParams(eta1=0.2, eta2=0.2), local_tol=1e-12,
         )
-        for c in clients:
-            om, ps = c.pair.omega, c.pair.psi
-            assert np.linalg.norm(c.objective.grad_omega(om, ps) + c.lam) <= 1e-8
-            assert np.linalg.norm(c.objective.grad_psi(om, ps) - c.beta) <= 1e-8
+        for r, obj in enumerate(objs):
+            om, ps = fed.omega[r], fed.psi[r]
+            assert np.linalg.norm(obj.grad_omega(om, ps) + fed.lam[r]) <= 1e-8
+            assert np.linalg.norm(obj.grad_psi(om, ps) - fed.beta[r]) <= 1e-8
 
     def test_csv_serialization(self):
         reports = [IdentityReport("sum_identity_psi", 3, 1e-12, 1e-8)]
@@ -279,7 +274,7 @@ class TestQuadraticClosedForms:
     def test_minimizer_is_stationary(self):
         objs = three_clients()
         wstar = quadratic_phi_minimizer(objs)
-        _, grad = phi_value_and_grad(objs, wstar, tol=1e-12)
+        _, grad = phi_value_and_grad(stacked(objs), wstar, tol=1e-12)
         assert np.linalg.norm(grad) <= 1e-10
 
     def test_hessian_matches_finite_difference_of_grad(self):
@@ -287,10 +282,11 @@ class TestQuadraticClosedForms:
         H = quadratic_phi_hessian(objs)
         d1 = objs[0].dims[0]
         om = vector(np.zeros(d1))
+        view = stacked(objs)
         for j in range(d1):
             e = np.zeros(d1)
             e[j] = 1e-6
-            _, gp = phi_value_and_grad(objs, vector(om + e), tol=1e-12)
-            _, gm = phi_value_and_grad(objs, vector(om - e), tol=1e-12)
+            _, gp = phi_value_and_grad(view, vector(om + e), tol=1e-12)
+            _, gm = phi_value_and_grad(view, vector(om - e), tol=1e-12)
             col = (gp - gm) / 2e-6
             assert np.allclose(col, H[:, j], atol=1e-6)

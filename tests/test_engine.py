@@ -4,15 +4,15 @@ Every comparison is exact (np.array_equal): stacking the clients must not
 change a single bit of any client's iterates, duals, uploads or the average.
 """
 
-import weakref
+import gc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fedmm.checks import check_row_independence
-from fedmm.diagnostics import local_solve_error
+from fedmm.cli import parse_config
 from fedmm.core import (
-    ClientState,
     ConvergenceError,
     DivergenceError,
     HyperParams,
@@ -21,32 +21,35 @@ from fedmm.core import (
     seeded_rng,
     vector,
 )
-from fedmm.federation import PartitionMode, PartitionSpec, partition_label_shift
+from fedmm.federation import PartitionMode, PartitionSpec, partition_label_shift, run_experiment
 from fedmm.objectives import (
+    DomainAdaptObjective,
     MeanObjective,
     QuadraticSaddle,
     QuadraticSaddleSpec,
     StackedObjectives,
     _StackedDomainAdapt,
-    make_domain_adapt_client,
+    _StackedQuadratic,
     stacked,
 )
-from fedmm.optim import OptimizerKind, augmented_lagrangian_grads, fedmm_local_round, run_round
+from fedmm.optim import Federation, OptimizerKind, run_round
 from fedmm.problems import domain_shift_toy, synthetic_quadratic_specs
 
 K = OptimizerKind
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 MULTI_STEP = (K.FEDMM, K.FEDAVG_GDA, K.FEDPROX_GDA)
 FEDERATED = (K.FEDMM, K.FEDSGDA, K.FEDAVG_GDA, K.FEDPROX_GDA)
 
 
-def reference_round(kind, clients, gp, hp, t, local_tol=None):
-    """One round, one client after the other, in plain numpy.
+def reference_round(kind, objectives, fed, gp, hp, t, local_tol=None):
+    """One round, one client after the other, in plain numpy; client r is objectives[r]
+    with fed's duals of row r.
 
-    Returns ({id: (omega, psi, lam, beta)}, (omega_bar, psi_bar)).
+    Returns ([(omega, psi, lam, beta) of each client], (omega_bar, psi_bar)).
     """
-    states, uploads = {}, []
-    for c in sorted(clients, key=lambda c: c.id):
-        obj, lam, beta = c.objective, c.lam, c.beta
+    states, uploads = [], []
+    for r, obj in enumerate(objectives):
+        lam, beta = fed.lam[r], fed.beta[r]
 
         def grads(om, ps):
             g_om, g_ps = obj.grad_omega(om, ps), obj.grad_psi(om, ps)
@@ -69,9 +72,9 @@ def reference_round(kind, clients, gp, hp, t, local_tol=None):
                 g_om, g_ps = grads(om, ps)
                 gn = max(float(np.linalg.norm(g_om)), float(np.linalg.norm(g_ps)))
                 if gn > local_tol:
-                    raise ConvergenceError(f"client {c.id}", gn, hp.local_max_iters)
+                    raise ConvergenceError(f"client {r}", gn, hp.local_max_iters)
         else:
-            for _ in range(hp.steps_for(c.id) if kind in MULTI_STEP else 1):
+            for _ in range(hp.steps_for(r) if kind in MULTI_STEP else 1):
                 g_om, g_ps = grads(om, ps)
                 om, ps = om - hp.eta1 * g_om, ps + hp.eta2 * g_ps
         up_om, up_ps = om, ps
@@ -80,7 +83,7 @@ def reference_round(kind, clients, gp, hp, t, local_tol=None):
             beta = beta + hp.mu2 * (ps - gp.psi)
             up_om = om + (hp.eta3**t / hp.mu1) * lam
             up_ps = ps + (hp.eta3**t / hp.mu2) * beta
-        states[c.id] = (om, ps, lam, beta)
+        states.append((om, ps, lam, beta))
         uploads.append((up_om, up_ps))
     bar_om, bar_ps = np.zeros(len(gp.omega)), np.zeros(len(gp.psi))
     for up_om, up_ps in uploads:
@@ -96,20 +99,19 @@ def assert_rounds_match(kind, objectives, hp, rounds=3, local_tol=None, start=No
         rng = seeded_rng(5)
         start = PrimalDualPair(vector(0.1 * rng.standard_normal(d1)), vector(0.1 * rng.standard_normal(d2)))
     server = ServerState(start)
-    clients = [ClientState.initial(i, o, start) for i, o in enumerate(objectives)]
-    hp = hp.expanded(len(clients))
+    fed = Federation.initial(objectives, start)
+    hp = hp.expanded(fed.n)
     for t in range(rounds):
         want_states, want_bar = reference_round(
-            kind, clients, server.global_pair, hp, t, local_tol
+            kind, objectives, fed, server.global_pair, hp, t, local_tol
         )
-        clients = run_round(kind, clients, server, hp, local_tol=local_tol)
+        fed = run_round(kind, fed, server, hp, local_tol=local_tol)
         assert np.array_equal(server.global_pair.omega, want_bar[0])
         assert np.array_equal(server.global_pair.psi, want_bar[1])
-        for c in clients:
-            om, ps, lam, beta = want_states[c.id]
-            assert np.array_equal(c.pair.omega, om) and np.array_equal(c.pair.psi, ps)
-            assert np.array_equal(c.lam, lam) and np.array_equal(c.beta, beta)
-    return clients
+        for r, (om, ps, lam, beta) in enumerate(want_states):
+            assert np.array_equal(fed.omega[r], om) and np.array_equal(fed.psi[r], ps)
+            assert np.array_equal(fed.lam[r], lam) and np.array_equal(fed.beta[r], beta)
+    return fed
 
 
 def quadratics(n, d1=4, d2=3):
@@ -122,14 +124,14 @@ def dann_shards():
     spec = PartitionSpec(n_clients=3, mode=PartitionMode.ONE_SOURCE_TWO_TARGET)
     shards = partition_label_shift(train, spec, seeded_rng(9))
     assert sorted(len(s) for s in shards) == [20, 20, 40]
-    return [make_domain_adapt_client(s, nu=0.5, layout=layout) for s in shards]
+    return [DomainAdaptObjective(s, nu=0.5, layout=layout) for s in shards]
 
 
 def equal_dann_shards(p):
     """Two DANN clients on the toy's 40-point shards at p (1.0: all labeled points on client 0)."""
     train, _, layout = domain_shift_toy(seeded_rng(8), n_per_domain=40, holdout_n=4)
     shards = partition_label_shift(train, PartitionSpec(n_clients=2, p=p), seeded_rng(9))
-    objs = [make_domain_adapt_client(s, nu=0.5, layout=layout) for s in shards]
+    objs = [DomainAdaptObjective(s, nu=0.5, layout=layout) for s in shards]
     assert type(stacked(objs)) is _StackedDomainAdapt
     return objs
 
@@ -173,9 +175,8 @@ class TestStackedEqualsReference:
         objs = quadratics(3)
         a = assert_rounds_match(K.FEDPROX_GDA, objs, hp)
         b = assert_rounds_match(K.FEDAVG_GDA, objs, hp)
-        for x, y in zip(a, b):
-            assert np.array_equal(x.pair.omega, y.pair.omega)
-            assert np.array_equal(x.pair.psi, y.pair.psi)
+        assert np.array_equal(a.omega, b.omega)
+        assert np.array_equal(a.psi, b.psi)
 
 
 class TestRunToTolerance:
@@ -202,11 +203,11 @@ class TestRunToTolerance:
         objs = [still] + quadratics(2, d, d)
         hp = HyperParams(eta1=0.2, eta2=0.2, local_max_iters=5).expanded(3)
         start = PrimalDualPair(vector(np.zeros(d)), vector(np.zeros(d)))
-        clients = [ClientState.initial(i, o, start) for i, o in enumerate(objs)]
+        fed = Federation.initial(objs, start)
         with pytest.raises(ConvergenceError) as want:
-            reference_round(K.FEDMM, clients, start, hp, 0, local_tol=1e-10)
+            reference_round(K.FEDMM, objs, fed, start, hp, 0, local_tol=1e-10)
         with pytest.raises(ConvergenceError) as got:
-            run_round(K.FEDMM, clients, ServerState(start), hp, local_tol=1e-10)
+            run_round(K.FEDMM, fed, ServerState(start), hp, local_tol=1e-10)
         assert "(client 1)" in str(got.value) and "client 1" in str(want.value)
         assert got.value.grad_norm == want.value.grad_norm
         assert got.value.iterations == want.value.iterations == 5
@@ -232,9 +233,8 @@ class TestRoundErrors:
                 break
         assert want_step is not None
         for kind in MULTI_STEP:
-            clients = [ClientState.initial(i, o, start) for i, o in enumerate(objs)]
             with pytest.raises(DivergenceError) as exc:
-                run_round(kind, clients, ServerState(start), hp)
+                run_round(kind, Federation.initial(objs, start), ServerState(start), hp)
             assert "(client 2)" in exc.value.where
             assert exc.value.step == want_step
 
@@ -245,43 +245,21 @@ class TestRoundErrors:
             )
         )
         start = PrimalDualPair(vector([1.0]), vector([0.0]))
-        clients = [ClientState.initial(i, wild, start) for i in range(3)]
+        fed = Federation.initial([wild] * 3, start)
         with pytest.raises(DivergenceError) as exc:
-            run_round(K.FEDAVG_GDA, clients[::-1], ServerState(start), HyperParams(eta1=10.0, local_steps=(500,)))
+            run_round(K.FEDAVG_GDA, fed, ServerState(start), HyperParams(eta1=10.0, local_steps=(500,)))
         assert "(client 0)" in exc.value.where
 
-    def test_duplicate_and_missing_ids_rejected(self):
-        obj = quadratics(1)[0]
+    @pytest.mark.parametrize("local_steps", [(5, 8), (5, 8, 9, 9)])
+    def test_local_steps_of_another_length_rejected(self, local_steps):
         start = PrimalDualPair(vector(np.zeros(4)), vector(np.zeros(3)))
-        dup = [ClientState.initial(i, obj, start) for i in (0, 1, 1)]
-        with pytest.raises(ValueError, match="duplicate client ids: \\[1\\]"):
-            run_round(K.FEDMM, dup, ServerState(start), HyperParams())
-        gap = [ClientState.initial(i, obj, start) for i in (0, 2)]
-        with pytest.raises(ValueError, match="missing client ids: \\[1\\]"):
-            run_round(K.FEDMM, gap, ServerState(start), HyperParams())
+        fed = Federation.initial(quadratics(3), start)
+        with pytest.raises(ValueError, match="local_steps has"):
+            run_round(K.FEDMM, fed, ServerState(start), HyperParams(local_steps=local_steps))
 
     def test_disagreeing_dims_rejected(self):
         with pytest.raises(ValueError, match="dims"):
             stacked(quadratics(1) + quadratics(1, 5, 3))
-
-
-class TestClientOrder:
-    @pytest.mark.parametrize("kind", FEDERATED)
-    def test_out_of_order_list_aggregates_identically(self, kind):
-        objs = quadratics(5)
-        start = PrimalDualPair(vector(np.full(4, 0.3)), vector(np.full(3, -0.2)))
-        hp = HyperParams(eta1=0.05, eta2=0.05, local_steps=(3, 4, 5, 6, 7))
-        sorted_clients = [ClientState.initial(i, o, start) for i, o in enumerate(objs)]
-        shuffled = [sorted_clients[k] for k in (3, 0, 4, 2, 1)]
-        a, b = ServerState(start), ServerState(start)
-        for _ in range(3):
-            sorted_clients = run_round(kind, sorted_clients, a, hp)
-            shuffled = run_round(kind, shuffled, b, hp)
-            assert [c.id for c in shuffled] == [3, 0, 4, 2, 1]
-            assert np.array_equal(a.global_pair.omega, b.global_pair.omega)
-            assert np.array_equal(a.global_pair.psi, b.global_pair.psi)
-        for c in shuffled:
-            assert np.array_equal(c.lam, sorted_clients[c.id].lam)
 
 
 class TestStackedView:
@@ -306,44 +284,47 @@ class TestStackedView:
         G_OM, _ = view.grads(om, ps)
         assert np.array_equal(G_OM[0], 2.0 * G_OM[1])
 
-    def test_masked_rows_read_zero(self):
-        view = stacked(dann_shards())
+    @pytest.mark.parametrize(
+        "objectives, view_type",
+        [
+            (lambda: quadratics(3), _StackedQuadratic),
+            (lambda: equal_dann_shards(0.5) + equal_dann_shards(1.0)[:1], _StackedDomainAdapt),
+            (dann_shards, StackedObjectives),
+        ],
+        ids=["quadratic", "equal_dann_shards", "per_row"],
+    )
+    def test_masked_rows_read_zero(self, objectives, view_type):
+        view = stacked(objectives())
+        assert type(view) is view_type
         d1, d2 = view.dims
         G_OM, G_PS = view.grads(np.ones((3, d1)), np.ones((3, d2)), np.array([True, False, True]))
         assert not G_OM[1].any() and not G_PS[1].any()
-        assert G_OM[0].any()
+        assert G_OM[0].any() and G_OM[2].any()
+        want_om, want_ps = view.grads(np.ones((3, d1)), np.ones((3, d2)))
+        assert np.array_equal(G_OM[[0, 2]], want_om[[0, 2]])
+        assert np.array_equal(G_PS[[0, 2]], want_ps[[0, 2]])
 
     def test_built_once_per_set_of_objectives(self):
+        # stacked() caches nothing; a run's record builds its view once and keeps it
         objs = quadratics(3)
-        assert stacked(objs) is stacked(list(objs))
-        assert stacked(quadratics(3)) is not stacked(objs)
-
-    def test_run_view_survives_one_client_calls(self):
-        objs = quadratics(3)
-        view = stacked(objs)
+        assert stacked(objs) is not stacked(objs)
         start = PrimalDualPair(vector(np.zeros(4)), vector(np.zeros(3)))
-        state = ClientState.initial(0, objs[0], start)
+        fed = Federation.initial(objs, start)
+        server = ServerState(start)
         hp = HyperParams(eta1=0.1, eta2=0.1)
-        local_solve_error(state)
-        fedmm_local_round(state, start, hp, t=0)
-        augmented_lagrangian_grads(state, start, hp)
-        assert stacked(objs) is view
-        assert stacked(objs[:1]) is stacked([objs[0]])
+        after = run_round(K.FEDMM, run_round(K.FEDMM, fed, server, hp), server, hp)
+        assert after.view is fed.view
 
-    def test_every_cached_view_goes_with_its_objectives(self):
-        objs = quadratics(3)
-        views = [weakref.ref(stacked(objs)), weakref.ref(stacked(objs[1:]))]
-        del objs
-        assert all(v() is None for v in views)
+    def test_finished_run_keeps_no_objectives_alive(self):
+        config = parse_config(CONFIGS / "quadratic_fedmm.cfg", ["hyper.rounds=3"])
 
-    def test_cached_view_does_not_keep_objectives_alive(self):
-        objs = quadratics(3)
-        view = stacked(objs)
-        ref = weakref.ref(objs[0])
-        del objs
-        assert ref() is None
-        G_OM, _ = view.grads(np.zeros((3, 4)), np.zeros((3, 3)))
-        assert G_OM.shape == (3, 4)
+        def live():
+            gc.collect()
+            return sum(isinstance(o, (QuadraticSaddle, StackedObjectives)) for o in gc.get_objects())
+
+        before = live()
+        assert len(run_experiment(config).rounds) == 3
+        assert live() == before
 
 
 def test_row_independence_check():

@@ -25,7 +25,7 @@ from fedmm.objectives import (
     SOURCE,
     TARGET,
     DomainAdaptDataset,
-    make_domain_adapt_client,
+    DomainAdaptObjective,
 )
 from fedmm.optim import OptimizerKind
 from fedmm.problems import domain_shift_toy
@@ -137,7 +137,7 @@ class TestPartitionLabelShift:
 class TestEvaluateTargetAccuracy:
     def test_constant_predictor_all_class0(self):
         train, holdout, layout = toy()
-        obj = make_domain_adapt_client(train, 0.5, layout)
+        obj = DomainAdaptObjective(train, 0.5, layout)
         # zero weights: uniform logits, tie resolves to class 0
         omega = vector(np.zeros(layout.d1))
         got = evaluate_target_accuracy(obj, omega, holdout)
@@ -145,7 +145,7 @@ class TestEvaluateTargetAccuracy:
 
     def test_random_predictor_near_chance(self):
         train, holdout, layout = toy(n=200)
-        obj = make_domain_adapt_client(train, 0.5, layout)
+        obj = DomainAdaptObjective(train, 0.5, layout)
         rng = seeded_rng(32)
         accs = [
             evaluate_target_accuracy(obj, vector(rng.standard_normal(layout.d1)), holdout)
@@ -158,7 +158,7 @@ class TestEvaluateTargetAccuracy:
 
     def test_empty_holdout_rejected(self):
         train, _, layout = toy()
-        obj = make_domain_adapt_client(train, 0.5, layout)
+        obj = DomainAdaptObjective(train, 0.5, layout)
         empty = DomainAdaptDataset(
             X=np.zeros((0, 2)), y=np.zeros(0, dtype=int),
             domain=np.zeros(0, dtype=int), holdout=True,

@@ -8,6 +8,7 @@ from fedmm.objectives import (
     TARGET,
     UNLABELED,
     DomainAdaptDataset,
+    DomainAdaptObjective,
     LocalObjective,
     MeanObjective,
     ModelLayout,
@@ -16,11 +17,10 @@ from fedmm.objectives import (
     inner_max,
     load_dataset,
     load_quadratic_specs,
-    make_domain_adapt_client,
-    make_quadratic_client,
     phi_value_and_grad,
     save_dataset,
     save_quadratic_specs,
+    stacked,
 )
 from fedmm.problems import domain_shift_toy, synthetic_quadratic_specs
 
@@ -59,7 +59,7 @@ class TestQuadraticSaddle:
             a=vector([0.0]), c=vector([0.0]),
         )
         with pytest.raises(ValueError, match="eigenvalue"):
-            make_quadratic_client(spec)
+            QuadraticSaddle(spec)
 
     def test_asymmetric_a_rejected(self):
         spec = QuadraticSaddleSpec(
@@ -67,7 +67,7 @@ class TestQuadraticSaddle:
             a=vector([0.0, 0.0]), c=vector([0.0]),
         )
         with pytest.raises(ValueError, match="symmetric"):
-            make_quadratic_client(spec)
+            QuadraticSaddle(spec)
 
     def test_strong_concavity_inequality(self):
         specs = synthetic_quadratic_specs(3)
@@ -114,7 +114,7 @@ class TestDomainAdaptObjective:
             X=np.array([[1.0, 2.0]]), y=np.array([1]), domain=np.array([SOURCE])
         )
         nu = 0.7
-        obj = make_domain_adapt_client(ds, nu, self.layout)
+        obj = DomainAdaptObjective(ds, nu, self.layout)
         want = np.log(2.0) + nu * np.log(0.5)
         assert obj.value(self.zero_om, self.zero_ps) == pytest.approx(want)
 
@@ -123,7 +123,7 @@ class TestDomainAdaptObjective:
             X=np.array([[1.0, -1.0]]), y=np.array([UNLABELED]), domain=np.array([TARGET])
         )
         nu = 0.3
-        obj = make_domain_adapt_client(ds, nu, self.layout)
+        obj = DomainAdaptObjective(ds, nu, self.layout)
         assert obj.value(self.zero_om, self.zero_ps) == pytest.approx(nu * np.log(0.5))
 
     def test_empty_dataset_rejected(self):
@@ -131,19 +131,26 @@ class TestDomainAdaptObjective:
             X=np.zeros((0, 2)), y=np.zeros(0, dtype=int), domain=np.zeros(0, dtype=int)
         )
         with pytest.raises(ValueError, match="empty"):
-            make_domain_adapt_client(ds, 0.5, self.layout)
+            DomainAdaptObjective(ds, 0.5, self.layout)
 
     def test_label_out_of_range_rejected(self):
         ds = DomainAdaptDataset(
             X=np.array([[1.0, 0.0]]), y=np.array([5]), domain=np.array([SOURCE])
         )
         with pytest.raises(ValueError, match="class range"):
-            make_domain_adapt_client(ds, 0.5, self.layout)
+            DomainAdaptObjective(ds, 0.5, self.layout)
 
     def test_unlabeled_source_rejected(self):
         with pytest.raises(ValueError, match="label"):
             DomainAdaptDataset(
                 X=np.array([[1.0, 0.0]]), y=np.array([UNLABELED]), domain=np.array([SOURCE])
+            )
+
+    @pytest.mark.parametrize("flag", [2, -1])
+    def test_unknown_domain_flag_rejected(self, flag):
+        with pytest.raises(ValueError, match="domain flags"):
+            DomainAdaptDataset(
+                X=np.zeros((2, 2)), y=np.array([0, UNLABELED]), domain=np.array([SOURCE, flag])
             )
 
     def test_labeled_target_rejected_unless_holdout(self):
@@ -155,11 +162,11 @@ class TestDomainAdaptObjective:
             X=np.array([[1.0, 0.0]]), y=np.array([1]), domain=np.array([TARGET]), holdout=True
         )
         with pytest.raises(ValueError, match="evaluation-only"):
-            make_domain_adapt_client(ds, 0.5, self.layout)
+            DomainAdaptObjective(ds, 0.5, self.layout)
 
     def test_gradients_match_finite_differences(self):
         train, _, layout = domain_shift_toy(seeded_rng(21), n_per_domain=16, holdout_n=4)
-        obj = make_domain_adapt_client(train, nu=0.4, layout=layout)
+        obj = DomainAdaptObjective(train, nu=0.4, layout=layout)
         rng = seeded_rng(22)
         for _ in range(10):
             om = vector(0.5 * rng.standard_normal(layout.d1))
@@ -171,7 +178,7 @@ class TestDomainAdaptObjective:
 
     def test_deterministic_evaluation(self):
         train, _, layout = domain_shift_toy(seeded_rng(23), n_per_domain=10, holdout_n=4)
-        obj = make_domain_adapt_client(train, nu=0.4, layout=layout)
+        obj = DomainAdaptObjective(train, nu=0.4, layout=layout)
         rng = seeded_rng(24)
         om = vector(rng.standard_normal(layout.d1))
         ps = vector(rng.standard_normal(layout.d2))
@@ -244,7 +251,7 @@ class TestFusedGrads:
             "all_unlabeled": np.flatnonzero(train.domain == TARGET),
             "mixed": np.arange(0, len(train), 3),
         }[shard]
-        obj = make_domain_adapt_client(train.subset(idx), nu=0.4, layout=layout)
+        obj = DomainAdaptObjective(train.subset(idx), nu=0.4, layout=layout)
         assert_grads_match_single_blocks(obj, seed=27)
         rng = seeded_rng(28)
         om = vector(rng.standard_normal(layout.d1))
@@ -269,25 +276,26 @@ class TestFusedGrads:
 class TestInnerMax:
     def test_closed_form_single_client(self):
         obj = scalar_saddle()
-        got = inner_max([obj], vector([3.0]), tol=1e-12)
+        got = inner_max(stacked([obj]), vector([3.0]), tol=1e-12)
         assert np.allclose(got, [3.0], atol=1e-12)
 
     def test_zero_stationary_point(self):
         obj = scalar_saddle()
-        assert np.allclose(inner_max([obj], vector([0.0]), tol=1e-12), [0.0])
+        assert np.allclose(inner_max(stacked([obj]), vector([0.0]), tol=1e-12), [0.0])
 
     def test_ascent_agrees_with_closed_form(self):
         objs = [QuadraticSaddle(s) for s in synthetic_quadratic_specs(3)]
         om = vector(seeded_rng(8).standard_normal(objs[0].dims[0]))
-        closed = inner_max(objs, om, tol=1e-12, method="closed_form")
-        ascent = inner_max(objs, om, tol=1e-10, method="gradient_ascent")
+        view = stacked(objs)
+        closed = inner_max(view, om, tol=1e-12, method="closed_form")
+        ascent = inner_max(view, om, tol=1e-10, method="gradient_ascent")
         assert np.linalg.norm(closed - ascent) <= 1e-8
 
     def test_nonconvergence_raises_with_grad_norm(self):
         objs = [QuadraticSaddle(s) for s in synthetic_quadratic_specs(2)]
         om = vector(seeded_rng(9).standard_normal(objs[0].dims[0]))
         with pytest.raises(ConvergenceError) as exc:
-            inner_max(objs, om, tol=1e-14, method="gradient_ascent", max_iters=3)
+            inner_max(stacked(objs), om, tol=1e-14, method="gradient_ascent", max_iters=3)
         assert exc.value.grad_norm > 0
 
     def test_danskin_directional_derivative(self):
@@ -295,7 +303,7 @@ class TestInnerMax:
         mean = MeanObjective(objs)
         rng = seeded_rng(10)
         om = vector(rng.standard_normal(objs[0].dims[0]))
-        psi_star = inner_max(objs, om, tol=1e-12)
+        psi_star = inner_max(mean.view, om, tol=1e-12)
         g = mean.grad_psi(om, psi_star)
         for _ in range(10):
             v = rng.standard_normal(len(psi_star))
@@ -323,19 +331,21 @@ class TestInnerMaxObjectiveTypes:
         # a unit ascent step on curvature 50 diverges; there is no bound to
         # size the step from, so inner_max must refuse instead of guessing
         with pytest.raises(ValueError, match="SteepSaddle"):
-            inner_max([SteepSaddle()], vector([1.0, -2.0]), tol=1e-10, max_iters=200)
+            inner_max(stacked([SteepSaddle()]), vector([1.0, -2.0]), tol=1e-10, max_iters=200)
         with pytest.raises(ValueError, match="SteepSaddle"):
-            phi_value_and_grad([SteepSaddle()], vector([1.0, -2.0]), tol=1e-10, max_iters=200)
+            phi_value_and_grad(
+                stacked([SteepSaddle()]), vector([1.0, -2.0]), tol=1e-10, max_iters=200
+            )
 
     def test_mixed_list_rejected(self):
         train, _, layout = domain_shift_toy(seeded_rng(44), n_per_domain=8, holdout_n=4)
-        dann = make_domain_adapt_client(train, nu=0.5, layout=layout)
+        dann = DomainAdaptObjective(train, nu=0.5, layout=layout)
 
         class Wrapped(SteepSaddle):
             dims = dann.dims
 
         with pytest.raises(ValueError, match="Wrapped"):
-            inner_max([dann, Wrapped()], vector(np.zeros(layout.d1)), tol=1e-8)
+            inner_max(stacked([dann, Wrapped()]), vector(np.zeros(layout.d1)), tol=1e-8)
 
     def test_quadratic_subclass_keeps_the_closed_form(self):
         class Tagged(QuadraticSaddle):
@@ -343,8 +353,8 @@ class TestInnerMaxObjectiveTypes:
 
         specs = synthetic_quadratic_specs(3)
         om = vector(seeded_rng(45).standard_normal(4))
-        plain = inner_max([QuadraticSaddle(s) for s in specs], om, tol=1e-12, method="closed_form")
-        tagged = inner_max([Tagged(s) for s in specs], om, tol=1e-12, method="closed_form")
+        views = [stacked([cls(s) for s in specs]) for cls in (QuadraticSaddle, Tagged)]
+        plain, tagged = (inner_max(v, om, tol=1e-12, method="closed_form") for v in views)
         assert np.array_equal(plain, tagged)
 
 
@@ -352,25 +362,24 @@ class TestPhi:
     def test_symbolic_elimination(self):
         # f = om*ps - ps^2/2 has psi*(om) = om and max-value om^2/2
         obj = scalar_saddle()
-        val, grad = phi_value_and_grad([obj], vector([1.0]), tol=1e-12)
+        val, grad = phi_value_and_grad(stacked([obj]), vector([1.0]), tol=1e-12)
         assert val == pytest.approx(0.5)
         assert np.allclose(grad, [1.0], atol=1e-12)
 
     def test_origin_stationary(self):
         obj = scalar_saddle()
-        _, grad = phi_value_and_grad([obj], vector([0.0]), tol=1e-12)
+        _, grad = phi_value_and_grad(stacked([obj]), vector([0.0]), tol=1e-12)
         assert np.allclose(grad, [0.0], atol=1e-12)
 
     def test_phi_grad_matches_finite_differences(self):
         objs = [QuadraticSaddle(s) for s in synthetic_quadratic_specs(3)]
+        view = stacked(objs)
         d1 = objs[0].dims[0]
         rng = seeded_rng(11)
         for _ in range(5):
             om = vector(rng.standard_normal(d1))
-            _, grad = phi_value_and_grad(objs, om, tol=1e-12)
-            fd = finite_diff_grad(
-                lambda v: phi_value_and_grad(objs, v, tol=1e-12)[0], om, 1e-6
-            )
+            _, grad = phi_value_and_grad(view, om, tol=1e-12)
+            fd = finite_diff_grad(lambda v: phi_value_and_grad(view, v, tol=1e-12)[0], om, 1e-6)
             assert rel_err(grad, fd) <= 1e-5
 
 

@@ -12,17 +12,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedmm.checks import check_stacked_oracles
-from fedmm.core import ClientState, PrimalDualPair, seeded_rng, vector
+from fedmm.core import PrimalDualPair, seeded_rng, vector
 from fedmm.federation import PartitionSpec, consensus, partition_label_shift
 from fedmm.objectives import (
+    DomainAdaptObjective,
     MeanObjective,
     QuadraticSaddle,
     QuadraticSaddleSpec,
-    make_domain_adapt_client,
     phi_value_and_grad,
     quadratic_bars,
     stacked,
 )
+from fedmm.optim import Federation
 from fedmm.problems import domain_shift_toy
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -55,7 +56,7 @@ def dann_instance():
     shards = partition_label_shift(train, PartitionSpec(n_clients=2, p=0.75), seeded_rng(42))
     shards[1] = shards[1].subset(np.arange(len(shards[1]) - 7))
     assert len(shards[0]) != len(shards[1])
-    objs = [make_domain_adapt_client(s, nu=0.5, layout=layout) for s in shards]
+    objs = [DomainAdaptObjective(s, nu=0.5, layout=layout) for s in shards]
     rng = seeded_rng(43)
     return objs, 0.3 * rng.standard_normal((2, layout.d1)), 0.3 * rng.standard_normal((2, layout.d2))
 
@@ -89,10 +90,10 @@ def ref_inner_max(objs, om, tol):
     return psi
 
 
-def ref_consensus(clients, pair):
+def ref_consensus(OM, PS, pair):
     return (
-        max(float(np.linalg.norm(c.pair.omega - pair.omega)) for c in clients),
-        max(float(np.linalg.norm(c.pair.psi - pair.psi)) for c in clients),
+        max(float(np.linalg.norm(om - pair.omega)) for om in OM),
+        max(float(np.linalg.norm(ps - pair.psi)) for ps in PS),
     )
 
 
@@ -114,16 +115,13 @@ def assert_oracles_match(objs, OM, PS, tol):
     assert np.array_equal(mean.grad_psi(om, ps), g_ps)
 
     psi_star = ref_inner_max(objs, om, tol)
-    value, grad = phi_value_and_grad(objs, om, tol)
+    value, grad = phi_value_and_grad(view, om, tol)
     assert value == ref_mean_value(objs, om, psi_star)
     assert np.array_equal(grad, ref_mean([o.grad_omega(om, psi_star) for o in objs]))
 
     pair = PrimalDualPair(om, ps)
-    clients = [
-        ClientState.initial(r, o, PrimalDualPair(vector(OM[r]), vector(PS[r])))
-        for r, o in enumerate(objs)
-    ]
-    assert consensus(clients, pair) == ref_consensus(clients, pair)
+    fed = Federation(view, OM, PS, np.zeros_like(OM), np.zeros_like(PS))
+    assert consensus(fed, pair) == ref_consensus(OM, PS, pair)
 
 
 # ------------------------------- properties ------------------------------- #
@@ -144,10 +142,11 @@ def test_quadratic_oracles_match_per_client_reference(n, d1, d2, seed):
 @example(n=33, d1=2, d2=1, seed=3)
 def test_cached_bars_are_client_order_sums(n, d1, d2, seed):
     objs, _, _ = quadratic_instance(n, d1, d2, seed)
-    bars = quadratic_bars(objs)
+    view = stacked(objs)
+    bars = quadratic_bars(view)
     for got, key in zip(bars, "ABCac"):
         assert np.array_equal(got, sum(getattr(o, key) for o in objs) / n)
-    assert quadratic_bars(objs) is bars  # cached with the view
+    assert quadratic_bars(view) is bars  # cached with the view
 
 
 def test_dann_oracles_on_unequal_shards():
@@ -163,7 +162,7 @@ def test_subclasses_take_the_per_row_path_with_the_same_bits():
     tagged = [Tagged(QuadraticSaddleSpec(o.A, o.B, o.C, o.a, o.c)) for o in plain]
     assert type(stacked(tagged)) is not type(stacked(plain))
     assert_oracles_match(tagged, OM, PS, tol=1e-12)
-    for a, b in zip(quadratic_bars(tagged), quadratic_bars(plain)):
+    for a, b in zip(quadratic_bars(stacked(tagged)), quadratic_bars(stacked(plain))):
         assert np.array_equal(a, b)
 
 
