@@ -75,6 +75,15 @@ def row_norms(G: np.ndarray) -> np.ndarray:
     return np.sqrt(row_dot(G, G))
 
 
+def row_sum(rows: np.ndarray) -> np.ndarray:
+    """rows[0] + rows[1] + ... in row order, one add per row, as a loop over the rows adds them.
+
+    np.add.accumulate adds strictly in sequence; np.sum would switch to
+    pairwise summation when the rows have one entry.
+    """
+    return np.add.accumulate(rows, axis=0)[-1]
+
+
 def seeded_rng(seed: int) -> np.random.Generator:
     """Deterministic generator: PCG64 keyed by the 64-bit seed, nothing else."""
     return np.random.Generator(np.random.PCG64(seed))

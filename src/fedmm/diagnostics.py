@@ -21,9 +21,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from fedmm.core import HyperParams, PrimalDualPair, ServerState, Vector, row_norms, vector
+from fedmm.core import HyperParams, PrimalDualPair, ServerState, Vector, row_norms, row_sum, vector
 from fedmm.objectives import LocalObjective, QuadraticSaddle, inner_max, quadratic_bars, stacked
-from fedmm.optim import Federation, OptimizerKind, run_round
+from fedmm.optim import Federation, OptimizerKind, joint_weights, run_round
 
 BASE_TOL = 1e-8
 TOL_ERROR_FACTOR = 10.0
@@ -51,9 +51,15 @@ def reports_to_csv(reports: Sequence[IdentityReport]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _solve_errors(fed: Federation, G_OM: np.ndarray, G_PS: np.ndarray) -> np.ndarray:
-    # each row's max(||grad_om f + lam||, ||grad_ps f - beta||)
-    return np.maximum(row_norms(G_OM + fed.lam), row_norms(G_PS - fed.beta))
+def _block_norms(fed: Federation, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # each joint row's omega-block and psi-block norms
+    d1 = fed.view.dims[0]
+    return row_norms(R[:, :d1]), row_norms(R[:, d1:])
+
+
+def _solve_errors(fed: Federation, G: np.ndarray) -> np.ndarray:
+    # each row's max(||grad_om f + lam||, ||grad_ps f - beta||), G + D with D = [lam | -beta]
+    return np.maximum(*_block_norms(fed, G + fed.D))
 
 
 def local_solve_error(fed: Federation) -> np.ndarray:
@@ -63,7 +69,7 @@ def local_solve_error(fed: Federation) -> np.ndarray:
     beta = +grad_ps f at the end-of-round iterate, so the mismatch equals the
     residual gradient of the local augmented Lagrangian.
     """
-    return _solve_errors(fed, *fed.view.grads(fed.omega, fed.psi))
+    return _solve_errors(fed, fed.view.joint_grads(fed.Z))
 
 
 def check_identities(
@@ -77,23 +83,28 @@ def check_identities(
 
     `before`/`after` are the federation records just before and just after
     one FedMM round with run-to-tolerance local solves; `global_before` is
-    the consensus pair the round started from. Each side's gradients are one stacked call;
-    client sums run in client order.
+    the consensus pair the round started from. Each side's gradients are one stacked call,
+    each client sum one `row_sum` in client order. Both blocks of each identity
+    are one joint-row expression with W = [mu1 | -mu2]: the psi block's residual
+    comes out negated, which no norm sees.
     """
-    if before.omega.shape != after.omega.shape or before.psi.shape != after.psi.shape:
+    if before.view.dims != after.view.dims or before.Z.shape != after.Z.shape:
         raise ValueError("before/after federations do not match")
-    n = after.n
-    OM_a, PS_a, OM_b, PS_b = after.omega, after.psi, before.omega, before.psi
-    G_OM_a, G_PS_a = after.view.grads(OM_a, PS_a)
-    G_OM_b, G_PS_b = before.view.grads(OM_b, PS_b)
-    e = max(_solve_errors(after, G_OM_a, G_PS_a).tolist())
+    d1, d2 = after.view.dims
+    W = joint_weights(hp.mu1, hp.mu2, d1, d2)
+    Z0 = np.concatenate((global_before.omega, global_before.psi))
+    G_a, G_b = after.view.joint_grads(after.Z), before.view.joint_grads(before.Z)
+    e = max(_solve_errors(after, G_a).tolist())
     tol_step = BASE_TOL + TOL_ERROR_FACTOR * e
-    tol_sum = tol_step * n
+    tol_sum = tol_step * after.n
 
-    res_a1 = float(np.linalg.norm(sum(PS_a) - sum(PS_b) - sum(G_PS_a) / hp.mu2))
-    res_a2 = float(np.linalg.norm(sum(OM_a) - sum(OM_b) + sum(G_OM_a) / hp.mu1))
-    res_a3 = max(row_norms(hp.mu2 * (PS_a - global_before.psi) - (G_PS_a - G_PS_b)).tolist())
-    res_a4 = max(row_norms(hp.mu1 * (OM_a - global_before.omega) - (G_OM_b - G_OM_a)).tolist())
+    # [sum om_a - sum om_b + sum g_om_a / mu1 | sum ps_a - sum ps_b - sum g_ps_a / mu2]
+    S = row_sum(after.Z) - row_sum(before.Z) + row_sum(G_a) / W
+    res_a1 = float(np.linalg.norm(S[d1:]))
+    res_a2 = float(np.linalg.norm(S[:d1]))
+    # [mu1 (om_a - om0) - (g_om_b - g_om_a) | -(mu2 (ps_a - ps0) - (g_ps_a - g_ps_b))]
+    R = W * (after.Z - Z0) + (G_a - G_b)
+    res_a4, res_a3 = (max(r.tolist()) for r in _block_norms(after, R))
 
     return [
         IdentityReport("sum_identity_psi", round_index, res_a1, tol_sum),

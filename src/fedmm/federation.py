@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import os
 import uuid
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
 
@@ -282,6 +282,8 @@ class ExperimentConfig:
             ("problem.n_clients", self.quad_n_clients),
             ("problem.d1", self.quad_d1),
             ("problem.d2", self.quad_d2),
+            ("problem.n_per_domain", self.toy_n_per_domain),
+            ("problem.holdout_n", self.toy_holdout_n),
         ):
             if value < 1:
                 raise ValueError(f"{key} must be >= 1, got {value}")
@@ -291,6 +293,9 @@ class ExperimentConfig:
             raise ValueError(f"metrics_every must be >= 1, got {self.metrics_every}")
         if self.batch_size < 0:
             raise ValueError(f"batch_size must be >= 0, got {self.batch_size}")
+        # the CSV is written next to this name; "", "." and "/" name no file
+        if "\x00" in self.output_path or not Path(self.output_path).name:
+            raise ValueError(f"output_path must name a file, got {self.output_path!r}")
 
     def echo(self) -> dict:
         d = {
@@ -426,9 +431,8 @@ def run_experiment(config: ExperimentConfig) -> RunLog:
         if config.batch_size > 0 and built.shards is not None:
             # seeded minibatch mode: fresh per-round subsample of each shard
             batches = [shard.sample(batch_rng, config.batch_size) for shard in built.shards]
-            fed = replace(
-                fed, view=stacked([DomainAdaptObjective(b, hp.nu, built.layout) for b in batches])
-            )
+            view = stacked([DomainAdaptObjective(b, hp.nu, built.layout) for b in batches])
+            fed = Federation.joint(view, fed.Z, fed.D)
         try:
             fed = run_round(config.optimizer, fed, server, hp, local_tol=local_tol)
         except DivergenceError as e:

@@ -1,13 +1,16 @@
 """Local minimax objectives: quadratic saddles and the domain-adaptation toy.
 
 Both families expose value / grad_omega / grad_psi on flat parameter vectors,
-plus grads(omega, psi) -> (grad_omega, grad_psi), which the optimizers' local
-steps call once per step. Its default evaluates the two single-block methods;
-the domain-adaptation objective overrides it to get both blocks from one
+plus grads(omega, psi) -> (grad_omega, grad_psi), which evaluates both
+blocks at one point. Its default calls the two single-block methods; the
+domain-adaptation objective overrides it to get both blocks from one
 forward/backward pass. `stacked(objectives)` evaluates N clients at N points
-in one call, as the optimizers' client-stacked local solve needs; the same
-view gives the per-round metric oracles their client averages (the global
-loss, MeanObjective, inner_max and the phi oracle), summed in client order.
+in one call, as the optimizers' client-stacked local solve needs: its
+joint_grads takes (N, d1 + d2) joint rows [omega | psi] and returns the
+gradients as joint rows [grad_omega | grad_psi] in one buffer. The same view
+gives the per-round metric oracles their client averages (the global loss,
+MeanObjective, inner_max and the phi oracle), summed in client order by one
+`row_sum` call.
 
 The quadratic family is the closed-form-verifiable workhorse:
 
@@ -33,7 +36,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from fedmm.core import ConvergenceError, Vector, require_finite, row_dot, vector
+from fedmm.core import ConvergenceError, Vector, require_finite, row_dot, row_sum, vector
 
 SOURCE = 0
 TARGET = 1
@@ -342,17 +345,6 @@ def _row_vecmat(X: np.ndarray, M: np.ndarray) -> np.ndarray:
     return (X[:, None, :] @ M)[:, 0]
 
 
-def _row_sum(rows: np.ndarray) -> np.ndarray:
-    """rows[0] + rows[1] + ... in row order, from a copy of the first row.
-
-    np.sum would switch to pairwise summation when the rows have one entry.
-    """
-    total = np.array(rows[0])
-    for row in rows[1:]:
-        total += row
-    return total
-
-
 class StackedObjectives:
     """N objectives evaluated at N points at once: row i of every array is objective i.
 
@@ -378,19 +370,24 @@ class StackedObjectives:
         """Row r's objective value at (OM[r], PS[r]), shape (N,)."""
         return np.array([o.value(OM[r], PS[r]) for r, o in enumerate(self.objectives)])
 
+    def joint_grads(self, Z: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+        """[G_OM | G_PS] at the (N, d1 + d2) joint points [OM | PS], in one (N, d1 + d2) array.
+
+        `rows` masks the rows to evaluate; rows left out of the mask read zero.
+        """
+        d1 = self.dims[0]
+        G = (np.empty if rows is None else np.zeros)(Z.shape)
+        for r, grads in enumerate(self._grads):
+            if rows is None or rows[r]:
+                G[r, :d1], G[r, d1:] = grads(Z[r, :d1], Z[r, d1:])
+        return G
+
     def grads(
         self, OM: np.ndarray, PS: np.ndarray, rows: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
-        """(G_OM, G_PS) at the (N, d1) / (N, d2) points; `rows` masks the rows to evaluate.
-
-        Rows left out of the mask read zero.
-        """
-        alloc = np.empty if rows is None else np.zeros
-        G_OM, G_PS = alloc(OM.shape), alloc(PS.shape)
-        for r, grads in enumerate(self._grads):
-            if rows is None or rows[r]:
-                G_OM[r], G_PS[r] = grads(OM[r], PS[r])
-        return G_OM, G_PS
+        """(G_OM, G_PS) at the (N, d1) / (N, d2) points: `joint_grads` split into its blocks."""
+        G = self.joint_grads(np.hstack((OM, PS)), rows)
+        return G[:, : self.dims[0]], G[:, self.dims[0] :]
 
     def grad_psi(self, OM: np.ndarray, PS: np.ndarray) -> np.ndarray:
         """The psi block of `grads` alone, (N, d2)."""
@@ -409,11 +406,11 @@ class StackedObjectives:
         return sum(self.values(*self._at(omega, psi)).tolist()) / self.n
 
     def mean_grads(self, omega: Vector, psi: Vector) -> tuple[Vector, Vector]:
-        G_OM, G_PS = self.grads(*self._at(omega, psi))
-        return _row_sum(G_OM) / self.n, _row_sum(G_PS) / self.n
+        mean = row_sum(self.joint_grads(np.hstack(self._at(omega, psi)))) / self.n
+        return mean[: len(omega)], mean[len(omega) :]
 
     def mean_grad_psi(self, omega: Vector, psi: Vector) -> Vector:
-        return _row_sum(self.grad_psi(*self._at(omega, psi))) / self.n
+        return row_sum(self.grad_psi(*self._at(omega, psi))) / self.n
 
 
 class QuadraticBars(NamedTuple):
@@ -427,8 +424,8 @@ class QuadraticBars(NamedTuple):
 
 
 def _bars(*stacks) -> QuadraticBars:
-    # Python's sum adds the clients in order, one after the other
-    bars = [sum(stack) / len(stack) for stack in stacks]
+    # the clients in order, summed from zero: + 0.0 turns an all -0.0 sum into +0.0
+    bars = [(row_sum(np.asarray(stack)) + 0.0) / len(stack) for stack in stacks]
     for b in bars:
         b.flags.writeable = False
     return QuadraticBars(*bars)
@@ -461,12 +458,14 @@ class _StackedQuadratic(StackedObjectives):
             + row_dot(self.c, PS)
         )
 
-    def grads(self, OM, PS, rows=None):
-        G_OM = (self.A @ OM[..., None])[..., 0] + (self.B @ PS[..., None])[..., 0] + self.a
-        G_PS = self.grad_psi(OM, PS)
-        if rows is None:
-            return G_OM, G_PS
-        return np.where(rows[:, None], G_OM, 0.0), np.where(rows[:, None], G_PS, 0.0)
+    def joint_grads(self, Z, rows=None):
+        # both blocks into one buffer; the matmuls read the joint rows' blocks in place
+        d1 = self.dims[0]
+        OM, PS = Z[:, :d1], Z[:, d1:]
+        G = np.empty(Z.shape)
+        G[:, :d1] = (self.A @ OM[..., None])[..., 0] + (self.B @ PS[..., None])[..., 0] + self.a
+        G[:, d1:] = self.grad_psi(OM, PS)
+        return G if rows is None else np.where(rows[:, None], G, 0.0)
 
     def grad_psi(self, OM, PS):
         return (self.BT @ OM[..., None])[..., 0] - (self.C @ PS[..., None])[..., 0] + self.c
@@ -479,7 +478,7 @@ class _StackedQuadratic(StackedObjectives):
 class _StackedDomainAdapt(StackedObjectives):
     """DANN clients with one layout, one nu and one shard size: gradients for all rows at once.
 
-    grads and grad_psi run DomainAdaptObjective's forward/backward pass with a
+    joint_grads and grad_psi run DomainAdaptObjective's forward/backward pass with a
     leading client axis. Each row's matmuls keep the shapes and memory layout
     the single-client pass gives them, and the labeled points are picked with
     np.where instead of by indexing, so every row is bit for bit what its
@@ -515,9 +514,10 @@ class _StackedDomainAdapt(StackedObjectives):
         require_finite(G)
         return G
 
-    def grads(self, OM, PS, rows=None):
+    def joint_grads(self, points, rows=None):
         L = self.layout
         nw, d1 = L.feat_dim * L.in_dim, L.d1
+        OM, PS = points[:, :d1], points[:, d1:]
         Z = self._features(OM)
         V = OM[:, nw:].reshape(self.n, L.n_classes, L.feat_dim)
         logits = Z @ V.swapaxes(1, 2)
@@ -535,8 +535,7 @@ class _StackedDomainAdapt(StackedObjectives):
         G[:, :nw] = (self.alpha * (dZ.swapaxes(1, 2) @ self.X)).reshape(self.n, -1)
         G[:, nw:d1] = (self.alpha * (dlogits.swapaxes(1, 2) @ Z)).reshape(self.n, -1)
         G[:, d1:] = (self.alpha * (Z.swapaxes(1, 2) @ dt[:, :, None]))[..., 0]
-        G = self._finish(G, rows)
-        return G[:, :d1], G[:, d1:]
+        return self._finish(G, rows)
 
     def grad_psi(self, OM, PS):
         Z = self._features(OM)

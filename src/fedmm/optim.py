@@ -1,14 +1,21 @@
 """The federated minimax optimizers and the centralized oracle.
 
-All five optimizers run one client-stacked local solve: row r of an (N, d)
-array is one client's iterate, and each simultaneous (Jacobi) GDA step moves
-every row at once. A rule table holds what the optimizers do differently.
-Between rounds the clients' state is one `Federation` record of such arrays,
-and aggregation sums the upload rows in client order.
+All five optimizers run one client-stacked local solve on joint rows: row r
+of an (N, d1 + d2) array is client r's [omega | psi], and each simultaneous
+(Jacobi) GDA step moves every row at once. The ascent block's sign flips live
+in signed per-column weights ([eta1 | -eta2] for the step, [mu1 | -mu2] or
+[prox_mu | -prox_mu] for the penalty, [decay/mu1 | -decay/mu2] for the
+upload) and in the duals, kept as [lam | -beta]; so the penalty, the step,
+the dual step and the upload are each one expression over the joint row.
+Negation is exact, so this rounds as the two blocks would on their own. A
+rule table holds what the optimizers do differently. Between rounds the
+clients' state is one `Federation` record of such arrays, and aggregation
+sums the upload rows in client order.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Sequence
@@ -16,7 +23,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from fedmm.core import ConvergenceError, DivergenceError, HyperParams, PrimalDualPair
-from fedmm.core import row_norms, vector
+from fedmm.core import row_norms, row_sum, vector
 from fedmm.objectives import LocalObjective, StackedObjectives, stacked
 
 
@@ -58,20 +65,50 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class Federation:
-    """Every client's state between rounds: row r of each frozen (N, d) array is client r.
+@functools.lru_cache(maxsize=32)
+def joint_weights(a: float, b: float, d1: int, d2: int) -> np.ndarray:
+    """The frozen (d1 + d2,) weight vector [a ... a | -b ... -b] of a joint row.
 
-    view evaluates the client objectives; omega/psi are the end-of-round
-    iterates and lam/beta the consensus duals, which only FedMM's dual step
-    moves.
+    The descent block takes the weight and the ascent block its negation, so
+    one expression serves both blocks: negation is exact, so x - b*y and
+    x + (-b)*y round alike.
+    """
+    w = np.empty(d1 + d2)
+    w[:d1], w[d1:] = a, -b
+    return _frozen(w)
+
+
+@dataclass(frozen=True, init=False)
+class Federation:
+    """Every client's state between rounds, one joint row per client.
+
+    Row r of the frozen (N, d1 + d2) array Z is client r's end-of-round
+    iterate [omega | psi]. Row r of D holds its consensus duals signed as they
+    enter the local step, [lam | -beta]; only FedMM's dual step moves them.
+    view evaluates the client objectives, and omega, psi, lam and beta read
+    the (N, d) blocks back.
     """
 
     view: StackedObjectives
-    omega: np.ndarray
-    psi: np.ndarray
-    lam: np.ndarray
-    beta: np.ndarray
+    Z: np.ndarray
+    D: np.ndarray
+
+    def __init__(self, view: StackedObjectives, omega, psi, lam, beta):
+        (d1, d2), n = view.dims, view.n
+        shapes = {np.shape(omega), np.shape(lam)}, {np.shape(psi), np.shape(beta)}
+        if shapes != ({(n, d1)}, {(n, d2)}):
+            raise ValueError(
+                f"{n} clients with dims {view.dims} need (N, d1) omega, lam and (N, d2) psi, beta"
+            )
+        Z, D = np.hstack((omega, psi)), np.hstack((lam, np.negative(beta)))
+        self.__dict__.update(view=view, Z=_frozen(Z), D=_frozen(D))
+
+    @classmethod
+    def joint(cls, view: StackedObjectives, Z: np.ndarray, D: np.ndarray) -> "Federation":
+        """The record of the frozen joint rows Z = [omega | psi] and D = [lam | -beta], as given."""
+        fed = cls.__new__(cls)
+        fed.__dict__.update(view=view, Z=Z, D=D)
+        return fed
 
     @classmethod
     def initial(cls, objectives: Sequence[LocalObjective], pair: PrimalDualPair) -> "Federation":
@@ -79,59 +116,126 @@ class Federation:
         view = stacked(objectives)
         if view.dims != pair.dims:
             raise ValueError(f"objective dims {view.dims} differ from the pair's {pair.dims}")
-        (d1, d2), n = view.dims, view.n
-        OM, PS = np.empty((n, d1)), np.empty((n, d2))
-        OM[:], PS[:] = pair.omega, pair.psi
-        return cls(view, *map(_frozen, (OM, PS, np.zeros((n, d1)), np.zeros((n, d2)))))
+        Z, D = np.empty((view.n, sum(view.dims))), np.zeros((view.n, sum(view.dims)))
+        Z[:] = np.concatenate((pair.omega, pair.psi))
+        D[:, view.dims[0] :] = -0.0  # beta = +0.0, kept as -beta
+        return cls.joint(view, _frozen(Z), _frozen(D))
 
     @property
     def n(self) -> int:
         return self.view.n
 
+    @property
+    def omega(self) -> np.ndarray:
+        return self.Z[:, : self.view.dims[0]]
+
+    @property
+    def psi(self) -> np.ndarray:
+        return self.Z[:, self.view.dims[0] :]
+
+    @property
+    def lam(self) -> np.ndarray:
+        return self.D[:, : self.view.dims[0]]
+
+    @property
+    def beta(self) -> np.ndarray:
+        return _frozen(-self.D[:, self.view.dims[0] :])
+
 
 _DIVERGENCE_CAP = 1e100
 
 
-def _check_finite(om: np.ndarray, ps: np.ndarray, where: str, step: int) -> None:
+def _check_finite(Z: np.ndarray, where: str, step: int) -> None:
     # magnitudes past the cap overflow inside the next gradient evaluation,
     # so treat them as divergence already; NaN fails the comparison too
-    if not (np.abs(om).max() <= _DIVERGENCE_CAP and np.abs(ps).max() <= _DIVERGENCE_CAP):
+    if not np.abs(Z).max() <= _DIVERGENCE_CAP:
         raise DivergenceError(where, step)
 
 
-def _check_rows(OM, PS, where: str, step: int) -> None:
+def _check_rows(Z: np.ndarray, where: str, step: int) -> None:
     """_check_finite on the whole stack; a failure names the first failing client."""
     try:
-        _check_finite(OM, PS, where, step)
+        _check_finite(Z, where, step)
     except DivergenceError:
-        for r in range(len(OM)):
-            _check_finite(OM[r], PS[r], where.format(r), step)
+        for r in range(len(Z)):
+            _check_finite(Z[r], where.format(r), step)
         raise
 
 
-def _local_grads(view: StackedObjectives, OM, PS, rows, penalty, duals, gp: PrimalDualPair):
-    """Stacked local-step gradients: f's plus the penalty, when the rule has one.
+def _local_grads(view: StackedObjectives, Z, rows, W, D, Z0) -> np.ndarray:
+    """Joint local-step gradients: f's plus the penalty, when the rule has one.
 
-    al:   grad_om f + lam + mu1*(om - om0),  grad_ps f - beta - mu2*(ps - ps0)
-    prox: the same without the duals. No penalty adds no arithmetic at all,
-    which keeps FedProxGDA(prox_mu=0) bit-exactly FedAvgGDA.
+    al:   G + D + W*(Z - Z0), with D = [lam | -beta] and W = [mu1 | -mu2], which is
+          [grad_om f + lam + mu1*(om - om0) | grad_ps f - beta - mu2*(ps - ps0)]
+    prox: G + W*(Z - Z0), with W = [prox_mu | -prox_mu]. No penalty adds no
+    arithmetic at all, which keeps FedProxGDA(prox_mu=0) bit-exactly FedAvgGDA.
     """
-    G_OM, G_PS = view.grads(OM, PS, rows)
-    if penalty is None:
-        return G_OM, G_PS
-    w1, w2 = penalty
-    if duals is None:
-        return G_OM + w1 * (OM - gp.omega), G_PS - w2 * (PS - gp.psi)
-    lam, beta = duals
-    return G_OM + lam + w1 * (OM - gp.omega), G_PS - beta - w2 * (PS - gp.psi)
+    G = view.joint_grads(Z, rows)
+    if W is None:
+        return G
+    if D is None:
+        return G + W * (Z - Z0)
+    return G + D + W * (Z - Z0)
 
 
-def _step(OM, PS, G, rows, hp: HyperParams):
-    """One simultaneous GDA step of the rows in the mask (every row when None)."""
-    new_om, new_ps = OM - hp.eta1 * G[0], PS + hp.eta2 * G[1]
-    if rows is None:
-        return new_om, new_ps
-    return np.where(rows[:, None], new_om, OM), np.where(rows[:, None], new_ps, PS)
+def _step(Z, E, G, rows):
+    """One simultaneous GDA step Z - E*G, E = [eta1 | -eta2], of the rows in the mask.
+
+    Every row steps when the mask is None.
+    """
+    new = Z - E * G
+    return new if rows is None else np.where(rows[:, None], new, Z)
+
+
+def _local_round(kind, fed, global_pair, hp, t, local_tol) -> tuple[Federation, np.ndarray]:
+    """local_solve's round on joint rows: the new record and the frozen (N, d1 + d2) uploads."""
+    rule = _RULES[kind]
+    view, n = fed.view, fed.n
+    if view.dims != global_pair.dims:
+        raise ValueError(f"objective dims {view.dims} differ from the pair's {global_pair.dims}")
+    d1, d2 = view.dims
+    Z0 = np.concatenate((global_pair.omega, global_pair.psi))
+    Z = np.empty(fed.Z.shape)
+    Z[:] = Z0
+    D = W = None
+    if rule.penalty == "al":
+        D, W = fed.D, joint_weights(hp.mu1, hp.mu2, d1, d2)
+    elif rule.penalty == "prox" and hp.prox_mu != 0.0:
+        W = joint_weights(hp.prox_mu, hp.prox_mu, d1, d2)
+    E = joint_weights(hp.eta1, hp.eta2, d1, d2)
+
+    if D is None or not local_tol or local_tol <= 0:
+        steps = np.array(hp.expanded(n).local_steps if rule.multi_step else (1,) * n)
+        fewest = steps.min()
+        for m in range(steps.max()):
+            rows = None if m < fewest else steps > m
+            Z = _step(Z, E, _local_grads(view, Z, rows, W, D, Z0), rows)
+            _check_rows(Z, rule.where, m)
+    else:
+        where = "fedmm local solve (client {})"
+        rows = None  # every row runs until one converges
+        # the last pass only evaluates: rows still above tolerance then fail
+        for m in range(hp.local_max_iters + 1):
+            G = _local_grads(view, Z, rows, W, D, Z0)
+            gn = np.maximum(row_norms(G[:, :d1]), row_norms(G[:, d1:]))
+            active = gn > local_tol if rows is None else rows & (gn > local_tol)
+            if not active.any():
+                break
+            if m == hp.local_max_iters:
+                r = np.flatnonzero(active)[0]
+                raise ConvergenceError(where.format(r), float(gn[r]), m)
+            rows = None if active.all() else active
+            Z = _step(Z, E, G, rows)
+            _check_rows(Z, where, m)
+
+    Z = _frozen(Z)
+    if D is None:
+        return Federation.joint(view, Z, fed.D), Z
+    # the dual step, then the dual-shifted upload Z + U*D with U = [decay/mu1 | -decay/mu2]
+    D = _frozen(D + W * (Z - Z0))
+    decay = hp.eta3**t
+    U = joint_weights(decay / hp.mu1, decay / hp.mu2, d1, d2)
+    return Federation.joint(view, Z, D), _frozen(Z + U * D)
 
 
 def local_solve(
@@ -145,63 +249,19 @@ def local_solve(
     run-to-tolerance mode (local_tol > 0), once both local gradient norms are
     at most local_tol, capped by hp.local_max_iters.
     """
-    rule = _RULES[kind]
-    view, n = fed.view, fed.n
-    if view.dims != global_pair.dims:
-        raise ValueError(f"objective dims {view.dims} differ from the pair's {global_pair.dims}")
-    OM, PS = np.empty(fed.omega.shape), np.empty(fed.psi.shape)
-    OM[:], PS[:] = global_pair.omega, global_pair.psi
-    duals = penalty = None
-    if rule.penalty == "al":
-        duals, penalty = (fed.lam, fed.beta), (hp.mu1, hp.mu2)
-    elif rule.penalty == "prox" and hp.prox_mu != 0.0:
-        penalty = (hp.prox_mu, hp.prox_mu)
-
-    def grads(OM, PS, rows):
-        return _local_grads(view, OM, PS, rows, penalty, duals, global_pair)
-
-    if duals is None or not local_tol or local_tol <= 0:
-        steps = np.array(hp.expanded(n).local_steps if rule.multi_step else (1,) * n)
-        fewest = steps.min()
-        for m in range(steps.max()):
-            rows = None if m < fewest else steps > m
-            OM, PS = _step(OM, PS, grads(OM, PS, rows), rows, hp)
-            _check_rows(OM, PS, rule.where, m)
-    else:
-        where = "fedmm local solve (client {})"
-        rows = None  # every row runs until one converges
-        # the last pass only evaluates: rows still above tolerance then fail
-        for m in range(hp.local_max_iters + 1):
-            G = grads(OM, PS, rows)
-            gn = np.maximum(row_norms(G[0]), row_norms(G[1]))
-            active = gn > local_tol if rows is None else rows & (gn > local_tol)
-            if not active.any():
-                break
-            if m == hp.local_max_iters:
-                r = np.flatnonzero(active)[0]
-                raise ConvergenceError(where.format(r), float(gn[r]), m)
-            rows = None if active.all() else active
-            OM, PS = _step(OM, PS, G, rows, hp)
-            _check_rows(OM, PS, where, m)
-
-    lam, beta, up_om, up_ps = fed.lam, fed.beta, OM, PS
-    if duals is not None:
-        lam = _frozen(lam + hp.mu1 * (OM - global_pair.omega))
-        beta = _frozen(beta + hp.mu2 * (PS - global_pair.psi))
-        decay = hp.eta3**t
-        up_om = _frozen(OM + (decay / hp.mu1) * lam)
-        up_ps = _frozen(PS + (decay / hp.mu2) * beta)
-    return Federation(view, _frozen(OM), _frozen(PS), lam, beta), up_om, up_ps
+    fed, up = _local_round(kind, fed, global_pair, hp, t, local_tol)
+    d1 = fed.view.dims[0]
+    return fed, up[:, :d1], up[:, d1:]
 
 
-def fedmm_aggregate(up_om: np.ndarray, up_ps: np.ndarray) -> PrimalDualPair:
-    """Plain average of the upload rows, summed from zero in row (client) order."""
-    om = np.zeros(up_om.shape[1])
-    ps = np.zeros(up_ps.shape[1])
-    for row_om, row_ps in zip(up_om, up_ps):
-        om += row_om
-        ps += row_ps
-    return PrimalDualPair(vector(om / len(up_om)), vector(ps / len(up_om)))
+def fedmm_aggregate(uploads: np.ndarray, d1: int) -> PrimalDualPair:
+    """Plain average of the (N, d1 + d2) upload rows, split at d1.
+
+    The sum adds the rows in row (client) order, started from zero: the + 0.0
+    turns a column of -0.0 rows into the +0.0 that a zero-started sum gives.
+    """
+    mean = (row_sum(uploads) + 0.0) / len(uploads)
+    return PrimalDualPair(vector(mean[:d1]), vector(mean[d1:]))
 
 
 def run_round(
@@ -211,7 +271,7 @@ def run_round(
     """Advance one communication round of the chosen optimizer, mutating server."""
     if kind is OptimizerKind.CENTRAL_GDA and fed.n != 1:
         raise ValueError("central_gda expects a single pooled client")
-    fed, up_om, up_ps = local_solve(kind, fed, server.global_pair, hp, server.round, local_tol)
-    server.global_pair = fedmm_aggregate(up_om, up_ps)
+    fed, up = _local_round(kind, fed, server.global_pair, hp, server.round, local_tol)
+    server.global_pair = fedmm_aggregate(up, fed.view.dims[0])
     server.record_round(fed.n)
     return fed

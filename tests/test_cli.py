@@ -3,8 +3,10 @@ import sys
 import threading
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from fedmm.cli import ConfigError, _write_atomic, main, parse_config
+from fedmm.cli import _SCHEMA, ConfigError, _write_atomic, main, parse_config
 from fedmm.federation import run_experiment
 from fedmm.optim import OptimizerKind
 
@@ -128,6 +130,8 @@ class TestCmdRun:
             ("hyper.local_steps=5,6", "hyper.local_steps"),
             ("hyper.local_tol=-1", "local_tol"),
             ("hyper.local_max_iters=0", "local_max_iters"),
+            ("problem.n_per_domain=0", "problem.n_per_domain"),
+            ("problem.holdout_n=-1", "problem.holdout_n"),
         ],
     )
     def test_invalid_value_is_config_error(self, tmp_path, capsys, override, key):
@@ -230,6 +234,73 @@ class TestCmdRun:
         rc = main(["run", "--config", str(write(tmp_path, text))])
         assert rc == 3
         assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["", ".", "a\x00b"], ids=["empty", "dot", "nul"])
+    def test_output_path_naming_no_file_is_config_error(self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.chdir(tmp_path)
+        cfg_path = write(tmp_path, MINIMAL + "hyper.rounds = 1\n")
+        assert main(["run", "--config", str(cfg_path), "--set", f"output_path={value}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "output_path" in err
+
+
+# Small runs whatever the drawn lines add: the drawn integers stay in -3..4 and
+# later lines override these, so no drawn config runs long or allocates much.
+_FUZZ_BASE = """\
+optimizer = {optimizer}
+problem = {problem}
+hyper.rounds = 2
+hyper.local_steps = 2
+hyper.local_max_iters = 50
+hyper.tol = 1e-4
+problem.n_per_domain = 6
+problem.holdout_n = 4
+metrics_every = 1000
+output_path = out.csv
+"""
+# mostly known keys and plausible values, so that most drawn configs get past
+# the parser and into a run
+_FUZZ_KEYS = st.sampled_from(
+    sorted(_SCHEMA)
+    + ["", "etaa1", "hyper", "hyper.", "hyper.mu3", "Seed", "problem.file.x", "ünï"]
+)
+_FUZZ_VALUES = st.one_of(
+    st.integers(-3, 4).map(str),
+    st.integers(1, 3).map(str),
+    st.sampled_from(["0.1", "0.5", "1.0", "1e-3"]),
+    st.sampled_from([
+        "nan", "inf", "-inf", "1e308", "-1e308", "1e999", "5e-324", "-0.0", "0.5", "",
+        "1,2", "2,1,3", "1,,2", "[1, 2]", "(1,)", "fedmm", "central_gda", "quadratic",
+        "domain_adapt", "one_source_two_target", "two_client_p", "x.csv", ".", "a\x00b",
+        "ünïcødé", "١٢", "∞",
+    ]),
+    # no path separators: a drawn output_path stays inside the test's directory
+    st.text(st.characters(exclude_characters="/\\", exclude_categories=("Cs",)), max_size=8),
+)
+
+
+class TestConfigFuzz:
+    @settings(
+        max_examples=100, deadline=None, derandomize=True, database=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        optimizer=st.sampled_from([k.value for k in OptimizerKind]),
+        problem=st.sampled_from(["quadratic", "domain_adapt"]),
+        lines=st.lists(st.tuples(_FUZZ_KEYS, _FUZZ_VALUES), max_size=3),
+    )
+    # escapes it found: an output_path that names no file ended in a ValueError traceback
+    @example(optimizer="fedmm", problem="quadratic", lines=[("output_path", "")])
+    @example(optimizer="fedmm", problem="quadratic", lines=[("output_path", "\x00")])
+    def test_run_ends_in_a_known_exit_code(self, tmp_path, monkeypatch, optimizer, problem, lines):
+        """Any config text ends in exit 0, 2, 3 or 4; no exception escapes main()."""
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("FEDMM_SEED", raising=False)
+        text = _FUZZ_BASE.format(optimizer=optimizer, problem=problem)
+        text += "".join(f"{key} = {value}\n" for key, value in lines)
+        cfg_path = tmp_path / "fuzz.cfg"
+        cfg_path.write_text(text, encoding="utf-8")
+        assert main(["run", "--config", str(cfg_path)]) in (0, 2, 3, 4)
 
 
 class TestWriteAtomic:

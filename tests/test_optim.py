@@ -16,6 +16,7 @@ from fedmm.optim import (
     _check_finite,
     _local_grads,
     fedmm_aggregate,
+    joint_weights,
     local_solve,
     run_round,
 )
@@ -56,11 +57,13 @@ K = OptimizerKind
 
 def al_grads(obj, pair, lam, beta, global_pair, hp):
     """FedMM's local-step gradients (the augmented Lagrangian's) of one client at `pair`."""
-    g_om, g_ps = _local_grads(
-        stacked([obj]), pair.omega[None], pair.psi[None], None,
-        (hp.mu1, hp.mu2), (lam[None], beta[None]), global_pair,
+    d1, d2 = obj.dims
+    G = _local_grads(
+        stacked([obj]), np.concatenate((pair.omega, pair.psi))[None], None,
+        joint_weights(hp.mu1, hp.mu2, d1, d2), np.concatenate((lam, -beta))[None],
+        np.concatenate((global_pair.omega, global_pair.psi)),
     )
-    return g_om[0], g_ps[0]
+    return G[0, :d1], G[0, d1:]
 
 
 def one_client(kind, obj, global_pair, hp, t=0, local_tol=None):
@@ -171,20 +174,20 @@ class TestCheckFinite:
         ps = np.array([1.0, 0.0])
         (om if block == "omega" else ps)[1] = bad
         with pytest.raises(DivergenceError) as exc:
-            _check_finite(om, ps, "test", 7)
+            _check_finite(np.concatenate((om, ps)), "test", 7)
         assert exc.value.step == 7
 
     def test_passes_at_the_cap(self):
-        _check_finite(np.array([self.CAP, -self.CAP]), np.array([-self.CAP]), "test", 0)
+        _check_finite(np.array([self.CAP, -self.CAP, -self.CAP]), "test", 0)
 
 
 class TestFedmmAggregate:
     def test_single_client_identity(self):
-        got = fedmm_aggregate(np.array([[1.5]]), np.array([[-2.0]]))
+        got = fedmm_aggregate(np.array([[1.5, -2.0]]), 1)
         assert np.array_equal(got.omega, [1.5]) and np.array_equal(got.psi, [-2.0])
 
     def test_two_client_mean(self):
-        got = fedmm_aggregate(np.array([[2.0], [4.0]]), np.array([[0.0], [1.0]]))
+        got = fedmm_aggregate(np.array([[2.0, 0.0], [4.0, 1.0]]), 1)
         assert np.array_equal(got.omega, [3.0]) and np.array_equal(got.psi, [0.5])
 
     def test_payload_size(self):
