@@ -246,20 +246,20 @@ def check_row_independence() -> str:
     return f"{rows} client rows bit-exact"
 
 
-def _mean_in_client_order(rows) -> np.ndarray:
-    total = rows[0].copy()
-    for row in rows[1:]:
-        total += row
+def _mean_in_client_order(rows):
+    # zero-started, one client after the other: a plain loop, never sum()'s compensated sum
+    total = 0.0
+    for row in rows:
+        total = total + row
     return total / len(rows)
 
 
 def _per_client_oracles(objs, fed: Federation, pair: PrimalDualPair, tol: float):
     """(loss, (phi value, phi gradient), consensus), one objective after the other."""
     om, ps = pair.omega, pair.psi
-    n = len(objs)
-    loss = sum(o.value(om, ps) for o in objs) / n
+    loss = _mean_in_client_order([o.value(om, ps) for o in objs])
     if all(isinstance(o, QuadraticSaddle) for o in objs):
-        Bbar, Cbar, cbar = (sum(getattr(o, k) for o in objs) / n for k in "BCc")
+        Bbar, Cbar, cbar = (_mean_in_client_order([getattr(o, k) for o in objs]) for k in "BCc")
         psi = np.linalg.solve(Cbar, Bbar.T @ om + cbar)
     else:
         step = 1.0 / max(max(o.ascent_curvature_bound(om) for o in objs), 1e-12)
@@ -269,7 +269,7 @@ def _per_client_oracles(objs, fed: Federation, pair: PrimalDualPair, tol: float)
             psi = psi + step * g
             g = _mean_in_client_order([o.grad_psi(om, psi) for o in objs])
     phi = (
-        sum(o.value(om, psi) for o in objs) / n,
+        _mean_in_client_order([o.value(om, psi) for o in objs]),
         _mean_in_client_order([o.grad_omega(om, psi) for o in objs]),
     )
     cons = (

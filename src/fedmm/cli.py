@@ -117,6 +117,36 @@ def _read_assignments(path: str | Path) -> list[tuple[int, str, str]]:
     return out
 
 
+def _check_config(config: ExperimentConfig) -> None:
+    """The checks a built config still needs: its problem file, partition and local_steps."""
+    if config.problem_file is not None and not Path(config.problem_file).is_file():
+        raise ConfigError(f"problem.file does not exist: {config.problem_file}")
+    dataset = None
+    try:
+        n_clients = simulated_clients(config)
+        if config.problem is ProblemKind.DOMAIN_ADAPT and config.problem_file is not None:
+            dataset, _ = load_dataset(config.problem_file)
+    except ValueError as e:
+        raise ConfigError(f"problem.file: {e}") from None
+    # central_gda pools the file; the built-in toy has at least two points per
+    # domain, which no mode or p leaves a client without
+    if dataset is not None and config.optimizer is not OptimizerKind.CENTRAL_GDA:
+        n_src = int((dataset.domain == SOURCE).sum())
+        n_tgt = int((dataset.domain == TARGET).sum())
+        try:
+            partition_counts(n_src, n_tgt, config.partition)
+        except ValueError as e:
+            raise ConfigError(
+                f"partition: {e}: problem.file {config.problem_file} has {n_src} source and "
+                f"{n_tgt} target points, partition.mode={config.partition.mode.value} "
+                f"partition.p={config.partition.p}"
+            ) from None
+    try:
+        config.hyper.expanded(n_clients)
+    except ValueError as e:
+        raise ConfigError(f"hyper.local_steps: {e}") from None
+
+
 def parse_config(path: str | Path, overrides: list[str] | None = None) -> ExperimentConfig:
     """Parse and fully validate a config file plus `key=value` overrides."""
     entries = _read_assignments(path)
@@ -149,32 +179,7 @@ def parse_config(path: str | Path, overrides: list[str] | None = None) -> Experi
     except ValueError as e:
         raise ConfigError(str(e)) from None
 
-    if config.problem_file is not None and not Path(config.problem_file).is_file():
-        raise ConfigError(f"problem.file does not exist: {config.problem_file}")
-    dataset = None
-    try:
-        n_clients = simulated_clients(config)
-        if config.problem is ProblemKind.DOMAIN_ADAPT and config.problem_file is not None:
-            dataset, _ = load_dataset(config.problem_file)
-    except ValueError as e:
-        raise ConfigError(f"problem.file: {e}") from None
-    # central_gda pools the file; the built-in toy has at least two points per
-    # domain, which no mode or p leaves a client without
-    if dataset is not None and config.optimizer is not OptimizerKind.CENTRAL_GDA:
-        n_src = int((dataset.domain == SOURCE).sum())
-        n_tgt = int((dataset.domain == TARGET).sum())
-        try:
-            partition_counts(n_src, n_tgt, config.partition)
-        except ValueError as e:
-            raise ConfigError(
-                f"partition: {e}: problem.file {config.problem_file} has {n_src} source and "
-                f"{n_tgt} target points, partition.mode={config.partition.mode.value} "
-                f"partition.p={config.partition.p}"
-            ) from None
-    try:
-        config.hyper.expanded(n_clients)
-    except ValueError as e:
-        raise ConfigError(f"hyper.local_steps: {e}") from None
+    _check_config(config)
 
     env_seed = os.environ.get("FEDMM_SEED")
     if env_seed is not None:
@@ -239,12 +244,13 @@ def _apply_axis(config: ExperimentConfig, axis: str, raw: str) -> tuple[str, Exp
 def _sweep_runs(
     config: ExperimentConfig, axis: str, values: list[str]
 ) -> dict[str, ExperimentConfig]:
-    """Each value's run by canonical name; a value that does not parse, or repeats one, is a config error."""
+    """Each value's checked run by canonical name; a bad or repeated value is a config error."""
     runs: dict[str, ExperimentConfig] = {}
     raw_of: dict[str, str] = {}
     for raw in values:
         try:
             name, sub = _apply_axis(config, axis, raw)
+            _check_config(sub)
         except ValueError as e:
             raise ConfigError(f"--values: {raw!r}: {e}") from None
         if name in runs:

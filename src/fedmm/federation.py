@@ -298,37 +298,26 @@ class ExperimentConfig:
             raise ValueError(f"output_path must name a file, got {self.output_path!r}")
 
     def echo(self) -> dict:
+        """Every key parse_config accepts, under its config name, with this config's value."""
         d = {
             "optimizer": self.optimizer.value,
             "problem": self.problem.value,
-            "seed": self.seed,
-            "metrics_every": self.metrics_every,
-            "output_path": self.output_path,
-            "problem_file": self.problem_file,
+            "problem.file": self.problem_file,
             "problem.n_clients": self.quad_n_clients,
             "problem.d1": self.quad_d1,
             "problem.d2": self.quad_d2,
             "problem.n_per_domain": self.toy_n_per_domain,
             "problem.holdout_n": self.toy_holdout_n,
+            "seed": self.seed,
+            "metrics_every": self.metrics_every,
+            "output_path": self.output_path,
             "batch_size": self.batch_size,
             "partition.mode": self.partition.mode.value,
             "partition.n_clients": self.partition.n_clients,
             "partition.p": self.partition.p,
         }
-        for k in (
-            "mu1",
-            "mu2",
-            "eta1",
-            "eta2",
-            "eta3",
-            "nu",
-            "local_steps",
-            "rounds",
-            "prox_mu",
-            "tol",
-            "local_tol",
-        ):
-            d[f"hyper.{k}"] = getattr(self.hyper, k)
+        for f in fields(self.hyper):
+            d[f"hyper.{f.name}"] = getattr(self.hyper, f.name)
         return d
 
 

@@ -2,15 +2,18 @@
 
 Both families expose value / grad_omega / grad_psi on flat parameter vectors,
 plus grads(omega, psi) -> (grad_omega, grad_psi), which evaluates both
-blocks at one point. Its default calls the two single-block methods; the
-domain-adaptation objective overrides it to get both blocks from one
-forward/backward pass. `stacked(objectives)` evaluates N clients at N points
+blocks at one point. `stacked(objectives)` evaluates N clients at N points
 in one call, as the optimizers' client-stacked local solve needs: its
 joint_grads takes (N, d1 + d2) joint rows [omega | psi] and returns the
 gradients as joint rows [grad_omega | grad_psi] in one buffer. The same view
 gives the per-round metric oracles their client averages (the global loss,
 MeanObjective, inner_max and the phi oracle), summed in client order by one
 `row_sum` call.
+
+Each family's math is written once, in its stacked view. A QuadraticSaddle
+or DomainAdaptObjective evaluates itself through a one-row view of itself,
+so one client alone, the per-row fallback and the batched view all run the
+same code.
 
 The quadratic family is the closed-form-verifiable workhorse:
 
@@ -110,20 +113,18 @@ class QuadraticSaddle(LocalObjective):
     def dims(self) -> tuple[int, int]:
         return self._dims
 
+    @functools.cached_property
+    def _view(self) -> "_StackedQuadratic":
+        return _StackedQuadratic((self,))
+
     def value(self, omega: Vector, psi: Vector) -> float:
-        return float(
-            0.5 * omega @ self.A @ omega
-            + omega @ self.B @ psi
-            - 0.5 * psi @ self.C @ psi
-            + self.a @ omega
-            + self.c @ psi
-        )
+        return float(self._view.values(_row(omega), _row(psi))[0])
 
     def grad_omega(self, omega: Vector, psi: Vector) -> Vector:
-        return self.A @ omega + self.B @ psi + self.a
+        return vector(self._view.grad_omega(_row(omega), _row(psi))[0])
 
     def grad_psi(self, omega: Vector, psi: Vector) -> Vector:
-        return self.B.T @ omega - self.C @ psi + self.c
+        return vector(self._view.grad_psi(_row(omega), _row(psi))[0])
 
     def strong_concavity_modulus(self) -> float:
         """Curvature bound B of the psi block: smallest eigenvalue of C."""
@@ -168,9 +169,6 @@ class ModelLayout:
         W = omega[:nw].reshape(self.feat_dim, self.in_dim)
         V = omega[nw:].reshape(self.n_classes, self.feat_dim)
         return W, V
-
-    def pack_omega(self, W: np.ndarray, V: np.ndarray) -> Vector:
-        return vector(np.concatenate([W.reshape(-1), V.reshape(-1)]))
 
 
 @dataclass
@@ -260,58 +258,23 @@ class DomainAdaptObjective(LocalObjective):
     def dims(self) -> tuple[int, int]:
         return self.layout.d1, self.layout.d2
 
-    def _forward(self, omega: Vector, psi: Vector):
-        W, V = self.layout.unpack_omega(omega)
-        Z = self.dataset.X @ W.T
-        logits = Z @ V.T
-        t = Z @ psi
-        return W, V, Z, logits, t
+    @functools.cached_property
+    def _view(self) -> "_StackedDomainAdapt":
+        return _StackedDomainAdapt((self,))
 
     def value(self, omega: Vector, psi: Vector) -> float:
-        _, _, _, logits, t = self._forward(omega, psi)
-        lab = self._labeled
-        total = 0.0
-        if self._lab_idx.size:
-            lab_logits = logits[self._lab_idx]
-            lse = np.logaddexp.reduce(lab_logits, axis=1)
-            picked = lab_logits[self._lab_rows, self._lab_y]
-            total += float(np.sum(lse - picked))            # cross-entropy
-            total += float(np.sum(-self.nu * _softplus(t[lab])))    # nu*log(1-h)
-        if (~lab).any():
-            total += float(np.sum(-self.nu * _softplus(-t[~lab])))  # nu*log(h)
-        return self.alpha * total
-
-    def _dt(self, t: np.ndarray) -> np.ndarray:
-        """d(loss)/dt of the domain terms, per point."""
-        s = _sigmoid(t)
-        return np.where(self._labeled, -self.nu * s, self.nu * (1.0 - s))
-
-    def _backward(self, omega: Vector, psi: Vector):
-        W, V, Z, logits, t = self._forward(omega, psi)
-        dlogits = np.zeros_like(logits)
-        if self._lab_idx.size:
-            lab_logits = logits[self._lab_idx]
-            p = np.exp(lab_logits - lab_logits.max(axis=1, keepdims=True))
-            p /= p.sum(axis=1, keepdims=True)
-            p[self._lab_rows, self._lab_y] -= 1.0
-            dlogits[self._lab_idx] = p
-        return W, V, Z, dlogits, self._dt(t)
+        return float(self._view.values(_row(omega), _row(psi))[0])
 
     def grads(self, omega: Vector, psi: Vector) -> tuple[Vector, Vector]:
-        _, V, Z, dlogits, dt = self._backward(omega, psi)
-        gV = self.alpha * (dlogits.T @ Z)
-        dZ = dlogits @ V + dt[:, None] * psi[None, :]
-        gW = self.alpha * (dZ.T @ self.dataset.X)
-        return self.layout.pack_omega(gW, gV), vector(self.alpha * (Z.T @ dt))
+        # both blocks from one forward/backward pass
+        G = self._view.joint_grads(np.hstack((_row(omega), _row(psi))))[0]
+        return vector(G[: self.layout.d1]), vector(G[self.layout.d1 :])
 
     def grad_omega(self, omega: Vector, psi: Vector) -> Vector:
         return self.grads(omega, psi)[0]
 
     def grad_psi(self, omega: Vector, psi: Vector) -> Vector:
-        # no predictor pass: the psi block needs only the features and dt
-        W, _ = self.layout.unpack_omega(omega)
-        Z = self.dataset.X @ W.T
-        return vector(self.alpha * (Z.T @ self._dt(Z @ psi)))
+        return vector(self._view.grad_psi(_row(omega), _row(psi))[0])
 
     def predict(self, omega: Vector, X: np.ndarray) -> np.ndarray:
         """Predictor argmax over classes; ties resolve to the lowest index."""
@@ -321,13 +284,17 @@ class DomainAdaptObjective(LocalObjective):
 
     def ascent_curvature_bound(self, omega: Vector) -> float:
         """Upper bound on the psi-Hessian norm at fixed omega (for step sizing)."""
-        W, _ = self.layout.unpack_omega(omega)
-        Z = self.dataset.X @ W.T
+        Z = self._view._features(_row(omega))[0]
         gram = self.alpha * (Z.T @ Z)
         return 0.25 * self.nu * float(np.linalg.norm(gram, 2))
 
 
 # ---------------------------- stacked views ---------------------------- #
+
+
+def _row(block) -> np.ndarray:
+    # an array-like omega or psi as the (1, d) float64 points of a one-row view
+    return np.asarray(block, dtype=np.float64).reshape(1, -1)
 
 
 def _common_dims(objectives: Sequence[LocalObjective]) -> tuple[int, int]:
@@ -349,7 +316,8 @@ class StackedObjectives:
     """N objectives evaluated at N points at once: row i of every array is objective i.
 
     This general view calls each objective's own value / grads / grad_psi and
-    writes the results into fresh arrays, so any LocalObjective works;
+    writes the results into fresh arrays, so any LocalObjective works (a
+    built-in objective answers through a one-row view of itself);
     all-quadratic client lists get a batched-matmul view instead (see
     `stacked`). The mean_* methods evaluate the uniform average of the
     objectives at one point, the global f of the metric oracles; their client
@@ -382,15 +350,8 @@ class StackedObjectives:
                 G[r, :d1], G[r, d1:] = grads(Z[r, :d1], Z[r, d1:])
         return G
 
-    def grads(
-        self, OM: np.ndarray, PS: np.ndarray, rows: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(G_OM, G_PS) at the (N, d1) / (N, d2) points: `joint_grads` split into its blocks."""
-        G = self.joint_grads(np.hstack((OM, PS)), rows)
-        return G[:, : self.dims[0]], G[:, self.dims[0] :]
-
     def grad_psi(self, OM: np.ndarray, PS: np.ndarray) -> np.ndarray:
-        """The psi block of `grads` alone, (N, d2)."""
+        """The psi block of `joint_grads` alone at the (N, d1) / (N, d2) points, (N, d2)."""
         G_PS = np.empty(PS.shape)
         for r, obj in enumerate(self.objectives):
             G_PS[r] = obj.grad_psi(OM[r], PS[r])
@@ -403,7 +364,8 @@ class StackedObjectives:
         return OM, PS
 
     def mean_value(self, omega: Vector, psi: Vector) -> float:
-        return sum(self.values(*self._at(omega, psi)).tolist()) / self.n
+        # + 0.0 as in _bars: a zero-started sum of all -0.0 values is +0.0
+        return float((row_sum(self.values(*self._at(omega, psi))) + 0.0) / self.n)
 
     def mean_grads(self, omega: Vector, psi: Vector) -> tuple[Vector, Vector]:
         mean = row_sum(self.joint_grads(np.hstack(self._at(omega, psi)))) / self.n
@@ -434,7 +396,8 @@ def _bars(*stacks) -> QuadraticBars:
 class _StackedQuadratic(StackedObjectives):
     """Quadratic clients: every row's value and gradient from batched matmuls.
 
-    It keeps the stacked matrices, not the objectives.
+    It keeps the stacked matrices, not the objectives. Each row's matmuls and
+    dot products take the shapes a single client's vector products take.
     """
 
     def __init__(self, objectives: Sequence[QuadraticSaddle]):
@@ -442,14 +405,14 @@ class _StackedQuadratic(StackedObjectives):
         self.n = len(objectives)
         self.A = np.stack([o.A for o in objectives])
         self.B = np.stack([o.B for o in objectives])
-        # a transposed view, like QuadraticSaddle's B.T, so BLAS sees the same layout
+        # B' as a transposed view: BLAS reads it as a 1-D `B.T @ om` does, which keeps the bits
         self.BT = np.swapaxes(self.B, 1, 2)
         self.C = np.stack([o.C for o in objectives])
         self.a = np.stack([o.a for o in objectives])
         self.c = np.stack([o.c for o in objectives])
 
     def values(self, OM, PS):
-        # QuadraticSaddle.value's five terms, in its order and association
+        # 1/2 om'A om + om'B ps - 1/2 ps'C ps + a'om + c'ps, each product left to right
         return (
             row_dot(_row_vecmat(0.5 * OM, self.A), OM)
             + row_dot(_row_vecmat(OM, self.B), PS)
@@ -463,11 +426,16 @@ class _StackedQuadratic(StackedObjectives):
         d1 = self.dims[0]
         OM, PS = Z[:, :d1], Z[:, d1:]
         G = np.empty(Z.shape)
-        G[:, :d1] = (self.A @ OM[..., None])[..., 0] + (self.B @ PS[..., None])[..., 0] + self.a
+        G[:, :d1] = self.grad_omega(OM, PS)
         G[:, d1:] = self.grad_psi(OM, PS)
         return G if rows is None else np.where(rows[:, None], G, 0.0)
 
+    def grad_omega(self, OM, PS):
+        """A om + B ps + a, (N, d1)."""
+        return (self.A @ OM[..., None])[..., 0] + (self.B @ PS[..., None])[..., 0] + self.a
+
     def grad_psi(self, OM, PS):
+        """B' om - C ps + c, (N, d2)."""
         return (self.BT @ OM[..., None])[..., 0] - (self.C @ PS[..., None])[..., 0] + self.c
 
     @functools.cached_property
@@ -476,14 +444,14 @@ class _StackedQuadratic(StackedObjectives):
 
 
 class _StackedDomainAdapt(StackedObjectives):
-    """DANN clients with one layout, one nu and one shard size: gradients for all rows at once.
+    """DANN clients with one layout, one nu and one shard size: all rows at once.
 
-    joint_grads and grad_psi run DomainAdaptObjective's forward/backward pass with a
+    values, joint_grads and grad_psi run the forward (and backward) pass with a
     leading client axis. Each row's matmuls keep the shapes and memory layout
-    the single-client pass gives them, and the labeled points are picked with
-    np.where instead of by indexing, so every row is bit for bit what its
-    objective computes alone. Values stay on the per-row path: a batched sum
-    over the labeled points would round differently.
+    one client's pass gives them, and the gradients pick the labeled points
+    with np.where instead of by indexing, so every row is bit for bit what a
+    one-row view of its objective computes. `values` sums each row's terms
+    over that row's own points: a batched sum would round differently.
     """
 
     def __init__(self, objectives: Sequence[DomainAdaptObjective]):
@@ -498,14 +466,44 @@ class _StackedDomainAdapt(StackedObjectives):
         self.alpha = np.array([o.alpha for o in objectives])[:, None, None]
 
     def _features(self, OM):
-        # Z = X W' (N, n, feat), W unpacked as unpack_omega and multiplied as _forward does per row
+        # Z = X W' (N, n, feat), W unpacked as unpack_omega does
         L = self.layout
         W = OM[:, : L.feat_dim * L.in_dim].reshape(self.n, L.feat_dim, L.in_dim)
         return self.X @ W.swapaxes(1, 2)
 
+    def _forward(self, OM):
+        """(Z, V, logits): the features, the predictor V and the class logits Z V', per row."""
+        L = self.layout
+        Z = self._features(OM)
+        V = OM[:, L.feat_dim * L.in_dim :].reshape(self.n, L.n_classes, L.feat_dim)
+        return Z, V, Z @ V.swapaxes(1, 2)
+
+    @staticmethod
+    def _domain_logits(Z, PS):
+        # t = z . psi, the domain classifier's logit of every point, (N, n)
+        return (Z @ PS[:, :, None])[..., 0]
+
     def _dt(self, Z, PS):
-        s = _sigmoid((Z @ PS[:, :, None])[..., 0])
+        """d(loss)/dt of the domain terms, per point."""
+        s = _sigmoid(self._domain_logits(Z, PS))
         return np.where(self.labeled, -self.nu * s, self.nu * (1.0 - s))
+
+    def values(self, OM, PS):
+        Z, _, logits = self._forward(OM)
+        T = self._domain_logits(Z, PS)
+        out = np.empty(self.n)
+        for r, o in enumerate(self.objectives):
+            t, lab, total = T[r], o._labeled, 0.0
+            if o._lab_idx.size:
+                lab_logits = logits[r][o._lab_idx]
+                lse = np.logaddexp.reduce(lab_logits, axis=1)
+                picked = lab_logits[o._lab_rows, o._lab_y]
+                total += float(np.sum(lse - picked))  # cross-entropy
+                total += float(np.sum(-self.nu * _softplus(t[lab])))  # nu*log(1-h)
+            if (~lab).any():
+                total += float(np.sum(-self.nu * _softplus(-t[~lab])))  # nu*log(h)
+            out[r] = o.alpha * total
+        return out
 
     def _finish(self, G: np.ndarray, rows) -> np.ndarray:
         # rows left out read zero and never raise; evaluated rows raise as vector() would
@@ -518,9 +516,7 @@ class _StackedDomainAdapt(StackedObjectives):
         L = self.layout
         nw, d1 = L.feat_dim * L.in_dim, L.d1
         OM, PS = points[:, :d1], points[:, d1:]
-        Z = self._features(OM)
-        V = OM[:, nw:].reshape(self.n, L.n_classes, L.feat_dim)
-        logits = Z @ V.swapaxes(1, 2)
+        Z, V, logits = self._forward(OM)
         # the row max class by class: max is exact, so any order gives the reduction's bits
         top = logits[..., :1]
         for k in range(1, L.n_classes):
@@ -530,7 +526,7 @@ class _StackedDomainAdapt(StackedObjectives):
         dlogits = np.where(self.labeled[..., None], p - self.onehot, 0.0)
         dt = self._dt(Z, PS)
         dZ = dlogits @ V + dt[:, :, None] * PS[:, None, :]
-        # [gW | gV | g_psi] in one buffer, as pack_omega lays out the omega block
+        # [gW | gV | g_psi] in one buffer, the omega block laid out as unpack_omega reads it
         G = np.empty((self.n, d1 + L.d2))
         G[:, :nw] = (self.alpha * (dZ.swapaxes(1, 2) @ self.X)).reshape(self.n, -1)
         G[:, nw:d1] = (self.alpha * (dlogits.swapaxes(1, 2) @ Z)).reshape(self.n, -1)
@@ -554,9 +550,10 @@ def stacked(objectives: Sequence[LocalObjective]) -> StackedObjectives:
 
     Plain QuadraticSaddle lists get batched matmuls. Plain
     DomainAdaptObjective lists with one layout, one nu and one shard size get
-    batched gradients. Any other list (unequal shards, MeanObjective,
-    subclasses) takes the per-row view, which calls each objective. A caller
-    that evaluates the same objectives again keeps the view it got.
+    batched values and gradients. Any other list (unequal shards,
+    MeanObjective, subclasses) takes the per-row view, which calls each
+    objective. A caller that evaluates the same objectives again keeps the
+    view it got.
     """
     objs = tuple(objectives)
     if objs and _equal_dann_shards(objs):

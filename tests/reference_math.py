@@ -1,0 +1,84 @@
+"""Independent per-client references for the objectives' math.
+
+The objectives compute through their stacked views, so comparing a view
+with an objective's own methods only shows that the rows are independent.
+These are the formulas written out for one client at one point in plain
+numpy: boolean-mask indexing of the labeled points, a two-pass softmax with
+the row max subtracted, and 1-D matrix-vector products. Each returns what
+the objective's method returns, bit for bit.
+"""
+
+import numpy as np
+
+from fedmm.objectives import SOURCE
+
+
+def _softplus(t):
+    return np.logaddexp(0.0, t)
+
+
+def _dann_forward(obj, om, ps):
+    W, V = obj.layout.unpack_omega(np.asarray(om))
+    Z = obj.dataset.X @ W.T
+    return V, Z, Z @ V.T, Z @ ps
+
+
+def _dann_dt(obj, t):
+    lab = obj.dataset.domain == SOURCE
+    s = np.exp(-_softplus(-t))
+    return np.where(lab, -obj.nu * s, obj.nu * (1.0 - s))
+
+
+def dann_value(obj, om, ps):
+    """alpha * (cross-entropy + nu*log(1-h) over labeled points + nu*log(h) over the rest)."""
+    ds = obj.dataset
+    lab = ds.domain == SOURCE
+    _, _, logits, t = _dann_forward(obj, om, ps)
+    total = 0.0
+    if lab.any():
+        lab_logits = logits[lab]
+        picked = lab_logits[np.arange(lab.sum()), ds.y[lab]]
+        total += float(np.sum(np.logaddexp.reduce(lab_logits, axis=1) - picked))
+        total += float(np.sum(-obj.nu * _softplus(t[lab])))
+    if (~lab).any():
+        total += float(np.sum(-obj.nu * _softplus(-t[~lab])))
+    return obj.alpha * total
+
+
+def dann_grads(obj, om, ps):
+    """Both DANN gradient blocks from one forward/backward pass."""
+    ds = obj.dataset
+    lab = ds.domain == SOURCE
+    V, Z, logits, t = _dann_forward(obj, om, ps)
+    dlogits = np.zeros_like(logits)
+    if lab.any():
+        shifted = logits[lab] - logits[lab].max(axis=1, keepdims=True)
+        p = np.exp(shifted)
+        p /= p.sum(axis=1, keepdims=True)
+        p[np.arange(lab.sum()), ds.y[lab]] -= 1.0
+        dlogits[lab] = p
+    dt = _dann_dt(obj, t)
+    gV = obj.alpha * (dlogits.T @ Z)
+    dZ = dlogits @ V + dt[:, None] * ps[None, :]
+    gW = obj.alpha * (dZ.T @ ds.X)
+    return np.concatenate([gW.reshape(-1), gV.reshape(-1)]), obj.alpha * (Z.T @ dt)
+
+
+def dann_grad_psi(obj, om, ps):
+    """The psi block alone: the features and dt, no predictor pass."""
+    _, Z, _, t = _dann_forward(obj, om, ps)
+    return obj.alpha * (Z.T @ _dann_dt(obj, t))
+
+
+def quad_value(obj, om, ps):
+    return float(
+        0.5 * om @ obj.A @ om + om @ obj.B @ ps - 0.5 * ps @ obj.C @ ps + obj.a @ om + obj.c @ ps
+    )
+
+
+def quad_grad_omega(obj, om, ps):
+    return obj.A @ om + obj.B @ ps + obj.a
+
+
+def quad_grad_psi(obj, om, ps):
+    return obj.B.T @ om - obj.C @ ps + obj.c

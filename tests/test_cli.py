@@ -6,9 +6,18 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from fedmm.cli import _SCHEMA, ConfigError, _write_atomic, main, parse_config
-from fedmm.federation import run_experiment
+from fedmm.cli import _AXES, _SCHEMA, ConfigError, _write_atomic, main, parse_config
+from fedmm.core import HyperParams, seeded_rng
+from fedmm.federation import (
+    ExperimentConfig,
+    PartitionMode,
+    PartitionSpec,
+    ProblemKind,
+    run_experiment,
+)
+from fedmm.objectives import save_dataset, save_quadratic_specs
 from fedmm.optim import OptimizerKind
+from fedmm.problems import domain_shift_toy, synthetic_quadratic_specs
 
 MINIMAL = """\
 # minimal quadratic run
@@ -303,6 +312,132 @@ class TestConfigFuzz:
         assert main(["run", "--config", str(cfg_path)]) in (0, 2, 3, 4)
 
 
+# values each axis accepts, some in non-canonical spellings
+_AXIS_VALUES = {
+    "optimizer": ["fedmm", "FedSGDA", "central_gda", "fedprox_gda", " fedavg_gda "],
+    "partition_p": ["0", "0.5", "1.0", "1", "-0.0", "1e-300"],
+    "local_steps": ["1", "2", "010", "١٢"],
+}
+_SWEEP_JUNK = st.one_of(
+    st.integers(-2, 30).map(str),
+    st.sampled_from([
+        "0.0", "1.5", "nan", "inf", "-inf", "1e999", "fedmm", "ünï", "١٢", "∞", "½", "-",
+        "--set", "a\x00b",
+    ]),
+    st.text(st.characters(exclude_characters=",", exclude_categories=("Cs",)), max_size=6),
+)
+
+
+@st.composite
+def _sweeps(draw):
+    """(axis, values): half the time only values the axis accepts, else any mix with junk."""
+    axis = draw(st.sampled_from(_AXES))
+    valid = st.sampled_from(_AXIS_VALUES[axis])
+    values = draw(st.one_of(
+        st.lists(valid, min_size=1, max_size=3), st.lists(st.one_of(valid, _SWEEP_JUNK), max_size=3)
+    ))
+    return axis, values
+
+
+class TestSweepFuzz:
+    @settings(
+        max_examples=40, deadline=None, derandomize=True, database=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        problem=st.sampled_from(["quadratic", "domain_adapt"]),
+        sweep=_sweeps(),
+        local_steps=st.sampled_from(["2", "2,3"]),
+    )
+    def test_sweep_ends_in_a_known_exit_code(self, tmp_path, monkeypatch, problem, sweep, local_steps):
+        """Any axis values end in exit 0 to 4; no exception escapes main()."""
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("FEDMM_SEED", raising=False)
+        text = (
+            f"optimizer = fedmm\nproblem = {problem}\nproblem.n_clients = 2\n"
+            "problem.n_per_domain = 6\nproblem.holdout_n = 4\n"
+            f"hyper.rounds = 1\nhyper.local_steps = {local_steps}\n"
+            f"output_path = {tmp_path / 'out.csv'}\n"
+        )
+        axis, values = sweep
+        argv = ["sweep", "--config", str(write(tmp_path, text, "fuzz.cfg")), "--axis", axis]
+        assert main(argv + ["--values=" + ",".join(values)]) in range(5)
+
+
+# a mode's client count, which PartitionSpec requires
+_MODE_CLIENTS = {
+    PartitionMode.TWO_CLIENT_P: 2,
+    PartitionMode.ONE_SOURCE_ONE_TARGET: 2,
+    PartitionMode.ONE_SOURCE_TWO_TARGET: 3,
+    PartitionMode.TWO_SOURCE_ONE_TARGET: 3,
+}
+_POSITIVE = st.floats(min_value=1e-8, max_value=1e8)
+_NONNEGATIVE = st.one_of(st.just(0.0), _POSITIVE)
+
+
+@st.composite
+def _configs(draw):
+    """(a valid config with one local_steps entry, whether to give it a problem file)."""
+    mode = draw(st.sampled_from(PartitionMode))
+    hyper = HyperParams(
+        mu1=draw(_POSITIVE), mu2=draw(_POSITIVE), eta1=draw(_POSITIVE), eta2=draw(_POSITIVE),
+        eta3=draw(st.floats(min_value=1e-3, max_value=1.0)), nu=draw(_NONNEGATIVE),
+        local_steps=(draw(st.integers(1, 50)),), rounds=draw(st.integers(0, 10**6)),
+        prox_mu=draw(_NONNEGATIVE), tol=draw(_POSITIVE), local_tol=draw(_NONNEGATIVE),
+        local_max_iters=draw(st.integers(1, 10**6)),
+    )
+    return ExperimentConfig(
+        optimizer=draw(st.sampled_from(OptimizerKind)),
+        problem=draw(st.sampled_from(ProblemKind)),
+        hyper=hyper,
+        partition=PartitionSpec(_MODE_CLIENTS[mode], draw(st.floats(0.0, 1.0)), mode),
+        seed=draw(st.integers(0, 2**63)),
+        metrics_every=draw(st.integers(1, 1000)),
+        output_path=draw(st.sampled_from(["run.csv", "out/a b.csv", "ünï.csv"])),
+        quad_n_clients=draw(st.integers(1, 64)),
+        quad_d1=draw(st.integers(1, 64)),
+        quad_d2=draw(st.integers(1, 64)),
+        toy_n_per_domain=draw(st.integers(1, 500)),
+        toy_holdout_n=draw(st.integers(1, 500)),
+        batch_size=draw(st.integers(0, 500)),
+    ), draw(st.booleans())
+
+
+def _as_text(echo: dict) -> str:
+    """An echo written back as `key = value` lines; an unset problem.file has no line."""
+    lines = []
+    for key, value in echo.items():
+        if value is None:
+            continue
+        if isinstance(value, tuple):
+            value = ",".join(map(str, value))
+        lines.append(f"{key} = {value!r}" if isinstance(value, float) else f"{key} = {value}")
+    return "\n".join(lines) + "\n"
+
+
+class TestConfigEcho:
+    def test_echo_names_every_config_key(self):
+        assert set(ExperimentConfig(OptimizerKind.FEDMM, ProblemKind.QUADRATIC).echo()) == set(_SCHEMA)
+
+    @settings(
+        max_examples=30, deadline=None, derandomize=True, database=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(drawn=_configs())
+    def test_echo_parses_back_to_the_same_config(self, tmp_path, monkeypatch, drawn):
+        monkeypatch.delenv("FEDMM_SEED", raising=False)
+        config, with_file = drawn
+        if with_file:
+            path = tmp_path / f"{config.problem.value}.txt"
+            if config.problem is ProblemKind.QUADRATIC:
+                save_quadratic_specs(path, synthetic_quadratic_specs(2))
+            else:
+                train, _, layout = domain_shift_toy(seeded_rng(5), n_per_domain=12, holdout_n=4)
+                save_dataset(path, train, layout.n_classes)
+            config = ExperimentConfig(**{**vars(config), "problem_file": str(path)})
+        assert parse_config(write(tmp_path, _as_text(config.echo()))) == config
+
+
 class TestWriteAtomic:
     def test_other_writers_temp_file_untouched(self, tmp_path):
         out = tmp_path / "run.csv"
@@ -419,6 +554,19 @@ class TestCmdSweep:
         err = capsys.readouterr().err
         assert err.startswith("config error: --values:")
         assert f"{first!r} and {second!r}" in err
+        assert not list(tmp_path.glob("sweep_*"))  # nothing ran
+
+    def test_value_whose_config_fails_the_checks_is_a_config_error(self, tmp_path, capsys):
+        # central_gda runs one pooled client, which two local_steps entries do not fit
+        cfg_path = write(tmp_path, QUAD_RUN.format(out=tmp_path / "base.csv"))
+        rc = main([
+            "sweep", "--config", str(cfg_path),
+            "--set", "problem.n_clients=2", "--set", "hyper.local_steps=20,30",
+            "--axis", "optimizer", "--values", "fedmm,central_gda",
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --values: 'central_gda': hyper.local_steps:")
         assert not list(tmp_path.glob("sweep_*"))  # nothing ran
 
     def test_unparseable_value_is_a_config_error(self, tmp_path, capsys):

@@ -34,6 +34,7 @@ from fedmm.objectives import (
 )
 from fedmm.optim import Federation, OptimizerKind, run_round
 from fedmm.problems import domain_shift_toy, synthetic_quadratic_specs
+from reference_math import quad_grad_omega, quad_grad_psi
 
 K = OptimizerKind
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -267,10 +268,10 @@ class TestStackedView:
         objs = quadratics(6)
         rng = seeded_rng(3)
         OM, PS = rng.standard_normal((6, 4)), rng.standard_normal((6, 3))
-        G_OM, G_PS = stacked(objs).grads(OM, PS)
+        G = stacked(objs).joint_grads(np.hstack((OM, PS)))
         for r, o in enumerate(objs):
-            assert np.array_equal(G_OM[r], o.grad_omega(OM[r], PS[r]))
-            assert np.array_equal(G_PS[r], o.grad_psi(OM[r], PS[r]))
+            assert np.array_equal(G[r, :4], quad_grad_omega(o, OM[r], PS[r]))
+            assert np.array_equal(G[r, 4:], quad_grad_psi(o, OM[r], PS[r]))
 
     def test_subclasses_take_the_per_row_path(self):
         class Scaled(QuadraticSaddle):
@@ -280,9 +281,9 @@ class TestStackedView:
         spec = synthetic_quadratic_specs(1)[0]
         view = stacked([Scaled(spec), QuadraticSaddle(spec)])
         assert type(view) is StackedObjectives
-        om, ps = np.ones((2, 4)), np.ones((2, 3))
-        G_OM, _ = view.grads(om, ps)
-        assert np.array_equal(G_OM[0], 2.0 * G_OM[1])
+        G = view.joint_grads(np.ones((2, 7)))
+        assert np.array_equal(G[0, :4], 2.0 * G[1, :4])
+        assert np.array_equal(G[0, 4:], G[1, 4:])
 
     @pytest.mark.parametrize(
         "objectives, view_type",
@@ -296,13 +297,10 @@ class TestStackedView:
     def test_masked_rows_read_zero(self, objectives, view_type):
         view = stacked(objectives())
         assert type(view) is view_type
-        d1, d2 = view.dims
-        G_OM, G_PS = view.grads(np.ones((3, d1)), np.ones((3, d2)), np.array([True, False, True]))
-        assert not G_OM[1].any() and not G_PS[1].any()
-        assert G_OM[0].any() and G_OM[2].any()
-        want_om, want_ps = view.grads(np.ones((3, d1)), np.ones((3, d2)))
-        assert np.array_equal(G_OM[[0, 2]], want_om[[0, 2]])
-        assert np.array_equal(G_PS[[0, 2]], want_ps[[0, 2]])
+        Z = np.ones((3, sum(view.dims)))
+        G = view.joint_grads(Z, np.array([True, False, True]))
+        assert not G[1].any() and G[0].any() and G[2].any()
+        assert np.array_equal(G[[0, 2]], view.joint_grads(Z)[[0, 2]])
 
     def test_built_once_per_set_of_objectives(self):
         # stacked() caches nothing; a run's record builds its view once and keeps it

@@ -27,6 +27,7 @@ from fedmm.core import (
 from fedmm.objectives import QuadraticSaddle, QuadraticSaddleSpec, _bars, _StackedQuadratic, stacked
 from fedmm.optim import Federation, OptimizerKind, fedmm_aggregate, local_solve, run_round
 from fedmm.problems import synthetic_quadratic_specs
+from reference_math import quad_grad_omega, quad_grad_psi
 
 K = OptimizerKind
 MULTI_STEP = (K.FEDMM, K.FEDAVG_GDA, K.FEDPROX_GDA)
@@ -73,7 +74,8 @@ def per_block_round(kind, objs, lam, beta, gp, hp, t, local_tol):
         G_OM, G_PS = np.zeros(OM.shape), np.zeros(PS.shape)
         for r, obj in enumerate(objs):
             if rows is None or rows[r]:
-                G_OM[r], G_PS[r] = obj.grads(OM[r], PS[r])
+                G_OM[r] = quad_grad_omega(obj, OM[r], PS[r])
+                G_PS[r] = quad_grad_psi(obj, OM[r], PS[r])
         if kind is K.FEDMM:
             return G_OM + lam + hp.mu1 * (OM - gp.omega), G_PS - beta - hp.mu2 * (PS - gp.psi)
         if kind is K.FEDPROX_GDA and hp.prox_mu != 0.0:

@@ -23,6 +23,14 @@ from fedmm.objectives import (
     stacked,
 )
 from fedmm.problems import domain_shift_toy, synthetic_quadratic_specs
+from reference_math import (
+    dann_grad_psi,
+    dann_grads,
+    dann_value,
+    quad_grad_omega,
+    quad_grad_psi,
+    quad_value,
+)
 
 
 def scalar_saddle():
@@ -186,29 +194,6 @@ class TestDomainAdaptObjective:
         assert np.array_equal(obj.grad_omega(om, ps), obj.grad_omega(om, ps))
 
 
-def reference_dann_grads(obj, om, ps):
-    """Both DANN gradient blocks, two-pass style with boolean-mask indexing."""
-    ds = obj.dataset
-    lab = ds.domain == SOURCE
-    W, V = obj.layout.unpack_omega(om)
-    Z = ds.X @ W.T
-    logits = Z @ V.T
-    t = Z @ ps
-    s = np.exp(-np.logaddexp(0.0, -t))
-    dlogits = np.zeros_like(logits)
-    if lab.any():
-        shifted = logits[lab] - logits[lab].max(axis=1, keepdims=True)
-        p = np.exp(shifted)
-        p /= p.sum(axis=1, keepdims=True)
-        p[np.arange(lab.sum()), ds.y[lab]] -= 1.0
-        dlogits[lab] = p
-    dt = np.where(lab, -obj.nu * s, obj.nu * (1.0 - s))
-    gV = obj.alpha * (dlogits.T @ Z)
-    dZ = dlogits @ V + dt[:, None] * ps[None, :]
-    gW = obj.alpha * (dZ.T @ ds.X)
-    return np.concatenate([gW.reshape(-1), gV.reshape(-1)]), obj.alpha * (Z.T @ dt)
-
-
 class SingleBlockOnly(LocalObjective):
     """Test-only objective defining just the single-block gradient methods."""
 
@@ -257,7 +242,7 @@ class TestFusedGrads:
         om = vector(rng.standard_normal(layout.d1))
         ps = vector(rng.standard_normal(layout.d2))
         got = obj.grads(om, ps)
-        for g, want in zip(got, reference_dann_grads(obj, om, ps)):
+        for g, want in zip(got, dann_grads(obj, om, ps)):
             assert np.array_equal(g, want)
             assert not g.flags.writeable
 
@@ -271,6 +256,44 @@ class TestFusedGrads:
     def test_default_for_single_block_subclass(self):
         obj = SingleBlockOnly(QuadraticSaddle(synthetic_quadratic_specs(1)[0]))
         assert_grads_match_single_blocks(obj, 31)
+
+
+def one_row_objective(kind):
+    """A built-in objective and its (value, grad_omega, grad_psi) references."""
+    if kind == "quadratic":
+        obj = QuadraticSaddle(synthetic_quadratic_specs(1, 5, 3)[0])
+        return obj, (quad_value, quad_grad_omega, quad_grad_psi)
+    train, _, layout = domain_shift_toy(seeded_rng(30), n_per_domain=12, holdout_n=4)
+    obj = DomainAdaptObjective(train, nu=0.4, layout=layout)
+    return obj, (dann_value, lambda o, om, ps: dann_grads(o, om, ps)[0], dann_grad_psi)
+
+
+class TestOneRowViews:
+    """Each built-in objective computes through a one-row stacked view of itself."""
+
+    @pytest.mark.parametrize("kind", ["quadratic", "dann"])
+    def test_methods_equal_the_reference(self, kind):
+        obj, (value, grad_omega, grad_psi) = one_row_objective(kind)
+        d1, d2 = obj.dims
+        rng = seeded_rng(31)
+        for _ in range(5):
+            om, ps = rng.standard_normal(d1), rng.standard_normal(d2)
+            want = (grad_omega(obj, om, ps), grad_psi(obj, om, ps))
+            # array-likes work as well as arrays
+            for args in ((om, ps), (om.tolist(), ps.tolist())):
+                assert obj.value(*args) == value(obj, om, ps)
+                got = (obj.grad_omega(*args), obj.grad_psi(*args))
+                for g, w in zip(got + obj.grads(*args), want + want):
+                    assert np.array_equal(g, w) and not g.flags.writeable
+
+    @pytest.mark.parametrize("kind", ["quadratic", "dann"])
+    def test_view_is_built_on_first_use_and_kept(self, kind):
+        obj, _ = one_row_objective(kind)
+        assert "_view" not in vars(obj)
+        obj.value(np.zeros(obj.dims[0]), np.zeros(obj.dims[1]))
+        view = vars(obj)["_view"]
+        obj.grads(np.ones(obj.dims[0]), np.ones(obj.dims[1]))
+        assert obj._view is view and view.n == 1
 
 
 class TestInnerMax:

@@ -1,8 +1,10 @@
-"""The batched DANN view against each objective's own gradients.
+"""The batched DANN view against an independent per-client reference.
 
 `stacked()` gives plain DomainAdaptObjective clients with one layout, one nu
-and one shard size a batched forward/backward pass. Every comparison is exact
-(np.array_equal): batching must not change a single bit of any row.
+and one shard size a batched forward/backward pass, and each objective's own
+methods are a one-row call of the same view. Every comparison is exact
+(np.array_equal) against the plain-numpy formulas of `reference_math`:
+batching must not change a single bit of any row.
 """
 
 import numpy as np
@@ -22,6 +24,7 @@ from fedmm.objectives import (
     _StackedDomainAdapt,
     stacked,
 )
+from reference_math import dann_grad_psi, dann_grads, dann_value
 
 PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 LABELING = ("labeled", "unlabeled", "mixed")
@@ -54,13 +57,16 @@ def instance(n_clients, in_dim, feat_dim, n_classes, n_points, labelings, seed, 
 
 
 def per_row(objs, OM, PS, rows=None):
-    """Each objective's own grads and grad_psi, one row after the other; masked rows read zero."""
-    G_OM, G_PS, G_psi = np.zeros(OM.shape), np.zeros(PS.shape), np.zeros(PS.shape)
+    """The reference's joint gradient rows and psi blocks, one client after the other.
+
+    Rows left out of the mask read zero.
+    """
+    G, G_psi = np.zeros((len(objs), OM.shape[1] + PS.shape[1])), np.zeros(PS.shape)
     for r, o in enumerate(objs):
-        G_psi[r] = o.grad_psi(OM[r], PS[r])
+        G_psi[r] = dann_grad_psi(o, OM[r], PS[r])
         if rows is None or rows[r]:
-            G_OM[r], G_PS[r] = o.grads(OM[r], PS[r])
-    return G_OM, G_PS, G_psi
+            G[r] = np.concatenate(dann_grads(o, OM[r], PS[r]))
+    return G, G_psi
 
 
 @PROPERTY
@@ -85,12 +91,17 @@ def test_batched_gradients_equal_the_per_row_ones(
     view = stacked(objs)
     assert type(view) is _StackedDomainAdapt
     rows = np.array(mask[:n_clients])
-    for rows_arg in (None, rows):
-        want_om, want_ps, want_psi = per_row(objs, OM, PS, rows_arg)
-        got_om, got_ps = view.grads(OM, PS, rows_arg)
-        assert np.array_equal(got_om, want_om) and np.array_equal(got_ps, want_ps)
+    for rows_arg in (rows, None):
+        want, want_psi = per_row(objs, OM, PS, rows_arg)
+        assert np.array_equal(view.joint_grads(np.hstack((OM, PS)), rows_arg), want)
     assert np.array_equal(view.grad_psi(OM, PS), want_psi)
-    assert np.array_equal(view.values(OM, PS), [o.value(OM[r], PS[r]) for r, o in enumerate(objs)])
+    want_values = [dann_value(o, OM[r], PS[r]) for r, o in enumerate(objs)]
+    assert np.array_equal(view.values(OM, PS), want_values)
+    # each objective alone is a one-row call of its own view
+    for r, o in enumerate(objs):
+        assert np.array_equal(np.concatenate(o.grads(OM[r], PS[r])), want[r])
+        assert np.array_equal(o.grad_psi(OM[r], PS[r]), want_psi[r])
+        assert o.value(OM[r], PS[r]) == want_values[r]
 
 
 def toy_clients(sizes=(30, 30), nu=0.5, layout=ModelLayout(2, 1, 2), cls=DomainAdaptObjective):
@@ -123,16 +134,21 @@ def test_equal_shards_take_the_batched_view():
     assert type(stacked(toy_clients(sizes=(30,)))) is _StackedDomainAdapt
 
 
-@pytest.mark.parametrize("method, scale", [("grads", 1e200), ("grad_psi", 1e308)])
-def test_nonfinite_gradient_raises_the_same_error_on_both_paths(method, scale):
+@pytest.mark.parametrize("block, scale", [("grads", 1e200), ("grad_psi", 1e308)])
+def test_nonfinite_gradient_raises_the_same_error_on_both_paths(block, scale):
+    """Both gradient blocks (joint_grads) or the psi block alone, per-row and batched."""
     objs = toy_clients()
     d1, d2 = objs[0].dims
     OM, PS = np.full((2, d1), scale), np.ones((2, d2))
+
+    def call(view):
+        return view.joint_grads(np.hstack((OM, PS))) if block == "grads" else view.grad_psi(OM, PS)
+
     with np.errstate(all="ignore"):
         with pytest.raises(ValueError) as want:
-            getattr(StackedObjectives(objs), method)(OM, PS)
+            call(StackedObjectives(objs))
         with pytest.raises(ValueError) as got:
-            getattr(stacked(objs), method)(OM, PS)
+            call(stacked(objs))
     assert str(got.value) == str(want.value)
     assert "non-finite" in str(want.value)
 
@@ -140,11 +156,10 @@ def test_nonfinite_gradient_raises_the_same_error_on_both_paths(method, scale):
 def test_a_masked_out_row_never_raises():
     objs = toy_clients()
     d1, d2 = objs[0].dims
-    OM, PS = np.ones((2, d1)), np.ones((2, d2))
-    OM[1] = 1e200  # only the row left out of the mask overflows
+    Z = np.ones((2, d1 + d2))
+    Z[1, :d1] = 1e200  # only the row left out of the mask overflows
     rows = np.array([True, False])
     with np.errstate(all="ignore"):
-        got = stacked(objs).grads(OM, PS, rows)
-        want = StackedObjectives(objs).grads(OM, PS, rows)
-    for g, w in zip(got, want):
-        assert np.array_equal(g, w) and not g[1].any()
+        got = stacked(objs).joint_grads(Z, rows)
+        want = StackedObjectives(objs).joint_grads(Z, rows)
+    assert np.array_equal(got, want) and not got[1].any()

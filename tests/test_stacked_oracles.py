@@ -7,7 +7,10 @@ generated quadratic instances include d2 = 1 with N >= 17, where numpy's
 reductions would switch to pairwise summation.
 """
 
+import math
+
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +19,7 @@ from fedmm.core import PrimalDualPair, seeded_rng, vector
 from fedmm.federation import PartitionSpec, consensus, partition_label_shift
 from fedmm.objectives import (
     DomainAdaptObjective,
+    LocalObjective,
     MeanObjective,
     QuadraticSaddle,
     QuadraticSaddleSpec,
@@ -73,7 +77,11 @@ def ref_mean(rows):
 
 
 def ref_mean_value(objs, om, ps):
-    return sum(o.value(om, ps) for o in objs) / len(objs)
+    """Client average of the values, a zero-started float loop (Python's sum() may compensate)."""
+    total = 0.0
+    for o in objs:
+        total += o.value(om, ps)
+    return total / len(objs)
 
 
 def ref_inner_max(objs, om, tol):
@@ -168,3 +176,36 @@ def test_subclasses_take_the_per_row_path_with_the_same_bits():
 
 def test_stacked_oracles_check():
     assert "bit-exact" in check_stacked_oracles()
+
+
+class Constant(LocalObjective):
+    """A client whose value is one fixed number everywhere."""
+
+    dims = (1, 1)
+
+    def __init__(self, c):
+        self.c = c
+
+    def value(self, omega, psi):
+        return self.c
+
+    def grad_omega(self, omega, psi):
+        return vector([0.0])
+
+    def grad_psi(self, omega, psi):
+        return vector([0.0])
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[-0.0], [-0.0, -0.0, -0.0], [1e16, 1.0, -1e16], [0.1] * 10, [-0.0, 2.5, -2.5]],
+)
+def test_mean_value_is_a_zero_started_loop(values):
+    objs = [Constant(c) for c in values]
+    zero = vector([0.0])
+    got = stacked(objs).mean_value(zero, zero)
+    want = ref_mean_value(objs, zero, zero)
+    assert type(got) is float
+    assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+    if values == [1e16, 1.0, -1e16]:
+        assert got == 0.0  # a compensated sum would give 1/3
