@@ -110,12 +110,10 @@ def check_identity_suite() -> str:
 
 def check_dual_recovery() -> str:
     objs = [QuadraticSaddle(s) for s in synthetic_quadratic_specs(2)]
-    hp = HyperParams(eta1=0.2, eta2=0.2)
+    hp = HyperParams(eta1=0.2, eta2=0.2, local_tol=1e-12)
     d1, d2 = objs[0].dims
     pair = PrimalDualPair(vector(np.zeros(d1)), vector(np.zeros(d2)))
-    fed, _, _ = local_solve(
-        OptimizerKind.FEDMM, Federation.initial(objs, pair), pair, hp, t=0, local_tol=1e-12
-    )
+    fed, _ = local_solve(OptimizerKind.FEDMM, Federation.initial(objs, pair), pair, hp)
     worst = max(local_solve_error(fed).tolist())
     if worst > 1e-8:
         raise AssertionError(f"dual recovery residual {worst:.3e} > 1e-8")
@@ -149,9 +147,9 @@ def check_equiv_fedprox_fedavg() -> str:
     pair = PrimalDualPair(vector(rng.standard_normal(d1)), vector(rng.standard_normal(d2)))
     hp = HyperParams(eta1=0.05, eta2=0.05, prox_mu=0.0, local_steps=(13,))
     fed = Federation.initial([obj], pair)
-    _, a_om, a_ps = local_solve(OptimizerKind.FEDAVG_GDA, fed, pair, hp)
-    _, b_om, b_ps = local_solve(OptimizerKind.FEDPROX_GDA, fed, pair, hp)
-    if not (np.array_equal(a_om, b_om) and np.array_equal(a_ps, b_ps)):
+    _, a = local_solve(OptimizerKind.FEDAVG_GDA, fed, pair, hp)
+    _, b = local_solve(OptimizerKind.FEDPROX_GDA, fed, pair, hp)
+    if not np.array_equal(a, b):
         raise AssertionError("FedProxGDA(prox_mu=0) differs from FedAvgGDA")
     return "outputs bit-exact"
 
@@ -200,12 +198,12 @@ def _assert_view(objs, view_type) -> None:
         raise AssertionError(f"shards of {sizes} points got {got.__name__}, not {view_type.__name__}")
 
 
-_OUTCOME = ("omega", "psi", "lam", "beta", "omega_out", "psi_out")
+_OUTCOME = ("omega", "psi", "lam", "beta", "upload")
 
 
-def _outcome(fed: Federation, *uploads) -> tuple:
+def _outcome(fed: Federation, upload: np.ndarray) -> tuple:
     # a round's arrays in _OUTCOME order
-    return (fed.omega, fed.psi, fed.lam, fed.beta, *uploads)
+    return (fed.omega, fed.psi, fed.lam, fed.beta, upload)
 
 
 def check_row_independence() -> str:
@@ -213,15 +211,15 @@ def check_row_independence() -> str:
     quad = [QuadraticSaddle(s) for s in synthetic_quadratic_specs(3)]
     dann_hp = HyperParams(eta1=0.1, eta2=0.25, nu=0.5, local_steps=(10,))
     cases = [
-        (quad, HyperParams(eta1=0.1, eta2=0.1, local_steps=(20, 20, 25)), None),
-        (quad, HyperParams(eta1=0.2, eta2=0.2), 1e-10),
+        (quad, HyperParams(eta1=0.1, eta2=0.1, local_steps=(20, 20, 25))),
+        (quad, HyperParams(eta1=0.2, eta2=0.2, local_tol=1e-10)),
     ]
     for objs, view_type in _dann_cases():
         _assert_view(objs, view_type)
-        cases.append((objs, dann_hp, None))
+        cases.append((objs, dann_hp))
     rng = seeded_rng(21)
     rows = 0
-    for objs, hp, local_tol in cases:
+    for objs, hp in cases:
         d1, d2 = objs[0].dims
         start = PrimalDualPair(
             vector(0.1 * rng.standard_normal(d1)), vector(0.1 * rng.standard_normal(d2))
@@ -229,13 +227,13 @@ def check_row_independence() -> str:
         for kind in (k for k in OptimizerKind if k is not OptimizerKind.CENTRAL_GDA):
             # one round first, so that FedMM's duals are no longer zero
             server = ServerState(start)
-            fed = run_round(kind, Federation.initial(objs, start), server, hp, local_tol=local_tol)
+            fed = run_round(kind, Federation.initial(objs, start), server, hp)
             gp, t = server.global_pair, server.round
-            whole = _outcome(*local_solve(kind, fed, gp, hp, t, local_tol))
+            whole = _outcome(*local_solve(kind, fed, gp, hp, t))
             for r, obj in enumerate(objs):
-                one = Federation(stacked([obj]), *(a[r : r + 1] for a in _outcome(fed)))
-                hp_r = replace(hp, local_steps=(hp.steps_for(r),))
-                alone = _outcome(*local_solve(kind, one, gp, hp_r, t, local_tol))
+                one = Federation(stacked([obj]), fed.Z[r : r + 1], fed.D[r : r + 1])
+                hp_r = replace(hp, local_steps=(hp.expanded(len(objs)).local_steps[r],))
+                alone = _outcome(*local_solve(kind, one, gp, hp_r, t))
                 for name, a, b in zip(_OUTCOME, whole, alone):
                     if not np.array_equal(a[r], b[0]):
                         raise AssertionError(

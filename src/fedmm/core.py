@@ -164,11 +164,6 @@ class HyperParams:
         if self.local_max_iters < 1:
             raise ValueError(f"local_max_iters must be >= 1, got {self.local_max_iters}")
 
-    def steps_for(self, client_id: int) -> int:
-        if len(self.local_steps) == 1:
-            return self.local_steps[0]
-        return self.local_steps[client_id]
-
     def expanded(self, n_clients: int) -> "HyperParams":
         """Replicate a single M entry to one per client."""
         if len(self.local_steps) == n_clients:

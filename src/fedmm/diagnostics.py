@@ -16,7 +16,7 @@ All checks are read-only: they never mutate optimizer state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -119,27 +119,25 @@ def run_identity_suite(
     hp: HyperParams,
     rounds: int,
     local_tol: float = 1e-10,
-    init: PrimalDualPair | None = None,
-    skip_first_step_identities: bool = True,
 ) -> list[IdentityReport]:
-    """Drive FedMM with run-to-tolerance local solves and check every round.
+    """Drive FedMM from the origin with local solves run to `local_tol`, and check every round.
 
-    The per-client step identities need the *previous* round to have been
-    solved to optimality, which is vacuous at round 0 (duals are zero there),
-    so they are skipped for the first round unless told otherwise.
+    local_tol replaces hp.local_tol. The per-client step identities need the
+    *previous* round to have been solved to optimality, which is vacuous at
+    round 0 (duals are zero there), so they are skipped for the first round.
     """
     d1, d2 = objectives[0].dims
-    pair = init or PrimalDualPair(vector(np.zeros(d1)), vector(np.zeros(d2)))
+    pair = PrimalDualPair(vector(np.zeros(d1)), vector(np.zeros(d2)))
     server = ServerState(pair)
     fed = Federation.initial(objectives, pair)
-    hp = hp.expanded(fed.n)
+    hp = replace(hp.expanded(fed.n), local_tol=local_tol)
 
     reports: list[IdentityReport] = []
     for t in range(rounds):
         before, global_before = fed, server.global_pair
-        fed = run_round(OptimizerKind.FEDMM, fed, server, hp, local_tol=local_tol)
+        fed = run_round(OptimizerKind.FEDMM, fed, server, hp)
         round_reports = check_identities(before, fed, global_before, hp, round_index=t)
-        if t == 0 and skip_first_step_identities:
+        if t == 0:
             round_reports = [r for r in round_reports if r.name.startswith("sum_")]
         reports.extend(round_reports)
     return reports

@@ -411,7 +411,6 @@ def run_experiment(config: ExperimentConfig) -> RunLog:
     server = ServerState(built.init_pair)
     fed = Federation.initial(built.sim_objectives, built.init_pair)
     oracle = fed.view if built.oracle is None else built.oracle
-    local_tol = hp.local_tol if hp.local_tol > 0 else None
 
     log = RunLog(config_echo=config.echo(), seed=config.seed)
     batch_rng = np.random.Generator(np.random.PCG64(batch_seq))
@@ -421,9 +420,9 @@ def run_experiment(config: ExperimentConfig) -> RunLog:
             # seeded minibatch mode: fresh per-round subsample of each shard
             batches = [shard.sample(batch_rng, config.batch_size) for shard in built.shards]
             view = stacked([DomainAdaptObjective(b, hp.nu, built.layout) for b in batches])
-            fed = Federation.joint(view, fed.Z, fed.D)
+            fed = Federation(view, fed.Z, fed.D)
         try:
-            fed = run_round(config.optimizer, fed, server, hp, local_tol=local_tol)
+            fed = run_round(config.optimizer, fed, server, hp)
         except DivergenceError as e:
             raise DivergenceError(f"round {t}: {e.where}", e.step) from e
 

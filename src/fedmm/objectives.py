@@ -5,7 +5,8 @@ plus grads(omega, psi) -> (grad_omega, grad_psi), which evaluates both
 blocks at one point. `stacked(objectives)` evaluates N clients at N points
 in one call, as the optimizers' client-stacked local solve needs: its
 joint_grads takes (N, d1 + d2) joint rows [omega | psi] and returns the
-gradients as joint rows [grad_omega | grad_psi] in one buffer. The same view
+gradients as joint rows [grad_omega | grad_psi] in one buffer, every row
+evaluated (the optimizers mask rows in their step, not here). The same view
 gives the per-round metric oracles their client averages (the global loss,
 MeanObjective, inner_max and the phi oracle), summed in client order by one
 `row_sum` call.
@@ -32,6 +33,7 @@ nu*log(h(z)), with z = W x the extracted feature.
 from __future__ import annotations
 
 import functools
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path
@@ -83,7 +85,7 @@ class QuadraticSaddleSpec:
 
 
 class QuadraticSaddle(LocalObjective):
-    def __init__(self, spec: QuadraticSaddleSpec, min_curvature: float = 0.0):
+    def __init__(self, spec: QuadraticSaddleSpec):
         A = np.array(spec.A, dtype=np.float64)
         B = np.array(spec.B, dtype=np.float64)
         C = np.array(spec.C, dtype=np.float64)
@@ -99,11 +101,8 @@ class QuadraticSaddle(LocalObjective):
         if not np.allclose(C, C.T, atol=1e-12):
             raise ValueError("C must be symmetric")
         lam_min = float(np.linalg.eigvalsh(C).min())
-        if lam_min <= min_curvature:
-            raise ValueError(
-                f"C is not positive definite enough: smallest eigenvalue {lam_min:.6e} "
-                f"(required > {min_curvature:.6e})"
-            )
+        if lam_min <= 0.0:
+            raise ValueError(f"C is not positive definite: smallest eigenvalue {lam_min:.6e}")
         for m in (A, B, C):
             m.flags.writeable = False
         self.A, self.B, self.C, self.a, self.c = A, B, C, a, c
@@ -328,26 +327,17 @@ class StackedObjectives:
         self.dims = _common_dims(objectives)
         self.n = len(objectives)
         self.objectives = tuple(objectives)
-        # duck-typed objectives with only the single-block methods get the default grads
-        self._grads = [
-            getattr(o, "grads", None) or functools.partial(LocalObjective.grads, o)
-            for o in self.objectives
-        ]
 
     def values(self, OM: np.ndarray, PS: np.ndarray) -> np.ndarray:
         """Row r's objective value at (OM[r], PS[r]), shape (N,)."""
         return np.array([o.value(OM[r], PS[r]) for r, o in enumerate(self.objectives)])
 
-    def joint_grads(self, Z: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
-        """[G_OM | G_PS] at the (N, d1 + d2) joint points [OM | PS], in one (N, d1 + d2) array.
-
-        `rows` masks the rows to evaluate; rows left out of the mask read zero.
-        """
+    def joint_grads(self, Z: np.ndarray) -> np.ndarray:
+        """[G_OM | G_PS] at the (N, d1 + d2) joint points [OM | PS], in one (N, d1 + d2) array."""
         d1 = self.dims[0]
-        G = (np.empty if rows is None else np.zeros)(Z.shape)
-        for r, grads in enumerate(self._grads):
-            if rows is None or rows[r]:
-                G[r, :d1], G[r, d1:] = grads(Z[r, :d1], Z[r, d1:])
+        G = np.empty(Z.shape)
+        for r, obj in enumerate(self.objectives):
+            G[r, :d1], G[r, d1:] = obj.grads(Z[r, :d1], Z[r, d1:])
         return G
 
     def grad_psi(self, OM: np.ndarray, PS: np.ndarray) -> np.ndarray:
@@ -421,14 +411,14 @@ class _StackedQuadratic(StackedObjectives):
             + row_dot(self.c, PS)
         )
 
-    def joint_grads(self, Z, rows=None):
+    def joint_grads(self, Z):
         # both blocks into one buffer; the matmuls read the joint rows' blocks in place
         d1 = self.dims[0]
         OM, PS = Z[:, :d1], Z[:, d1:]
         G = np.empty(Z.shape)
         G[:, :d1] = self.grad_omega(OM, PS)
         G[:, d1:] = self.grad_psi(OM, PS)
-        return G if rows is None else np.where(rows[:, None], G, 0.0)
+        return G
 
     def grad_omega(self, OM, PS):
         """A om + B ps + a, (N, d1)."""
@@ -505,14 +495,7 @@ class _StackedDomainAdapt(StackedObjectives):
             out[r] = o.alpha * total
         return out
 
-    def _finish(self, G: np.ndarray, rows) -> np.ndarray:
-        # rows left out read zero and never raise; evaluated rows raise as vector() would
-        if rows is not None:
-            G = np.where(rows[:, None], G, 0.0)
-        require_finite(G)
-        return G
-
-    def joint_grads(self, points, rows=None):
+    def joint_grads(self, points):
         L = self.layout
         nw, d1 = L.feat_dim * L.in_dim, L.d1
         OM, PS = points[:, :d1], points[:, d1:]
@@ -531,12 +514,14 @@ class _StackedDomainAdapt(StackedObjectives):
         G[:, :nw] = (self.alpha * (dZ.swapaxes(1, 2) @ self.X)).reshape(self.n, -1)
         G[:, nw:d1] = (self.alpha * (dlogits.swapaxes(1, 2) @ Z)).reshape(self.n, -1)
         G[:, d1:] = (self.alpha * (Z.swapaxes(1, 2) @ dt[:, :, None]))[..., 0]
-        return self._finish(G, rows)
+        require_finite(G)  # as vector() would on the per-row view
+        return G
 
     def grad_psi(self, OM, PS):
         Z = self._features(OM)
         G_PS = (self.alpha * (Z.swapaxes(1, 2) @ self._dt(Z, PS)[:, :, None]))[..., 0]
-        return self._finish(G_PS, None)
+        require_finite(G_PS)
+        return G_PS
 
 
 def _equal_dann_shards(objs: Sequence[LocalObjective]) -> bool:
@@ -615,7 +600,6 @@ def inner_max(
     tol: float,
     method: str = "auto",
     max_iters: int = 100_000,
-    psi0: Vector | None = None,
 ) -> Vector:
     """Maximize the view's client average over psi at fixed omega.
 
@@ -644,15 +628,18 @@ def inner_max(
         curv = max(o.ascent_curvature_bound(omega) for o in view.objectives)
     step = 1.0 / max(curv, 1e-12)
 
-    psi = np.array(psi0, dtype=np.float64) if psi0 is not None else np.zeros(view.dims[1])
-    g = view.mean_grad_psi(omega, psi)
-    gnorm = float(np.linalg.norm(g))
-    for _ in range(max_iters):
-        if gnorm <= tol:
-            return vector(psi)
-        psi = psi + step * g
+    psi, it = np.zeros(view.dims[1]), 0
+    try:
         g = view.mean_grad_psi(omega, psi)
         gnorm = float(np.linalg.norm(g))
+        while not gnorm <= tol and it < max_iters:
+            psi = psi + step * g
+            g = view.mean_grad_psi(omega, psi)
+            gnorm = float(np.linalg.norm(g))
+            it += 1
+    except ValueError:
+        # a non-finite ascent gradient is a failed solve, as the iteration cap is
+        raise ConvergenceError("inner_max gradient ascent", math.inf, it) from None
     if gnorm <= tol:
         return vector(psi)
     raise ConvergenceError("inner_max gradient ascent", gnorm, max_iters)

@@ -8,9 +8,14 @@ in signed per-column weights ([eta1 | -eta2] for the step, [mu1 | -mu2] or
 upload) and in the duals, kept as [lam | -beta]; so the penalty, the step,
 the dual step and the upload are each one expression over the joint row.
 Negation is exact, so this rounds as the two blocks would on their own. A
-rule table holds what the optimizers do differently. Between rounds the
-clients' state is one `Federation` record of such arrays, and aggregation
-sums the upload rows in client order.
+rule table holds what the optimizers do differently.
+
+`local_solve` is the one round function, and one loop serves both of its
+modes: fixed M_i steps, or FedMM's run-to-tolerance when hp.local_tol > 0.
+Each pass evaluates every row; once some row is done, the step's row mask
+keeps that row's iterate. Between rounds the clients' state is one
+`Federation` record of such arrays, and aggregation sums the (N, d1 + d2)
+upload rows in client order.
 """
 
 from __future__ import annotations
@@ -78,7 +83,7 @@ def joint_weights(a: float, b: float, d1: int, d2: int) -> np.ndarray:
     return _frozen(w)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class Federation:
     """Every client's state between rounds, one joint row per client.
 
@@ -93,23 +98,6 @@ class Federation:
     Z: np.ndarray
     D: np.ndarray
 
-    def __init__(self, view: StackedObjectives, omega, psi, lam, beta):
-        (d1, d2), n = view.dims, view.n
-        shapes = {np.shape(omega), np.shape(lam)}, {np.shape(psi), np.shape(beta)}
-        if shapes != ({(n, d1)}, {(n, d2)}):
-            raise ValueError(
-                f"{n} clients with dims {view.dims} need (N, d1) omega, lam and (N, d2) psi, beta"
-            )
-        Z, D = np.hstack((omega, psi)), np.hstack((lam, np.negative(beta)))
-        self.__dict__.update(view=view, Z=_frozen(Z), D=_frozen(D))
-
-    @classmethod
-    def joint(cls, view: StackedObjectives, Z: np.ndarray, D: np.ndarray) -> "Federation":
-        """The record of the frozen joint rows Z = [omega | psi] and D = [lam | -beta], as given."""
-        fed = cls.__new__(cls)
-        fed.__dict__.update(view=view, Z=Z, D=D)
-        return fed
-
     @classmethod
     def initial(cls, objectives: Sequence[LocalObjective], pair: PrimalDualPair) -> "Federation":
         """Round 0: every row at `pair`, every dual zero."""
@@ -119,7 +107,7 @@ class Federation:
         Z, D = np.empty((view.n, sum(view.dims))), np.zeros((view.n, sum(view.dims)))
         Z[:] = np.concatenate((pair.omega, pair.psi))
         D[:, view.dims[0] :] = -0.0  # beta = +0.0, kept as -beta
-        return cls.joint(view, _frozen(Z), _frozen(D))
+        return cls(view, _frozen(Z), _frozen(D))
 
     @property
     def n(self) -> int:
@@ -162,7 +150,7 @@ def _check_rows(Z: np.ndarray, where: str, step: int) -> None:
         raise
 
 
-def _local_grads(view: StackedObjectives, Z, rows, W, D, Z0) -> np.ndarray:
+def _local_grads(view: StackedObjectives, Z, W, D, Z0) -> np.ndarray:
     """Joint local-step gradients: f's plus the penalty, when the rule has one.
 
     al:   G + D + W*(Z - Z0), with D = [lam | -beta] and W = [mu1 | -mu2], which is
@@ -170,7 +158,7 @@ def _local_grads(view: StackedObjectives, Z, rows, W, D, Z0) -> np.ndarray:
     prox: G + W*(Z - Z0), with W = [prox_mu | -prox_mu]. No penalty adds no
     arithmetic at all, which keeps FedProxGDA(prox_mu=0) bit-exactly FedAvgGDA.
     """
-    G = view.joint_grads(Z, rows)
+    G = view.joint_grads(Z)
     if W is None:
         return G
     if D is None:
@@ -181,14 +169,23 @@ def _local_grads(view: StackedObjectives, Z, rows, W, D, Z0) -> np.ndarray:
 def _step(Z, E, G, rows):
     """One simultaneous GDA step Z - E*G, E = [eta1 | -eta2], of the rows in the mask.
 
-    Every row steps when the mask is None.
+    Every row steps when the mask is None; the others keep their Z, whatever G holds.
     """
     new = Z - E * G
     return new if rows is None else np.where(rows[:, None], new, Z)
 
 
-def _local_round(kind, fed, global_pair, hp, t, local_tol) -> tuple[Federation, np.ndarray]:
-    """local_solve's round on joint rows: the new record and the frozen (N, d1 + d2) uploads."""
+def local_solve(
+    kind: OptimizerKind, fed: Federation, global_pair: PrimalDualPair, hp: HyperParams, t: int = 0
+) -> tuple[Federation, np.ndarray]:
+    """One local round of `kind` for every client at once, starting from the globals.
+
+    Returns the federation after the round and the frozen (N, d1 + d2) upload
+    rows. A row stops after its client's M_i steps or, in FedMM's
+    run-to-tolerance mode (hp.local_tol > 0), once both local gradient norms
+    are at most hp.local_tol, capped by hp.local_max_iters. Every row's
+    gradient is evaluated at every step; only _step's mask keeps a finished row.
+    """
     rule = _RULES[kind]
     view, n = fed.view, fed.n
     if view.dims != global_pair.dims:
@@ -204,54 +201,38 @@ def _local_round(kind, fed, global_pair, hp, t, local_tol) -> tuple[Federation, 
         W = joint_weights(hp.prox_mu, hp.prox_mu, d1, d2)
     E = joint_weights(hp.eta1, hp.eta2, d1, d2)
 
-    if D is None or not local_tol or local_tol <= 0:
-        steps = np.array(hp.expanded(n).local_steps if rule.multi_step else (1,) * n)
-        fewest = steps.min()
-        for m in range(steps.max()):
-            rows = None if m < fewest else steps > m
-            Z = _step(Z, E, _local_grads(view, Z, rows, W, D, Z0), rows)
-            _check_rows(Z, rule.where, m)
-    else:
-        where = "fedmm local solve (client {})"
-        rows = None  # every row runs until one converges
+    tol = hp.local_tol if D is not None else 0.0
+    if tol > 0:
         # the last pass only evaluates: rows still above tolerance then fail
-        for m in range(hp.local_max_iters + 1):
-            G = _local_grads(view, Z, rows, W, D, Z0)
+        where, passes = "fedmm local solve (client {})", hp.local_max_iters + 1
+    else:
+        steps = np.array(hp.expanded(n).local_steps if rule.multi_step else (1,) * n)
+        where, passes, fewest = rule.where, steps.max(), steps.min()
+    rows = None  # every row steps until one is done
+    for m in range(passes):
+        G = _local_grads(view, Z, W, D, Z0)
+        if tol > 0:
             gn = np.maximum(row_norms(G[:, :d1]), row_norms(G[:, d1:]))
-            active = gn > local_tol if rows is None else rows & (gn > local_tol)
+            active = gn > tol if rows is None else rows & (gn > tol)
             if not active.any():
                 break
             if m == hp.local_max_iters:
                 r = np.flatnonzero(active)[0]
                 raise ConvergenceError(where.format(r), float(gn[r]), m)
             rows = None if active.all() else active
-            Z = _step(Z, E, G, rows)
-            _check_rows(Z, where, m)
+        else:
+            rows = None if m < fewest else steps > m
+        Z = _step(Z, E, G, rows)
+        _check_rows(Z, where, m)
 
     Z = _frozen(Z)
     if D is None:
-        return Federation.joint(view, Z, fed.D), Z
+        return Federation(view, Z, fed.D), Z
     # the dual step, then the dual-shifted upload Z + U*D with U = [decay/mu1 | -decay/mu2]
     D = _frozen(D + W * (Z - Z0))
     decay = hp.eta3**t
     U = joint_weights(decay / hp.mu1, decay / hp.mu2, d1, d2)
-    return Federation.joint(view, Z, D), _frozen(Z + U * D)
-
-
-def local_solve(
-    kind: OptimizerKind, fed: Federation, global_pair: PrimalDualPair,
-    hp: HyperParams, t: int = 0, local_tol: float | None = None,
-) -> tuple[Federation, np.ndarray, np.ndarray]:
-    """One local round of `kind` for every client at once, starting from the globals.
-
-    Returns the federation after the round and the frozen (N, d1) / (N, d2)
-    uploads. A row stops after its client's M_i steps or, in FedMM's
-    run-to-tolerance mode (local_tol > 0), once both local gradient norms are
-    at most local_tol, capped by hp.local_max_iters.
-    """
-    fed, up = _local_round(kind, fed, global_pair, hp, t, local_tol)
-    d1 = fed.view.dims[0]
-    return fed, up[:, :d1], up[:, d1:]
+    return Federation(view, Z, D), _frozen(Z + U * D)
 
 
 def fedmm_aggregate(uploads: np.ndarray, d1: int) -> PrimalDualPair:
@@ -264,14 +245,11 @@ def fedmm_aggregate(uploads: np.ndarray, d1: int) -> PrimalDualPair:
     return PrimalDualPair(vector(mean[:d1]), vector(mean[d1:]))
 
 
-def run_round(
-    kind: OptimizerKind, fed: Federation, server, hp: HyperParams,
-    local_tol: float | None = None,
-) -> Federation:
+def run_round(kind: OptimizerKind, fed: Federation, server, hp: HyperParams) -> Federation:
     """Advance one communication round of the chosen optimizer, mutating server."""
     if kind is OptimizerKind.CENTRAL_GDA and fed.n != 1:
         raise ValueError("central_gda expects a single pooled client")
-    fed, up = _local_round(kind, fed, server.global_pair, hp, server.round, local_tol)
+    fed, up = local_solve(kind, fed, server.global_pair, hp, server.round)
     server.global_pair = fedmm_aggregate(up, fed.view.dims[0])
     server.record_round(fed.n)
     return fed

@@ -155,9 +155,9 @@ class TestCriterion3OracleEquivalence:
         pair = PrimalDualPair(vector(rng.standard_normal(d1)), vector(rng.standard_normal(d2)))
         hp = HyperParams(eta1=0.04, eta2=0.04, prox_mu=0.0, local_steps=(17,))
         fed = Federation.initial([obj], pair)
-        _, a_om, a_ps = local_solve(OptimizerKind.FEDAVG_GDA, fed, pair, hp)
-        _, b_om, b_ps = local_solve(OptimizerKind.FEDPROX_GDA, fed, pair, hp)
-        ok = np.array_equal(a_om, b_om) and np.array_equal(a_ps, b_ps)
+        _, a = local_solve(OptimizerKind.FEDAVG_GDA, fed, pair, hp)
+        _, b = local_solve(OptimizerKind.FEDPROX_GDA, fed, pair, hp)
+        ok = np.array_equal(a, b)
         _line(3, "oracle_equivalence_fedprox_fedavg", ok)
         assert ok
 

@@ -1,6 +1,7 @@
 
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -242,6 +243,23 @@ class TestCmdRun:
         )
         rc = main(["run", "--config", str(write(tmp_path, text))])
         assert rc == 3
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    def test_non_finite_phi_oracle_ascent_empties_the_field(self, tmp_path, capsys):
+        # features at 1e100 overflow the oracle's ascent gradient: a failed solve, never a traceback
+        train, _, _ = domain_shift_toy(seeded_rng(0), 60, 4)
+        train.X = train.X * 1e100
+        data, out = tmp_path / "huge.txt", tmp_path / "huge.csv"
+        save_dataset(data, train, 2)
+        cfg = Path(__file__).resolve().parent.parent / "configs" / "label_shift_fedmm.cfg"
+        rc = main([
+            "run", "--config", str(cfg), "--set", f"problem.file={data}",
+            "--set", "optimizer=central_gda", "--set", "hyper.rounds=3",
+            "--set", f"output_path={out}",
+        ])
+        assert rc == 3
+        assert "status=diverged" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["", ".", "a\x00b"], ids=["empty", "dot", "nul"])

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,13 @@ from fedmm.diagnostics import (
     stationarity_series,
 )
 from fedmm.federation import RoundMetrics, RunLog
-from fedmm.objectives import QuadraticSaddle, QuadraticSaddleSpec, phi_value_and_grad, stacked
+from fedmm.objectives import (
+    LocalObjective,
+    QuadraticSaddle,
+    QuadraticSaddleSpec,
+    phi_value_and_grad,
+    stacked,
+)
 from fedmm.optim import Federation, OptimizerKind, run_round
 from fedmm.problems import synthetic_quadratic_specs
 
@@ -83,7 +91,7 @@ class TestFiniteDiffGrad:
             assert rel <= 1e-5
 
 
-class ZeroObjective:
+class ZeroObjective(LocalObjective):
     """Identically-zero objective: every state is stationary."""
 
     dims = (2, 2)
@@ -144,7 +152,7 @@ class TestCheckIdentities:
         before = fed
         gb = server.global_pair
         hp = HyperParams(eta1=0.2, eta2=0.2)
-        fed = run_round(OptimizerKind.FEDMM, fed, server, hp, local_tol=1e-12)
+        fed = run_round(OptimizerKind.FEDMM, fed, server, replace(hp, local_tol=1e-12))
         reports = {r.name: r for r in check_identities(before, fed, gb, hp, round_index=1)}
         assert not reports["step_identity_psi"].passed
         assert not reports["step_identity_omega"].passed
@@ -177,11 +185,17 @@ class TestCheckIdentities:
         server = ServerState(pair)
         hp = HyperParams(eta1=0.2, eta2=0.2)
         before = Federation.initial(objs, pair)
-        fed = run_round(OptimizerKind.FEDMM, before, server, hp, local_tol=1e-11)
+        fed = run_round(OptimizerKind.FEDMM, before, server, replace(hp, local_tol=1e-11))
         snap = [a.copy() for a in (fed.omega, fed.psi, fed.lam, fed.beta)]
         check_identities(before, fed, pair, hp)
         for a, want in zip((fed.omega, fed.psi, fed.lam, fed.beta), snap):
             assert np.array_equal(a, want)
+
+    def test_suite_tolerance_replaces_the_callers(self):
+        hp = HyperParams(eta1=0.2, eta2=0.2)
+        want = run_identity_suite(three_clients(), hp, rounds=3, local_tol=1e-10)
+        loose = replace(hp, local_tol=1e-3)
+        assert run_identity_suite(three_clients(), loose, rounds=3, local_tol=1e-10) == want
 
     def test_residuals_decay_with_local_tolerance(self):
         objs = three_clients()
@@ -201,7 +215,7 @@ class TestCheckIdentities:
         server = ServerState(pair)
         fed = run_round(
             OptimizerKind.FEDMM, Federation.initial(objs, pair), server,
-            HyperParams(eta1=0.2, eta2=0.2), local_tol=1e-12,
+            HyperParams(eta1=0.2, eta2=0.2, local_tol=1e-12),
         )
         for r, obj in enumerate(objs):
             om, ps = fed.omega[r], fed.psi[r]

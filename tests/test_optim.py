@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -59,19 +61,18 @@ def al_grads(obj, pair, lam, beta, global_pair, hp):
     """FedMM's local-step gradients (the augmented Lagrangian's) of one client at `pair`."""
     d1, d2 = obj.dims
     G = _local_grads(
-        stacked([obj]), np.concatenate((pair.omega, pair.psi))[None], None,
+        stacked([obj]), np.concatenate((pair.omega, pair.psi))[None],
         joint_weights(hp.mu1, hp.mu2, d1, d2), np.concatenate((lam, -beta))[None],
         np.concatenate((global_pair.omega, global_pair.psi)),
     )
     return G[0, :d1], G[0, d1:]
 
 
-def one_client(kind, obj, global_pair, hp, t=0, local_tol=None):
+def one_client(kind, obj, global_pair, hp, t=0):
     """One client's local round from the globals with zero duals: (federation, upload pair)."""
-    fed, up_om, up_ps = local_solve(
-        kind, Federation.initial([obj], global_pair), global_pair, hp, t, local_tol
-    )
-    return fed, PrimalDualPair(up_om[0], up_ps[0])
+    fed, up = local_solve(kind, Federation.initial([obj], global_pair), global_pair, hp, t)
+    d1 = obj.dims[0]
+    return fed, PrimalDualPair(up[0, :d1], up[0, d1:])
 
 
 def central_step(obj, pair, eta1, eta2):
@@ -155,8 +156,8 @@ class TestFedmmLocalRound:
         obj = QuadraticSaddle(synthetic_quadratic_specs(1)[0])
         d1, d2 = obj.dims
         gp = pair_of(np.zeros(d1), np.zeros(d2))
-        hp = HyperParams(eta1=0.2, eta2=0.2)
-        fed, _ = one_client(K.FEDMM, obj, gp, hp, t=0, local_tol=1e-11)
+        hp = HyperParams(eta1=0.2, eta2=0.2, local_tol=1e-11)
+        fed, _ = one_client(K.FEDMM, obj, gp, hp, t=0)
         end = PrimalDualPair(fed.omega[0], fed.psi[0])
         g_om, g_ps = al_grads(obj, end, zeros(d1), zeros(d2), gp, hp)
         assert max(np.linalg.norm(g_om), np.linalg.norm(g_ps)) <= 1e-11
@@ -194,8 +195,8 @@ class TestFedmmAggregate:
         # each client uploads d1 + d2 = 3 floats and downloads as many
         obj = ConstantGrad([1.0, 2.0], [3.0])
         pair = pair_of([0.0, 0.0], [0.0])
-        fed, up_om, up_ps = local_solve(K.FEDSGDA, Federation.initial([obj], pair), pair, HyperParams())
-        assert up_om.shape[1] + up_ps.shape[1] == 3
+        fed, up = local_solve(K.FEDSGDA, Federation.initial([obj], pair), pair, HyperParams())
+        assert up.shape[1] == 3
         server = ServerState(pair)
         run_round(K.FEDSGDA, fed, server, HyperParams())
         assert server.floats_sent == 2 * 3
@@ -322,3 +323,27 @@ class TestRoundInvariants:
         local_solve(K.FEDMM, fed, pair, HyperParams(local_steps=(3,)), t=0)
         assert np.array_equal(fed.omega, om_before)
         assert np.array_equal(fed.lam, lam_before)
+
+
+class TestLocalTolIsFedmmOnly:
+    @pytest.mark.parametrize(
+        "kind, prox_mu",
+        [(K.FEDSGDA, 1.0), (K.FEDAVG_GDA, 1.0), (K.FEDPROX_GDA, 0.0), (K.FEDPROX_GDA, 0.5),
+         (K.CENTRAL_GDA, 1.0)],
+    )
+    def test_other_optimizers_ignore_local_tol(self, kind, prox_mu):
+        objs = [QuadraticSaddle(s) for s in synthetic_quadratic_specs(3)]
+        if kind is K.CENTRAL_GDA:
+            objs = objs[:1]
+        d1, d2 = objs[0].dims
+        rng = np.random.default_rng(6)
+        pair = pair_of(rng.standard_normal(d1), rng.standard_normal(d2))
+        hp = HyperParams(eta1=0.05, eta2=0.05, prox_mu=prox_mu, local_steps=(4,))
+        runs = []
+        for local_tol in (0.0, 1e-8):
+            server, fed = ServerState(pair), Federation.initial(objs, pair)
+            for _ in range(5):
+                fed = run_round(kind, fed, server, replace(hp, local_tol=local_tol))
+            runs.append((fed.Z, fed.D, server.global_pair.omega, server.global_pair.psi))
+        for a, b in zip(*runs):
+            assert np.array_equal(a, b)

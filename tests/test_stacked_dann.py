@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fedmm.core import seeded_rng
+from fedmm.core import ConvergenceError, seeded_rng
 from fedmm.objectives import (
     SOURCE,
     TARGET,
@@ -22,6 +22,7 @@ from fedmm.objectives import (
     ModelLayout,
     StackedObjectives,
     _StackedDomainAdapt,
+    inner_max,
     stacked,
 )
 from reference_math import dann_grad_psi, dann_grads, dann_value
@@ -56,16 +57,12 @@ def instance(n_clients, in_dim, feat_dim, n_classes, n_points, labelings, seed, 
     return objs, OM, PS
 
 
-def per_row(objs, OM, PS, rows=None):
-    """The reference's joint gradient rows and psi blocks, one client after the other.
-
-    Rows left out of the mask read zero.
-    """
+def per_row(objs, OM, PS):
+    """The reference's joint gradient rows and psi blocks, one client after the other."""
     G, G_psi = np.zeros((len(objs), OM.shape[1] + PS.shape[1])), np.zeros(PS.shape)
     for r, o in enumerate(objs):
         G_psi[r] = dann_grad_psi(o, OM[r], PS[r])
-        if rows is None or rows[r]:
-            G[r] = np.concatenate(dann_grads(o, OM[r], PS[r]))
+        G[r] = np.concatenate(dann_grads(o, OM[r], PS[r]))
     return G, G_psi
 
 
@@ -77,23 +74,20 @@ def per_row(objs, OM, PS, rows=None):
     n_classes=st.integers(2, 4),
     n_points=st.integers(1, 40),
     labelings=st.lists(st.sampled_from(LABELING), min_size=1, max_size=4),
-    mask=st.lists(st.booleans(), min_size=4, max_size=4),
     seed=st.integers(0, 2**32 - 1),
 )
 @example(n_clients=2, in_dim=2, feat_dim=1, n_classes=2, n_points=60,
-         labelings=["labeled", "unlabeled"], mask=[True, False, True, True], seed=0)
+         labelings=["labeled", "unlabeled"], seed=0)
 @example(n_clients=4, in_dim=4, feat_dim=3, n_classes=4, n_points=1,
-         labelings=["mixed"], mask=[False, True, False, True], seed=1)
+         labelings=["mixed"], seed=1)
 def test_batched_gradients_equal_the_per_row_ones(
-    n_clients, in_dim, feat_dim, n_classes, n_points, labelings, mask, seed
+    n_clients, in_dim, feat_dim, n_classes, n_points, labelings, seed
 ):
     objs, OM, PS = instance(n_clients, in_dim, feat_dim, n_classes, n_points, labelings, seed)
     view = stacked(objs)
     assert type(view) is _StackedDomainAdapt
-    rows = np.array(mask[:n_clients])
-    for rows_arg in (rows, None):
-        want, want_psi = per_row(objs, OM, PS, rows_arg)
-        assert np.array_equal(view.joint_grads(np.hstack((OM, PS)), rows_arg), want)
+    want, want_psi = per_row(objs, OM, PS)
+    assert np.array_equal(view.joint_grads(np.hstack((OM, PS))), want)
     assert np.array_equal(view.grad_psi(OM, PS), want_psi)
     want_values = [dann_value(o, OM[r], PS[r]) for r, o in enumerate(objs)]
     assert np.array_equal(view.values(OM, PS), want_values)
@@ -153,13 +147,12 @@ def test_nonfinite_gradient_raises_the_same_error_on_both_paths(block, scale):
     assert "non-finite" in str(want.value)
 
 
-def test_a_masked_out_row_never_raises():
+
+@pytest.mark.parametrize("view_type", [StackedObjectives, stacked], ids=["per_row", "batched"])
+def test_nonfinite_ascent_gradient_is_a_failed_inner_solve(view_type):
+    """The metric oracles empty their field on a ConvergenceError; a ValueError would escape."""
     objs = toy_clients()
-    d1, d2 = objs[0].dims
-    Z = np.ones((2, d1 + d2))
-    Z[1, :d1] = 1e200  # only the row left out of the mask overflows
-    rows = np.array([True, False])
-    with np.errstate(all="ignore"):
-        got = stacked(objs).joint_grads(Z, rows)
-        want = StackedObjectives(objs).joint_grads(Z, rows)
-    assert np.array_equal(got, want) and not got[1].any()
+    omega = np.full(objs[0].dims[0], 1e200)
+    with np.errstate(all="ignore"), pytest.raises(ConvergenceError) as exc:
+        inner_max(view_type(objs), omega, 1e-6)
+    assert exc.value.grad_norm == np.inf and exc.value.iterations == 0

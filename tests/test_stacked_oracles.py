@@ -128,7 +128,7 @@ def assert_oracles_match(objs, OM, PS, tol):
     assert np.array_equal(grad, ref_mean([o.grad_omega(om, psi_star) for o in objs]))
 
     pair = PrimalDualPair(om, ps)
-    fed = Federation(view, OM, PS, np.zeros_like(OM), np.zeros_like(PS))
+    fed = Federation(view, np.hstack((OM, PS)), np.zeros((len(OM), OM.shape[1] + PS.shape[1])))
     assert consensus(fed, pair) == ref_consensus(OM, PS, pair)
 
 
