@@ -30,7 +30,7 @@ from fedmm.federation import (
     simulated_clients,
 )
 from fedmm.federation import write_atomic as _write_atomic
-from fedmm.objectives import SOURCE, TARGET, load_dataset
+from fedmm.objectives import SOURCE, TARGET, load_dataset, load_quadratic_specs
 from fedmm.optim import OptimizerKind
 
 EXIT_OK = 0
@@ -126,6 +126,9 @@ def _check_config(config: ExperimentConfig) -> None:
         n_clients = simulated_clients(config)
         if config.problem is ProblemKind.DOMAIN_ADAPT and config.problem_file is not None:
             dataset, _ = load_dataset(config.problem_file)
+        elif config.optimizer is OptimizerKind.CENTRAL_GDA and config.problem_file is not None:
+            # central_gda pools the clients without counting them, so nothing above read the file
+            load_quadratic_specs(config.problem_file)
     except ValueError as e:
         raise ConfigError(f"problem.file: {e}") from None
     # central_gda pools the file; the built-in toy has at least two points per

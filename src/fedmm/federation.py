@@ -38,6 +38,7 @@ from fedmm.objectives import (
     QuadraticSaddle,
     StackedObjectives,
     load_dataset,
+    load_quadratic_objectives,
     load_quadratic_specs,
     phi_value_and_grad,
     stacked,
@@ -354,13 +355,14 @@ def _build_problem(config: ExperimentConfig, seed_seq: np.random.SeedSequence) -
     data_seq, init_seq, part_seq = seed_seq.spawn(3)
 
     if config.problem is ProblemKind.QUADRATIC:
+        objs: list[LocalObjective]
         if config.problem_file:
-            specs = load_quadratic_specs(config.problem_file)
+            objs = load_quadratic_objectives(config.problem_file)
         else:
             specs = problems.synthetic_quadratic_specs(
                 config.quad_n_clients, config.quad_d1, config.quad_d2
             )
-        objs: list[LocalObjective] = [QuadraticSaddle(s) for s in specs]
+            objs = [QuadraticSaddle(s) for s in specs]
         d1, d2 = objs[0].dims
         init = PrimalDualPair(zeros(d1), zeros(d2))
         if config.optimizer is OptimizerKind.CENTRAL_GDA:

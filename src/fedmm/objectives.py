@@ -84,33 +84,95 @@ class QuadraticSaddleSpec:
     c: Vector
 
 
+def _symmetric(M: np.ndarray) -> np.ndarray:
+    """Per stacked matrix, np.allclose(M, M.T, atol=1e-12) as one expression: (N,) bools.
+
+    allclose's rule |a - b| <= atol + rtol*|b| with b = M.T and its default
+    rtol = 1e-5; for finite entries it accepts exactly what allclose does.
+    """
+    MT = np.swapaxes(M, 1, 2)
+    # a NaN from inf - inf, or an overflowed difference, compares False: not symmetric
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (np.abs(M - MT) <= 1e-12 + 1e-5 * np.abs(MT)).reshape(len(M), -1).all(axis=1)
+
+
+def _blocks(rows: np.ndarray, d1: int, d2: int) -> tuple[np.ndarray, ...]:
+    """Views A (N, d1, d1), B (N, d1, d2), C (N, d2, d2), a (N, d1), c (N, d2) of client rows.
+
+    Row r of `rows` is client r's [A | B | C | a | c], each block row-major:
+    the layout of a quadratic instance file.
+    """
+    n = len(rows)
+    i1 = d1 * d1
+    i2 = i1 + d1 * d2
+    i3 = i2 + d2 * d2
+    i4 = i3 + d1
+    return (
+        rows[:, :i1].reshape(n, d1, d1),
+        rows[:, i1:i2].reshape(n, d1, d2),
+        rows[:, i2:i3].reshape(n, d2, d2),
+        rows[:, i3:i4],
+        rows[:, i4:],
+    )
+
+
+def _quadratic_fault(rows: np.ndarray, d1: int, d2: int) -> tuple[int, str] | None:
+    """The first client whose quadratic saddle is malformed, and what is wrong; None if none is.
+
+    `rows` holds one client per row, laid out as _blocks reads it. A client
+    passes when every entry is finite, A and C are symmetric (as _symmetric
+    decides) and C is positive definite, which one batched eigvalsh decides.
+    """
+    blocks = _blocks(rows, d1, d2)
+    A, C = blocks[0], blocks[2]
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        # eigvalsh fails on a non-finite matrix; such a client fails as non-finite anyway
+        C = np.where(finite[:, None, None], C, np.eye(d2))
+    lam_min = np.linalg.eigvalsh(C).min(axis=1)
+    sym_a, sym_c = _symmetric(A), _symmetric(C)
+    ok = finite & sym_a & sym_c & (lam_min > 0.0)
+    if ok.all():
+        return None
+    i = int(ok.argmin())
+    if not finite[i]:
+        name = next(k for k, x in zip("ABCac", blocks) if not np.isfinite(x[i]).all())
+        return i, f"{name} has a non-finite entry"
+    if not sym_a[i]:
+        return i, "A must be symmetric"
+    if not sym_c[i]:
+        return i, "C must be symmetric"
+    return i, f"C is not positive definite: smallest eigenvalue {lam_min[i]:.6e}"
+
+
 class QuadraticSaddle(LocalObjective):
     def __init__(self, spec: QuadraticSaddleSpec):
-        A = np.array(spec.A, dtype=np.float64)
-        B = np.array(spec.B, dtype=np.float64)
-        C = np.array(spec.C, dtype=np.float64)
-        a = vector(spec.a)
-        c = vector(spec.c)
+        blocks = [np.asarray(x, dtype=np.float64) for x in (spec.A, spec.B, spec.C)]
+        blocks += [np.asarray(x, dtype=np.float64).reshape(-1) for x in (spec.a, spec.c)]
+        A, B, C, a, c = blocks
         d1, d2 = len(a), len(c)
         if A.shape != (d1, d1) or B.shape != (d1, d2) or C.shape != (d2, d2):
             raise ValueError(
                 f"inconsistent shapes: A{A.shape} B{B.shape} C{C.shape} a({d1},) c({d2},)"
             )
-        if not np.allclose(A, A.T, atol=1e-12):
-            raise ValueError("A must be symmetric")
-        if not np.allclose(C, C.T, atol=1e-12):
-            raise ValueError("C must be symmetric")
-        lam_min = float(np.linalg.eigvalsh(C).min())
-        if lam_min <= 0.0:
-            raise ValueError(f"C is not positive definite: smallest eigenvalue {lam_min:.6e}")
-        for m in (A, B, C):
-            m.flags.writeable = False
-        self.A, self.B, self.C, self.a, self.c = A, B, C, a, c
-        self._dims = (d1, d2)
+        # one frozen row in the file layout, which the loader's check reads as well
+        row = np.concatenate([x.reshape(-1) for x in blocks]).reshape(1, -1)
+        row.flags.writeable = False
+        fault = _quadratic_fault(row, d1, d2)
+        if fault is not None:
+            raise ValueError(fault[1])
+        self.A, self.B, self.C, self.a, self.c = (x[0] for x in _blocks(row, d1, d2))
+
+    @classmethod
+    def _checked(cls, A, B, C, a, c) -> "QuadraticSaddle":
+        """An objective on frozen blocks that _quadratic_fault has already passed."""
+        obj = cls.__new__(cls)
+        obj.A, obj.B, obj.C, obj.a, obj.c = A, B, C, a, c
+        return obj
 
     @property
     def dims(self) -> tuple[int, int]:
-        return self._dims
+        return len(self.a), len(self.c)
 
     @functools.cached_property
     def _view(self) -> "_StackedQuadratic":
@@ -670,51 +732,64 @@ def phi_value_and_grad(
 
 
 def _tokens(path: str | Path) -> list[str]:
-    out: list[str] = []
-    for line in Path(path).read_text().splitlines():
-        body = line.split("#", 1)[0]
-        out.extend(body.split())
-    return out
+    # str.split() breaks on every line boundary str.splitlines() does, so only
+    # a text with comments needs a pass per line
+    text = Path(path).read_text()
+    if "#" in text:
+        text = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
+    return text.split()
 
 
 def _header(toks: list[str], path: str | Path) -> tuple[int, int, int]:
     if len(toks) < 3:
         raise ValueError(f"{path}: missing 'd1 d2 N' header")
-    d1, d2, n = (int(t) for t in toks[:3])
+    try:
+        d1, d2, n = (int(t) for t in toks[:3])
+    except ValueError:
+        got = " ".join(toks[:3])
+        raise ValueError(f"{path}: header 'd1 d2 N' must be integers, got {got}") from None
     if min(d1, d2, n) < 1:
         raise ValueError(f"{path}: header 'd1 d2 N' must be positive, got {d1} {d2} {n}")
     return d1, d2, n
 
 
-def load_quadratic_specs(path: str | Path) -> list[QuadraticSaddleSpec]:
+def _read_quadratic(path: str | Path) -> tuple[np.ndarray, ...]:
+    """The checked blocks A, B, C, a, c of a quadratic instance file, stacked over clients.
+
+    The values parse into one frozen array of client rows and the blocks are
+    views of it; _quadratic_fault checks every client at once, and a failure
+    names the file and the first failing client.
+    """
     toks = _tokens(path)
     d1, d2, n = _header(toks, path)
     per = d1 * d1 + d1 * d2 + d2 * d2 + d1 + d2
     body = toks[3:]
     if len(body) != n * per:
         raise ValueError(f"{path}: expected {n * per} values, found {len(body)}")
-    vals = np.array([float(t) for t in body])
-    specs = []
-    for i in range(n):
-        block = vals[i * per : (i + 1) * per]
-        pos = 0
+    try:
+        # float() parses each token, correctly rounded, without a list of floats in between
+        vals = np.array(body, dtype=np.float64).reshape(n, -1)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
+    vals.flags.writeable = False
+    fault = _quadratic_fault(vals, d1, d2)
+    if fault is not None:
+        raise ValueError(f"{path}: client {fault[0]}: {fault[1]}")
+    return _blocks(vals, d1, d2)
 
-        def take(k: int):
-            nonlocal pos
-            out = block[pos : pos + k]
-            pos += k
-            return out
 
-        specs.append(
-            QuadraticSaddleSpec(
-                A=take(d1 * d1).reshape(d1, d1),
-                B=take(d1 * d2).reshape(d1, d2),
-                C=take(d2 * d2).reshape(d2, d2),
-                a=vector(take(d1)),
-                c=vector(take(d2)),
-            )
-        )
-    return specs
+def load_quadratic_specs(path: str | Path) -> list[QuadraticSaddleSpec]:
+    """Read and check a quadratic instance file: one spec per client."""
+    return [QuadraticSaddleSpec(*blocks) for blocks in zip(*_read_quadratic(path))]
+
+
+def load_quadratic_objectives(path: str | Path) -> list[QuadraticSaddle]:
+    """Read and check a quadratic instance file: one objective per client.
+
+    The same as QuadraticSaddle(spec) for each of load_quadratic_specs' specs,
+    but the file's one batched check stands for the per-client ones.
+    """
+    return [QuadraticSaddle._checked(*blocks) for blocks in zip(*_read_quadratic(path))]
 
 
 def save_quadratic_specs(path: str | Path, specs: Sequence[QuadraticSaddleSpec]) -> None:

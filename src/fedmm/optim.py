@@ -28,7 +28,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from fedmm.core import ConvergenceError, DivergenceError, HyperParams, PrimalDualPair
-from fedmm.core import row_norms, row_sum, vector
+from fedmm.core import require_finite, row_dot, row_sum
 from fedmm.objectives import LocalObjective, StackedObjectives, stacked
 
 
@@ -206,20 +206,26 @@ def local_solve(
         # the last pass only evaluates: rows still above tolerance then fail
         where, passes = "fedmm local solve (client {})", hp.local_max_iters + 1
     else:
-        steps = np.array(hp.expanded(n).local_steps if rule.multi_step else (1,) * n)
-        where, passes, fewest = rule.where, steps.max(), steps.min()
+        steps = hp.expanded(n).local_steps if rule.multi_step else (1,) * n
+        where, passes, fewest = rule.where, max(steps), min(steps)
+        if fewest < passes:  # a row mask is needed only when the M_i differ
+            steps = np.array(steps)
     rows = None  # every row steps until one is done
     for m in range(passes):
         G = _local_grads(view, Z, W, D, Z0)
         if tol > 0:
-            gn = np.maximum(row_norms(G[:, :d1]), row_norms(G[:, d1:]))
+            # the larger block norm; sqrt is correctly rounded and monotone, so
+            # sqrt(max) is the max of the two norms bit for bit, NaN included
+            GO, GP = G[:, :d1], G[:, d1:]
+            gn = np.sqrt(np.maximum(row_dot(GO, GO), row_dot(GP, GP)))
             active = gn > tol if rows is None else rows & (gn > tol)
-            if not active.any():
+            left = np.count_nonzero(active)
+            if not left:
                 break
             if m == hp.local_max_iters:
                 r = np.flatnonzero(active)[0]
                 raise ConvergenceError(where.format(r), float(gn[r]), m)
-            rows = None if active.all() else active
+            rows = None if left == n else active
         else:
             rows = None if m < fewest else steps > m
         Z = _step(Z, E, G, rows)
@@ -240,9 +246,11 @@ def fedmm_aggregate(uploads: np.ndarray, d1: int) -> PrimalDualPair:
 
     The sum adds the rows in row (client) order, started from zero: the + 0.0
     turns a column of -0.0 rows into the +0.0 that a zero-started sum gives.
+    Both blocks are read-only views of the one frozen mean.
     """
-    mean = (row_sum(uploads) + 0.0) / len(uploads)
-    return PrimalDualPair(vector(mean[:d1]), vector(mean[d1:]))
+    mean = _frozen((row_sum(uploads) + 0.0) / len(uploads))
+    require_finite(mean)
+    return PrimalDualPair(mean[:d1], mean[d1:])
 
 
 def run_round(kind: OptimizerKind, fed: Federation, server, hp: HyperParams) -> Federation:

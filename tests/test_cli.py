@@ -1,6 +1,8 @@
 
 import sys
 import threading
+import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -271,6 +273,77 @@ class TestCmdRun:
         assert err.startswith("config error: ") and "output_path" in err
 
 
+def _corrupt(block: str, at: tuple, value: float):
+    """A spec with one entry of one block replaced."""
+
+    def apply(spec):
+        m = getattr(spec, block).copy()
+        m[at] = value
+        return replace(spec, **{block: m})
+
+    return apply
+
+
+# each corrupts client 1 of a 3-client instance: (how, the error it must name)
+_BAD_CLIENT = {
+    "asymmetric_A": (_corrupt("A", (0, 1), 0.75), "A must be symmetric"),
+    "non_pd_C": (lambda s: replace(s, C=-s.C), "C is not positive definite: smallest eigenvalue"),
+    "nan_in_C": (_corrupt("C", (1, 1), float("nan")), "C has a non-finite entry"),
+    "nan_in_B": (_corrupt("B", (2, 0), float("nan")), "B has a non-finite entry"),
+    "inf_on_A_diagonal": (_corrupt("A", (1, 1), float("inf")), "A has a non-finite entry"),
+}
+
+
+def _bad_instance(tmp_path, name):
+    specs = synthetic_quadratic_specs(3)
+    specs[1] = _BAD_CLIENT[name][0](specs[1])
+    path = tmp_path / f"{name}.problem"
+    save_quadratic_specs(path, specs)
+    return path
+
+
+def _run_quietly(argv):
+    """main(argv), failing on any warning it raises (numpy's RuntimeWarnings included)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return main(argv)
+
+
+class TestBadQuadraticFile:
+    """A malformed matrix in a problem.file is a config error naming the file and the client."""
+
+    def assert_config_error(self, capsys, path, name):
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config error: problem.file: {path}: client 1: ")
+        assert _BAD_CLIENT[name][1] in captured.err
+        assert "Traceback" not in captured.err
+        return captured
+
+    @pytest.mark.parametrize("optimizer", ["fedmm", "central_gda"])
+    @pytest.mark.parametrize("name", sorted(_BAD_CLIENT))
+    def test_run_exits_2(self, tmp_path, capsys, name, optimizer):
+        path = _bad_instance(tmp_path, name)
+        out = tmp_path / "never.csv"
+        text = MINIMAL.replace("fedmm", optimizer) + f"problem.file = {path}\noutput_path = {out}\n"
+        assert _run_quietly(["run", "--config", str(write(tmp_path, text))]) == 2
+        self.assert_config_error(capsys, path, name)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("optimizer", ["fedmm", "central_gda"])
+    @pytest.mark.parametrize("name", sorted(_BAD_CLIENT))
+    def test_sweep_exits_2_before_any_subrun(self, tmp_path, capsys, name, optimizer):
+        path = _bad_instance(tmp_path, name)
+        text = (
+            MINIMAL.replace("fedmm", optimizer)
+            + f"problem.file = {path}\noutput_path = {tmp_path / 'base.csv'}\n"
+        )
+        argv = ["sweep", "--config", str(write(tmp_path, text)), "--axis", "optimizer"]
+        assert _run_quietly(argv + ["--values", "fedmm,fedsgda,central_gda"]) == 2
+        captured = self.assert_config_error(capsys, path, name)
+        assert "sweep " not in captured.out + captured.err
+        assert not list(tmp_path.glob("sweep_*"))
+
+
 # Small runs whatever the drawn lines add: the drawn integers stay in -3..4 and
 # later lines override these, so no drawn config runs long or allocates much.
 _FUZZ_BASE = """\
@@ -328,6 +401,37 @@ class TestConfigFuzz:
         cfg_path = tmp_path / "fuzz.cfg"
         cfg_path.write_text(text, encoding="utf-8")
         assert main(["run", "--config", str(cfg_path)]) in (0, 2, 3, 4)
+
+
+# --set items: a drawn key and value, or a bare drawn value (no '=' or a leading '-')
+_SET_VALUES = st.one_of(
+    _FUZZ_VALUES,
+    st.sampled_from(
+        ["", "ünïcødé", "nan", "inf", "-inf", "-1", "-", "--", "--set", "-x=1", "=", "a=b"]
+    ),
+)
+_SET_ITEMS = st.one_of(st.tuples(_FUZZ_KEYS, _SET_VALUES).map("=".join), _SET_VALUES)
+
+
+class TestSetFuzz:
+    @settings(
+        max_examples=60, deadline=None, derandomize=True, database=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(items=st.lists(_SET_ITEMS, max_size=3))
+    def test_set_ends_in_a_known_exit_code(self, tmp_path, monkeypatch, items):
+        """Any --set items end in exit 0, 2, 3 or 4; argparse's own rejection exits 2."""
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("FEDMM_SEED", raising=False)
+        text = _FUZZ_BASE.format(optimizer="fedmm", problem="quadratic")
+        argv = ["run", "--config", str(write(tmp_path, text, "fuzz.cfg"))]
+        for item in items:
+            argv += ["--set", item]
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+        assert code in (0, 2, 3, 4)
 
 
 # values each axis accepts, some in non-canonical spellings

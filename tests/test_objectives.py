@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedmm.core import ConvergenceError, seeded_rng, vector
 from fedmm.diagnostics import finite_diff_grad
@@ -14,8 +18,10 @@ from fedmm.objectives import (
     ModelLayout,
     QuadraticSaddle,
     QuadraticSaddleSpec,
+    _symmetric,
     inner_max,
     load_dataset,
+    load_quadratic_objectives,
     load_quadratic_specs,
     phi_value_and_grad,
     save_dataset,
@@ -448,3 +454,121 @@ class TestTextFormats:
         path.write_text("1 1 2\n0.0 1.0 1.0 0.0 0.0\n")
         with pytest.raises(ValueError, match="expected"):
             load_quadratic_specs(path)
+
+
+@st.composite
+def _instances(draw):
+    """Valid quadratic specs: N 1-5, d1 1-6, d2 1-6, entries over many magnitudes."""
+    n, d1, d2 = draw(st.integers(1, 5)), draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    rng = seeded_rng(draw(st.integers(0, 2**32)))
+    specs = []
+    for _ in range(n):
+        scale = 10.0 ** rng.integers(-100, 100)
+        A = rng.standard_normal((d1, d1))
+        M = rng.standard_normal((d2, d2))
+        M = M @ M.T + d2 * np.eye(d2)
+        a = rng.standard_normal(d1) * scale
+        a[0] = -0.0 if draw(st.booleans()) else a[0]
+        specs.append(QuadraticSaddleSpec(
+            A=(A + A.T) * scale, B=rng.standard_normal((d1, d2)) * scale,
+            C=0.5 * (M + M.T) * scale, a=a, c=rng.standard_normal(d2) * scale,
+        ))
+    return specs
+
+
+def _decorate(text: str, comments: bool, blank_lines: bool, tabs: bool, crlf: bool) -> bytes:
+    """The same tokens laid out differently: comments, blank lines, tabs, CRLF line ends."""
+    lines = text.splitlines()
+    if tabs:
+        lines = [line.replace(" ", "\t \t") for line in lines]
+    if comments:
+        lines = [f"{line} # row {i}: 9.5 nan -2" for i, line in enumerate(lines)]
+        lines.insert(0, "# an instance 1 2 3")
+    if blank_lines:
+        lines = [part for line in lines for part in (line, "", " \t ")]
+    sep = "\r\n" if crlf else "\n"
+    return (sep.join(lines) + sep).encode()
+
+
+class TestQuadraticFiles:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        specs=_instances(), comments=st.booleans(), blank_lines=st.booleans(),
+        tabs=st.booleans(), crlf=st.booleans(),
+    )
+    def test_roundtrip_is_bit_identical(
+        self, tmp_path_factory, specs, comments, blank_lines, tabs, crlf
+    ):
+        path = tmp_path_factory.mktemp("roundtrip") / "instance.txt"
+        save_quadratic_specs(path, specs)
+        path.write_bytes(_decorate(path.read_text(), comments, blank_lines, tabs, crlf))
+        loaded = load_quadratic_specs(path)
+        objectives = load_quadratic_objectives(path)
+        assert len(loaded) == len(objectives) == len(specs)
+        for want, got, obj in zip(specs, loaded, objectives):
+            one = QuadraticSaddle(got)
+            assert obj.dims == one.dims == (len(want.a), len(want.c))
+            for name in ("A", "B", "C", "a", "c"):
+                expect = np.ascontiguousarray(getattr(want, name)).tobytes()
+                for block in (getattr(got, name), getattr(obj, name), getattr(one, name)):
+                    assert block.dtype == np.float64 and not block.flags.writeable
+                    assert block.tobytes() == expect
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        d=st.integers(1, 4),
+        entries=st.lists(
+            st.floats(allow_nan=False, allow_infinity=False), min_size=16, max_size=16
+        ),
+        where=st.tuples(st.integers(0, 3), st.integers(0, 3)),
+        rel=st.one_of(
+            st.just(0.0), st.floats(-3e-5, 3e-5),
+            st.sampled_from([1e-5, -1e-5, 1e-5 * (1 + 2**-40), -1e-5 * (1 - 2**-40)]),
+        ),
+        shift=st.one_of(
+            st.just(0.0), st.floats(-3e-12, 3e-12), st.sampled_from([1e-12, -1e-12])
+        ),
+    )
+    def test_symmetry_rule_is_allclose(self, d, entries, where, rel, shift):
+        """The one-expression symmetry check accepts exactly what np.allclose does."""
+        X = np.array(entries).reshape(4, 4)[:d, :d]
+        M = np.triu(X) + np.triu(X, 1).T
+        i, j = where[0] % d, where[1] % d
+        with np.errstate(over="ignore"):
+            M[i, j] = M[i, j] * (1 + rel) + shift
+        if not np.isfinite(M).all():
+            return
+        want = np.allclose(M, M.T, atol=1e-12)
+        assert _symmetric(M[None])[0] == want
+        assert _symmetric(np.stack([np.eye(d), M, M.T]))[1:].tolist() == [want, want]
+
+    def test_loader_names_the_first_failing_client(self, tmp_path):
+        specs = synthetic_quadratic_specs(4)
+        specs[3] = replace(specs[3], a=np.full(4, np.nan))
+        specs[2] = replace(specs[2], C=-specs[2].C)
+        path = tmp_path / "two_bad.txt"
+        save_quadratic_specs(path, specs)
+        with pytest.raises(ValueError, match=r"two_bad.txt: client 2: C is not positive definite"):
+            load_quadratic_specs(path)
+
+    @pytest.mark.parametrize(
+        "text, why",
+        [("1 1 x\n", "must be integers"), ("1 1 1\n0 1 one 0 0\n", "could not convert")],
+    )
+    def test_unparseable_token_names_the_file(self, tmp_path, text, why):
+        path = tmp_path / "garbled.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"garbled.txt: .*{why}"):
+            load_quadratic_specs(path)
+
+    @pytest.mark.parametrize(
+        "block, value, why",
+        [("B", np.nan, "B has a non-finite entry"), ("A", np.inf, "A has a non-finite entry"),
+         ("c", -np.inf, "c has a non-finite entry")],
+    )
+    def test_single_objective_rejects_non_finite_entries(self, block, value, why):
+        spec = synthetic_quadratic_specs(1)[0]
+        m = np.array(getattr(spec, block))
+        m.reshape(-1)[0] = value
+        with pytest.raises(ValueError, match=why):
+            QuadraticSaddle(replace(spec, **{block: m}))
