@@ -19,7 +19,13 @@ from fedmm.diagnostics import (
     quadratic_kappa_bound,
     run_identity_suite,
 )
-from fedmm.federation import PartitionMode, PartitionSpec, consensus, partition_label_shift
+from fedmm.federation import (
+    MetricsBlock,
+    PartitionMode,
+    PartitionSpec,
+    consensus,
+    partition_label_shift,
+)
 from fedmm.objectives import (
     DomainAdaptObjective,
     MeanObjective,
@@ -124,28 +130,36 @@ def _bit_equal(a: PrimalDualPair, b: PrimalDualPair) -> bool:
     return np.array_equal(a.omega, b.omega) and np.array_equal(a.psi, b.psi)
 
 
-def check_equiv_fedsgda_central() -> str:
-    obj = QuadraticSaddle(synthetic_quadratic_specs(1)[0])
-    d1, d2 = obj.dims
+def _same_global_pairs(objs, kind_a, kind_b, hp: HyperParams, rounds: int) -> bool:
+    """Whether kind_a and kind_b, both started at zero, keep bit-equal global pairs for `rounds` rounds."""
+    d1, d2 = objs[0].dims
     pair = PrimalDualPair(vector(np.zeros(d1)), vector(np.zeros(d2)))
-    hp = HyperParams(eta1=0.05, eta2=0.05)
-
-    fed, server = Federation.initial([obj], pair), ServerState(pair)
-    central_fed, central = fed, ServerState(pair)
-    for _ in range(100):
-        fed = run_round(OptimizerKind.FEDSGDA, fed, server, hp)
-        central_fed = run_round(OptimizerKind.CENTRAL_GDA, central_fed, central, hp)
-        if not _bit_equal(server.global_pair, central.global_pair):
-            raise AssertionError("FedSGDA(N=1) diverged from centralized GDA")
-    return "100 steps bit-exact"
+    server_a, server_b = ServerState(pair), ServerState(pair)
+    fed_a = fed_b = Federation.initial(objs, pair)
+    for _ in range(rounds):
+        fed_a = run_round(kind_a, fed_a, server_a, hp)
+        fed_b = run_round(kind_b, fed_b, server_b, hp)
+        if not _bit_equal(server_a.global_pair, server_b.global_pair):
+            return False
+    return True
 
 
-def check_equiv_fedprox_fedavg() -> str:
+def check_equiv_fedsgda_central(rounds: int = 100, eta1: float = 0.05, eta2: float = 0.05) -> str:
+    """FedSGDA on one client is centralized GDA, bit for bit, every round."""
+    objs = [QuadraticSaddle(synthetic_quadratic_specs(1)[0])]
+    hp = HyperParams(eta1=eta1, eta2=eta2)
+    if not _same_global_pairs(objs, OptimizerKind.FEDSGDA, OptimizerKind.CENTRAL_GDA, hp, rounds):
+        raise AssertionError("FedSGDA(N=1) diverged from centralized GDA")
+    return f"{rounds} steps bit-exact"
+
+
+def check_equiv_fedprox_fedavg(seed: int = 16, eta: float = 0.05, local_steps: int = 13) -> str:
+    """FedProxGDA with prox_mu = 0 uploads FedAvgGDA's rows, bit for bit, from a seeded start."""
     obj = QuadraticSaddle(synthetic_quadratic_specs(1)[0])
     d1, d2 = obj.dims
-    rng = seeded_rng(16)
+    rng = seeded_rng(seed)
     pair = PrimalDualPair(vector(rng.standard_normal(d1)), vector(rng.standard_normal(d2)))
-    hp = HyperParams(eta1=0.05, eta2=0.05, prox_mu=0.0, local_steps=(13,))
+    hp = HyperParams(eta1=eta, eta2=eta, prox_mu=0.0, local_steps=(local_steps,))
     fed = Federation.initial([obj], pair)
     _, a = local_solve(OptimizerKind.FEDAVG_GDA, fed, pair, hp)
     _, b = local_solve(OptimizerKind.FEDPROX_GDA, fed, pair, hp)
@@ -154,20 +168,13 @@ def check_equiv_fedprox_fedavg() -> str:
     return "outputs bit-exact"
 
 
-def check_equiv_fedavg_fedsgda() -> str:
+def check_equiv_fedavg_fedsgda(rounds: int = 50, eta1: float = 0.05, eta2: float = 0.05) -> str:
+    """FedAvgGDA with one local step is FedSGDA, bit for bit, every round, on two clients."""
     objs = [QuadraticSaddle(s) for s in synthetic_quadratic_specs(2)]
-    d1, d2 = objs[0].dims
-    pair = PrimalDualPair(vector(np.zeros(d1)), vector(np.zeros(d2)))
-    hp = HyperParams(eta1=0.05, eta2=0.05, local_steps=(1,))
-
-    server_a, server_b = ServerState(pair), ServerState(pair)
-    fed_a = fed_b = Federation.initial(objs, pair)
-    for _ in range(50):
-        fed_a = run_round(OptimizerKind.FEDAVG_GDA, fed_a, server_a, hp)
-        fed_b = run_round(OptimizerKind.FEDSGDA, fed_b, server_b, hp)
-        if not _bit_equal(server_a.global_pair, server_b.global_pair):
-            raise AssertionError("FedAvgGDA(M=1) differs from FedSGDA")
-    return "50 rounds bit-exact"
+    hp = HyperParams(eta1=eta1, eta2=eta2, local_steps=(1,))
+    if not _same_global_pairs(objs, OptimizerKind.FEDAVG_GDA, OptimizerKind.FEDSGDA, hp, rounds):
+        raise AssertionError("FedAvgGDA(M=1) differs from FedSGDA")
+    return f"{rounds} rounds bit-exact"
 
 
 def _dann_split(p: float = 0.75, drop: int = 7) -> list:
@@ -278,7 +285,12 @@ def _per_client_oracles(objs, fed: Federation, pair: PrimalDualPair, tol: float)
 
 
 def check_stacked_oracles() -> str:
-    """The per-round metric oracles through the stacked view equal the per-client path, bit for bit."""
+    """The metric oracles through the stacked view equal the per-client path, bit for bit.
+
+    Each case runs three rounds and checks every round twice: the one-round
+    calls right after it, and run_experiment's MetricsBlock over the whole
+    three-round block.
+    """
     cases = [
         ([QuadraticSaddle(s) for s in synthetic_quadratic_specs(3)], 1e-12),
         ([QuadraticSaddle(s) for s in synthetic_quadratic_specs(32, 20, 10)], 1e-12),
@@ -296,7 +308,9 @@ def check_stacked_oracles() -> str:
         )
         server = ServerState(start)
         fed = Federation.initial(objs, start)
-        for _ in range(3):
+        block = MetricsBlock(fed.view, fed.n, 3, tol)
+        want = []
+        for t in range(3):
             fed = run_round(OptimizerKind.FEDMM, fed, server, hp)
             gp = server.global_pair
             loss, (phi_value, phi_grad), cons = _per_client_oracles(objs, fed, gp, tol)
@@ -308,8 +322,18 @@ def check_stacked_oracles() -> str:
                 raise AssertionError(f"{where}: stacked phi oracle differs")
             if consensus(fed, gp) != cons:
                 raise AssertionError(f"{where}: stacked consensus differs")
+            block.add(t, fed, server, True)
+            want.append((loss, float(np.linalg.norm(phi_grad)), cons))
             samples += 1
-    return f"loss, phi oracle and consensus bit-exact at {samples} rounds"
+        for row, (loss, phi_norm, cons) in zip(block.flush(), want):
+            where = f"{len(objs)}-client {type(objs[0]).__name__} block row {row.round}"
+            if row.global_loss != loss:
+                raise AssertionError(f"{where}: block global loss differs")
+            if row.phi_grad_norm != phi_norm:
+                raise AssertionError(f"{where}: block phi gradient norm differs")
+            if (row.consensus_omega, row.consensus_psi) != cons:
+                raise AssertionError(f"{where}: block consensus differs")
+    return f"loss, phi oracle and consensus bit-exact at {samples} rounds, one at a time and in blocks"
 
 
 def check_stationary_saddle_fixed() -> str:

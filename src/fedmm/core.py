@@ -60,28 +60,33 @@ def zeros(n: int) -> Vector:
 
 
 def row_dot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Each row's X[r] . Y[r], bit for bit the dot product a 1-D `x @ y` takes.
+    """Each row's X[..., r, :] . Y[..., r, :], bit for bit the dot product a 1-D `x @ y` takes.
 
-    A plain (N, d) @ (d,) matvec rounds differently.
+    Axes before the last one are rows, any number of them: (N, d) gives (N,),
+    (B, N, d) gives (B, N). A plain (N, d) @ (d,) matvec rounds differently.
     """
-    return (X[:, None, :] @ Y[:, :, None])[:, 0, 0]
+    return (X[..., None, :] @ Y[..., :, None])[..., 0, 0]
 
 
 def row_norms(G: np.ndarray) -> np.ndarray:
     """Each row's Euclidean norm, bit for bit what np.linalg.norm gives for that row.
 
-    np.linalg.norm takes a vector's norm as sqrt(g . g), with the same dot product.
+    np.linalg.norm takes a vector's norm as sqrt(g . g), with the same dot
+    product. Leading axes are kept, as in row_dot.
     """
     return np.sqrt(row_dot(G, G))
 
 
-def row_sum(rows: np.ndarray) -> np.ndarray:
-    """rows[0] + rows[1] + ... in row order, one add per row, as a loop over the rows adds them.
+def row_sum(rows: np.ndarray, axis: int = 0) -> np.ndarray:
+    """rows[0] + rows[1] + ... along `axis` in order, one add per row, as a loop over the rows adds them.
 
+    Axes before `axis` are leading axes, each position summed on its own:
+    row_sum(V, axis=1) of a (B, N) array gives the B sums of N values.
     np.add.accumulate adds strictly in sequence; np.sum would switch to
     pairwise summation when the rows have one entry.
     """
-    return np.add.accumulate(rows, axis=0)[-1]
+    acc = np.add.accumulate(rows, axis=axis)
+    return acc[(slice(None),) * (axis % acc.ndim) + (-1,)]
 
 
 def seeded_rng(seed: int) -> np.random.Generator:

@@ -1,9 +1,10 @@
 """Round-based client/server simulation: partitioning, run loop, metrics, CSV.
 
-The round loop is a barrier-synchronized fan-out/fan-in; metrics and the
-communication ledger are recorded once per completed round. Everything is
-deterministic given (config, seed): the only randomness flows through child
-seeds spawned from the config seed.
+The round loop is a barrier-synchronized fan-out/fan-in; the communication
+ledger is recorded once per completed round, and each round's metrics once
+per block of rounds (`MetricsBlock`), with the values the round alone would
+give. Everything is deterministic given (config, seed): the only randomness
+flows through child seeds spawned from the config seed.
 """
 
 from __future__ import annotations
@@ -158,18 +159,21 @@ def partition_label_shift(
 
 def evaluate_target_accuracy(
     objective: DomainAdaptObjective, omega: Vector, holdout: DomainAdaptDataset
-) -> float:
+) -> float | np.ndarray:
     """Fraction of holdout points whose predictor argmax matches the true label.
 
     The holdout carries ground-truth labels the optimizers never see; argmax
-    ties resolve to the lowest class index.
+    ties resolve to the lowest class index. A (K, d1) stack of omegas gives
+    the (K,) accuracies in one batched prediction, each exactly the float a
+    one-omega call returns (the counts are exact).
     """
     if len(holdout) == 0:
         raise ValueError("holdout is empty")
     if (holdout.y < 0).any():
         raise ValueError("holdout points must carry ground-truth labels")
     pred = objective.predict(omega, holdout.X)
-    return float(np.mean(pred == holdout.y))
+    accuracy = np.mean(pred == holdout.y, axis=-1)
+    return float(accuracy) if accuracy.ndim == 0 else accuracy
 
 
 @dataclass(frozen=True)
@@ -199,12 +203,116 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+def _consensus(Z: np.ndarray, P: np.ndarray, d1: int) -> tuple[np.ndarray, np.ndarray]:
+    """max_i ||omega_i - omega|| and max_i ||psi_i - psi|| of each of B rounds, two (B,) arrays.
+
+    Z holds the rounds' (B, N, d1 + d2) client rows and P their (B, d1 + d2)
+    pairs. Each norm is row_norms' one-vector norm; max is exact.
+    """
+    return (
+        row_norms(Z[..., :d1] - P[..., None, :d1]).max(axis=-1),
+        row_norms(Z[..., d1:] - P[..., None, d1:]).max(axis=-1),
+    )
+
+
 def consensus(fed: Federation, pair: PrimalDualPair) -> tuple[float, float]:
     """(max_i ||omega_i - omega||, max_i ||psi_i - psi||): the clients' spread around the pair."""
-    return (
-        max(row_norms(fed.omega - pair.omega).tolist()),
-        max(row_norms(fed.psi - pair.psi).tolist()),
-    )
+    P = np.concatenate((pair.omega, pair.psi))
+    omega, psi = _consensus(fed.Z, P, len(pair.omega))
+    return float(omega), float(psi)
+
+
+# A metric block holds at most this many rounds and this many client-row floats
+_BLOCK_ROUNDS = 64
+_BLOCK_FLOATS = 16384
+
+
+def block_rounds(n_clients: int, d: int) -> int:
+    """Rounds per metric block for N clients of d = d1 + d2 parameters: min(64, 16384 // (N d)), at least 1."""
+    return min(_BLOCK_ROUNDS, max(1, _BLOCK_FLOATS // (n_clients * d)))
+
+
+class MetricsBlock:
+    """Several rounds' metric inputs, evaluated together once the block is full.
+
+    `add` copies a round's client rows fed.Z and its global pair
+    [omega | psi] into preallocated buffers. `flush` turns the buffered
+    rounds into their RoundMetrics rows and empties the block:
+
+    - consensus: row_norms of Z - pair on each block, then the max over clients;
+    - global loss: one `mean_values` call of the oracle view at all the pairs;
+    - target accuracy: one `evaluate_target_accuracy` call on all the omegas;
+    - phi_grad_norm: `phi_value_and_grad` at each sampled round's omega; a
+      failed inner maximization leaves it None.
+
+    Every value is bit for bit what the one-round calls (`consensus`,
+    `mean_value`, a one-omega `evaluate_target_accuracy`) give: each row's
+    dot products and matrix products keep the one-round shapes, and max and
+    argmax are exact.
+    """
+
+    def __init__(
+        self,
+        oracle: StackedObjectives,
+        n_clients: int,
+        size: int,
+        tol: float,
+        accuracy: tuple[DomainAdaptObjective, DomainAdaptDataset] | None = None,
+    ):
+        self.oracle, self.tol, self.accuracy = oracle, tol, accuracy
+        d = sum(oracle.dims)
+        self.Z = np.empty((size, n_clients, d))
+        self.P = np.empty((size, d))
+        self.rounds: list[tuple[int, int, bool]] = []  # (round, floats sent, phi sampled)
+
+    @property
+    def full(self) -> bool:
+        return len(self.rounds) == len(self.Z)
+
+    def add(self, t: int, fed: Federation, server: ServerState, sample_phi: bool) -> None:
+        """Buffer round t: the clients' rows, the server's pair and its ledger."""
+        k, d1 = len(self.rounds), self.oracle.dims[0]
+        pair = server.global_pair
+        self.Z[k] = fed.Z
+        self.P[k, :d1], self.P[k, d1:] = pair.omega, pair.psi
+        self.rounds.append((t, server.floats_sent, sample_phi))
+
+    def _phi_grad_norm(self, omega: np.ndarray) -> float | None:
+        try:
+            _, phi_grad = phi_value_and_grad(
+                self.oracle, omega, self.tol, max_iters=_PHI_ORACLE_ITER_CAP
+            )
+        except ConvergenceError:
+            return None
+        return float(np.linalg.norm(phi_grad))
+
+    def flush(self) -> list[RoundMetrics]:
+        """The buffered rounds' metrics, in round order; the block is empty afterwards."""
+        k, d1 = len(self.rounds), self.oracle.dims[0]
+        if not k:
+            return []
+        Z, P = self.Z[:k], self.P[:k]
+        omegas = P[:, :d1]
+        spread_om, spread_ps = (c.tolist() for c in _consensus(Z, P, d1))
+        loss = self.oracle.mean_values(omegas, P[:, d1:]).tolist()
+        accuracy = [None] * k
+        if self.accuracy is not None:
+            objective, holdout = self.accuracy
+            accuracy = evaluate_target_accuracy(objective, omegas, holdout).tolist()
+        rows = [
+            RoundMetrics(
+                round=t,
+                phi_grad_norm=self._phi_grad_norm(omegas[b]) if sample_phi else None,
+                consensus_omega=spread_om[b],
+                consensus_psi=spread_ps[b],
+                global_loss=loss[b],
+                target_accuracy=accuracy[b],
+                floats_communicated=floats,
+            )
+            for b, (t, floats, sample_phi) in enumerate(self.rounds)
+        ]
+        self.rounds = []
+        return rows
 
 
 def write_atomic(path: str | Path, text: str) -> None:
@@ -294,6 +402,15 @@ class ExperimentConfig:
             raise ValueError(f"metrics_every must be >= 1, got {self.metrics_every}")
         if self.batch_size < 0:
             raise ValueError(f"batch_size must be >= 0, got {self.batch_size}")
+        # minibatches subsample the clients' domain-adaptation shards; quadratic
+        # clients have none, and central GDA pools them into one client
+        quadratic = self.problem is ProblemKind.QUADRATIC
+        if self.batch_size > 0 and (quadratic or self.optimizer is OptimizerKind.CENTRAL_GDA):
+            which = "problem = quadratic" if quadratic else "optimizer = central_gda"
+            raise ValueError(
+                f"batch_size must be 0 for {which}, got {self.batch_size}: "
+                "minibatches sample the clients' domain-adaptation shards"
+            )
         # the CSV is written next to this name; "", "." and "/" name no file
         if "\x00" in self.output_path or not Path(self.output_path).name:
             raise ValueError(f"output_path must name a file, got {self.output_path!r}")
@@ -401,9 +518,12 @@ def _build_problem(config: ExperimentConfig, seed_seq: np.random.SeedSequence) -
 def run_experiment(config: ExperimentConfig) -> RunLog:
     """Execute T rounds of the configured optimizer and record per-round metrics.
 
-    phi_grad_norm is computed through the diagnostics oracle (which peeks at
-    all clients' objectives) every metrics_every-th round and on the final
-    round; an inner-max failure degrades it to None instead of aborting.
+    Each round's state goes into a MetricsBlock, which evaluates the metrics
+    of a block_rounds(N, d1 + d2) block of rounds at once (and the last,
+    shorter block after the final round). phi_grad_norm is computed through
+    the diagnostics oracle (which peeks at all clients' objectives) every
+    metrics_every-th round and on the final round; an inner-max failure
+    degrades it to None instead of aborting.
     """
     seed_seq = np.random.SeedSequence(config.seed)
     built = _build_problem(config, seed_seq)
@@ -413,12 +533,17 @@ def run_experiment(config: ExperimentConfig) -> RunLog:
     server = ServerState(built.init_pair)
     fed = Federation.initial(built.sim_objectives, built.init_pair)
     oracle = fed.view if built.oracle is None else built.oracle
+    accuracy = None
+    if built.holdout is not None and built.accuracy_objective is not None:
+        accuracy = (built.accuracy_objective, built.holdout)
+    size = min(hp.rounds, block_rounds(fed.n, sum(oracle.dims)))
+    block = MetricsBlock(oracle, fed.n, size, hp.tol, accuracy)
 
     log = RunLog(config_echo=config.echo(), seed=config.seed)
     batch_rng = np.random.Generator(np.random.PCG64(batch_seq))
 
     for t in range(hp.rounds):
-        if config.batch_size > 0 and built.shards is not None:
+        if config.batch_size > 0:
             # seeded minibatch mode: fresh per-round subsample of each shard
             batches = [shard.sample(batch_rng, config.batch_size) for shard in built.shards]
             view = stacked([DomainAdaptObjective(b, hp.nu, built.layout) for b in batches])
@@ -427,37 +552,8 @@ def run_experiment(config: ExperimentConfig) -> RunLog:
             fed = run_round(config.optimizer, fed, server, hp)
         except DivergenceError as e:
             raise DivergenceError(f"round {t}: {e.where}", e.step) from e
-
-        gp = server.global_pair
-        consensus_om, consensus_ps = consensus(fed, gp)
-        global_loss = oracle.mean_value(gp.omega, gp.psi)
-
-        phi_grad_norm: float | None = None
-        if t % config.metrics_every == 0 or t == hp.rounds - 1:
-            try:
-                _, phi_grad = phi_value_and_grad(
-                    oracle, gp.omega, hp.tol, max_iters=_PHI_ORACLE_ITER_CAP
-                )
-                phi_grad_norm = float(np.linalg.norm(phi_grad))
-            except ConvergenceError:
-                phi_grad_norm = None
-
-        accuracy: float | None = None
-        if built.holdout is not None and built.accuracy_objective is not None:
-            accuracy = evaluate_target_accuracy(
-                built.accuracy_objective, gp.omega, built.holdout
-            )
-
-        log.rounds.append(
-            RoundMetrics(
-                round=t,
-                phi_grad_norm=phi_grad_norm,
-                consensus_omega=consensus_om,
-                consensus_psi=consensus_ps,
-                global_loss=global_loss,
-                target_accuracy=accuracy,
-                floats_communicated=server.floats_sent,
-            )
-        )
-
+        block.add(t, fed, server, t % config.metrics_every == 0 or t == hp.rounds - 1)
+        if block.full:
+            log.rounds += block.flush()
+    log.rounds += block.flush()
     return log

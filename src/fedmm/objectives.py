@@ -226,9 +226,10 @@ class ModelLayout:
         return self.feat_dim
 
     def unpack_omega(self, omega: Vector) -> tuple[np.ndarray, np.ndarray]:
-        nw = self.feat_dim * self.in_dim
-        W = omega[:nw].reshape(self.feat_dim, self.in_dim)
-        V = omega[nw:].reshape(self.n_classes, self.feat_dim)
+        """Views W and V of omega; an (..., d1) stack of omegas gives (..., feat, in) and (..., classes, feat)."""
+        nw, lead = self.feat_dim * self.in_dim, omega.shape[:-1]
+        W = omega[..., :nw].reshape(lead + (self.feat_dim, self.in_dim))
+        V = omega[..., nw:].reshape(lead + (self.n_classes, self.feat_dim))
         return W, V
 
 
@@ -338,10 +339,14 @@ class DomainAdaptObjective(LocalObjective):
         return vector(self._view.grad_psi(_row(omega), _row(psi))[0])
 
     def predict(self, omega: Vector, X: np.ndarray) -> np.ndarray:
-        """Predictor argmax over classes; ties resolve to the lowest index."""
-        W, V = self.layout.unpack_omega(omega)
-        logits = (X @ W.T) @ V.T
-        return np.argmax(logits, axis=1)
+        """Predictor argmax over classes; ties resolve to the lowest index.
+
+        omega may be a (K, d1) stack: the result is then (K, n), row k the
+        predictions of omega[k], each computed with one omega's matmuls.
+        """
+        W, V = self.layout.unpack_omega(np.asarray(omega))
+        logits = (X @ W.swapaxes(-1, -2)) @ V.swapaxes(-1, -2)
+        return np.argmax(logits, axis=-1)
 
     def ascent_curvature_bound(self, omega: Vector) -> float:
         """Upper bound on the psi-Hessian norm at fixed omega (for step sizing)."""
@@ -369,8 +374,14 @@ def _common_dims(objectives: Sequence[LocalObjective]) -> tuple[int, int]:
 
 
 def _row_vecmat(X: np.ndarray, M: np.ndarray) -> np.ndarray:
-    # each row's X[r] @ M[r], the vector-matrix product of a 1-D `x @ M`
-    return (X[:, None, :] @ M)[:, 0]
+    # each row's X[..., r, :] @ M[r], the vector-matrix product of a 1-D `x @ M`
+    return (X[..., None, :] @ M)[..., 0, :]
+
+
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    # each row's np.sum over the last axis, as the 1-D sum of that row takes it:
+    # numpy sums a strided row in another order
+    return np.sum(np.ascontiguousarray(a), axis=-1)
 
 
 class StackedObjectives:
@@ -383,6 +394,8 @@ class StackedObjectives:
     `stacked`). The mean_* methods evaluate the uniform average of the
     objectives at one point, the global f of the metric oracles; their client
     sums run in row order, as one client after the other would add them.
+    `values` and `mean_values` also take leading axes: K points evaluated in
+    one call, each exactly as a call of its own would evaluate it.
     """
 
     def __init__(self, objectives: Sequence[LocalObjective]):
@@ -391,8 +404,12 @@ class StackedObjectives:
         self.objectives = tuple(objectives)
 
     def values(self, OM: np.ndarray, PS: np.ndarray) -> np.ndarray:
-        """Row r's objective value at (OM[r], PS[r]), shape (N,)."""
-        return np.array([o.value(OM[r], PS[r]) for r, o in enumerate(self.objectives)])
+        """Row r's objective value at (OM[..., r, :], PS[..., r, :]): (N,), or (..., N) with leading axes."""
+        out = np.empty(OM.shape[:-1])
+        for lead in np.ndindex(OM.shape[:-2]):
+            for r, o in enumerate(self.objectives):
+                out[lead + (r,)] = o.value(OM[lead + (r,)], PS[lead + (r,)])
+        return out
 
     def joint_grads(self, Z: np.ndarray) -> np.ndarray:
         """[G_OM | G_PS] at the (N, d1 + d2) joint points [OM | PS], in one (N, d1 + d2) array."""
@@ -409,15 +426,22 @@ class StackedObjectives:
             G_PS[r] = obj.grad_psi(OM[r], PS[r])
         return G_PS
 
-    def _at(self, omega: Vector, psi: Vector) -> tuple[np.ndarray, np.ndarray]:
-        # every row at the one point; filling an empty array is cheaper than np.tile
-        OM, PS = np.empty((self.n, len(omega))), np.empty((self.n, len(psi)))
-        OM[:], PS[:] = omega, psi
+    def _at(self, omega, psi) -> tuple[np.ndarray, np.ndarray]:
+        # every row at the one point, (N, d); a (K, d) stack of points gives (K, N, d).
+        # Filling an empty array is cheaper than np.tile
+        omega, psi = np.asarray(omega), np.asarray(psi)
+        OM = np.empty(omega.shape[:-1] + (self.n, omega.shape[-1]))
+        PS = np.empty(psi.shape[:-1] + (self.n, psi.shape[-1]))
+        OM[:], PS[:] = omega[..., None, :], psi[..., None, :]
         return OM, PS
 
-    def mean_value(self, omega: Vector, psi: Vector) -> float:
+    def mean_values(self, omega: np.ndarray, psi: np.ndarray) -> np.ndarray:
+        """The client average at each of K points (omega[k], psi[k]), (K,), in one `values` call."""
         # + 0.0 as in _bars: a zero-started sum of all -0.0 values is +0.0
-        return float((row_sum(self.values(*self._at(omega, psi))) + 0.0) / self.n)
+        return (row_sum(self.values(*self._at(omega, psi)), axis=-1) + 0.0) / self.n
+
+    def mean_value(self, omega: Vector, psi: Vector) -> float:
+        return float(self.mean_values(omega, psi))
 
     def mean_grads(self, omega: Vector, psi: Vector) -> tuple[Vector, Vector]:
         mean = row_sum(self.joint_grads(np.hstack(self._at(omega, psi)))) / self.n
@@ -502,8 +526,10 @@ class _StackedDomainAdapt(StackedObjectives):
     leading client axis. Each row's matmuls keep the shapes and memory layout
     one client's pass gives them, and the gradients pick the labeled points
     with np.where instead of by indexing, so every row is bit for bit what a
-    one-row view of its objective computes. `values` sums each row's terms
-    over that row's own points: a batched sum would round differently.
+    one-row view of its objective computes. `values` also takes leading axes
+    (K points per client) and sums each row's terms over that row's own
+    points in contiguous memory (`_row_sums`): a sum across rows, or along
+    strided memory, would round differently.
     """
 
     def __init__(self, objectives: Sequence[DomainAdaptObjective]):
@@ -518,22 +544,22 @@ class _StackedDomainAdapt(StackedObjectives):
         self.alpha = np.array([o.alpha for o in objectives])[:, None, None]
 
     def _features(self, OM):
-        # Z = X W' (N, n, feat), W unpacked as unpack_omega does
+        # Z = X W' (..., N, n, feat), W unpacked as unpack_omega does
         L = self.layout
-        W = OM[:, : L.feat_dim * L.in_dim].reshape(self.n, L.feat_dim, L.in_dim)
-        return self.X @ W.swapaxes(1, 2)
+        W = OM[..., : L.feat_dim * L.in_dim].reshape(OM.shape[:-1] + (L.feat_dim, L.in_dim))
+        return self.X @ W.swapaxes(-1, -2)
 
     def _forward(self, OM):
         """(Z, V, logits): the features, the predictor V and the class logits Z V', per row."""
         L = self.layout
         Z = self._features(OM)
-        V = OM[:, L.feat_dim * L.in_dim :].reshape(self.n, L.n_classes, L.feat_dim)
-        return Z, V, Z @ V.swapaxes(1, 2)
+        V = OM[..., L.feat_dim * L.in_dim :].reshape(OM.shape[:-1] + (L.n_classes, L.feat_dim))
+        return Z, V, Z @ V.swapaxes(-1, -2)
 
     @staticmethod
     def _domain_logits(Z, PS):
-        # t = z . psi, the domain classifier's logit of every point, (N, n)
-        return (Z @ PS[:, :, None])[..., 0]
+        # t = z . psi, the domain classifier's logit of every point, (..., N, n)
+        return (Z @ PS[..., :, None])[..., 0]
 
     def _dt(self, Z, PS):
         """d(loss)/dt of the domain terms, per point."""
@@ -543,18 +569,18 @@ class _StackedDomainAdapt(StackedObjectives):
     def values(self, OM, PS):
         Z, _, logits = self._forward(OM)
         T = self._domain_logits(Z, PS)
-        out = np.empty(self.n)
+        out = np.empty(T.shape[:-1])
         for r, o in enumerate(self.objectives):
-            t, lab, total = T[r], o._labeled, 0.0
+            t, lab, total = T[..., r, :], o._labeled, 0.0
             if o._lab_idx.size:
-                lab_logits = logits[r][o._lab_idx]
-                lse = np.logaddexp.reduce(lab_logits, axis=1)
-                picked = lab_logits[o._lab_rows, o._lab_y]
-                total += float(np.sum(lse - picked))  # cross-entropy
-                total += float(np.sum(-self.nu * _softplus(t[lab])))  # nu*log(1-h)
+                lab_logits = logits[..., r, o._lab_idx, :]
+                lse = np.logaddexp.reduce(lab_logits, axis=-1)
+                picked = lab_logits[..., o._lab_rows, o._lab_y]
+                total += _row_sums(lse - picked)  # cross-entropy
+                total += _row_sums(-self.nu * _softplus(t[..., lab]))  # nu*log(1-h)
             if (~lab).any():
-                total += float(np.sum(-self.nu * _softplus(-t[~lab])))  # nu*log(h)
-            out[r] = o.alpha * total
+                total += _row_sums(-self.nu * _softplus(-t[..., ~lab]))  # nu*log(h)
+            out[..., r] = o.alpha * total
         return out
 
     def joint_grads(self, points):

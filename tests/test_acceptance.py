@@ -11,6 +11,11 @@ import time
 import numpy as np
 import pytest
 
+from fedmm.checks import (
+    check_equiv_fedavg_fedsgda,
+    check_equiv_fedprox_fedavg,
+    check_equiv_fedsgda_central,
+)
 from fedmm.core import HyperParams, PrimalDualPair, ServerState, seeded_rng, vector, zeros
 from fedmm.diagnostics import (
     quadratic_phi_minimizer,
@@ -34,7 +39,7 @@ from fedmm.objectives import (
     ModelLayout,
     QuadraticSaddle,
 )
-from fedmm.optim import Federation, OptimizerKind, local_solve, run_round
+from fedmm.optim import Federation, OptimizerKind, run_round
 from fedmm.problems import synthetic_quadratic_specs
 
 # ----- frozen experiment constants ---------------------------------------
@@ -131,53 +136,36 @@ class TestCriterion2IdentitySuite:
         assert elapsed < 30.0, f"runtime {elapsed:.1f}s exceeds 30s"
 
 
+def _criterion_check(n, name, check, **params):
+    """Run a built-in check with this criterion's parameters; print its line, then re-raise a failure."""
+    try:
+        check(**params)
+    except AssertionError:
+        _line(n, name, False)
+        raise
+    _line(n, name, True)
+
+
 class TestCriterion3OracleEquivalence:
+    """The bit-exact optimizer equivalences, through the checks `fedmm check` runs, at this criterion's sizes."""
+
     def test_fedsgda_n1_is_centralized(self):
-        obj = QuadraticSaddle(synthetic_quadratic_specs(1)[0])
-        d1, d2 = obj.dims
-        pair = PrimalDualPair(zeros(d1), zeros(d2))
-        hp = HyperParams(eta1=0.05, eta2=0.08)
-        server, central = ServerState(pair), ServerState(pair)
-        fed = central_fed = Federation.initial([obj], pair)
-        ok = True
-        for _ in range(100):
-            fed = run_round(OptimizerKind.FEDSGDA, fed, server, hp)
-            central_fed = run_round(OptimizerKind.CENTRAL_GDA, central_fed, central, hp)
-            ok = ok and np.array_equal(server.global_pair.omega, central.global_pair.omega)
-            ok = ok and np.array_equal(server.global_pair.psi, central.global_pair.psi)
-        _line(3, "oracle_equivalence_fedsgda_central", ok)
-        assert ok
+        _criterion_check(
+            3, "oracle_equivalence_fedsgda_central", check_equiv_fedsgda_central,
+            rounds=100, eta1=0.05, eta2=0.08,
+        )
 
     def test_fedprox_mu0_is_fedavg(self):
-        obj = QuadraticSaddle(synthetic_quadratic_specs(1)[0])
-        d1, d2 = obj.dims
-        rng = seeded_rng(1003)
-        pair = PrimalDualPair(vector(rng.standard_normal(d1)), vector(rng.standard_normal(d2)))
-        hp = HyperParams(eta1=0.04, eta2=0.04, prox_mu=0.0, local_steps=(17,))
-        fed = Federation.initial([obj], pair)
-        _, a = local_solve(OptimizerKind.FEDAVG_GDA, fed, pair, hp)
-        _, b = local_solve(OptimizerKind.FEDPROX_GDA, fed, pair, hp)
-        ok = np.array_equal(a, b)
-        _line(3, "oracle_equivalence_fedprox_fedavg", ok)
-        assert ok
+        _criterion_check(
+            3, "oracle_equivalence_fedprox_fedavg", check_equiv_fedprox_fedavg,
+            seed=1003, eta=0.04, local_steps=17,
+        )
 
     def test_fedavg_m1_is_fedsgda(self):
-        objs = [QuadraticSaddle(s) for s in synthetic_quadratic_specs(2)]
-        d1, d2 = objs[0].dims
-        pair = PrimalDualPair(zeros(d1), zeros(d2))
-        hp = HyperParams(eta1=0.05, eta2=0.05, local_steps=(1,))
-        sa = ServerState(pair)
-        ca = Federation.initial(objs, pair)
-        sb = ServerState(pair)
-        cb = Federation.initial(objs, pair)
-        ok = True
-        for _ in range(100):
-            ca = run_round(OptimizerKind.FEDAVG_GDA, ca, sa, hp)
-            cb = run_round(OptimizerKind.FEDSGDA, cb, sb, hp)
-            ok = ok and np.array_equal(sa.global_pair.omega, sb.global_pair.omega)
-            ok = ok and np.array_equal(sa.global_pair.psi, sb.global_pair.psi)
-        _line(3, "oracle_equivalence_fedavg_fedsgda", ok)
-        assert ok
+        _criterion_check(
+            3, "oracle_equivalence_fedavg_fedsgda", check_equiv_fedavg_fedsgda,
+            rounds=100, eta1=0.05, eta2=0.05,
+        )
 
 
 def fedmm_quadratic_config(rounds=ROUND_BUDGET):

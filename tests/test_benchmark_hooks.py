@@ -3,9 +3,11 @@
 `perfbench/spans.py` rebinds every import site of the functions it times
 and refuses to run if one is missing. Installing it in a fresh interpreter
 (so no other test's imports or patches interfere) checks that every name it
-binds still exists.
+binds still exists, and a short traced run checks that the metric phase
+still goes through the wrapped functions.
 """
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -17,11 +19,45 @@ import sys
 sys.path[:0] = [{src!r}, {perfbench!r}]
 import fedmm.cli
 import spans
-spans.Recorder().install()
+recorder = spans.Recorder()
+recorder.install()
+"""
+
+# 5 rounds of FedMM on the DANN toy, phi sampled at rounds 0, 2 and 4, all in one metric block
+DANN_RUN = """
+import json
+from fedmm.core import HyperParams
+from fedmm.federation import ExperimentConfig, PartitionSpec, ProblemKind, run_experiment
+from fedmm.optim import OptimizerKind
+config = ExperimentConfig(
+    OptimizerKind.FEDMM, ProblemKind.DOMAIN_ADAPT,
+    hyper=HyperParams(eta1=0.1, eta2=0.25, nu=0.5, local_steps=(2,), rounds=5, tol=1e-3),
+    partition=PartitionSpec(p=1.0), seed=3, metrics_every=2,
+    toy_n_per_domain=12, toy_holdout_n=16,
+)
+run_experiment(config)
+names = [spans.NAMES[code] for code in recorder.name]
+print(json.dumps({name: names.count(name) for name in set(names)}))
 """
 
 
+def _python(code: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+
+
+def _install() -> str:
+    return INSTALL.format(src=str(ROOT / "src"), perfbench=str(ROOT / "perfbench"))
+
+
 def test_span_recorder_installs():
-    code = INSTALL.format(src=str(ROOT / "src"), perfbench=str(ROOT / "perfbench"))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    proc = _python(_install())
     assert proc.returncode == 0, proc.stderr
+
+
+def test_traced_dann_run_records_the_metric_spans():
+    proc = _python(_install() + DANN_RUN)
+    assert proc.returncode == 0, proc.stderr
+    counts = json.loads(proc.stdout.splitlines()[-1])
+    assert counts["run_round"] == 5
+    assert counts["phi"] == 3  # one span per sampled round
+    assert counts["accuracy"] == 1  # one span per metric block

@@ -344,6 +344,50 @@ class TestBadQuadraticFile:
         assert not list(tmp_path.glob("sweep_*"))
 
 
+# runs with no shards to subsample (quadratic clients, central GDA's pooled
+# client), and the key each one's error names
+_NO_SHARDS = [
+    ("quadratic", "fedmm", "problem = quadratic"),
+    ("domain_adapt", "central_gda", "optimizer = central_gda"),
+]
+
+
+class TestBatchSizeScope:
+    """batch_size > 0 where no minibatch is drawn is a config error, never silently full batch."""
+
+    @pytest.mark.parametrize("problem, optimizer, named", _NO_SHARDS)
+    def test_run_exits_2(self, tmp_path, capsys, problem, optimizer, named):
+        out = tmp_path / "never.csv"
+        text = f"optimizer = {optimizer}\nproblem = {problem}\noutput_path = {out}\n"
+        argv = ["run", "--config", str(write(tmp_path, text)), "--set", "batch_size=5"]
+        assert _run_quietly(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: batch_size must be 0 for {named}, got 5")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_sweep_of_a_quadratic_exits_2_before_any_subrun(self, tmp_path, capsys):
+        cfg_path = write(tmp_path, QUAD_RUN.format(out=tmp_path / "base.csv"))
+        argv = ["sweep", "--config", str(cfg_path), "--set", "batch_size=5", "--axis", "optimizer"]
+        assert _run_quietly(argv + ["--values", "fedmm,fedsgda"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: batch_size must be 0 for problem = quadratic")
+        assert "sweep " not in captured.out + captured.err
+        assert not list(tmp_path.glob("sweep_*"))
+
+    def test_sweep_to_central_gda_exits_2_before_any_subrun(self, tmp_path, capsys):
+        text = "optimizer = fedmm\nproblem = domain_adapt\nbatch_size = 5\n"
+        cfg_path = write(tmp_path, text + f"output_path = {tmp_path / 'base.csv'}\n")
+        argv = ["sweep", "--config", str(cfg_path), "--axis", "optimizer"]
+        assert _run_quietly(argv + ["--values", "fedmm,central_gda"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            "config error: --values: 'central_gda': batch_size must be 0 for optimizer = central_gda"
+        )
+        assert "sweep " not in captured.out + captured.err
+        assert not list(tmp_path.glob("sweep_*"))
+
+
 # Small runs whatever the drawn lines add: the drawn integers stay in -3..4 and
 # later lines override these, so no drawn config runs long or allocates much.
 _FUZZ_BASE = """\
@@ -508,9 +552,13 @@ def _configs(draw):
         prox_mu=draw(_NONNEGATIVE), tol=draw(_POSITIVE), local_tol=draw(_NONNEGATIVE),
         local_max_iters=draw(st.integers(1, 10**6)),
     )
+    optimizer = draw(st.sampled_from(OptimizerKind))
+    problem = draw(st.sampled_from(ProblemKind))
+    # minibatches exist only for federated domain-adaptation runs
+    minibatch = problem is ProblemKind.DOMAIN_ADAPT and optimizer is not OptimizerKind.CENTRAL_GDA
     return ExperimentConfig(
-        optimizer=draw(st.sampled_from(OptimizerKind)),
-        problem=draw(st.sampled_from(ProblemKind)),
+        optimizer=optimizer,
+        problem=problem,
         hyper=hyper,
         partition=PartitionSpec(_MODE_CLIENTS[mode], draw(st.floats(0.0, 1.0)), mode),
         seed=draw(st.integers(0, 2**63)),
@@ -521,7 +569,7 @@ def _configs(draw):
         quad_d2=draw(st.integers(1, 64)),
         toy_n_per_domain=draw(st.integers(1, 500)),
         toy_holdout_n=draw(st.integers(1, 500)),
-        batch_size=draw(st.integers(0, 500)),
+        batch_size=draw(st.integers(0, 500)) if minibatch else 0,
     ), draw(st.booleans())
 
 

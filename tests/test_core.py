@@ -7,6 +7,7 @@ from fedmm.core import (
     ServerState,
     row_dot,
     row_norms,
+    row_sum,
     seeded_rng,
     vector,
     zeros,
@@ -72,6 +73,35 @@ class TestNormDot:
         X, Y = rng.standard_normal((n, d)), rng.standard_normal((n, d))
         assert np.array_equal(row_dot(X, Y), [x @ y for x, y in zip(X, Y)])
         assert np.array_equal(row_norms(X), [np.linalg.norm(x) for x in X])
+
+    @pytest.mark.parametrize("lead", [(1,), (3,), (2, 3)])
+    @pytest.mark.parametrize("n, d", [(1, 1), (40, 1), (32, 30)])
+    def test_leading_axes_are_independent_row_calls(self, lead, n, d):
+        rng = seeded_rng(9)
+        X, Y = rng.standard_normal(lead + (n, d)), rng.standard_normal(lead + (n, d))
+        dots, norms = row_dot(X, Y), row_norms(X)
+        assert dots.shape == norms.shape == lead + (n,)
+        for i in np.ndindex(lead):
+            assert np.array_equal(dots[i], row_dot(X[i], Y[i]))
+            assert np.array_equal(norms[i], row_norms(X[i]))
+
+
+class TestRowSum:
+    @pytest.mark.parametrize("n, d", [(1, 1), (17, 1), (40, 3)])
+    def test_adds_the_rows_in_order(self, n, d):
+        rows = seeded_rng(10).standard_normal((n, d)) * 10.0 ** np.arange(n)[:, None]
+        total = rows[0].copy()
+        for row in rows[1:]:
+            total = total + row
+        assert np.array_equal(row_sum(rows), total)
+
+    @pytest.mark.parametrize("n", [1, 17, 40])
+    def test_leading_axes_are_summed_on_their_own(self, n):
+        V = seeded_rng(11).standard_normal((5, n)) * 10.0 ** np.arange(n)
+        want = [row_sum(v) for v in V]
+        assert np.array_equal(row_sum(V, axis=1), want)
+        assert np.array_equal(row_sum(V, axis=-1), want)
+        assert np.array_equal(row_sum(V.T), want)
 
 
 class TestStates:

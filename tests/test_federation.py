@@ -156,6 +156,14 @@ class TestEvaluateTargetAccuracy:
         # binomial 3-sigma band around chance for the average of random draws
         assert abs(float(np.mean(accs)) - 0.5) <= 3 * sigma + 0.25
 
+    def test_stack_of_omegas_gives_each_omegas_accuracy(self):
+        train, holdout, layout = toy(n=200)
+        obj = DomainAdaptObjective(train, 0.5, layout)
+        omegas = seeded_rng(33).standard_normal((9, layout.d1))
+        got = evaluate_target_accuracy(obj, omegas, holdout)
+        assert got.shape == (9,)
+        assert got.tolist() == [evaluate_target_accuracy(obj, vector(om), holdout) for om in omegas]
+
     def test_empty_holdout_rejected(self):
         train, _, layout = toy()
         obj = DomainAdaptObjective(train, 0.5, layout)

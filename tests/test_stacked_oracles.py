@@ -131,6 +131,13 @@ def assert_oracles_match(objs, OM, PS, tol):
     fed = Federation(view, np.hstack((OM, PS)), np.zeros((len(OM), OM.shape[1] + PS.shape[1])))
     assert consensus(fed, pair) == ref_consensus(OM, PS, pair)
 
+    # leading axes: the N rows as N points of the mean, and two stacks of rows at once
+    want_means = [ref_mean_value(objs, vector(OM[k]), vector(PS[k])) for k in range(len(OM))]
+    assert view.mean_values(OM, PS).tolist() == want_means
+    flip_OM, flip_PS = np.ascontiguousarray(OM[::-1]), np.ascontiguousarray(PS[::-1])
+    got = view.values(np.stack((OM, flip_OM)), np.stack((PS, flip_PS)))
+    assert np.array_equal(got, [want, view.values(flip_OM, flip_PS)])
+
 
 # ------------------------------- properties ------------------------------- #
 
