@@ -22,15 +22,14 @@ from fedmm.federation import (
     ExperimentConfig,
     PartitionMode,
     PartitionSpec,
+    Problem,
     ProblemKind,
     RunLog,
-    partition_counts,
+    prepare,
     run_experiment,
     _fmt,
-    simulated_clients,
 )
 from fedmm.federation import write_atomic as _write_atomic
-from fedmm.objectives import SOURCE, TARGET, load_dataset, load_quadratic_specs
 from fedmm.optim import OptimizerKind
 
 EXIT_OK = 0
@@ -117,41 +116,11 @@ def _read_assignments(path: str | Path) -> list[tuple[int, str, str]]:
     return out
 
 
-def _check_config(config: ExperimentConfig) -> None:
-    """The checks a built config still needs: its problem file, partition and local_steps."""
-    if config.problem_file is not None and not Path(config.problem_file).is_file():
-        raise ConfigError(f"problem.file does not exist: {config.problem_file}")
-    dataset = None
-    try:
-        n_clients = simulated_clients(config)
-        if config.problem is ProblemKind.DOMAIN_ADAPT and config.problem_file is not None:
-            dataset, _ = load_dataset(config.problem_file)
-        elif config.optimizer is OptimizerKind.CENTRAL_GDA and config.problem_file is not None:
-            # central_gda pools the clients without counting them, so nothing above read the file
-            load_quadratic_specs(config.problem_file)
-    except ValueError as e:
-        raise ConfigError(f"problem.file: {e}") from None
-    # central_gda pools the file; the built-in toy has at least two points per
-    # domain, which no mode or p leaves a client without
-    if dataset is not None and config.optimizer is not OptimizerKind.CENTRAL_GDA:
-        n_src = int((dataset.domain == SOURCE).sum())
-        n_tgt = int((dataset.domain == TARGET).sum())
-        try:
-            partition_counts(n_src, n_tgt, config.partition)
-        except ValueError as e:
-            raise ConfigError(
-                f"partition: {e}: problem.file {config.problem_file} has {n_src} source and "
-                f"{n_tgt} target points, partition.mode={config.partition.mode.value} "
-                f"partition.p={config.partition.p}"
-            ) from None
-    try:
-        config.hyper.expanded(n_clients)
-    except ValueError as e:
-        raise ConfigError(f"hyper.local_steps: {e}") from None
-
-
 def parse_config(path: str | Path, overrides: list[str] | None = None) -> ExperimentConfig:
-    """Parse and fully validate a config file plus `key=value` overrides."""
+    """Parse and validate a config file plus `key=value` overrides, then apply FEDMM_SEED.
+
+    Reads no problem file: `prepare` reads it, once, when the run's problem is built.
+    """
     entries = _read_assignments(path)
     for i, item in enumerate(overrides or []):
         if "=" not in item:
@@ -182,8 +151,6 @@ def parse_config(path: str | Path, overrides: list[str] | None = None) -> Experi
     except ValueError as e:
         raise ConfigError(str(e)) from None
 
-    _check_config(config)
-
     env_seed = os.environ.get("FEDMM_SEED")
     if env_seed is not None:
         try:
@@ -205,9 +172,17 @@ def _summary_line(log: RunLog, output: str) -> str:
     return " ".join(parts)
 
 
-def cmd_run(config: ExperimentConfig) -> int:
+def _prepared(config: ExperimentConfig, prefix: str = "") -> Problem:
+    """prepare(config), its errors as config errors."""
     try:
-        log = run_experiment(config)
+        return prepare(config)
+    except ValueError as e:
+        raise ConfigError(f"{prefix}{e}") from None
+
+
+def cmd_run(config: ExperimentConfig, problem: Problem) -> int:
+    try:
+        log = run_experiment(config, problem)
     except DivergenceError as e:
         print(f"status=diverged error={e}", file=sys.stderr)
         return EXIT_DIVERGENCE
@@ -246,22 +221,22 @@ def _apply_axis(config: ExperimentConfig, axis: str, raw: str) -> tuple[str, Exp
 
 def _sweep_runs(
     config: ExperimentConfig, axis: str, values: list[str]
-) -> dict[str, ExperimentConfig]:
-    """Each value's checked run by canonical name; a bad or repeated value is a config error."""
-    runs: dict[str, ExperimentConfig] = {}
+) -> dict[str, tuple[ExperimentConfig, Problem]]:
+    """Each value's (config, problem) by canonical name; a bad or repeated value is a config error."""
+    runs: dict[str, tuple[ExperimentConfig, Problem]] = {}
     raw_of: dict[str, str] = {}
     for raw in values:
+        prefix = f"--values: {raw!r}: "
         try:
             name, sub = _apply_axis(config, axis, raw)
-            _check_config(sub)
         except ValueError as e:
-            raise ConfigError(f"--values: {raw!r}: {e}") from None
+            raise ConfigError(f"{prefix}{e}") from None
         if name in runs:
             raise ConfigError(
                 f"--values: {raw_of[name]!r} and {raw!r} are the same {axis} value {name!r}"
             )
         raw_of[name] = raw
-        runs[name] = sub
+        runs[name] = sub, _prepared(sub, prefix)
     return runs
 
 
@@ -272,11 +247,11 @@ def cmd_sweep(config: ExperimentConfig, axis: str, values: list[str]) -> int:
     out_dir = Path(config.output_path).parent
     index_rows = []
     any_failed = False
-    for name, sub in _sweep_runs(config, axis, values).items():
+    for name, (sub, problem) in _sweep_runs(config, axis, values).items():
         sub_path = out_dir / f"sweep_{axis}_{name}.csv"
         try:
             sub = replace(sub, output_path=str(sub_path))
-            log = run_experiment(sub)
+            log = run_experiment(sub, problem)
             log.write_csv(sub.output_path)
             final = log.final()
             index_rows.append(
@@ -344,9 +319,11 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "run":
-            return cmd_run(parse_config(args.config, args.set))
+            config = parse_config(args.config, args.set)
+            return cmd_run(config, _prepared(config))
         if args.command == "sweep":
             config = parse_config(args.config, args.set)
+            _prepared(config)  # a bad base config fails unprefixed, as its run would
             values = [v for v in args.values.split(",") if v != ""]
             return cmd_sweep(config, args.axis, values)
         if args.command == "check":

@@ -40,7 +40,6 @@ from fedmm.objectives import (
     StackedObjectives,
     load_dataset,
     load_quadratic_objectives,
-    load_quadratic_specs,
     phi_value_and_grad,
     stacked,
 )
@@ -98,8 +97,8 @@ def partition_counts(n_source: int, n_target: int, spec: PartitionSpec) -> list[
     """(source points, target points) of each client, in client order.
 
     The counts depend only on the domain sizes, p and the mode, never on the
-    RNG, so a config can be checked before any data is drawn. A client left
-    with no points at all is an error (its objective would be degenerate).
+    RNG. A client left with no points at all is an error (its objective
+    would be degenerate).
     """
     if spec.mode is PartitionMode.TWO_CLIENT_P:
         n_src_1 = int(round(spec.p * n_source))
@@ -439,85 +438,104 @@ class ExperimentConfig:
         return d
 
 
-def simulated_clients(config: ExperimentConfig) -> int:
-    """Number of clients the round loop runs; central_gda runs one pooled client."""
-    if config.optimizer is OptimizerKind.CENTRAL_GDA:
-        return 1
-    if config.problem is ProblemKind.DOMAIN_ADAPT:
-        return config.partition.n_clients
-    if config.problem_file:
-        return len(load_quadratic_specs(config.problem_file))
-    return config.quad_n_clients
+@dataclass(frozen=True)
+class Problem:
+    """What a run builds from its config, once, in `prepare`.
 
-
-@dataclass
-class _BuiltProblem:
-    """Everything run_experiment needs after problem construction.
-
-    oracle is the metric oracles' view when it is not the simulated clients'
-    own: central GDA on quadratics trains one MeanObjective, whose view holds
-    the clients it pools.
+    clients are the simulated clients (one pooled client for central GDA) and
+    hyper has one local_steps entry per client. Each run seeds its minibatch
+    Generator afresh from batch_seq, so a Problem reruns to the same bytes.
+    accuracy is the (objective, labeled holdout) pair of the target accuracy;
+    minibatches are drawn from shards under layout. oracle is the metric
+    view when it is not the clients' own: central GDA on quadratics trains
+    one MeanObjective, whose view holds the clients it pools.
     """
 
-    sim_objectives: list[LocalObjective]
+    clients: tuple[LocalObjective, ...]
+    hyper: HyperParams
     init_pair: PrimalDualPair
-    holdout: DomainAdaptDataset | None
-    accuracy_objective: DomainAdaptObjective | None
-    shards: list[DomainAdaptDataset] | None
-    layout: ModelLayout | None
+    batch_seq: np.random.SeedSequence
+    accuracy: tuple[DomainAdaptObjective, DomainAdaptDataset] | None = None
+    shards: tuple[DomainAdaptDataset, ...] | None = None
+    layout: ModelLayout | None = None
     oracle: StackedObjectives | None = None
 
 
-def _build_problem(config: ExperimentConfig, seed_seq: np.random.SeedSequence) -> _BuiltProblem:
-    data_seq, init_seq, part_seq = seed_seq.spawn(3)
+def prepare(config: ExperimentConfig) -> Problem:
+    """The only place a config becomes a problem; a problem.file is read here, once.
 
-    if config.problem is ProblemKind.QUADRATIC:
-        objs: list[LocalObjective]
-        if config.problem_file:
-            objs = load_quadratic_objectives(config.problem_file)
-        else:
+    The config seed spawns the data, init, partition and minibatch streams.
+    A bad problem.file, a partition that leaves a client without points and
+    local_steps that do not fit the clients raise ValueError naming the key.
+    """
+    data_seq, init_seq, part_seq, batch_seq = np.random.SeedSequence(config.seed).spawn(4)
+    path, quadratic = config.problem_file, config.problem is ProblemKind.QUADRATIC
+    load = load_quadratic_objectives if quadratic else load_dataset
+    try:
+        loaded = None if path is None else load(path)
+    except (FileNotFoundError, IsADirectoryError):
+        raise ValueError(f"problem.file does not exist: {path}") from None
+    except (OSError, ValueError) as e:
+        raise ValueError(f"problem.file: {e}") from None
+    central = config.optimizer is OptimizerKind.CENTRAL_GDA
+    accuracy = shards = layout = oracle = None
+
+    if quadratic:
+        objs = loaded
+        if loaded is None:
             specs = problems.synthetic_quadratic_specs(
                 config.quad_n_clients, config.quad_d1, config.quad_d2
             )
             objs = [QuadraticSaddle(s) for s in specs]
         d1, d2 = objs[0].dims
         init = PrimalDualPair(zeros(d1), zeros(d2))
-        if config.optimizer is OptimizerKind.CENTRAL_GDA:
+        if central:
             pooled = MeanObjective(objs)
-            return _BuiltProblem([pooled], init, None, None, None, None, pooled.view)
-        return _BuiltProblem(objs, init, None, None, None, None)
-
-    # domain adaptation
-    if config.problem_file:
-        dataset, n_classes = load_dataset(config.problem_file)
-        holdout = None
-        layout = ModelLayout(dataset.X.shape[1], dataset.X.shape[1], n_classes)
+            objs, oracle = [pooled], pooled.view
     else:
-        dataset, holdout, layout = problems.domain_shift_toy(
-            np.random.Generator(np.random.PCG64(data_seq)),
-            n_per_domain=config.toy_n_per_domain,
-            holdout_n=config.toy_holdout_n,
+        if loaded is not None:
+            (dataset, n_classes), holdout = loaded, None
+            layout = ModelLayout(dataset.X.shape[1], dataset.X.shape[1], n_classes)
+        else:
+            dataset, holdout, layout = problems.domain_shift_toy(
+                np.random.Generator(np.random.PCG64(data_seq)),
+                n_per_domain=config.toy_n_per_domain,
+                holdout_n=config.toy_holdout_n,
+            )
+        pooled = DomainAdaptObjective(dataset, config.hyper.nu, layout)
+        init_rng = np.random.Generator(np.random.PCG64(init_seq))
+        init = PrimalDualPair(
+            vector(0.1 * init_rng.standard_normal(layout.d1)),
+            vector(0.1 * init_rng.standard_normal(layout.d2)),
         )
+        if holdout is not None:
+            accuracy = (pooled, holdout)
+        if central:
+            objs = [pooled]
+        else:
+            part_rng = np.random.Generator(np.random.PCG64(part_seq))
+            try:
+                shards = tuple(partition_label_shift(dataset, config.partition, part_rng))
+            except ValueError as e:  # never on the toy: it has two points per domain
+                n_src, part = int((dataset.domain == SOURCE).sum()), config.partition
+                raise ValueError(
+                    f"partition: {e}: problem.file {path} has {n_src} source and "
+                    f"{len(dataset) - n_src} target points, "
+                    f"partition.mode={part.mode.value} partition.p={part.p}"
+                ) from None
+            objs = [DomainAdaptObjective(s, config.hyper.nu, layout) for s in shards]
 
-    pooled = DomainAdaptObjective(dataset, config.hyper.nu, layout)
-    init_rng = np.random.Generator(np.random.PCG64(init_seq))
-    init = PrimalDualPair(
-        vector(0.1 * init_rng.standard_normal(layout.d1)),
-        vector(0.1 * init_rng.standard_normal(layout.d2)),
-    )
-
-    if config.optimizer is OptimizerKind.CENTRAL_GDA:
-        return _BuiltProblem([pooled], init, holdout, pooled, None, layout)
-
-    part_rng = np.random.Generator(np.random.PCG64(part_seq))
-    shards = partition_label_shift(dataset, config.partition, part_rng)
-    objs = [DomainAdaptObjective(s, config.hyper.nu, layout) for s in shards]
-    return _BuiltProblem(objs, init, holdout, pooled, shards, layout)
+    try:
+        hyper = config.hyper.expanded(len(objs))
+    except ValueError as e:
+        raise ValueError(f"hyper.local_steps: {e}") from None
+    return Problem(tuple(objs), hyper, init, batch_seq, accuracy, shards, layout, oracle)
 
 
-def run_experiment(config: ExperimentConfig) -> RunLog:
+def run_experiment(config: ExperimentConfig, problem: Problem | None = None) -> RunLog:
     """Execute T rounds of the configured optimizer and record per-round metrics.
 
+    problem is `prepare(config)`'s Problem, prepared here when not given.
     Each round's state goes into a MetricsBlock, which evaluates the metrics
     of a block_rounds(N, d1 + d2) block of rounds at once (and the last,
     shorter block after the final round). phi_grad_norm is computed through
@@ -525,28 +543,23 @@ def run_experiment(config: ExperimentConfig) -> RunLog:
     metrics_every-th round and on the final round; an inner-max failure
     degrades it to None instead of aborting.
     """
-    seed_seq = np.random.SeedSequence(config.seed)
-    built = _build_problem(config, seed_seq)
-    batch_seq = seed_seq.spawn(1)[0]
-
-    hp = config.hyper.expanded(len(built.sim_objectives))
-    server = ServerState(built.init_pair)
-    fed = Federation.initial(built.sim_objectives, built.init_pair)
-    oracle = fed.view if built.oracle is None else built.oracle
-    accuracy = None
-    if built.holdout is not None and built.accuracy_objective is not None:
-        accuracy = (built.accuracy_objective, built.holdout)
+    if problem is None:
+        problem = prepare(config)
+    hp = problem.hyper
+    server = ServerState(problem.init_pair)
+    fed = Federation.initial(problem.clients, problem.init_pair)
+    oracle = fed.view if problem.oracle is None else problem.oracle
     size = min(hp.rounds, block_rounds(fed.n, sum(oracle.dims)))
-    block = MetricsBlock(oracle, fed.n, size, hp.tol, accuracy)
+    block = MetricsBlock(oracle, fed.n, size, hp.tol, problem.accuracy)
 
     log = RunLog(config_echo=config.echo(), seed=config.seed)
-    batch_rng = np.random.Generator(np.random.PCG64(batch_seq))
+    batch_rng = np.random.Generator(np.random.PCG64(problem.batch_seq))
 
     for t in range(hp.rounds):
         if config.batch_size > 0:
             # seeded minibatch mode: fresh per-round subsample of each shard
-            batches = [shard.sample(batch_rng, config.batch_size) for shard in built.shards]
-            view = stacked([DomainAdaptObjective(b, hp.nu, built.layout) for b in batches])
+            batches = [shard.sample(batch_rng, config.batch_size) for shard in problem.shards]
+            view = stacked([DomainAdaptObjective(b, hp.nu, problem.layout) for b in batches])
             fed = Federation(view, fed.Z, fed.D)
         try:
             fed = run_round(config.optimizer, fed, server, hp)

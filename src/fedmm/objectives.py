@@ -37,7 +37,7 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -757,26 +757,40 @@ def phi_value_and_grad(
 #   label -1 = unlabeled).
 
 
-def _tokens(path: str | Path) -> list[str]:
+def _records(
+    path: str | Path, width: Callable[[int, int], int]
+) -> tuple[tuple[int, int, int], list[str], np.ndarray]:
+    """A text file's `d1 d2 N` header, the tokens after it and its N records of width(d1, d2) values.
+
+    The records parse in one bulk pass into one frozen (N, width) float
+    array; every error names the file.
+    """
     # str.split() breaks on every line boundary str.splitlines() does, so only
     # a text with comments needs a pass per line
     text = Path(path).read_text()
     if "#" in text:
         text = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
-    return text.split()
-
-
-def _header(toks: list[str], path: str | Path) -> tuple[int, int, int]:
+    toks = text.split()
+    del text  # so that the text and the parsed floats are never held at once
     if len(toks) < 3:
         raise ValueError(f"{path}: missing 'd1 d2 N' header")
     try:
-        d1, d2, n = (int(t) for t in toks[:3])
+        head = d1, d2, n = tuple(int(t) for t in toks[:3])
     except ValueError:
         got = " ".join(toks[:3])
         raise ValueError(f"{path}: header 'd1 d2 N' must be integers, got {got}") from None
-    if min(d1, d2, n) < 1:
+    if min(head) < 1:
         raise ValueError(f"{path}: header 'd1 d2 N' must be positive, got {d1} {d2} {n}")
-    return d1, d2, n
+    per, body = width(d1, d2), toks[3:]
+    if len(body) != n * per:
+        raise ValueError(f"{path}: expected {n * per} values, found {len(body)}")
+    try:
+        # float() parses each token, correctly rounded, without a list of floats in between
+        vals = np.array(body, dtype=np.float64).reshape(n, per)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
+    vals.flags.writeable = False
+    return head, body, vals
 
 
 def _read_quadratic(path: str | Path) -> tuple[np.ndarray, ...]:
@@ -786,18 +800,7 @@ def _read_quadratic(path: str | Path) -> tuple[np.ndarray, ...]:
     views of it; _quadratic_fault checks every client at once, and a failure
     names the file and the first failing client.
     """
-    toks = _tokens(path)
-    d1, d2, n = _header(toks, path)
-    per = d1 * d1 + d1 * d2 + d2 * d2 + d1 + d2
-    body = toks[3:]
-    if len(body) != n * per:
-        raise ValueError(f"{path}: expected {n * per} values, found {len(body)}")
-    try:
-        # float() parses each token, correctly rounded, without a list of floats in between
-        vals = np.array(body, dtype=np.float64).reshape(n, -1)
-    except ValueError as e:
-        raise ValueError(f"{path}: {e}") from None
-    vals.flags.writeable = False
+    (d1, d2, _), _, vals = _records(path, lambda d1, d2: d1 * d1 + d1 * d2 + d2 * d2 + d1 + d2)
     fault = _quadratic_fault(vals, d1, d2)
     if fault is not None:
         raise ValueError(f"{path}: client {fault[0]}: {fault[1]}")
@@ -828,28 +831,32 @@ def save_quadratic_specs(path: str | Path, specs: Sequence[QuadraticSaddleSpec])
 
 
 def load_dataset(path: str | Path) -> tuple[DomainAdaptDataset, int]:
-    """Read a dataset file; returns (dataset, n_classes)."""
-    toks = _tokens(path)
-    d1, n_classes, n = _header(toks, path)
-    body = toks[3:]
-    per = 2 + d1
-    if len(body) != n * per:
-        raise ValueError(f"{path}: expected {n * per} values, found {len(body)}")
-    dom = np.empty(n, dtype=np.int64)
-    y = np.empty(n, dtype=np.int64)
-    X = np.empty((n, d1))
-    for i in range(n):
-        rec = body[i * per : (i + 1) * per]
-        dom[i] = int(rec[0])
-        y[i] = int(rec[1])
-        X[i] = [float(v) for v in rec[2:]]
-    bad = (y >= n_classes) | (y < UNLABELED)
-    if bad.any():
-        raise ValueError(
-            f"{path}: label {y[bad][0]} outside class range 0..{n_classes - 1} (or -1 unlabeled)"
-        )
+    """Read and check a dataset file of `domain label x_1 .. x_d` records; returns (dataset, n_classes).
+
+    Domain and label must be integer tokens and every feature finite; a
+    failure names the file and the first failing record (0-based).
+    """
+    (d, n_classes, _), body, vals = _records(path, lambda d, _: 2 + d)
+    heads = [body[0 :: 2 + d], body[1 :: 2 + d]]
     try:
-        return DomainAdaptDataset(X, y, dom), n_classes
+        dom, y = np.array(heads, dtype=np.int64)
+    except (ValueError, OverflowError):
+        for i, got in enumerate(zip(*heads)):
+            try:
+                np.array(got, dtype=np.int64)
+            except (ValueError, OverflowError):
+                why = f"domain and label must be integers, got {' '.join(got)}"
+                raise ValueError(f"{path}: record {i}: {why}") from None
+    nonfinite = ~np.isfinite(vals[:, 2:]).all(axis=1)
+    bad = nonfinite | (y >= n_classes) | (y < UNLABELED)
+    if bad.any():
+        i = np.argmax(bad)
+        why = f"label {y[i]} outside class range 0..{n_classes - 1} (or -1 unlabeled)"
+        if nonfinite[i]:
+            why = "a feature is not finite"
+        raise ValueError(f"{path}: record {i}: {why}")
+    try:
+        return DomainAdaptDataset(vals[:, 2:].copy(), y, dom), n_classes
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from fedmm import federation, objectives
 from fedmm.cli import _AXES, _SCHEMA, ConfigError, _write_atomic, main, parse_config
 from fedmm.core import HyperParams, seeded_rng
 from fedmm.federation import (
@@ -78,10 +79,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="eta3"):
             parse_config(write(tmp_path, text))
 
-    def test_missing_problem_file(self, tmp_path):
+    def test_missing_problem_file(self, tmp_path, capsys):
+        # parse_config reads no problem file; the run's prepare reports it
         text = "optimizer = fedmm\nproblem = quadratic\nproblem.file = nowhere.txt\n"
-        with pytest.raises(ConfigError, match="does not exist"):
-            parse_config(write(tmp_path, text))
+        assert parse_config(write(tmp_path, text)).problem_file == "nowhere.txt"
+        assert main(["run", "--config", str(write(tmp_path, text))]) == 2
+        assert capsys.readouterr().err == "config error: problem.file does not exist: nowhere.txt\n"
 
     def test_set_overrides(self, tmp_path):
         cfg = parse_config(write(tmp_path, MINIMAL), overrides=["hyper.rounds=7", "seed=11"])
@@ -342,6 +345,206 @@ class TestBadQuadraticFile:
         captured = self.assert_config_error(capsys, path, name)
         assert "sweep " not in captured.out + captured.err
         assert not list(tmp_path.glob("sweep_*"))
+
+
+def _dataset_text(n_per_domain=8, seed=0) -> str:
+    """A valid dataset file of the DANN toy: `2 2 N` and one `domain label x0 x1` line per point."""
+    train, _, _ = domain_shift_toy(seeded_rng(seed), n_per_domain, 4)
+    lines = [f"2 2 {len(train)}"]
+    for dom, y, (x0, x1) in zip(train.domain, train.y, train.X.tolist()):
+        lines.append(f"{dom} {y} {x0!r} {x1!r}")
+    return "\n".join(lines) + "\n"
+
+
+def _dataset_run(tmp_path, data, optimizer="fedmm"):
+    """A 2-round run config on the dataset file, and its output path."""
+    out = tmp_path / "out.csv"
+    text = (
+        f"optimizer = {optimizer}\nproblem = domain_adapt\nhyper.rounds = 2\n"
+        f"hyper.local_steps = 2\nproblem.file = {data}\noutput_path = {out}\n"
+    )
+    return write(tmp_path, text), out
+
+
+class TestBadDatasetFile:
+    """A bad record in a dataset problem.file is a config error naming the file and the record."""
+
+    @pytest.mark.parametrize("optimizer", ["fedmm", "central_gda"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_non_finite_feature_exits_2_before_any_run(
+        self, tmp_path, capsys, command, value, optimizer
+    ):
+        data = tmp_path / "non_finite.txt"
+        lines = _dataset_text().splitlines()
+        lines[3] = lines[3].rsplit(" ", 1)[0] + f" {value}"  # record 2's second feature
+        data.write_text("\n".join(lines) + "\n")
+        cfg_path, out = _dataset_run(tmp_path, data, optimizer)
+        argv = ["run", "--config", str(cfg_path)]
+        if command == "sweep":
+            argv = ["sweep", "--config", str(cfg_path), "--axis", "optimizer", "--values"]
+            argv.append("fedmm,central_gda")
+        assert _run_quietly(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"config error: problem.file: {data}: record 2: a feature is not finite\n"
+        )
+        assert "sweep " not in captured.out
+        assert not out.exists() and not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ("0 1 0.5 x", "could not convert string to float: 'x'"),
+            ("0 -1.5 0.5 0.25", "record 1: domain and label must be integers, got 0 -1.5"),
+            ("0 1.0 0.5 0.25", "record 1: domain and label must be integers, got 0 1.0"),
+            ("1.5 -1 0.5 0.25", "record 1: domain and label must be integers, got 1.5 -1"),
+            ("0 99999999999999999999 0.5 0.25", "record 1: domain and label must be integers"),
+            ("0 5 0.5 0.25", "record 1: label 5 outside class range 0..1 (or -1 unlabeled)"),
+            ("0 1 0.5", "expected 12 values, found 11"),
+        ],
+        ids=["token", "label_-1.5", "label_1.0", "domain_1.5", "label_overflow", "label_5", "short"],
+    )
+    def test_parse_error_names_the_file(self, tmp_path, capsys, record, message):
+        data = tmp_path / "garbled.txt"
+        data.write_text(f"2 2 3\n0 1 1.0 2.0\n{record}\n1 -1 0.0 0.5\n")
+        cfg_path, out = _dataset_run(tmp_path, data)
+        assert _run_quietly(["run", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: problem.file: {data}: ") and message in err
+        assert not out.exists()
+
+
+# tokens a mutated dataset file may hold: features, domains and labels of every
+# kind, and junk; the header draws only small values, so a drawn layout stays small
+_RECORD_TOKENS = st.sampled_from([
+    "nan", "inf", "-inf", "1e999", "1e308", "-1e308", "5e-324", "-0.0", "0.5", "1.5", "1.0",
+    "-1.5", "-1", "0", "1", "2", "3", "99999999999999999999", "x", "0x1", "1_0", "١", "½", "∞",
+])
+_HEADER_TOKENS = st.sampled_from(["-1", "0", "1", "2", "3", "4", "1.5", "2.0", "nan", "x", "١"])
+
+
+@st.composite
+def _mutated_datasets(draw):
+    """A valid dataset's lines of tokens with up to three edits: replaced, dropped or cut tokens."""
+    lines = [line.split() for line in _dataset_text(4, draw(st.integers(0, 3))).splitlines()]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        j = draw(st.integers(0, max(len(lines[i]) - 1, 0)))
+        # mostly same-length edits, so that most drawn files parse and reach a run
+        edit = draw(st.sampled_from(["replace"] * 6 + ["drop_token", "drop_line", "cut_file"]))
+        if edit == "replace" and lines[i]:
+            lines[i][j] = draw(_HEADER_TOKENS if i == 0 else _RECORD_TOKENS)
+        elif edit == "drop_token" and lines[i]:
+            del lines[i][j]
+        elif edit == "drop_line":
+            del lines[i]
+        elif edit == "cut_file":
+            lines = lines[:i]
+        if not lines:
+            break
+    return "\n".join(" ".join(line) for line in lines) + "\n"
+
+
+class TestDatasetFileFuzz:
+    # features near 1e308 overflow the run's arithmetic: a warning, then exit 0 or 3
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    @settings(
+        max_examples=100, deadline=None, derandomize=True, database=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        optimizer=st.sampled_from(["fedmm", "fedavg_gda", "central_gda"]),
+        text=_mutated_datasets(),
+    )
+    # the escape it found: a non-finite feature ended in a traceback mid-run
+    @example(optimizer="fedmm", text="2 2 2\n0 1 0.5 nan\n1 -1 0.0 0.5\n")
+    @example(optimizer="central_gda", text="2 2 2\n0 1 0.5 inf\n1 -1 0.0 0.5\n")
+    def test_run_ends_in_a_known_exit_code(self, tmp_path, monkeypatch, optimizer, text):
+        """Any dataset file ends in exit 0, 2 or 3; no exception escapes main()."""
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("FEDMM_SEED", raising=False)
+        data = tmp_path / "fuzz.txt"
+        data.write_text(text, encoding="utf-8")
+        cfg_path, _ = _dataset_run(tmp_path, data, optimizer)
+        assert main(["run", "--config", str(cfg_path)]) in (0, 2, 3)
+
+
+@pytest.fixture
+def loads(monkeypatch):
+    """Paths of the problem files read since the test started, one entry per read."""
+    paths = []
+    for module, name in ((objectives, "_read_quadratic"), (federation, "load_dataset")):
+        def counted(path, read=getattr(module, name)):
+            paths.append(path)
+            return read(path)
+
+        monkeypatch.setattr(module, name, counted)
+    return paths
+
+
+_LOAD_SWEEPS = {
+    "optimizer": "fedmm,fedsgda,central_gda",
+    "local_steps": "1,2,3",
+    "partition_p": "0.25,0.5,0.75",
+}
+
+
+class TestProblemLoads:
+    """A problem file is read once per run: once by `run`, and by `sweep` once per value plus the base."""
+
+    def config(self, tmp_path, problem, optimizer="fedmm"):
+        data = tmp_path / "problem.txt"
+        if problem == "quadratic":
+            save_quadratic_specs(data, synthetic_quadratic_specs(4))
+        else:
+            data.write_text(_dataset_text())
+        text = (
+            f"optimizer = {optimizer}\nproblem = {problem}\nhyper.rounds = 1\n"
+            f"hyper.local_steps = 2\nproblem.file = {data}\n"
+            f"output_path = {tmp_path / 'out.csv'}\n"
+        )
+        return str(write(tmp_path, text)), str(data)
+
+    @pytest.mark.parametrize("optimizer", ["fedmm", "central_gda"])
+    @pytest.mark.parametrize("problem", ["quadratic", "domain_adapt"])
+    def test_run_reads_the_file_once(self, tmp_path, capsys, loads, problem, optimizer):
+        cfg_path, data = self.config(tmp_path, problem, optimizer)
+        assert main(["run", "--config", cfg_path]) == 0
+        assert loads == [data]
+
+    @pytest.mark.parametrize("axis", sorted(_LOAD_SWEEPS))
+    @pytest.mark.parametrize("problem", ["quadratic", "domain_adapt"])
+    def test_sweep_reads_the_file_once_per_value_and_for_the_base(
+        self, tmp_path, capsys, loads, problem, axis
+    ):
+        cfg_path, data = self.config(tmp_path, problem)
+        values = _LOAD_SWEEPS[axis]
+        assert main(["sweep", "--config", cfg_path, "--axis", axis, "--values", values]) == 0
+        assert loads == [data] * (len(values.split(",")) + 1)
+
+
+_TOY_RUN = """\
+optimizer = fedmm
+problem = domain_adapt
+problem.n_per_domain = 12
+problem.holdout_n = 6
+hyper.rounds = 3
+hyper.local_steps = 3
+output_path = {out}
+"""
+
+
+def test_env_seed_prepares_the_same_problem_as_the_seed_key(tmp_path, capsys, monkeypatch):
+    # the DANN toy's data is drawn from the seed, so the override must come before prepare
+    monkeypatch.delenv("FEDMM_SEED", raising=False)
+    outs = {name: tmp_path / f"{name}.csv" for name in ("default", "key", "env")}
+    cfgs = {name: write(tmp_path, _TOY_RUN.format(out=out), f"{name}.cfg") for name, out in outs.items()}
+    assert main(["run", "--config", str(cfgs["default"])]) == 0
+    assert main(["run", "--config", str(cfgs["key"]), "--set", "seed=7"]) == 0
+    monkeypatch.setenv("FEDMM_SEED", "7")
+    assert main(["run", "--config", str(cfgs["env"])]) == 0
+    assert outs["env"].read_bytes() == outs["key"].read_bytes() != outs["default"].read_bytes()
 
 
 # runs with no shards to subsample (quadratic clients, central GDA's pooled

@@ -18,6 +18,7 @@ from fedmm.federation import (
     evaluate_target_accuracy,
     partition_counts,
     partition_label_shift,
+    prepare,
     run_experiment,
     write_atomic,
 )
@@ -275,6 +276,38 @@ class TestRunExperiment:
         full = run_experiment(ExperimentConfig(**{**cfg, "batch_size": 0})).csv_text()
         assert a == b
         assert a != full
+
+
+# small runs of both problems; the DANN toy's holdout gives the accuracy column
+_REUSE_PROBLEMS = {
+    "quadratic": dict(problem=ProblemKind.QUADRATIC, hyper=HyperParams(rounds=3, local_steps=(4,))),
+    "dann_toy": dict(
+        problem=ProblemKind.DOMAIN_ADAPT, hyper=HyperParams(rounds=3, local_steps=(4,)),
+        seed=5, toy_n_per_domain=40, toy_holdout_n=10,
+    ),
+}
+_REUSE_CASES = [(name, kind, 0) for name in _REUSE_PROBLEMS for kind in OptimizerKind] + [
+    ("dann_toy", OptimizerKind.FEDMM, 32), ("dann_toy", OptimizerKind.FEDAVG_GDA, 32)
+]
+
+
+class TestPreparedProblem:
+    @pytest.mark.parametrize(
+        "name, kind, batch_size", _REUSE_CASES,
+        ids=[f"{n}-{k.value}-batch{b}" for n, k, b in _REUSE_CASES],
+    )
+    def test_a_problem_reruns_to_the_same_bytes(self, name, kind, batch_size):
+        config = ExperimentConfig(optimizer=kind, batch_size=batch_size, **_REUSE_PROBLEMS[name])
+        want = run_experiment(config).csv_text().encode()
+        problem = prepare(config)
+        assert run_experiment(config, problem).csv_text().encode() == want
+        assert run_experiment(config, problem).csv_text().encode() == want
+
+    def test_clients_and_expanded_hyperparameters(self):
+        config = quad_config(hyper=HyperParams(local_steps=(7,)))
+        assert prepare(config).hyper.local_steps == (7, 7, 7)
+        central = prepare(quad_config(optimizer=OptimizerKind.CENTRAL_GDA))
+        assert len(central.clients) == 1 and central.oracle.n == 3
 
 
 class TestRunLogCsv:

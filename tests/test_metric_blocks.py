@@ -93,18 +93,17 @@ def _phi_grad_norm(view, omega, tol):
 
 def reference_csv(config: ExperimentConfig) -> str:
     """The run's CSV with every metric taken right after its round, one round at a time."""
-    seed_seq = np.random.SeedSequence(config.seed)
-    built = federation._build_problem(config, seed_seq)
-    batch_rng = np.random.Generator(np.random.PCG64(seed_seq.spawn(1)[0]))
-    hp = config.hyper.expanded(len(built.sim_objectives))
-    server = ServerState(built.init_pair)
-    fed = Federation.initial(built.sim_objectives, built.init_pair)
-    oracle = fed.view if built.oracle is None else built.oracle
+    problem = federation.prepare(config)
+    batch_rng = np.random.Generator(np.random.PCG64(problem.batch_seq))
+    hp = problem.hyper
+    server = ServerState(problem.init_pair)
+    fed = Federation.initial(problem.clients, problem.init_pair)
+    oracle = fed.view if problem.oracle is None else problem.oracle
     log = RunLog(config_echo=config.echo(), seed=config.seed)
     for t in range(hp.rounds):
         if config.batch_size > 0:
-            batches = [shard.sample(batch_rng, config.batch_size) for shard in built.shards]
-            view = stacked([DomainAdaptObjective(b, hp.nu, built.layout) for b in batches])
+            batches = [shard.sample(batch_rng, config.batch_size) for shard in problem.shards]
+            view = stacked([DomainAdaptObjective(b, hp.nu, problem.layout) for b in batches])
             fed = Federation(view, fed.Z, fed.D)
         fed = run_round(config.optimizer, fed, server, hp)
         gp = server.global_pair
@@ -112,9 +111,10 @@ def reference_csv(config: ExperimentConfig) -> str:
         if t % config.metrics_every == 0 or t == hp.rounds - 1:
             phi = _phi_grad_norm(oracle, gp.omega, hp.tol)
         accuracy = None
-        if built.holdout is not None:
-            pred = built.accuracy_objective.predict(gp.omega, built.holdout.X)
-            accuracy = float(np.mean(pred == built.holdout.y))
+        if problem.accuracy is not None:
+            objective, holdout = problem.accuracy
+            pred = objective.predict(gp.omega, holdout.X)
+            accuracy = float(np.mean(pred == holdout.y))
         log.rounds.append(
             RoundMetrics(
                 t, phi, *_consensus(fed, gp), _global_loss(oracle, gp), accuracy, server.floats_sent
