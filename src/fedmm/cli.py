@@ -222,7 +222,8 @@ def _apply_axis(config: ExperimentConfig, axis: str, raw: str) -> tuple[str, Exp
 def _sweep_runs(
     config: ExperimentConfig, axis: str, values: list[str]
 ) -> dict[str, tuple[ExperimentConfig, Problem]]:
-    """Each value's (config, problem) by canonical name; a bad or repeated value is a config error."""
+    """Each value's (config with its CSV path, problem) by name; a bad or repeated value is a config error."""
+    out_dir = Path(config.output_path).parent
     runs: dict[str, tuple[ExperimentConfig, Problem]] = {}
     raw_of: dict[str, str] = {}
     for raw in values:
@@ -236,6 +237,7 @@ def _sweep_runs(
                 f"--values: {raw_of[name]!r} and {raw!r} are the same {axis} value {name!r}"
             )
         raw_of[name] = raw
+        sub = replace(sub, output_path=str(out_dir / f"sweep_{axis}_{name}.csv"))
         runs[name] = sub, _prepared(sub, prefix)
     return runs
 
@@ -248,9 +250,7 @@ def cmd_sweep(config: ExperimentConfig, axis: str, values: list[str]) -> int:
     index_rows = []
     any_failed = False
     for name, (sub, problem) in _sweep_runs(config, axis, values).items():
-        sub_path = out_dir / f"sweep_{axis}_{name}.csv"
         try:
-            sub = replace(sub, output_path=str(sub_path))
             log = run_experiment(sub, problem)
             log.write_csv(sub.output_path)
             final = log.final()
@@ -259,7 +259,7 @@ def cmd_sweep(config: ExperimentConfig, axis: str, values: list[str]) -> int:
                 + [_fmt(None if final is None else getattr(final, c)) for c in _INDEX_METRICS]
                 + [""]
             )
-            print(f"sweep {axis}={name} status=ok output={sub_path}")
+            print(f"sweep {axis}={name} status=ok output={sub.output_path}")
         except Exception as e:
             any_failed = True
             index_rows.append([name, "error", "", "", "", "", "", "", str(e).replace(",", ";")])

@@ -442,17 +442,18 @@ class ExperimentConfig:
 class Problem:
     """What a run builds from its config, once, in `prepare`.
 
-    clients are the simulated clients (one pooled client for central GDA) and
-    hyper has one local_steps entry per client. Each run seeds its minibatch
-    Generator afresh from batch_seq, so a Problem reruns to the same bytes.
+    config is the config it was prepared from, and the only one it runs under;
+    clients are the simulated clients (one pooled client for central GDA). Each
+    run seeds its minibatch Generator afresh from batch_seq, so a Problem reruns
+    to the same bytes.
     accuracy is the (objective, labeled holdout) pair of the target accuracy;
     minibatches are drawn from shards under layout. oracle is the metric
     view when it is not the clients' own: central GDA on quadratics trains
     one MeanObjective, whose view holds the clients it pools.
     """
 
+    config: ExperimentConfig
     clients: tuple[LocalObjective, ...]
-    hyper: HyperParams
     init_pair: PrimalDualPair
     batch_seq: np.random.SeedSequence
     accuracy: tuple[DomainAdaptObjective, DomainAdaptDataset] | None = None
@@ -526,16 +527,17 @@ def prepare(config: ExperimentConfig) -> Problem:
             objs = [DomainAdaptObjective(s, config.hyper.nu, layout) for s in shards]
 
     try:
-        hyper = config.hyper.expanded(len(objs))
+        config.hyper.expanded(len(objs))
     except ValueError as e:
         raise ValueError(f"hyper.local_steps: {e}") from None
-    return Problem(tuple(objs), hyper, init, batch_seq, accuracy, shards, layout, oracle)
+    return Problem(config, tuple(objs), init, batch_seq, accuracy, shards, layout, oracle)
 
 
 def run_experiment(config: ExperimentConfig, problem: Problem | None = None) -> RunLog:
     """Execute T rounds of the configured optimizer and record per-round metrics.
 
-    problem is `prepare(config)`'s Problem, prepared here when not given.
+    problem is `prepare(config)`'s Problem, prepared here when not given;
+    one prepared from another config raises ValueError.
     Each round's state goes into a MetricsBlock, which evaluates the metrics
     of a block_rounds(N, d1 + d2) block of rounds at once (and the last,
     shorter block after the final round). phi_grad_norm is computed through
@@ -545,7 +547,9 @@ def run_experiment(config: ExperimentConfig, problem: Problem | None = None) -> 
     """
     if problem is None:
         problem = prepare(config)
-    hp = problem.hyper
+    elif problem.config != config:
+        raise ValueError("problem was prepared from another config")
+    hp = config.hyper.expanded(len(problem.clients))
     server = ServerState(problem.init_pair)
     fed = Federation.initial(problem.clients, problem.init_pair)
     oracle = fed.view if problem.oracle is None else problem.oracle

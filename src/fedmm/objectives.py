@@ -837,23 +837,21 @@ def load_dataset(path: str | Path) -> tuple[DomainAdaptDataset, int]:
     failure names the file and the first failing record (0-based).
     """
     (d, n_classes, _), body, vals = _records(path, lambda d, _: 2 + d)
-    heads = [body[0 :: 2 + d], body[1 :: 2 + d]]
-    try:
-        dom, y = np.array(heads, dtype=np.int64)
-    except (ValueError, OverflowError):
-        for i, got in enumerate(zip(*heads)):
-            try:
-                np.array(got, dtype=np.int64)
-            except (ValueError, OverflowError):
-                why = f"domain and label must be integers, got {' '.join(got)}"
-                raise ValueError(f"{path}: record {i}: {why}") from None
+    heads = np.array([body[0 :: 2 + d], body[1 :: 2 + d]])
+    del body  # so that the tokens and the copied features are never held at once
+    # a token that parsed as a float and is a sign and decimal digits is an integer
+    integer = np.char.isdecimal(np.char.lstrip(heads, "+-")).all(axis=0)
+    # clipped so the cast is exact; a clipped domain or label is out of range anyway
+    dom, y = np.where(integer, vals[:, :2].T, 0).clip(-2, max(n_classes, 2)).astype(np.int64)
     nonfinite = ~np.isfinite(vals[:, 2:]).all(axis=1)
-    bad = nonfinite | (y >= n_classes) | (y < UNLABELED)
+    bad = ~integer | nonfinite | (y >= n_classes) | (y < UNLABELED)
     if bad.any():
         i = np.argmax(bad)
-        why = f"label {y[i]} outside class range 0..{n_classes - 1} (or -1 unlabeled)"
+        why = f"label {heads[1, i]} outside class range 0..{n_classes - 1} (or -1 unlabeled)"
         if nonfinite[i]:
             why = "a feature is not finite"
+        if not integer[i]:
+            why = f"domain and label must be integers, got {heads[0, i]} {heads[1, i]}"
         raise ValueError(f"{path}: record {i}: {why}")
     try:
         return DomainAdaptDataset(vals[:, 2:].copy(), y, dom), n_classes

@@ -17,6 +17,7 @@ from fedmm.federation import (
     PartitionMode,
     PartitionSpec,
     ProblemKind,
+    prepare,
     run_experiment,
 )
 from fedmm.objectives import save_dataset, save_quadratic_specs
@@ -202,13 +203,21 @@ class TestCmdRun:
         assert not out.exists()
 
     def test_central_gda_pools_a_single_domain_file(self, tmp_path):
+        # central GDA trains the pooled dataset, so the partition that empties
+        # a fedmm client above is never drawn
         data = tmp_path / "no_target.txt"
         data.write_text("2 2 2\n0 1 1.0 2.0\n0 0 0.5 0.1\n")
+        out = tmp_path / "central.csv"
         text = (
             "optimizer = central_gda\nproblem = domain_adapt\n"
             f"problem.file = {data}\npartition.p = 1.0\n"
+            f"output_path = {out}\nhyper.rounds = 2\n"
         )
-        assert parse_config(write(tmp_path, text)).partition.p == 1.0
+        cfg_path = write(tmp_path, text)
+        problem = prepare(parse_config(cfg_path))
+        assert len(problem.clients) == 1 and problem.shards is None
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        assert out.exists()
 
     @pytest.mark.parametrize(
         "key", ["mu1", "mu2", "eta1", "eta2", "nu", "prox_mu", "tol", "local_tol"]
@@ -399,11 +408,15 @@ class TestBadDatasetFile:
             ("0 -1.5 0.5 0.25", "record 1: domain and label must be integers, got 0 -1.5"),
             ("0 1.0 0.5 0.25", "record 1: domain and label must be integers, got 0 1.0"),
             ("1.5 -1 0.5 0.25", "record 1: domain and label must be integers, got 1.5 -1"),
-            ("0 99999999999999999999 0.5 0.25", "record 1: domain and label must be integers"),
+            ("0 99999999999999999999 0.5 0.25", "record 1: label 99999999999999999999 outside"),
+            ("99999999999999999999 1 0.5 0.25", "domain flags must be SOURCE (0) or TARGET (1)"),
             ("0 5 0.5 0.25", "record 1: label 5 outside class range 0..1 (or -1 unlabeled)"),
             ("0 1 0.5", "expected 12 values, found 11"),
         ],
-        ids=["token", "label_-1.5", "label_1.0", "domain_1.5", "label_overflow", "label_5", "short"],
+        ids=[
+            "token", "label_-1.5", "label_1.0", "domain_1.5", "label_overflow",
+            "domain_overflow", "label_5", "short",
+        ],
     )
     def test_parse_error_names_the_file(self, tmp_path, capsys, record, message):
         data = tmp_path / "garbled.txt"
@@ -413,6 +426,18 @@ class TestBadDatasetFile:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: problem.file: {data}: ") and message in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "first, later",
+        [("0 1 nan 0.5", "0 1.5 0.5 0.25"), ("0 1.5 0.5 0.25", "0 1 nan 0.5")],
+        ids=["feature_first", "label_first"],
+    )
+    def test_the_first_failing_record_is_named(self, tmp_path, capsys, first, later):
+        data = tmp_path / "garbled.txt"
+        data.write_text(f"2 2 4\n{first}\n0 1 1.0 2.0\n1 -1 0.0 0.5\n{later}\n")
+        cfg_path, _ = _dataset_run(tmp_path, data)
+        assert _run_quietly(["run", "--config", str(cfg_path)]) == 2
+        assert f"{data}: record 0: " in capsys.readouterr().err
 
 
 # tokens a mutated dataset file may hold: features, domains and labels of every

@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -303,11 +304,29 @@ class TestPreparedProblem:
         assert run_experiment(config, problem).csv_text().encode() == want
         assert run_experiment(config, problem).csv_text().encode() == want
 
-    def test_clients_and_expanded_hyperparameters(self):
+    def test_clients_and_config(self):
         config = quad_config(hyper=HyperParams(local_steps=(7,)))
-        assert prepare(config).hyper.local_steps == (7, 7, 7)
+        problem = prepare(config)
+        assert problem.config is config and len(problem.clients) == 3
         central = prepare(quad_config(optimizer=OptimizerKind.CENTRAL_GDA))
         assert len(central.clients) == 1 and central.oracle.n == 3
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"hyper": HyperParams(rounds=3, eta1=0.5)},
+            {"optimizer": OptimizerKind.CENTRAL_GDA},
+            {"output_path": "elsewhere.csv"},
+        ],
+        ids=["step_size", "optimizer", "output_path"],
+    )
+    def test_a_problem_runs_only_under_its_own_config(self, changes):
+        # a config that differs from the prepared one would run the old
+        # hyperparameters or clients while its echo records the new ones
+        config = quad_config(hyper=HyperParams(rounds=3))
+        problem = prepare(config)
+        with pytest.raises(ValueError, match="prepared from another config"):
+            run_experiment(replace(config, **changes), problem)
 
 
 class TestRunLogCsv:

@@ -95,7 +95,7 @@ def reference_csv(config: ExperimentConfig) -> str:
     """The run's CSV with every metric taken right after its round, one round at a time."""
     problem = federation.prepare(config)
     batch_rng = np.random.Generator(np.random.PCG64(problem.batch_seq))
-    hp = problem.hyper
+    hp = config.hyper.expanded(len(problem.clients))
     server = ServerState(problem.init_pair)
     fed = Federation.initial(problem.clients, problem.init_pair)
     oracle = fed.view if problem.oracle is None else problem.oracle
