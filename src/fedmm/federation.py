@@ -18,7 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from fedmm.core import (
-    ConvergenceError,
     DivergenceError,
     HyperParams,
     PrimalDualPair,
@@ -40,7 +39,7 @@ from fedmm.objectives import (
     StackedObjectives,
     load_dataset,
     load_quadratic_objectives,
-    phi_value_and_grad,
+    phi_grads,
     stacked,
 )
 from fedmm.optim import Federation, OptimizerKind, run_round
@@ -231,6 +230,11 @@ def block_rounds(n_clients: int, d: int) -> int:
     return min(_BLOCK_ROUNDS, max(1, _BLOCK_FLOATS // (n_clients * d)))
 
 
+def accuracy_rounds(layout: ModelLayout, holdout_n: int) -> int:
+    """Omegas per batched accuracy call, at least 1: its features, logits and predictions fit in 16384 floats."""
+    return max(1, _BLOCK_FLOATS // (holdout_n * (layout.feat_dim + layout.n_classes + 1)))
+
+
 class MetricsBlock:
     """Several rounds' metric inputs, evaluated together once the block is full.
 
@@ -240,14 +244,17 @@ class MetricsBlock:
 
     - consensus: row_norms of Z - pair on each block, then the max over clients;
     - global loss: one `mean_values` call of the oracle view at all the pairs;
-    - target accuracy: one `evaluate_target_accuracy` call on all the omegas;
-    - phi_grad_norm: `phi_value_and_grad` at each sampled round's omega; a
-      failed inner maximization leaves it None.
+    - target accuracy: `evaluate_target_accuracy` on chunks of
+      `accuracy_rounds` omegas, so that its holdout-sized temporaries stay
+      within the block's float budget;
+    - phi_grad_norm: one `phi_grads` call at the sampled rounds' omegas, then
+      row_norms; a round whose inner maximization failed gets None. Phi's
+      value is never computed.
 
     Every value is bit for bit what the one-round calls (`consensus`,
-    `mean_value`, a one-omega `evaluate_target_accuracy`) give: each row's
-    dot products and matrix products keep the one-round shapes, and max and
-    argmax are exact.
+    `mean_value`, a one-omega `evaluate_target_accuracy` or
+    `phi_value_and_grad`) give: each row's dot products, matrix products and
+    solves keep the one-round shapes, and max and argmax are exact.
     """
 
     def __init__(
@@ -276,15 +283,6 @@ class MetricsBlock:
         self.P[k, :d1], self.P[k, d1:] = pair.omega, pair.psi
         self.rounds.append((t, server.floats_sent, sample_phi))
 
-    def _phi_grad_norm(self, omega: np.ndarray) -> float | None:
-        try:
-            _, phi_grad = phi_value_and_grad(
-                self.oracle, omega, self.tol, max_iters=_PHI_ORACLE_ITER_CAP
-            )
-        except ConvergenceError:
-            return None
-        return float(np.linalg.norm(phi_grad))
-
     def flush(self) -> list[RoundMetrics]:
         """The buffered rounds' metrics, in round order; the block is empty afterwards."""
         k, d1 = len(self.rounds), self.oracle.dims[0]
@@ -297,18 +295,27 @@ class MetricsBlock:
         accuracy = [None] * k
         if self.accuracy is not None:
             objective, holdout = self.accuracy
-            accuracy = evaluate_target_accuracy(objective, omegas, holdout).tolist()
+            step, accuracy = accuracy_rounds(objective.layout, len(holdout)), []
+            for lo in range(0, k, step):
+                chunk = evaluate_target_accuracy(objective, omegas[lo : lo + step], holdout)
+                accuracy += chunk.tolist()
+        phi = [None] * k
+        sampled = [b for b, (_, _, sample_phi) in enumerate(self.rounds) if sample_phi]
+        if sampled:
+            out = phi_grads(self.oracle, omegas[sampled], self.tol, max_iters=_PHI_ORACLE_ITER_CAP)
+            for b, norm, error in zip(sampled, row_norms(out.grads).tolist(), out.errors):
+                phi[b] = norm if error is None else None
         rows = [
             RoundMetrics(
                 round=t,
-                phi_grad_norm=self._phi_grad_norm(omegas[b]) if sample_phi else None,
+                phi_grad_norm=phi[b],
                 consensus_omega=spread_om[b],
                 consensus_psi=spread_ps[b],
                 global_loss=loss[b],
                 target_accuracy=accuracy[b],
                 floats_communicated=floats,
             )
-            for b, (t, floats, sample_phi) in enumerate(self.rounds)
+            for b, (t, floats, _) in enumerate(self.rounds)
         ]
         self.rounds = []
         return rows

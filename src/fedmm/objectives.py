@@ -7,9 +7,17 @@ in one call, as the optimizers' client-stacked local solve needs: its
 joint_grads takes (N, d1 + d2) joint rows [omega | psi] and returns the
 gradients as joint rows [grad_omega | grad_psi] in one buffer, every row
 evaluated (the optimizers mask rows in their step, not here). The same view
-gives the per-round metric oracles their client averages (the global loss,
+gives the metric oracles their client averages (the global loss,
 MeanObjective, inner_max and the phi oracle), summed in client order by one
 `row_sum` call.
+
+The phi oracle has two entry points. `phi_grads` gives the max function's
+gradient at a stack of K omegas, as a run's metric block needs it: on
+quadratic clients the closed-form inner max and the Danskin gradient of all
+K omegas run as stacked calls, and the max function's value is never
+computed. `phi_value_and_grad` gives the value and the gradient at one
+omega; `phi_grads` calls it, without the value, omega by omega on the
+domain-adaptation objective, whose inner max is a gradient ascent.
 
 Each family's math is written once, in its stacked view. A QuadraticSaddle
 or DomainAdaptObjective evaluates itself through a one-row view of itself,
@@ -419,6 +427,14 @@ class StackedObjectives:
             G[r, :d1], G[r, d1:] = obj.grads(Z[r, :d1], Z[r, d1:])
         return G
 
+    def grad_omega(self, OM: np.ndarray, PS: np.ndarray) -> np.ndarray:
+        """The omega block of `joint_grads` alone: (N, d1), or (..., N, d1) with leading axes."""
+        G_OM = np.empty(OM.shape)
+        for lead in np.ndindex(OM.shape[:-2]):
+            for r, obj in enumerate(self.objectives):
+                G_OM[lead + (r,)] = obj.grad_omega(OM[lead + (r,)], PS[lead + (r,)])
+        return G_OM
+
     def grad_psi(self, OM: np.ndarray, PS: np.ndarray) -> np.ndarray:
         """The psi block of `joint_grads` alone at the (N, d1) / (N, d2) points, (N, d2)."""
         G_PS = np.empty(PS.shape)
@@ -507,7 +523,7 @@ class _StackedQuadratic(StackedObjectives):
         return G
 
     def grad_omega(self, OM, PS):
-        """A om + B ps + a, (N, d1)."""
+        """A om + B ps + a, (N, d1); leading axes broadcast, each row one client's matvecs."""
         return (self.A @ OM[..., None])[..., 0] + (self.B @ PS[..., None])[..., 0] + self.a
 
     def grad_psi(self, OM, PS):
@@ -702,7 +718,7 @@ def inner_max(
     if _all_quadratic(view):
         bars = quadratic_bars(view)
         if method != "gradient_ascent":
-            return vector(np.linalg.solve(bars.C, bars.B.T @ omega + bars.c))
+            return vector(_closed_form_psi(bars, _row(omega))[0])
         curv = float(np.linalg.norm(bars.C, 2))
     else:
         if method == "closed_form":
@@ -733,15 +749,90 @@ def inner_max(
     raise ConvergenceError("inner_max gradient ascent", gnorm, max_iters)
 
 
+def _closed_form_psi(bars: QuadraticBars, omegas: np.ndarray) -> np.ndarray:
+    """psi*(omega) = Cbar^-1 (Bbar' omega + cbar) at each of the (K, d1) omegas, (K, d2).
+
+    K gemv calls and one broadcast solve (K LAPACK solves of one right-hand
+    side each): every omega gets the calls a lone `Bbar.T @ omega` and
+    `np.linalg.solve(Cbar, rhs)` make, and so their bits.
+    """
+    rhs = (bars.B.T @ omegas[..., None])[..., 0] + bars.c
+    return np.linalg.solve(bars.C, rhs[..., None])[..., 0]
+
+
+def _mean_grad_omega(view: StackedObjectives, omegas: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """The client average of grad_omega at each point (omegas[k], psi[k]), (K, d1), in one call.
+
+    Each row is `mean_grads(omegas[k], psi[k])[0]`: the same matvecs per
+    client, summed over the clients in order.
+    """
+    return row_sum(view.grad_omega(*view._at(omegas, psi)), axis=1) / view.n
+
+
+class PhiGrads(NamedTuple):
+    """The max function's gradients at K omegas, and which of them failed.
+
+    grads[k] is the Danskin gradient at omegas[k]: the client average of
+    grad_omega at omegas[k] and its inner maximizer. errors[k] is None, or
+    the ConvergenceError of omega k's failed inner solve, whose row of grads
+    is NaN.
+    """
+
+    grads: np.ndarray
+    errors: tuple[ConvergenceError | None, ...]
+
+
+def phi_grads(
+    view: StackedObjectives,
+    omegas: np.ndarray,
+    tol: float,
+    method: str = "auto",
+    max_iters: int = 100_000,
+) -> PhiGrads:
+    """Gradients of Phi(omega) = max_psi f(omega, psi) at each of the (K, d1) omegas; no value of Phi.
+
+    Quadratic views (the batched view, the per-row view of QuadraticSaddle
+    subclasses) get the closed form for all K omegas in stacked calls: K
+    gemv calls for Bbar' omega, one broadcast solve and one `grad_omega` at
+    the K x N points. Each omega keeps the calls and the summation order of
+    its one-omega `phi_value_and_grad`, so its gradient has the same bits.
+    Any other view, and method="gradient_ascent", takes one
+    `phi_value_and_grad(..., value=False)` call per omega; an ascent that
+    fails fails only its own omega.
+    """
+    if method in ("auto", "closed_form") and _all_quadratic(view):
+        psi = _closed_form_psi(quadratic_bars(view), omegas)
+        require_finite(psi)  # as inner_max's vector() would
+        return PhiGrads(_mean_grad_omega(view, omegas, psi), (None,) * len(omegas))
+    grads, errors = np.full(omegas.shape, np.nan), []
+    for k, omega in enumerate(omegas):
+        try:
+            _, grads[k] = phi_value_and_grad(
+                view, omega, tol, value=False, method=method, max_iters=max_iters
+            )
+        except ConvergenceError as e:
+            errors.append(e)
+        else:
+            errors.append(None)
+    return PhiGrads(grads, tuple(errors))
+
+
 def phi_value_and_grad(
     view: StackedObjectives,
     omega: Vector,
     tol: float,
+    *,
+    value: bool = True,
     **inner_kwargs,
-) -> tuple[float, Vector]:
-    """Max-function value and its gradient at omega (Danskin: grad at the maximizer)."""
+) -> tuple[float | None, Vector]:
+    """Max-function value and its gradient at one omega (Danskin: grad at the maximizer).
+
+    value=False skips Phi's value and returns None in its place: the metric
+    blocks record only the gradient (through `phi_grads`).
+    """
     psi_star = inner_max(view, omega, tol, **inner_kwargs)
-    return view.mean_value(omega, psi_star), view.mean_grads(omega, psi_star)[0]
+    grad = view.mean_grads(omega, psi_star)[0]
+    return (view.mean_value(omega, psi_star) if value else None), grad
 
 
 # ------------------------- plain-text instance files ------------------------- #
@@ -754,7 +845,7 @@ def phi_value_and_grad(
 #   A (d1*d1), B (d1*d2), C (d2*d2), a (d1), c (d2).
 # Dataset file: header d1 d2 N with d1 = feature dim, d2 = number of classes,
 #   then N records "domain label x_1 ... x_d1" (domain 0=source 1=target,
-#   label -1 = unlabeled).
+#   label -1 = unlabeled); d2 <= N.
 
 
 def _records(
@@ -834,9 +925,11 @@ def load_dataset(path: str | Path) -> tuple[DomainAdaptDataset, int]:
     """Read and check a dataset file of `domain label x_1 .. x_d` records; returns (dataset, n_classes).
 
     Domain and label must be integer tokens and every feature finite; a
-    failure names the file and the first failing record (0-based).
+    failure names the file and the first failing record (0-based). The
+    header's class count may not exceed the number of records, which bounds
+    the model's size by the file's.
     """
-    (d, n_classes, _), body, vals = _records(path, lambda d, _: 2 + d)
+    (d, n_classes, n), body, vals = _records(path, lambda d, _: 2 + d)
     heads = np.array([body[0 :: 2 + d], body[1 :: 2 + d]])
     del body  # so that the tokens and the copied features are never held at once
     # a token that parsed as a float and is a sign and decimal digits is an integer
@@ -853,6 +946,9 @@ def load_dataset(path: str | Path) -> tuple[DomainAdaptDataset, int]:
         if not integer[i]:
             why = f"domain and label must be integers, got {heads[0, i]} {heads[1, i]}"
         raise ValueError(f"{path}: record {i}: {why}")
+    if n_classes > n:
+        # the model holds n_classes * d predictor weights: the file's size bounds them
+        raise ValueError(f"{path}: header class count {n_classes} exceeds the {n} records")
     try:
         return DomainAdaptDataset(vals[:, 2:].copy(), y, dom), n_classes
     except ValueError as e:

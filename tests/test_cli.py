@@ -1,6 +1,8 @@
 
 import sys
 import threading
+import time
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -438,6 +440,32 @@ class TestBadDatasetFile:
         cfg_path, _ = _dataset_run(tmp_path, data)
         assert _run_quietly(["run", "--config", str(cfg_path)]) == 2
         assert f"{data}: record 0: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n_classes", [100_000, 1_000_000_000])
+    def test_class_count_above_the_record_count_exits_2_at_once(
+        self, tmp_path, capsys, n_classes
+    ):
+        # the model holds n_classes * d predictor weights: 5 records may not ask for 10**9 classes
+        data = tmp_path / "classes.txt"
+        lines = _dataset_text(n_per_domain=2).splitlines()
+        assert lines[0] == "2 2 5"
+        data.write_text("\n".join([f"2 {n_classes} 5"] + lines[1:]) + "\n")
+        cfg_path, out = _dataset_run(tmp_path, data)
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            code = _run_quietly(["run", "--config", str(cfg_path)])
+        finally:
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"config error: problem.file: {data}: "
+            f"header class count {n_classes} exceeds the 5 records\n"
+        )
+        assert elapsed < 0.5 and peak < 2**20  # no model is built
+        assert not out.exists()
 
 
 # tokens a mutated dataset file may hold: features, domains and labels of every
