@@ -230,11 +230,6 @@ def block_rounds(n_clients: int, d: int) -> int:
     return min(_BLOCK_ROUNDS, max(1, _BLOCK_FLOATS // (n_clients * d)))
 
 
-def accuracy_rounds(layout: ModelLayout, holdout_n: int) -> int:
-    """Omegas per batched accuracy call, at least 1: its features, logits and predictions fit in 16384 floats."""
-    return max(1, _BLOCK_FLOATS // (holdout_n * (layout.feat_dim + layout.n_classes + 1)))
-
-
 class MetricsBlock:
     """Several rounds' metric inputs, evaluated together once the block is full.
 
@@ -244,9 +239,7 @@ class MetricsBlock:
 
     - consensus: row_norms of Z - pair on each block, then the max over clients;
     - global loss: one `mean_values` call of the oracle view at all the pairs;
-    - target accuracy: `evaluate_target_accuracy` on chunks of
-      `accuracy_rounds` omegas, so that its holdout-sized temporaries stay
-      within the block's float budget;
+    - target accuracy: one `evaluate_target_accuracy` call on all the omegas;
     - phi_grad_norm: one `phi_grads` call at the sampled rounds' omegas, then
       row_norms; a round whose inner maximization failed gets None. Phi's
       value is never computed.
@@ -295,10 +288,7 @@ class MetricsBlock:
         accuracy = [None] * k
         if self.accuracy is not None:
             objective, holdout = self.accuracy
-            step, accuracy = accuracy_rounds(objective.layout, len(holdout)), []
-            for lo in range(0, k, step):
-                chunk = evaluate_target_accuracy(objective, omegas[lo : lo + step], holdout)
-                accuracy += chunk.tolist()
+            accuracy = evaluate_target_accuracy(objective, omegas, holdout).tolist()
         phi = [None] * k
         sampled = [b for b, (_, _, sample_phi) in enumerate(self.rounds) if sample_phi]
         if sampled:

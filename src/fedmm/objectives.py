@@ -11,13 +11,13 @@ gives the metric oracles their client averages (the global loss,
 MeanObjective, inner_max and the phi oracle), summed in client order by one
 `row_sum` call.
 
-The phi oracle has two entry points. `phi_grads` gives the max function's
-gradient at a stack of K omegas, as a run's metric block needs it: on
+The phi oracle is `phi_grads`: the max function's inner maximizers and
+gradients at a stack of K omegas, as a run's metric block needs them. On
 quadratic clients the closed-form inner max and the Danskin gradient of all
-K omegas run as stacked calls, and the max function's value is never
-computed. `phi_value_and_grad` gives the value and the gradient at one
-omega; `phi_grads` calls it, without the value, omega by omega on the
-domain-adaptation objective, whose inner max is a gradient ascent.
+K omegas run as stacked calls; the domain-adaptation objective, whose inner
+max is a gradient ascent, runs omega by omega. It never computes the max
+function's value: `phi_value_and_grad`, its one-omega call, adds that for
+the checks and the tests.
 
 Each family's math is written once, in its stacked view. A QuadraticSaddle
 or DomainAdaptObjective evaluates itself through a one-row view of itself,
@@ -770,14 +770,15 @@ def _mean_grad_omega(view: StackedObjectives, omegas: np.ndarray, psi: np.ndarra
 
 
 class PhiGrads(NamedTuple):
-    """The max function's gradients at K omegas, and which of them failed.
+    """The max function's inner maximizers and gradients at K omegas, and which of them failed.
 
-    grads[k] is the Danskin gradient at omegas[k]: the client average of
-    grad_omega at omegas[k] and its inner maximizer. errors[k] is None, or
-    the ConvergenceError of omega k's failed inner solve, whose row of grads
-    is NaN.
+    psi[k] is the inner maximizer at omegas[k] and grads[k] the Danskin
+    gradient there: the client average of grad_omega at (omegas[k], psi[k]).
+    errors[k] is None, or the ConvergenceError of omega k's failed inner
+    solve, whose rows of psi and grads are NaN.
     """
 
+    psi: np.ndarray
     grads: np.ndarray
     errors: tuple[ConvergenceError | None, ...]
 
@@ -786,53 +787,43 @@ def phi_grads(
     view: StackedObjectives,
     omegas: np.ndarray,
     tol: float,
-    method: str = "auto",
     max_iters: int = 100_000,
 ) -> PhiGrads:
-    """Gradients of Phi(omega) = max_psi f(omega, psi) at each of the (K, d1) omegas; no value of Phi.
+    """Inner maximizers and gradients of Phi(omega) = max_psi f(omega, psi) at the (K, d1) omegas.
 
     Quadratic views (the batched view, the per-row view of QuadraticSaddle
     subclasses) get the closed form for all K omegas in stacked calls: K
     gemv calls for Bbar' omega, one broadcast solve and one `grad_omega` at
-    the K x N points. Each omega keeps the calls and the summation order of
-    its one-omega `phi_value_and_grad`, so its gradient has the same bits.
-    Any other view, and method="gradient_ascent", takes one
-    `phi_value_and_grad(..., value=False)` call per omega; an ascent that
-    fails fails only its own omega.
+    the K x N points, each omega with the calls and the summation order of a
+    lone omega. Any other view runs `inner_max` and `mean_grads` omega by
+    omega; an ascent that fails fails only its own omega. Phi's value is not
+    computed.
     """
-    if method in ("auto", "closed_form") and _all_quadratic(view):
+    if _all_quadratic(view):
         psi = _closed_form_psi(quadratic_bars(view), omegas)
         require_finite(psi)  # as inner_max's vector() would
-        return PhiGrads(_mean_grad_omega(view, omegas, psi), (None,) * len(omegas))
-    grads, errors = np.full(omegas.shape, np.nan), []
+        return PhiGrads(psi, _mean_grad_omega(view, omegas, psi), (None,) * len(omegas))
+    psi, grads = np.full((len(omegas), view.dims[1]), np.nan), np.full(omegas.shape, np.nan)
+    errors = []
     for k, omega in enumerate(omegas):
         try:
-            _, grads[k] = phi_value_and_grad(
-                view, omega, tol, value=False, method=method, max_iters=max_iters
-            )
+            psi[k] = inner_max(view, omega, tol, max_iters=max_iters)
         except ConvergenceError as e:
             errors.append(e)
-        else:
-            errors.append(None)
-    return PhiGrads(grads, tuple(errors))
+            continue
+        grads[k] = view.mean_grads(omega, psi[k])[0]
+        errors.append(None)
+    return PhiGrads(psi, grads, tuple(errors))
 
 
 def phi_value_and_grad(
-    view: StackedObjectives,
-    omega: Vector,
-    tol: float,
-    *,
-    value: bool = True,
-    **inner_kwargs,
-) -> tuple[float | None, Vector]:
-    """Max-function value and its gradient at one omega (Danskin: grad at the maximizer).
-
-    value=False skips Phi's value and returns None in its place: the metric
-    blocks record only the gradient (through `phi_grads`).
-    """
-    psi_star = inner_max(view, omega, tol, **inner_kwargs)
-    grad = view.mean_grads(omega, psi_star)[0]
-    return (view.mean_value(omega, psi_star) if value else None), grad
+    view: StackedObjectives, omega: Vector, tol: float, max_iters: int = 100_000
+) -> tuple[float, Vector]:
+    """Max-function value and its gradient at one omega: the one-omega call of `phi_grads`."""
+    out = phi_grads(view, _row(omega), tol, max_iters)
+    if out.errors[0] is not None:
+        raise out.errors[0]
+    return view.mean_value(omega, out.psi[0]), out.grads[0]
 
 
 # ------------------------- plain-text instance files ------------------------- #

@@ -1,7 +1,6 @@
 
 import sys
 import threading
-import time
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -452,11 +451,9 @@ class TestBadDatasetFile:
         data.write_text("\n".join([f"2 {n_classes} 5"] + lines[1:]) + "\n")
         cfg_path, out = _dataset_run(tmp_path, data)
         tracemalloc.start()
-        start = time.perf_counter()
         try:
             code = _run_quietly(["run", "--config", str(cfg_path)])
         finally:
-            elapsed = time.perf_counter() - start
             peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
         assert code == 2
@@ -464,7 +461,7 @@ class TestBadDatasetFile:
             f"config error: problem.file: {data}: "
             f"header class count {n_classes} exceeds the 5 records\n"
         )
-        assert elapsed < 0.5 and peak < 2**20  # no model is built
+        assert peak < 2**20  # no model is built
         assert not out.exists()
 
 
