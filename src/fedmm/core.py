@@ -49,7 +49,7 @@ def vector(data: Sequence[float] | np.ndarray) -> Vector:
 
 def require_finite(a: np.ndarray) -> None:
     """Raise vector()'s ValueError if `a` holds a NaN or an infinity."""
-    if not np.isfinite(a).all():
+    if not np.logical_and.reduce(np.isfinite(a), axis=None):
         raise ValueError("parameter vector contains non-finite entries")
 
 

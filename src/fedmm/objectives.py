@@ -195,20 +195,6 @@ class QuadraticSaddle(LocalObjective):
     def grad_psi(self, omega: Vector, psi: Vector) -> Vector:
         return vector(self._view.grad_psi(_row(omega), _row(psi))[0])
 
-    def strong_concavity_modulus(self) -> float:
-        """Curvature bound B of the psi block: smallest eigenvalue of C."""
-        return float(np.linalg.eigvalsh(self.C).min())
-
-    def lipschitz_bounds(self) -> dict[str, float]:
-        """Operator-norm gradient Lipschitz constants L11, L12, L21, L22."""
-        nB = float(np.linalg.norm(self.B, 2))
-        return {
-            "L11": float(np.linalg.norm(self.A, 2)),
-            "L12": nB,
-            "L21": nB,
-            "L22": float(np.linalg.norm(self.C, 2)),
-        }
-
 
 # ----------------------- domain-adaptation family ----------------------- #
 
@@ -546,45 +532,56 @@ class _StackedDomainAdapt(StackedObjectives):
     (K points per client) and sums each row's terms over that row's own
     points in contiguous memory (`_row_sums`): a sum across rows, or along
     strided memory, would round differently.
+
+    The per-point constants are built once, in the shapes the pass uses, so a
+    step makes few numpy calls, few of them broadcast, and none changes a bit.
+    The label mask is only pre-broadcast over the classes. dt is nu*(c - s),
+    c = -0.0 on labeled points and 1 elsewhere: -0.0 - s is -s exactly, zero
+    included, and nu*(-s) is -nu*s. alpha scales the assembled gradient rows
+    once, after the products: the same alpha*x as when each block was scaled.
     """
 
     def __init__(self, objectives: Sequence[DomainAdaptObjective]):
         super().__init__(objectives)
         first = objectives[0]
-        self.layout, self.nu = first.layout, first.nu
+        L = self.layout = first.layout
+        self.nu = first.nu
         self.X = np.stack([o.dataset.X for o in objectives])  # (N, n, in_dim)
-        self.labeled = np.stack([o._labeled for o in objectives])  # (N, n)
-        self.onehot = np.zeros(self.labeled.shape + (self.layout.n_classes,))
+        lab = np.stack([o._labeled for o in objectives])[..., None]  # (N, n, 1), as dt
+        self.onehot = np.zeros(lab.shape[:2] + (L.n_classes,))
         for r, o in enumerate(objectives):
             self.onehot[r, o._lab_idx, o._lab_y] = 1.0
-        self.alpha = np.array([o.alpha for o in objectives])[:, None, None]
+        self._lab_classes = np.broadcast_to(lab, self.onehot.shape).copy()
+        self._dt_shift = np.where(lab, -0.0, 1.0)
+        # each row's alpha in every column: the scale multiplies G unbroadcast
+        self.alpha = np.repeat([[o.alpha] for o in objectives], L.d1 + L.d2, axis=1)
+        self._nw, self._d1 = L.feat_dim * L.in_dim, L.d1
+        self._w_shape, self._v_shape = (L.feat_dim, L.in_dim), (L.n_classes, L.feat_dim)
 
     def _features(self, OM):
         # Z = X W' (..., N, n, feat), W unpacked as unpack_omega does
-        L = self.layout
-        W = OM[..., : L.feat_dim * L.in_dim].reshape(OM.shape[:-1] + (L.feat_dim, L.in_dim))
+        W = OM[..., : self._nw].reshape(OM.shape[:-1] + self._w_shape)
         return self.X @ W.swapaxes(-1, -2)
 
     def _forward(self, OM):
         """(Z, V, logits): the features, the predictor V and the class logits Z V', per row."""
-        L = self.layout
         Z = self._features(OM)
-        V = OM[..., L.feat_dim * L.in_dim :].reshape(OM.shape[:-1] + (L.n_classes, L.feat_dim))
+        V = OM[..., self._nw : self._d1].reshape(OM.shape[:-1] + self._v_shape)
         return Z, V, Z @ V.swapaxes(-1, -2)
 
     @staticmethod
     def _domain_logits(Z, PS):
-        # t = z . psi, the domain classifier's logit of every point, (..., N, n)
-        return (Z @ PS[..., :, None])[..., 0]
+        # t = z . psi, the domain classifier's logit of every point, (..., N, n, 1)
+        return Z @ PS[..., :, None]
 
     def _dt(self, Z, PS):
-        """d(loss)/dt of the domain terms, per point."""
+        """d(loss)/dt of the domain terms per point, (N, n, 1): -nu*s labeled, nu*(1 - s) not."""
         s = _sigmoid(self._domain_logits(Z, PS))
-        return np.where(self.labeled, -self.nu * s, self.nu * (1.0 - s))
+        return self.nu * (self._dt_shift - s)
 
     def values(self, OM, PS):
         Z, _, logits = self._forward(OM)
-        T = self._domain_logits(Z, PS)
+        T = self._domain_logits(Z, PS)[..., 0]
         out = np.empty(T.shape[:-1])
         for r, o in enumerate(self.objectives):
             t, lab, total = T[..., r, :], o._labeled, 0.0
@@ -600,30 +597,27 @@ class _StackedDomainAdapt(StackedObjectives):
         return out
 
     def joint_grads(self, points):
-        L = self.layout
-        nw, d1 = L.feat_dim * L.in_dim, L.d1
-        OM, PS = points[:, :d1], points[:, d1:]
-        Z, V, logits = self._forward(OM)
+        n, PS = self.n, points[:, self._d1 :]
+        Z, V, logits = self._forward(points)  # its slices read the omega block alone
         # the row max class by class: max is exact, so any order gives the reduction's bits
         top = logits[..., :1]
-        for k in range(1, L.n_classes):
+        for k in range(1, self.layout.n_classes):
             top = np.maximum(top, logits[..., k : k + 1])
         p = np.exp(logits - top)
-        p /= p.sum(axis=2, keepdims=True)
-        dlogits = np.where(self.labeled[..., None], p - self.onehot, 0.0)
+        p = p / np.add.reduce(p, axis=2, keepdims=True)
+        dlogits = np.where(self._lab_classes, p - self.onehot, 0.0)
         dt = self._dt(Z, PS)
-        dZ = dlogits @ V + dt[:, :, None] * PS[:, None, :]
+        dZ = dlogits @ V + dt * PS[:, None, :]
+        gW, gV, g_psi = dZ.swapaxes(1, 2) @ self.X, dlogits.swapaxes(1, 2) @ Z, Z.swapaxes(1, 2) @ dt
         # [gW | gV | g_psi] in one buffer, the omega block laid out as unpack_omega reads it
-        G = np.empty((self.n, d1 + L.d2))
-        G[:, :nw] = (self.alpha * (dZ.swapaxes(1, 2) @ self.X)).reshape(self.n, -1)
-        G[:, nw:d1] = (self.alpha * (dlogits.swapaxes(1, 2) @ Z)).reshape(self.n, -1)
-        G[:, d1:] = (self.alpha * (Z.swapaxes(1, 2) @ dt[:, :, None]))[..., 0]
+        G = np.concatenate((gW.reshape(n, -1), gV.reshape(n, -1), g_psi.reshape(n, -1)), axis=1)
+        G *= self.alpha
         require_finite(G)  # as vector() would on the per-row view
         return G
 
     def grad_psi(self, OM, PS):
         Z = self._features(OM)
-        G_PS = (self.alpha * (Z.swapaxes(1, 2) @ self._dt(Z, PS)[:, :, None]))[..., 0]
+        G_PS = self.alpha[:, self._d1 :] * (Z.swapaxes(1, 2) @ self._dt(Z, PS)).reshape(self.n, -1)
         require_finite(G_PS)
         return G_PS
 

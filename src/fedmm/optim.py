@@ -71,15 +71,16 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=32)
-def joint_weights(a: float, b: float, d1: int, d2: int) -> np.ndarray:
+def joint_weights(a: float, b: float, d1: int, d2: int, rows: int | None = None) -> np.ndarray:
     """The frozen (d1 + d2,) weight vector [a ... a | -b ... -b] of a joint row.
 
     The descent block takes the weight and the ascent block its negation, so
     one expression serves both blocks: negation is exact, so x - b*y and
-    x + (-b)*y round alike.
+    x + (-b)*y round alike. With `rows`, the (rows, d1 + d2) stack of it: the
+    step's products are the same, and numpy runs them faster unbroadcast.
     """
-    w = np.empty(d1 + d2)
-    w[:d1], w[d1:] = a, -b
+    w = np.empty(d1 + d2 if rows is None else (rows, d1 + d2))
+    w[..., :d1], w[..., d1:] = a, -b
     return _frozen(w)
 
 
@@ -136,7 +137,7 @@ _DIVERGENCE_CAP = 1e100
 def _check_finite(Z: np.ndarray, where: str, step: int) -> None:
     # magnitudes past the cap overflow inside the next gradient evaluation,
     # so treat them as divergence already; NaN fails the comparison too
-    if not np.abs(Z).max() <= _DIVERGENCE_CAP:
+    if not np.maximum.reduce(np.abs(Z), axis=None) <= _DIVERGENCE_CAP:
         raise DivergenceError(where, step)
 
 
@@ -191,15 +192,15 @@ def local_solve(
     if view.dims != global_pair.dims:
         raise ValueError(f"objective dims {view.dims} differ from the pair's {global_pair.dims}")
     d1, d2 = view.dims
-    Z0 = np.concatenate((global_pair.omega, global_pair.psi))
-    Z = np.empty(fed.Z.shape)
-    Z[:] = Z0
+    Z0 = np.empty(fed.Z.shape)  # the global pair in every row, where each row starts
+    Z0[:] = np.concatenate((global_pair.omega, global_pair.psi))
+    Z = _frozen(Z0)
     D = W = None
     if rule.penalty == "al":
-        D, W = fed.D, joint_weights(hp.mu1, hp.mu2, d1, d2)
+        D, W = fed.D, joint_weights(hp.mu1, hp.mu2, d1, d2, n)
     elif rule.penalty == "prox" and hp.prox_mu != 0.0:
-        W = joint_weights(hp.prox_mu, hp.prox_mu, d1, d2)
-    E = joint_weights(hp.eta1, hp.eta2, d1, d2)
+        W = joint_weights(hp.prox_mu, hp.prox_mu, d1, d2, n)
+    E = joint_weights(hp.eta1, hp.eta2, d1, d2, n)
 
     tol = hp.local_tol if D is not None else 0.0
     if tol > 0:

@@ -5,7 +5,8 @@ with an objective's own methods only shows that the rows are independent.
 These are the formulas written out for one client at one point in plain
 numpy: boolean-mask indexing of the labeled points, a two-pass softmax with
 the row max subtracted, and 1-D matrix-vector products. Each returns what
-the objective's method returns, bit for bit.
+the objective's method returns, bit for bit. The quadratic's curvature and
+Lipschitz bounds, which only the tests use, are here as well.
 """
 
 import numpy as np
@@ -82,3 +83,19 @@ def quad_grad_omega(obj, om, ps):
 
 def quad_grad_psi(obj, om, ps):
     return obj.B.T @ om - obj.C @ ps + obj.c
+
+
+def strong_concavity_modulus(obj):
+    """Curvature bound of a quadratic's psi block: the smallest eigenvalue of C."""
+    return float(np.linalg.eigvalsh(obj.C).min())
+
+
+def lipschitz_bounds(obj):
+    """A quadratic's operator-norm gradient Lipschitz constants L11, L12, L21, L22."""
+    nB = float(np.linalg.norm(obj.B, 2))
+    return {
+        "L11": float(np.linalg.norm(obj.A, 2)),
+        "L12": nB,
+        "L21": nB,
+        "L22": float(np.linalg.norm(obj.C, 2)),
+    }

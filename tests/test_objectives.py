@@ -33,9 +33,11 @@ from reference_math import (
     dann_grad_psi,
     dann_grads,
     dann_value,
+    lipschitz_bounds,
     quad_grad_omega,
     quad_grad_psi,
     quad_value,
+    strong_concavity_modulus,
 )
 
 
@@ -89,7 +91,7 @@ class TestQuadraticSaddle:
         rng = seeded_rng(5)
         for obj in objs:
             d1, d2 = obj.dims
-            modulus = obj.strong_concavity_modulus() - 1e-10
+            modulus = strong_concavity_modulus(obj) - 1e-10
             for _ in range(25):
                 om = vector(rng.standard_normal(d1))
                 ps = vector(rng.standard_normal(d2))
@@ -101,7 +103,7 @@ class TestQuadraticSaddle:
 
     def test_lipschitz_sampling_never_exceeds_bounds(self):
         obj = QuadraticSaddle(synthetic_quadratic_specs(1)[0])
-        L = obj.lipschitz_bounds()
+        L = lipschitz_bounds(obj)
         d1, d2 = obj.dims
         rng = seeded_rng(6)
         for _ in range(50):

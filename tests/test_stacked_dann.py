@@ -71,7 +71,7 @@ def per_row(objs, OM, PS):
     n_clients=st.integers(1, 4),
     in_dim=st.integers(1, 4),
     feat_dim=st.integers(1, 3),
-    n_classes=st.integers(2, 4),
+    n_classes=st.integers(2, 9),
     n_points=st.integers(1, 40),
     labelings=st.lists(st.sampled_from(LABELING), min_size=1, max_size=4),
     seed=st.integers(0, 2**32 - 1),
@@ -80,6 +80,9 @@ def per_row(objs, OM, PS):
          labelings=["labeled", "unlabeled"], seed=0)
 @example(n_clients=4, in_dim=4, feat_dim=3, n_classes=4, n_points=1,
          labelings=["mixed"], seed=1)
+# from 8 classes up numpy's class-axis sum no longer adds left to right
+@example(n_clients=2, in_dim=2, feat_dim=2, n_classes=9, n_points=25,
+         labelings=["mixed", "labeled"], seed=2)
 def test_batched_gradients_equal_the_per_row_ones(
     n_clients, in_dim, feat_dim, n_classes, n_points, labelings, seed
 ):
