@@ -18,19 +18,18 @@ from pathlib import Path
 from fedmm.checks import run_builtin_checks
 from fedmm.core import ConvergenceError, DivergenceError, HyperParams
 from fedmm.federation import (
+    CONFIG_KEYS,
     METRIC_FIELDS,
     ExperimentConfig,
-    PartitionMode,
     PartitionSpec,
     Problem,
-    ProblemKind,
     RunLog,
     prepare,
     run_experiment,
+    to_csv,
     _fmt,
 )
 from fedmm.federation import write_atomic as _write_atomic
-from fedmm.optim import OptimizerKind
 
 EXIT_OK = 0
 EXIT_FAILED_CHECKS = 1
@@ -44,59 +43,6 @@ class ConfigError(ValueError):
         where = f"line {line}: " if line is not None else ""
         super().__init__(f"{where}{message}")
         self.line = line
-
-
-def _parse_int(raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"expected an integer, got {raw!r}") from None
-
-
-def _parse_float(raw: str) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise ValueError(f"expected a number, got {raw!r}") from None
-
-
-def _parse_steps(raw: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(tok) for tok in raw.split(","))
-    except ValueError:
-        raise ValueError(f"expected an integer or comma list, got {raw!r}") from None
-
-
-# key -> (group, field, parser); groups: top / hyper / partition
-_SCHEMA = {
-    "optimizer": ("top", "optimizer", OptimizerKind.parse),
-    "problem": ("top", "problem", ProblemKind.parse),
-    "problem.file": ("top", "problem_file", str),
-    "problem.n_clients": ("top", "quad_n_clients", _parse_int),
-    "problem.d1": ("top", "quad_d1", _parse_int),
-    "problem.d2": ("top", "quad_d2", _parse_int),
-    "problem.n_per_domain": ("top", "toy_n_per_domain", _parse_int),
-    "problem.holdout_n": ("top", "toy_holdout_n", _parse_int),
-    "seed": ("top", "seed", _parse_int),
-    "metrics_every": ("top", "metrics_every", _parse_int),
-    "output_path": ("top", "output_path", str),
-    "batch_size": ("top", "batch_size", _parse_int),
-    "hyper.mu1": ("hyper", "mu1", _parse_float),
-    "hyper.mu2": ("hyper", "mu2", _parse_float),
-    "hyper.eta1": ("hyper", "eta1", _parse_float),
-    "hyper.eta2": ("hyper", "eta2", _parse_float),
-    "hyper.eta3": ("hyper", "eta3", _parse_float),
-    "hyper.nu": ("hyper", "nu", _parse_float),
-    "hyper.local_steps": ("hyper", "local_steps", _parse_steps),
-    "hyper.rounds": ("hyper", "rounds", _parse_int),
-    "hyper.prox_mu": ("hyper", "prox_mu", _parse_float),
-    "hyper.tol": ("hyper", "tol", _parse_float),
-    "hyper.local_tol": ("hyper", "local_tol", _parse_float),
-    "hyper.local_max_iters": ("hyper", "local_max_iters", _parse_int),
-    "partition.mode": ("partition", "mode", PartitionMode.parse),
-    "partition.n_clients": ("partition", "n_clients", _parse_int),
-    "partition.p": ("partition", "p", _parse_float),
-}
 
 
 def _read_assignments(path: str | Path) -> list[tuple[int, str, str]]:
@@ -128,17 +74,18 @@ def parse_config(path: str | Path, overrides: list[str] | None = None) -> Experi
         key, _, raw = item.partition("=")
         entries.append((None, key.strip(), raw.strip()))
 
-    groups: dict[str, dict] = {"top": {}, "hyper": {}, "partition": {}}
+    groups: dict[str, dict] = {"": {}, "hyper": {}, "partition": {}}
     for lineno, key, raw in entries:
-        if key not in _SCHEMA:
+        if key not in CONFIG_KEYS:
             raise ConfigError(f"unknown key {key!r}", lineno)
-        group, field, parser = _SCHEMA[key]
+        attr, parser = CONFIG_KEYS[key]
+        group, _, field = attr.rpartition(".")
         try:
             groups[group][field] = parser(raw)
         except ValueError as e:
             raise ConfigError(f"{key}: {e}", lineno) from None
 
-    top = groups["top"]
+    top = groups[""]
     if "optimizer" not in top:
         raise ConfigError("missing required key 'optimizer'")
     if "problem" not in top:
@@ -198,80 +145,70 @@ def cmd_run(config: ExperimentConfig, problem: Problem) -> int:
     return EXIT_OK
 
 
-_AXES = ("partition_p", "optimizer", "local_steps")
+# sweep axis -> the config key its values set
+_AXES = {"partition_p": "partition.p", "optimizer": "optimizer", "local_steps": "hyper.local_steps"}
 # the final-round metrics of the sweep index, in its column order
 _INDEX_METRICS = (
     "phi_grad_norm", "consensus_omega", "global_loss", "target_accuracy", "floats_communicated"
 )
-
-
-def _apply_axis(config: ExperimentConfig, axis: str, raw: str) -> tuple[str, ExperimentConfig]:
-    """The config for one axis value, and that value's canonical form (its name in file and index)."""
-    if axis == "partition_p":
-        p = float(raw)
-        return repr(p), replace(config, partition=replace(config.partition, p=p))
-    if axis == "optimizer":
-        kind = OptimizerKind.parse(raw)
-        return kind.value, replace(config, optimizer=kind)
-    if axis == "local_steps":
-        m = int(raw)
-        return str(m), replace(config, hyper=replace(config.hyper, local_steps=(m,)))
-    raise ConfigError(f"unknown sweep axis {axis!r} (expected one of: {', '.join(_AXES)})")
+_INDEX_HEADER = (
+    "value,status,rounds,final_phi_grad_norm,final_consensus_omega,"
+    "final_global_loss,final_target_accuracy,floats_communicated,error"
+)
 
 
 def _sweep_runs(
-    config: ExperimentConfig, axis: str, values: list[str]
+    path: str, overrides: list[str], axis: str, values: list[str]
 ) -> dict[str, tuple[ExperimentConfig, Problem]]:
-    """Each value's (config with its CSV path, problem) by name; a bad or repeated value is a config error."""
-    out_dir = Path(config.output_path).parent
+    """Each value's (config with its CSV path, problem) by name; a bad or repeated value is a config error.
+
+    A value is one more `--set` of its axis's key, and its name is that key's parsed value.
+    """
+    key = _AXES[axis]
     runs: dict[str, tuple[ExperimentConfig, Problem]] = {}
     raw_of: dict[str, str] = {}
     for raw in values:
         prefix = f"--values: {raw!r}: "
         try:
-            name, sub = _apply_axis(config, axis, raw)
-        except ValueError as e:
+            sub = parse_config(path, [*overrides, f"{key}={raw}"])
+        except ConfigError as e:
             raise ConfigError(f"{prefix}{e}") from None
+        name = _fmt(sub.echo()[key])
         if name in runs:
             raise ConfigError(
                 f"--values: {raw_of[name]!r} and {raw!r} are the same {axis} value {name!r}"
             )
         raw_of[name] = raw
-        sub = replace(sub, output_path=str(out_dir / f"sweep_{axis}_{name}.csv"))
+        out = Path(sub.output_path).parent / f"sweep_{axis}_{name}.csv"
+        sub = replace(sub, output_path=str(out))
         runs[name] = sub, _prepared(sub, prefix)
     return runs
 
 
-def cmd_sweep(config: ExperimentConfig, axis: str, values: list[str]) -> int:
+def cmd_sweep(path: str, overrides: list[str], axis: str, values: list[str]) -> int:
     """One run per value, one CSV per run, plus an index CSV of final metrics."""
+    base = parse_config(path, overrides)
+    _prepared(base)  # a bad base config fails unprefixed, as its run would
     if not values:
         raise ConfigError("sweep needs at least one value")
-    out_dir = Path(config.output_path).parent
     index_rows = []
     any_failed = False
-    for name, (sub, problem) in _sweep_runs(config, axis, values).items():
+    for name, (sub, problem) in _sweep_runs(path, overrides, axis, values).items():
         try:
             log = run_experiment(sub, problem)
             log.write_csv(sub.output_path)
             final = log.final()
-            index_rows.append(
-                [name, "ok", str(len(log.rounds))]
-                + [_fmt(None if final is None else getattr(final, c)) for c in _INDEX_METRICS]
-                + [""]
-            )
+            metrics = (None if final is None else getattr(final, c) for c in _INDEX_METRICS)
+            index_rows.append([name, "ok", len(log.rounds), *metrics, None])
             print(f"sweep {axis}={name} status=ok output={sub.output_path}")
         except Exception as e:
             any_failed = True
-            index_rows.append([name, "error", "", "", "", "", "", "", str(e).replace(",", ";")])
+            index_rows.append([name, "error", *[None] * 6, str(e).replace(",", ";")])
             print(f"sweep {axis}={name} status=error error={e}", file=sys.stderr)
 
-    header = (
-        "value,status,rounds,final_phi_grad_norm,final_consensus_omega,"
-        "final_global_loss,final_target_accuracy,floats_communicated,error"
-    )
-    index_text = "\n".join([header] + [",".join(r) for r in index_rows]) + "\n"
+    index = Path(base.output_path).parent / f"sweep_{axis}_index.csv"
     try:
-        _write_atomic(str(out_dir / f"sweep_{axis}_index.csv"), index_text)
+        _write_atomic(str(index), to_csv(_INDEX_HEADER, index_rows))
     except OSError as e:
         print(f"status=io_error error={e}", file=sys.stderr)
         return EXIT_IO
@@ -322,10 +259,8 @@ def main(argv: list[str] | None = None) -> int:
             config = parse_config(args.config, args.set)
             return cmd_run(config, _prepared(config))
         if args.command == "sweep":
-            config = parse_config(args.config, args.set)
-            _prepared(config)  # a bad base config fails unprefixed, as its run would
             values = [v for v in args.values.split(",") if v != ""]
-            return cmd_sweep(config, args.axis, values)
+            return cmd_sweep(args.config, args.set, args.axis, values)
         if args.command == "check":
             return cmd_check()
     except ConfigError as e:

@@ -148,26 +148,23 @@ class HyperParams:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"hyper.{name} must be finite, got {value!r}")
-        if self.mu1 <= 0 or self.mu2 <= 0:
-            raise ValueError(f"mu1/mu2 must be positive, got {self.mu1}, {self.mu2}")
-        if self.eta1 <= 0 or self.eta2 <= 0:
-            raise ValueError(f"eta1/eta2 must be positive, got {self.eta1}, {self.eta2}")
-        if not 0.0 < self.eta3 <= 1.0:
-            raise ValueError(f"eta3 must be in (0, 1], got {self.eta3}")
-        if self.nu < 0:
-            raise ValueError(f"nu must be nonnegative, got {self.nu}")
-        if any(m < 1 for m in self.local_steps):
-            raise ValueError(f"every M_i must be >= 1, got {self.local_steps}")
-        if self.rounds < 0:
-            raise ValueError(f"rounds must be >= 0, got {self.rounds}")
-        if self.prox_mu < 0:
-            raise ValueError(f"prox_mu must be nonnegative, got {self.prox_mu}")
-        if self.tol <= 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
-        if self.local_tol < 0:
-            raise ValueError(f"local_tol must be nonnegative, got {self.local_tol}")
-        if self.local_max_iters < 1:
-            raise ValueError(f"local_max_iters must be >= 1, got {self.local_max_iters}")
+        # (field, whether its value is in range, the range), checked in field order
+        for name, ok, rule in (
+            ("mu1", self.mu1 > 0, "must be positive"),
+            ("mu2", self.mu2 > 0, "must be positive"),
+            ("eta1", self.eta1 > 0, "must be positive"),
+            ("eta2", self.eta2 > 0, "must be positive"),
+            ("eta3", 0.0 < self.eta3 <= 1.0, "must be in (0, 1]"),
+            ("nu", self.nu >= 0, "must be nonnegative"),
+            ("local_steps", all(m >= 1 for m in self.local_steps), "must all be >= 1"),
+            ("rounds", self.rounds >= 0, "must be >= 0"),
+            ("prox_mu", self.prox_mu >= 0, "must be nonnegative"),
+            ("tol", self.tol > 0, "must be positive"),
+            ("local_tol", self.local_tol >= 0, "must be nonnegative"),
+            ("local_max_iters", self.local_max_iters >= 1, "must be >= 1"),
+        ):
+            if not ok:
+                raise ValueError(f"hyper.{name} {rule}, got {getattr(self, name)}")
 
     def expanded(self, n_clients: int) -> "HyperParams":
         """Replicate a single M entry to one per client."""

@@ -22,6 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from fedmm.core import HyperParams, PrimalDualPair, ServerState, Vector, row_norms, row_sum, vector
+from fedmm.federation import to_csv
 from fedmm.objectives import LocalObjective, QuadraticSaddle, inner_max, quadratic_bars, stacked
 from fedmm.optim import Federation, OptimizerKind, joint_weights, run_round
 
@@ -42,13 +43,8 @@ class IdentityReport:
 
 
 def reports_to_csv(reports: Sequence[IdentityReport]) -> str:
-    lines = ["name,round,residual,tolerance,pass"]
-    for r in reports:
-        lines.append(
-            f"{r.name},{r.round},{repr(r.residual_norm)},{repr(r.tolerance)},"
-            f"{str(r.passed).lower()}"
-        )
-    return "\n".join(lines) + "\n"
+    rows = ((r.name, r.round, r.residual_norm, r.tolerance, r.passed) for r in reports)
+    return to_csv("name,round,residual,tolerance,pass", rows)
 
 
 def _block_norms(fed: Federation, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -13,7 +13,9 @@ import os
 import uuid
 from dataclasses import dataclass, field, fields
 from enum import Enum
+from operator import attrgetter
 from pathlib import Path
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -52,20 +54,31 @@ class PartitionMode(Enum):
     ONE_SOURCE_TWO_TARGET = "one_source_two_target"
     TWO_SOURCE_ONE_TARGET = "two_source_one_target"
 
-    @classmethod
-    def parse(cls, name: str) -> "PartitionMode":
-        try:
-            return cls(name.strip().lower())
-        except ValueError:
-            valid = ", ".join(m.value for m in cls)
-            raise ValueError(f"unknown partition mode {name!r} (expected: {valid})") from None
+
+class _Split(NamedTuple):
+    n_clients: int
+    # (n_source, n_target, p) -> each client's (source points, target points)
+    counts: Callable[[int, int, float], list[tuple[int, int]]]
+    shuffled: tuple[bool, bool]  # whether the source, then the target, indices are permuted
 
 
-_MODE_CLIENTS = {
-    PartitionMode.TWO_CLIENT_P: 2,
-    PartitionMode.ONE_SOURCE_ONE_TARGET: 2,
-    PartitionMode.ONE_SOURCE_TWO_TARGET: 3,
-    PartitionMode.TWO_SOURCE_ONE_TARGET: 3,
+def _p_counts(n_source: int, n_target: int, p: float) -> list[tuple[int, int]]:
+    n_src_1, n_tgt_1 = int(round(p * n_source)), int(round((1.0 - p) * n_target))
+    return [(n_src_1, n_tgt_1), (n_source - n_src_1, n_target - n_tgt_1)]
+
+
+# each mode's split; a halved domain gives its first client the odd point, as np.array_split does
+_MODES = {
+    PartitionMode.TWO_CLIENT_P: _Split(2, _p_counts, (True, True)),
+    PartitionMode.ONE_SOURCE_ONE_TARGET: _Split(
+        2, lambda s, t, p: [(s, 0), (0, t)], (False, False)
+    ),
+    PartitionMode.ONE_SOURCE_TWO_TARGET: _Split(
+        3, lambda s, t, p: [(s, 0), (0, t - t // 2), (0, t // 2)], (False, True)
+    ),
+    PartitionMode.TWO_SOURCE_ONE_TARGET: _Split(
+        3, lambda s, t, p: [(s - s // 2, 0), (s // 2, 0), (0, t)], (True, False)
+    ),
 }
 
 
@@ -76,20 +89,14 @@ class PartitionSpec:
     mode: PartitionMode = PartitionMode.TWO_CLIENT_P
 
     def __post_init__(self):
-        if self.n_clients < 1:
-            raise ValueError(f"n_clients must be >= 1, got {self.n_clients}")
         if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"p must lie in [0, 1], got {self.p}")
-        want = _MODE_CLIENTS[self.mode]
+            raise ValueError(f"partition.p must lie in [0, 1], got {self.p}")
+        want = _MODES[self.mode].n_clients
         if self.n_clients != want:
             raise ValueError(
-                f"mode {self.mode.value} requires n_clients={want}, got {self.n_clients}"
+                f"partition.n_clients must be {want} for partition.mode = {self.mode.value}, "
+                f"got {self.n_clients}"
             )
-
-
-def _halves(n: int) -> list[int]:
-    # np.array_split's sizes: the first part takes the odd point
-    return [n - n // 2, n // 2]
 
 
 def partition_counts(n_source: int, n_target: int, spec: PartitionSpec) -> list[tuple[int, int]]:
@@ -99,27 +106,11 @@ def partition_counts(n_source: int, n_target: int, spec: PartitionSpec) -> list[
     RNG. A client left with no points at all is an error (its objective
     would be degenerate).
     """
-    if spec.mode is PartitionMode.TWO_CLIENT_P:
-        n_src_1 = int(round(spec.p * n_source))
-        n_tgt_1 = int(round((1.0 - spec.p) * n_target))
-        counts = [(n_src_1, n_tgt_1), (n_source - n_src_1, n_target - n_tgt_1)]
-    elif spec.mode is PartitionMode.ONE_SOURCE_ONE_TARGET:
-        counts = [(n_source, 0), (0, n_target)]
-    elif spec.mode is PartitionMode.ONE_SOURCE_TWO_TARGET:
-        counts = [(n_source, 0)] + [(0, k) for k in _halves(n_target)]
-    elif spec.mode is PartitionMode.TWO_SOURCE_ONE_TARGET:
-        counts = [(k, 0) for k in _halves(n_source)] + [(0, n_target)]
-    else:  # pragma: no cover
-        raise ValueError(f"unhandled mode {spec.mode}")
+    counts = _MODES[spec.mode].counts(n_source, n_target, spec.p)
     for i, (n_src, n_tgt) in enumerate(counts):
         if n_src + n_tgt == 0:
             raise ValueError(f"client {i} receives zero points (degenerate objective)")
     return counts
-
-
-def _split_uniform(idx: np.ndarray, sizes: list[int], rng: np.random.Generator) -> list[np.ndarray]:
-    perm = rng.permutation(idx)
-    return [np.sort(chunk) for chunk in np.split(perm, np.cumsum(sizes)[:-1])]
 
 
 def partition_label_shift(
@@ -131,28 +122,22 @@ def partition_label_shift(
     (1-p) of the target points; client 1 gets the complement. p=1.0 fully
     separates the domains. The multi-client modes pin one domain per client
     group and split that group's pool uniformly. The group sizes are
-    `partition_counts`.
+    `partition_counts`; each client takes the next block of the (shuffled)
+    source and target indices, sorted.
     """
     if len(dataset) == 0:
         raise ValueError("dataset is empty")
     src = np.flatnonzero(dataset.domain == SOURCE)
     tgt = np.flatnonzero(dataset.domain == TARGET)
     counts = partition_counts(len(src), len(tgt), spec)
-
-    if spec.mode is PartitionMode.TWO_CLIENT_P:
-        (n_src_1, n_tgt_1), _ = counts
-        src_perm = rng.permutation(src)
-        tgt_perm = rng.permutation(tgt)
-        one = np.sort(np.concatenate([src_perm[:n_src_1], tgt_perm[:n_tgt_1]]))
-        two = np.sort(np.concatenate([src_perm[n_src_1:], tgt_perm[n_tgt_1:]]))
-        groups = [one, two]
-    elif spec.mode is PartitionMode.ONE_SOURCE_ONE_TARGET:
-        groups = [src, tgt]
-    elif spec.mode is PartitionMode.ONE_SOURCE_TWO_TARGET:
-        groups = [src] + _split_uniform(tgt, [n for _, n in counts[1:]], rng)
-    else:  # TWO_SOURCE_ONE_TARGET
-        groups = _split_uniform(src, [n for n, _ in counts[:2]], rng) + [tgt]
-    return [dataset.subset(g) for g in groups]
+    shuffle_src, shuffle_tgt = _MODES[spec.mode].shuffled
+    src = rng.permutation(src) if shuffle_src else src  # the source draw comes first
+    tgt = rng.permutation(tgt) if shuffle_tgt else tgt
+    shards, i, j = [], 0, 0
+    for n_src, n_tgt in counts:
+        shards.append(dataset.subset(np.sort(np.concatenate([src[i:i + n_src], tgt[j:j + n_tgt]]))))
+        i, j = i + n_src, j + n_tgt
+    return shards
 
 
 def evaluate_target_accuracy(
@@ -194,11 +179,27 @@ _PHI_ORACLE_ITER_CAP = 5000
 
 
 def _fmt(x) -> str:
+    """One cell's text, the only cell format.
+
+    None is empty, a bool lower-case, an int exact, a str as is, a tuple its
+    comma list (as config files write it), any other number repr(float).
+    """
     if x is None:
         return ""
+    if isinstance(x, bool):
+        return str(x).lower()
     if isinstance(x, (int, np.integer)):
         return str(int(x))
+    if isinstance(x, str):
+        return x
+    if isinstance(x, tuple):
+        return ",".join(map(_fmt, x))
     return repr(float(x))
+
+
+def to_csv(header: str, rows: Iterable[Sequence]) -> str:
+    """The CSV text of a header line and rows of cells: the only CSV writer."""
+    return "\n".join([header, *(",".join(map(_fmt, row)) for row in rows)]) + "\n"
 
 
 def _consensus(Z: np.ndarray, P: np.ndarray, d1: int) -> tuple[np.ndarray, np.ndarray]:
@@ -340,10 +341,7 @@ class RunLog:
     rounds: list[RoundMetrics] = field(default_factory=list)
 
     def csv_text(self) -> str:
-        lines = [CSV_HEADER]
-        for m in self.rounds:
-            lines.append(",".join(_fmt(getattr(m, name)) for name in METRIC_FIELDS))
-        return "\n".join(lines) + "\n"
+        return to_csv(CSV_HEADER, map(attrgetter(*METRIC_FIELDS), self.rounds))
 
     def write_csv(self, path: str | Path) -> None:
         write_atomic(path, self.csv_text())
@@ -355,14 +353,6 @@ class RunLog:
 class ProblemKind(Enum):
     QUADRATIC = "quadratic"
     DOMAIN_ADAPT = "domain_adapt"
-
-    @classmethod
-    def parse(cls, name: str) -> "ProblemKind":
-        try:
-            return cls(name.strip().lower())
-        except ValueError:
-            valid = ", ".join(p.value for p in cls)
-            raise ValueError(f"unknown problem {name!r} (expected: {valid})") from None
 
 
 @dataclass(frozen=True)
@@ -412,27 +402,59 @@ class ExperimentConfig:
             raise ValueError(f"output_path must name a file, got {self.output_path!r}")
 
     def echo(self) -> dict:
-        """Every key parse_config accepts, under its config name, with this config's value."""
-        d = {
-            "optimizer": self.optimizer.value,
-            "problem": self.problem.value,
-            "problem.file": self.problem_file,
-            "problem.n_clients": self.quad_n_clients,
-            "problem.d1": self.quad_d1,
-            "problem.d2": self.quad_d2,
-            "problem.n_per_domain": self.toy_n_per_domain,
-            "problem.holdout_n": self.toy_holdout_n,
-            "seed": self.seed,
-            "metrics_every": self.metrics_every,
-            "output_path": self.output_path,
-            "batch_size": self.batch_size,
-            "partition.mode": self.partition.mode.value,
-            "partition.n_clients": self.partition.n_clients,
-            "partition.p": self.partition.p,
-        }
-        for f in fields(self.hyper):
-            d[f"hyper.{f.name}"] = getattr(self.hyper, f.name)
-        return d
+        """Every config key with this config's value, an enum by its name."""
+        out = {}
+        for key, value in zip(CONFIG_KEYS, _config_values(self)):
+            out[key] = value.value if isinstance(value, Enum) else value
+        return out
+
+
+def _parser(convert: Callable[[str], object], expected: str) -> Callable[[str], object]:
+    """A config value's parser: convert(raw), or ValueError naming what was expected."""
+
+    def parse(raw: str):
+        try:
+            return convert(raw)
+        except ValueError:
+            raise ValueError(f"expected {expected}, got {raw!r}") from None
+
+    return parse
+
+
+def _enum_parser(cls: type[Enum]) -> Callable[[str], Enum]:
+    return _parser(lambda raw: cls(raw.lower()), "one of " + ", ".join(m.value for m in cls))
+
+
+_INT = _parser(int, "an integer")
+# a hyper.* or partition.* key's parser, by the type of its field's default
+_PARSERS = {
+    int: _INT,
+    float: _parser(float, "a number"),
+    tuple: _parser(lambda raw: tuple(map(int, raw.split(","))), "an integer or comma list"),
+    PartitionMode: _enum_parser(PartitionMode),
+}
+# config key -> (its ExperimentConfig attribute path, its parser): the only list of config keys
+CONFIG_KEYS = {
+    "optimizer": ("optimizer", _enum_parser(OptimizerKind)),
+    "problem": ("problem", _enum_parser(ProblemKind)),
+    "problem.file": ("problem_file", str),
+    "problem.n_clients": ("quad_n_clients", _INT),
+    "problem.d1": ("quad_d1", _INT),
+    "problem.d2": ("quad_d2", _INT),
+    "problem.n_per_domain": ("toy_n_per_domain", _INT),
+    "problem.holdout_n": ("toy_holdout_n", _INT),
+    "seed": ("seed", _INT),
+    "metrics_every": ("metrics_every", _INT),
+    "output_path": ("output_path", str),
+    "batch_size": ("batch_size", _INT),
+    **{
+        f"{group}.{f.name}": (f"{group}.{f.name}", _PARSERS[type(f.default)])
+        for group, cls in (("hyper", HyperParams), ("partition", PartitionSpec))
+        for f in fields(cls)
+    },
+}
+# a config's values, in CONFIG_KEYS order
+_config_values = attrgetter(*(path for path, _ in CONFIG_KEYS.values()))
 
 
 @dataclass(frozen=True)

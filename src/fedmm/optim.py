@@ -39,14 +39,6 @@ class OptimizerKind(Enum):
     FEDPROX_GDA = "fedprox_gda"
     CENTRAL_GDA = "central_gda"
 
-    @classmethod
-    def parse(cls, name: str) -> "OptimizerKind":
-        try:
-            return cls(name.strip().lower())
-        except ValueError:
-            valid = ", ".join(k.value for k in cls)
-            raise ValueError(f"unknown optimizer {name!r} (expected one of: {valid})") from None
-
 
 class _Rule(NamedTuple):
     multi_step: bool  # each client takes its M_i local steps, else one step

@@ -1,9 +1,10 @@
 
+import re
 import sys
 import threading
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -11,9 +12,10 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from fedmm import federation, objectives
-from fedmm.cli import _AXES, _SCHEMA, ConfigError, _write_atomic, main, parse_config
+from fedmm.cli import _AXES, ConfigError, _write_atomic, main, parse_config
 from fedmm.core import HyperParams, seeded_rng
 from fedmm.federation import (
+    CONFIG_KEYS,
     ExperimentConfig,
     PartitionMode,
     PartitionSpec,
@@ -102,6 +104,32 @@ class TestParseConfig:
         text = "optimizer = fedmm\nproblem = quadratic\nhyper.local_steps = 20,20,25\n"
         cfg = parse_config(write(tmp_path, text))
         assert cfg.hyper.local_steps == (20, 20, 25)
+
+
+# one out-of-range value of each hyper.* and partition.* key, and the error naming that key
+_OUT_OF_RANGE = [
+    ("hyper.mu1=-1", "hyper.mu1 must be positive, got -1.0"),
+    ("hyper.mu2=0", "hyper.mu2 must be positive, got 0.0"),
+    ("hyper.eta1=0", "hyper.eta1 must be positive, got 0.0"),
+    ("hyper.eta2=-0.5", "hyper.eta2 must be positive, got -0.5"),
+    ("hyper.eta3=2", "hyper.eta3 must be in (0, 1], got 2.0"),
+    ("hyper.nu=-1", "hyper.nu must be nonnegative, got -1.0"),
+    ("hyper.local_steps=0", "hyper.local_steps must all be >= 1, got (0,)"),
+    ("hyper.rounds=-1", "hyper.rounds must be >= 0, got -1"),
+    ("hyper.prox_mu=-1", "hyper.prox_mu must be nonnegative, got -1.0"),
+    ("hyper.tol=0", "hyper.tol must be positive, got 0.0"),
+    ("hyper.local_tol=-1", "hyper.local_tol must be nonnegative, got -1.0"),
+    ("hyper.local_max_iters=0", "hyper.local_max_iters must be >= 1, got 0"),
+    ("partition.p=2", "partition.p must lie in [0, 1], got 2.0"),
+    (
+        "partition.n_clients=3",
+        "partition.n_clients must be 2 for partition.mode = two_client_p, got 3",
+    ),
+    (
+        "partition.mode=one_source_two_target",
+        "partition.n_clients must be 3 for partition.mode = one_source_two_target, got 2",
+    ),
+]
 
 
 class TestCmdRun:
@@ -231,6 +259,22 @@ class TestCmdRun:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and f"hyper.{key}" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "override, message", _OUT_OF_RANGE, ids=[o.partition("=")[0] for o, _ in _OUT_OF_RANGE]
+    )
+    def test_out_of_range_value_is_config_error_naming_its_key(
+        self, tmp_path, capsys, override, message
+    ):
+        out = tmp_path / "x.csv"
+        cfg_path = write(tmp_path, MINIMAL + f"output_path = {out}\n")
+        assert main(["run", "--config", str(cfg_path), "--set", override]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+    def test_every_hyper_and_partition_key_has_an_out_of_range_case(self):
+        keys = {key for key in CONFIG_KEYS if key.startswith(("hyper.", "partition."))}
+        assert {o.partition("=")[0] for o, _ in _OUT_OF_RANGE} == keys
 
     def test_huge_finite_step_may_diverge(self, tmp_path, capsys):
         cfg_path = write(tmp_path, MINIMAL + f"output_path = {tmp_path / 'x.csv'}\n")
@@ -658,7 +702,7 @@ output_path = out.csv
 # mostly known keys and plausible values, so that most drawn configs get past
 # the parser and into a run
 _FUZZ_KEYS = st.sampled_from(
-    sorted(_SCHEMA)
+    sorted(CONFIG_KEYS)
     + ["", "etaa1", "hyper", "hyper.", "hyper.mu3", "Seed", "problem.file.x", "ünï"]
 )
 _FUZZ_VALUES = st.one_of(
@@ -750,7 +794,7 @@ _SWEEP_JUNK = st.one_of(
 @st.composite
 def _sweeps(draw):
     """(axis, values): half the time only values the axis accepts, else any mix with junk."""
-    axis = draw(st.sampled_from(_AXES))
+    axis = draw(st.sampled_from(list(_AXES)))
     valid = st.sampled_from(_AXIS_VALUES[axis])
     values = draw(st.one_of(
         st.lists(valid, min_size=1, max_size=3), st.lists(st.one_of(valid, _SWEEP_JUNK), max_size=3)
@@ -840,7 +884,20 @@ def _as_text(echo: dict) -> str:
 
 class TestConfigEcho:
     def test_echo_names_every_config_key(self):
-        assert set(ExperimentConfig(OptimizerKind.FEDMM, ProblemKind.QUADRATIC).echo()) == set(_SCHEMA)
+        assert set(ExperimentConfig(OptimizerKind.FEDMM, ProblemKind.QUADRATIC).echo()) == set(CONFIG_KEYS)
+
+    def test_every_config_field_is_set_by_exactly_one_key(self):
+        groups = {"hyper": HyperParams, "partition": PartitionSpec}
+        want = [f.name for f in fields(ExperimentConfig) if f.name not in groups]
+        want += [f"{group}.{f.name}" for group, cls in groups.items() for f in fields(cls)]
+        assert sorted(path for path, _ in CONFIG_KEYS.values()) == sorted(want)
+
+    def test_readme_config_table_names_exactly_the_keys(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        section = readme.split("\n## Config format\n", 1)[1].split("\n## ", 1)[0]
+        rows = [line.split("|")[1] for line in section.splitlines() if line.startswith("| `")]
+        named = [key for cell in rows for key in re.findall(r"`([^`]+)`", cell)]
+        assert sorted(named) == sorted(CONFIG_KEYS)
 
     @settings(
         max_examples=30, deadline=None, derandomize=True, database=None,
@@ -991,6 +1048,32 @@ class TestCmdSweep:
         err = capsys.readouterr().err
         assert err.startswith("config error: --values: 'central_gda': hyper.local_steps:")
         assert not list(tmp_path.glob("sweep_*"))  # nothing ran
+
+    @pytest.mark.parametrize(
+        "axis, key, value, message",
+        [
+            ("partition_p", "partition.p", "x", "partition.p: expected a number, got 'x'"),
+            (
+                "local_steps", "hyper.local_steps", "ten",
+                "hyper.local_steps: expected an integer or comma list, got 'ten'",
+            ),
+            (
+                "optimizer", "optimizer", "warp",
+                "optimizer: expected one of fedmm, fedsgda, fedavg_gda, fedprox_gda, central_gda, "
+                "got 'warp'",
+            ),
+            ("partition_p", "partition.p", "2", "partition.p must lie in [0, 1], got 2.0"),
+            ("local_steps", "hyper.local_steps", "0", "hyper.local_steps must all be >= 1, got (0,)"),
+        ],
+    )
+    def test_value_fails_as_its_key_fails_in_set(self, tmp_path, capsys, axis, key, value, message):
+        cfg_path = write(tmp_path, QUAD_RUN.format(out=tmp_path / "base.csv"))
+        assert main(["run", "--config", str(cfg_path), "--set", f"{key}={value}"]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        argv = ["sweep", "--config", str(cfg_path), "--axis", axis, "--values", value]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"config error: --values: {value!r}: {message}\n"
+        assert not list(tmp_path.glob("sweep_*"))
 
     def test_unparseable_value_is_a_config_error(self, tmp_path, capsys):
         cfg_path = write(tmp_path, QUAD_RUN.format(out=tmp_path / "base.csv"))

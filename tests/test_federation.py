@@ -109,7 +109,7 @@ class TestPartitionLabelShift:
         # partition_counts alone decides the shard sizes (and the empty-client
         # error) before the RNG draws anything
         assume(n_src + n_tgt > 0)
-        spec = PartitionSpec(n_clients=federation._MODE_CLIENTS[mode], p=p, mode=mode)
+        spec = PartitionSpec(n_clients=federation._MODES[mode].n_clients, p=p, mode=mode)
         domain = np.array([SOURCE] * n_src + [TARGET] * n_tgt, dtype=np.int64)
         y = np.where(domain == SOURCE, 0, -1)
         X = np.arange(2.0 * len(domain)).reshape(-1, 2)
