@@ -127,7 +127,7 @@ def check_dual_recovery() -> str:
 
 
 def _bit_equal(a: PrimalDualPair, b: PrimalDualPair) -> bool:
-    return np.array_equal(a.omega, b.omega) and np.array_equal(a.psi, b.psi)
+    return np.array_equal(a.row, b.row)
 
 
 def _same_global_pairs(objs, kind_a, kind_b, hp: HyperParams, rounds: int) -> bool:

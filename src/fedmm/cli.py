@@ -48,7 +48,7 @@ class ConfigError(ValueError):
 def _read_assignments(path: str | Path) -> list[tuple[int, str, str]]:
     try:
         text = Path(path).read_text()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read config file {path}: {e}") from e
     out = []
     for lineno, line in enumerate(text.splitlines(), start=1):

@@ -10,7 +10,7 @@ identical seeds give identical streams across runs and platforms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -86,7 +86,7 @@ def row_sum(rows: np.ndarray, axis: int = 0) -> np.ndarray:
     pairwise summation when the rows have one entry.
     """
     acc = np.add.accumulate(rows, axis=axis)
-    return acc[(slice(None),) * (axis % acc.ndim) + (-1,)]
+    return acc[-1] if axis == 0 else acc[(slice(None),) * (axis % acc.ndim) + (-1,)]
 
 
 def seeded_rng(seed: int) -> np.random.Generator:
@@ -94,16 +94,33 @@ def seeded_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PrimalDualPair:
-    """One (omega, psi) point of the minimax problem."""
+    """One (omega, psi) point of the minimax problem, held as one frozen joint row.
+
+    row is the (d1 + d2,) array [omega | psi]; omega and psi are read-only
+    views of its two blocks, and dims is (d1, d2). PrimalDualPair(omega, psi)
+    concatenates the blocks once; `of_row` takes a frozen row as it is, which
+    is how the aggregated pair reaches the next round without a copy.
+    """
 
     omega: Vector
     psi: Vector
+    row: Vector = field(init=False, repr=False, compare=False)
+    dims: tuple[int, int] = field(init=False, repr=False, compare=False)
 
-    @property
-    def dims(self) -> tuple[int, int]:
-        return len(self.omega), len(self.psi)
+    def __init__(self, omega: Vector, psi: Vector):
+        row = np.concatenate((omega, psi))
+        row.flags.writeable = False
+        self.__dict__.update(vars(self.of_row(row, len(omega))))
+
+    @classmethod
+    def of_row(cls, row: Vector, d1: int) -> "PrimalDualPair":
+        """The pair whose joint row is the frozen (d1 + d2,) `row`, taken as it is."""
+        pair = cls.__new__(cls)
+        # set past the frozen __setattr__, as a frozen dataclass's own __init__ does
+        pair.__dict__.update(omega=row[:d1], psi=row[d1:], row=row, dims=(d1, len(row) - d1))
+        return pair
 
 
 @dataclass
@@ -116,8 +133,7 @@ class ServerState:
 
     def record_round(self, n_clients: int) -> None:
         """One round = every client downloads and uploads both blocks."""
-        d1, d2 = self.global_pair.dims
-        self.floats_sent += n_clients * 2 * (d1 + d2)
+        self.floats_sent += n_clients * 2 * len(self.global_pair.row)
         self.round += 1
 
 

@@ -88,7 +88,7 @@ def check_identities(
         raise ValueError("before/after federations do not match")
     d1, d2 = after.view.dims
     W = joint_weights(hp.mu1, hp.mu2, d1, d2)
-    Z0 = np.concatenate((global_before.omega, global_before.psi))
+    Z0 = global_before.row
     G_a, G_b = after.view.joint_grads(after.Z), before.view.joint_grads(before.Z)
     e = max(_solve_errors(after, G_a).tolist())
     tol_step = BASE_TOL + TOL_ERROR_FACTOR * e

@@ -159,8 +159,15 @@ def evaluate_target_accuracy(
     return float(accuracy) if accuracy.ndim == 0 else accuracy
 
 
-@dataclass(frozen=True)
+@dataclass
 class RoundMetrics:
+    """One round's CSV row.
+
+    A plain dataclass, not a frozen one: a frozen __init__ sets each field
+    through object.__setattr__, and building a block's 64 rows that way took
+    about a third of a quadratic metric-block flush.
+    """
+
     round: int
     phi_grad_norm: float | None
     consensus_omega: float
@@ -216,8 +223,7 @@ def _consensus(Z: np.ndarray, P: np.ndarray, d1: int) -> tuple[np.ndarray, np.nd
 
 def consensus(fed: Federation, pair: PrimalDualPair) -> tuple[float, float]:
     """(max_i ||omega_i - omega||, max_i ||psi_i - psi||): the clients' spread around the pair."""
-    P = np.concatenate((pair.omega, pair.psi))
-    omega, psi = _consensus(fed.Z, P, len(pair.omega))
+    omega, psi = _consensus(fed.Z, pair.row, pair.dims[0])
     return float(omega), float(psi)
 
 
@@ -234,7 +240,7 @@ def block_rounds(n_clients: int, d: int) -> int:
 class MetricsBlock:
     """Several rounds' metric inputs, evaluated together once the block is full.
 
-    `add` copies a round's client rows fed.Z and its global pair
+    `add` copies a round's client rows fed.Z and its global pair's joint row
     [omega | psi] into preallocated buffers. `flush` turns the buffered
     rounds into their RoundMetrics rows and empties the block:
 
@@ -271,10 +277,9 @@ class MetricsBlock:
 
     def add(self, t: int, fed: Federation, server: ServerState, sample_phi: bool) -> None:
         """Buffer round t: the clients' rows, the server's pair and its ledger."""
-        k, d1 = len(self.rounds), self.oracle.dims[0]
-        pair = server.global_pair
+        k = len(self.rounds)
         self.Z[k] = fed.Z
-        self.P[k, :d1], self.P[k, d1:] = pair.omega, pair.psi
+        self.P[k] = server.global_pair.row
         self.rounds.append((t, server.floats_sent, sample_phi))
 
     def flush(self) -> list[RoundMetrics]:
@@ -296,18 +301,8 @@ class MetricsBlock:
             out = phi_grads(self.oracle, omegas[sampled], self.tol, max_iters=_PHI_ORACLE_ITER_CAP)
             for b, norm, error in zip(sampled, row_norms(out.grads).tolist(), out.errors):
                 phi[b] = norm if error is None else None
-        rows = [
-            RoundMetrics(
-                round=t,
-                phi_grad_norm=phi[b],
-                consensus_omega=spread_om[b],
-                consensus_psi=spread_ps[b],
-                global_loss=loss[b],
-                target_accuracy=accuracy[b],
-                floats_communicated=floats,
-            )
-            for b, (t, floats, _) in enumerate(self.rounds)
-        ]
+        ts, floats, _ = zip(*self.rounds)
+        rows = list(map(RoundMetrics, ts, phi, spread_om, spread_ps, loss, accuracy, floats))  # field order
         self.rounds = []
         return rows
 
@@ -503,9 +498,13 @@ def prepare(config: ExperimentConfig) -> Problem:
     if quadratic:
         objs = loaded
         if loaded is None:
-            specs = problems.synthetic_quadratic_specs(
-                config.quad_n_clients, config.quad_d1, config.quad_d2
-            )
+            n, d1, d2 = config.quad_n_clients, config.quad_d1, config.quad_d2
+            try:
+                specs = problems.synthetic_quadratic_specs(n, d1, d2)
+            except RuntimeError as e:
+                raise ValueError(
+                    f"problem.n_clients={n} problem.d1={d1} problem.d2={d2}: {e}"
+                ) from None
             objs = [QuadraticSaddle(s) for s in specs]
         d1, d2 = objs[0].dims
         init = PrimalDualPair(zeros(d1), zeros(d2))

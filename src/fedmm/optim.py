@@ -28,7 +28,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from fedmm.core import ConvergenceError, DivergenceError, HyperParams, PrimalDualPair
-from fedmm.core import require_finite, row_dot, row_sum
+from fedmm.core import row_dot, row_sum
 from fedmm.objectives import LocalObjective, StackedObjectives, stacked
 
 
@@ -98,7 +98,7 @@ class Federation:
         if view.dims != pair.dims:
             raise ValueError(f"objective dims {view.dims} differ from the pair's {pair.dims}")
         Z, D = np.empty((view.n, sum(view.dims))), np.zeros((view.n, sum(view.dims)))
-        Z[:] = np.concatenate((pair.omega, pair.psi))
+        Z[:] = pair.row
         D[:, view.dims[0] :] = -0.0  # beta = +0.0, kept as -beta
         return cls(view, _frozen(Z), _frozen(D))
 
@@ -126,21 +126,24 @@ class Federation:
 _DIVERGENCE_CAP = 1e100
 
 
+def _bounded(Z: np.ndarray, axis: int | None = None):
+    """The divergence rule: whether every entry (of each row, with axis=-1) is at most the cap.
+
+    Magnitudes past the cap overflow inside the next gradient evaluation, so
+    they count as divergence already; NaN fails the comparison too.
+    """
+    return np.maximum.reduce(np.abs(Z), axis=axis) <= _DIVERGENCE_CAP
+
+
 def _check_finite(Z: np.ndarray, where: str, step: int) -> None:
-    # magnitudes past the cap overflow inside the next gradient evaluation,
-    # so treat them as divergence already; NaN fails the comparison too
-    if not np.maximum.reduce(np.abs(Z), axis=None) <= _DIVERGENCE_CAP:
+    """The check of one local step's iterate, called once per step and for nothing else."""
+    if not _bounded(Z):
         raise DivergenceError(where, step)
 
 
-def _check_rows(Z: np.ndarray, where: str, step: int) -> None:
-    """_check_finite on the whole stack; a failure names the first failing client."""
-    try:
-        _check_finite(Z, where, step)
-    except DivergenceError:
-        for r in range(len(Z)):
-            _check_finite(Z[r], where.format(r), step)
-        raise
+def _first_unbounded(Z: np.ndarray, where: str, step: int) -> DivergenceError:
+    """The DivergenceError of an (N, d) stack that breaks the rule: it names the first failing row."""
+    return DivergenceError(where.format(np.flatnonzero(~_bounded(Z, -1))[0]), step)
 
 
 def _local_grads(view: StackedObjectives, Z, W, D, Z0) -> np.ndarray:
@@ -178,15 +181,19 @@ def local_solve(
     run-to-tolerance mode (hp.local_tol > 0), once both local gradient norms
     are at most hp.local_tol, capped by hp.local_max_iters. Every row's
     gradient is evaluated at every step; only _step's mask keeps a finished row.
+
+    Every step's iterate is checked against the divergence rule, so a plain
+    upload (the iterate) needs no check of its own; FedMM's dual-shifted
+    upload is checked once, where it is formed. A non-finite gradient at a
+    finite iterate (the view's ValueError) is a divergence at that step too.
     """
-    rule = _RULES[kind]
-    view, n = fed.view, fed.n
+    rule, view = _RULES[kind], fed.view
+    n = view.n
     if view.dims != global_pair.dims:
         raise ValueError(f"objective dims {view.dims} differ from the pair's {global_pair.dims}")
     d1, d2 = view.dims
-    Z0 = np.empty(fed.Z.shape)  # the global pair in every row, where each row starts
-    Z0[:] = np.concatenate((global_pair.omega, global_pair.psi))
-    Z = _frozen(Z0)
+    Z = Z0 = np.empty(fed.Z.shape)  # the global pair in every row, where each row starts
+    Z0[:] = global_pair.row
     D = W = None
     if rule.penalty == "al":
         D, W = fed.D, joint_weights(hp.mu1, hp.mu2, d1, d2, n)
@@ -198,14 +205,19 @@ def local_solve(
     if tol > 0:
         # the last pass only evaluates: rows still above tolerance then fail
         where, passes = "fedmm local solve (client {})", hp.local_max_iters + 1
-    else:
-        steps = hp.expanded(n).local_steps if rule.multi_step else (1,) * n
+    elif rule.multi_step:
+        steps = hp.expanded(n).local_steps
         where, passes, fewest = rule.where, max(steps), min(steps)
         if fewest < passes:  # a row mask is needed only when the M_i differ
             steps = np.array(steps)
+    else:
+        where, passes, fewest = rule.where, 1, 1
     rows = None  # every row steps until one is done
     for m in range(passes):
-        G = _local_grads(view, Z, W, D, Z0)
+        try:
+            G = _local_grads(view, Z, W, D, Z0)
+        except ValueError:  # the view's finiteness check
+            raise DivergenceError(f"{where.partition(' (')[0]} gradient", m) from None
         if tol > 0:
             # the larger block norm; sqrt is correctly rounded and monotone, so
             # sqrt(max) is the max of the two norms bit for bit, NaN included
@@ -222,7 +234,10 @@ def local_solve(
         else:
             rows = None if m < fewest else steps > m
         Z = _step(Z, E, G, rows)
-        _check_rows(Z, where, m)
+        try:
+            _check_finite(Z, where, m)
+        except DivergenceError:
+            raise _first_unbounded(Z, where, m) from None
 
     Z = _frozen(Z)
     if D is None:
@@ -231,19 +246,21 @@ def local_solve(
     D = _frozen(D + W * (Z - Z0))
     decay = hp.eta3**t
     U = joint_weights(decay / hp.mu1, decay / hp.mu2, d1, d2)
-    return Federation(view, Z, D), _frozen(Z + U * D)
+    up = Z + U * D
+    if not _bounded(up):
+        raise _first_unbounded(up, "fedmm upload (client {})", m)
+    return Federation(view, Z, D), _frozen(up)
 
 
 def fedmm_aggregate(uploads: np.ndarray, d1: int) -> PrimalDualPair:
-    """Plain average of the (N, d1 + d2) upload rows, split at d1.
+    """Plain average of the (N, d1 + d2) upload rows: the pair whose frozen joint row is the mean.
 
     The sum adds the rows in row (client) order, started from zero: the + 0.0
     turns a column of -0.0 rows into the +0.0 that a zero-started sum gives.
-    Both blocks are read-only views of the one frozen mean.
+    local_solve's uploads are at most 1e100 in magnitude, so their mean is
+    finite and is not checked again.
     """
-    mean = _frozen((row_sum(uploads) + 0.0) / len(uploads))
-    require_finite(mean)
-    return PrimalDualPair(mean[:d1], mean[d1:])
+    return PrimalDualPair.of_row(_frozen((row_sum(uploads) + 0.0) / len(uploads)), d1)
 
 
 def run_round(kind: OptimizerKind, fed: Federation, server, hp: HyperParams) -> Federation:

@@ -28,6 +28,7 @@ from fedmm.objectives import (
 )
 
 _QUAD_SEED = 0xFED0
+_QUAD_ATTEMPTS = 64
 
 # Frozen toy geometry: class means +/-CLASS_MU, target = source + DOMAIN_SHIFT.
 # The target domain is class-imbalanced (label shift): an unsupervised client
@@ -62,8 +63,12 @@ def _pd_symmetric(rng: np.random.Generator, d: int) -> np.ndarray:
 def synthetic_quadratic_specs(
     n_clients: int, d1: int = 4, d2: int = 3, seed: int = _QUAD_SEED
 ) -> list[QuadraticSaddleSpec]:
-    """Heterogeneous quadratic saddles with a PD averaged max-function Hessian."""
-    for attempt in range(64):
+    """Heterogeneous quadratic saddles with a PD averaged max-function Hessian.
+
+    Tries the generator seeds seed, seed + 1, ..., seed + 63 in turn; RuntimeError
+    when none of them gives one.
+    """
+    for attempt in range(_QUAD_ATTEMPTS):
         rng = seeded_rng(seed + attempt)
         specs = []
         for _ in range(n_clients):
@@ -79,7 +84,9 @@ def synthetic_quadratic_specs(
         H = Abar + Bbar @ np.linalg.solve(Cbar, Bbar.T)
         if float(np.linalg.eigvalsh(H).min()) > 0.1:
             return specs
-    raise RuntimeError("could not synthesize a PD max-function Hessian")  # pragma: no cover
+    raise RuntimeError(
+        f"could not synthesize a PD max-function Hessian in {_QUAD_ATTEMPTS} generator seeds"
+    )
 
 
 def _gaussian_domain(

@@ -45,6 +45,9 @@ output_path = {out}
 """
 
 
+SHIPPED = Path(__file__).resolve().parent.parent / "configs"
+
+
 def write(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text)
@@ -319,6 +322,56 @@ class TestCmdRun:
         ])
         assert rc == 3
         assert "status=diverged" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_file_that_is_not_utf8_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"\xff\xfe")
+        assert main(["run", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: cannot read config file {path}: ")
+
+    def test_quadratic_shape_without_an_instance_is_config_error(self, tmp_path, capsys):
+        # no generator seed gives 20 one-dimensional clients a PD max-function Hessian
+        rc = main([
+            "run", "--config", str(SHIPPED / "quadratic_fedsgda.cfg"),
+            "--set", "problem.n_clients=20", "--set", "problem.d1=1", "--set", "problem.d2=1",
+            "--set", "hyper.rounds=2", "--set", f"output_path={tmp_path / 'x.csv'}",
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: problem.n_clients=20 problem.d1=1 problem.d2=1: ")
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "cfg, overrides, where",
+        [
+            # the batched DANN view rejects its overflowed gradient at a finite iterate
+            (
+                "label_shift_fedmm.cfg",
+                ["hyper.nu=1e308", "hyper.rounds=5"],
+                "round 0: fedmm local round gradient at step 0",
+            ),
+            # mu = 1e300 overflows the dual step, and so FedMM's dual-shifted upload
+            (
+                "quadratic_fedsgda.cfg",
+                [
+                    "optimizer=fedmm", "hyper.mu1=1e300", "hyper.mu2=1e300", "hyper.eta1=1e9",
+                    "hyper.eta2=1e9", "hyper.local_steps=1", "hyper.rounds=3",
+                ],
+                "round 0: fedmm upload (client 0) at step 0",
+            ),
+        ],
+        ids=["dann_gradient", "fedmm_upload"],
+    )
+    def test_non_finite_gradient_or_upload_at_a_finite_iterate_is_divergence(
+        self, tmp_path, capsys, cfg, overrides, where
+    ):
+        out = tmp_path / "x.csv"
+        argv = ["run", "--config", str(SHIPPED / cfg), "--set", f"output_path={out}"]
+        for item in overrides:
+            argv += ["--set", item]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"status=diverged error=non-finite iterate in {where}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["", ".", "a\x00b"], ids=["empty", "dot", "nul"])

@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,27 @@ class TestRowSum:
         assert np.array_equal(row_sum(V, axis=1), want)
         assert np.array_equal(row_sum(V, axis=-1), want)
         assert np.array_equal(row_sum(V.T), want)
+
+
+class TestPrimalDualPair:
+    def test_blocks_are_views_of_one_frozen_joint_row(self):
+        om, ps = vector([0.5, -1.0]), vector([2.0])
+        pair = PrimalDualPair(om, ps)
+        assert np.array_equal(pair.row, [0.5, -1.0, 2.0]) and not pair.row.flags.writeable
+        assert pair.dims == (2, 1)
+        for got, want in ((pair.omega, om), (pair.psi, ps)):
+            assert np.array_equal(got, want) and got.base is pair.row and not got.flags.writeable
+
+    def test_of_row_takes_the_row_as_it_is(self):
+        row = zeros(5)
+        pair = PrimalDualPair.of_row(row, 3)
+        assert pair.row is row and pair.dims == (3, 2)
+        assert pair.omega.base is row and pair.psi.base is row
+
+    def test_frozen(self):
+        pair = PrimalDualPair(zeros(1), zeros(1))
+        with pytest.raises(FrozenInstanceError):
+            pair.omega = zeros(1)
 
 
 class TestStates:

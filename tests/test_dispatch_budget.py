@@ -2,9 +2,10 @@
 
 The local step's cost is interpreter overhead: every numpy call, view and
 operator on the small arrays of a step costs about as much as its
-arithmetic. These tests count that work in three places (one batched DANN
+arithmetic. These tests count that work in four places (one batched DANN
 gradient on the label-shift toy's two-client view, one quadratic gradient,
-and one fixed-M FedMM local round on the toy) and fail when a change makes
+one fixed-M FedMM local round on the toy, and one FedSGDA round with its
+metric-block entry on a three-client quadratic) and fail when a change makes
 any of them do more. Two counts are taken:
 
 - C-level calls, the `c_call` events of `sys.setprofile`: builtins and
@@ -15,7 +16,7 @@ any of them do more. Two counts are taken:
   minus the package's code executes, numpy's included.
 
 The budgets are the counts of the current code under CPython 3.11 and
-numpy 2.4; each comment gives the count before the lean DANN step. Raise a
+numpy 2.4; each comment gives the count before the change that set it. Raise a
 budget only with a reason, in the commit that needs it.
 """
 
@@ -28,10 +29,10 @@ import numpy as np
 
 import fedmm
 from fedmm.cli import parse_config
-from fedmm.core import PrimalDualPair, zeros
-from fedmm.federation import prepare
+from fedmm.core import HyperParams, PrimalDualPair, ServerState, zeros
+from fedmm.federation import MetricsBlock, prepare
 from fedmm.objectives import QuadraticSaddle
-from fedmm.optim import Federation, OptimizerKind, local_solve
+from fedmm.optim import Federation, OptimizerKind, local_solve, run_round
 from fedmm.problems import synthetic_quadratic_specs
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -111,3 +112,30 @@ def test_fixed_m_fedmm_local_round():
 
     assert c_calls(round_) <= 660  # 809 before
     assert operations(round_) <= 3527  # 4476 before
+
+
+def fedsgda_round():
+    """Round 1 of a fresh quad_fedsgda_rounds-shaped FedSGDA run and its metric-block entry.
+
+    Three quadratic clients with d1 = 4 and d2 = 3, with the shipped FedSGDA
+    config's instance and step sizes. Round 0 runs here, so that the counted
+    round finds its step weights cached, as every round of a run but the first does.
+    """
+    objs = [QuadraticSaddle(s) for s in synthetic_quadratic_specs(3, 4, 3)]
+    pair = PrimalDualPair(zeros(4), zeros(3))
+    fed, server = Federation.initial(objs, pair), ServerState(pair)
+    hp = HyperParams(eta1=0.1, eta2=0.1).expanded(3)
+    block = MetricsBlock(fed.view, 3, 64, hp.tol)
+
+    def round_():
+        nonlocal fed
+        fed = run_round(OptimizerKind.FEDSGDA, fed, server, hp)
+        block.add(server.round, fed, server, False)
+
+    round_()
+    return round_
+
+
+def test_fedsgda_round_and_metric_entry():
+    assert c_calls(fedsgda_round()) <= 12  # 15 before the one-row global pair
+    assert operations(fedsgda_round()) <= 67  # 81 before

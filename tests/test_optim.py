@@ -12,6 +12,7 @@ from fedmm.core import (
     zeros,
 )
 from fedmm.objectives import LocalObjective, QuadraticSaddle, QuadraticSaddleSpec, stacked
+from fedmm import optim
 from fedmm.optim import (
     Federation,
     OptimizerKind,
@@ -182,7 +183,76 @@ class TestCheckFinite:
         _check_finite(np.array([self.CAP, -self.CAP, -self.CAP]), "test", 0)
 
 
+class RejectsPastMinusTwo(LocalObjective):
+    """Gradient 1 in omega, 0 in psi, until omega < -2: then vector() rejects the gradient."""
+
+    dims = (1, 1)
+
+    def value(self, omega, psi):
+        return float(omega[0])
+
+    def grad_omega(self, omega, psi):
+        return vector([1.0 if omega[0] >= -2.0 else np.inf])
+
+    def grad_psi(self, omega, psi):
+        return zeros(1)
+
+
+class TestDivergenceRules:
+    def test_each_step_is_checked_once(self, monkeypatch):
+        """The traced benchmark counts local steps by wrapping _check_finite."""
+        calls = []
+
+        def counted(Z, where, step):
+            calls.append(step)
+            return _check_finite(Z, where, step)
+
+        monkeypatch.setattr(optim, "_check_finite", counted)
+        objs = [QuadraticSaddle(s) for s in synthetic_quadratic_specs(2, 2, 2)]
+        pair = pair_of(np.zeros(2), np.zeros(2))
+        fed = Federation.initial(objs, pair)
+        for kind, hp, steps in (
+            (K.FEDMM, HyperParams(eta1=0.1, eta2=0.1, local_steps=(3, 5)), 5),
+            (K.FEDSGDA, HyperParams(eta1=0.1, eta2=0.1), 1),
+            (K.FEDPROX_GDA, HyperParams(eta1=0.1, eta2=0.1, local_steps=(4,)), 4),
+        ):
+            calls.clear()
+            run_round(kind, fed, ServerState(pair), hp)
+            assert calls == list(range(steps))
+
+    def test_upload_past_the_cap_is_divergence_at_the_last_step(self):
+        # M = 1 from the globals: omega = -g and lam = -mu1 g, so the upload is -2g; for
+        # g = 6e99 the iterate is within the cap and the upload past it
+        objs = [ConstantGrad([g], [0.0]) for g in (1.0, 6e99, 6e99)]
+        pair = pair_of([0.0], [0.0])
+        hp = HyperParams(eta1=1.0, mu1=1e60, local_steps=(1,))
+        fed = Federation.initial(objs, pair)
+        with pytest.raises(DivergenceError) as exc:
+            local_solve(K.FEDMM, fed, pair, hp)
+        assert (exc.value.where, exc.value.step) == ("fedmm upload (client 1)", 0)
+        # client 0 alone passes: its upload is -2g = -2
+        _, up = local_solve(K.FEDMM, Federation.initial(objs[:1], pair), pair, hp)
+        assert np.array_equal(up, [[-2.0, 0.0]])
+
+    @pytest.mark.parametrize("kind", [K.FEDAVG_GDA, K.FEDMM])
+    def test_rejected_gradient_at_a_finite_iterate_is_divergence(self, kind):
+        pair = pair_of([0.0], [0.0])
+        fed = Federation.initial([RejectsPastMinusTwo()] * 2, pair)
+        hp = HyperParams(eta1=1.0, mu1=1e-9, local_steps=(5,))
+        # omega is 0, -1, -2, then -3 before step 3, whose gradient the objective rejects
+        with pytest.raises(DivergenceError) as exc:
+            local_solve(kind, fed, pair, hp)
+        assert (exc.value.where, exc.value.step) == (f"{kind.value} local round gradient", 3)
+
+
 class TestFedmmAggregate:
+    def test_the_pair_is_views_of_the_frozen_mean_row(self):
+        got = fedmm_aggregate(np.array([[2.0, 0.0, -1.0], [4.0, 1.0, -0.0]]), 1)
+        assert np.array_equal(got.row, [3.0, 0.5, -0.5]) and not got.row.flags.writeable
+        assert got.dims == (1, 2)
+        for block in (got.omega, got.psi):
+            assert block.base is got.row and not block.flags.writeable
+
     def test_single_client_identity(self):
         got = fedmm_aggregate(np.array([[1.5, -2.0]]), 1)
         assert np.array_equal(got.omega, [1.5]) and np.array_equal(got.psi, [-2.0])
