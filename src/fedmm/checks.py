@@ -28,7 +28,7 @@ from fedmm.federation import (
 )
 from fedmm.objectives import (
     DomainAdaptObjective,
-    MeanObjective,
+    PooledView,
     QuadraticSaddle,
     QuadraticSaddleSpec,
     StackedObjectives,
@@ -90,11 +90,11 @@ def check_inner_max_paths_agree() -> str:
 
 def check_danskin_stationarity() -> str:
     objs = [QuadraticSaddle(s) for s in synthetic_quadratic_specs(3)]
-    mean = MeanObjective(objs)
+    view = stacked(objs)
     rng = seeded_rng(15)
     om = vector(rng.standard_normal(objs[0].dims[0]))
-    psi_star = inner_max(mean.view, om, tol=1e-12)
-    g = mean.grad_psi(om, psi_star)
+    psi_star = inner_max(view, om, tol=1e-12)
+    g = view.mean_grad_psi(om, psi_star)
     worst = 0.0
     for _ in range(10):
         v = rng.standard_normal(len(psi_star))
@@ -180,7 +180,7 @@ def check_equiv_fedavg_fedsgda(rounds: int = 50, eta1: float = 0.05, eta2: float
 def _dann_split(p: float = 0.75, drop: int = 7) -> list:
     """Two DANN clients on the toy split at p; the second shard loses its last `drop` points."""
     train, _, layout = domain_shift_toy(seeded_rng(19), n_per_domain=20, holdout_n=4)
-    shards = partition_label_shift(train, PartitionSpec(n_clients=2, p=p), seeded_rng(20))
+    shards = partition_label_shift(train, PartitionSpec(p=p), seeded_rng(20))
     shards[1] = shards[1].subset(np.arange(len(shards[1]) - drop))
     return [DomainAdaptObjective(s, nu=0.5, layout=layout) for s in shards]
 
@@ -308,7 +308,7 @@ def check_stacked_oracles() -> str:
         )
         server = ServerState(start)
         fed = Federation.initial(objs, start)
-        block = MetricsBlock(fed.view, fed.n, 3, tol)
+        block = MetricsBlock(fed.view, 3, tol)
         want = []
         for t in range(3):
             fed = run_round(OptimizerKind.FEDMM, fed, server, hp)
@@ -342,13 +342,12 @@ def check_stationary_saddle_fixed() -> str:
     spec = QuadraticSaddleSpec(
         A=np.zeros((d, d)), B=np.eye(d), C=np.eye(d), a=vector(np.zeros(d)), c=vector(np.zeros(d))
     )
-    objs = [QuadraticSaddle(spec) for _ in range(2)]
+    view = stacked([QuadraticSaddle(spec) for _ in range(2)])
     pair = PrimalDualPair(vector(np.zeros(d)), vector(np.zeros(d)))
     hp = HyperParams(eta1=0.1, eta2=0.1, local_steps=(5,))
     for kind in OptimizerKind:
-        pooled = kind is OptimizerKind.CENTRAL_GDA
         server = ServerState(pair)
-        fed = Federation.initial([MeanObjective(objs)] if pooled else objs, pair)
+        fed = Federation.initial(PooledView(view) if kind is OptimizerKind.CENTRAL_GDA else view, pair)
         fed = run_round(kind, fed, server, hp)
         if not _bit_equal(server.global_pair, pair):
             raise AssertionError(f"{kind.value} moved an exact stationary saddle")
@@ -373,7 +372,7 @@ def check_kappa_bound() -> str:
 
 def check_partition_cover() -> str:
     train, _, _ = domain_shift_toy(seeded_rng(18), n_per_domain=40, holdout_n=4)
-    spec = PartitionSpec(n_clients=2, p=0.75, mode=PartitionMode.TWO_CLIENT_P)
+    spec = PartitionSpec(p=0.75, mode=PartitionMode.TWO_CLIENT_P)
     shards_a = partition_label_shift(train, spec, seeded_rng(99))
     shards_b = partition_label_shift(train, spec, seeded_rng(99))
     for sa, sb in zip(shards_a, shards_b):

@@ -15,6 +15,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from fedmm.checks import run_builtin_checks
 from fedmm.core import ConvergenceError, DivergenceError, HyperParams
 from fedmm.federation import (
@@ -129,7 +131,8 @@ def _prepared(config: ExperimentConfig, prefix: str = "") -> Problem:
 
 def cmd_run(config: ExperimentConfig, problem: Problem) -> int:
     try:
-        log = run_experiment(config, problem)
+        with np.errstate(all="ignore"):  # an overflow shows as the status line alone
+            log = run_experiment(config, problem)
     except DivergenceError as e:
         print(f"status=diverged error={e}", file=sys.stderr)
         return EXIT_DIVERGENCE
@@ -195,7 +198,8 @@ def cmd_sweep(path: str, overrides: list[str], axis: str, values: list[str]) -> 
     any_failed = False
     for name, (sub, problem) in _sweep_runs(path, overrides, axis, values).items():
         try:
-            log = run_experiment(sub, problem)
+            with np.errstate(all="ignore"):  # as in cmd_run
+                log = run_experiment(sub, problem)
             log.write_csv(sub.output_path)
             final = log.final()
             metrics = (None if final is None else getattr(final, c) for c in _INDEX_METRICS)

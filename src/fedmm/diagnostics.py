@@ -197,12 +197,6 @@ def stationarity_series(log, tol: float) -> StationaritySummary:
 # ------------------------- quadratic closed forms ------------------------- #
 
 
-def quadratic_phi_hessian(objectives: Sequence[QuadraticSaddle]) -> np.ndarray:
-    """Hessian of the max-function: Abar + Bbar Cbar^-1 Bbar'."""
-    Abar, Bbar, Cbar, _, _ = quadratic_bars(stacked(objectives))
-    return Abar + Bbar @ np.linalg.solve(Cbar, Bbar.T)
-
-
 def quadratic_phi_minimizer(objectives: Sequence[QuadraticSaddle]) -> Vector:
     """Brute-force reference: the unique stationary point of the max-function."""
     Abar, Bbar, Cbar, abar, cbar = quadratic_bars(stacked(objectives))

@@ -34,9 +34,8 @@ from fedmm.objectives import (
     TARGET,
     DomainAdaptDataset,
     DomainAdaptObjective,
-    LocalObjective,
-    MeanObjective,
     ModelLayout,
+    PooledView,
     QuadraticSaddle,
     StackedObjectives,
     load_dataset,
@@ -84,19 +83,17 @@ _MODES = {
 
 @dataclass(frozen=True)
 class PartitionSpec:
-    n_clients: int = 2
     p: float = 0.5
     mode: PartitionMode = PartitionMode.TWO_CLIENT_P
 
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"partition.p must lie in [0, 1], got {self.p}")
-        want = _MODES[self.mode].n_clients
-        if self.n_clients != want:
-            raise ValueError(
-                f"partition.n_clients must be {want} for partition.mode = {self.mode.value}, "
-                f"got {self.n_clients}"
-            )
+
+    @property
+    def n_clients(self) -> int:
+        """The mode's client count, the only one a split in that mode has."""
+        return _MODES[self.mode].n_clients
 
 
 def partition_counts(n_source: int, n_target: int, spec: PartitionSpec) -> list[tuple[int, int]]:
@@ -245,7 +242,7 @@ class MetricsBlock:
     rounds into their RoundMetrics rows and empties the block:
 
     - consensus: row_norms of Z - pair on each block, then the max over clients;
-    - global loss: one `mean_values` call of the oracle view at all the pairs;
+    - global loss: one `mean_values` call of the clients' view at all the pairs;
     - target accuracy: one `evaluate_target_accuracy` call on all the omegas;
     - phi_grad_norm: one `phi_grads` call at the sampled rounds' omegas, then
       row_norms; a round whose inner maximization failed gets None. Phi's
@@ -259,15 +256,14 @@ class MetricsBlock:
 
     def __init__(
         self,
-        oracle: StackedObjectives,
-        n_clients: int,
+        view: StackedObjectives,
         size: int,
         tol: float,
         accuracy: tuple[DomainAdaptObjective, DomainAdaptDataset] | None = None,
     ):
-        self.oracle, self.tol, self.accuracy = oracle, tol, accuracy
-        d = sum(oracle.dims)
-        self.Z = np.empty((size, n_clients, d))
+        self.view, self.tol, self.accuracy = view, tol, accuracy
+        d = sum(view.dims)
+        self.Z = np.empty((size, view.n, d))
         self.P = np.empty((size, d))
         self.rounds: list[tuple[int, int, bool]] = []  # (round, floats sent, phi sampled)
 
@@ -284,13 +280,13 @@ class MetricsBlock:
 
     def flush(self) -> list[RoundMetrics]:
         """The buffered rounds' metrics, in round order; the block is empty afterwards."""
-        k, d1 = len(self.rounds), self.oracle.dims[0]
+        k, d1 = len(self.rounds), self.view.dims[0]
         if not k:
             return []
         Z, P = self.Z[:k], self.P[:k]
         omegas = P[:, :d1]
         spread_om, spread_ps = (c.tolist() for c in _consensus(Z, P, d1))
-        loss = self.oracle.mean_values(omegas, P[:, d1:]).tolist()
+        loss = self.view.mean_values(omegas, P[:, d1:]).tolist()
         accuracy = [None] * k
         if self.accuracy is not None:
             objective, holdout = self.accuracy
@@ -298,7 +294,7 @@ class MetricsBlock:
         phi = [None] * k
         sampled = [b for b, (_, _, sample_phi) in enumerate(self.rounds) if sample_phi]
         if sampled:
-            out = phi_grads(self.oracle, omegas[sampled], self.tol, max_iters=_PHI_ORACLE_ITER_CAP)
+            out = phi_grads(self.view, omegas[sampled], self.tol, max_iters=_PHI_ORACLE_ITER_CAP)
             for b, norm, error in zip(sampled, row_norms(out.grads).tolist(), out.errors):
                 phi[b] = norm if error is None else None
         ts, floats, _ = zip(*self.rounds)
@@ -456,24 +452,20 @@ _config_values = attrgetter(*(path for path, _ in CONFIG_KEYS.values()))
 class Problem:
     """What a run builds from its config, once, in `prepare`.
 
-    config is the config it was prepared from, and the only one it runs under;
-    clients are the simulated clients (one pooled client for central GDA). Each
-    run seeds its minibatch Generator afresh from batch_seq, so a Problem reruns
-    to the same bytes.
-    accuracy is the (objective, labeled holdout) pair of the target accuracy;
-    minibatches are drawn from shards under layout. oracle is the metric
-    view when it is not the clients' own: central GDA on quadratics trains
-    one MeanObjective, whose view holds the clients it pools.
+    config is the config it was prepared from, and the only one it runs under.
+    view is the stacked view of the simulated clients, which the run trains
+    and measures; central GDA has one pooled row, the pooled dataset's
+    objective or a PooledView of the quadratic clients. Each run seeds its
+    minibatch Generator afresh from batch_seq, so a Problem reruns to the
+    same bytes. accuracy is the (objective, labeled holdout) pair of the
+    target accuracy.
     """
 
     config: ExperimentConfig
-    clients: tuple[LocalObjective, ...]
+    view: StackedObjectives
     init_pair: PrimalDualPair
     batch_seq: np.random.SeedSequence
     accuracy: tuple[DomainAdaptObjective, DomainAdaptDataset] | None = None
-    shards: tuple[DomainAdaptDataset, ...] | None = None
-    layout: ModelLayout | None = None
-    oracle: StackedObjectives | None = None
 
 
 def prepare(config: ExperimentConfig) -> Problem:
@@ -493,7 +485,7 @@ def prepare(config: ExperimentConfig) -> Problem:
     except (OSError, ValueError) as e:
         raise ValueError(f"problem.file: {e}") from None
     central = config.optimizer is OptimizerKind.CENTRAL_GDA
-    accuracy = shards = layout = oracle = None
+    accuracy = None
 
     if quadratic:
         objs = loaded
@@ -508,9 +500,6 @@ def prepare(config: ExperimentConfig) -> Problem:
             objs = [QuadraticSaddle(s) for s in specs]
         d1, d2 = objs[0].dims
         init = PrimalDualPair(zeros(d1), zeros(d2))
-        if central:
-            pooled = MeanObjective(objs)
-            objs, oracle = [pooled], pooled.view
     else:
         if loaded is not None:
             (dataset, n_classes), holdout = loaded, None
@@ -534,7 +523,7 @@ def prepare(config: ExperimentConfig) -> Problem:
         else:
             part_rng = np.random.Generator(np.random.PCG64(part_seq))
             try:
-                shards = tuple(partition_label_shift(dataset, config.partition, part_rng))
+                shards = partition_label_shift(dataset, config.partition, part_rng)
             except ValueError as e:  # never on the toy: it has two points per domain
                 n_src, part = int((dataset.domain == SOURCE).sum()), config.partition
                 raise ValueError(
@@ -544,11 +533,14 @@ def prepare(config: ExperimentConfig) -> Problem:
                 ) from None
             objs = [DomainAdaptObjective(s, config.hyper.nu, layout) for s in shards]
 
+    view = stacked(objs)
+    if central and quadratic:
+        view = PooledView(view)
     try:
-        config.hyper.expanded(len(objs))
+        config.hyper.expanded(view.n)
     except ValueError as e:
         raise ValueError(f"hyper.local_steps: {e}") from None
-    return Problem(config, tuple(objs), init, batch_seq, accuracy, shards, layout, oracle)
+    return Problem(config, view, init, batch_seq, accuracy)
 
 
 def run_experiment(config: ExperimentConfig, problem: Problem | None = None) -> RunLog:
@@ -558,30 +550,30 @@ def run_experiment(config: ExperimentConfig, problem: Problem | None = None) -> 
     one prepared from another config raises ValueError.
     Each round's state goes into a MetricsBlock, which evaluates the metrics
     of a block_rounds(N, d1 + d2) block of rounds at once (and the last,
-    shorter block after the final round). phi_grad_norm is computed through
-    the diagnostics oracle (which peeks at all clients' objectives) every
-    metrics_every-th round and on the final round; an inner-max failure
-    degrades it to None instead of aborting.
+    shorter block after the final round), all on problem.view.
+    phi_grad_norm is computed every metrics_every-th round and on the final
+    round; an inner-max failure degrades it to None instead of aborting.
     """
     if problem is None:
         problem = prepare(config)
     elif problem.config != config:
         raise ValueError("problem was prepared from another config")
-    hp = config.hyper.expanded(len(problem.clients))
+    hp = config.hyper.expanded(problem.view.n)
     server = ServerState(problem.init_pair)
-    fed = Federation.initial(problem.clients, problem.init_pair)
-    oracle = fed.view if problem.oracle is None else problem.oracle
-    size = min(hp.rounds, block_rounds(fed.n, sum(oracle.dims)))
-    block = MetricsBlock(oracle, fed.n, size, hp.tol, problem.accuracy)
+    fed = Federation.initial(problem.view, problem.init_pair)
+    size = min(hp.rounds, block_rounds(fed.n, sum(fed.view.dims)))
+    block = MetricsBlock(fed.view, size, hp.tol, problem.accuracy)
 
     log = RunLog(config_echo=config.echo(), seed=config.seed)
     batch_rng = np.random.Generator(np.random.PCG64(problem.batch_seq))
 
     for t in range(hp.rounds):
         if config.batch_size > 0:
-            # seeded minibatch mode: fresh per-round subsample of each shard
-            batches = [shard.sample(batch_rng, config.batch_size) for shard in problem.shards]
-            view = stacked([DomainAdaptObjective(b, hp.nu, problem.layout) for b in batches])
+            # seeded minibatch mode: fresh per-round subsample of each client's shard
+            view = stacked([
+                DomainAdaptObjective(o.dataset.sample(batch_rng, config.batch_size), hp.nu, o.layout)
+                for o in problem.view.objectives
+            ])
             fed = Federation(view, fed.Z, fed.D)
         try:
             fed = run_round(config.optimizer, fed, server, hp)

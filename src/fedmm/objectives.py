@@ -7,9 +7,9 @@ in one call, as the optimizers' client-stacked local solve needs: its
 joint_grads takes (N, d1 + d2) joint rows [omega | psi] and returns the
 gradients as joint rows [grad_omega | grad_psi] in one buffer, every row
 evaluated (the optimizers mask rows in their step, not here). The same view
-gives the metric oracles their client averages (the global loss,
-MeanObjective, inner_max and the phi oracle), summed in client order by one
-`row_sum` call.
+gives the metric oracles their client averages (the global loss, inner_max
+and the phi oracle), summed in client order by one `row_sum` call, and
+`PooledView` makes that average one row, central GDA's pooled client.
 
 The phi oracle is `phi_grads`: the max function's inner maximizers and
 gradients at a stack of K omegas, as a run's metric block needs them. On
@@ -634,9 +634,8 @@ def stacked(objectives: Sequence[LocalObjective]) -> StackedObjectives:
     Plain QuadraticSaddle lists get batched matmuls. Plain
     DomainAdaptObjective lists with one layout, one nu and one shard size get
     batched values and gradients. Any other list (unequal shards,
-    MeanObjective, subclasses) takes the per-row view, which calls each
-    objective. A caller that evaluates the same objectives again keeps the
-    view it got.
+    subclasses) takes the per-row view, which calls each objective. A
+    caller that evaluates the same objectives again keeps the view it got.
     """
     objs = tuple(objectives)
     if objs and _equal_dann_shards(objs):
@@ -646,8 +645,14 @@ def stacked(objectives: Sequence[LocalObjective]) -> StackedObjectives:
     return StackedObjectives(objs)
 
 
+def _unpooled(view: StackedObjectives) -> StackedObjectives:
+    # a pooled view's closed forms are those of the clients it averages
+    return view.clients if isinstance(view, PooledView) else view
+
+
 def _all_quadratic(view: StackedObjectives) -> bool:
     # subclasses sit on the per-row view but keep the quadratic closed forms
+    view = _unpooled(view)
     return isinstance(view, _StackedQuadratic) or all(
         isinstance(o, QuadraticSaddle) for o in view.objectives
     )
@@ -659,6 +664,7 @@ def quadratic_bars(view: StackedObjectives) -> QuadraticBars:
     The batched quadratic view computes them once and keeps them; the
     per-row view of QuadraticSaddle subclasses averages on each call.
     """
+    view = _unpooled(view)
     if isinstance(view, _StackedQuadratic):
         return view.bars
     if not _all_quadratic(view):
@@ -666,30 +672,32 @@ def quadratic_bars(view: StackedObjectives) -> QuadraticBars:
     return _bars(*([getattr(o, k) for o in view.objectives] for k in QuadraticBars._fields))
 
 
-# ----------------------------- global views ----------------------------- #
+class PooledView(StackedObjectives):
+    """One row that is the uniform average of a view's clients: central GDA's pooled client.
 
+    Row 0 at a point evaluates every client there through `clients` and adds
+    them in client order, as the clients' mean_* oracles do: `values` adds
+    their + 0.0, the gradients do not. `values`, `grad_omega` and `grad_psi`
+    take the leading axes (K points) that the clients' methods take.
+    """
 
-class MeanObjective(LocalObjective):
-    """Uniform average of client objectives: the pooled/global f, through their stacked view."""
+    def __init__(self, clients: StackedObjectives):
+        self.clients, self.dims, self.n = clients, clients.dims, 1
 
-    def __init__(self, parts: Sequence[LocalObjective]):
-        self.view = stacked(parts)
+    def values(self, OM, PS):
+        return self.clients.mean_values(OM[..., 0, :], PS[..., 0, :])[..., None]
 
-    @property
-    def dims(self) -> tuple[int, int]:
-        return self.view.dims
+    def joint_grads(self, Z):
+        n = self.clients.n
+        return row_sum(self.clients.joint_grads(Z.repeat(n, axis=0)))[None] / n
 
-    def value(self, omega: Vector, psi: Vector) -> float:
-        return self.view.mean_value(omega, psi)
+    def _mean(self, method, OM, PS):
+        # the clients' (..., N, d) gradients at each point, averaged into one (..., 1, d) row
+        G = getattr(self.clients, method)(*self.clients._at(OM[..., 0, :], PS[..., 0, :]))
+        return row_sum(G, axis=-2)[..., None, :] / self.clients.n
 
-    def grads(self, omega: Vector, psi: Vector) -> tuple[Vector, Vector]:
-        return self.view.mean_grads(omega, psi)
-
-    def grad_omega(self, omega: Vector, psi: Vector) -> Vector:
-        return self.grads(omega, psi)[0]
-
-    def grad_psi(self, omega: Vector, psi: Vector) -> Vector:
-        return self.view.mean_grad_psi(omega, psi)
+    grad_omega = functools.partialmethod(_mean, "grad_omega")
+    grad_psi = functools.partialmethod(_mean, "grad_psi")
 
 
 def inner_max(
@@ -717,13 +725,13 @@ def inner_max(
     else:
         if method == "closed_form":
             raise ValueError("closed_form inner_max requires quadratic clients")
-        for o in view.objectives:
+        for o in _unpooled(view).objectives:
             if not isinstance(o, DomainAdaptObjective):
                 raise ValueError(
                     f"inner_max has no ascent curvature bound for {type(o).__name__} "
                     "objectives (only QuadraticSaddle or DomainAdaptObjective lists)"
                 )
-        curv = max(o.ascent_curvature_bound(omega) for o in view.objectives)
+        curv = max(o.ascent_curvature_bound(omega) for o in _unpooled(view).objectives)
     step = 1.0 / max(curv, 1e-12)
 
     psi, it = np.zeros(view.dims[1]), 0

@@ -92,9 +92,11 @@ class Federation:
     D: np.ndarray
 
     @classmethod
-    def initial(cls, objectives: Sequence[LocalObjective], pair: PrimalDualPair) -> "Federation":
-        """Round 0: every row at `pair`, every dual zero."""
-        view = stacked(objectives)
+    def initial(
+        cls, objectives: Sequence[LocalObjective] | StackedObjectives, pair: PrimalDualPair
+    ) -> "Federation":
+        """Round 0: every row at `pair`, every dual zero; the objectives, or a view already built."""
+        view = objectives if isinstance(objectives, StackedObjectives) else stacked(objectives)
         if view.dims != pair.dims:
             raise ValueError(f"objective dims {view.dims} differ from the pair's {pair.dims}")
         Z, D = np.empty((view.n, sum(view.dims))), np.zeros((view.n, sum(view.dims)))

@@ -248,7 +248,7 @@ def toy_config(optimizer, p, rounds, local_steps):
             eta1=TOY_ETA1, eta2=TOY_ETA2, nu=TOY_NU,
             local_steps=(local_steps,), rounds=rounds, tol=1e-4,
         ),
-        partition=PartitionSpec(n_clients=2, p=p, mode=PartitionMode.TWO_CLIENT_P),
+        partition=PartitionSpec(p=p, mode=PartitionMode.TWO_CLIENT_P),
         seed=TOY_SEED,
         metrics_every=10**9,
     )

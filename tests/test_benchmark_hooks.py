@@ -4,7 +4,9 @@
 and refuses to run if one is missing. Installing it in a fresh interpreter
 (so no other test's imports or patches interfere) checks that every name it
 binds still exists, and a short traced run checks that the metric phase
-still goes through the wrapped functions.
+still goes through the wrapped functions. Building every workload of
+`perfbench/worker.py` the same way checks that the benchmark still reads
+the shipped configs and the program's names as it expects.
 """
 
 import json
@@ -41,6 +43,19 @@ print(json.dumps({name: names.count(name) for name in set(names)}))
 """
 
 
+# each benchmark workload built for seed 0 and set up once, its problem files under OUT
+WORKLOADS_SET_UP = """
+import sys
+from pathlib import Path
+sys.path[:0] = [{src!r}, {perfbench!r}]
+import worker
+worker.OUT = Path({out!r})
+for build in worker.WORKLOADS.values():
+    build(0).setup(0)
+print(" ".join(worker.WORKLOADS))
+"""
+
+
 def _python(code: str) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
 
@@ -63,3 +78,15 @@ def test_traced_dann_run_records_the_metric_spans():
     # yet; phi_value_and_grad, which it wraps as "phi", is off the run path
     assert "phi" not in counts
     assert counts["accuracy"] == 1  # one span per metric block
+
+
+def test_every_benchmark_workload_sets_up(tmp_path, monkeypatch):
+    monkeypatch.delenv("FEDMM_SEED", raising=False)
+    code = WORKLOADS_SET_UP.format(
+        src=str(ROOT / "src"), perfbench=str(ROOT / "perfbench"), out=str(tmp_path)
+    )
+    proc = _python(code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [
+        "dann_labelshift_fedmm", "quad_wide_fedmm", "quad_fedsgda_rounds", "quad_tol_identities"
+    ]

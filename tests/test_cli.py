@@ -1,5 +1,6 @@
 
 import re
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -47,6 +48,26 @@ output_path = {out}
 
 SHIPPED = Path(__file__).resolve().parent.parent / "configs"
 
+# a non-finite gradient or upload at a finite iterate: (config, --set overrides, where it diverges)
+_FINITE_ITERATE = [
+    # the batched DANN view rejects its overflowed gradient at a finite iterate
+    (
+        "label_shift_fedmm.cfg",
+        ["hyper.nu=1e308", "hyper.rounds=5"],
+        "round 0: fedmm local round gradient at step 0",
+    ),
+    # mu = 1e300 overflows the dual step, and so FedMM's dual-shifted upload
+    (
+        "quadratic_fedsgda.cfg",
+        [
+            "optimizer=fedmm", "hyper.mu1=1e300", "hyper.mu2=1e300", "hyper.eta1=1e9",
+            "hyper.eta2=1e9", "hyper.local_steps=1", "hyper.rounds=3",
+        ],
+        "round 0: fedmm upload (client 0) at step 0",
+    ),
+]
+_FINITE_ITERATE_IDS = ["dann_gradient", "fedmm_upload"]
+
 
 def write(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
@@ -71,6 +92,18 @@ class TestParseConfig:
         text = "optimizer = fedmm\nproblem = quadratic\netaa1 = 0.1\n"
         with pytest.raises(ConfigError, match="line 3"):
             parse_config(write(tmp_path, text))
+
+    @pytest.mark.parametrize("where", ["line", "set"])
+    def test_partition_n_clients_is_no_key(self, tmp_path, capsys, where):
+        # partition.mode alone fixes the client count (PartitionSpec.n_clients)
+        text, argv = MINIMAL, []
+        if where == "line":
+            text += "partition.n_clients = 2\n"
+        else:
+            argv = ["--set", "partition.n_clients=2"]
+        assert main(["run", "--config", str(write(tmp_path, text)), *argv]) == 2
+        line = "line 4: " if where == "line" else ""
+        assert capsys.readouterr().err == f"config error: {line}unknown key 'partition.n_clients'\n"
 
     def test_bad_value_reports_line(self, tmp_path):
         text = "optimizer = fedmm\nproblem = quadratic\nhyper.eta1 = fast\n"
@@ -125,12 +158,9 @@ _OUT_OF_RANGE = [
     ("hyper.local_max_iters=0", "hyper.local_max_iters must be >= 1, got 0"),
     ("partition.p=2", "partition.p must lie in [0, 1], got 2.0"),
     (
-        "partition.n_clients=3",
-        "partition.n_clients must be 2 for partition.mode = two_client_p, got 3",
-    ),
-    (
-        "partition.mode=one_source_two_target",
-        "partition.n_clients must be 3 for partition.mode = one_source_two_target, got 2",
+        "partition.mode=three_clients",
+        "partition.mode: expected one of two_client_p, one_source_one_target, "
+        "one_source_two_target, two_source_one_target, got 'three_clients'",
     ),
 ]
 
@@ -215,7 +245,7 @@ class TestCmdRun:
         [
             "partition.p = 1.0\n",
             "partition.mode = one_source_one_target\n",
-            "partition.mode = one_source_two_target\npartition.n_clients = 3\n",
+            "partition.mode = one_source_two_target\n",
         ],
         ids=["p_1", "one_source_one_target", "one_source_two_target"],
     )
@@ -247,7 +277,7 @@ class TestCmdRun:
         )
         cfg_path = write(tmp_path, text)
         problem = prepare(parse_config(cfg_path))
-        assert len(problem.clients) == 1 and problem.shards is None
+        assert problem.view.n == 1 and len(problem.view.objectives[0].dataset) == 2
         assert main(["run", "--config", str(cfg_path)]) == 0
         assert out.exists()
 
@@ -307,7 +337,6 @@ class TestCmdRun:
         assert rc == 3
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
     def test_non_finite_phi_oracle_ascent_empties_the_field(self, tmp_path, capsys):
         # features at 1e100 overflow the oracle's ascent gradient: a failed solve, never a traceback
         train, _, _ = domain_shift_toy(seeded_rng(0), 60, 4)
@@ -341,28 +370,7 @@ class TestCmdRun:
         err = capsys.readouterr().err
         assert err.startswith("config error: problem.n_clients=20 problem.d1=1 problem.d2=1: ")
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
-    @pytest.mark.parametrize(
-        "cfg, overrides, where",
-        [
-            # the batched DANN view rejects its overflowed gradient at a finite iterate
-            (
-                "label_shift_fedmm.cfg",
-                ["hyper.nu=1e308", "hyper.rounds=5"],
-                "round 0: fedmm local round gradient at step 0",
-            ),
-            # mu = 1e300 overflows the dual step, and so FedMM's dual-shifted upload
-            (
-                "quadratic_fedsgda.cfg",
-                [
-                    "optimizer=fedmm", "hyper.mu1=1e300", "hyper.mu2=1e300", "hyper.eta1=1e9",
-                    "hyper.eta2=1e9", "hyper.local_steps=1", "hyper.rounds=3",
-                ],
-                "round 0: fedmm upload (client 0) at step 0",
-            ),
-        ],
-        ids=["dann_gradient", "fedmm_upload"],
-    )
+    @pytest.mark.parametrize("cfg, overrides, where", _FINITE_ITERATE, ids=_FINITE_ITERATE_IDS)
     def test_non_finite_gradient_or_upload_at_a_finite_iterate_is_divergence(
         self, tmp_path, capsys, cfg, overrides, where
     ):
@@ -373,6 +381,19 @@ class TestCmdRun:
         assert main(argv) == 3
         assert capsys.readouterr().err == f"status=diverged error=non-finite iterate in {where}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("cfg, overrides, where", _FINITE_ITERATE, ids=_FINITE_ITERATE_IDS)
+    def test_a_diverged_run_prints_its_status_line_alone(
+        self, tmp_path, capfd, monkeypatch, cfg, overrides, where
+    ):
+        # a fresh `fedmm run`, where numpy would print its overflow warnings to stderr
+        monkeypatch.delenv("FEDMM_SEED", raising=False)
+        monkeypatch.setenv("PYTHONPATH", str(SHIPPED.parent / "src"))
+        argv = [sys.executable, "-m", "fedmm.cli", "run", "--config", str(SHIPPED / cfg)]
+        for item in [*overrides, f"output_path={tmp_path / 'x.csv'}"]:
+            argv += ["--set", item]
+        assert subprocess.run(argv, timeout=120).returncode == 3
+        assert capfd.readouterr().err == f"status=diverged error=non-finite iterate in {where}\n"
 
     @pytest.mark.parametrize("value", ["", ".", "a\x00b"], ids=["empty", "dot", "nul"])
     def test_output_path_naming_no_file_is_config_error(self, tmp_path, capsys, monkeypatch, value):
@@ -594,8 +615,7 @@ def _mutated_datasets(draw):
 
 
 class TestDatasetFileFuzz:
-    # features near 1e308 overflow the run's arithmetic: a warning, then exit 0 or 3
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    # features near 1e308 overflow the run's arithmetic: exit 0 or 3, with no numpy warning
     @settings(
         max_examples=100, deadline=None, derandomize=True, database=None,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
@@ -880,13 +900,6 @@ class TestSweepFuzz:
         assert main(argv + ["--values=" + ",".join(values)]) in range(5)
 
 
-# a mode's client count, which PartitionSpec requires
-_MODE_CLIENTS = {
-    PartitionMode.TWO_CLIENT_P: 2,
-    PartitionMode.ONE_SOURCE_ONE_TARGET: 2,
-    PartitionMode.ONE_SOURCE_TWO_TARGET: 3,
-    PartitionMode.TWO_SOURCE_ONE_TARGET: 3,
-}
 _POSITIVE = st.floats(min_value=1e-8, max_value=1e8)
 _NONNEGATIVE = st.one_of(st.just(0.0), _POSITIVE)
 
@@ -910,7 +923,7 @@ def _configs(draw):
         optimizer=optimizer,
         problem=problem,
         hyper=hyper,
-        partition=PartitionSpec(_MODE_CLIENTS[mode], draw(st.floats(0.0, 1.0)), mode),
+        partition=PartitionSpec(draw(st.floats(0.0, 1.0)), mode),
         seed=draw(st.integers(0, 2**63)),
         metrics_every=draw(st.integers(1, 1000)),
         output_path=draw(st.sampled_from(["run.csv", "out/a b.csv", "ünï.csv"])),

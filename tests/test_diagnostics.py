@@ -12,7 +12,6 @@ from fedmm.diagnostics import (
     finite_diff_grad,
     local_solve_error,
     quadratic_kappa_bound,
-    quadratic_phi_hessian,
     quadratic_phi_minimizer,
     reports_to_csv,
     run_identity_suite,
@@ -24,6 +23,7 @@ from fedmm.objectives import (
     QuadraticSaddle,
     QuadraticSaddleSpec,
     phi_value_and_grad,
+    quadratic_bars,
     stacked,
 )
 from fedmm.optim import Federation, OptimizerKind, run_round
@@ -282,6 +282,12 @@ class TestStationaritySeries:
         summary = stationarity_series(make_log([None, 2.0, None, 0.5]), tol=1.0)
         assert summary.min == 0.5
         assert summary.first_round_below == 3
+
+
+def quadratic_phi_hessian(objectives):
+    """Hessian of the max-function: Abar + Bbar Cbar^-1 Bbar'."""
+    Abar, Bbar, Cbar, _, _ = quadratic_bars(stacked(objectives))
+    return Abar + Bbar @ np.linalg.solve(Cbar, Bbar.T)
 
 
 class TestQuadraticClosedForms:

@@ -2,10 +2,11 @@
 
 The local step's cost is interpreter overhead: every numpy call, view and
 operator on the small arrays of a step costs about as much as its
-arithmetic. These tests count that work in four places (one batched DANN
+arithmetic. These tests count that work in five places (one batched DANN
 gradient on the label-shift toy's two-client view, one quadratic gradient,
-one fixed-M FedMM local round on the toy, and one FedSGDA round with its
-metric-block entry on a three-client quadratic) and fail when a change makes
+one fixed-M FedMM local round on the toy, one FedSGDA round with its
+metric-block entry on a three-client quadratic, and one central-GDA step on
+the pooled view of three quadratic clients) and fail when a change makes
 any of them do more. Two counts are taken:
 
 - C-level calls, the `c_call` events of `sys.setprofile`: builtins and
@@ -31,7 +32,7 @@ import fedmm
 from fedmm.cli import parse_config
 from fedmm.core import HyperParams, PrimalDualPair, ServerState, zeros
 from fedmm.federation import MetricsBlock, prepare
-from fedmm.objectives import QuadraticSaddle
+from fedmm.objectives import PooledView, QuadraticSaddle, stacked
 from fedmm.optim import Federation, OptimizerKind, local_solve, run_round
 from fedmm.problems import synthetic_quadratic_specs
 
@@ -84,7 +85,7 @@ def toy():
     """The shipped label-shift FedMM run's two-client federation and hyperparameters."""
     config = parse_config(CONFIGS / "label_shift_fedmm.cfg", [])
     problem = prepare(config)
-    fed = Federation.initial(problem.clients, problem.init_pair)
+    fed = Federation.initial(problem.view, problem.init_pair)
     return fed, problem.init_pair, config.hyper.expanded(fed.n)
 
 
@@ -125,7 +126,7 @@ def fedsgda_round():
     pair = PrimalDualPair(zeros(4), zeros(3))
     fed, server = Federation.initial(objs, pair), ServerState(pair)
     hp = HyperParams(eta1=0.1, eta2=0.1).expanded(3)
-    block = MetricsBlock(fed.view, 3, 64, hp.tol)
+    block = MetricsBlock(fed.view, 64, hp.tol)
 
     def round_():
         nonlocal fed
@@ -139,3 +140,18 @@ def fedsgda_round():
 def test_fedsgda_round_and_metric_entry():
     assert c_calls(fedsgda_round()) <= 12  # 15 before the one-row global pair
     assert operations(fedsgda_round()) <= 67  # 81 before
+
+
+def test_central_gda_step_on_the_pooled_view():
+    # central GDA on three quadratic clients (d1 = 4, d2 = 3), as prepare() builds it
+    objs = [QuadraticSaddle(s) for s in synthetic_quadratic_specs(3, 4, 3)]
+    pair = PrimalDualPair(zeros(4), zeros(3))
+    fed = Federation.initial(PooledView(stacked(objs)), pair)
+    hp = HyperParams(eta1=0.1, eta2=0.1).expanded(1)
+
+    def step():
+        local_solve(OptimizerKind.CENTRAL_GDA, fed, pair, hp)
+
+    step()  # the step weights are cached from here on, as in every round but a run's first
+    assert c_calls(step) <= 6  # 19 on the per-row view of a pooled MeanObjective before
+    assert operations(step) <= 47  # 74 before

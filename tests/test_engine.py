@@ -25,7 +25,7 @@ from fedmm.core import (
 from fedmm.federation import PartitionMode, PartitionSpec, partition_label_shift, run_experiment
 from fedmm.objectives import (
     DomainAdaptObjective,
-    MeanObjective,
+    PooledView,
     QuadraticSaddle,
     QuadraticSaddleSpec,
     StackedObjectives,
@@ -93,14 +93,36 @@ def reference_round(kind, objectives, fed, gp, hp, t, local_tol=None):
     return states, (bar_om / len(uploads), bar_ps / len(uploads))
 
 
-def assert_rounds_match(kind, objectives, hp, rounds=3, local_tol=None, start=None):
-    """Run `rounds` stacked rounds, checking each one against the reference."""
+class MeanOfClients:
+    """The reference of a pooled client: each gradient block added over the clients in order."""
+
+    def __init__(self, objectives):
+        self.objectives, self.dims = objectives, objectives[0].dims
+
+    def _mean(self, grads):
+        total = np.array(grads[0])
+        for g in grads[1:]:
+            total += g
+        return total / len(grads)
+
+    def grad_omega(self, om, ps):
+        return self._mean([o.grad_omega(om, ps) for o in self.objectives])
+
+    def grad_psi(self, om, ps):
+        return self._mean([o.grad_psi(om, ps) for o in self.objectives])
+
+
+def assert_rounds_match(kind, objectives, hp, rounds=3, local_tol=None, start=None, view=None):
+    """Run `rounds` stacked rounds, checking each one against the reference.
+
+    The engine steps `view` when one is given, else the objectives' own view.
+    """
     d1, d2 = objectives[0].dims
     if start is None:
         rng = seeded_rng(5)
         start = PrimalDualPair(vector(0.1 * rng.standard_normal(d1)), vector(0.1 * rng.standard_normal(d2)))
     server = ServerState(start)
-    fed = Federation.initial(objectives, start)
+    fed = Federation.initial(objectives if view is None else view, start)
     hp = hp.expanded(fed.n)
     for t in range(rounds):
         want_states, want_bar = reference_round(
@@ -122,7 +144,7 @@ def quadratics(n, d1=4, d2=3):
 def dann_shards():
     """Three DANN clients on shards of 40, 20 and 20 points."""
     train, _, layout = domain_shift_toy(seeded_rng(8), n_per_domain=40, holdout_n=4)
-    spec = PartitionSpec(n_clients=3, mode=PartitionMode.ONE_SOURCE_TWO_TARGET)
+    spec = PartitionSpec(mode=PartitionMode.ONE_SOURCE_TWO_TARGET)
     shards = partition_label_shift(train, spec, seeded_rng(9))
     assert sorted(len(s) for s in shards) == [20, 20, 40]
     return [DomainAdaptObjective(s, nu=0.5, layout=layout) for s in shards]
@@ -131,7 +153,7 @@ def dann_shards():
 def equal_dann_shards(p):
     """Two DANN clients on the toy's 40-point shards at p (1.0: all labeled points on client 0)."""
     train, _, layout = domain_shift_toy(seeded_rng(8), n_per_domain=40, holdout_n=4)
-    shards = partition_label_shift(train, PartitionSpec(n_clients=2, p=p), seeded_rng(9))
+    shards = partition_label_shift(train, PartitionSpec(p=p), seeded_rng(9))
     objs = [DomainAdaptObjective(s, nu=0.5, layout=layout) for s in shards]
     assert type(stacked(objs)) is _StackedDomainAdapt
     return objs
@@ -163,13 +185,21 @@ class TestStackedEqualsReference:
 
     @pytest.mark.parametrize("n", [1, 32])
     def test_central_gda(self, n):
-        # central GDA runs one pooled client; a MeanObjective takes the per-row path
-        pooled = MeanObjective(quadratics(n)) if n > 1 else quadratics(1)[0]
-        assert_rounds_match(K.CENTRAL_GDA, [pooled], HyperParams(eta1=0.05, eta2=0.05), rounds=5)
+        # central GDA trains one row: one client alone, or the pooled view of n clients
+        objs, hp = quadratics(n), HyperParams(eta1=0.05, eta2=0.05)
+        if n == 1:
+            assert_rounds_match(K.CENTRAL_GDA, objs, hp, rounds=5)
+        else:
+            pooled = PooledView(stacked(objs))
+            assert_rounds_match(K.CENTRAL_GDA, [MeanOfClients(objs)], hp, rounds=5, view=pooled)
 
     def test_central_gda_dann(self):
-        pooled = MeanObjective(dann_shards())
-        assert_rounds_match(K.CENTRAL_GDA, [pooled], HyperParams(eta1=0.1, eta2=0.25), rounds=3)
+        # the pooled view of unequal DANN shards, which sit on the per-row view
+        objs = dann_shards()
+        pooled = PooledView(stacked(objs))
+        assert type(pooled.clients) is StackedObjectives
+        hp = HyperParams(eta1=0.1, eta2=0.25)
+        assert_rounds_match(K.CENTRAL_GDA, [MeanOfClients(objs)], hp, rounds=3, view=pooled)
 
     def test_prox_zero_takes_no_penalty(self):
         hp = HyperParams(eta1=0.05, eta2=0.05, prox_mu=0.0, local_steps=(9,))

@@ -1,5 +1,6 @@
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,11 +24,13 @@ from fedmm.federation import (
     run_experiment,
     write_atomic,
 )
+from fedmm.cli import parse_config
 from fedmm.objectives import (
     SOURCE,
     TARGET,
     DomainAdaptDataset,
     DomainAdaptObjective,
+    PooledView,
 )
 from fedmm.optim import OptimizerKind
 from fedmm.problems import domain_shift_toy
@@ -38,11 +41,18 @@ def toy(seed=31, n=40):
 
 
 class TestPartitionSpec:
-    def test_mode_client_count_coupling(self):
-        with pytest.raises(ValueError):
-            PartitionSpec(n_clients=3, mode=PartitionMode.TWO_CLIENT_P)
-        with pytest.raises(ValueError):
-            PartitionSpec(n_clients=2, mode=PartitionMode.ONE_SOURCE_TWO_TARGET)
+    @pytest.mark.parametrize("mode", list(PartitionMode), ids=lambda m: m.value)
+    def test_the_mode_alone_gives_the_client_count(self, mode):
+        config = ExperimentConfig(
+            OptimizerKind.FEDMM, ProblemKind.DOMAIN_ADAPT, partition=PartitionSpec(mode=mode),
+            toy_n_per_domain=6, toy_holdout_n=4,
+        )
+        assert PartitionSpec(mode=mode).n_clients == prepare(config).view.n
+
+    def test_shipped_label_shift_config_reads_its_client_count(self):
+        # the value the benchmark's DANN workload reads off the parsed config
+        cfg = Path(__file__).resolve().parent.parent / "configs" / "label_shift_fedmm.cfg"
+        assert parse_config(cfg).partition.n_clients == 2
 
     def test_p_range(self):
         with pytest.raises(ValueError):
@@ -52,7 +62,7 @@ class TestPartitionSpec:
 class TestPartitionLabelShift:
     def test_p_half_balanced_counts(self):
         train, _, _ = toy()
-        spec = PartitionSpec(n_clients=2, p=0.5, mode=PartitionMode.TWO_CLIENT_P)
+        spec = PartitionSpec(p=0.5, mode=PartitionMode.TWO_CLIENT_P)
         shards = partition_label_shift(train, spec, seeded_rng(1))
         n_src = int(np.sum(train.domain == SOURCE))
         n_tgt = int(np.sum(train.domain == TARGET))
@@ -62,14 +72,14 @@ class TestPartitionLabelShift:
 
     def test_p_one_fully_separated(self):
         train, _, _ = toy()
-        spec = PartitionSpec(n_clients=2, p=1.0, mode=PartitionMode.TWO_CLIENT_P)
+        spec = PartitionSpec(p=1.0, mode=PartitionMode.TWO_CLIENT_P)
         one, two = partition_label_shift(train, spec, seeded_rng(1))
         assert (one.domain == SOURCE).all()
         assert (two.domain == TARGET).all()
 
     def test_union_is_exact_multiset(self):
         train, _, _ = toy()
-        spec = PartitionSpec(n_clients=2, p=0.3, mode=PartitionMode.TWO_CLIENT_P)
+        spec = PartitionSpec(p=0.3, mode=PartitionMode.TWO_CLIENT_P)
         shards = partition_label_shift(train, spec, seeded_rng(2))
         merged = np.concatenate([s.X for s in shards])
         assert merged.shape == train.X.shape
@@ -79,7 +89,7 @@ class TestPartitionLabelShift:
 
     def test_deterministic_given_seed(self):
         train, _, _ = toy()
-        spec = PartitionSpec(n_clients=2, p=0.7, mode=PartitionMode.TWO_CLIENT_P)
+        spec = PartitionSpec(p=0.7, mode=PartitionMode.TWO_CLIENT_P)
         a = partition_label_shift(train, spec, seeded_rng(5))
         b = partition_label_shift(train, spec, seeded_rng(5))
         for sa, sb in zip(a, b):
@@ -92,7 +102,7 @@ class TestPartitionLabelShift:
             (PartitionMode.ONE_SOURCE_TWO_TARGET, 3),
             (PartitionMode.TWO_SOURCE_ONE_TARGET, 3),
         ):
-            spec = PartitionSpec(n_clients=n, mode=mode)
+            spec = PartitionSpec(mode=mode)
             shards = partition_label_shift(train, spec, seeded_rng(3))
             assert len(shards) == n
             assert sum(len(s) for s in shards) == len(train)
@@ -109,7 +119,7 @@ class TestPartitionLabelShift:
         # partition_counts alone decides the shard sizes (and the empty-client
         # error) before the RNG draws anything
         assume(n_src + n_tgt > 0)
-        spec = PartitionSpec(n_clients=federation._MODES[mode].n_clients, p=p, mode=mode)
+        spec = PartitionSpec(p=p, mode=mode)
         domain = np.array([SOURCE] * n_src + [TARGET] * n_tgt, dtype=np.int64)
         y = np.where(domain == SOURCE, 0, -1)
         X = np.arange(2.0 * len(domain)).reshape(-1, 2)
@@ -131,7 +141,7 @@ class TestPartitionLabelShift:
         ds = DomainAdaptDataset(
             X=np.array([[1.0, 0.0]]), y=np.array([0]), domain=np.array([SOURCE])
         )
-        spec = PartitionSpec(n_clients=2, p=1.0, mode=PartitionMode.TWO_CLIENT_P)
+        spec = PartitionSpec(p=1.0, mode=PartitionMode.TWO_CLIENT_P)
         with pytest.raises(ValueError, match="zero points"):
             partition_label_shift(ds, spec, seeded_rng(4))
 
@@ -307,9 +317,10 @@ class TestPreparedProblem:
     def test_clients_and_config(self):
         config = quad_config(hyper=HyperParams(local_steps=(7,)))
         problem = prepare(config)
-        assert problem.config is config and len(problem.clients) == 3
+        assert problem.config is config and problem.view.n == 3
         central = prepare(quad_config(optimizer=OptimizerKind.CENTRAL_GDA))
-        assert len(central.clients) == 1 and central.oracle.n == 3
+        assert type(central.view) is PooledView
+        assert central.view.n == 1 and central.view.clients.n == 3
 
     @pytest.mark.parametrize(
         "changes",

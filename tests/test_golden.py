@@ -64,7 +64,7 @@ RUNS = {
     ),
     "dann_3client": (
         "label_shift_fedmm",
-        ["hyper.rounds=40", "partition.mode=one_source_two_target", "partition.n_clients=3"],
+        ["hyper.rounds=40", "partition.mode=one_source_two_target"],
         "037c4bed73d51eac919a050e8922a90fae0d83130f648d3e0250759d70a30714",
     ),
     "dann_p05": (

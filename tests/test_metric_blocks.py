@@ -27,7 +27,7 @@ from fedmm.federation import (
     block_rounds,
     run_experiment,
 )
-from fedmm.objectives import DomainAdaptObjective, phi_value_and_grad, stacked
+from fedmm.objectives import DomainAdaptObjective, PooledView, phi_value_and_grad, stacked
 from fedmm.optim import Federation, OptimizerKind, run_round
 
 _DANN_HYPER = HyperParams(eta1=0.1, eta2=0.25, nu=0.5, local_steps=(2,), tol=1e-4)
@@ -52,7 +52,7 @@ PROBLEMS = {
     "dann_unequal": (
         dict(
             **_DANN, hyper=_DANN_HYPER,
-            partition=PartitionSpec(3, mode=PartitionMode.ONE_SOURCE_TWO_TARGET),
+            partition=PartitionSpec(mode=PartitionMode.ONE_SOURCE_TWO_TARGET),
         ),
         3, 5,
     ),
@@ -95,15 +95,17 @@ def reference_csv(config: ExperimentConfig) -> str:
     """The run's CSV with every metric taken right after its round, one round at a time."""
     problem = federation.prepare(config)
     batch_rng = np.random.Generator(np.random.PCG64(problem.batch_seq))
-    hp = config.hyper.expanded(len(problem.clients))
+    hp = config.hyper.expanded(problem.view.n)
     server = ServerState(problem.init_pair)
-    fed = Federation.initial(problem.clients, problem.init_pair)
-    oracle = fed.view if problem.oracle is None else problem.oracle
+    fed = Federation.initial(problem.view, problem.init_pair)
+    # central GDA on quadratics trains a pooled view: the metrics are its clients' averages
+    oracle = problem.view.clients if isinstance(problem.view, PooledView) else problem.view
     log = RunLog(config_echo=config.echo(), seed=config.seed)
     for t in range(hp.rounds):
         if config.batch_size > 0:
-            batches = [shard.sample(batch_rng, config.batch_size) for shard in problem.shards]
-            view = stacked([DomainAdaptObjective(b, hp.nu, problem.layout) for b in batches])
+            objs = problem.view.objectives
+            batches = [o.dataset.sample(batch_rng, config.batch_size) for o in objs]
+            view = stacked([DomainAdaptObjective(b, hp.nu, o.layout) for b, o in zip(batches, objs)])
             fed = Federation(view, fed.Z, fed.D)
         fed = run_round(config.optimizer, fed, server, hp)
         gp = server.global_pair

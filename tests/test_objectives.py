@@ -14,7 +14,6 @@ from fedmm.objectives import (
     DomainAdaptDataset,
     DomainAdaptObjective,
     LocalObjective,
-    MeanObjective,
     ModelLayout,
     QuadraticSaddle,
     QuadraticSaddleSpec,
@@ -257,10 +256,6 @@ class TestFusedGrads:
     def test_quadratic(self):
         assert_grads_match_single_blocks(QuadraticSaddle(synthetic_quadratic_specs(1)[0]), 29)
 
-    def test_mean_objective(self):
-        objs = [QuadraticSaddle(s) for s in synthetic_quadratic_specs(3)]
-        assert_grads_match_single_blocks(MeanObjective(objs), 30)
-
     def test_default_for_single_block_subclass(self):
         obj = SingleBlockOnly(QuadraticSaddle(synthetic_quadratic_specs(1)[0]))
         assert_grads_match_single_blocks(obj, 31)
@@ -331,11 +326,11 @@ class TestInnerMax:
 
     def test_danskin_directional_derivative(self):
         objs = [QuadraticSaddle(s) for s in synthetic_quadratic_specs(3)]
-        mean = MeanObjective(objs)
+        view = stacked(objs)
         rng = seeded_rng(10)
         om = vector(rng.standard_normal(objs[0].dims[0]))
-        psi_star = inner_max(mean.view, om, tol=1e-12)
-        g = mean.grad_psi(om, psi_star)
+        psi_star = inner_max(view, om, tol=1e-12)
+        g = view.mean_grad_psi(om, psi_star)
         for _ in range(10):
             v = rng.standard_normal(len(psi_star))
             assert abs(float(g @ v)) <= 1e-9 * float(np.linalg.norm(v))

@@ -26,7 +26,7 @@ from fedmm.federation import (
 )
 from fedmm.objectives import (
     DomainAdaptObjective,
-    MeanObjective,
+    PooledView,
     QuadraticSaddle,
     StackedObjectives,
     _StackedQuadratic,
@@ -58,8 +58,8 @@ def _views(specs):
     return {
         "batched": stacked(plain),
         "per_row": stacked([_Tagged(s) for s in specs]),
-        # prepare() gives central GDA on quadratics this oracle: the pooled objective's view
-        "pooled": MeanObjective(plain).view,
+        # prepare() gives central GDA on quadratics this view of its clients
+        "pooled": PooledView(stacked(plain)),
     }
 
 
@@ -100,8 +100,9 @@ def test_the_views_are_the_ones_named():
     views = _views(synthetic_quadratic_specs(3))
     assert type(views["batched"]) is _StackedQuadratic
     assert type(views["per_row"]) is StackedObjectives
-    config = ExperimentConfig(OptimizerKind.CENTRAL_GDA, ProblemKind.QUADRATIC)
-    assert type(prepare(config).oracle) is type(views["pooled"]) is _StackedQuadratic
+    central = prepare(ExperimentConfig(OptimizerKind.CENTRAL_GDA, ProblemKind.QUADRATIC)).view
+    for pooled in (central, views["pooled"]):
+        assert type(pooled) is PooledView and type(pooled.clients) is _StackedQuadratic
 
 
 def _dann_view():
@@ -133,7 +134,7 @@ def _quadratic_block(rounds: int, every: int):
     objs = [QuadraticSaddle(s) for s in synthetic_quadratic_specs(3)]
     start = PrimalDualPair(vector(np.zeros(4)), vector(np.zeros(3)))
     server, fed = ServerState(start), Federation.initial(objs, start)
-    block = MetricsBlock(fed.view, fed.n, rounds, 1e-12)
+    block = MetricsBlock(fed.view, rounds, 1e-12)
     hp = HyperParams(eta1=0.1, eta2=0.1, local_steps=(3,))
     for t in range(rounds):
         fed = run_round(OptimizerKind.FEDMM, fed, server, hp)
@@ -172,6 +173,6 @@ def test_flush_phi_norms_equal_one_round_calls():
     block = _quadratic_block(rounds=12, every=1)
     omegas = block.P[:12, :4].copy()
     for row, omega in zip(block.flush(), omegas):
-        _, grad = phi_value_and_grad(block.oracle, vector(omega), 1e-12)
+        _, grad = phi_value_and_grad(block.view, vector(omega), 1e-12)
         assert row.phi_grad_norm == float(np.linalg.norm(grad))
 

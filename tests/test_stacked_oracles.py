@@ -1,8 +1,9 @@
 """The per-round metric oracles through the stacked view against a per-client reference.
 
 Every comparison is exact: the stacked loss, the mean oracle, the phi oracle,
-the consensus norms and the cached client averages must reproduce, bit for
-bit, what one objective (and one client) after the other computes. The
+the consensus norms, the cached client averages and central GDA's pooled
+view must reproduce, bit for bit, what one objective (and one client) after
+the other computes. The
 generated quadratic instances include d2 = 1 with N >= 17, where numpy's
 reductions would switch to pairwise summation.
 """
@@ -20,9 +21,10 @@ from fedmm.federation import PartitionSpec, consensus, partition_label_shift
 from fedmm.objectives import (
     DomainAdaptObjective,
     LocalObjective,
-    MeanObjective,
+    PooledView,
     QuadraticSaddle,
     QuadraticSaddleSpec,
+    phi_grads,
     phi_value_and_grad,
     quadratic_bars,
     stacked,
@@ -57,7 +59,7 @@ def quadratic_instance(n, d1, d2, seed):
 def dann_instance():
     """Two DANN clients on shards of unequal size (40 and 33 points)."""
     train, _, layout = domain_shift_toy(seeded_rng(41), n_per_domain=40, holdout_n=4)
-    shards = partition_label_shift(train, PartitionSpec(n_clients=2, p=0.75), seeded_rng(42))
+    shards = partition_label_shift(train, PartitionSpec(p=0.75), seeded_rng(42))
     shards[1] = shards[1].subset(np.arange(len(shards[1]) - 7))
     assert len(shards[0]) != len(shards[1])
     objs = [DomainAdaptObjective(s, nu=0.5, layout=layout) for s in shards]
@@ -115,12 +117,9 @@ def assert_oracles_match(objs, OM, PS, tol):
     g_om = ref_mean([o.grad_omega(om, ps) for o in objs])
     g_ps = ref_mean([o.grad_psi(om, ps) for o in objs])
     assert view.mean_value(om, ps) == ref_mean_value(objs, om, ps)
-    for got in (view.mean_grads(om, ps), MeanObjective(objs).grads(om, ps)):
-        assert np.array_equal(got[0], g_om) and np.array_equal(got[1], g_ps)
-    mean = MeanObjective(objs)
-    assert mean.value(om, ps) == ref_mean_value(objs, om, ps)
-    assert np.array_equal(mean.grad_omega(om, ps), g_om)
-    assert np.array_equal(mean.grad_psi(om, ps), g_ps)
+    got = view.mean_grads(om, ps)
+    assert np.array_equal(got[0], g_om) and np.array_equal(got[1], g_ps)
+    assert_pooled_matches(objs, view, OM, PS, tol)
 
     psi_star = ref_inner_max(objs, om, tol)
     value, grad = phi_value_and_grad(view, om, tol)
@@ -137,6 +136,32 @@ def assert_oracles_match(objs, OM, PS, tol):
     flip_OM, flip_PS = np.ascontiguousarray(OM[::-1]), np.ascontiguousarray(PS[::-1])
     got = view.values(np.stack((OM, flip_OM)), np.stack((PS, flip_PS)))
     assert np.array_equal(got, [want, view.values(flip_OM, flip_PS)])
+
+
+def assert_pooled_matches(objs, view, OM, PS, tol):
+    """Central GDA's pooled view of the clients, at each of the N points (OM[k], PS[k]).
+
+    Its one row's value and gradients are the reference client means, and
+    its phi oracle is the clients' own at the N omegas.
+    """
+    pooled = PooledView(view)
+    points = [(vector(OM[k]), vector(PS[k])) for k in range(len(OM))]
+    want_om = [ref_mean([o.grad_omega(om, ps) for o in objs]) for om, ps in points]
+    want_ps = [ref_mean([o.grad_psi(om, ps) for o in objs]) for om, ps in points]
+    for (om, ps), g_om, g_ps in zip(points, want_om, want_ps):
+        one_om, one_ps = om[None], ps[None]
+        assert pooled.values(one_om, one_ps).tolist() == [ref_mean_value(objs, om, ps)]
+        assert np.array_equal(pooled.joint_grads(np.hstack((one_om, one_ps))), [np.hstack((g_om, g_ps))])
+        assert np.array_equal(pooled.grad_omega(one_om, one_ps), [g_om])
+        assert np.array_equal(pooled.grad_psi(one_om, one_ps), [g_ps])
+    # leading axes: the N points as N stacked (1, d) rows of the pooled view
+    K_OM, K_PS = OM[:, None, :], PS[:, None, :]
+    want_values = [[ref_mean_value(objs, om, ps)] for om, ps in points]
+    assert pooled.values(K_OM, K_PS).tolist() == want_values
+    assert np.array_equal(pooled.grad_omega(K_OM, K_PS), np.array(want_om)[:, None, :])
+    got, want = phi_grads(pooled, OM, tol), phi_grads(view, OM, tol)
+    assert np.array_equal(got.psi, want.psi) and np.array_equal(got.grads, want.grads)
+    assert got.errors == want.errors == (None,) * len(OM)
 
 
 # ------------------------------- properties ------------------------------- #
