@@ -32,9 +32,12 @@ from fedmm.objectives import (
     QuadraticSaddle,
     QuadraticSaddleSpec,
     StackedObjectives,
+    _ascent,
     _StackedDomainAdapt,
     inner_max,
     phi_value_and_grad,
+    pooled,
+    quadratic_bars,
     stacked,
 )
 from fedmm.optim import Federation, OptimizerKind, local_solve, run_round
@@ -80,8 +83,9 @@ def check_inner_max_paths_agree() -> str:
     rng = seeded_rng(14)
     om = vector(rng.standard_normal(objs[0].dims[0]))
     view = stacked(objs)
-    closed = inner_max(view, om, tol=1e-12, method="closed_form")
-    ascent = inner_max(view, om, tol=1e-10, method="gradient_ascent")
+    closed = inner_max(view, om, tol=1e-12)
+    step = 1.0 / float(np.linalg.norm(quadratic_bars(view).C, 2))  # 1 / ||Cbar||
+    ascent = _ascent(pooled(view), om[None], step, tol=1e-10, max_iters=100_000)[0]
     gap = float(np.linalg.norm(closed - ascent))
     if gap > 1e-8:
         raise AssertionError(f"inner_max paths disagree by {gap:.3e}")
@@ -94,7 +98,7 @@ def check_danskin_stationarity() -> str:
     rng = seeded_rng(15)
     om = vector(rng.standard_normal(objs[0].dims[0]))
     psi_star = inner_max(view, om, tol=1e-12)
-    g = view.mean_grad_psi(om, psi_star)
+    g = pooled(view).grad_psi(om[None], psi_star[None])[0]
     worst = 0.0
     for _ in range(10):
         v = rng.standard_normal(len(psi_star))
@@ -316,7 +320,7 @@ def check_stacked_oracles() -> str:
             loss, (phi_value, phi_grad), cons = _per_client_oracles(objs, fed, gp, tol)
             got_value, got_grad = phi_value_and_grad(fed.view, gp.omega, tol)
             where = f"{len(objs)}-client {type(objs[0]).__name__} round {server.round}"
-            if fed.view.mean_value(gp.omega, gp.psi) != loss:
+            if pooled(fed.view).values(gp.omega[None], gp.psi[None])[0] != loss:
                 raise AssertionError(f"{where}: stacked global loss differs")
             if got_value != phi_value or not np.array_equal(got_grad, phi_grad):
                 raise AssertionError(f"{where}: stacked phi oracle differs")

@@ -41,6 +41,7 @@ from fedmm.objectives import (
     load_dataset,
     load_quadratic_objectives,
     phi_grads,
+    pooled,
     stacked,
 )
 from fedmm.optim import Federation, OptimizerKind, run_round
@@ -242,14 +243,14 @@ class MetricsBlock:
     rounds into their RoundMetrics rows and empties the block:
 
     - consensus: row_norms of Z - pair on each block, then the max over clients;
-    - global loss: one `mean_values` call of the clients' view at all the pairs;
+    - global loss: one `values` call of `pooled(view)` at all the pairs;
     - target accuracy: one `evaluate_target_accuracy` call on all the omegas;
     - phi_grad_norm: one `phi_grads` call at the sampled rounds' omegas, then
       row_norms; a round whose inner maximization failed gets None. Phi's
       value is never computed.
 
-    Every value is bit for bit what the one-round calls (`consensus`,
-    `mean_value`, a one-omega `evaluate_target_accuracy` or
+    Every value is bit for bit what the one-round calls (`consensus`, a
+    one-pair pooled `values`, a one-omega `evaluate_target_accuracy` or
     `phi_value_and_grad`) give: each row's dot products, matrix products and
     solves keep the one-round shapes, and max and argmax are exact.
     """
@@ -261,7 +262,7 @@ class MetricsBlock:
         tol: float,
         accuracy: tuple[DomainAdaptObjective, DomainAdaptDataset] | None = None,
     ):
-        self.view, self.tol, self.accuracy = view, tol, accuracy
+        self.view, self.pooled, self.tol, self.accuracy = view, pooled(view), tol, accuracy
         d = sum(view.dims)
         self.Z = np.empty((size, view.n, d))
         self.P = np.empty((size, d))
@@ -286,7 +287,7 @@ class MetricsBlock:
         Z, P = self.Z[:k], self.P[:k]
         omegas = P[:, :d1]
         spread_om, spread_ps = (c.tolist() for c in _consensus(Z, P, d1))
-        loss = self.view.mean_values(omegas, P[:, d1:]).tolist()
+        loss = self.pooled.values(omegas[:, None], P[:, None, d1:])[:, 0].tolist()
         accuracy = [None] * k
         if self.accuracy is not None:
             objective, holdout = self.accuracy
@@ -294,7 +295,7 @@ class MetricsBlock:
         phi = [None] * k
         sampled = [b for b, (_, _, sample_phi) in enumerate(self.rounds) if sample_phi]
         if sampled:
-            out = phi_grads(self.view, omegas[sampled], self.tol, max_iters=_PHI_ORACLE_ITER_CAP)
+            out = phi_grads(self.pooled, omegas[sampled], self.tol, max_iters=_PHI_ORACLE_ITER_CAP)
             for b, norm, error in zip(sampled, row_norms(out.grads).tolist(), out.errors):
                 phi[b] = norm if error is None else None
         ts, floats, _ = zip(*self.rounds)

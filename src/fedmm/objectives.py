@@ -6,18 +6,19 @@ blocks at one point. `stacked(objectives)` evaluates N clients at N points
 in one call, as the optimizers' client-stacked local solve needs: its
 joint_grads takes (N, d1 + d2) joint rows [omega | psi] and returns the
 gradients as joint rows [grad_omega | grad_psi] in one buffer, every row
-evaluated (the optimizers mask rows in their step, not here). The same view
-gives the metric oracles their client averages (the global loss, inner_max
-and the phi oracle), summed in client order by one `row_sum` call, and
-`PooledView` makes that average one row, central GDA's pooled client.
+evaluated (the optimizers mask rows in their step, not here). `pooled(view)`
+is the clients' uniform average, the global objective f, as the one-row
+`PooledView`: the only code that averages clients, in client order by one
+`row_sum` call. Central GDA trains on it, and the global loss, the inner max
+and the phi oracle evaluate it.
 
-The phi oracle is `phi_grads`: the max function's inner maximizers and
-gradients at a stack of K omegas, as a run's metric block needs them. On
-quadratic clients the closed-form inner max and the Danskin gradient of all
-K omegas run as stacked calls; the domain-adaptation objective, whose inner
-max is a gradient ascent, runs omega by omega. It never computes the max
-function's value: `phi_value_and_grad`, its one-omega call, adds that for
-the checks and the tests.
+The phi oracle is `phi_grads`, the only inner maximizer: the max function's
+inner maximizers and gradients at a stack of K omegas, as a run's metric
+block needs them. On quadratic clients the closed-form inner max of all K
+omegas runs as stacked calls; on domain-adaptation clients a gradient ascent
+on the pooled row runs omega by omega. It never computes the max function's
+value: `phi_value_and_grad`, its one-omega call, adds that for the checks
+and the tests, and `inner_max` is its one-omega maximizer.
 
 Each family's math is written once, in its stacked view. A QuadraticSaddle
 or DomainAdaptObjective evaluates itself through a one-row view of itself,
@@ -385,11 +386,9 @@ class StackedObjectives:
     writes the results into fresh arrays, so any LocalObjective works (a
     built-in objective answers through a one-row view of itself);
     all-quadratic client lists get a batched-matmul view instead (see
-    `stacked`). The mean_* methods evaluate the uniform average of the
-    objectives at one point, the global f of the metric oracles; their client
-    sums run in row order, as one client after the other would add them.
-    `values` and `mean_values` also take leading axes: K points evaluated in
-    one call, each exactly as a call of its own would evaluate it.
+    `stacked`). `values`, `grad_omega` and `grad_psi` also take leading axes:
+    K points evaluated in one call, each exactly as a call of its own would
+    evaluate it. The client average is `PooledView`'s.
     """
 
     def __init__(self, objectives: Sequence[LocalObjective]):
@@ -397,13 +396,16 @@ class StackedObjectives:
         self.n = len(objectives)
         self.objectives = tuple(objectives)
 
-    def values(self, OM: np.ndarray, PS: np.ndarray) -> np.ndarray:
-        """Row r's objective value at (OM[..., r, :], PS[..., r, :]): (N,), or (..., N) with leading axes."""
-        out = np.empty(OM.shape[:-1])
+    def _each(self, method: str, out: np.ndarray, OM: np.ndarray, PS: np.ndarray) -> np.ndarray:
+        # every row's objective called on its own row, at each leading index
         for lead in np.ndindex(OM.shape[:-2]):
             for r, o in enumerate(self.objectives):
-                out[lead + (r,)] = o.value(OM[lead + (r,)], PS[lead + (r,)])
+                out[lead + (r,)] = getattr(o, method)(OM[lead + (r,)], PS[lead + (r,)])
         return out
+
+    def values(self, OM: np.ndarray, PS: np.ndarray) -> np.ndarray:
+        """Row r's objective value at (OM[..., r, :], PS[..., r, :]): (N,), or (..., N) with leading axes."""
+        return self._each("value", np.empty(OM.shape[:-1]), OM, PS)
 
     def joint_grads(self, Z: np.ndarray) -> np.ndarray:
         """[G_OM | G_PS] at the (N, d1 + d2) joint points [OM | PS], in one (N, d1 + d2) array."""
@@ -415,42 +417,11 @@ class StackedObjectives:
 
     def grad_omega(self, OM: np.ndarray, PS: np.ndarray) -> np.ndarray:
         """The omega block of `joint_grads` alone: (N, d1), or (..., N, d1) with leading axes."""
-        G_OM = np.empty(OM.shape)
-        for lead in np.ndindex(OM.shape[:-2]):
-            for r, obj in enumerate(self.objectives):
-                G_OM[lead + (r,)] = obj.grad_omega(OM[lead + (r,)], PS[lead + (r,)])
-        return G_OM
+        return self._each("grad_omega", np.empty(OM.shape), OM, PS)
 
     def grad_psi(self, OM: np.ndarray, PS: np.ndarray) -> np.ndarray:
-        """The psi block of `joint_grads` alone at the (N, d1) / (N, d2) points, (N, d2)."""
-        G_PS = np.empty(PS.shape)
-        for r, obj in enumerate(self.objectives):
-            G_PS[r] = obj.grad_psi(OM[r], PS[r])
-        return G_PS
-
-    def _at(self, omega, psi) -> tuple[np.ndarray, np.ndarray]:
-        # every row at the one point, (N, d); a (K, d) stack of points gives (K, N, d).
-        # Filling an empty array is cheaper than np.tile
-        omega, psi = np.asarray(omega), np.asarray(psi)
-        OM = np.empty(omega.shape[:-1] + (self.n, omega.shape[-1]))
-        PS = np.empty(psi.shape[:-1] + (self.n, psi.shape[-1]))
-        OM[:], PS[:] = omega[..., None, :], psi[..., None, :]
-        return OM, PS
-
-    def mean_values(self, omega: np.ndarray, psi: np.ndarray) -> np.ndarray:
-        """The client average at each of K points (omega[k], psi[k]), (K,), in one `values` call."""
-        # + 0.0 as in _bars: a zero-started sum of all -0.0 values is +0.0
-        return (row_sum(self.values(*self._at(omega, psi)), axis=-1) + 0.0) / self.n
-
-    def mean_value(self, omega: Vector, psi: Vector) -> float:
-        return float(self.mean_values(omega, psi))
-
-    def mean_grads(self, omega: Vector, psi: Vector) -> tuple[Vector, Vector]:
-        mean = row_sum(self.joint_grads(np.hstack(self._at(omega, psi)))) / self.n
-        return mean[: len(omega)], mean[len(omega) :]
-
-    def mean_grad_psi(self, omega: Vector, psi: Vector) -> Vector:
-        return row_sum(self.grad_psi(*self._at(omega, psi))) / self.n
+        """The psi block of `joint_grads` alone: (N, d2), or (..., N, d2) with leading axes."""
+        return self._each("grad_psi", np.empty(PS.shape), OM, PS)
 
 
 class QuadraticBars(NamedTuple):
@@ -528,10 +499,10 @@ class _StackedDomainAdapt(StackedObjectives):
     leading client axis. Each row's matmuls keep the shapes and memory layout
     one client's pass gives them, and the gradients pick the labeled points
     with np.where instead of by indexing, so every row is bit for bit what a
-    one-row view of its objective computes. `values` also takes leading axes
-    (K points per client) and sums each row's terms over that row's own
-    points in contiguous memory (`_row_sums`): a sum across rows, or along
-    strided memory, would round differently.
+    one-row view of its objective computes. `values` and `grad_psi` also take
+    leading axes (K points per client); `values` sums each row's terms over
+    that row's own points in contiguous memory (`_row_sums`): a sum across
+    rows, or along strided memory, would round differently.
 
     The per-point constants are built once, in the shapes the pass uses, so a
     step makes few numpy calls, few of them broadcast, and none changes a bit.
@@ -617,7 +588,7 @@ class _StackedDomainAdapt(StackedObjectives):
 
     def grad_psi(self, OM, PS):
         Z = self._features(OM)
-        G_PS = self.alpha[:, self._d1 :] * (Z.swapaxes(1, 2) @ self._dt(Z, PS)).reshape(self.n, -1)
+        G_PS = self.alpha[:, self._d1 :] * (Z.swapaxes(-1, -2) @ self._dt(Z, PS)).reshape(PS.shape)
         require_finite(G_PS)
         return G_PS
 
@@ -673,19 +644,27 @@ def quadratic_bars(view: StackedObjectives) -> QuadraticBars:
 
 
 class PooledView(StackedObjectives):
-    """One row that is the uniform average of a view's clients: central GDA's pooled client.
+    """One row that is the uniform average of a view's clients, the global f: central GDA's pooled client.
 
-    Row 0 at a point evaluates every client there through `clients` and adds
-    them in client order, as the clients' mean_* oracles do: `values` adds
-    their + 0.0, the gradients do not. `values`, `grad_omega` and `grad_psi`
-    take the leading axes (K points) that the clients' methods take.
+    The only code that averages clients. Row 0 at a point evaluates every
+    client there through `clients` and adds them in client order, one `row_sum`:
+    `values` adds their + 0.0, the gradients do not. `values`, `grad_omega`
+    and `grad_psi` take leading axes (K points as (K, 1, d) rows).
     """
 
     def __init__(self, clients: StackedObjectives):
         self.clients, self.dims, self.n = clients, clients.dims, 1
 
+    def _at(self, OM, PS) -> list[np.ndarray]:
+        # every client at each (..., 1, d) point, filled into (..., N, d): cheaper than np.tile
+        at = [np.empty(X.shape[:-2] + (self.clients.n, X.shape[-1])) for X in (OM, PS)]
+        at[0][:], at[1][:] = OM, PS
+        return at
+
     def values(self, OM, PS):
-        return self.clients.mean_values(OM[..., 0, :], PS[..., 0, :])[..., None]
+        # + 0.0 as in _bars: a zero-started sum of all -0.0 values is +0.0
+        V = self.clients.values(*self._at(OM, PS))
+        return (row_sum(V, axis=-1)[..., None] + 0.0) / self.clients.n
 
     def joint_grads(self, Z):
         n = self.clients.n
@@ -693,62 +672,16 @@ class PooledView(StackedObjectives):
 
     def _mean(self, method, OM, PS):
         # the clients' (..., N, d) gradients at each point, averaged into one (..., 1, d) row
-        G = getattr(self.clients, method)(*self.clients._at(OM[..., 0, :], PS[..., 0, :]))
+        G = getattr(self.clients, method)(*self._at(OM, PS))
         return row_sum(G, axis=-2)[..., None, :] / self.clients.n
 
     grad_omega = functools.partialmethod(_mean, "grad_omega")
     grad_psi = functools.partialmethod(_mean, "grad_psi")
 
 
-def inner_max(
-    view: StackedObjectives,
-    omega: Vector,
-    tol: float,
-    method: str = "auto",
-    max_iters: int = 100_000,
-) -> Vector:
-    """Maximize the view's client average over psi at fixed omega.
-
-    Quadratic clients get the closed form psibar = Cbar^-1 (Bbar' omega + cbar);
-    domain-adaptation clients get gradient ascent with a curvature-derived
-    step, raising ConvergenceError (with the final gradient norm) at the cap.
-    Gradient ascent on quadratics steps by 1 / ||Cbar||; any other objective
-    type has no known curvature bound and is rejected.
-    """
-    if method not in ("auto", "closed_form", "gradient_ascent"):
-        raise ValueError(f"unknown inner_max method {method!r}")
-    if _all_quadratic(view):
-        bars = quadratic_bars(view)
-        if method != "gradient_ascent":
-            return vector(_closed_form_psi(bars, _row(omega))[0])
-        curv = float(np.linalg.norm(bars.C, 2))
-    else:
-        if method == "closed_form":
-            raise ValueError("closed_form inner_max requires quadratic clients")
-        for o in _unpooled(view).objectives:
-            if not isinstance(o, DomainAdaptObjective):
-                raise ValueError(
-                    f"inner_max has no ascent curvature bound for {type(o).__name__} "
-                    "objectives (only QuadraticSaddle or DomainAdaptObjective lists)"
-                )
-        curv = max(o.ascent_curvature_bound(omega) for o in _unpooled(view).objectives)
-    step = 1.0 / max(curv, 1e-12)
-
-    psi, it = np.zeros(view.dims[1]), 0
-    try:
-        g = view.mean_grad_psi(omega, psi)
-        gnorm = float(np.linalg.norm(g))
-        while not gnorm <= tol and it < max_iters:
-            psi = psi + step * g
-            g = view.mean_grad_psi(omega, psi)
-            gnorm = float(np.linalg.norm(g))
-            it += 1
-    except ValueError:
-        # a non-finite ascent gradient is a failed solve, as the iteration cap is
-        raise ConvergenceError("inner_max gradient ascent", math.inf, it) from None
-    if gnorm <= tol:
-        return vector(psi)
-    raise ConvergenceError("inner_max gradient ascent", gnorm, max_iters)
+def pooled(view: StackedObjectives) -> PooledView:
+    """The view's clients averaged into one row; the view itself when it is already pooled."""
+    return view if isinstance(view, PooledView) else PooledView(view)
 
 
 def _closed_form_psi(bars: QuadraticBars, omegas: np.ndarray) -> np.ndarray:
@@ -762,13 +695,25 @@ def _closed_form_psi(bars: QuadraticBars, omegas: np.ndarray) -> np.ndarray:
     return np.linalg.solve(bars.C, rhs[..., None])[..., 0]
 
 
-def _mean_grad_omega(view: StackedObjectives, omegas: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """The client average of grad_omega at each point (omegas[k], psi[k]), (K, d1), in one call.
+def _ascent(pool: PooledView, omega: np.ndarray, step: float, tol: float, max_iters: int) -> np.ndarray:
+    """Gradient ascent from zero on the pooled row's psi at a (1, d1) omega: the (1, d2) maximizer.
 
-    Each row is `mean_grads(omegas[k], psi[k])[0]`: the same matvecs per
-    client, summed over the clients in order.
+    It raises ConvergenceError at the cap, or at a non-finite gradient.
     """
-    return row_sum(view.grad_omega(*view._at(omegas, psi)), axis=1) / view.n
+    psi, it = np.zeros((1, pool.dims[1])), 0
+    try:
+        g = pool.grad_psi(omega, psi)
+        gnorm = float(np.linalg.norm(g))
+        while not gnorm <= tol and it < max_iters:
+            psi = psi + step * g
+            g = pool.grad_psi(omega, psi)
+            gnorm = float(np.linalg.norm(g))
+            it += 1
+    except ValueError:
+        raise ConvergenceError("inner_max gradient ascent", math.inf, it) from None
+    if gnorm <= tol:
+        return psi
+    raise ConvergenceError("inner_max gradient ascent", gnorm, max_iters)
 
 
 class PhiGrads(NamedTuple):
@@ -793,29 +738,46 @@ def phi_grads(
 ) -> PhiGrads:
     """Inner maximizers and gradients of Phi(omega) = max_psi f(omega, psi) at the (K, d1) omegas.
 
-    Quadratic views (the batched view, the per-row view of QuadraticSaddle
-    subclasses) get the closed form for all K omegas in stacked calls: K
-    gemv calls for Bbar' omega, one broadcast solve and one `grad_omega` at
-    the K x N points, each omega with the calls and the summation order of a
-    lone omega. Any other view runs `inner_max` and `mean_grads` omega by
-    omega; an ascent that fails fails only its own omega. Phi's value is not
-    computed.
+    f is `pooled(view)`. Quadratic clients get the closed form psibar =
+    Cbar^-1 (Bbar' omega + cbar) of all K omegas at once; domain-adaptation
+    clients get `_ascent` with a curvature-derived step, omega by omega, and
+    a failed ascent fails only its own omega. Other objective types have no
+    known curvature bound and are rejected. The Danskin gradients are one
+    pooled `grad_omega` call. Phi's value is not computed.
     """
+    pool = pooled(view)
     if _all_quadratic(view):
         psi = _closed_form_psi(quadratic_bars(view), omegas)
-        require_finite(psi)  # as inner_max's vector() would
-        return PhiGrads(psi, _mean_grad_omega(view, omegas, psi), (None,) * len(omegas))
-    psi, grads = np.full((len(omegas), view.dims[1]), np.nan), np.full(omegas.shape, np.nan)
-    errors = []
-    for k, omega in enumerate(omegas):
-        try:
-            psi[k] = inner_max(view, omega, tol, max_iters=max_iters)
-        except ConvergenceError as e:
-            errors.append(e)
-            continue
-        grads[k] = view.mean_grads(omega, psi[k])[0]
-        errors.append(None)
+        require_finite(psi)  # as vector() would at one omega
+        errors = [None] * len(omegas)
+    else:
+        objs = _unpooled(view).objectives
+        for o in objs:
+            if not isinstance(o, DomainAdaptObjective):
+                raise ValueError(
+                    f"inner_max has no ascent curvature bound for {type(o).__name__} "
+                    "objectives (only QuadraticSaddle or DomainAdaptObjective lists)"
+                )
+        psi, errors = np.full((len(omegas), view.dims[1]), np.nan), []
+        for k, omega in enumerate(omegas):
+            step = 1.0 / max(max(o.ascent_curvature_bound(omega) for o in objs), 1e-12)
+            try:
+                psi[k] = _ascent(pool, omegas[k : k + 1], step, tol, max_iters)[0]
+                errors.append(None)
+            except ConvergenceError as e:
+                errors.append(e)
+    ok = [e is None for e in errors]
+    grads = np.full(omegas.shape, np.nan)
+    grads[ok] = pool.grad_omega(omegas[ok][:, None], psi[ok][:, None])[:, 0]
     return PhiGrads(psi, grads, tuple(errors))
+
+
+def inner_max(view: StackedObjectives, omega: Vector, tol: float, max_iters: int = 100_000) -> Vector:
+    """The maximizer over psi of the view's client average at one omega: the one-omega call of `phi_grads`."""
+    out = phi_grads(view, _row(omega), tol, max_iters)
+    if out.errors[0] is not None:
+        raise out.errors[0]
+    return vector(out.psi[0])
 
 
 def phi_value_and_grad(
@@ -825,7 +787,7 @@ def phi_value_and_grad(
     out = phi_grads(view, _row(omega), tol, max_iters)
     if out.errors[0] is not None:
         raise out.errors[0]
-    return view.mean_value(omega, out.psi[0]), out.grads[0]
+    return float(pooled(view).values(_row(omega), out.psi)[0]), out.grads[0]
 
 
 # ------------------------- plain-text instance files ------------------------- #

@@ -148,6 +148,20 @@ def _first_unbounded(Z: np.ndarray, where: str, step: int) -> DivergenceError:
     return DivergenceError(where.format(np.flatnonzero(~_bounded(Z, -1))[0]), step)
 
 
+def _first_nonfinite_grad(view: StackedObjectives, Z: np.ndarray) -> int:
+    """The first row whose gradient the view rejects, each row's objective evaluated alone.
+
+    Views without objectives reject nothing (batched quadratics) or have one row (pooled): 0.
+    """
+    d1 = view.dims[0]
+    for r, obj in enumerate(getattr(view, "objectives", ())):
+        try:
+            obj.grads(Z[r, :d1], Z[r, d1:])
+        except ValueError:
+            return r
+    return 0
+
+
 def _local_grads(view: StackedObjectives, Z, W, D, Z0) -> np.ndarray:
     """Joint local-step gradients: f's plus the penalty, when the rule has one.
 
@@ -187,7 +201,8 @@ def local_solve(
     Every step's iterate is checked against the divergence rule, so a plain
     upload (the iterate) needs no check of its own; FedMM's dual-shifted
     upload is checked once, where it is formed. A non-finite gradient at a
-    finite iterate (the view's ValueError) is a divergence at that step too.
+    finite iterate (the view's ValueError) is a divergence at that step too,
+    named after the first client whose gradient row is rejected.
     """
     rule, view = _RULES[kind], fed.view
     n = view.n
@@ -219,7 +234,7 @@ def local_solve(
         try:
             G = _local_grads(view, Z, W, D, Z0)
         except ValueError:  # the view's finiteness check
-            raise DivergenceError(f"{where.partition(' (')[0]} gradient", m) from None
+            raise DivergenceError(f"{where.format(_first_nonfinite_grad(view, Z))} gradient", m) from None
         if tol > 0:
             # the larger block norm; sqrt is correctly rounded and monotone, so
             # sqrt(max) is the max of the two norms bit for bit, NaN included

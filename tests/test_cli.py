@@ -54,7 +54,13 @@ _FINITE_ITERATE = [
     (
         "label_shift_fedmm.cfg",
         ["hyper.nu=1e308", "hyper.rounds=5"],
-        "round 0: fedmm local round gradient at step 0",
+        "round 0: fedmm local round (client 0) gradient at step 0",
+    ),
+    # so does the per-row view of the unequal one-source-two-target shards
+    (
+        "label_shift_fedmm.cfg",
+        ["hyper.nu=1e308", "hyper.rounds=5", "partition.mode=one_source_two_target"],
+        "round 0: fedmm local round (client 0) gradient at step 0",
     ),
     # mu = 1e300 overflows the dual step, and so FedMM's dual-shifted upload
     (
@@ -66,7 +72,7 @@ _FINITE_ITERATE = [
         "round 0: fedmm upload (client 0) at step 0",
     ),
 ]
-_FINITE_ITERATE_IDS = ["dann_gradient", "fedmm_upload"]
+_FINITE_ITERATE_IDS = ["dann_gradient", "dann_gradient_per_row", "fedmm_upload"]
 
 
 def write(tmp_path, text, name="run.cfg"):
@@ -1210,6 +1216,25 @@ class TestSweepQualitative:
         assert accs["fedmm"] >= accs["fedavg_gda"]
 
 
+CHECK_ROWS = [
+    "quadratic_gradients",
+    "domain_adapt_gradients",
+    "inner_max_paths_agree",
+    "danskin_stationarity",
+    "identity_suite",
+    "dual_recovery",
+    "equiv_fedsgda_central",
+    "equiv_fedprox_fedavg",
+    "equiv_fedavg_fedsgda",
+    "row_independence",
+    "stacked_oracles",
+    "stationary_saddle_fixed",
+    "kappa_bound",
+    "partition_cover",
+    "non_pd_rejected",
+]
+
+
 class TestCmdCheck:
     def test_pristine_build_passes(self, capsys):
         rc = main(["check"])
@@ -1217,3 +1242,6 @@ class TestCmdCheck:
         assert rc == 0
         assert "FAIL" not in out
         assert "status=ok" in out
+        # every row, in order: a renamed or dropped check shows here
+        assert [line.split()[1] for line in out.splitlines()[:-1]] == CHECK_ROWS
+        assert out.splitlines()[-1] == "status=ok"

@@ -2,12 +2,12 @@
 
 The local step's cost is interpreter overhead: every numpy call, view and
 operator on the small arrays of a step costs about as much as its
-arithmetic. These tests count that work in five places (one batched DANN
+arithmetic. These tests count that work in six places (one batched DANN
 gradient on the label-shift toy's two-client view, one quadratic gradient,
 one fixed-M FedMM local round on the toy, one FedSGDA round with its
-metric-block entry on a three-client quadratic, and one central-GDA step on
-the pooled view of three quadratic clients) and fail when a change makes
-any of them do more. Two counts are taken:
+metric-block entry on a three-client quadratic, the flush of a full metric
+block of that run, and one central-GDA step on the pooled view of three
+quadratic clients) and fail when a change makes any of them do more. Two counts are taken:
 
 - C-level calls, the `c_call` events of `sys.setprofile`: builtins and
   method wrappers such as `ndarray.reshape` or `ufunc.reduce`. It does not
@@ -115,18 +115,26 @@ def test_fixed_m_fedmm_local_round():
     assert operations(round_) <= 3527  # 4476 before
 
 
-def fedsgda_round():
-    """Round 1 of a fresh quad_fedsgda_rounds-shaped FedSGDA run and its metric-block entry.
+def fedsgda_run():
+    """A fresh quad_fedsgda_rounds-shaped FedSGDA run: (federation, server, hyperparameters, metric block).
 
     Three quadratic clients with d1 = 4 and d2 = 3, with the shipped FedSGDA
-    config's instance and step sizes. Round 0 runs here, so that the counted
-    round finds its step weights cached, as every round of a run but the first does.
+    config's instance and step sizes, and an empty 64-round metric block.
     """
     objs = [QuadraticSaddle(s) for s in synthetic_quadratic_specs(3, 4, 3)]
     pair = PrimalDualPair(zeros(4), zeros(3))
     fed, server = Federation.initial(objs, pair), ServerState(pair)
     hp = HyperParams(eta1=0.1, eta2=0.1).expanded(3)
-    block = MetricsBlock(fed.view, 64, hp.tol)
+    return fed, server, hp, MetricsBlock(fed.view, 64, hp.tol)
+
+
+def fedsgda_round():
+    """Round 1 of a fresh FedSGDA run (`fedsgda_run`) and its metric-block entry.
+
+    Round 0 runs here, so that the counted round finds its step weights
+    cached, as every round of a run but the first does.
+    """
+    fed, server, hp, block = fedsgda_run()
 
     def round_():
         nonlocal fed
@@ -140,6 +148,21 @@ def fedsgda_round():
 def test_fedsgda_round_and_metric_entry():
     assert c_calls(fedsgda_round()) <= 12  # 15 before the one-row global pair
     assert operations(fedsgda_round()) <= 67  # 81 before
+
+
+def fedsgda_flush():
+    """The flush of a full metric block: 64 rounds of a FedSGDA run, phi sampled every 10th round."""
+    fed, server, hp, block = fedsgda_run()
+    for t in range(64):
+        fed = run_round(OptimizerKind.FEDSGDA, fed, server, hp)
+        block.add(t, fed, server, t % 10 == 0)
+    return block.flush
+
+
+def test_metric_block_flush():
+    # 61 and 220 before the flush read the pooled view for the loss and the phi oracle
+    assert c_calls(fedsgda_flush()) <= 62
+    assert operations(fedsgda_flush()) <= 234
 
 
 def test_central_gda_step_on_the_pooled_view():

@@ -17,12 +17,15 @@ from fedmm.objectives import (
     ModelLayout,
     QuadraticSaddle,
     QuadraticSaddleSpec,
+    _ascent,
     _symmetric,
     inner_max,
     load_dataset,
     load_quadratic_objectives,
     load_quadratic_specs,
     phi_value_and_grad,
+    pooled,
+    quadratic_bars,
     save_dataset,
     save_quadratic_specs,
     stacked,
@@ -299,6 +302,11 @@ class TestOneRowViews:
         assert obj._view is view and view.n == 1
 
 
+def ascent_step(view) -> float:
+    """The 1 / ||Cbar|| step of a gradient ascent on quadratic clients' pooled row."""
+    return 1.0 / float(np.linalg.norm(quadratic_bars(view).C, 2))
+
+
 class TestInnerMax:
     def test_closed_form_single_client(self):
         obj = scalar_saddle()
@@ -313,15 +321,16 @@ class TestInnerMax:
         objs = [QuadraticSaddle(s) for s in synthetic_quadratic_specs(3)]
         om = vector(seeded_rng(8).standard_normal(objs[0].dims[0]))
         view = stacked(objs)
-        closed = inner_max(view, om, tol=1e-12, method="closed_form")
-        ascent = inner_max(view, om, tol=1e-10, method="gradient_ascent")
-        assert np.linalg.norm(closed - ascent) <= 1e-8
+        closed = inner_max(view, om, tol=1e-12)
+        ascent = _ascent(pooled(view), om[None], ascent_step(view), tol=1e-10, max_iters=100_000)
+        assert np.linalg.norm(closed - ascent[0]) <= 1e-8
 
     def test_nonconvergence_raises_with_grad_norm(self):
         objs = [QuadraticSaddle(s) for s in synthetic_quadratic_specs(2)]
         om = vector(seeded_rng(9).standard_normal(objs[0].dims[0]))
+        view = stacked(objs)
         with pytest.raises(ConvergenceError) as exc:
-            inner_max(stacked(objs), om, tol=1e-14, method="gradient_ascent", max_iters=3)
+            _ascent(pooled(view), om[None], ascent_step(view), tol=1e-14, max_iters=3)
         assert exc.value.grad_norm > 0
 
     def test_danskin_directional_derivative(self):
@@ -330,7 +339,7 @@ class TestInnerMax:
         rng = seeded_rng(10)
         om = vector(rng.standard_normal(objs[0].dims[0]))
         psi_star = inner_max(view, om, tol=1e-12)
-        g = view.mean_grad_psi(om, psi_star)
+        g = pooled(view).grad_psi(om[None], psi_star[None])[0]
         for _ in range(10):
             v = rng.standard_normal(len(psi_star))
             assert abs(float(g @ v)) <= 1e-9 * float(np.linalg.norm(v))
@@ -380,7 +389,7 @@ class TestInnerMaxObjectiveTypes:
         specs = synthetic_quadratic_specs(3)
         om = vector(seeded_rng(45).standard_normal(4))
         views = [stacked([cls(s) for s in specs]) for cls in (QuadraticSaddle, Tagged)]
-        plain, tagged = (inner_max(v, om, tol=1e-12, method="closed_form") for v in views)
+        plain, tagged = (inner_max(v, om, tol=1e-12) for v in views)
         assert np.array_equal(plain, tagged)
 
 

@@ -242,7 +242,15 @@ class TestDivergenceRules:
         # omega is 0, -1, -2, then -3 before step 3, whose gradient the objective rejects
         with pytest.raises(DivergenceError) as exc:
             local_solve(kind, fed, pair, hp)
-        assert (exc.value.where, exc.value.step) == (f"{kind.value} local round gradient", 3)
+        assert (exc.value.where, exc.value.step) == (f"{kind.value} local round (client 0) gradient", 3)
+
+    def test_a_rejected_gradient_names_the_first_rejecting_client(self):
+        pair = pair_of([0.0], [0.0])
+        # both rows step alike; only client 1's objective rejects its gradient at omega = -3
+        fed = Federation.initial([ConstantGrad([1.0], [0.0]), RejectsPastMinusTwo()], pair)
+        with pytest.raises(DivergenceError) as exc:
+            local_solve(K.FEDMM, fed, pair, HyperParams(eta1=1.0, mu1=1e-9, local_steps=(5,)))
+        assert (exc.value.where, exc.value.step) == ("fedmm local round (client 1) gradient", 3)
 
 
 class TestFedmmAggregate:

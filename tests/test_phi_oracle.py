@@ -5,7 +5,7 @@ omegas at once; `MetricsBlock.flush` calls it once per block on the sampled
 rounds' omegas. On quadratic views the closed form runs as stacked calls,
 and every omega's gradient must be exactly what a one-omega
 `phi_value_and_grad` call and the one-omega closed form written out here
-(one solve, then mean_grads) give. DANN's gradient ascent runs omega by
+(one solve, then the pooled view's joint gradient) give. DANN's gradient ascent runs omega by
 omega, and a failed ascent fails only its own omega.
 """
 
@@ -33,6 +33,7 @@ from fedmm.objectives import (
     inner_max,
     phi_grads,
     phi_value_and_grad,
+    pooled,
     quadratic_bars,
     stacked,
 )
@@ -64,10 +65,10 @@ def _views(specs):
 
 
 def _one_omega_closed_form(view, omega):
-    """The one-omega Danskin gradient written out: psi* by one solve, then mean_grads."""
+    """The one-omega Danskin gradient written out: psi* by one solve, then the pooled joint gradient."""
     bars = quadratic_bars(view)
     psi_star = vector(np.linalg.solve(bars.C, bars.B.T @ omega + bars.c))
-    return view.mean_grads(omega, psi_star)[0]
+    return pooled(view).joint_grads(np.hstack((omega, psi_star))[None])[0, : len(omega)]
 
 
 @st.composite
@@ -144,29 +145,30 @@ def _quadratic_block(rounds: int, every: int):
 
 def test_a_flush_makes_one_batched_solve_and_never_evaluates_phi(monkeypatch):
     block = _quadratic_block(rounds=20, every=3)
-    calls = {"solve": [], "mean_value": 0, "values": 0}
-    solve, values = np.linalg.solve, _StackedQuadratic.values
+    calls = {"solve": [], "pooled_values": 0, "values": 0}
+    solve, values, pooled_values = np.linalg.solve, _StackedQuadratic.values, PooledView.values
 
     def counted_solve(a, b):
         calls["solve"].append(b.shape)
         return solve(a, b)
 
-    def counted_mean_value(self, omega, psi):
-        calls["mean_value"] += 1
+    def counted_pooled_values(self, OM, PS):
+        calls["pooled_values"] += 1
+        return pooled_values(self, OM, PS)
 
     def counted_values(self, OM, PS):
         calls["values"] += 1
         return values(self, OM, PS)
 
     monkeypatch.setattr(np.linalg, "solve", counted_solve)
-    monkeypatch.setattr(StackedObjectives, "mean_value", counted_mean_value)
+    monkeypatch.setattr(PooledView, "values", counted_pooled_values)
     monkeypatch.setattr(_StackedQuadratic, "values", counted_values)
     rows = block.flush()
     sampled = [r.round for r in rows if r.phi_grad_norm is not None]
     assert sampled == list(range(0, 20, 3))
     assert calls["solve"] == [(len(sampled), 3, 1)]  # one solve for all 7 sampled rounds
-    assert calls["mean_value"] == 0
-    assert calls["values"] == 1  # the global loss at the rounds' pairs, not Phi at psi*
+    # the global loss at the rounds' pairs, not Phi at psi*
+    assert calls["pooled_values"] == calls["values"] == 1
 
 
 def test_flush_phi_norms_equal_one_round_calls():

@@ -1,6 +1,6 @@
 """The per-round metric oracles through the stacked view against a per-client reference.
 
-Every comparison is exact: the stacked loss, the mean oracle, the phi oracle,
+Every comparison is exact: the stacked loss, the pooled view, the phi oracle,
 the consensus norms, the cached client averages and central GDA's pooled
 view must reproduce, bit for bit, what one objective (and one client) after
 the other computes. The
@@ -24,8 +24,10 @@ from fedmm.objectives import (
     PooledView,
     QuadraticSaddle,
     QuadraticSaddleSpec,
+    _StackedDomainAdapt,
     phi_grads,
     phi_value_and_grad,
+    pooled,
     quadratic_bars,
     stacked,
 )
@@ -56,12 +58,12 @@ def quadratic_instance(n, d1, d2, seed):
     return objs, 3.0 * rng.standard_normal((n, d1)), 3.0 * rng.standard_normal((n, d2))
 
 
-def dann_instance():
-    """Two DANN clients on shards of unequal size (40 and 33 points)."""
+def dann_instance(drop: int):
+    """Two DANN clients on shards of 40 and 40 - drop points."""
     train, _, layout = domain_shift_toy(seeded_rng(41), n_per_domain=40, holdout_n=4)
     shards = partition_label_shift(train, PartitionSpec(p=0.75), seeded_rng(42))
-    shards[1] = shards[1].subset(np.arange(len(shards[1]) - 7))
-    assert len(shards[0]) != len(shards[1])
+    shards[1] = shards[1].subset(np.arange(len(shards[1]) - drop))
+    assert (len(shards[0]), len(shards[1])) == (40, 40 - drop)
     objs = [DomainAdaptObjective(s, nu=0.5, layout=layout) for s in shards]
     rng = seeded_rng(43)
     return objs, 0.3 * rng.standard_normal((2, layout.d1)), 0.3 * rng.standard_normal((2, layout.d2))
@@ -108,18 +110,16 @@ def ref_consensus(OM, PS, pair):
 
 
 def assert_oracles_match(objs, OM, PS, tol):
-    """Every stacked oracle against the reference at rows (OM, PS) and at the point (OM[0], PS[0])."""
+    """Every stacked oracle against the reference at rows (OM, PS) and at the point (OM[0], PS[0]).
+
+    The client averages are the pooled view's, checked at every point (OM[k], PS[k]).
+    """
     view = stacked(objs)
     want = np.array([o.value(OM[r], PS[r]) for r, o in enumerate(objs)])
     assert np.array_equal(view.values(OM, PS), want)
+    assert_pooled_matches(objs, view, OM, PS, tol)
 
     om, ps = vector(OM[0]), vector(PS[0])
-    g_om = ref_mean([o.grad_omega(om, ps) for o in objs])
-    g_ps = ref_mean([o.grad_psi(om, ps) for o in objs])
-    assert view.mean_value(om, ps) == ref_mean_value(objs, om, ps)
-    got = view.mean_grads(om, ps)
-    assert np.array_equal(got[0], g_om) and np.array_equal(got[1], g_ps)
-    assert_pooled_matches(objs, view, OM, PS, tol)
 
     psi_star = ref_inner_max(objs, om, tol)
     value, grad = phi_value_and_grad(view, om, tol)
@@ -130,9 +130,7 @@ def assert_oracles_match(objs, OM, PS, tol):
     fed = Federation(view, np.hstack((OM, PS)), np.zeros((len(OM), OM.shape[1] + PS.shape[1])))
     assert consensus(fed, pair) == ref_consensus(OM, PS, pair)
 
-    # leading axes: the N rows as N points of the mean, and two stacks of rows at once
-    want_means = [ref_mean_value(objs, vector(OM[k]), vector(PS[k])) for k in range(len(OM))]
-    assert view.mean_values(OM, PS).tolist() == want_means
+    # leading axes: two stacks of rows at once
     flip_OM, flip_PS = np.ascontiguousarray(OM[::-1]), np.ascontiguousarray(PS[::-1])
     got = view.values(np.stack((OM, flip_OM)), np.stack((PS, flip_PS)))
     assert np.array_equal(got, [want, view.values(flip_OM, flip_PS)])
@@ -144,22 +142,24 @@ def assert_pooled_matches(objs, view, OM, PS, tol):
     Its one row's value and gradients are the reference client means, and
     its phi oracle is the clients' own at the N omegas.
     """
-    pooled = PooledView(view)
+    pooled_view = pooled(view)
+    assert type(pooled_view) is PooledView and pooled(pooled_view) is pooled_view
     points = [(vector(OM[k]), vector(PS[k])) for k in range(len(OM))]
     want_om = [ref_mean([o.grad_omega(om, ps) for o in objs]) for om, ps in points]
     want_ps = [ref_mean([o.grad_psi(om, ps) for o in objs]) for om, ps in points]
     for (om, ps), g_om, g_ps in zip(points, want_om, want_ps):
         one_om, one_ps = om[None], ps[None]
-        assert pooled.values(one_om, one_ps).tolist() == [ref_mean_value(objs, om, ps)]
-        assert np.array_equal(pooled.joint_grads(np.hstack((one_om, one_ps))), [np.hstack((g_om, g_ps))])
-        assert np.array_equal(pooled.grad_omega(one_om, one_ps), [g_om])
-        assert np.array_equal(pooled.grad_psi(one_om, one_ps), [g_ps])
+        assert pooled_view.values(one_om, one_ps).tolist() == [ref_mean_value(objs, om, ps)]
+        assert np.array_equal(pooled_view.joint_grads(np.hstack((one_om, one_ps))), [np.hstack((g_om, g_ps))])
+        assert np.array_equal(pooled_view.grad_omega(one_om, one_ps), [g_om])
+        assert np.array_equal(pooled_view.grad_psi(one_om, one_ps), [g_ps])
     # leading axes: the N points as N stacked (1, d) rows of the pooled view
     K_OM, K_PS = OM[:, None, :], PS[:, None, :]
     want_values = [[ref_mean_value(objs, om, ps)] for om, ps in points]
-    assert pooled.values(K_OM, K_PS).tolist() == want_values
-    assert np.array_equal(pooled.grad_omega(K_OM, K_PS), np.array(want_om)[:, None, :])
-    got, want = phi_grads(pooled, OM, tol), phi_grads(view, OM, tol)
+    assert pooled_view.values(K_OM, K_PS).tolist() == want_values
+    assert np.array_equal(pooled_view.grad_omega(K_OM, K_PS), np.array(want_om)[:, None, :])
+    assert np.array_equal(pooled_view.grad_psi(K_OM, K_PS), np.array(want_ps)[:, None, :])
+    got, want = phi_grads(pooled_view, OM, tol), phi_grads(view, OM, tol)
     assert np.array_equal(got.psi, want.psi) and np.array_equal(got.grads, want.grads)
     assert got.errors == want.errors == (None,) * len(OM)
 
@@ -190,7 +190,13 @@ def test_cached_bars_are_client_order_sums(n, d1, d2, seed):
 
 
 def test_dann_oracles_on_unequal_shards():
-    objs, OM, PS = dann_instance()
+    objs, OM, PS = dann_instance(drop=7)
+    assert_oracles_match(objs, OM, PS, tol=1e-6)
+
+
+def test_dann_oracles_on_equal_shards():
+    objs, OM, PS = dann_instance(drop=0)
+    assert type(stacked(objs)) is _StackedDomainAdapt
     assert_oracles_match(objs, OM, PS, tol=1e-6)
 
 
@@ -235,9 +241,8 @@ class Constant(LocalObjective):
 def test_mean_value_is_a_zero_started_loop(values):
     objs = [Constant(c) for c in values]
     zero = vector([0.0])
-    got = stacked(objs).mean_value(zero, zero)
+    got = float(pooled(stacked(objs)).values(zero[None], zero[None])[0])
     want = ref_mean_value(objs, zero, zero)
-    assert type(got) is float
     assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
     if values == [1e16, 1.0, -1e16]:
         assert got == 0.0  # a compensated sum would give 1/3
