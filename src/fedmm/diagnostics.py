@@ -23,7 +23,7 @@ import numpy as np
 
 from fedmm.core import HyperParams, PrimalDualPair, ServerState, Vector, row_norms, row_sum, vector
 from fedmm.federation import to_csv
-from fedmm.objectives import LocalObjective, QuadraticSaddle, inner_max, quadratic_bars, stacked
+from fedmm.objectives import LocalObjective, QuadraticSaddle, phi_grads, quadratic_bars, stacked
 from fedmm.optim import Federation, OptimizerKind, joint_weights, run_round
 
 BASE_TOL = 1e-8
@@ -162,17 +162,24 @@ def estimate_kappa(
     omega_pairs: Sequence[tuple[Vector, Vector]],
     tol: float,
 ) -> float:
-    """Empirical Lipschitz modulus of the inner maximizer over probe pairs."""
+    """Empirical Lipschitz modulus of the inner maximizer over probe pairs.
+
+    Every pair is checked first; then one `phi_grads` call solves the inner
+    max at all 2K omegas, and the first omega whose solve failed raises its
+    ConvergenceError.
+    """
     if not omega_pairs:
         raise ValueError("estimate_kappa needs at least one probe pair")
-    view = stacked(objectives)
+    omegas = np.array([om for pair in omega_pairs for om in pair], dtype=np.float64)
+    denoms = [float(np.linalg.norm(om - om_prime)) for om, om_prime in zip(omegas[::2], omegas[1::2])]
+    if 0.0 in denoms:
+        raise ValueError("duplicate probe pair (omega == omega'): ratio undefined")
+    out = phi_grads(stacked(objectives), omegas, tol)
+    for error in out.errors:
+        if error is not None:
+            raise error
     best = 0.0
-    for om, om_prime in omega_pairs:
-        denom = float(np.linalg.norm(np.asarray(om) - np.asarray(om_prime)))
-        if denom == 0.0:
-            raise ValueError("duplicate probe pair (omega == omega'): ratio undefined")
-        psi_a = inner_max(view, om, tol)
-        psi_b = inner_max(view, om_prime, tol)
+    for psi_a, psi_b, denom in zip(out.psi[::2], out.psi[1::2], denoms):
         best = max(best, float(np.linalg.norm(psi_a - psi_b)) / denom)
     return best
 

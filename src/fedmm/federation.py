@@ -38,6 +38,7 @@ from fedmm.objectives import (
     PooledView,
     QuadraticSaddle,
     StackedObjectives,
+    _StackedQuadratic,
     load_dataset,
     load_quadratic_objectives,
     phi_grads,
@@ -225,14 +226,42 @@ def consensus(fed: Federation, pair: PrimalDualPair) -> tuple[float, float]:
     return float(omega), float(psi)
 
 
-# A metric block holds at most this many rounds and this many client-row floats
+# A metric block holds at most this many rounds, and its evaluation, B rounds
+# of P data points times d = d1 + d2 parameters, at most this many floats
 _BLOCK_ROUNDS = 64
 _BLOCK_FLOATS = 16384
 
 
-def block_rounds(n_clients: int, d: int) -> int:
-    """Rounds per metric block for N clients of d = d1 + d2 parameters: min(64, 16384 // (N d)), at least 1."""
-    return min(_BLOCK_ROUNDS, max(1, _BLOCK_FLOATS // (n_clients * d)))
+def round_points(
+    view: StackedObjectives,
+    accuracy: tuple[DomainAdaptObjective, DomainAdaptDataset] | None,
+) -> int:
+    """P, the data points one round's metrics evaluate.
+
+    Each client's shard size, 1 per quadratic client (or any other client
+    without a dataset), plus the holdout's points when the run measures
+    target accuracy. A pooled view counts the clients it averages, since its
+    global loss evaluates every one of them.
+    """
+    clients = view.clients if isinstance(view, PooledView) else view
+    if isinstance(clients, _StackedQuadratic):
+        points = clients.n
+    else:
+        points = sum(
+            len(o.dataset) if isinstance(o, DomainAdaptObjective) else 1 for o in clients.objectives
+        )
+    return points + (0 if accuracy is None else len(accuracy[1]))
+
+
+def block_rounds(points: int, d: int) -> int:
+    """Rounds B per metric block when a round's metrics evaluate P points of d = d1 + d2 parameters.
+
+    B = min(64, 16384 // (P d)), at least 1, so that B P d, about the floats
+    a flush's evaluation holds, stays within 16 384 unless one round alone
+    exceeds it. That also bounds the buffered client rows, N d a round
+    (P >= N). P is `round_points`: N on quadratic clients.
+    """
+    return min(_BLOCK_ROUNDS, max(1, _BLOCK_FLOATS // (points * d)))
 
 
 class MetricsBlock:
@@ -252,7 +281,10 @@ class MetricsBlock:
     Every value is bit for bit what the one-round calls (`consensus`, a
     one-pair pooled `values`, a one-omega `evaluate_target_accuracy` or
     `phi_value_and_grad`) give: each row's dot products, matrix products and
-    solves keep the one-round shapes, and max and argmax are exact.
+    solves keep the one-round shapes, and max and argmax are exact. A
+    flush's temporaries grow as size * P * (d1 + d2) floats, P the
+    `round_points` of the view and accuracy, so run_experiment takes size
+    from `block_rounds`.
     """
 
     def __init__(
@@ -550,8 +582,10 @@ def run_experiment(config: ExperimentConfig, problem: Problem | None = None) -> 
     problem is `prepare(config)`'s Problem, prepared here when not given;
     one prepared from another config raises ValueError.
     Each round's state goes into a MetricsBlock, which evaluates the metrics
-    of a block_rounds(N, d1 + d2) block of rounds at once (and the last,
-    shorter block after the final round), all on problem.view.
+    of a block of rounds at once (and the last, shorter block after the
+    final round), all on problem.view. The block holds
+    block_rounds(round_points(problem.view, problem.accuracy), d1 + d2)
+    rounds, fewer the more data a round's metrics evaluate.
     phi_grad_norm is computed every metrics_every-th round and on the final
     round; an inner-max failure degrades it to None instead of aborting.
     """
@@ -562,7 +596,8 @@ def run_experiment(config: ExperimentConfig, problem: Problem | None = None) -> 
     hp = config.hyper.expanded(problem.view.n)
     server = ServerState(problem.init_pair)
     fed = Federation.initial(problem.view, problem.init_pair)
-    size = min(hp.rounds, block_rounds(fed.n, sum(fed.view.dims)))
+    points = round_points(problem.view, problem.accuracy)
+    size = min(hp.rounds, block_rounds(points, sum(problem.view.dims)))
     block = MetricsBlock(fed.view, size, hp.tol, problem.accuracy)
 
     log = RunLog(config_echo=config.echo(), seed=config.seed)

@@ -499,10 +499,12 @@ class _StackedDomainAdapt(StackedObjectives):
     leading client axis. Each row's matmuls keep the shapes and memory layout
     one client's pass gives them, and the gradients pick the labeled points
     with np.where instead of by indexing, so every row is bit for bit what a
-    one-row view of its objective computes. `values` and `grad_psi` also take
-    leading axes (K points per client); `values` sums each row's terms over
-    that row's own points in contiguous memory (`_row_sums`): a sum across
-    rows, or along strided memory, would round differently.
+    one-row view of its objective computes. `values`, `grad_omega` and
+    `grad_psi` also take leading axes (K points per client); `grad_omega` is
+    the omega block of one `joint_grads` pass per leading index. `values`
+    sums each row's terms over that row's own points in contiguous memory
+    (`_row_sums`): a sum across rows, or along strided memory, would round
+    differently.
 
     The per-point constants are built once, in the shapes the pass uses, so a
     step makes few numpy calls, few of them broadcast, and none changes a bit.
@@ -584,6 +586,13 @@ class _StackedDomainAdapt(StackedObjectives):
         G = np.concatenate((gW.reshape(n, -1), gV.reshape(n, -1), g_psi.reshape(n, -1)), axis=1)
         G *= self.alpha
         require_finite(G)  # as vector() would on the per-row view
+        return G
+
+    def grad_omega(self, OM, PS):
+        # one batched joint pass per leading index, its omega block kept
+        G = np.empty(OM.shape)
+        for lead in np.ndindex(OM.shape[:-2]):
+            G[lead] = self.joint_grads(np.concatenate((OM[lead], PS[lead]), axis=-1))[:, : self._d1]
         return G
 
     def grad_psi(self, OM, PS):

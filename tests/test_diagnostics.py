@@ -3,7 +3,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fedmm.core import HyperParams, PrimalDualPair, ServerState, seeded_rng, vector, zeros
+from fedmm import diagnostics
+from fedmm.core import (
+    ConvergenceError,
+    HyperParams,
+    PrimalDualPair,
+    ServerState,
+    seeded_rng,
+    vector,
+    zeros,
+)
 from fedmm.diagnostics import (
     IdentityReport,
     StationaritySummary,
@@ -19,15 +28,18 @@ from fedmm.diagnostics import (
 )
 from fedmm.federation import RoundMetrics, RunLog
 from fedmm.objectives import (
+    DomainAdaptObjective,
     LocalObjective,
     QuadraticSaddle,
     QuadraticSaddleSpec,
+    inner_max,
+    phi_grads,
     phi_value_and_grad,
     quadratic_bars,
     stacked,
 )
 from fedmm.optim import Federation, OptimizerKind, run_round
-from fedmm.problems import synthetic_quadratic_specs
+from fedmm.problems import domain_shift_toy, synthetic_quadratic_specs
 
 
 def three_clients():
@@ -263,6 +275,48 @@ class TestEstimateKappa:
         om = vector(np.ones(objs[0].dims[0]))
         with pytest.raises(ValueError, match="duplicate"):
             estimate_kappa(objs, [(om, om)], tol=1e-12)
+
+    @staticmethod
+    def counted_phi_grads(monkeypatch) -> list[int]:
+        calls = []
+
+        def counted(view, omegas, tol, max_iters=100_000):
+            calls.append(len(omegas))
+            return phi_grads(view, omegas, tol, max_iters)
+
+        monkeypatch.setattr(diagnostics, "phi_grads", counted)
+        return calls
+
+    def test_one_phi_grads_call_gives_the_pairwise_inner_max_ratios(self, monkeypatch):
+        objs = three_clients()
+        rng = seeded_rng(43)
+        d1 = objs[0].dims[0]
+        pairs = [(vector(rng.standard_normal(d1)), vector(rng.standard_normal(d1))) for _ in range(5)]
+        view = stacked(objs)
+        want = 0.0
+        for om, om_prime in pairs:
+            diff = inner_max(view, om, 1e-12) - inner_max(view, om_prime, 1e-12)
+            want = max(want, float(np.linalg.norm(diff)) / float(np.linalg.norm(om - om_prime)))
+        calls = self.counted_phi_grads(monkeypatch)
+        assert estimate_kappa(objs, pairs, tol=1e-12) == want
+        assert calls == [10]
+
+    def test_every_pair_is_checked_before_any_solve(self, monkeypatch):
+        objs = three_clients()
+        d1 = objs[0].dims[0]
+        om = vector(np.ones(d1))
+        calls = self.counted_phi_grads(monkeypatch)
+        with pytest.raises(ValueError, match="duplicate"):
+            estimate_kappa(objs, [(om, zeros(d1)), (om, om)], tol=1e-12)
+        assert calls == []
+
+    def test_a_failed_omega_raises_its_convergence_error(self):
+        dataset, _, layout = domain_shift_toy(seeded_rng(44), n_per_domain=10, holdout_n=4)
+        objs = [DomainAdaptObjective(dataset, 0.5, layout)]
+        pairs = [(zeros(layout.d1), vector(np.full(layout.d1, 1e200)))]
+        with np.errstate(all="ignore"), pytest.raises(ConvergenceError) as exc:
+            estimate_kappa(objs, pairs, tol=1e-6)
+        assert exc.value.grad_norm == np.inf and exc.value.iterations == 0
 
 
 class TestStationaritySeries:

@@ -5,17 +5,22 @@ run_experiment evaluates its metrics once per block of rounds
 every round, the one-round consensus norms, the global loss at one pair, the
 phi oracle on sampled rounds and the target accuracy of one omega, each
 written out here with (N, d) arrays. The runs cover every block boundary
-(0, 1, B - 1, B, B + 1 and 2B + 3 rounds), three metrics_every values, all
-five optimizers, both problems, minibatch mode, and a 32-client quadratic
-whose block holds fewer than 64 rounds.
+(0, 1, B - 1, B, B + 1 and 2B + 3 rounds, B the size of the block the run
+builds), three metrics_every values, all five optimizers, both problems,
+minibatch mode, and the blocks under 64 rounds: a 32-client quadratic, a
+DANN toy with a 240-point holdout, and a 2000-point dataset file whose block
+is one round.
 """
 
+import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fedmm import federation
+from fedmm.cli import parse_config
 from fedmm.core import ConvergenceError, HyperParams, ServerState, row_norms, row_sum
 from fedmm.federation import (
     ExperimentConfig,
@@ -25,40 +30,60 @@ from fedmm.federation import (
     RoundMetrics,
     RunLog,
     block_rounds,
+    prepare,
     run_experiment,
 )
-from fedmm.objectives import DomainAdaptObjective, PooledView, phi_value_and_grad, stacked
+from fedmm.objectives import (
+    SOURCE,
+    TARGET,
+    UNLABELED,
+    DomainAdaptDataset,
+    DomainAdaptObjective,
+    PooledView,
+    phi_value_and_grad,
+    save_dataset,
+    stacked,
+)
 from fedmm.optim import Federation, OptimizerKind, run_round
 
 _DANN_HYPER = HyperParams(eta1=0.1, eta2=0.25, nu=0.5, local_steps=(2,), tol=1e-4)
 _DANN = dict(problem=ProblemKind.DOMAIN_ADAPT, toy_n_per_domain=12, toy_holdout_n=16, seed=3)
 
-# name -> (the config but its optimizer, rounds and metrics_every; N; d1 + d2)
+# name -> the config but its optimizer, rounds and metrics_every
 PROBLEMS = {
-    "quadratic": (
-        dict(problem=ProblemKind.QUADRATIC, hyper=HyperParams(eta1=0.1, eta2=0.1, local_steps=(3,))),
-        3, 7,
+    "quadratic": dict(
+        problem=ProblemKind.QUADRATIC, hyper=HyperParams(eta1=0.1, eta2=0.1, local_steps=(3,)),
     ),
-    "quadratic_32": (
-        dict(
-            problem=ProblemKind.QUADRATIC, quad_n_clients=32, quad_d1=20, quad_d2=10,
-            hyper=HyperParams(eta1=0.05, eta2=0.05, local_steps=(2,)),
-        ),
-        32, 30,
+    "quadratic_32": dict(
+        problem=ProblemKind.QUADRATIC, quad_n_clients=32, quad_d1=20, quad_d2=10,
+        hyper=HyperParams(eta1=0.05, eta2=0.05, local_steps=(2,)),
     ),
     # p = 1.0 gives two shards of 12 points: the batched DANN view
-    "dann_equal": (dict(**_DANN, hyper=_DANN_HYPER, partition=PartitionSpec(p=1.0)), 2, 5),
+    "dann_equal": dict(**_DANN, hyper=_DANN_HYPER, partition=PartitionSpec(p=1.0)),
     # shards of 12, 6 and 6 points: the per-row view
-    "dann_unequal": (
-        dict(
-            **_DANN, hyper=_DANN_HYPER,
-            partition=PartitionSpec(mode=PartitionMode.ONE_SOURCE_TWO_TARGET),
-        ),
-        3, 5,
+    "dann_unequal": dict(
+        **_DANN, hyper=_DANN_HYPER, partition=PartitionSpec(mode=PartitionMode.ONE_SOURCE_TWO_TARGET),
     ),
-    "dann_minibatch": (
-        dict(**_DANN, hyper=_DANN_HYPER, partition=PartitionSpec(p=1.0), batch_size=5), 2, 5,
+    "dann_minibatch": dict(**_DANN, hyper=_DANN_HYPER, partition=PartitionSpec(p=1.0), batch_size=5),
+    # the shipped toy's 240-point holdout
+    "dann_holdout_240": dict(
+        **{**_DANN, "toy_holdout_n": 240}, hyper=_DANN_HYPER, partition=PartitionSpec(p=1.0),
     ),
+    # `dataset_file`'s 2 x 1000 points, no holdout
+    "dataset_file": dict(
+        problem=ProblemKind.DOMAIN_ADAPT, hyper=replace(_DANN_HYPER, local_steps=(1,)),
+    ),
+}
+# the block each problem's run builds, the same for every optimizer: B = min(64, 16384 // (P d))
+# with P the clients' points (1 per quadratic client) plus the holdout's, d = d1 + d2
+BLOCK_ROUNDS = {
+    "quadratic": 64,  # P = 3, d = 7
+    "quadratic_32": 17,  # P = 32, d = 30
+    "dann_equal": 64,  # P = 24 + 16, d = 5
+    "dann_unequal": 64,  # P = 24 + 16, d = 5
+    "dann_minibatch": 64,  # the full shards': P = 24 + 16, d = 5
+    "dann_holdout_240": 12,  # P = 24 + 240, d = 5
+    "dataset_file": 1,  # P = 2000, d = 8 * 8 + 2 * 8 + 8
 }
 METRICS_EVERY = (1, 3, 7)
 CASES = [
@@ -68,6 +93,18 @@ CASES = [
     # minibatches need shards, which central GDA pools
     if not (name == "dann_minibatch" and kind is OptimizerKind.CENTRAL_GDA)
 ]
+
+
+@pytest.fixture(scope="module")
+def dataset_file(tmp_path_factory) -> str:
+    """A dataset file of 1000 source and 1000 target points, 8 features, 2 classes."""
+    rng = np.random.default_rng(11)
+    domain = np.repeat([SOURCE, TARGET], 1000)
+    y = np.where(domain == SOURCE, rng.integers(0, 2, 2000), UNLABELED)
+    X = rng.standard_normal((2000, 8)) + 0.5 * domain[:, None]
+    path = tmp_path_factory.mktemp("blocks") / "two_domains.txt"
+    save_dataset(path, DomainAdaptDataset(X, y, domain), 2)
+    return str(path)
 
 
 def _consensus(fed, pair):
@@ -125,28 +162,79 @@ def reference_csv(config: ExperimentConfig) -> str:
     return log.csv_text()
 
 
-def _config(name: str, kind: OptimizerKind, rounds: int, metrics_every: int) -> ExperimentConfig:
-    base = PROBLEMS[name][0]
+def _config(
+    name: str, kind: OptimizerKind, rounds: int, metrics_every: int, dataset_file: str
+) -> ExperimentConfig:
+    base = PROBLEMS[name]
+    if name == "dataset_file":
+        base = {**base, "problem_file": dataset_file}
     return ExperimentConfig(
         optimizer=kind, metrics_every=metrics_every,
         **{**base, "hyper": replace(base["hyper"], rounds=rounds)},
     )
 
 
-def test_block_sizes():
-    # the sizes the README states: 64 rounds at the small shapes, 17 at N = 32, d = 30
-    assert [block_rounds(n, d) for (_, n, d) in PROBLEMS.values()] == [64, 17, 64, 64, 64]
+class _Built(Exception):
+    pass
+
+
+def built_block_rounds(config: ExperimentConfig) -> int:
+    """The rounds of the metric block run_experiment builds for config, stopped before round 0.
+
+    The run gets 64 rounds, the most a block holds, so the block is never cut short.
+    """
+    sizes = []
+
+    def spy(view, size, *args):
+        sizes.append(size)
+        raise _Built
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(federation, "MetricsBlock", spy)
+        with pytest.raises(_Built):
+            run_experiment(replace(config, hyper=replace(config.hyper, rounds=64)))
+    return sizes[0]
+
+
+def test_block_sizes(dataset_file):
+    # the sizes the README states: 64 rounds at the small shapes, 17 at N = 32, d = 30, and
+    # fewer the more points a round's metrics evaluate; central GDA's pooled row evaluates
+    # the same points as the clients
+    for kind in (OptimizerKind.FEDMM, OptimizerKind.CENTRAL_GDA):
+        names = [name for name, k in CASES if k is kind]
+        got = {name: built_block_rounds(_config(name, kind, 64, 1, dataset_file)) for name in names}
+        assert got == {name: BLOCK_ROUNDS[name] for name in names}, kind
+    # the shipped label-shift toy: (60 + 60 + 240) points x d = 5, 1800 floats a round
+    toy = parse_config(Path(__file__).parent.parent / "configs" / "label_shift_fedmm.cfg")
+    assert built_block_rounds(toy) == 9
     assert block_rounds(1, 10**6) == 1
 
 
 @pytest.mark.parametrize("name, kind", CASES, ids=[f"{n}-{k.value}" for n, k in CASES])
-def test_block_csv_equals_per_round_reference(name, kind):
-    _, n, d = PROBLEMS[name]
-    if kind is OptimizerKind.CENTRAL_GDA:
-        n = 1
-    b = block_rounds(n, d)
-    for rounds in (0, 1, b - 1, b, b + 1, 2 * b + 3):
+def test_block_csv_equals_per_round_reference(name, kind, dataset_file):
+    b = built_block_rounds(_config(name, kind, 64, 1, dataset_file))
+    assert b == BLOCK_ROUNDS[name]
+    for rounds in sorted({0, 1, b - 1, b, b + 1, 2 * b + 3}):
         for every in METRICS_EVERY:
-            config = _config(name, kind, rounds, every)
+            config = _config(name, kind, rounds, every, dataset_file)
             got = run_experiment(config).csv_text()
             assert got == reference_csv(config), f"rounds={rounds} metrics_every={every} (B={b})"
+
+
+def test_a_big_dataset_file_flushes_in_bounded_memory(dataset_file):
+    """64 rounds on 2 x 1000 points: each flush evaluates one round, not a 64-round block.
+
+    With 64-round blocks the flush's global loss held (64, 2, 1000, 8) features
+    and the run peaked at about 13 MB under tracemalloc; with one-round
+    blocks it peaks at about 0.9 MB.
+    """
+    config = _config("dataset_file", OptimizerKind.FEDMM, 64, 64, dataset_file)
+    problem = prepare(config)
+    tracemalloc.start()
+    try:
+        log = run_experiment(config, problem)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(log.rounds) == 64
+    assert peak < 3_000_000, f"peak {peak / 1e6:.2f} MB"

@@ -150,6 +150,28 @@ def test_nonfinite_gradient_raises_the_same_error_on_both_paths(block, scale):
     assert "non-finite" in str(want.value)
 
 
+def test_batched_grad_omega_is_one_joint_pass_per_point(monkeypatch):
+    """K = 3 points per client, the shape of the pooled view's Danskin gradients at 3 omegas."""
+    objs, _, _ = instance(2, 2, 2, 3, 20, ["mixed", "labeled"], seed=4)
+    rng = np.random.default_rng(5)
+    d1, d2 = objs[0].dims
+    OM, PS = rng.standard_normal((3, 2, d1)), rng.standard_normal((3, 2, d2))
+    want = StackedObjectives(objs).grad_omega(OM, PS)
+    passes = []
+    joint_grads = _StackedDomainAdapt.joint_grads
+
+    def counted(self, points):
+        passes.append(points.shape)
+        return joint_grads(self, points)
+
+    monkeypatch.setattr(_StackedDomainAdapt, "joint_grads", counted)
+    got = stacked(objs).grad_omega(OM, PS)
+    assert np.array_equal(got, want)
+    assert passes == [(2, d1 + d2)] * 3
+    # the (N, d) points of a local step: one pass
+    assert np.array_equal(stacked(objs).grad_omega(OM[0], PS[0]), want[0])
+    assert len(passes) == 4
+
 
 @pytest.mark.parametrize("view_type", [StackedObjectives, stacked], ids=["per_row", "batched"])
 def test_nonfinite_ascent_gradient_is_a_failed_inner_solve(view_type):
