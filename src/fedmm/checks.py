@@ -31,10 +31,10 @@ from fedmm.objectives import (
     PooledView,
     QuadraticSaddle,
     QuadraticSaddleSpec,
-    StackedObjectives,
     _ascent,
+    _SizeGroups,
     _StackedDomainAdapt,
-    inner_max,
+    inner_maximizers,
     phi_value_and_grad,
     pooled,
     quadratic_bars,
@@ -83,7 +83,7 @@ def check_inner_max_paths_agree() -> str:
     rng = seeded_rng(14)
     om = vector(rng.standard_normal(objs[0].dims[0]))
     view = stacked(objs)
-    closed = inner_max(view, om, tol=1e-12)
+    closed = inner_maximizers(view, om[None], tol=1e-12)[0][0]
     step = 1.0 / float(np.linalg.norm(quadratic_bars(view).C, 2))  # 1 / ||Cbar||
     ascent = _ascent(pooled(view), om[None], step, tol=1e-10, max_iters=100_000)[0]
     gap = float(np.linalg.norm(closed - ascent))
@@ -97,7 +97,7 @@ def check_danskin_stationarity() -> str:
     view = stacked(objs)
     rng = seeded_rng(15)
     om = vector(rng.standard_normal(objs[0].dims[0]))
-    psi_star = inner_max(view, om, tol=1e-12)
+    psi_star = inner_maximizers(view, om[None], tol=1e-12)[0][0]
     g = pooled(view).grad_psi(om[None], psi_star[None])[0]
     worst = 0.0
     for _ in range(10):
@@ -196,7 +196,7 @@ def _dann_cases() -> list:
     p = 0.5 both shards mix labeled and unlabeled points.
     """
     return [
-        (_dann_split(), StackedObjectives),
+        (_dann_split(), _SizeGroups),
         (_dann_split(1.0, drop=0), _StackedDomainAdapt),
         (_dann_split(0.5, drop=0), _StackedDomainAdapt),
     ]

@@ -47,10 +47,23 @@ def vector(data: Sequence[float] | np.ndarray) -> Vector:
     return v
 
 
+class RejectedRows(ValueError):
+    """require_finite's error; row is the first row (client) that holds a NaN or an infinity."""
+
+    def __init__(self, row: int):
+        super().__init__("parameter vector contains non-finite entries")
+        self.row = row
+
+
 def require_finite(a: np.ndarray) -> None:
-    """Raise vector()'s ValueError if `a` holds a NaN or an infinity."""
+    """Raise vector()'s ValueError, a RejectedRows, if `a` holds a NaN or an infinity.
+
+    Its row is the lowest failing row of an (..., N, d) stack, or 0 for a
+    vector, searched for only once the one passing reduction has failed.
+    """
     if not np.logical_and.reduce(np.isfinite(a), axis=None):
-        raise ValueError("parameter vector contains non-finite entries")
+        rows = np.isfinite(a).reshape((-1,) + np.atleast_2d(a).shape[-2:]).all(axis=(0, 2))
+        raise RejectedRows(int(np.argmin(rows)))
 
 
 def zeros(n: int) -> Vector:

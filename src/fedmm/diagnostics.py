@@ -23,7 +23,7 @@ import numpy as np
 
 from fedmm.core import HyperParams, PrimalDualPair, ServerState, Vector, row_norms, row_sum, vector
 from fedmm.federation import to_csv
-from fedmm.objectives import LocalObjective, QuadraticSaddle, phi_grads, quadratic_bars, stacked
+from fedmm.objectives import DomainAdaptObjective, QuadraticSaddle, inner_maximizers, quadratic_bars, stacked
 from fedmm.optim import Federation, OptimizerKind, joint_weights, run_round
 
 BASE_TOL = 1e-8
@@ -111,7 +111,7 @@ def check_identities(
 
 
 def run_identity_suite(
-    objectives: Sequence[LocalObjective],
+    objectives: Sequence[QuadraticSaddle | DomainAdaptObjective],
     hp: HyperParams,
     rounds: int,
     local_tol: float = 1e-10,
@@ -158,15 +158,15 @@ def finite_diff_grad(f: Callable[[Vector], float], x: Vector, h: float) -> Vecto
 
 
 def estimate_kappa(
-    objectives: Sequence[LocalObjective],
+    objectives: Sequence[QuadraticSaddle | DomainAdaptObjective],
     omega_pairs: Sequence[tuple[Vector, Vector]],
     tol: float,
 ) -> float:
     """Empirical Lipschitz modulus of the inner maximizer over probe pairs.
 
-    Every pair is checked first; then one `phi_grads` call solves the inner
-    max at all 2K omegas, and the first omega whose solve failed raises its
-    ConvergenceError.
+    Every pair is checked first; then one `inner_maximizers` call solves the
+    inner max at all 2K omegas, and the first omega whose solve failed raises
+    its ConvergenceError.
     """
     if not omega_pairs:
         raise ValueError("estimate_kappa needs at least one probe pair")
@@ -174,12 +174,12 @@ def estimate_kappa(
     denoms = [float(np.linalg.norm(om - om_prime)) for om, om_prime in zip(omegas[::2], omegas[1::2])]
     if 0.0 in denoms:
         raise ValueError("duplicate probe pair (omega == omega'): ratio undefined")
-    out = phi_grads(stacked(objectives), omegas, tol)
-    for error in out.errors:
+    psi, errors = inner_maximizers(stacked(objectives), omegas, tol)
+    for error in errors:
         if error is not None:
             raise error
     best = 0.0
-    for psi_a, psi_b, denom in zip(out.psi[::2], out.psi[1::2], denoms):
+    for psi_a, psi_b, denom in zip(psi[::2], psi[1::2], denoms):
         best = max(best, float(np.linalg.norm(psi_a - psi_b)) / denom)
     return best
 

@@ -39,6 +39,7 @@ from fedmm.objectives import (
     QuadraticSaddle,
     StackedObjectives,
     _StackedQuadratic,
+    _unpooled,
     load_dataset,
     load_quadratic_objectives,
     phi_grads,
@@ -238,18 +239,14 @@ def round_points(
 ) -> int:
     """P, the data points one round's metrics evaluate.
 
-    Each client's shard size, 1 per quadratic client (or any other client
-    without a dataset), plus the holdout's points when the run measures
-    target accuracy. A pooled view counts the clients it averages, since its
-    global loss evaluates every one of them.
+    Each DANN client's shard size, or 1 per quadratic client, plus the
+    holdout's points when the run measures target accuracy. A pooled view
+    counts the clients it averages, since its global loss evaluates every one
+    of them.
     """
-    clients = view.clients if isinstance(view, PooledView) else view
-    if isinstance(clients, _StackedQuadratic):
-        points = clients.n
-    else:
-        points = sum(
-            len(o.dataset) if isinstance(o, DomainAdaptObjective) else 1 for o in clients.objectives
-        )
+    clients = _unpooled(view)
+    quadratic = isinstance(clients, _StackedQuadratic)
+    points = clients.n if quadratic else sum(len(o.dataset) for o in clients.objectives)
     return points + (0 if accuracy is None else len(accuracy[1]))
 
 

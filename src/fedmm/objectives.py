@@ -1,29 +1,25 @@
 """Local minimax objectives: quadratic saddles and the domain-adaptation toy.
 
-Both families expose value / grad_omega / grad_psi on flat parameter vectors,
-plus grads(omega, psi) -> (grad_omega, grad_psi), which evaluates both
-blocks at one point. `stacked(objectives)` evaluates N clients at N points
-in one call, as the optimizers' client-stacked local solve needs: its
-joint_grads takes (N, d1 + d2) joint rows [omega | psi] and returns the
-gradients as joint rows [grad_omega | grad_psi] in one buffer, every row
-evaluated (the optimizers mask rows in their step, not here). `pooled(view)`
-is the clients' uniform average, the global objective f, as the one-row
-`PooledView`: the only code that averages clients, in client order by one
-`row_sum` call. Central GDA trains on it, and the global loss, the inner max
-and the phi oracle evaluate it.
+A client is a QuadraticSaddle or a DomainAdaptObjective, and runs evaluate
+clients only through views. `stacked(objectives)` evaluates N clients at N
+points in one call: its joint_grads takes (N, d1 + d2) joint rows [omega |
+psi] and returns the gradients as joint rows [grad_omega | grad_psi] in one
+buffer, every row evaluated (the optimizers mask rows in their step).
+Quadratic clients get batched matmuls, DANN clients one batched pass per
+(layout, nu, shard size) group. `pooled(view)` is the clients' uniform
+average, the global objective f, as the one-row `PooledView`: the only code
+that averages clients, in client order by one `row_sum` call.
 
-The phi oracle is `phi_grads`, the only inner maximizer: the max function's
-inner maximizers and gradients at a stack of K omegas, as a run's metric
-block needs them. On quadratic clients the closed-form inner max of all K
-omegas runs as stacked calls; on domain-adaptation clients a gradient ascent
-on the pooled row runs omega by omega. It never computes the max function's
-value: `phi_value_and_grad`, its one-omega call, adds that for the checks
-and the tests, and `inner_max` is its one-omega maximizer.
+`inner_maximizers` is the only inner maximizer: the max function's inner
+maximizers at a stack of K omegas. On quadratic clients the closed form of
+all K omegas runs as stacked calls; on domain-adaptation clients a gradient
+ascent on the pooled row runs omega by omega. `phi_grads` adds the Danskin
+gradients that a run's metric block needs; it never computes the max
+function's value. `phi_value_and_grad`, its one-omega call, adds that for
+the checks and the tests.
 
-Each family's math is written once, in its stacked view. A QuadraticSaddle
-or DomainAdaptObjective evaluates itself through a one-row view of itself,
-so one client alone, the per-row fallback and the batched view all run the
-same code.
+Each family's math is written once, in its stacked view. An objective's own
+value / grad_omega / grad_psi are one-row calls of that view.
 
 The quadratic family is the closed-form-verifiable workhorse:
 
@@ -43,40 +39,17 @@ from __future__ import annotations
 
 import functools
 import math
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from fedmm.core import ConvergenceError, Vector, require_finite, row_dot, row_sum, vector
+from fedmm.core import ConvergenceError, RejectedRows, Vector, require_finite, row_dot, row_sum, vector
 
 SOURCE = 0
 TARGET = 1
 UNLABELED = -1
-
-
-class LocalObjective(ABC):
-    """Deterministic full-batch objective f_i(omega, psi) with analytic gradients."""
-
-    @property
-    @abstractmethod
-    def dims(self) -> tuple[int, int]:
-        """(d1, d2) = (len(omega), len(psi))."""
-
-    @abstractmethod
-    def value(self, omega: Vector, psi: Vector) -> float: ...
-
-    @abstractmethod
-    def grad_omega(self, omega: Vector, psi: Vector) -> Vector: ...
-
-    @abstractmethod
-    def grad_psi(self, omega: Vector, psi: Vector) -> Vector: ...
-
-    def grads(self, omega: Vector, psi: Vector) -> tuple[Vector, Vector]:
-        """(grad_omega, grad_psi) at one point; override to share work between blocks."""
-        return self.grad_omega(omega, psi), self.grad_psi(omega, psi)
 
 
 # --------------------------- quadratic family --------------------------- #
@@ -154,7 +127,7 @@ def _quadratic_fault(rows: np.ndarray, d1: int, d2: int) -> tuple[int, str] | No
     return i, f"C is not positive definite: smallest eigenvalue {lam_min[i]:.6e}"
 
 
-class QuadraticSaddle(LocalObjective):
+class QuadraticSaddle:
     def __init__(self, spec: QuadraticSaddleSpec):
         blocks = [np.asarray(x, dtype=np.float64) for x in (spec.A, spec.B, spec.C)]
         blocks += [np.asarray(x, dtype=np.float64).reshape(-1) for x in (spec.a, spec.c)]
@@ -278,7 +251,7 @@ def _sigmoid(t: np.ndarray) -> np.ndarray:
     return np.exp(-_softplus(-t))
 
 
-class DomainAdaptObjective(LocalObjective):
+class DomainAdaptObjective:
     """DANN-style adversarial objective on one client's shard, full-batch."""
 
     def __init__(
@@ -322,13 +295,9 @@ class DomainAdaptObjective(LocalObjective):
     def value(self, omega: Vector, psi: Vector) -> float:
         return float(self._view.values(_row(omega), _row(psi))[0])
 
-    def grads(self, omega: Vector, psi: Vector) -> tuple[Vector, Vector]:
-        # both blocks from one forward/backward pass
-        G = self._view.joint_grads(np.hstack((_row(omega), _row(psi))))[0]
-        return vector(G[: self.layout.d1]), vector(G[self.layout.d1 :])
-
     def grad_omega(self, omega: Vector, psi: Vector) -> Vector:
-        return self.grads(omega, psi)[0]
+        # the omega block of one joint forward/backward pass
+        return vector(self._view.joint_grads(np.hstack((_row(omega), _row(psi))))[0, : self.layout.d1])
 
     def grad_psi(self, omega: Vector, psi: Vector) -> Vector:
         return vector(self._view.grad_psi(_row(omega), _row(psi))[0])
@@ -358,7 +327,7 @@ def _row(block) -> np.ndarray:
     return np.asarray(block, dtype=np.float64).reshape(1, -1)
 
 
-def _common_dims(objectives: Sequence[LocalObjective]) -> tuple[int, int]:
+def _common_dims(objectives: Sequence) -> tuple[int, int]:
     if not objectives:
         raise ValueError("a stacked view needs at least one objective")
     dims = objectives[0].dims
@@ -380,48 +349,17 @@ def _row_sums(a: np.ndarray) -> np.ndarray:
 
 
 class StackedObjectives:
-    """N objectives evaluated at N points at once: row i of every array is objective i.
+    """The base of every view: N clients at N points at once, row i of every array client i.
 
-    This general view calls each objective's own value / grads / grad_psi and
-    writes the results into fresh arrays, so any LocalObjective works (a
-    built-in objective answers through a one-row view of itself);
-    all-quadratic client lists get a batched-matmul view instead (see
-    `stacked`). `values`, `grad_omega` and `grad_psi` also take leading axes:
-    K points evaluated in one call, each exactly as a call of its own would
-    evaluate it. The client average is `PooledView`'s.
+    A view has dims (d1, d2), its row count n, values(OM, PS) -> (N,), and
+    joint_grads(Z) -> the (N, d1 + d2) rows [G_OM | G_PS] at Z = [OM | PS],
+    whose blocks are grad_omega and grad_psi. All but joint_grads also take
+    leading axes, (..., N, d) points in one call. A non-finite gradient
+    raises RejectedRows, naming the first rejected row.
     """
 
-    def __init__(self, objectives: Sequence[LocalObjective]):
-        self.dims = _common_dims(objectives)
-        self.n = len(objectives)
-        self.objectives = tuple(objectives)
-
-    def _each(self, method: str, out: np.ndarray, OM: np.ndarray, PS: np.ndarray) -> np.ndarray:
-        # every row's objective called on its own row, at each leading index
-        for lead in np.ndindex(OM.shape[:-2]):
-            for r, o in enumerate(self.objectives):
-                out[lead + (r,)] = getattr(o, method)(OM[lead + (r,)], PS[lead + (r,)])
-        return out
-
-    def values(self, OM: np.ndarray, PS: np.ndarray) -> np.ndarray:
-        """Row r's objective value at (OM[..., r, :], PS[..., r, :]): (N,), or (..., N) with leading axes."""
-        return self._each("value", np.empty(OM.shape[:-1]), OM, PS)
-
-    def joint_grads(self, Z: np.ndarray) -> np.ndarray:
-        """[G_OM | G_PS] at the (N, d1 + d2) joint points [OM | PS], in one (N, d1 + d2) array."""
-        d1 = self.dims[0]
-        G = np.empty(Z.shape)
-        for r, obj in enumerate(self.objectives):
-            G[r, :d1], G[r, d1:] = obj.grads(Z[r, :d1], Z[r, d1:])
-        return G
-
-    def grad_omega(self, OM: np.ndarray, PS: np.ndarray) -> np.ndarray:
-        """The omega block of `joint_grads` alone: (N, d1), or (..., N, d1) with leading axes."""
-        return self._each("grad_omega", np.empty(OM.shape), OM, PS)
-
-    def grad_psi(self, OM: np.ndarray, PS: np.ndarray) -> np.ndarray:
-        """The psi block of `joint_grads` alone: (N, d2), or (..., N, d2) with leading axes."""
-        return self._each("grad_psi", np.empty(PS.shape), OM, PS)
+    dims: tuple[int, int]
+    n: int
 
 
 class QuadraticBars(NamedTuple):
@@ -515,7 +453,7 @@ class _StackedDomainAdapt(StackedObjectives):
     """
 
     def __init__(self, objectives: Sequence[DomainAdaptObjective]):
-        super().__init__(objectives)
+        self.dims, self.n, self.objectives = _common_dims(objectives), len(objectives), tuple(objectives)
         first = objectives[0]
         L = self.layout = first.layout
         self.nu = first.nu
@@ -585,7 +523,7 @@ class _StackedDomainAdapt(StackedObjectives):
         # [gW | gV | g_psi] in one buffer, the omega block laid out as unpack_omega reads it
         G = np.concatenate((gW.reshape(n, -1), gV.reshape(n, -1), g_psi.reshape(n, -1)), axis=1)
         G *= self.alpha
-        require_finite(G)  # as vector() would on the per-row view
+        require_finite(G)
         return G
 
     def grad_omega(self, OM, PS):
@@ -602,27 +540,67 @@ class _StackedDomainAdapt(StackedObjectives):
         return G_PS
 
 
-def _equal_dann_shards(objs: Sequence[LocalObjective]) -> bool:
-    return all(type(o) is DomainAdaptObjective for o in objs) and len(
-        {(o.layout, o.nu, len(o.dataset)) for o in objs}
-    ) == 1
+class _SizeGroups(StackedObjectives):
+    """DANN clients whose (layout, nu, shard size) differ: one _StackedDomainAdapt per key.
+
+    groups holds them in order of first appearance, and rows their client
+    indices. Every method evaluates each group on its rows of the input,
+    leading axes included, into the same rows of the output: no row's
+    arithmetic reads another row, so each keeps its bits. A rejected gradient
+    raises once every group has run, naming the lowest rejected client.
+    """
+
+    def __init__(self, objectives: Sequence[DomainAdaptObjective]):
+        self.dims, self.n, self.objectives = _common_dims(objectives), len(objectives), tuple(objectives)
+        keys = [(o.layout, o.nu, len(o.dataset)) for o in objectives]
+        self.rows = [[r for r, k in enumerate(keys) if k == key] for key in dict.fromkeys(keys)]
+        self.groups = [_StackedDomainAdapt([objectives[r] for r in rows]) for rows in self.rows]
+
+    def _scatter(self, method: str, out: np.ndarray, *points: np.ndarray) -> np.ndarray:
+        lead, rejected = (slice(None),) * (points[0].ndim - 2), []
+        for rows, group in zip(self.rows, self.groups):
+            at = lead + (rows,)
+            try:
+                out[at] = getattr(group, method)(*(X[at] for X in points))
+            except RejectedRows as e:
+                rejected.append(rows[e.row])
+        if rejected:
+            raise RejectedRows(min(rejected))
+        return out
+
+    def values(self, OM, PS):
+        return self._scatter("values", np.empty(OM.shape[:-1]), OM, PS)
+
+    def joint_grads(self, Z):
+        return self._scatter("joint_grads", np.empty(Z.shape), Z)
+
+    def grad_omega(self, OM, PS):
+        return self._scatter("grad_omega", np.empty(OM.shape), OM, PS)
+
+    def grad_psi(self, OM, PS):
+        return self._scatter("grad_psi", np.empty(PS.shape), OM, PS)
 
 
-def stacked(objectives: Sequence[LocalObjective]) -> StackedObjectives:
+def stacked(objectives: Sequence[QuadraticSaddle | DomainAdaptObjective]) -> StackedObjectives:
     """A new stacked view of these objectives; nothing is cached.
 
-    Plain QuadraticSaddle lists get batched matmuls. Plain
-    DomainAdaptObjective lists with one layout, one nu and one shard size get
-    batched values and gradients. Any other list (unequal shards,
-    subclasses) takes the per-row view, which calls each objective. A
-    caller that evaluates the same objectives again keeps the view it got.
+    QuadraticSaddle lists get batched matmuls, DomainAdaptObjective lists one
+    batched pass per (layout, nu, shard size) group, in a `_SizeGroups` view
+    when there are several. Subclasses and mixed lists are a ValueError
+    naming the type. A caller that evaluates the same objectives again keeps
+    the view it got.
     """
     objs = tuple(objectives)
-    if objs and _equal_dann_shards(objs):
-        return _StackedDomainAdapt(objs)
-    if objs and all(type(o) is QuadraticSaddle for o in objs):
+    for i, o in enumerate(objs):
+        if type(o) not in (QuadraticSaddle, DomainAdaptObjective) or type(o) is not type(objs[0]):
+            raise ValueError(
+                f"objective {i} is a {type(o).__name__}: a stacked view takes plain "
+                "QuadraticSaddle objectives or plain DomainAdaptObjective objectives"
+            )
+    if objs and type(objs[0]) is QuadraticSaddle:
         return _StackedQuadratic(objs)
-    return StackedObjectives(objs)
+    view = _SizeGroups(objs)
+    return view.groups[0] if len(view.groups) == 1 else view
 
 
 def _unpooled(view: StackedObjectives) -> StackedObjectives:
@@ -630,26 +608,12 @@ def _unpooled(view: StackedObjectives) -> StackedObjectives:
     return view.clients if isinstance(view, PooledView) else view
 
 
-def _all_quadratic(view: StackedObjectives) -> bool:
-    # subclasses sit on the per-row view but keep the quadratic closed forms
-    view = _unpooled(view)
-    return isinstance(view, _StackedQuadratic) or all(
-        isinstance(o, QuadraticSaddle) for o in view.objectives
-    )
-
-
 def quadratic_bars(view: StackedObjectives) -> QuadraticBars:
-    """(Abar, Bbar, Cbar, abar, cbar) of a view's quadratic clients, averaged in client order.
-
-    The batched quadratic view computes them once and keeps them; the
-    per-row view of QuadraticSaddle subclasses averages on each call.
-    """
+    """(Abar, Bbar, Cbar, abar, cbar) of a view's quadratic clients, averaged in client order, computed once per view."""
     view = _unpooled(view)
-    if isinstance(view, _StackedQuadratic):
-        return view.bars
-    if not _all_quadratic(view):
+    if not isinstance(view, _StackedQuadratic):
         raise ValueError("quadratic_bars needs QuadraticSaddle objectives")
-    return _bars(*([getattr(o, k) for o in view.objectives] for k in QuadraticBars._fields))
+    return view.bars
 
 
 class PooledView(StackedObjectives):
@@ -739,6 +703,39 @@ class PhiGrads(NamedTuple):
     errors: tuple[ConvergenceError | None, ...]
 
 
+def inner_maximizers(
+    view: StackedObjectives, omegas: np.ndarray, tol: float, max_iters: int = 100_000
+) -> tuple[np.ndarray, tuple[ConvergenceError | None, ...]]:
+    """(psi, errors): the maximizers over psi of f = `pooled(view)` at the (K, d1) omegas, (K, d2).
+
+    Quadratic clients get the closed form psibar = Cbar^-1 (Bbar' omega +
+    cbar) of all K omegas at once; DANN clients get `_ascent` with a
+    curvature-derived step, omega by omega. errors[k] is None, or the
+    ConvergenceError of omega k's failed ascent, whose psi row is NaN. Other
+    views have no known curvature bound and are rejected.
+    """
+    clients = _unpooled(view)
+    if isinstance(clients, _StackedQuadratic):
+        psi = _closed_form_psi(clients.bars, omegas)
+        require_finite(psi)  # as vector() would at one omega
+        return psi, (None,) * len(omegas)
+    if not isinstance(clients, (_StackedDomainAdapt, _SizeGroups)):
+        raise ValueError(
+            f"inner_maximizers has no ascent curvature bound for a {type(clients).__name__} "
+            "view (only QuadraticSaddle or DomainAdaptObjective clients)"
+        )
+    pool, objs = pooled(view), clients.objectives
+    psi, errors = np.full((len(omegas), view.dims[1]), np.nan), []
+    for k, omega in enumerate(omegas):
+        step = 1.0 / max(max(o.ascent_curvature_bound(omega) for o in objs), 1e-12)
+        try:
+            psi[k] = _ascent(pool, omegas[k : k + 1], step, tol, max_iters)[0]
+            errors.append(None)
+        except ConvergenceError as e:
+            errors.append(e)
+    return psi, tuple(errors)
+
+
 def phi_grads(
     view: StackedObjectives,
     omegas: np.ndarray,
@@ -747,46 +744,14 @@ def phi_grads(
 ) -> PhiGrads:
     """Inner maximizers and gradients of Phi(omega) = max_psi f(omega, psi) at the (K, d1) omegas.
 
-    f is `pooled(view)`. Quadratic clients get the closed form psibar =
-    Cbar^-1 (Bbar' omega + cbar) of all K omegas at once; domain-adaptation
-    clients get `_ascent` with a curvature-derived step, omega by omega, and
-    a failed ascent fails only its own omega. Other objective types have no
-    known curvature bound and are rejected. The Danskin gradients are one
-    pooled `grad_omega` call. Phi's value is not computed.
+    `inner_maximizers`, then the Danskin gradients of the omegas it solved as
+    one pooled `grad_omega` call. Phi's value is not computed.
     """
-    pool = pooled(view)
-    if _all_quadratic(view):
-        psi = _closed_form_psi(quadratic_bars(view), omegas)
-        require_finite(psi)  # as vector() would at one omega
-        errors = [None] * len(omegas)
-    else:
-        objs = _unpooled(view).objectives
-        for o in objs:
-            if not isinstance(o, DomainAdaptObjective):
-                raise ValueError(
-                    f"inner_max has no ascent curvature bound for {type(o).__name__} "
-                    "objectives (only QuadraticSaddle or DomainAdaptObjective lists)"
-                )
-        psi, errors = np.full((len(omegas), view.dims[1]), np.nan), []
-        for k, omega in enumerate(omegas):
-            step = 1.0 / max(max(o.ascent_curvature_bound(omega) for o in objs), 1e-12)
-            try:
-                psi[k] = _ascent(pool, omegas[k : k + 1], step, tol, max_iters)[0]
-                errors.append(None)
-            except ConvergenceError as e:
-                errors.append(e)
+    psi, errors = inner_maximizers(view, omegas, tol, max_iters)
     ok = [e is None for e in errors]
     grads = np.full(omegas.shape, np.nan)
-    grads[ok] = pool.grad_omega(omegas[ok][:, None], psi[ok][:, None])[:, 0]
-    return PhiGrads(psi, grads, tuple(errors))
-
-
-def inner_max(view: StackedObjectives, omega: Vector, tol: float, max_iters: int = 100_000) -> Vector:
-    """The maximizer over psi of the view's client average at one omega: the one-omega call of `phi_grads`."""
-    out = phi_grads(view, _row(omega), tol, max_iters)
-    if out.errors[0] is not None:
-        raise out.errors[0]
-    return vector(out.psi[0])
+    grads[ok] = pooled(view).grad_omega(omegas[ok][:, None], psi[ok][:, None])[:, 0]
+    return PhiGrads(psi, grads, errors)
 
 
 def phi_value_and_grad(

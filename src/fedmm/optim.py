@@ -27,9 +27,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from fedmm.core import ConvergenceError, DivergenceError, HyperParams, PrimalDualPair
+from fedmm.core import ConvergenceError, DivergenceError, HyperParams, PrimalDualPair, RejectedRows
 from fedmm.core import row_dot, row_sum
-from fedmm.objectives import LocalObjective, StackedObjectives, stacked
+from fedmm.objectives import StackedObjectives, stacked
 
 
 class OptimizerKind(Enum):
@@ -93,9 +93,9 @@ class Federation:
 
     @classmethod
     def initial(
-        cls, objectives: Sequence[LocalObjective] | StackedObjectives, pair: PrimalDualPair
+        cls, objectives: Sequence | StackedObjectives, pair: PrimalDualPair
     ) -> "Federation":
-        """Round 0: every row at `pair`, every dual zero; the objectives, or a view already built."""
+        """Round 0: every row at `pair`, every dual zero; the objectives `stacked` takes, or a view already built."""
         view = objectives if isinstance(objectives, StackedObjectives) else stacked(objectives)
         if view.dims != pair.dims:
             raise ValueError(f"objective dims {view.dims} differ from the pair's {pair.dims}")
@@ -148,20 +148,6 @@ def _first_unbounded(Z: np.ndarray, where: str, step: int) -> DivergenceError:
     return DivergenceError(where.format(np.flatnonzero(~_bounded(Z, -1))[0]), step)
 
 
-def _first_nonfinite_grad(view: StackedObjectives, Z: np.ndarray) -> int:
-    """The first row whose gradient the view rejects, each row's objective evaluated alone.
-
-    Views without objectives reject nothing (batched quadratics) or have one row (pooled): 0.
-    """
-    d1 = view.dims[0]
-    for r, obj in enumerate(getattr(view, "objectives", ())):
-        try:
-            obj.grads(Z[r, :d1], Z[r, d1:])
-        except ValueError:
-            return r
-    return 0
-
-
 def _local_grads(view: StackedObjectives, Z, W, D, Z0) -> np.ndarray:
     """Joint local-step gradients: f's plus the penalty, when the rule has one.
 
@@ -201,8 +187,8 @@ def local_solve(
     Every step's iterate is checked against the divergence rule, so a plain
     upload (the iterate) needs no check of its own; FedMM's dual-shifted
     upload is checked once, where it is formed. A non-finite gradient at a
-    finite iterate (the view's ValueError) is a divergence at that step too,
-    named after the first client whose gradient row is rejected.
+    finite iterate (the view's RejectedRows) is a divergence at that step too,
+    named after the first client whose gradient row the view rejected.
     """
     rule, view = _RULES[kind], fed.view
     n = view.n
@@ -233,8 +219,8 @@ def local_solve(
     for m in range(passes):
         try:
             G = _local_grads(view, Z, W, D, Z0)
-        except ValueError:  # the view's finiteness check
-            raise DivergenceError(f"{where.format(_first_nonfinite_grad(view, Z))} gradient", m) from None
+        except RejectedRows as e:  # the view's finiteness check
+            raise DivergenceError(f"{where.format(e.row)} gradient", m) from None
         if tol > 0:
             # the larger block norm; sqrt is correctly rounded and monotone, so
             # sqrt(max) is the max of the two norms bit for bit, NaN included

@@ -6,7 +6,8 @@ These are the formulas written out for one client at one point in plain
 numpy: boolean-mask indexing of the labeled points, a two-pass softmax with
 the row max subtracted, and 1-D matrix-vector products. Each returns what
 the objective's method returns, bit for bit. The quadratic's curvature and
-Lipschitz bounds, which only the tests use, are here as well.
+Lipschitz bounds and the client-order mean, which only the tests use, are
+here as well.
 """
 
 import numpy as np
@@ -69,6 +70,14 @@ def dann_grad_psi(obj, om, ps):
     """The psi block alone: the features and dt, no predictor pass."""
     _, Z, _, t = _dann_forward(obj, om, ps)
     return obj.alpha * (Z.T @ _dann_dt(obj, t))
+
+
+def ref_mean(rows):
+    """Client average, adding one client after the other from a copy of the first."""
+    total = np.array(rows[0])
+    for row in rows[1:]:
+        total += row
+    return total / len(rows)
 
 
 def quad_value(obj, om, ps):

@@ -56,7 +56,7 @@ _FINITE_ITERATE = [
         ["hyper.nu=1e308", "hyper.rounds=5"],
         "round 0: fedmm local round (client 0) gradient at step 0",
     ),
-    # so does the per-row view of the unequal one-source-two-target shards
+    # so does the size-grouped view of the unequal one-source-two-target shards
     (
         "label_shift_fedmm.cfg",
         ["hyper.nu=1e308", "hyper.rounds=5", "partition.mode=one_source_two_target"],

@@ -29,11 +29,11 @@ from fedmm.diagnostics import (
 from fedmm.federation import RoundMetrics, RunLog
 from fedmm.objectives import (
     DomainAdaptObjective,
-    LocalObjective,
+    PooledView,
     QuadraticSaddle,
     QuadraticSaddleSpec,
-    inner_max,
-    phi_grads,
+    StackedObjectives,
+    inner_maximizers,
     phi_value_and_grad,
     quadratic_bars,
     stacked,
@@ -103,27 +103,20 @@ class TestFiniteDiffGrad:
             assert rel <= 1e-5
 
 
-class ZeroObjective(LocalObjective):
-    """Identically-zero objective: every state is stationary."""
+class ZeroObjective(StackedObjectives):
+    """Test view of two identically-zero clients: every state is stationary."""
 
-    dims = (2, 2)
+    dims, n = (2, 2), 2
 
-    def value(self, omega, psi):
-        return 0.0
-
-    def grad_omega(self, omega, psi):
-        return zeros(2)
-
-    def grad_psi(self, omega, psi):
-        return zeros(2)
+    def joint_grads(self, Z):
+        return np.zeros(Z.shape)
 
 
 class TestCheckIdentities:
     def test_zero_objective_zero_duals_exact(self):
-        objs = [ZeroObjective() for _ in range(2)]
         pair = PrimalDualPair(zeros(2), zeros(2))
         hp = HyperParams()
-        fed = Federation.initial(objs, pair)
+        fed = Federation.initial(ZeroObjective(), pair)
         reports = check_identities(fed, fed, pair, hp)
         assert all(r.residual_norm == 0.0 for r in reports)
         assert all(r.passed for r in reports)
@@ -277,17 +270,17 @@ class TestEstimateKappa:
             estimate_kappa(objs, [(om, om)], tol=1e-12)
 
     @staticmethod
-    def counted_phi_grads(monkeypatch) -> list[int]:
+    def counted_inner_maximizers(monkeypatch) -> list[int]:
         calls = []
 
         def counted(view, omegas, tol, max_iters=100_000):
             calls.append(len(omegas))
-            return phi_grads(view, omegas, tol, max_iters)
+            return inner_maximizers(view, omegas, tol, max_iters)
 
-        monkeypatch.setattr(diagnostics, "phi_grads", counted)
+        monkeypatch.setattr(diagnostics, "inner_maximizers", counted)
         return calls
 
-    def test_one_phi_grads_call_gives_the_pairwise_inner_max_ratios(self, monkeypatch):
+    def test_one_inner_maximizers_call_gives_the_pairwise_ratios(self, monkeypatch):
         objs = three_clients()
         rng = seeded_rng(43)
         d1 = objs[0].dims[0]
@@ -295,17 +288,37 @@ class TestEstimateKappa:
         view = stacked(objs)
         want = 0.0
         for om, om_prime in pairs:
-            diff = inner_max(view, om, 1e-12) - inner_max(view, om_prime, 1e-12)
-            want = max(want, float(np.linalg.norm(diff)) / float(np.linalg.norm(om - om_prime)))
-        calls = self.counted_phi_grads(monkeypatch)
+            psi, _ = inner_maximizers(view, np.stack((om, om_prime)), 1e-12)
+            want = max(want, float(np.linalg.norm(psi[0] - psi[1])) / float(np.linalg.norm(om - om_prime)))
+        calls = self.counted_inner_maximizers(monkeypatch)
         assert estimate_kappa(objs, pairs, tol=1e-12) == want
         assert calls == [10]
+
+    @pytest.mark.parametrize("kind", ["quadratic", "dann"])
+    def test_no_gradient_of_omega_is_evaluated(self, monkeypatch, kind):
+        # the ratios read the inner maximizers alone, never the Danskin gradients
+        if kind == "quadratic":
+            objs = three_clients()
+        else:
+            dataset, _, layout = domain_shift_toy(seeded_rng(45), n_per_domain=10, holdout_n=4)
+            objs = [DomainAdaptObjective(dataset, 0.5, layout)]
+        rng = seeded_rng(46)
+        d1 = objs[0].dims[0]
+        pairs = [(vector(rng.standard_normal(d1)), vector(rng.standard_normal(d1))) for _ in range(3)]
+        calls = []
+        for cls in {type(stacked(objs)), PooledView}:
+            grad_omega = cls.grad_omega
+            monkeypatch.setattr(
+                cls, "grad_omega", lambda self, *a, f=grad_omega: calls.append(a) or f(self, *a)
+            )
+        assert estimate_kappa(objs, pairs, tol=1e-8) > 0.0
+        assert calls == []
 
     def test_every_pair_is_checked_before_any_solve(self, monkeypatch):
         objs = three_clients()
         d1 = objs[0].dims[0]
         om = vector(np.ones(d1))
-        calls = self.counted_phi_grads(monkeypatch)
+        calls = self.counted_inner_maximizers(monkeypatch)
         with pytest.raises(ValueError, match="duplicate"):
             estimate_kappa(objs, [(om, zeros(d1)), (om, om)], tol=1e-12)
         assert calls == []

@@ -2,9 +2,10 @@
 
 The local step's cost is interpreter overhead: every numpy call, view and
 operator on the small arrays of a step costs about as much as its
-arithmetic. These tests count that work in six places (one batched DANN
-gradient on the label-shift toy's two-client view, one quadratic gradient,
-one fixed-M FedMM local round on the toy, one FedSGDA round with its
+arithmetic. These tests count that work in seven places (one batched DANN
+gradient on the label-shift toy's two-client view, one DANN gradient on its
+three unequal one-source-two-target shards, one quadratic gradient, one
+fixed-M FedMM local round on the toy, one FedSGDA round with its
 metric-block entry on a three-client quadratic, the flush of a full metric
 block of that run, and one central-GDA step on the pooled view of three
 quadratic clients) and fail when a change makes any of them do more. Two counts are taken:
@@ -94,6 +95,15 @@ def test_dann_joint_grads():
     Z = np.array(fed.Z)
     assert c_calls(lambda: fed.view.joint_grads(Z)) <= 12  # 14 before
     assert operations(lambda: fed.view.joint_grads(Z)) <= 57  # 76 before
+
+
+def test_unequal_dann_shards_joint_grads():
+    # one_source_two_target: shards of 60, 30 and 30 points, one batched pass per shard size
+    problem = prepare(parse_config(CONFIGS / "label_shift_fedmm.cfg", ["partition.mode=one_source_two_target"]))
+    fed = Federation.initial(problem.view, problem.init_pair)
+    Z = np.array(fed.Z)
+    assert c_calls(lambda: fed.view.joint_grads(Z)) <= 27  # 157 on the per-row view before
+    assert operations(lambda: fed.view.joint_grads(Z)) <= 131  # 273 before
 
 
 def test_quadratic_joint_grads():

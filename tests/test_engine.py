@@ -29,6 +29,7 @@ from fedmm.objectives import (
     QuadraticSaddle,
     QuadraticSaddleSpec,
     StackedObjectives,
+    _SizeGroups,
     _StackedDomainAdapt,
     stacked,
 )
@@ -194,10 +195,10 @@ class TestStackedEqualsReference:
             assert_rounds_match(K.CENTRAL_GDA, [MeanOfClients(objs)], hp, rounds=5, view=pooled)
 
     def test_central_gda_dann(self):
-        # the pooled view of unequal DANN shards, which sit on the per-row view
+        # the pooled view of unequal DANN shards, which sit on the size-grouped view
         objs = dann_shards()
         pooled = PooledView(stacked(objs))
-        assert type(pooled.clients) is StackedObjectives
+        assert type(pooled.clients) is _SizeGroups
         hp = HyperParams(eta1=0.1, eta2=0.25)
         assert_rounds_match(K.CENTRAL_GDA, [MeanOfClients(objs)], hp, rounds=3, view=pooled)
 
@@ -303,17 +304,16 @@ class TestStackedView:
             assert np.array_equal(G[r, :4], quad_grad_omega(o, OM[r], PS[r]))
             assert np.array_equal(G[r, 4:], quad_grad_psi(o, OM[r], PS[r]))
 
-    def test_subclasses_take_the_per_row_path(self):
+    def test_subclasses_are_rejected(self):
         class Scaled(QuadraticSaddle):
             def grad_omega(self, omega, psi):
                 return 2.0 * super().grad_omega(omega, psi)
 
         spec = synthetic_quadratic_specs(1)[0]
-        view = stacked([Scaled(spec), QuadraticSaddle(spec)])
-        assert type(view) is StackedObjectives
-        G = view.joint_grads(np.ones((2, 7)))
-        assert np.array_equal(G[0, :4], 2.0 * G[1, :4])
-        assert np.array_equal(G[0, 4:], G[1, 4:])
+        with pytest.raises(ValueError, match="objective 0 is a Scaled"):
+            stacked([Scaled(spec), QuadraticSaddle(spec)])
+        with pytest.raises(ValueError, match="objective 1 is a Scaled"):
+            stacked([QuadraticSaddle(spec), Scaled(spec)])
 
     def test_built_once_per_set_of_objectives(self):
         # stacked() caches nothing; a run's record builds its view once and keeps it

@@ -4,8 +4,9 @@ A change that moves any digit of any metric in any round of these runs
 fails here. The digests were recorded when the runs were first made
 deterministic and have held through every engine change since. Besides the
 four shipped configs they cover each optimizer on both problems, minibatches,
-unequal DANN shards, mixed label shift, unequal local step counts,
-run-to-tolerance rounds, and the identity-suite reports.
+unequal DANN shards in full batches and in minibatches, mixed label shift,
+unequal local step counts, run-to-tolerance rounds, and the identity-suite
+reports.
 """
 
 import hashlib
@@ -66,6 +67,11 @@ RUNS = {
         "label_shift_fedmm",
         ["hyper.rounds=40", "partition.mode=one_source_two_target"],
         "037c4bed73d51eac919a050e8922a90fae0d83130f648d3e0250759d70a30714",
+    ),
+    "dann_3client_minibatch": (
+        "label_shift_fedmm",
+        ["hyper.rounds=40", "partition.mode=one_source_two_target", "batch_size=45"],
+        "ec681ca8aa6f8dcd40eeb57c0bca597160cb576f053afd6d67588de5330230d6",
     ),
     "dann_p05": (
         "label_shift_fedmm", ["partition.p=0.5"],

@@ -42,11 +42,7 @@ WHERE = {
 }
 
 
-class PerRowQuadratic(QuadraticSaddle):
-    """A subclass: `stacked` gives it the per-row view instead of the batched one."""
-
-
-def quadratics(cls, n, d1, d2, rng):
+def quadratics(n, d1, d2, rng):
     """n random quadratic clients; A indefinite, C positive definite."""
     objs = []
     for _ in range(n):
@@ -55,7 +51,7 @@ def quadratics(cls, n, d1, d2, rng):
             A=0.5 * (S + S.T), B=rng.standard_normal((d1, d2)), C=Q @ Q.T / d2 + np.eye(d2),
             a=rng.standard_normal(d1), c=rng.standard_normal(d2),
         )
-        objs.append(cls(spec))
+        objs.append(QuadraticSaddle(spec))
     return objs
 
 
@@ -162,7 +158,7 @@ def rounds_case(draw):
     local_tol = draw(st.sampled_from([None, None, 1e-6]))
     return dict(
         kind=kind, n=n, d1=d1, d2=d2, hp=hp, local_tol=local_tol,
-        per_row=draw(st.booleans()), rounds=draw(st.integers(1, 3)),
+        rounds=draw(st.integers(1, 3)),
         seed=draw(st.integers(0, 2**16)),
     )
 
@@ -171,17 +167,17 @@ def rounds_case(draw):
 @given(case=rounds_case())
 @example(case=dict(  # run to tolerance with unequal convergence: masked steps
     kind=K.FEDMM, n=6, d1=8, d2=8, hp=HyperParams(eta1=0.1, eta2=0.1, local_max_iters=2000),
-    local_tol=1e-8, per_row=False, rounds=3, seed=7,
+    local_tol=1e-8, rounds=3, seed=7,
 ))
 @example(case=dict(  # unequal M_i: the rows that finished early are masked
     kind=K.FEDPROX_GDA, n=5, d1=3, d2=2, hp=HyperParams(local_steps=(1, 5, 2, 5, 3), prox_mu=0.5),
-    local_tol=None, per_row=True, rounds=2, seed=3,
+    local_tol=None, rounds=2, seed=3,
 ))
 def test_joint_engine_equals_the_per_block_round(case):
     kind, n, d1, d2, hp = case["kind"], case["n"], case["d1"], case["d2"], case["hp"]
     rng = np.random.default_rng(case["seed"])
-    objs = quadratics(PerRowQuadratic if case["per_row"] else QuadraticSaddle, n, d1, d2, rng)
-    assert isinstance(stacked(objs), _StackedQuadratic) is not case["per_row"]
+    objs = quadratics(n, d1, d2, rng)
+    assert isinstance(stacked(objs), _StackedQuadratic)
     start = PrimalDualPair(vector(rng.standard_normal(d1)), vector(rng.standard_normal(d2)))
 
     server = ServerState(start)

@@ -13,13 +13,13 @@ from fedmm.objectives import (
     UNLABELED,
     DomainAdaptDataset,
     DomainAdaptObjective,
-    LocalObjective,
     ModelLayout,
     QuadraticSaddle,
     QuadraticSaddleSpec,
+    StackedObjectives,
     _ascent,
     _symmetric,
-    inner_max,
+    inner_maximizers,
     load_dataset,
     load_quadratic_objectives,
     load_quadratic_specs,
@@ -204,24 +204,10 @@ class TestDomainAdaptObjective:
         assert np.array_equal(obj.grad_omega(om, ps), obj.grad_omega(om, ps))
 
 
-class SingleBlockOnly(LocalObjective):
-    """Test-only objective defining just the single-block gradient methods."""
-
-    def __init__(self, inner):
-        self.inner = inner
-
-    @property
-    def dims(self):
-        return self.inner.dims
-
-    def value(self, omega, psi):
-        return self.inner.value(omega, psi)
-
-    def grad_omega(self, omega, psi):
-        return self.inner.grad_omega(omega, psi)
-
-    def grad_psi(self, omega, psi):
-        return self.inner.grad_psi(omega, psi)
+def joint(obj, om, ps):
+    """(grad_omega, grad_psi) of one joint pass: the objective's one-row view at [om | ps]."""
+    G = stacked([obj]).joint_grads(np.concatenate((om, ps))[None])[0]
+    return G[: obj.dims[0]], G[obj.dims[0] :]
 
 
 def assert_grads_match_single_blocks(obj, seed):
@@ -230,7 +216,7 @@ def assert_grads_match_single_blocks(obj, seed):
     for _ in range(5):
         om = vector(rng.standard_normal(d1))
         ps = vector(rng.standard_normal(d2))
-        g_om, g_ps = obj.grads(om, ps)
+        g_om, g_ps = joint(obj, om, ps)
         assert np.array_equal(g_om, obj.grad_omega(om, ps))
         assert np.array_equal(g_ps, obj.grad_psi(om, ps))
 
@@ -251,17 +237,14 @@ class TestFusedGrads:
         rng = seeded_rng(28)
         om = vector(rng.standard_normal(layout.d1))
         ps = vector(rng.standard_normal(layout.d2))
-        got = obj.grads(om, ps)
-        for g, want in zip(got, dann_grads(obj, om, ps)):
+        for g, want in zip(joint(obj, om, ps), dann_grads(obj, om, ps)):
+            assert np.array_equal(g, want)
+        for g, want in zip((obj.grad_omega(om, ps), obj.grad_psi(om, ps)), dann_grads(obj, om, ps)):
             assert np.array_equal(g, want)
             assert not g.flags.writeable
 
     def test_quadratic(self):
         assert_grads_match_single_blocks(QuadraticSaddle(synthetic_quadratic_specs(1)[0]), 29)
-
-    def test_default_for_single_block_subclass(self):
-        obj = SingleBlockOnly(QuadraticSaddle(synthetic_quadratic_specs(1)[0]))
-        assert_grads_match_single_blocks(obj, 31)
 
 
 def one_row_objective(kind):
@@ -289,8 +272,10 @@ class TestOneRowViews:
             for args in ((om, ps), (om.tolist(), ps.tolist())):
                 assert obj.value(*args) == value(obj, om, ps)
                 got = (obj.grad_omega(*args), obj.grad_psi(*args))
-                for g, w in zip(got + obj.grads(*args), want + want):
+                for g, w in zip(got, want):
                     assert np.array_equal(g, w) and not g.flags.writeable
+            for g, w in zip(joint(obj, om, ps), want):
+                assert np.array_equal(g, w)
 
     @pytest.mark.parametrize("kind", ["quadratic", "dann"])
     def test_view_is_built_on_first_use_and_kept(self, kind):
@@ -298,13 +283,21 @@ class TestOneRowViews:
         assert "_view" not in vars(obj)
         obj.value(np.zeros(obj.dims[0]), np.zeros(obj.dims[1]))
         view = vars(obj)["_view"]
-        obj.grads(np.ones(obj.dims[0]), np.ones(obj.dims[1]))
+        obj.grad_omega(np.ones(obj.dims[0]), np.ones(obj.dims[1]))
         assert obj._view is view and view.n == 1
 
 
 def ascent_step(view) -> float:
     """The 1 / ||Cbar|| step of a gradient ascent on quadratic clients' pooled row."""
     return 1.0 / float(np.linalg.norm(quadratic_bars(view).C, 2))
+
+
+def inner_max(view, omega, tol, max_iters=100_000):
+    """The inner maximizer at one omega; its failed solve's ConvergenceError raises."""
+    psi, (error,) = inner_maximizers(view, np.asarray(omega)[None], tol, max_iters)
+    if error is not None:
+        raise error
+    return psi[0]
 
 
 class TestInnerMax:
@@ -345,32 +338,24 @@ class TestInnerMax:
             assert abs(float(g @ v)) <= 1e-9 * float(np.linalg.norm(v))
 
 
-class SteepSaddle(LocalObjective):
-    """f = omega . psi - (k/2) ||psi||^2: psi-curvature k = 50, far above 1."""
+class SteepSaddle(StackedObjectives):
+    """One client with f = omega . psi - (k/2) ||psi||^2: psi-curvature k = 50, far above 1."""
 
     k = 50.0
-    dims = (2, 2)
+    dims, n = (2, 2), 1
 
-    def value(self, omega, psi):
-        return float(omega @ psi - 0.5 * self.k * psi @ psi)
-
-    def grad_omega(self, omega, psi):
-        return np.array(psi)
-
-    def grad_psi(self, omega, psi):
-        return omega - self.k * psi
+    def grad_psi(self, OM, PS):
+        return OM - self.k * PS
 
 
 class TestInnerMaxObjectiveTypes:
     def test_unknown_type_rejected_at_entry(self):
         # a unit ascent step on curvature 50 diverges; there is no bound to
-        # size the step from, so inner_max must refuse instead of guessing
+        # size the step from, so the inner maximizer must refuse instead of guessing
         with pytest.raises(ValueError, match="SteepSaddle"):
-            inner_max(stacked([SteepSaddle()]), vector([1.0, -2.0]), tol=1e-10, max_iters=200)
+            inner_max(SteepSaddle(), vector([1.0, -2.0]), tol=1e-10, max_iters=200)
         with pytest.raises(ValueError, match="SteepSaddle"):
-            phi_value_and_grad(
-                stacked([SteepSaddle()]), vector([1.0, -2.0]), tol=1e-10, max_iters=200
-            )
+            phi_value_and_grad(SteepSaddle(), vector([1.0, -2.0]), tol=1e-10, max_iters=200)
 
     def test_mixed_list_rejected(self):
         train, _, layout = domain_shift_toy(seeded_rng(44), n_per_domain=8, holdout_n=4)
@@ -379,18 +364,8 @@ class TestInnerMaxObjectiveTypes:
         class Wrapped(SteepSaddle):
             dims = dann.dims
 
-        with pytest.raises(ValueError, match="Wrapped"):
-            inner_max(stacked([dann, Wrapped()]), vector(np.zeros(layout.d1)), tol=1e-8)
-
-    def test_quadratic_subclass_keeps_the_closed_form(self):
-        class Tagged(QuadraticSaddle):
-            pass
-
-        specs = synthetic_quadratic_specs(3)
-        om = vector(seeded_rng(45).standard_normal(4))
-        views = [stacked([cls(s) for s in specs]) for cls in (QuadraticSaddle, Tagged)]
-        plain, tagged = (inner_max(v, om, tol=1e-12) for v in views)
-        assert np.array_equal(plain, tagged)
+        with pytest.raises(ValueError, match="objective 1 is a Wrapped"):
+            stacked([dann, Wrapped()])
 
 
 class TestPhi:

@@ -8,10 +8,19 @@ from fedmm.core import (
     HyperParams,
     PrimalDualPair,
     ServerState,
+    require_finite,
     vector,
     zeros,
 )
-from fedmm.objectives import LocalObjective, QuadraticSaddle, QuadraticSaddleSpec, stacked
+from fedmm.objectives import (
+    DomainAdaptDataset,
+    DomainAdaptObjective,
+    ModelLayout,
+    QuadraticSaddle,
+    QuadraticSaddleSpec,
+    StackedObjectives,
+    stacked,
+)
 from fedmm import optim
 from fedmm.optim import (
     Federation,
@@ -26,29 +35,24 @@ from fedmm.optim import (
 from fedmm.problems import synthetic_quadratic_specs
 
 
-class ConstantGrad(LocalObjective):
-    """Test stub with constant gradients (value is affine)."""
+class ConstantGrad(StackedObjectives):
+    """Test view with constant gradients: row r's is [g_om[r] | g_ps[r]]; 1-D blocks make one client."""
 
     def __init__(self, g_om, g_ps):
-        self.g_om = vector(g_om)
-        self.g_ps = vector(g_ps)
+        g_om, g_ps = np.atleast_2d(g_om), np.atleast_2d(g_ps)
+        self.G, self.n, self.dims = np.hstack((g_om, g_ps)), len(g_om), (g_om.shape[1], g_ps.shape[1])
 
-    @property
-    def dims(self):
-        return len(self.g_om), len(self.g_ps)
-
-    def value(self, omega, psi):
-        return float(self.g_om @ omega + self.g_ps @ psi)
-
-    def grad_omega(self, omega, psi):
-        return self.g_om
-
-    def grad_psi(self, omega, psi):
-        return self.g_ps
+    def joint_grads(self, Z):
+        return np.array(self.G)
 
 
-def zero_objective(d1=1, d2=1):
-    return ConstantGrad(np.zeros(d1), np.zeros(d2))
+def zero_objective(d1=1, d2=1, n=1):
+    return ConstantGrad(np.zeros((n, d1)), np.zeros((n, d2)))
+
+
+def view_of(obj):
+    """A one-client view: a test view as it is, a built-in objective stacked."""
+    return obj if isinstance(obj, StackedObjectives) else stacked([obj])
 
 
 def pair_of(om, ps):
@@ -62,7 +66,7 @@ def al_grads(obj, pair, lam, beta, global_pair, hp):
     """FedMM's local-step gradients (the augmented Lagrangian's) of one client at `pair`."""
     d1, d2 = obj.dims
     G = _local_grads(
-        stacked([obj]), np.concatenate((pair.omega, pair.psi))[None],
+        view_of(obj), np.concatenate((pair.omega, pair.psi))[None],
         joint_weights(hp.mu1, hp.mu2, d1, d2), np.concatenate((lam, -beta))[None],
         np.concatenate((global_pair.omega, global_pair.psi)),
     )
@@ -71,7 +75,7 @@ def al_grads(obj, pair, lam, beta, global_pair, hp):
 
 def one_client(kind, obj, global_pair, hp, t=0):
     """One client's local round from the globals with zero duals: (federation, upload pair)."""
-    fed, up = local_solve(kind, Federation.initial([obj], global_pair), global_pair, hp, t)
+    fed, up = local_solve(kind, Federation.initial(view_of(obj), global_pair), global_pair, hp, t)
     d1 = obj.dims[0]
     return fed, PrimalDualPair(up[0, :d1], up[0, d1:])
 
@@ -79,7 +83,8 @@ def one_client(kind, obj, global_pair, hp, t=0):
 def central_step(obj, pair, eta1, eta2):
     """One central GDA round on the pooled objective: the new global pair."""
     server = ServerState(pair)
-    run_round(K.CENTRAL_GDA, Federation.initial([obj], pair), server, HyperParams(eta1=eta1, eta2=eta2))
+    fed = Federation.initial(view_of(obj), pair)
+    run_round(K.CENTRAL_GDA, fed, server, HyperParams(eta1=eta1, eta2=eta2))
     return server.global_pair
 
 
@@ -183,19 +188,19 @@ class TestCheckFinite:
         _check_finite(np.array([self.CAP, -self.CAP, -self.CAP]), "test", 0)
 
 
-class RejectsPastMinusTwo(LocalObjective):
-    """Gradient 1 in omega, 0 in psi, until omega < -2: then vector() rejects the gradient."""
+class RejectsPastMinusTwo(StackedObjectives):
+    """Test view: gradient 1 in omega, 0 in psi; a rejecting row's is rejected once its omega < -2."""
 
     dims = (1, 1)
 
-    def value(self, omega, psi):
-        return float(omega[0])
+    def __init__(self, rejecting):
+        self.rejecting, self.n = np.array(rejecting), len(rejecting)
 
-    def grad_omega(self, omega, psi):
-        return vector([1.0 if omega[0] >= -2.0 else np.inf])
-
-    def grad_psi(self, omega, psi):
-        return zeros(1)
+    def joint_grads(self, Z):
+        G = np.zeros(Z.shape)
+        G[:, 0] = np.where(self.rejecting & (Z[:, 0] < -2.0), np.inf, 1.0)
+        require_finite(G)
+        return G
 
 
 class TestDivergenceRules:
@@ -223,21 +228,21 @@ class TestDivergenceRules:
     def test_upload_past_the_cap_is_divergence_at_the_last_step(self):
         # M = 1 from the globals: omega = -g and lam = -mu1 g, so the upload is -2g; for
         # g = 6e99 the iterate is within the cap and the upload past it
-        objs = [ConstantGrad([g], [0.0]) for g in (1.0, 6e99, 6e99)]
+        view = ConstantGrad([[1.0], [6e99], [6e99]], [[0.0]] * 3)
         pair = pair_of([0.0], [0.0])
         hp = HyperParams(eta1=1.0, mu1=1e60, local_steps=(1,))
-        fed = Federation.initial(objs, pair)
+        fed = Federation.initial(view, pair)
         with pytest.raises(DivergenceError) as exc:
             local_solve(K.FEDMM, fed, pair, hp)
         assert (exc.value.where, exc.value.step) == ("fedmm upload (client 1)", 0)
         # client 0 alone passes: its upload is -2g = -2
-        _, up = local_solve(K.FEDMM, Federation.initial(objs[:1], pair), pair, hp)
+        _, up = local_solve(K.FEDMM, Federation.initial(ConstantGrad([1.0], [0.0]), pair), pair, hp)
         assert np.array_equal(up, [[-2.0, 0.0]])
 
     @pytest.mark.parametrize("kind", [K.FEDAVG_GDA, K.FEDMM])
     def test_rejected_gradient_at_a_finite_iterate_is_divergence(self, kind):
         pair = pair_of([0.0], [0.0])
-        fed = Federation.initial([RejectsPastMinusTwo()] * 2, pair)
+        fed = Federation.initial(RejectsPastMinusTwo([True, True]), pair)
         hp = HyperParams(eta1=1.0, mu1=1e-9, local_steps=(5,))
         # omega is 0, -1, -2, then -3 before step 3, whose gradient the objective rejects
         with pytest.raises(DivergenceError) as exc:
@@ -246,11 +251,30 @@ class TestDivergenceRules:
 
     def test_a_rejected_gradient_names_the_first_rejecting_client(self):
         pair = pair_of([0.0], [0.0])
-        # both rows step alike; only client 1's objective rejects its gradient at omega = -3
-        fed = Federation.initial([ConstantGrad([1.0], [0.0]), RejectsPastMinusTwo()], pair)
+        # both rows step alike; only client 1's row rejects its gradient at omega = -3
+        fed = Federation.initial(RejectsPastMinusTwo([False, True]), pair)
         with pytest.raises(DivergenceError) as exc:
             local_solve(K.FEDMM, fed, pair, HyperParams(eta1=1.0, mu1=1e-9, local_steps=(5,)))
         assert (exc.value.where, exc.value.step) == ("fedmm local round (client 1) gradient", 3)
+
+    def test_a_rejected_gradient_names_the_first_rejecting_client_across_size_groups(self):
+        # shards of 30, 20 and 30 points: clients 0 and 2 share a batched pass, client 1
+        # has its own. At W = V = 1e200 the class logits of a nonzero feature overflow,
+        # so clients 1 and 2 reject their gradients; client 0's features are all zero.
+        layout, rng = ModelLayout(2, 1, 2), np.random.default_rng(0)
+        objs = [
+            DomainAdaptObjective(
+                DomainAdaptDataset(scale * rng.standard_normal((n, 2)), np.zeros(n), np.zeros(n)),
+                0.5, layout,
+            )
+            for n, scale in ((30, 0.0), (20, 1.0), (30, 1.0))
+        ]
+        pair = pair_of(np.full(layout.d1, 1e200), np.zeros(layout.d2))
+        fed = Federation.initial(objs, pair)
+        assert [list(rows) for rows in fed.view.rows] == [[0, 2], [1]]
+        with np.errstate(all="ignore"), pytest.raises(DivergenceError) as exc:
+            local_solve(K.FEDAVG_GDA, fed, pair, HyperParams(local_steps=(5,)))
+        assert (exc.value.where, exc.value.step) == ("fedavg_gda local round (client 1) gradient", 0)
 
 
 class TestFedmmAggregate:
@@ -273,7 +297,7 @@ class TestFedmmAggregate:
         # each client uploads d1 + d2 = 3 floats and downloads as many
         obj = ConstantGrad([1.0, 2.0], [3.0])
         pair = pair_of([0.0, 0.0], [0.0])
-        fed, up = local_solve(K.FEDSGDA, Federation.initial([obj], pair), pair, HyperParams())
+        fed, up = local_solve(K.FEDSGDA, Federation.initial(obj, pair), pair, HyperParams())
         assert up.shape[1] == 3
         server = ServerState(pair)
         run_round(K.FEDSGDA, fed, server, HyperParams())
@@ -296,17 +320,16 @@ class TestFedSgda:
             assert np.array_equal(server.global_pair.psi, central.psi)
 
     def test_zero_gradient_leaves_globals(self):
-        objs = [zero_objective(), zero_objective()]
         pair = pair_of([0.4], [0.2])
         server = ServerState(pair)
-        run_round(K.FEDSGDA, Federation.initial(objs, pair), server, HyperParams())
+        run_round(K.FEDSGDA, Federation.initial(zero_objective(n=2), pair), server, HyperParams())
         assert np.array_equal(server.global_pair.omega, [0.4])
 
     def test_two_client_scalar_average(self):
-        objs = [ConstantGrad([1.0], [0.0]), ConstantGrad([3.0], [0.0])]
+        view = ConstantGrad([[1.0], [3.0]], [[0.0], [0.0]])
         pair = pair_of([0.0], [0.0])
         server = ServerState(pair)
-        run_round(K.FEDSGDA, Federation.initial(objs, pair), server, HyperParams(eta1=0.1, eta2=0.1))
+        run_round(K.FEDSGDA, Federation.initial(view, pair), server, HyperParams(eta1=0.1, eta2=0.1))
         assert np.allclose(server.global_pair.omega, [-0.2], atol=1e-15)
 
 
@@ -369,10 +392,10 @@ class TestCentralizedGda:
         assert np.array_equal(got.omega, [0.0]) and np.array_equal(got.psi, [0.0])
 
     def test_more_than_one_client_rejected(self):
-        objs = [zero_objective(), zero_objective()]
         pair = pair_of([0.0], [0.0])
+        fed = Federation.initial(zero_objective(n=2), pair)
         with pytest.raises(ValueError, match="single pooled client"):
-            run_round(K.CENTRAL_GDA, Federation.initial(objs, pair), ServerState(pair), HyperParams())
+            run_round(K.CENTRAL_GDA, fed, ServerState(pair), HyperParams())
 
 
 class TestRoundInvariants:

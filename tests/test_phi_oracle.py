@@ -28,9 +28,8 @@ from fedmm.objectives import (
     DomainAdaptObjective,
     PooledView,
     QuadraticSaddle,
-    StackedObjectives,
     _StackedQuadratic,
-    inner_max,
+    inner_maximizers,
     phi_grads,
     phi_value_and_grad,
     pooled,
@@ -49,16 +48,11 @@ _ENTRIES = st.one_of(
 )
 
 
-class _Tagged(QuadraticSaddle):
-    """A QuadraticSaddle subclass: stacked() gives it the per-row view."""
-
-
 def _views(specs):
-    """The three quadratic oracle views: batched, per-row, and central GDA's pooled view."""
+    """The two quadratic oracle views: batched, and central GDA's pooled view."""
     plain = [QuadraticSaddle(s) for s in specs]
     return {
         "batched": stacked(plain),
-        "per_row": stacked([_Tagged(s) for s in specs]),
         # prepare() gives central GDA on quadratics this view of its clients
         "pooled": PooledView(stacked(plain)),
     }
@@ -94,13 +88,12 @@ def test_batched_gradients_equal_one_omega_calls(instance):
             _, grad = phi_value_and_grad(view, vector(omega), 1e-12)
             assert np.array_equal(out.grads[k], grad), (name, k)
             assert np.array_equal(out.grads[k], _one_omega_closed_form(view, vector(omega)))
-            assert np.array_equal(out.psi[k], inner_max(view, vector(omega), 1e-12))
+            assert np.array_equal(out.psi[k], inner_maximizers(view, omegas[k : k + 1], 1e-12)[0][0])
 
 
 def test_the_views_are_the_ones_named():
     views = _views(synthetic_quadratic_specs(3))
     assert type(views["batched"]) is _StackedQuadratic
-    assert type(views["per_row"]) is StackedObjectives
     central = prepare(ExperimentConfig(OptimizerKind.CENTRAL_GDA, ProblemKind.QUADRATIC)).view
     for pooled in (central, views["pooled"]):
         assert type(pooled) is PooledView and type(pooled.clients) is _StackedQuadratic
@@ -127,7 +120,8 @@ def test_a_failed_dann_ascent_fails_only_its_own_omega():
     for k in (1, 2, 3):
         _, grad = phi_value_and_grad(view, vector(omegas[k]), 1e-8, max_iters=200)
         assert np.array_equal(out.grads[k], grad)
-        assert np.array_equal(out.psi[k], inner_max(view, vector(omegas[k]), 1e-8, max_iters=200))
+        psi, _ = inner_maximizers(view, omegas[k : k + 1], 1e-8, max_iters=200)
+        assert np.array_equal(out.psi[k], psi[0])
 
 
 def _quadratic_block(rounds: int, every: int):

@@ -1,10 +1,12 @@
-"""The batched DANN view against an independent per-client reference.
+"""The batched DANN views against an independent per-client reference.
 
 `stacked()` gives plain DomainAdaptObjective clients with one layout, one nu
-and one shard size a batched forward/backward pass, and each objective's own
+and one shard size a batched forward/backward pass, other plain lists one
+such pass per (layout, nu, shard size) group, and each objective's own
 methods are a one-row call of the same view. Every comparison is exact
-(np.array_equal) against the plain-numpy formulas of `reference_math`:
-batching must not change a single bit of any row.
+(np.array_equal) against the plain-numpy formulas of `reference_math` and
+the one-row views: batching and grouping must not change a single bit of any
+row.
 """
 
 import numpy as np
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fedmm.core import ConvergenceError, seeded_rng
+from fedmm.core import ConvergenceError, RejectedRows, seeded_rng
 from fedmm.objectives import (
     SOURCE,
     TARGET,
@@ -20,12 +22,14 @@ from fedmm.objectives import (
     DomainAdaptDataset,
     DomainAdaptObjective,
     ModelLayout,
-    StackedObjectives,
+    PooledView,
+    _SizeGroups,
     _StackedDomainAdapt,
-    inner_max,
+    inner_maximizers,
+    pooled,
     stacked,
 )
-from reference_math import dann_grad_psi, dann_grads, dann_value
+from reference_math import dann_grad_psi, dann_grads, dann_value, ref_mean
 
 PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 LABELING = ("labeled", "unlabeled", "mixed")
@@ -96,9 +100,63 @@ def test_batched_gradients_equal_the_per_row_ones(
     assert np.array_equal(view.values(OM, PS), want_values)
     # each objective alone is a one-row call of its own view
     for r, o in enumerate(objs):
-        assert np.array_equal(np.concatenate(o.grads(OM[r], PS[r])), want[r])
+        assert np.array_equal(o.grad_omega(OM[r], PS[r]), want[r, : OM.shape[1]])
         assert np.array_equal(o.grad_psi(OM[r], PS[r]), want_psi[r])
         assert o.value(OM[r], PS[r]) == want_values[r]
+
+
+@PROPERTY
+@given(
+    sizes=st.lists(st.sampled_from([1, 6, 9, 12]), min_size=2, max_size=5),
+    nus=st.lists(st.sampled_from([0.5, 0.25]), min_size=5, max_size=5),
+    K=st.integers(1, 3),
+    in_dim=st.integers(1, 3),
+    feat_dim=st.integers(1, 3),
+    n_classes=st.integers(2, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(sizes=[12, 6, 12, 9], nus=[0.5, 0.5, 0.25, 0.5, 0.5], K=2, in_dim=2, feat_dim=1,
+         n_classes=2, seed=0)
+def test_grouped_view_equals_one_row_views_and_the_reference(
+    sizes, nus, K, in_dim, feat_dim, n_classes, seed
+):
+    """Unequal shards, sizes repeated out of order, two nus: every row's bits, at (K, N, d) points."""
+    rng = np.random.default_rng(seed)
+    layout = ModelLayout(in_dim, feat_dim, n_classes)
+    objs = [
+        DomainAdaptObjective(shard(rng, n, layout, LABELING[r % 3]), nus[r], layout)
+        for r, n in enumerate(sizes)
+    ]
+    view, ones = stacked(objs), [stacked([o]) for o in objs]
+    keys = list(dict.fromkeys((len(o.dataset), o.nu) for o in objs))
+    assert type(view) is (_SizeGroups if len(keys) > 1 else _StackedDomainAdapt)
+    N, (d1, d2) = len(objs), view.dims
+    OM, PS = rng.standard_normal((K, N, d1)), rng.standard_normal((K, N, d2))
+    got_values, got_omega, got_psi = view.values(OM, PS), view.grad_omega(OM, PS), view.grad_psi(OM, PS)
+    for k in range(K):
+        got_joint = view.joint_grads(np.concatenate((OM[k], PS[k]), axis=1))
+        for r, (o, one) in enumerate(zip(objs, ones)):
+            om, ps = OM[k, r], PS[k, r]
+            g_om, g_ps = dann_grads(o, om, ps)
+            assert got_values[k, r] == dann_value(o, om, ps) == one.values(om[None], ps[None])[0]
+            assert np.array_equal(got_joint[r], np.concatenate((g_om, g_ps)))
+            assert np.array_equal(got_joint[r], one.joint_grads(np.concatenate((om, ps))[None])[0])
+            assert np.array_equal(got_omega[k, r], g_om)
+            assert np.array_equal(got_psi[k, r], dann_grad_psi(o, om, ps))
+            assert np.array_equal(got_psi[k, r], one.grad_psi(om[None], ps[None])[0])
+    # the pooled row at client 0's K points: client-order averages of the references
+    pool, P_OM, P_PS = pooled(view), OM[:, :1], PS[:, :1]
+    assert type(pool) is PooledView
+    for k in range(K):
+        om, ps = P_OM[k, 0], P_PS[k, 0]
+        total = 0.0
+        for o in objs:
+            total += dann_value(o, om, ps)
+        assert pool.values(P_OM, P_PS)[k, 0] == total / N
+        want = ref_mean([np.concatenate(dann_grads(o, om, ps)) for o in objs])
+        assert np.array_equal(pool.joint_grads(np.concatenate((om, ps))[None])[0], want)
+        assert np.array_equal(pool.grad_omega(P_OM, P_PS)[k, 0], want[:d1])
+        assert np.array_equal(pool.grad_psi(P_OM, P_PS)[k, 0], ref_mean([dann_grad_psi(o, om, ps) for o in objs]))
 
 
 def toy_clients(sizes=(30, 30), nu=0.5, layout=ModelLayout(2, 1, 2), cls=DomainAdaptObjective):
@@ -118,12 +176,30 @@ class _Tagged(DomainAdaptObjective):
         # (2, 1, 2) and (1, 1, 3) both give d1 = 4, d2 = 1
         pytest.param(toy_clients(sizes=(30,)) + toy_clients((30,), layout=ModelLayout(1, 1, 3)),
                      id="different_layout"),
-        pytest.param(toy_clients(cls=_Tagged), id="subclass"),
-        pytest.param(toy_clients(sizes=(30,)) + toy_clients((30,), cls=_Tagged), id="one_subclass"),
     ],
 )
-def test_other_lists_take_the_per_row_view(objs):
-    assert type(stacked(objs)) is StackedObjectives
+def test_other_plain_lists_take_the_grouped_view(objs):
+    view = stacked(objs)
+    assert type(view) is _SizeGroups and [len(g.objectives) for g in view.groups] == [1, 1]
+    rng, (d1, d2) = np.random.default_rng(6), view.dims
+    OM, PS = rng.standard_normal((2, d1)), rng.standard_normal((2, d2))
+    want, want_psi = per_row(objs, OM, PS)
+    assert np.array_equal(view.joint_grads(np.hstack((OM, PS))), want)
+    assert np.array_equal(view.grad_psi(OM, PS), want_psi)
+    assert np.array_equal(view.values(OM, PS), [dann_value(o, OM[r], PS[r]) for r, o in enumerate(objs)])
+
+
+@pytest.mark.parametrize(
+    "objs, name",
+    [
+        pytest.param(toy_clients(cls=_Tagged), "objective 0 is a _Tagged", id="subclass"),
+        pytest.param(toy_clients(sizes=(30,)) + toy_clients((30,), cls=_Tagged),
+                     "objective 1 is a _Tagged", id="one_subclass"),
+    ],
+)
+def test_subclasses_are_rejected(objs, name):
+    with pytest.raises(ValueError, match=name):
+        stacked(objs)
 
 
 def test_equal_shards_take_the_batched_view():
@@ -133,21 +209,27 @@ def test_equal_shards_take_the_batched_view():
 
 @pytest.mark.parametrize("block, scale", [("grads", 1e200), ("grad_psi", 1e308)])
 def test_nonfinite_gradient_raises_the_same_error_on_both_paths(block, scale):
-    """Both gradient blocks (joint_grads) or the psi block alone, per-row and batched."""
+    """Both gradient blocks (joint_grads) or the psi block alone, on one-row views and batched.
+
+    Every view names its first rejected row: the batched view's first client.
+    """
     objs = toy_clients()
     d1, d2 = objs[0].dims
     OM, PS = np.full((2, d1), scale), np.ones((2, d2))
 
-    def call(view):
-        return view.joint_grads(np.hstack((OM, PS))) if block == "grads" else view.grad_psi(OM, PS)
+    def call(view, rows):
+        if block == "grads":
+            return view.joint_grads(np.hstack((OM[rows], PS[rows])))
+        return view.grad_psi(OM[rows], PS[rows])
 
     with np.errstate(all="ignore"):
-        with pytest.raises(ValueError) as want:
-            call(StackedObjectives(objs))
-        with pytest.raises(ValueError) as got:
-            call(stacked(objs))
+        with pytest.raises(RejectedRows) as want:
+            call(stacked(objs[1:]), slice(1, 2))
+        with pytest.raises(RejectedRows) as got:
+            call(stacked(objs), slice(None))
     assert str(got.value) == str(want.value)
     assert "non-finite" in str(want.value)
+    assert (got.value.row, want.value.row) == (0, 0)
 
 
 def test_batched_grad_omega_is_one_joint_pass_per_point(monkeypatch):
@@ -156,7 +238,7 @@ def test_batched_grad_omega_is_one_joint_pass_per_point(monkeypatch):
     rng = np.random.default_rng(5)
     d1, d2 = objs[0].dims
     OM, PS = rng.standard_normal((3, 2, d1)), rng.standard_normal((3, 2, d2))
-    want = StackedObjectives(objs).grad_omega(OM, PS)
+    want = np.array([[dann_grads(o, OM[k, r], PS[k, r])[0] for r, o in enumerate(objs)] for k in range(3)])
     passes = []
     joint_grads = _StackedDomainAdapt.joint_grads
 
@@ -173,11 +255,12 @@ def test_batched_grad_omega_is_one_joint_pass_per_point(monkeypatch):
     assert len(passes) == 4
 
 
-@pytest.mark.parametrize("view_type", [StackedObjectives, stacked], ids=["per_row", "batched"])
-def test_nonfinite_ascent_gradient_is_a_failed_inner_solve(view_type):
+@pytest.mark.parametrize("sizes", [(30, 29), (30, 30)], ids=["grouped", "batched"])
+def test_nonfinite_ascent_gradient_is_a_failed_inner_solve(sizes):
     """The metric oracles empty their field on a ConvergenceError; a ValueError would escape."""
-    objs = toy_clients()
-    omega = np.full(objs[0].dims[0], 1e200)
-    with np.errstate(all="ignore"), pytest.raises(ConvergenceError) as exc:
-        inner_max(view_type(objs), omega, 1e-6)
-    assert exc.value.grad_norm == np.inf and exc.value.iterations == 0
+    objs = toy_clients(sizes)
+    omega = np.full((1, objs[0].dims[0]), 1e200)
+    with np.errstate(all="ignore"):
+        psi, (error,) = inner_maximizers(stacked(objs), omega, 1e-6)
+    assert isinstance(error, ConvergenceError) and np.isnan(psi).all()
+    assert error.grad_norm == np.inf and error.iterations == 0

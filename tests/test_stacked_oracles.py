@@ -8,7 +8,9 @@ generated quadratic instances include d2 = 1 with N >= 17, where numpy's
 reductions would switch to pairwise summation.
 """
 
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -20,10 +22,11 @@ from fedmm.core import PrimalDualPair, seeded_rng, vector
 from fedmm.federation import PartitionSpec, consensus, partition_label_shift
 from fedmm.objectives import (
     DomainAdaptObjective,
-    LocalObjective,
     PooledView,
     QuadraticSaddle,
     QuadraticSaddleSpec,
+    StackedObjectives,
+    _SizeGroups,
     _StackedDomainAdapt,
     phi_grads,
     phi_value_and_grad,
@@ -33,6 +36,7 @@ from fedmm.objectives import (
 )
 from fedmm.optim import Federation
 from fedmm.problems import domain_shift_toy
+from reference_math import ref_mean
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 SIZES = dict(
@@ -70,14 +74,6 @@ def dann_instance(drop: int):
 
 
 # ------------------------------ the reference ------------------------------ #
-
-
-def ref_mean(rows):
-    """Client average, adding one client after the other from a copy of the first."""
-    total = np.array(rows[0])
-    for row in rows[1:]:
-        total += row
-    return total / len(rows)
 
 
 def ref_mean_value(objs, om, ps):
@@ -191,6 +187,7 @@ def test_cached_bars_are_client_order_sums(n, d1, d2, seed):
 
 def test_dann_oracles_on_unequal_shards():
     objs, OM, PS = dann_instance(drop=7)
+    assert type(stacked(objs)) is _SizeGroups
     assert_oracles_match(objs, OM, PS, tol=1e-6)
 
 
@@ -200,38 +197,20 @@ def test_dann_oracles_on_equal_shards():
     assert_oracles_match(objs, OM, PS, tol=1e-6)
 
 
-def test_subclasses_take_the_per_row_path_with_the_same_bits():
-    class Tagged(QuadraticSaddle):
-        pass
-
-    plain, OM, PS = quadratic_instance(5, 4, 1, seed=7)
-    tagged = [Tagged(QuadraticSaddleSpec(o.A, o.B, o.C, o.a, o.c)) for o in plain]
-    assert type(stacked(tagged)) is not type(stacked(plain))
-    assert_oracles_match(tagged, OM, PS, tol=1e-12)
-    for a, b in zip(quadratic_bars(stacked(tagged)), quadratic_bars(stacked(plain))):
-        assert np.array_equal(a, b)
-
-
 def test_stacked_oracles_check():
     assert "bit-exact" in check_stacked_oracles()
 
 
-class Constant(LocalObjective):
-    """A client whose value is one fixed number everywhere."""
+class Constant(StackedObjectives):
+    """Test view whose client r's value is the fixed number c[r] everywhere."""
 
     dims = (1, 1)
 
     def __init__(self, c):
-        self.c = c
+        self.c, self.n = np.array(c), len(c)
 
-    def value(self, omega, psi):
-        return self.c
-
-    def grad_omega(self, omega, psi):
-        return vector([0.0])
-
-    def grad_psi(self, omega, psi):
-        return vector([0.0])
+    def values(self, OM, PS):
+        return np.broadcast_to(self.c, OM.shape[:-1]).copy()
 
 
 @pytest.mark.parametrize(
@@ -239,10 +218,9 @@ class Constant(LocalObjective):
     [[-0.0], [-0.0, -0.0, -0.0], [1e16, 1.0, -1e16], [0.1] * 10, [-0.0, 2.5, -2.5]],
 )
 def test_mean_value_is_a_zero_started_loop(values):
-    objs = [Constant(c) for c in values]
     zero = vector([0.0])
-    got = float(pooled(stacked(objs)).values(zero[None], zero[None])[0])
-    want = ref_mean_value(objs, zero, zero)
+    got = float(pooled(Constant(values)).values(zero[None], zero[None])[0])
+    want = functools.reduce(operator.add, values, 0.0) / len(values)  # a zero-started loop
     assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
     if values == [1e16, 1.0, -1e16]:
         assert got == 0.0  # a compensated sum would give 1/3
