@@ -23,6 +23,7 @@ from fedmm.federation import (
     MetricsBlock,
     PartitionMode,
     PartitionSpec,
+    RunLog,
     consensus,
     partition_label_shift,
 )
@@ -329,7 +330,9 @@ def check_stacked_oracles() -> str:
             block.add(t, fed, server, True)
             want.append((loss, float(np.linalg.norm(phi_grad)), cons))
             samples += 1
-        for row, (loss, phi_norm, cons) in zip(block.flush(), want):
+        log = RunLog(config_echo={}, seed=0)
+        block.flush(log)
+        for row, (loss, phi_norm, cons) in zip(log.rounds, want):
             where = f"{len(objs)}-client {type(objs[0]).__name__} block row {row.round}"
             if row.global_loss != loss:
                 raise AssertionError(f"{where}: block global loss differs")

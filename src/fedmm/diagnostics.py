@@ -44,7 +44,7 @@ class IdentityReport:
 
 def reports_to_csv(reports: Sequence[IdentityReport]) -> str:
     rows = ((r.name, r.round, r.residual_norm, r.tolerance, r.passed) for r in reports)
-    return to_csv("name,round,residual,tolerance,pass", rows)
+    return "".join(to_csv("name,round,residual,tolerance,pass", rows))
 
 
 def _block_norms(fed: Federation, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -192,12 +192,13 @@ class StationaritySummary:
 
 
 def stationarity_series(log, tol: float) -> StationaritySummary:
-    """Summarize the phi-gradient-norm column of a run log."""
-    samples = [(m.round, m.phi_grad_norm) for m in log.rounds if m.phi_grad_norm is not None]
-    if not samples:
+    """Summarize the phi-gradient-norm column of a run log, its sampled rounds only."""
+    sampled = ~log.missing("phi_grad_norm")
+    values = log.column("phi_grad_norm")[sampled].tolist()
+    if not values:
         raise ValueError("no stationarity samples")
-    values = [v for _, v in samples]
-    first = next((r for r, v in samples if v <= tol), None)
+    rounds = log.column("round")[sampled].tolist()
+    first = next((r for r, v in zip(rounds, values) if v <= tol), None)
     return StationaritySummary(min=min(values), final=values[-1], first_round_below=first)
 
 

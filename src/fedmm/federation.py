@@ -11,11 +11,14 @@ from __future__ import annotations
 
 import os
 import uuid
-from dataclasses import dataclass, field, fields
+from bisect import bisect_right
+from collections import abc
+from dataclasses import dataclass, fields
 from enum import Enum
-from operator import attrgetter
+from itertools import islice, starmap
+from operator import attrgetter, index
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -159,13 +162,14 @@ def evaluate_target_accuracy(
     return float(accuracy) if accuracy.ndim == 0 else accuracy
 
 
-@dataclass
+@dataclass(frozen=True)
 class RoundMetrics:
-    """One round's CSV row.
+    """One round's CSV row, as a RunLog reads it back from its columns.
 
-    A plain dataclass, not a frozen one: a frozen __init__ sets each field
-    through object.__setattr__, and building a block's 64 rows that way took
-    about a third of a quadratic metric-block flush.
+    Every field is a plain Python int, float or None (a round whose
+    phi_grad_norm was not sampled or failed, or a run without target
+    accuracy). A row is built when it is read, so it is frozen: setting a
+    field could not change the log.
     """
 
     round: int
@@ -204,9 +208,20 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def to_csv(header: str, rows: Iterable[Sequence]) -> str:
-    """The CSV text of a header line and rows of cells: the only CSV writer."""
-    return "\n".join([header, *(",".join(map(_fmt, row)) for row in rows)]) + "\n"
+# to_csv's text comes in pieces of at most this many rows
+_CSV_PIECE_ROWS = 256
+
+
+def to_csv(header: str, rows: Iterable[Sequence]) -> Iterator[str]:
+    """The CSV text of a header line and rows of cells: the only CSV writer.
+
+    The text comes in pieces, the header line and then at most 256 rows
+    each, read from rows as they are needed; "".join gives the whole text.
+    """
+    yield header + "\n"
+    rows = iter(rows)
+    while piece := [",".join(map(_fmt, row)) for row in islice(rows, _CSV_PIECE_ROWS)]:
+        yield "\n".join(piece) + "\n"
 
 
 def _consensus(Z: np.ndarray, P: np.ndarray, d1: int) -> tuple[np.ndarray, np.ndarray]:
@@ -261,12 +276,46 @@ def block_rounds(points: int, d: int) -> int:
     return min(_BLOCK_ROUNDS, max(1, _BLOCK_FLOATS // (points * d)))
 
 
+# the fields of _Columns' ints, floats and missing rows, in row order
+_INT_FIELDS = ("round", "floats_communicated")
+_FLOAT_FIELDS = ("phi_grad_norm", "consensus_omega", "consensus_psi", "global_loss", "target_accuracy")
+_OPTIONAL_FIELDS = ("phi_grad_norm", "target_accuracy")
+
+
+class _Columns:
+    """Rows of RoundMetrics stored by field: row j of an array is one field, column i one round.
+
+    ints holds round and floats_communicated, floats the five metric fields
+    in RoundMetrics order, and missing whether phi_grad_norm, then
+    target_accuracy, is None: 58 bytes a round. A missing cell's float is
+    NaN, but NaN never means missing, since a real loss or norm can be NaN.
+    """
+
+    __slots__ = ("rounds", "ints", "floats", "missing")
+
+    def __init__(self, rounds: int):
+        self.rounds = rounds
+        self.ints = np.empty((2, rounds), np.int64)
+        self.floats = np.empty((5, rounds))
+        self.missing = np.empty((2, rounds), bool)
+
+    def cells(self, lo: int, hi: int) -> Iterator[tuple]:
+        """Rounds lo:hi as tuples of Python ints, floats and None, in RoundMetrics field order."""
+        (t, sent), (phi, om, ps, loss, acc), (no_phi, no_acc) = (
+            a[:, lo:hi].tolist() for a in (self.ints, self.floats, self.missing)
+        )
+        phi = [None if m else v for v, m in zip(phi, no_phi)]
+        acc = [None if m else v for v, m in zip(acc, no_acc)]
+        return zip(t, phi, om, ps, loss, acc, sent)
+
+
 class MetricsBlock:
     """Several rounds' metric inputs, evaluated together once the block is full.
 
     `add` copies a round's client rows fed.Z and its global pair's joint row
-    [omega | psi] into preallocated buffers. `flush` turns the buffered
-    rounds into their RoundMetrics rows and empties the block:
+    [omega | psi] into preallocated buffers. `flush` evaluates the buffered
+    rounds' metrics, writes them straight into a RunLog's columns and
+    empties the block:
 
     - consensus: row_norms of Z - pair on each block, then the max over clients;
     - global loss: one `values` call of `pooled(view)` at all the pairs;
@@ -308,42 +357,49 @@ class MetricsBlock:
         self.P[k] = server.global_pair.row
         self.rounds.append((t, server.floats_sent, sample_phi))
 
-    def flush(self) -> list[RoundMetrics]:
-        """The buffered rounds' metrics, in round order; the block is empty afterwards."""
+    def flush(self, log: RunLog) -> None:
+        """Log the buffered rounds' metrics after log's rounds, in round order; the block is empty afterwards."""
         k, d1 = len(self.rounds), self.view.dims[0]
         if not k:
-            return []
+            return
         Z, P = self.Z[:k], self.P[:k]
         omegas = P[:, :d1]
-        spread_om, spread_ps = (c.tolist() for c in _consensus(Z, P, d1))
-        loss = self.pooled.values(omegas[:, None], P[:, None, d1:])[:, 0].tolist()
-        accuracy = [None] * k
+        spread = _consensus(Z, P, d1)
+        loss = self.pooled.values(omegas[:, None], P[:, None, d1:])[:, 0]
+        accuracy = np.nan
         if self.accuracy is not None:
             objective, holdout = self.accuracy
-            accuracy = evaluate_target_accuracy(objective, omegas, holdout).tolist()
-        phi = [None] * k
-        sampled = [b for b, (_, _, sample_phi) in enumerate(self.rounds) if sample_phi]
+            accuracy = evaluate_target_accuracy(objective, omegas, holdout)
+        ts, floats, sample_phi = zip(*self.rounds)
+        sampled = [b for b, sample in enumerate(sample_phi) if sample]
         if sampled:
-            out = phi_grads(self.pooled, omegas[sampled], self.tol, max_iters=_PHI_ORACLE_ITER_CAP)
-            for b, norm, error in zip(sampled, row_norms(out.grads).tolist(), out.errors):
-                phi[b] = norm if error is None else None
-        ts, floats, _ = zip(*self.rounds)
-        rows = list(map(RoundMetrics, ts, phi, spread_om, spread_ps, loss, accuracy, floats))  # field order
+            got = phi_grads(self.pooled, omegas[sampled], self.tol, max_iters=_PHI_ORACLE_ITER_CAP)
+        ints, F, missing = log._claim(k)
+        ints[:] = ts, floats
+        F[0], F[1:4], F[4] = np.nan, (*spread, loss), accuracy
+        missing[:] = [True], [self.accuracy is None]  # phi_grad_norm: but where sampled, below
+        if sampled:
+            F[0, sampled] = row_norms(got.grads)  # NaN where the inner max failed
+            missing[0, sampled] = [error is not None for error in got.errors]
         self.rounds = []
-        return rows
 
 
-def write_atomic(path: str | Path, text: str) -> None:
+def write_atomic(path: str | Path, text: str | Iterable[str]) -> None:
     """Write-then-rename so failures never leave a partial file behind.
 
-    Each call writes its own uniquely named temp file next to the target, so
-    concurrent writers to one path never share a temp file; the last rename wins.
+    text is the file's text, or its pieces in order, each written as it
+    comes. Each call writes its own uniquely named temp file next to the
+    target, so concurrent writers to one path never share a temp file; the
+    last rename wins.
     """
     target = Path(path)
     tmp = target.with_name(f"{target.name}.{uuid.uuid4().hex}.tmp")
     try:
         with open(tmp, "x") as f:
-            f.write(text)
+            if isinstance(text, str):
+                f.write(text)
+            else:
+                f.writelines(text)
         os.replace(tmp, target)
     except BaseException:
         try:
@@ -353,22 +409,124 @@ def write_atomic(path: str | Path, text: str) -> None:
         raise
 
 
-@dataclass
-class RunLog:
-    """Per-round metrics plus the config echo; serializes to the run CSV."""
+# a RunLog chunk holds about this many rounds: the whole number of k-round writes that fit
+_LOG_CHUNK_ROUNDS = 256
 
-    config_echo: dict
-    seed: int
-    rounds: list[RoundMetrics] = field(default_factory=list)
+
+class RunLog:
+    """Per-round metrics plus the config echo; serializes to the run CSV.
+
+    The rounds are stored by column, 58 bytes a round (`_Columns`), in
+    chunks allocated as rounds are logged, never sized up front from the
+    run's round count. The log starts with one chunk of 256 rounds. A write
+    of k rounds goes into the last chunk when it has room, else into a new
+    one of max(1, 256 // k) * k rounds, which the run's k-round metric
+    blocks then fill exactly. `rounds` reads the log back as a read-only
+    sequence of RoundMetrics, each built when it is read.
+    """
+
+    def __init__(self, config_echo: dict, seed: int):
+        self.config_echo, self.seed = config_echo, seed
+        self._chunks, self._starts = [_Columns(_LOG_CHUNK_ROUNDS)], [0]  # and each one's first round
+        self._n = self._at = 0  # the rounds logged, and those of them in the last chunk
+
+    @property
+    def rounds(self) -> LoggedRounds:
+        # a new view each time: a log that held its view would be a reference cycle, which only
+        # the cyclic garbage collector frees, so finished logs would pile up until it ran
+        return LoggedRounds(self)
+
+    def _claim(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The ints, floats and missing columns of k more rounds, views for the caller to fill.
+
+        The k rounds count as logged from here on.
+        """
+        c, at = self._chunks[-1], self._at
+        if at + k > c.rounds:
+            c, at = _Columns(max(1, _LOG_CHUNK_ROUNDS // k) * k), 0
+            self._chunks.append(c)
+            self._starts.append(self._n)
+        self._at = stop = at + k
+        self._n += k
+        return c.ints[:, at:stop], c.floats[:, at:stop], c.missing[:, at:stop]
+
+    def append(self, row: RoundMetrics) -> None:
+        """Log one round's row after the logged ones; a None phi_grad_norm or target_accuracy is missing."""
+        phi, acc = row.phi_grad_norm, row.target_accuracy
+        cells = (  # converted before the round is claimed, so a bad row logs nothing
+            np.array((row.round, row.floats_communicated), np.int64),
+            np.array((
+                np.nan if phi is None else phi, row.consensus_omega, row.consensus_psi,
+                row.global_loss, np.nan if acc is None else acc,
+            ), np.float64),
+            (phi is None, acc is None),
+        )
+        for column, values in zip(self._claim(1), cells):
+            column[:, 0] = values
+
+    def _logged(self) -> Iterator[tuple[_Columns, int]]:
+        """Each chunk and its number of logged rounds."""
+        ends = [*self._starts[1:], self._n]
+        return zip(self._chunks, (end - start for start, end in zip(self._starts, ends)))
+
+    def _cells(self) -> Iterator[tuple]:
+        for chunk, rounds in self._logged():
+            yield from chunk.cells(0, rounds)
+
+    def _row(self, i: int) -> RoundMetrics:
+        """Round i's row, 0 <= i < the rounds logged."""
+        c = bisect_right(self._starts, i) - 1
+        at = i - self._starts[c]
+        return RoundMetrics(*next(self._chunks[c].cells(at, at + 1)))
+
+    def column(self, name: str) -> np.ndarray:
+        """One field's values over the logged rounds, a new (T,) int64 or float64 array.
+
+        A missing phi_grad_norm or target_accuracy reads NaN here; `missing`
+        tells it apart from a measured NaN.
+        """
+        if name in _INT_FIELDS:
+            return self._gather("ints", _INT_FIELDS.index(name))
+        return self._gather("floats", _FLOAT_FIELDS.index(name))
+
+    def missing(self, name: str) -> np.ndarray:
+        """Whether each logged round's phi_grad_norm or target_accuracy is None, a new (T,) bool array."""
+        return self._gather("missing", _OPTIONAL_FIELDS.index(name))
+
+    def _gather(self, columns: str, j: int) -> np.ndarray:
+        """Row j of the chunks' `columns` arrays ("ints", "floats" or "missing"), logged rounds only."""
+        return np.concatenate([getattr(c, columns)[j, :n] for c, n in self._logged()])
 
     def csv_text(self) -> str:
-        return to_csv(CSV_HEADER, map(attrgetter(*METRIC_FIELDS), self.rounds))
+        return "".join(to_csv(CSV_HEADER, self._cells()))
 
     def write_csv(self, path: str | Path) -> None:
-        write_atomic(path, self.csv_text())
+        """Write the run CSV atomically, streamed: at most a chunk's cells and 256 rows' text are held at once."""
+        write_atomic(path, to_csv(CSV_HEADER, self._cells()))
 
     def final(self) -> RoundMetrics | None:
-        return self.rounds[-1] if self.rounds else None
+        return self.rounds[-1] if self._n else None
+
+
+class LoggedRounds(abc.Sequence):
+    """A RunLog's rounds, read-only: len, an index (negative ones too) or iteration gives RoundMetrics."""
+
+    def __init__(self, log: RunLog):
+        self._log = log
+
+    def __len__(self) -> int:
+        return self._log._n
+
+    def __getitem__(self, i) -> RoundMetrics:
+        n, i = self._log._n, index(i)
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError("round index out of range")
+        return self._log._row(i)
+
+    def __iter__(self) -> Iterator[RoundMetrics]:
+        return starmap(RoundMetrics, self._log._cells())
 
 
 class ProblemKind(Enum):
@@ -614,6 +772,6 @@ def run_experiment(config: ExperimentConfig, problem: Problem | None = None) -> 
             raise DivergenceError(f"round {t}: {e.where}", e.step) from e
         block.add(t, fed, server, t % config.metrics_every == 0 or t == hp.rounds - 1)
         if block.full:
-            log.rounds += block.flush()
-    log.rounds += block.flush()
+            block.flush(log)
+    block.flush(log)
     return log

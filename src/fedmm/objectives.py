@@ -622,7 +622,9 @@ class PooledView(StackedObjectives):
     The only code that averages clients. Row 0 at a point evaluates every
     client there through `clients` and adds them in client order, one `row_sum`:
     `values` adds their + 0.0, the gradients do not. `values`, `grad_omega`
-    and `grad_psi` take leading axes (K points as (K, 1, d) rows).
+    and `grad_psi` take leading axes (K points as (K, 1, d) rows). A
+    client's rejected gradient is a RejectedRows of row 0, the view's one
+    row, not of the client's row in `clients`.
     """
 
     def __init__(self, clients: StackedObjectives):
@@ -641,11 +643,18 @@ class PooledView(StackedObjectives):
 
     def joint_grads(self, Z):
         n = self.clients.n
-        return row_sum(self.clients.joint_grads(Z.repeat(n, axis=0)))[None] / n
+        try:
+            G = self.clients.joint_grads(Z.repeat(n, axis=0))
+        except RejectedRows as e:
+            raise RejectedRows(0) from e
+        return row_sum(G)[None] / n
 
     def _mean(self, method, OM, PS):
         # the clients' (..., N, d) gradients at each point, averaged into one (..., 1, d) row
-        G = getattr(self.clients, method)(*self._at(OM, PS))
+        try:
+            G = getattr(self.clients, method)(*self._at(OM, PS))
+        except RejectedRows as e:
+            raise RejectedRows(0) from e
         return row_sum(G, axis=-2)[..., None, :] / self.clients.n
 
     grad_omega = functools.partialmethod(_mean, "grad_omega")

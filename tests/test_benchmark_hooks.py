@@ -6,7 +6,8 @@ and refuses to run if one is missing. Installing it in a fresh interpreter
 binds still exists, and a short traced run checks that the metric phase
 still goes through the wrapped functions. Building every workload of
 `perfbench/worker.py` the same way checks that the benchmark still reads
-the shipped configs and the program's names as it expects.
+the shipped configs and the program's names as it expects, and running
+experiment 0 of each checks its output as the worker does.
 """
 
 import json
@@ -55,6 +56,27 @@ for build in worker.WORKLOADS.values():
 print(" ".join(worker.WORKLOADS))
 """
 
+# each benchmark workload's experiment 0 at seed 0, checked as the worker checks it: its own
+# checks and, where reference.json records them, the final row and rounds to target
+WORKLOADS_CHECKED = """
+import json
+import sys
+from dataclasses import asdict
+from pathlib import Path
+sys.path[:0] = [{src!r}, {perfbench!r}]
+import worker
+worker.OUT = Path({out!r})
+reference = json.loads(worker.REFERENCE.read_text())
+found = {{}}
+for name, build in worker.WORKLOADS.items():
+    workload = build(0)
+    outcome = workload.outcome(workload.run(0))
+    json.dumps(asdict(outcome))  # the worker prints the final row as JSON: Python scalars only
+    ref = reference.get(name, {{}}).get("0")  # as the worker looks it up: the identity suite has none
+    found[name] = outcome.problems + worker._reference_problems(ref, outcome)
+print(json.dumps(found))
+"""
+
 
 def _python(code: str) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
@@ -90,3 +112,15 @@ def test_every_benchmark_workload_sets_up(tmp_path, monkeypatch):
     assert proc.stdout.split() == [
         "dann_labelshift_fedmm", "quad_wide_fedmm", "quad_fedsgda_rounds", "quad_tol_identities"
     ]
+
+
+def test_every_benchmark_workload_passes_the_worker_checks(tmp_path, monkeypatch):
+    """What the benchmark reads of a run: len(log.rounds), final(), asdict, csv_text and stationarity_series."""
+    monkeypatch.delenv("FEDMM_SEED", raising=False)
+    code = WORKLOADS_CHECKED.format(
+        src=str(ROOT / "src"), perfbench=str(ROOT / "perfbench"), out=str(tmp_path)
+    )
+    proc = _python(code)
+    assert proc.returncode == 0, proc.stderr
+    found = json.loads(proc.stdout.splitlines()[-1])
+    assert found == {name: [] for name in found} and len(found) == 4, found

@@ -49,7 +49,7 @@ def three_clients():
 def make_log(values):
     log = RunLog(config_echo={}, seed=0)
     for i, v in enumerate(values):
-        log.rounds.append(
+        log.append(
             RoundMetrics(
                 round=i, phi_grad_norm=v, consensus_omega=0.0, consensus_psi=0.0,
                 global_loss=0.0, target_accuracy=None, floats_communicated=i + 1,

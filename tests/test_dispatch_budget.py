@@ -32,7 +32,7 @@ import numpy as np
 import fedmm
 from fedmm.cli import parse_config
 from fedmm.core import HyperParams, PrimalDualPair, ServerState, zeros
-from fedmm.federation import MetricsBlock, prepare
+from fedmm.federation import MetricsBlock, RunLog, prepare
 from fedmm.objectives import PooledView, QuadraticSaddle, stacked
 from fedmm.optim import Federation, OptimizerKind, local_solve, run_round
 from fedmm.problems import synthetic_quadratic_specs
@@ -161,18 +161,23 @@ def test_fedsgda_round_and_metric_entry():
 
 
 def fedsgda_flush():
-    """The flush of a full metric block: 64 rounds of a FedSGDA run, phi sampled every 10th round."""
+    """The flush of a full metric block: 64 rounds of a FedSGDA run, phi sampled every 10th round.
+
+    It writes into a fresh RunLog, whose first chunk has room for the block,
+    as three of every four 64-round flushes of a run do.
+    """
     fed, server, hp, block = fedsgda_run()
     for t in range(64):
         fed = run_round(OptimizerKind.FEDSGDA, fed, server, hp)
         block.add(t, fed, server, t % 10 == 0)
-    return block.flush
+    log = RunLog(config_echo={}, seed=0)
+    return lambda: block.flush(log)
 
 
 def test_metric_block_flush():
-    # 61 and 220 before the flush read the pooled view for the loss and the phi oracle
-    assert c_calls(fedsgda_flush()) <= 62
-    assert operations(fedsgda_flush()) <= 234
+    # 60 and 229 before the flush wrote straight into the log's columns
+    assert c_calls(fedsgda_flush()) <= 56
+    assert operations(fedsgda_flush()) <= 228
 
 
 def test_central_gda_step_on_the_pooled_view():

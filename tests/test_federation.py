@@ -1,5 +1,9 @@
+import dataclasses
+import gc
 import re
-from dataclasses import replace
+import tracemalloc
+import weakref
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -201,7 +205,7 @@ def quad_config(**kw):
 class TestRunExperiment:
     def test_zero_rounds(self):
         log = run_experiment(quad_config(hyper=HyperParams(rounds=0)))
-        assert log.rounds == []
+        assert len(log.rounds) == 0 and list(log.rounds) == [] and log.final() is None
         assert log.csv_text() == CSV_HEADER + "\n"
         assert log.config_echo["optimizer"] == "fedmm"
 
@@ -343,7 +347,7 @@ class TestPreparedProblem:
 class TestRunLogCsv:
     def test_header_and_missing_fields(self):
         log = RunLog(config_echo={}, seed=0)
-        log.rounds.append(
+        log.append(
             RoundMetrics(
                 round=0, phi_grad_norm=None, consensus_omega=0.5, consensus_psi=0.25,
                 global_loss=-1.5, target_accuracy=None, floats_communicated=12,
@@ -354,6 +358,127 @@ class TestRunLogCsv:
         assert lines[0] == CSV_HEADER
         assert lines[1] == "0,,0.5,0.25,-1.5,,12"
         assert text.endswith("\n")
+
+
+def _python_values(row: RoundMetrics) -> bool:
+    """Every field a plain Python int, float or None, as json and asdict want them."""
+    return all(type(getattr(row, f.name)) in (int, float, type(None)) for f in fields(RoundMetrics))
+
+
+class TestLoggedRounds:
+    ROWS = [
+        RoundMetrics(0, None, 0.5, 0.25, -1.5, None, 12),
+        # NaN is a value, not a missing cell
+        RoundMetrics(1, float("nan"), float("inf"), -0.0, float("nan"), 0.75, 24),
+        RoundMetrics(2, 1e-300, 1.0, 2.0, 3.0, float("nan"), 2**40),
+    ]
+
+    def log(self, rows) -> RunLog:
+        log = RunLog(config_echo={}, seed=0)
+        for row in rows:
+            log.append(row)
+        return log
+
+    def test_appended_rows_read_back_field_for_field(self):
+        log = self.log(self.ROWS)
+        want = [repr(row) for row in self.ROWS]  # repr: NaN != NaN
+        assert len(log.rounds) == 3
+        assert [repr(row) for row in log.rounds] == want
+        assert [repr(log.rounds[i]) for i in range(3)] == want
+        assert [repr(log.rounds[i]) for i in (-3, -2, -1)] == want
+        assert repr(log.final()) == want[-1]
+        assert all(map(_python_values, log.rounds))
+        for i in (3, -4):
+            with pytest.raises(IndexError):
+                log.rounds[i]
+
+    def test_a_row_that_does_not_convert_logs_nothing(self):
+        log = self.log(self.ROWS)
+        with pytest.raises(ValueError):
+            log.append(RoundMetrics(3, None, "wide", 0.0, 0.0, None, 36))
+        assert len(log.rounds) == 3 and repr(log.final()) == repr(self.ROWS[-1])
+
+    def test_the_log_is_read_only_through_rounds(self):
+        log = self.log(self.ROWS)
+        with pytest.raises(TypeError):
+            log.rounds[0] = self.ROWS[1]
+        with pytest.raises(AttributeError):
+            log.rounds.append(self.ROWS[0])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            log.rounds[0].global_loss = 0.0
+
+    def test_columns_and_the_missing_mask(self):
+        log = self.log(self.ROWS)
+        assert log.column("round").dtype == np.int64
+        assert log.column("floats_communicated").tolist() == [12, 24, 2**40]
+        assert log.missing("phi_grad_norm").tolist() == [True, False, False]
+        assert log.missing("target_accuracy").tolist() == [True, False, False]
+        phi = log.column("phi_grad_norm")
+        assert np.isnan(phi[:2]).all() and phi[2] == 1e-300
+        empty = RunLog(config_echo={}, seed=0)
+        assert empty.column("global_loss").shape == (0,) and empty.missing("phi_grad_norm").dtype == bool
+
+    def test_a_dropped_log_is_freed_at_once(self):
+        # no reference cycle: a finished log is freed without waiting for the cycle collector
+        log = run_experiment(quad_config(hyper=HyperParams(rounds=3)))
+        assert len(log.rounds) == 3 and log.final() == list(log.rounds)[-1]
+        freed = weakref.ref(log)
+        gc.disable()
+        try:
+            del log
+            assert freed() is None
+        finally:
+            gc.enable()
+
+    def test_rows_of_a_run_are_python_values(self):
+        quad = run_experiment(quad_config(hyper=HyperParams(rounds=70), metrics_every=3))
+        toy_log = run_experiment(
+            ExperimentConfig(
+                optimizer=OptimizerKind.FEDMM, problem=ProblemKind.DOMAIN_ADAPT,
+                hyper=HyperParams(eta1=0.1, eta2=0.1, local_steps=(2,), rounds=3, tol=1e-3),
+                toy_n_per_domain=12, toy_holdout_n=16,
+            )
+        )
+        for log in (quad, toy_log):
+            assert all(map(_python_values, log.rounds)) and _python_values(log.final())
+        assert quad.rounds[69].phi_grad_norm is not None and quad.rounds[68].phi_grad_norm is None
+        assert all(m.target_accuracy is not None for m in toy_log.rounds)
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+LONG_ROUNDS = 20_000
+
+
+@pytest.fixture(scope="module")
+def long_fedsgda_memory(tmp_path_factory) -> tuple[int, int]:
+    """The shipped FedSGDA config at 20 000 rounds under tracemalloc: (bytes the log holds, write_csv's peak above it)."""
+    config = parse_config(CONFIGS / "quadratic_fedsgda.cfg", [f"hyper.rounds={LONG_ROUNDS}"])
+    problem = prepare(config)
+    out = tmp_path_factory.mktemp("long") / "run.csv"
+    tracemalloc.start()
+    try:
+        log = run_experiment(config, problem)
+        with_log = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        log.write_csv(out)
+        write_peak = tracemalloc.get_traced_memory()[1] - with_log
+        assert len(log.rounds) == LONG_ROUNDS
+        del log
+        gc.collect()
+        held = with_log - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return held, write_peak
+
+
+class TestRunLogMemory:
+    def test_a_finished_log_holds_at_most_64_bytes_a_round(self, long_fedsgda_memory):
+        held, _ = long_fedsgda_memory
+        assert held <= 64 * LONG_ROUNDS, f"{held / LONG_ROUNDS:.1f} B a round"
+
+    def test_write_csv_streams_within_half_a_megabyte(self, long_fedsgda_memory):
+        _, write_peak = long_fedsgda_memory
+        assert write_peak <= 500_000, f"write_csv peaked {write_peak / 1e6:.2f} MB above the log"
 
 
 class TestWriteCsv:
@@ -374,6 +499,27 @@ class TestWriteCsv:
 
         monkeypatch.setattr(federation.os, "replace", refuse)
         with pytest.raises(OSError, match="rename refused"):
+            log.write_csv(out)
+        assert out.read_text() == "previous run\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["run.csv"]
+
+    def test_a_stream_that_fails_midway_keeps_target_and_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        # 600 rounds are three pieces of the streamed CSV, of 256, 256 and 88 rows: the first
+        # is written to the temp file when the second fails
+        out = tmp_path / "run.csv"
+        out.write_text("previous run\n")
+        log = run_experiment(quad_config(hyper=HyperParams(rounds=600)))
+        fmt, cells = federation._fmt, 0
+
+        def fails_at_row_500(x):
+            nonlocal cells
+            cells += 1
+            if cells > 500 * 7:
+                raise OSError("disk full")
+            return fmt(x)
+
+        monkeypatch.setattr(federation, "_fmt", fails_at_row_500)
+        with pytest.raises(OSError, match="disk full"):
             log.write_csv(out)
         assert out.read_text() == "previous run\n"
         assert [p.name for p in tmp_path.iterdir()] == ["run.csv"]

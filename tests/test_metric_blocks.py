@@ -154,7 +154,7 @@ def reference_csv(config: ExperimentConfig) -> str:
             objective, holdout = problem.accuracy
             pred = objective.predict(gp.omega, holdout.X)
             accuracy = float(np.mean(pred == holdout.y))
-        log.rounds.append(
+        log.append(
             RoundMetrics(
                 t, phi, *_consensus(fed, gp), _global_loss(oracle, gp), accuracy, server.floats_sent
             )
@@ -238,3 +238,19 @@ def test_a_big_dataset_file_flushes_in_bounded_memory(dataset_file):
         tracemalloc.stop()
     assert len(log.rounds) == 64
     assert peak < 3_000_000, f"peak {peak / 1e6:.2f} MB"
+
+
+def test_a_log_past_its_first_chunk_equals_the_per_round_reference(dataset_file):
+    """300 rounds in 17-round blocks cross the log's first chunk; the reference's rows cross theirs.
+
+    The run's log starts with a 256-round chunk, which holds 15 blocks (255
+    rounds); its second chunk holds 15 blocks too. The reference appends one
+    row at a time, into chunks of 256 rounds. Both write the same CSV, and
+    the run reads back every row alike by index, negative index and iteration.
+    """
+    config = _config("quadratic_32", OptimizerKind.FEDSGDA, 300, 7, dataset_file)
+    log = run_experiment(config)
+    assert log.csv_text() == reference_csv(config)
+    rows = list(log.rounds)
+    assert [m.round for m in rows] == list(range(300))
+    assert [log.rounds[i] for i in range(300)] == rows == [log.rounds[i - 300] for i in range(300)]

@@ -15,12 +15,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from fedmm import federation
 from fedmm.core import ConvergenceError, HyperParams, PrimalDualPair, ServerState, seeded_rng, vector
 from fedmm.federation import (
     ExperimentConfig,
     MetricsBlock,
     PartitionSpec,
     ProblemKind,
+    RunLog,
     partition_label_shift,
     prepare,
 )
@@ -137,6 +139,13 @@ def _quadratic_block(rounds: int, every: int):
     return block
 
 
+def _flushed(block: MetricsBlock):
+    """The block's rows, flushed into a fresh RunLog."""
+    log = RunLog(config_echo={}, seed=0)
+    block.flush(log)
+    return log.rounds
+
+
 def test_a_flush_makes_one_batched_solve_and_never_evaluates_phi(monkeypatch):
     block = _quadratic_block(rounds=20, every=3)
     calls = {"solve": [], "pooled_values": 0, "values": 0}
@@ -157,7 +166,7 @@ def test_a_flush_makes_one_batched_solve_and_never_evaluates_phi(monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", counted_solve)
     monkeypatch.setattr(PooledView, "values", counted_pooled_values)
     monkeypatch.setattr(_StackedQuadratic, "values", counted_values)
-    rows = block.flush()
+    rows = _flushed(block)
     sampled = [r.round for r in rows if r.phi_grad_norm is not None]
     assert sampled == list(range(0, 20, 3))
     assert calls["solve"] == [(len(sampled), 3, 1)]  # one solve for all 7 sampled rounds
@@ -168,7 +177,27 @@ def test_a_flush_makes_one_batched_solve_and_never_evaluates_phi(monkeypatch):
 def test_flush_phi_norms_equal_one_round_calls():
     block = _quadratic_block(rounds=12, every=1)
     omegas = block.P[:12, :4].copy()
-    for row, omega in zip(block.flush(), omegas):
+    for row, omega in zip(_flushed(block), omegas):
         _, grad = phi_value_and_grad(block.view, vector(omega), 1e-12)
         assert row.phi_grad_norm == float(np.linalg.norm(grad))
 
+
+
+def test_a_failed_inner_max_empties_only_its_own_round(monkeypatch):
+    """Rounds 0, 2 and 4 are sampled and round 2's inner max fails: its field is None, not NaN."""
+    block = _quadratic_block(rounds=6, every=2)
+    real = federation.phi_grads
+
+    def second_fails(view, omegas, tol, max_iters):
+        out = real(view, omegas, tol, max_iters=max_iters)
+        grads, errors = out.grads.copy(), list(out.errors)
+        grads[1], errors[1] = np.nan, ConvergenceError("inner_max gradient ascent", np.inf, 0)
+        return out._replace(grads=grads, errors=errors)
+
+    monkeypatch.setattr(federation, "phi_grads", second_fails)
+    log = RunLog(config_echo={}, seed=0)
+    block.flush(log)
+    phi = [row.phi_grad_norm for row in log.rounds]
+    assert [v is None for v in phi] == [False, True, True, True, False, True]
+    assert log.missing("phi_grad_norm").tolist() == [False, True, True, True, False, True]
+    assert all(isinstance(phi[b], float) and phi[b] > 0 for b in (0, 4))

@@ -264,3 +264,30 @@ def test_nonfinite_ascent_gradient_is_a_failed_inner_solve(sizes):
         psi, (error,) = inner_maximizers(stacked(objs), omega, 1e-6)
     assert isinstance(error, ConvergenceError) and np.isnan(psi).all()
     assert error.grad_norm == np.inf and error.iterations == 0
+
+
+@pytest.mark.parametrize("method", ["joint_grads", "grad_omega", "grad_psi"])
+def test_a_pooled_view_names_its_own_row_for_a_rejecting_client(method):
+    """A pooled view has one row, so a client's rejected gradient is its row 0.
+
+    Ten labeled source points at unit scale and two 6-point target shards
+    whose features are of order 1e307: at a point of all 10s the target
+    clients' gradients overflow, in the second group of a size-grouped view.
+    """
+    layout, rng = ModelLayout(2, 1, 2), np.random.default_rng(0)
+    source = DomainAdaptDataset(rng.standard_normal((10, 2)), rng.integers(0, 2, 10), np.full(10, SOURCE))
+    targets = [
+        DomainAdaptDataset(1e307 * rng.standard_normal((6, 2)), np.full(6, UNLABELED), np.full(6, TARGET))
+        for _ in range(2)
+    ]
+    view = stacked([DomainAdaptObjective(d, 0.5, layout) for d in (source, *targets)])
+    assert type(view) is _SizeGroups
+    pool, d1 = pooled(view), layout.d1
+    z = np.full((1, d1 + layout.d2), 10.0)
+    args = (z,) if method == "joint_grads" else (z[:, :d1], z[:, d1:])
+    with np.errstate(all="ignore"), pytest.raises(RejectedRows) as rejected:
+        getattr(pool, method)(*args)
+    assert pool.n == 1 and rejected.value.row == 0
+    with np.errstate(all="ignore"), pytest.raises(RejectedRows) as by_client:
+        getattr(view, method)(*(np.repeat(a, 3, axis=0) for a in args))
+    assert by_client.value.row > 0  # the clients' own view names a target client
