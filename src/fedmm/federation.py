@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import os
 import uuid
-from bisect import bisect_right
 from collections import abc
 from dataclasses import dataclass, fields
 from enum import Enum
 from itertools import islice, starmap
 from operator import attrgetter, index
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, get_args, get_type_hints
 
 import numpy as np
 
@@ -164,7 +163,7 @@ def evaluate_target_accuracy(
 
 @dataclass(frozen=True)
 class RoundMetrics:
-    """One round's CSV row, as a RunLog reads it back from its columns.
+    """One round's CSV row and the only statement of the per-round fields: `RECORD` derives from it.
 
     Every field is a plain Python int, float or None (a round whose
     phi_grad_norm was not sampled or failed, or a run without target
@@ -183,6 +182,15 @@ class RoundMetrics:
 
 METRIC_FIELDS = tuple(f.name for f in fields(RoundMetrics))
 CSV_HEADER = ",".join(METRIC_FIELDS)
+_TYPES = get_type_hints(RoundMetrics)
+_OPTIONAL_FIELDS = tuple(name for name, t in _TYPES.items() if type(None) in get_args(t))
+# One logged round, packed, 58 bytes: the fields in RoundMetrics order, an int
+# as int64 and any other as float64, then whether each optional field is None.
+# A missing cell's float is NaN, but NaN never means missing: a loss can be NaN.
+RECORD = np.dtype(
+    [(name, np.int64 if t is int else np.float64) for name, t in _TYPES.items()]
+    + [(f"{name}_missing", bool) for name in _OPTIONAL_FIELDS]
+)
 
 # the metric oracle must never dominate a round: past this budget the sample
 # degrades to an empty field instead
@@ -276,46 +284,13 @@ def block_rounds(points: int, d: int) -> int:
     return min(_BLOCK_ROUNDS, max(1, _BLOCK_FLOATS // (points * d)))
 
 
-# the fields of _Columns' ints, floats and missing rows, in row order
-_INT_FIELDS = ("round", "floats_communicated")
-_FLOAT_FIELDS = ("phi_grad_norm", "consensus_omega", "consensus_psi", "global_loss", "target_accuracy")
-_OPTIONAL_FIELDS = ("phi_grad_norm", "target_accuracy")
-
-
-class _Columns:
-    """Rows of RoundMetrics stored by field: row j of an array is one field, column i one round.
-
-    ints holds round and floats_communicated, floats the five metric fields
-    in RoundMetrics order, and missing whether phi_grad_norm, then
-    target_accuracy, is None: 58 bytes a round. A missing cell's float is
-    NaN, but NaN never means missing, since a real loss or norm can be NaN.
-    """
-
-    __slots__ = ("rounds", "ints", "floats", "missing")
-
-    def __init__(self, rounds: int):
-        self.rounds = rounds
-        self.ints = np.empty((2, rounds), np.int64)
-        self.floats = np.empty((5, rounds))
-        self.missing = np.empty((2, rounds), bool)
-
-    def cells(self, lo: int, hi: int) -> Iterator[tuple]:
-        """Rounds lo:hi as tuples of Python ints, floats and None, in RoundMetrics field order."""
-        (t, sent), (phi, om, ps, loss, acc), (no_phi, no_acc) = (
-            a[:, lo:hi].tolist() for a in (self.ints, self.floats, self.missing)
-        )
-        phi = [None if m else v for v, m in zip(phi, no_phi)]
-        acc = [None if m else v for v, m in zip(acc, no_acc)]
-        return zip(t, phi, om, ps, loss, acc, sent)
-
-
 class MetricsBlock:
     """Several rounds' metric inputs, evaluated together once the block is full.
 
     `add` copies a round's client rows fed.Z and its global pair's joint row
     [omega | psi] into preallocated buffers. `flush` evaluates the buffered
-    rounds' metrics, writes them straight into a RunLog's columns and
-    empties the block:
+    rounds' metrics, fills the block's `RECORD`s by field name, appends them
+    to a RunLog in one call and empties the block:
 
     - consensus: row_norms of Z - pair on each block, then the max over clients;
     - global loss: one `values` call of `pooled(view)` at all the pairs;
@@ -344,6 +319,7 @@ class MetricsBlock:
         d = sum(view.dims)
         self.Z = np.empty((size, view.n, d))
         self.P = np.empty((size, d))
+        self.records = np.empty(size, RECORD)
         self.rounds: list[tuple[int, int, bool]] = []  # (round, floats sent, phi sampled)
 
     @property
@@ -374,13 +350,16 @@ class MetricsBlock:
         sampled = [b for b, sample in enumerate(sample_phi) if sample]
         if sampled:
             got = phi_grads(self.pooled, omegas[sampled], self.tol, max_iters=_PHI_ORACLE_ITER_CAP)
-        ints, F, missing = log._claim(k)
-        ints[:] = ts, floats
-        F[0], F[1:4], F[4] = np.nan, (*spread, loss), accuracy
-        missing[:] = [True], [self.accuracy is None]  # phi_grad_norm: but where sampled, below
+        r = self.records[:k]
+        r["round"], r["floats_communicated"] = ts, floats
+        r["consensus_omega"], r["consensus_psi"] = spread
+        r["global_loss"], r["target_accuracy"] = loss, accuracy
+        r["phi_grad_norm"], r["phi_grad_norm_missing"] = np.nan, True  # but where sampled, below
+        r["target_accuracy_missing"] = self.accuracy is None
         if sampled:
-            F[0, sampled] = row_norms(got.grads)  # NaN where the inner max failed
-            missing[0, sampled] = [error is not None for error in got.errors]
+            r["phi_grad_norm"][sampled] = row_norms(got.grads)  # NaN where the inner max failed
+            r["phi_grad_norm_missing"][sampled] = [error is not None for error in got.errors]
+        log._extend(r)
         self.rounds = []
 
 
@@ -409,26 +388,34 @@ def write_atomic(path: str | Path, text: str | Iterable[str]) -> None:
         raise
 
 
-# a RunLog chunk holds about this many rounds: the whole number of k-round writes that fit
-_LOG_CHUNK_ROUNDS = 256
+def _cells(records: np.ndarray) -> Iterator[tuple]:
+    """RECORD records as rows of Python ints, floats and None: the only record-to-row conversion."""
+    column = {name: records[name].tolist() for name in RECORD.names}
+    for name in _OPTIONAL_FIELDS:
+        column[name] = [None if m else v for v, m in zip(column[name], column[f"{name}_missing"])]
+    return zip(*map(column.get, METRIC_FIELDS))
+
+
+# a RunLog's buffer starts with room for this many rounds, and grows by at least as many
+_LOG_SPARE_ROUNDS = 256
 
 
 class RunLog:
     """Per-round metrics plus the config echo; serializes to the run CSV.
 
-    The rounds are stored by column, 58 bytes a round (`_Columns`), in
-    chunks allocated as rounds are logged, never sized up front from the
-    run's round count. The log starts with one chunk of 256 rounds. A write
-    of k rounds goes into the last chunk when it has room, else into a new
-    one of max(1, 256 // k) * k rounds, which the run's k-round metric
-    blocks then fill exactly. `rounds` reads the log back as a read-only
-    sequence of RoundMetrics, each built when it is read.
+    Each round is one `RECORD` in a byte buffer, never sized from the run's
+    round count. A write that does not fit resizes the buffer, in place
+    where the allocator can, to room for max(256, 1/16 of the logged rounds)
+    more, so past 4096 rounds at most 1/16 of it is spare: 61.6 bytes a
+    round. numpy resizes no array while a view of it is alive, so every read
+    drops its views before it returns or yields. `rounds` reads the log back
+    as a read-only sequence of RoundMetrics, each built when it is read.
     """
 
     def __init__(self, config_echo: dict, seed: int):
         self.config_echo, self.seed = config_echo, seed
-        self._chunks, self._starts = [_Columns(_LOG_CHUNK_ROUNDS)], [0]  # and each one's first round
-        self._n = self._at = 0  # the rounds logged, and those of them in the last chunk
+        self._bytes = np.empty(_LOG_SPARE_ROUNDS * RECORD.itemsize, np.uint8)
+        self._n = 0  # the rounds logged
 
     @property
     def rounds(self) -> LoggedRounds:
@@ -436,48 +423,31 @@ class RunLog:
         # the cyclic garbage collector frees, so finished logs would pile up until it ran
         return LoggedRounds(self)
 
-    def _claim(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The ints, floats and missing columns of k more rounds, views for the caller to fill.
+    def _records(self, lo: int, hi: int) -> np.ndarray:
+        """Logged rounds lo:hi as RECORD records, a view of the buffer."""
+        return self._bytes[lo * RECORD.itemsize:hi * RECORD.itemsize].view(RECORD)
 
-        The k rounds count as logged from here on.
-        """
-        c, at = self._chunks[-1], self._at
-        if at + k > c.rounds:
-            c, at = _Columns(max(1, _LOG_CHUNK_ROUNDS // k) * k), 0
-            self._chunks.append(c)
-            self._starts.append(self._n)
-        self._at = stop = at + k
-        self._n += k
-        return c.ints[:, at:stop], c.floats[:, at:stop], c.missing[:, at:stop]
+    def _extend(self, records: np.ndarray) -> None:
+        """Log a contiguous (k,) RECORD array's rounds after the logged ones."""
+        raw, at = records.view(np.uint8), self._n * RECORD.itemsize
+        end = at + raw.size
+        if end > self._bytes.size:  # raises ValueError while a view of the buffer is alive
+            self._bytes.resize(end + max(end // 16, _LOG_SPARE_ROUNDS * RECORD.itemsize))
+        self._bytes[at:end] = raw
+        self._n = end // RECORD.itemsize
 
     def append(self, row: RoundMetrics) -> None:
         """Log one round's row after the logged ones; a None phi_grad_norm or target_accuracy is missing."""
-        phi, acc = row.phi_grad_norm, row.target_accuracy
-        cells = (  # converted before the round is claimed, so a bad row logs nothing
-            np.array((row.round, row.floats_communicated), np.int64),
-            np.array((
-                np.nan if phi is None else phi, row.consensus_omega, row.consensus_psi,
-                row.global_loss, np.nan if acc is None else acc,
-            ), np.float64),
-            (phi is None, acc is None),
-        )
-        for column, values in zip(self._claim(1), cells):
-            column[:, 0] = values
+        values = [getattr(row, name) for name in METRIC_FIELDS]
+        missing = [getattr(row, name) is None for name in _OPTIONAL_FIELDS]
+        # converted before anything is logged, so a bad row logs nothing
+        self._extend(np.array([(*[np.nan if v is None else v for v in values], *missing)], RECORD))
 
-    def _logged(self) -> Iterator[tuple[_Columns, int]]:
-        """Each chunk and its number of logged rounds."""
-        ends = [*self._starts[1:], self._n]
-        return zip(self._chunks, (end - start for start, end in zip(self._starts, ends)))
-
-    def _cells(self) -> Iterator[tuple]:
-        for chunk, rounds in self._logged():
-            yield from chunk.cells(0, rounds)
-
-    def _row(self, i: int) -> RoundMetrics:
-        """Round i's row, 0 <= i < the rounds logged."""
-        c = bisect_right(self._starts, i) - 1
-        at = i - self._starts[c]
-        return RoundMetrics(*next(self._chunks[c].cells(at, at + 1)))
+    def _rows(self) -> Iterator[tuple]:
+        """The logged rounds as `_cells` rows, 256 at a time; no view of the buffer is held across a yield."""
+        n = self._n
+        for lo in range(0, n, _CSV_PIECE_ROWS):
+            yield from _cells(self._records(lo, min(lo + _CSV_PIECE_ROWS, n)))
 
     def column(self, name: str) -> np.ndarray:
         """One field's values over the logged rounds, a new (T,) int64 or float64 array.
@@ -485,24 +455,18 @@ class RunLog:
         A missing phi_grad_norm or target_accuracy reads NaN here; `missing`
         tells it apart from a measured NaN.
         """
-        if name in _INT_FIELDS:
-            return self._gather("ints", _INT_FIELDS.index(name))
-        return self._gather("floats", _FLOAT_FIELDS.index(name))
+        return self._records(0, self._n)[name].copy()
 
     def missing(self, name: str) -> np.ndarray:
         """Whether each logged round's phi_grad_norm or target_accuracy is None, a new (T,) bool array."""
-        return self._gather("missing", _OPTIONAL_FIELDS.index(name))
-
-    def _gather(self, columns: str, j: int) -> np.ndarray:
-        """Row j of the chunks' `columns` arrays ("ints", "floats" or "missing"), logged rounds only."""
-        return np.concatenate([getattr(c, columns)[j, :n] for c, n in self._logged()])
+        return self._records(0, self._n)[f"{name}_missing"].copy()
 
     def csv_text(self) -> str:
-        return "".join(to_csv(CSV_HEADER, self._cells()))
+        return "".join(to_csv(CSV_HEADER, self._rows()))
 
     def write_csv(self, path: str | Path) -> None:
-        """Write the run CSV atomically, streamed: at most a chunk's cells and 256 rows' text are held at once."""
-        write_atomic(path, to_csv(CSV_HEADER, self._cells()))
+        """Write the run CSV atomically, streamed: at most 256 rounds' cells and text are held at once."""
+        write_atomic(path, to_csv(CSV_HEADER, self._rows()))
 
     def final(self) -> RoundMetrics | None:
         return self.rounds[-1] if self._n else None
@@ -518,15 +482,11 @@ class LoggedRounds(abc.Sequence):
         return self._log._n
 
     def __getitem__(self, i) -> RoundMetrics:
-        n, i = self._log._n, index(i)
-        if i < 0:
-            i += n
-        if not 0 <= i < n:
-            raise IndexError("round index out of range")
-        return self._log._row(i)
+        i = range(self._log._n)[index(i)]  # IndexError past either end; a negative index counts from the end
+        return RoundMetrics(*next(_cells(self._log._records(i, i + 1))))
 
     def __iter__(self) -> Iterator[RoundMetrics]:
-        return starmap(RoundMetrics, self._log._cells())
+        return starmap(RoundMetrics, self._log._rows())
 
 
 class ProblemKind(Enum):

@@ -374,7 +374,7 @@ class QuadraticBars(NamedTuple):
 
 def _bars(*stacks) -> QuadraticBars:
     # the clients in order, summed from zero: + 0.0 turns an all -0.0 sum into +0.0
-    bars = [(row_sum(np.asarray(stack)) + 0.0) / len(stack) for stack in stacks]
+    bars = [(row_sum(stack) + 0.0) / len(stack) for stack in stacks]
     for b in bars:
         b.flags.writeable = False
     return QuadraticBars(*bars)

@@ -15,6 +15,8 @@ from fedmm import federation
 from fedmm.core import HyperParams, seeded_rng, vector
 from fedmm.federation import (
     CSV_HEADER,
+    METRIC_FIELDS,
+    RECORD,
     ExperimentConfig,
     PartitionMode,
     PartitionSpec,
@@ -417,6 +419,40 @@ class TestLoggedRounds:
         assert np.isnan(phi[:2]).all() and phi[2] == 1e-300
         empty = RunLog(config_echo={}, seed=0)
         assert empty.column("global_loss").shape == (0,) and empty.missing("phi_grad_norm").dtype == bool
+
+    def test_the_record_is_the_fields_then_one_mask_per_optional_field(self):
+        # a field added to RoundMetrics is a field of the record, so it cannot go unlogged
+        optional = [f.name for f in fields(RoundMetrics) if "None" in str(f.type)]
+        assert optional == ["phi_grad_norm", "target_accuracy"]
+        assert RECORD.names == METRIC_FIELDS + tuple(f"{name}_missing" for name in optional)
+        ints = ("round", "floats_communicated")
+        assert all(RECORD[name] == (np.int64 if name in ints else np.float64) for name in METRIC_FIELDS)
+        assert RECORD.itemsize == 58
+
+    def test_reads_leave_the_log_free_to_grow(self):
+        # the log outgrows its buffer (room for 256 rounds at first) while a partly consumed
+        # iteration, and then each read's result, is alive; the iteration goes on over the
+        # rounds logged when it started
+        rows = [RoundMetrics(t, None if t % 3 else t / 7, 0.5, 0.25, -1.5, None, 12 * t) for t in range(1200)]
+        log = self.log(rows[:255])
+        it = iter(log.rounds)
+        assert next(it) == rows[0]
+        for row in rows[255:600]:
+            log.append(row)
+        assert list(it) == rows[1:255]
+        kept = [log.column("global_loss"), log.missing("phi_grad_norm"), log.rounds[3], log.csv_text()]
+        for row in rows[600:]:
+            log.append(row)
+        assert list(log.rounds) == rows and kept[2] == rows[3]
+
+    def test_writing_into_a_returned_column_leaves_the_log_unchanged(self):
+        log = self.log(self.ROWS)
+        text = log.csv_text()
+        log.column("round")[:] = 7
+        log.column("phi_grad_norm")[:] = 0.0
+        log.missing("phi_grad_norm")[:] = False
+        log.missing("target_accuracy")[:] = False
+        assert log.csv_text() == text
 
     def test_a_dropped_log_is_freed_at_once(self):
         # no reference cycle: a finished log is freed without waiting for the cycle collector

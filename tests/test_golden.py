@@ -1,4 +1,4 @@
-"""The bit-exact contract: recorded CSV bytes, pinned by SHA-256.
+"""The bit-exact contract: recorded CSV bytes and `fedmm check` output, pinned by SHA-256.
 
 A change that moves any digit of any metric in any round of these runs
 fails here. The digests were recorded when the runs were first made
@@ -6,7 +6,8 @@ deterministic and have held through every engine change since. Besides the
 four shipped configs they cover each optimizer on both problems, minibatches,
 unequal DANN shards in full batches and in minibatches, mixed label shift,
 unequal local step counts, run-to-tolerance rounds, and the identity-suite
-reports.
+reports. The standard output of `fedmm check` is pinned too, the numbers in
+its rows included.
 """
 
 import hashlib
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from fedmm.cli import parse_config
+from fedmm.cli import main, parse_config
 from fedmm.core import HyperParams
 from fedmm.diagnostics import reports_to_csv, run_identity_suite
 from fedmm.federation import run_experiment
@@ -95,6 +96,9 @@ IDENTITIES = [
     "7bdd0538a56d6ea729c7b38e094f78544b668dc8c703fe0f87d0e17ce8d3f89c",
 ]
 
+# the standard output of `fedmm check`: every check's row, its numbers included, and status=ok
+CHECK_STDOUT = "de25711a61b7291259a7e6342326cdef08f92aafe0f8b5253ae640c1988033d6"
+
 
 def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
@@ -122,3 +126,9 @@ def test_identity_suite_report_digest(k):
     hp = HyperParams(eta1=0.2, eta2=0.2, eta3=1.0, rounds=60)
     reports = run_identity_suite(objs, hp, rounds=60, local_tol=1e-10)
     assert _digest(reports_to_csv(reports)) == IDENTITIES[k]
+
+
+def test_check_stdout_digest(capsys, monkeypatch):
+    monkeypatch.delenv("FEDMM_SEED", raising=False)
+    assert main(["check"]) == 0
+    assert _digest(capsys.readouterr().out) == CHECK_STDOUT

@@ -241,12 +241,13 @@ def test_a_big_dataset_file_flushes_in_bounded_memory(dataset_file):
 
 
 def test_a_log_past_its_first_chunk_equals_the_per_round_reference(dataset_file):
-    """300 rounds in 17-round blocks cross the log's first chunk; the reference's rows cross theirs.
+    """300 rounds in 17-round blocks outgrow the log's first buffer; the reference's rows outgrow theirs.
 
-    The run's log starts with a 256-round chunk, which holds 15 blocks (255
-    rounds); its second chunk holds 15 blocks too. The reference appends one
-    row at a time, into chunks of 256 rounds. Both write the same CSV, and
-    the run reads back every row alike by index, negative index and iteration.
+    The run's log starts with room for 256 rounds, which holds 15 blocks (255
+    rounds); the 16th block grows it, to room for 272 + 256 rounds. The
+    reference appends one row at a time and grows its log at the 257th. Both
+    write the same CSV, and the run reads back every row alike by index,
+    negative index and iteration.
     """
     config = _config("quadratic_32", OptimizerKind.FEDSGDA, 300, 7, dataset_file)
     log = run_experiment(config)
