@@ -407,8 +407,10 @@ class RunLog:
     round count. A write that does not fit resizes the buffer, in place
     where the allocator can, to room for max(256, 1/16 of the logged rounds)
     more, so past 4096 rounds at most 1/16 of it is spare: 61.6 bytes a
-    round. numpy resizes no array while a view of it is alive, so every read
-    drops its views before it returns or yields. `rounds` reads the log back
+    round. numpy resizes no array that something else references, such as a
+    live view or a trace or profile hook; the log then copies into a new
+    buffer instead. Every read drops its views before it returns or yields,
+    so without a hook the buffer grows in place. `rounds` reads the log back
     as a read-only sequence of RoundMetrics, each built when it is read.
     """
 
@@ -431,8 +433,14 @@ class RunLog:
         """Log a contiguous (k,) RECORD array's rounds after the logged ones."""
         raw, at = records.view(np.uint8), self._n * RECORD.itemsize
         end = at + raw.size
-        if end > self._bytes.size:  # raises ValueError while a view of the buffer is alive
-            self._bytes.resize(end + max(end // 16, _LOG_SPARE_ROUNDS * RECORD.itemsize))
+        if end > self._bytes.size:
+            size = end + max(end // 16, _LOG_SPARE_ROUNDS * RECORD.itemsize)
+            try:
+                self._bytes.resize(size)
+            except ValueError:  # something holds a reference, a trace or profile hook say: copy instead
+                grown = np.empty(size, np.uint8)
+                grown[:at] = self._bytes[:at]
+                self._bytes = grown
         self._bytes[at:end] = raw
         self._n = end // RECORD.itemsize
 

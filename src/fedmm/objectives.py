@@ -39,9 +39,14 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+import re
+from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence
+from stat import S_ISREG
+from typing import Callable, Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -786,40 +791,110 @@ def phi_value_and_grad(
 #   label -1 = unlabeled); d2 <= N.
 
 
-def _records(
-    path: str | Path, width: Callable[[int, int], int]
-) -> tuple[tuple[int, int, int], list[str], np.ndarray]:
-    """A text file's `d1 d2 N` header, the tokens after it and its N records of width(d1, d2) values.
+# characters read at a time; a chunk then runs to the end of its last whole line
+_CHUNK_CHARS = 1 << 13
+# a comment ends at every line boundary str.splitlines() knows
+_COMMENT = re.compile("#[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]*")
 
-    The records parse in one bulk pass into one frozen (N, width) float
-    array; every error names the file.
+
+def _tokens(text: str) -> list[str]:
+    # str.split() breaks on every line boundary, so dropping the comments leaves the other tokens whole
+    return (_COMMENT.sub("", text) if "#" in text else text).split()
+
+
+def _token_chunks(f: TextIO) -> Iterator[list[str]]:
+    """An open text file's tokens, comments dropped, one chunk of whole lines at a time.
+
+    A chunk ends at its last "\n", which text mode also makes of "\r\n" and
+    "\r"; a file whose lines end only in rarer boundaries is one long line.
     """
-    # str.split() breaks on every line boundary str.splitlines() does, so only
-    # a text with comments needs a pass per line
-    text = Path(path).read_text()
-    if "#" in text:
-        text = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
-    toks = text.split()
-    del text  # so that the text and the parsed floats are never held at once
-    if len(toks) < 3:
+    tail = ""
+    while chunk := f.read(_CHUNK_CHARS):
+        text = tail + chunk
+        cut = text.rfind("\n") + 1
+        tail = text[cut:]
+        yield _tokens(text[:cut])
+    yield _tokens(tail)
+
+
+def _records(
+    path: str | Path, width: Callable[[int, int], int], lead: int = 0
+) -> tuple[tuple[int, int, int], np.ndarray, np.ndarray, list[list[str]]]:
+    """A text file's `d1 d2 N` header and its N records of width(d1, d2) values, streamed.
+
+    Returns the header, an (N, width - lead) array of each record's values
+    after its first `lead`, an (N, lead) array of those, and their tokens as
+    `lead` lists of N strings. The file is read a chunk of whole lines at a
+    time, and each chunk's tokens parse in one bulk pass straight into the
+    arrays: neither the text nor its tokens are ever held whole. Every error
+    names the file, and the errors and their order are a whole-file parse's,
+    because every byte is decoded before any other error is raised.
+    """
+    try:
+        with open(path) as f:
+            st = os.fstat(f.fileno())
+            chunks = _token_chunks(f)
+            try:
+                # tokens are at least a byte each: a regular file holds fewer than its size
+                return _parse(path, chunks, width, lead, st.st_size if S_ISREG(st.st_mode) else math.inf)
+            finally:
+                deque(chunks, maxlen=0)
+    except UnicodeDecodeError:
+        Path(path).read_text()  # raises the whole-file read's error, its position counted from the start
+        raise
+
+
+def _parse(
+    path: str | Path, chunks: Iterator[list[str]], width: Callable[[int, int], int], lead: int, room: float
+) -> tuple[tuple[int, int, int], np.ndarray, np.ndarray, list[list[str]]]:
+    """_records' parse of a file's token chunks, which hold at most room tokens."""
+    head = []
+    for more in chunks:  # the header's three tokens may span lines
+        head += more
+        if len(head) >= 3:
+            break
+    if len(head) < 3:
         raise ValueError(f"{path}: missing 'd1 d2 N' header")
     try:
-        head = d1, d2, n = tuple(int(t) for t in toks[:3])
+        dims = d1, d2, n = tuple(int(t) for t in head[:3])
     except ValueError:
-        got = " ".join(toks[:3])
+        got = " ".join(head[:3])
         raise ValueError(f"{path}: header 'd1 d2 N' must be integers, got {got}") from None
-    if min(head) < 1:
+    if min(dims) < 1:
         raise ValueError(f"{path}: header 'd1 d2 N' must be positive, got {d1} {d2} {n}")
-    per, body = width(d1, d2), toks[3:]
-    if len(body) != n * per:
-        raise ValueError(f"{path}: expected {n * per} values, found {len(body)}")
-    try:
-        # float() parses each token, correctly rounded, without a list of floats in between
-        vals = np.array(body, dtype=np.float64).reshape(n, per)
-    except ValueError as e:
-        raise ValueError(f"{path}: {e}") from None
-    vals.flags.writeable = False
-    return head, body, vals
+    per = width(d1, d2)
+    want = n * per
+    # nothing is allocated for a count the file cannot hold; it is only counted
+    todo = want if want <= room else 0
+    rest, firsts = np.empty((n, per - lead) if todo else 0), np.empty((n, lead) if todo else 0)
+    texts = [[] for _ in range(lead)]
+    found, failed, part, r = 0, None, np.empty(0), 0
+    for more in chain([head[3:]], chunks):
+        found += len(more)
+        if not todo:
+            continue
+        take, at = more[:todo], want - todo
+        try:
+            # float() parses each token, correctly rounded, without a list of floats in between
+            vals = np.array(take, dtype=np.float64)
+        except ValueError as e:
+            # a wrong count wins over a bad token: remember the first one, and count on
+            failed, todo = ValueError(f"{path}: {e}"), 0
+            continue
+        todo -= len(take)
+        for c, col in enumerate(texts):
+            col += take[(c - at) % per :: per]
+        if part.size:  # the values of a record that began in an earlier chunk
+            vals = np.concatenate((part, vals))
+        m = len(vals) // per
+        block = vals[: m * per].reshape(m, per)
+        firsts[r : r + m], rest[r : r + m] = block[:, :lead], block[:, lead:]
+        part, r = vals[m * per :], r + m
+    if found != want:
+        raise ValueError(f"{path}: expected {want} values, found {found}")
+    if failed is not None:
+        raise failed
+    return dims, rest, firsts, texts
 
 
 def _read_quadratic(path: str | Path) -> tuple[np.ndarray, ...]:
@@ -829,7 +904,8 @@ def _read_quadratic(path: str | Path) -> tuple[np.ndarray, ...]:
     views of it; _quadratic_fault checks every client at once, and a failure
     names the file and the first failing client.
     """
-    (d1, d2, _), _, vals = _records(path, lambda d1, d2: d1 * d1 + d1 * d2 + d2 * d2 + d1 + d2)
+    (d1, d2, _), vals, _, _ = _records(path, lambda d1, d2: d1 * d1 + d1 * d2 + d2 * d2 + d1 + d2)
+    vals.flags.writeable = False
     fault = _quadratic_fault(vals, d1, d2)
     if fault is not None:
         raise ValueError(f"{path}: client {fault[0]}: {fault[1]}")
@@ -851,51 +927,56 @@ def load_quadratic_objectives(path: str | Path) -> list[QuadraticSaddle]:
 
 
 def save_quadratic_specs(path: str | Path, specs: Sequence[QuadraticSaddleSpec]) -> None:
+    """Write a quadratic instance file, a line at a time: the header, then a line per block of each client.
+
+    Each value is written as repr(float), which reads back bit for bit.
+    """
     d1, d2 = len(specs[0].a), len(specs[0].c)
-    lines = [f"{d1} {d2} {len(specs)}"]
-    for s in specs:
-        for block in (s.A, s.B, s.C, s.a, s.c):
-            lines.append(" ".join(repr(float(v)) for v in np.asarray(block).reshape(-1)))
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open(path, "w") as f:
+        f.write(f"{d1} {d2} {len(specs)}\n")
+        for s in specs:
+            for block in (s.A, s.B, s.C, s.a, s.c):
+                f.write(" ".join(map(repr, np.asarray(block, dtype=np.float64).ravel().tolist())) + "\n")
 
 
 def load_dataset(path: str | Path) -> tuple[DomainAdaptDataset, int]:
     """Read and check a dataset file of `domain label x_1 .. x_d` records; returns (dataset, n_classes).
 
-    Domain and label must be integer tokens and every feature finite; a
-    failure names the file and the first failing record (0-based). The
+    The file is streamed (`_records`): the features parse straight into the
+    dataset's X, and of the other tokens only the domains and labels are
+    kept. Domain and label must be integer tokens and every feature finite;
+    a failure names the file and the first failing record (0-based). The
     header's class count may not exceed the number of records, which bounds
     the model's size by the file's.
     """
-    (d, n_classes, n), body, vals = _records(path, lambda d, _: 2 + d)
-    heads = np.array([body[0 :: 2 + d], body[1 :: 2 + d]])
-    del body  # so that the tokens and the copied features are never held at once
+    (d, n_classes, n), X, heads, texts = _records(path, lambda d, _: 2 + d, lead=2)
+    texts = np.array(texts)
     # a token that parsed as a float and is a sign and decimal digits is an integer
-    integer = np.char.isdecimal(np.char.lstrip(heads, "+-")).all(axis=0)
+    integer = np.char.isdecimal(np.char.lstrip(texts, "+-")).all(axis=0)
     # clipped so the cast is exact; a clipped domain or label is out of range anyway
-    dom, y = np.where(integer, vals[:, :2].T, 0).clip(-2, max(n_classes, 2)).astype(np.int64)
-    nonfinite = ~np.isfinite(vals[:, 2:]).all(axis=1)
+    dom, y = np.where(integer, heads.T, 0).clip(-2, max(n_classes, 2)).astype(np.int64)
+    nonfinite = ~np.isfinite(X).all(axis=1)
     bad = ~integer | nonfinite | (y >= n_classes) | (y < UNLABELED)
     if bad.any():
         i = np.argmax(bad)
-        why = f"label {heads[1, i]} outside class range 0..{n_classes - 1} (or -1 unlabeled)"
+        why = f"label {texts[1, i]} outside class range 0..{n_classes - 1} (or -1 unlabeled)"
         if nonfinite[i]:
             why = "a feature is not finite"
         if not integer[i]:
-            why = f"domain and label must be integers, got {heads[0, i]} {heads[1, i]}"
+            why = f"domain and label must be integers, got {texts[0, i]} {texts[1, i]}"
         raise ValueError(f"{path}: record {i}: {why}")
     if n_classes > n:
         # the model holds n_classes * d predictor weights: the file's size bounds them
         raise ValueError(f"{path}: header class count {n_classes} exceeds the {n} records")
     try:
-        return DomainAdaptDataset(vals[:, 2:].copy(), y, dom), n_classes
+        return DomainAdaptDataset(X, y, dom), n_classes
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None
 
 
 def save_dataset(path: str | Path, ds: DomainAdaptDataset, n_classes: int) -> None:
-    lines = [f"{ds.X.shape[1]} {n_classes} {len(ds)}"]
-    for i in range(len(ds)):
-        xs = " ".join(repr(float(v)) for v in ds.X[i])
-        lines.append(f"{int(ds.domain[i])} {int(ds.y[i])} {xs}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Write a dataset file, a line at a time: the header, then a `domain label x_1 .. x_d` line per point."""
+    with open(path, "w") as f:
+        f.write(f"{ds.X.shape[1]} {n_classes} {len(ds)}\n")
+        for x, dom, y in zip(ds.X, ds.domain, ds.y):
+            f.write(f"{int(dom)} {int(y)} {' '.join(map(repr, x.tolist()))}\n")

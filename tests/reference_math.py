@@ -8,11 +8,17 @@ the row max subtracted, and 1-D matrix-vector products. Each returns what
 the objective's method returns, bit for bit. The quadratic's curvature and
 Lipschitz bounds and the client-order mean, which only the tests use, are
 here as well.
+
+So are the problem-file readers as they were before they streamed: the whole
+text, then every token, then one bulk parse. The streamed readers must give
+the same arrays bit for bit, or raise the same ValueError.
 """
+
+from pathlib import Path
 
 import numpy as np
 
-from fedmm.objectives import SOURCE
+from fedmm.objectives import SOURCE, UNLABELED, DomainAdaptDataset, _blocks, _quadratic_fault
 
 
 def _softplus(t):
@@ -108,3 +114,62 @@ def lipschitz_bounds(obj):
         "L21": nB,
         "L22": float(np.linalg.norm(obj.C, 2)),
     }
+
+
+def records(path, width):
+    """A text file's `d1 d2 N` header, the tokens after it and its N records of width(d1, d2) values."""
+    text = Path(path).read_text()
+    if "#" in text:
+        text = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
+    toks = text.split()
+    if len(toks) < 3:
+        raise ValueError(f"{path}: missing 'd1 d2 N' header")
+    try:
+        head = d1, d2, n = tuple(int(t) for t in toks[:3])
+    except ValueError:
+        got = " ".join(toks[:3])
+        raise ValueError(f"{path}: header 'd1 d2 N' must be integers, got {got}") from None
+    if min(head) < 1:
+        raise ValueError(f"{path}: header 'd1 d2 N' must be positive, got {d1} {d2} {n}")
+    per, body = width(d1, d2), toks[3:]
+    if len(body) != n * per:
+        raise ValueError(f"{path}: expected {n * per} values, found {len(body)}")
+    try:
+        vals = np.array(body, dtype=np.float64).reshape(n, per)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
+    vals.flags.writeable = False
+    return head, body, vals
+
+
+def read_quadratic(path):
+    """The checked blocks A, B, C, a, c of a quadratic instance file, stacked over clients."""
+    (d1, d2, _), _, vals = records(path, lambda d1, d2: d1 * d1 + d1 * d2 + d2 * d2 + d1 + d2)
+    fault = _quadratic_fault(vals, d1, d2)
+    if fault is not None:
+        raise ValueError(f"{path}: client {fault[0]}: {fault[1]}")
+    return _blocks(vals, d1, d2)
+
+
+def load_dataset(path):
+    """(dataset, n_classes) of a checked dataset file of `domain label x_1 .. x_d` records."""
+    (d, n_classes, n), body, vals = records(path, lambda d, _: 2 + d)
+    heads = np.array([body[0 :: 2 + d], body[1 :: 2 + d]])
+    integer = np.char.isdecimal(np.char.lstrip(heads, "+-")).all(axis=0)
+    dom, y = np.where(integer, vals[:, :2].T, 0).clip(-2, max(n_classes, 2)).astype(np.int64)
+    nonfinite = ~np.isfinite(vals[:, 2:]).all(axis=1)
+    bad = ~integer | nonfinite | (y >= n_classes) | (y < UNLABELED)
+    if bad.any():
+        i = np.argmax(bad)
+        why = f"label {heads[1, i]} outside class range 0..{n_classes - 1} (or -1 unlabeled)"
+        if nonfinite[i]:
+            why = "a feature is not finite"
+        if not integer[i]:
+            why = f"domain and label must be integers, got {heads[0, i]} {heads[1, i]}"
+        raise ValueError(f"{path}: record {i}: {why}")
+    if n_classes > n:
+        raise ValueError(f"{path}: header class count {n_classes} exceeds the {n} records")
+    try:
+        return DomainAdaptDataset(vals[:, 2:].copy(), y, dom), n_classes
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import re
+import sys
 import tracemalloc
 import weakref
 from dataclasses import fields, replace
@@ -515,6 +516,24 @@ class TestRunLogMemory:
     def test_write_csv_streams_within_half_a_megabyte(self, long_fedsgda_memory):
         _, write_peak = long_fedsgda_memory
         assert write_peak <= 500_000, f"write_csv peaked {write_peak / 1e6:.2f} MB above the log"
+
+
+class TestRunLogUnderHooks:
+    """A log grows past its first buffer under a profile or trace hook, and logs the same bytes."""
+
+    @pytest.mark.parametrize("hook", ["profile", "trace"])
+    def test_csv_bytes_equal_an_unhooked_run(self, hook):
+        # 600 logged rounds outgrow the buffer's first 256 twice
+        config = parse_config(CONFIGS / "quadratic_fedsgda.cfg", ["hyper.rounds=600"])
+        want = run_experiment(config).csv_text()
+        install, previous = getattr(sys, f"set{hook}"), getattr(sys, f"get{hook}")()
+        install(lambda *args: None)
+        try:
+            log = run_experiment(config)
+        finally:
+            install(previous)
+        assert len(log.rounds) == 600
+        assert log.csv_text() == want
 
 
 class TestWriteCsv:

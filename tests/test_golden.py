@@ -7,7 +7,7 @@ four shipped configs they cover each optimizer on both problems, minibatches,
 unequal DANN shards in full batches and in minibatches, mixed label shift,
 unequal local step counts, run-to-tolerance rounds, and the identity-suite
 reports. The standard output of `fedmm check` is pinned too, the numbers in
-its rows included.
+its rows included, and so are the bytes the problem-file writers write.
 """
 
 import hashlib
@@ -18,8 +18,8 @@ import pytest
 from fedmm.cli import main, parse_config
 from fedmm.core import HyperParams
 from fedmm.diagnostics import reports_to_csv, run_identity_suite
-from fedmm.federation import run_experiment
-from fedmm.objectives import QuadraticSaddle
+from fedmm.federation import prepare, run_experiment
+from fedmm.objectives import QuadraticSaddle, save_dataset, save_quadratic_specs
 from fedmm.problems import _QUAD_SEED, synthetic_quadratic_specs
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -100,6 +100,14 @@ IDENTITIES = [
 CHECK_STDOUT = "de25711a61b7291259a7e6342326cdef08f92aafe0f8b5253ae640c1988033d6"
 
 
+# the files the writers make: the 4-client synthetic quadratic, and the training set of
+# label_shift_fedmm.cfg's toy
+WRITTEN = {
+    "quadratic": "29f364d4d9abe3b87994e00be341f9372fa39e12e7df2536018a5258f727d268",
+    "dataset": "6e62028e87a021521fb0f53a5e962099c177af4a9e0cce1d9ffe7da6dbd0dddf",
+}
+
+
 def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -132,3 +140,15 @@ def test_check_stdout_digest(capsys, monkeypatch):
     monkeypatch.delenv("FEDMM_SEED", raising=False)
     assert main(["check"]) == 0
     assert _digest(capsys.readouterr().out) == CHECK_STDOUT
+
+
+@pytest.mark.parametrize("kind", sorted(WRITTEN))
+def test_written_file_digest(kind, tmp_path, monkeypatch):
+    monkeypatch.delenv("FEDMM_SEED", raising=False)
+    path = tmp_path / "problem.txt"
+    if kind == "quadratic":
+        save_quadratic_specs(path, synthetic_quadratic_specs(4))
+    else:
+        pooled, _ = prepare(parse_config(CONFIGS / "label_shift_fedmm.cfg")).accuracy
+        save_dataset(path, pooled.dataset, 2)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == WRITTEN[kind]
