@@ -272,7 +272,7 @@ def _per_client_oracles(objs, fed: Federation, pair: PrimalDualPair, tol: float)
         Bbar, Cbar, cbar = (_mean_in_client_order([getattr(o, k) for o in objs]) for k in "BCc")
         psi = np.linalg.solve(Cbar, Bbar.T @ om + cbar)
     else:
-        step = 1.0 / max(max(o.ascent_curvature_bound(om) for o in objs), 1e-12)
+        step = 1.0 / max(max(stacked([o]).curvature_bounds(om[None])[0] for o in objs), 1e-12)
         psi = np.zeros(objs[0].dims[1])
         g = _mean_in_client_order([o.grad_psi(om, psi) for o in objs])
         while float(np.linalg.norm(g)) > tol:
@@ -330,7 +330,7 @@ def check_stacked_oracles() -> str:
             block.add(t, fed, server, True)
             want.append((loss, float(np.linalg.norm(phi_grad)), cons))
             samples += 1
-        log = RunLog(config_echo={}, seed=0)
+        log = RunLog()
         block.flush(log)
         for row, (loss, phi_norm, cons) in zip(log.rounds, want):
             where = f"{len(objs)}-client {type(objs[0]).__name__} block row {row.round}"

@@ -401,7 +401,7 @@ _LOG_SPARE_ROUNDS = 256
 
 
 class RunLog:
-    """Per-round metrics plus the config echo; serializes to the run CSV.
+    """Per-round metrics; serializes to the run CSV.
 
     Each round is one `RECORD` in a byte buffer, never sized from the run's
     round count. A write that does not fit resizes the buffer, in place
@@ -414,8 +414,7 @@ class RunLog:
     as a read-only sequence of RoundMetrics, each built when it is read.
     """
 
-    def __init__(self, config_echo: dict, seed: int):
-        self.config_echo, self.seed = config_echo, seed
+    def __init__(self):
         self._bytes = np.empty(_LOG_SPARE_ROUNDS * RECORD.itemsize, np.uint8)
         self._n = 0  # the rounds logged
 
@@ -723,7 +722,7 @@ def run_experiment(config: ExperimentConfig, problem: Problem | None = None) -> 
     size = min(hp.rounds, block_rounds(points, sum(problem.view.dims)))
     block = MetricsBlock(fed.view, size, hp.tol, problem.accuracy)
 
-    log = RunLog(config_echo=config.echo(), seed=config.seed)
+    log = RunLog()
     batch_rng = np.random.Generator(np.random.PCG64(problem.batch_seq))
 
     for t in range(hp.rounds):

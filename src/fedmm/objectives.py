@@ -18,8 +18,9 @@ gradients that a run's metric block needs; it never computes the max
 function's value. `phi_value_and_grad`, its one-omega call, adds that for
 the checks and the tests.
 
-Each family's math is written once, in its stacked view. An objective's own
-value / grad_omega / grad_psi are one-row calls of that view.
+Each family's math is written once, in its stacked view. An objective holds
+only its inputs, never a view: its own value / grad_omega / grad_psi build a
+one-row view of it on each call.
 
 The quadratic family is the closed-form-verifiable workhorse:
 
@@ -161,18 +162,14 @@ class QuadraticSaddle:
     def dims(self) -> tuple[int, int]:
         return len(self.a), len(self.c)
 
-    @functools.cached_property
-    def _view(self) -> "_StackedQuadratic":
-        return _StackedQuadratic((self,))
-
     def value(self, omega: Vector, psi: Vector) -> float:
-        return float(self._view.values(_row(omega), _row(psi))[0])
+        return float(_StackedQuadratic((self,)).values(_row(omega), _row(psi))[0])
 
     def grad_omega(self, omega: Vector, psi: Vector) -> Vector:
-        return vector(self._view.grad_omega(_row(omega), _row(psi))[0])
+        return vector(_StackedQuadratic((self,)).grad_omega(_row(omega), _row(psi))[0])
 
     def grad_psi(self, omega: Vector, psi: Vector) -> Vector:
-        return vector(self._view.grad_psi(_row(omega), _row(psi))[0])
+        return vector(_StackedQuadratic((self,)).grad_psi(_row(omega), _row(psi))[0])
 
 
 # ----------------------- domain-adaptation family ----------------------- #
@@ -259,13 +256,7 @@ def _sigmoid(t: np.ndarray) -> np.ndarray:
 class DomainAdaptObjective:
     """DANN-style adversarial objective on one client's shard, full-batch."""
 
-    def __init__(
-        self,
-        dataset: DomainAdaptDataset,
-        nu: float,
-        layout: ModelLayout,
-        alpha: float | None = None,
-    ):
+    def __init__(self, dataset: DomainAdaptDataset, nu: float, layout: ModelLayout):
         if len(dataset) == 0:
             raise ValueError("dataset is empty")
         if dataset.holdout:
@@ -282,30 +273,22 @@ class DomainAdaptObjective:
         self.dataset = dataset
         self.nu = float(nu)
         self.layout = layout
-        self.alpha = 1.0 / len(dataset) if alpha is None else float(alpha)
-        self._labeled = dataset.domain == SOURCE
-        # constant per shard: labeled rows, their labels, and a row index for them
-        self._lab_idx = np.flatnonzero(self._labeled)
-        self._lab_y = dataset.y[self._lab_idx]
-        self._lab_rows = np.arange(len(self._lab_idx))
+        self.alpha = 1.0 / len(dataset)
 
     @property
     def dims(self) -> tuple[int, int]:
         return self.layout.d1, self.layout.d2
 
-    @functools.cached_property
-    def _view(self) -> "_StackedDomainAdapt":
-        return _StackedDomainAdapt((self,))
-
     def value(self, omega: Vector, psi: Vector) -> float:
-        return float(self._view.values(_row(omega), _row(psi))[0])
+        return float(_StackedDomainAdapt((self,)).values(_row(omega), _row(psi))[0])
 
     def grad_omega(self, omega: Vector, psi: Vector) -> Vector:
         # the omega block of one joint forward/backward pass
-        return vector(self._view.joint_grads(np.hstack((_row(omega), _row(psi))))[0, : self.layout.d1])
+        Z = np.hstack((_row(omega), _row(psi)))
+        return vector(_StackedDomainAdapt((self,)).joint_grads(Z)[0, : self.layout.d1])
 
     def grad_psi(self, omega: Vector, psi: Vector) -> Vector:
-        return vector(self._view.grad_psi(_row(omega), _row(psi))[0])
+        return vector(_StackedDomainAdapt((self,)).grad_psi(_row(omega), _row(psi))[0])
 
     def predict(self, omega: Vector, X: np.ndarray) -> np.ndarray:
         """Predictor argmax over classes; ties resolve to the lowest index.
@@ -316,12 +299,6 @@ class DomainAdaptObjective:
         W, V = self.layout.unpack_omega(np.asarray(omega))
         logits = (X @ W.swapaxes(-1, -2)) @ V.swapaxes(-1, -2)
         return np.argmax(logits, axis=-1)
-
-    def ascent_curvature_bound(self, omega: Vector) -> float:
-        """Upper bound on the psi-Hessian norm at fixed omega (for step sizing)."""
-        Z = self._view._features(_row(omega))[0]
-        gram = self.alpha * (Z.T @ Z)
-        return 0.25 * self.nu * float(np.linalg.norm(gram, 2))
 
 
 # ---------------------------- stacked views ---------------------------- #
@@ -439,18 +416,19 @@ class _StackedDomainAdapt(StackedObjectives):
     """DANN clients with one layout, one nu and one shard size: all rows at once.
 
     values, joint_grads and grad_psi run the forward (and backward) pass with a
-    leading client axis. Each row's matmuls keep the shapes and memory layout
-    one client's pass gives them, and the gradients pick the labeled points
-    with np.where instead of by indexing, so every row is bit for bit what a
-    one-row view of its objective computes. `values`, `grad_omega` and
+    leading client axis, curvature_bounds its features alone. Each row's
+    matmuls keep the shapes and memory layout one client's pass gives them,
+    and the gradients pick the labeled points with np.where instead of by
+    indexing, so every row is bit for bit what a one-row view of its
+    objective computes. `values`, `grad_omega` and
     `grad_psi` also take leading axes (K points per client); `grad_omega` is
     the omega block of one `joint_grads` pass per leading index. `values`
     sums each row's terms over that row's own points in contiguous memory
     (`_row_sums`): a sum across rows, or along strided memory, would round
     differently.
 
-    The per-point constants are built once, in the shapes the pass uses, so a
-    step makes few numpy calls, few of them broadcast, and none changes a bit.
+    The per-point constants, labeled points included, are built once from the
+    datasets, in the shapes the pass uses, so a step makes few numpy calls, few of them broadcast, and none changes a bit.
     The label mask is only pre-broadcast over the classes. dt is nu*(c - s),
     c = -0.0 on labeled points and 1 elsewhere: -0.0 - s is -s exactly, zero
     included, and nu*(-s) is -nu*s. alpha scales the assembled gradient rows
@@ -463,12 +441,16 @@ class _StackedDomainAdapt(StackedObjectives):
         L = self.layout = first.layout
         self.nu = first.nu
         self.X = np.stack([o.dataset.X for o in objectives])  # (N, n, in_dim)
-        lab = np.stack([o._labeled for o in objectives])[..., None]  # (N, n, 1), as dt
-        self.onehot = np.zeros(lab.shape[:2] + (L.n_classes,))
+        lab = np.stack([o.dataset.domain == SOURCE for o in objectives])  # (N, n)
+        self.onehot = np.zeros(lab.shape + (L.n_classes,))
+        # per row: its label mask, labeled points, a row index for them, their labels and alpha
+        self._labels = []
         for r, o in enumerate(objectives):
-            self.onehot[r, o._lab_idx, o._lab_y] = 1.0
-        self._lab_classes = np.broadcast_to(lab, self.onehot.shape).copy()
-        self._dt_shift = np.where(lab, -0.0, 1.0)
+            idx = np.flatnonzero(lab[r])
+            self.onehot[r, idx, o.dataset.y[idx]] = 1.0
+            self._labels.append((lab[r], idx, np.arange(idx.size), o.dataset.y[idx], o.alpha))
+        self._lab_classes = np.broadcast_to(lab[..., None], self.onehot.shape).copy()
+        self._dt_shift = np.where(lab[..., None], -0.0, 1.0)  # (N, n, 1), as dt
         # each row's alpha in every column: the scale multiplies G unbroadcast
         self.alpha = np.repeat([[o.alpha] for o in objectives], L.d1 + L.d2, axis=1)
         self._nw, self._d1 = L.feat_dim * L.in_dim, L.d1
@@ -499,17 +481,17 @@ class _StackedDomainAdapt(StackedObjectives):
         Z, _, logits = self._forward(OM)
         T = self._domain_logits(Z, PS)[..., 0]
         out = np.empty(T.shape[:-1])
-        for r, o in enumerate(self.objectives):
-            t, lab, total = T[..., r, :], o._labeled, 0.0
-            if o._lab_idx.size:
-                lab_logits = logits[..., r, o._lab_idx, :]
+        for r, (lab, idx, rows, y, alpha) in enumerate(self._labels):
+            t, total = T[..., r, :], 0.0
+            if idx.size:
+                lab_logits = logits[..., r, idx, :]
                 lse = np.logaddexp.reduce(lab_logits, axis=-1)
-                picked = lab_logits[..., o._lab_rows, o._lab_y]
+                picked = lab_logits[..., rows, y]
                 total += _row_sums(lse - picked)  # cross-entropy
                 total += _row_sums(-self.nu * _softplus(t[..., lab]))  # nu*log(1-h)
             if (~lab).any():
                 total += _row_sums(-self.nu * _softplus(-t[..., ~lab]))  # nu*log(h)
-            out[..., r] = o.alpha * total
+            out[..., r] = alpha * total
         return out
 
     def joint_grads(self, points):
@@ -543,6 +525,12 @@ class _StackedDomainAdapt(StackedObjectives):
         G_PS = self.alpha[:, self._d1 :] * (Z.swapaxes(-1, -2) @ self._dt(Z, PS)).reshape(PS.shape)
         require_finite(G_PS)
         return G_PS
+
+    def curvature_bounds(self, omega):
+        """Each row's bound 0.25 nu ||alpha Z'Z||_2 on its psi-Hessian norm at a (1, d1) omega, (N,)."""
+        Z = self._features(omega)
+        grams = self.alpha[:, :1, None] * (Z.swapaxes(-1, -2) @ Z)
+        return 0.25 * self.nu * np.linalg.norm(grams, 2, axis=(-2, -1))
 
 
 class _SizeGroups(StackedObjectives):
@@ -584,6 +572,12 @@ class _SizeGroups(StackedObjectives):
 
     def grad_psi(self, OM, PS):
         return self._scatter("grad_psi", np.empty(PS.shape), OM, PS)
+
+    def curvature_bounds(self, omega):
+        out = np.empty(self.n)
+        for rows, group in zip(self.rows, self.groups):
+            out[rows] = group.curvature_bounds(omega)
+        return out
 
 
 def stacked(objectives: Sequence[QuadraticSaddle | DomainAdaptObjective]) -> StackedObjectives:
@@ -723,8 +717,9 @@ def inner_maximizers(
     """(psi, errors): the maximizers over psi of f = `pooled(view)` at the (K, d1) omegas, (K, d2).
 
     Quadratic clients get the closed form psibar = Cbar^-1 (Bbar' omega +
-    cbar) of all K omegas at once; DANN clients get `_ascent` with a
-    curvature-derived step, omega by omega. errors[k] is None, or the
+    cbar) of all K omegas at once; DANN clients get `_ascent` omega by omega,
+    its step 1 / the largest client bound of one `curvature_bounds` call of
+    the clients' view at that omega. errors[k] is None, or the
     ConvergenceError of omega k's failed ascent, whose psi row is NaN. Other
     views have no known curvature bound and are rejected.
     """
@@ -738,12 +733,12 @@ def inner_maximizers(
             f"inner_maximizers has no ascent curvature bound for a {type(clients).__name__} "
             "view (only QuadraticSaddle or DomainAdaptObjective clients)"
         )
-    pool, objs = pooled(view), clients.objectives
+    pool = pooled(view)
     psi, errors = np.full((len(omegas), view.dims[1]), np.nan), []
-    for k, omega in enumerate(omegas):
-        step = 1.0 / max(max(o.ascent_curvature_bound(omega) for o in objs), 1e-12)
+    for k, omega in enumerate(omegas[:, None]):  # each omega as a (1, d1) row
+        step = 1.0 / max(max(clients.curvature_bounds(omega).tolist()), 1e-12)
         try:
-            psi[k] = _ascent(pool, omegas[k : k + 1], step, tol, max_iters)[0]
+            psi[k] = _ascent(pool, omega, step, tol, max_iters)[0]
             errors.append(None)
         except ConvergenceError as e:
             errors.append(e)

@@ -6,8 +6,8 @@ These are the formulas written out for one client at one point in plain
 numpy: boolean-mask indexing of the labeled points, a two-pass softmax with
 the row max subtracted, and 1-D matrix-vector products. Each returns what
 the objective's method returns, bit for bit. The quadratic's curvature and
-Lipschitz bounds and the client-order mean, which only the tests use, are
-here as well.
+Lipschitz bounds, the DANN ascent's curvature bound and the client-order
+mean, which only the tests use, are here as well.
 
 So are the problem-file readers as they were before they streamed: the whole
 text, then every token, then one bulk parse. The streamed readers must give
@@ -76,6 +76,13 @@ def dann_grad_psi(obj, om, ps):
     """The psi block alone: the features and dt, no predictor pass."""
     _, Z, _, t = _dann_forward(obj, om, ps)
     return obj.alpha * (Z.T @ _dann_dt(obj, t))
+
+
+def dann_curvature_bound(obj, om):
+    """0.25 * nu * ||alpha Z'Z||_2, the bound on the psi-Hessian norm that sizes the ascent's step."""
+    W, _ = obj.layout.unpack_omega(np.asarray(om))
+    Z = obj.dataset.X @ W.T
+    return 0.25 * obj.nu * float(np.linalg.norm(obj.alpha * (Z.T @ Z), 2))
 
 
 def ref_mean(rows):

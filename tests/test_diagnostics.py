@@ -47,7 +47,7 @@ def three_clients():
 
 
 def make_log(values):
-    log = RunLog(config_echo={}, seed=0)
+    log = RunLog()
     for i, v in enumerate(values):
         log.append(
             RoundMetrics(

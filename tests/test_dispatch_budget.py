@@ -2,13 +2,14 @@
 
 The local step's cost is interpreter overhead: every numpy call, view and
 operator on the small arrays of a step costs about as much as its
-arithmetic. These tests count that work in seven places (one batched DANN
+arithmetic. These tests count that work in eight places (one batched DANN
 gradient on the label-shift toy's two-client view, one DANN gradient on its
 three unequal one-source-two-target shards, one quadratic gradient, one
 fixed-M FedMM local round on the toy, one FedSGDA round with its
 metric-block entry on a three-client quadratic, the flush of a full metric
-block of that run, and one central-GDA step on the pooled view of three
-quadratic clients) and fail when a change makes any of them do more. Two counts are taken:
+block of that run, the flush of a full metric block of the label-shift
+FedMM run, and one central-GDA step on the pooled view of three quadratic
+clients) and fail when a change makes any of them do more. Two counts are taken:
 
 - C-level calls, the `c_call` events of `sys.setprofile`: builtins and
   method wrappers such as `ndarray.reshape` or `ufunc.reduce`. It does not
@@ -32,7 +33,7 @@ import numpy as np
 import fedmm
 from fedmm.cli import parse_config
 from fedmm.core import HyperParams, PrimalDualPair, ServerState, zeros
-from fedmm.federation import MetricsBlock, RunLog, prepare
+from fedmm.federation import MetricsBlock, RunLog, block_rounds, prepare, round_points
 from fedmm.objectives import PooledView, QuadraticSaddle, stacked
 from fedmm.optim import Federation, OptimizerKind, local_solve, run_round
 from fedmm.problems import synthetic_quadratic_specs
@@ -170,7 +171,7 @@ def fedsgda_flush():
     for t in range(64):
         fed = run_round(OptimizerKind.FEDSGDA, fed, server, hp)
         block.add(t, fed, server, t % 10 == 0)
-    log = RunLog(config_echo={}, seed=0)
+    log = RunLog()
     return lambda: block.flush(log)
 
 
@@ -179,6 +180,33 @@ def test_metric_block_flush():
     # 60 and 229 before the flush wrote straight into the log's columns
     assert c_calls(fedsgda_flush()) <= 52
     assert operations(fedsgda_flush()) <= 228
+
+
+def dann_flush():
+    """The flush of a full metric block of the label-shift FedMM run: 9 rounds, phi sampled on the first.
+
+    A warm-up block of the same kind is flushed first, so the counted flush
+    finds built whatever a run's first flush builds.
+    """
+    config = parse_config(CONFIGS / "label_shift_fedmm.cfg", [])
+    problem = prepare(config)
+    hp = config.hyper.expanded(problem.view.n)
+    fed, server = Federation.initial(problem.view, problem.init_pair), ServerState(problem.init_pair)
+    size = block_rounds(round_points(problem.view, problem.accuracy), sum(problem.view.dims))
+    assert size == 9
+    block, log = MetricsBlock(fed.view, size, hp.tol, problem.accuracy), RunLog()
+    for t in range(2 * size):
+        fed = run_round(OptimizerKind.FEDMM, fed, server, hp)
+        block.add(t, fed, server, t % size == 0)
+        if t == size - 1:
+            block.flush(log)
+    return lambda: block.flush(log)
+
+
+def test_dann_metric_block_flush():
+    # 239 and 616 before the curvature bounds came from one call of the clients' view
+    assert c_calls(dann_flush()) <= 201
+    assert operations(dann_flush()) <= 594
 
 
 def test_central_gda_step_on_the_pooled_view():

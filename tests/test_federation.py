@@ -210,7 +210,6 @@ class TestRunExperiment:
         log = run_experiment(quad_config(hyper=HyperParams(rounds=0)))
         assert len(log.rounds) == 0 and list(log.rounds) == [] and log.final() is None
         assert log.csv_text() == CSV_HEADER + "\n"
-        assert log.config_echo["optimizer"] == "fedmm"
 
     def test_communication_ledger_exact(self):
         for kind, n in (
@@ -349,7 +348,7 @@ class TestPreparedProblem:
 
 class TestRunLogCsv:
     def test_header_and_missing_fields(self):
-        log = RunLog(config_echo={}, seed=0)
+        log = RunLog()
         log.append(
             RoundMetrics(
                 round=0, phi_grad_norm=None, consensus_omega=0.5, consensus_psi=0.25,
@@ -377,7 +376,7 @@ class TestLoggedRounds:
     ]
 
     def log(self, rows) -> RunLog:
-        log = RunLog(config_echo={}, seed=0)
+        log = RunLog()
         for row in rows:
             log.append(row)
         return log
@@ -418,7 +417,7 @@ class TestLoggedRounds:
         assert log.missing("target_accuracy").tolist() == [True, False, False]
         phi = log.column("phi_grad_norm")
         assert np.isnan(phi[:2]).all() and phi[2] == 1e-300
-        empty = RunLog(config_echo={}, seed=0)
+        empty = RunLog()
         assert empty.column("global_loss").shape == (0,) and empty.missing("phi_grad_norm").dtype == bool
 
     def test_the_record_is_the_fields_then_one_mask_per_optional_field(self):

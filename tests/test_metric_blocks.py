@@ -137,7 +137,7 @@ def reference_csv(config: ExperimentConfig) -> str:
     fed = Federation.initial(problem.view, problem.init_pair)
     # central GDA on quadratics trains a pooled view: the metrics are its clients' averages
     oracle = problem.view.clients if isinstance(problem.view, PooledView) else problem.view
-    log = RunLog(config_echo=config.echo(), seed=config.seed)
+    log = RunLog()
     for t in range(hp.rounds):
         if config.batch_size > 0:
             objs = problem.view.objectives

@@ -278,13 +278,12 @@ class TestOneRowViews:
                 assert np.array_equal(g, w)
 
     @pytest.mark.parametrize("kind", ["quadratic", "dann"])
-    def test_view_is_built_on_first_use_and_kept(self, kind):
+    def test_single_block_calls_keep_no_view(self, kind):
         obj, _ = one_row_objective(kind)
-        assert "_view" not in vars(obj)
-        obj.value(np.zeros(obj.dims[0]), np.zeros(obj.dims[1]))
-        view = vars(obj)["_view"]
-        obj.grad_omega(np.ones(obj.dims[0]), np.ones(obj.dims[1]))
-        assert obj._view is view and view.n == 1
+        attrs = set(vars(obj))
+        om, ps = np.ones(obj.dims[0]), np.ones(obj.dims[1])
+        obj.value(om, ps), obj.grad_omega(om, ps), obj.grad_psi(om, ps)
+        assert set(vars(obj)) == attrs
 
 
 def ascent_step(view) -> float:

@@ -141,7 +141,7 @@ def _quadratic_block(rounds: int, every: int):
 
 def _flushed(block: MetricsBlock):
     """The block's rows, flushed into a fresh RunLog."""
-    log = RunLog(config_echo={}, seed=0)
+    log = RunLog()
     block.flush(log)
     return log.rounds
 
@@ -195,7 +195,7 @@ def test_a_failed_inner_max_empties_only_its_own_round(monkeypatch):
         return out._replace(grads=grads, errors=errors)
 
     monkeypatch.setattr(federation, "phi_grads", second_fails)
-    log = RunLog(config_echo={}, seed=0)
+    log = RunLog()
     block.flush(log)
     phi = [row.phi_grad_norm for row in log.rounds]
     assert [v is None for v in phi] == [False, True, True, True, False, True]

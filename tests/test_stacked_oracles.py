@@ -21,7 +21,12 @@ from fedmm.checks import check_stacked_oracles
 from fedmm.core import PrimalDualPair, seeded_rng, vector
 from fedmm.federation import PartitionSpec, consensus, partition_label_shift
 from fedmm.objectives import (
+    SOURCE,
+    TARGET,
+    UNLABELED,
+    DomainAdaptDataset,
     DomainAdaptObjective,
+    ModelLayout,
     PooledView,
     QuadraticSaddle,
     QuadraticSaddleSpec,
@@ -36,7 +41,7 @@ from fedmm.objectives import (
 )
 from fedmm.optim import Federation
 from fedmm.problems import domain_shift_toy
-from reference_math import ref_mean
+from reference_math import dann_curvature_bound, ref_mean
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 SIZES = dict(
@@ -89,7 +94,7 @@ def ref_inner_max(objs, om, tol):
         n = len(objs)
         Bbar, Cbar, cbar = (sum(getattr(o, k) for o in objs) / n for k in "BCc")
         return np.linalg.solve(Cbar, Bbar.T @ om + cbar)
-    step = 1.0 / max(max(o.ascent_curvature_bound(om) for o in objs), 1e-12)
+    step = 1.0 / max(max(dann_curvature_bound(o, om) for o in objs), 1e-12)
     psi = np.zeros(objs[0].dims[1])
     g = ref_mean([o.grad_psi(om, psi) for o in objs])
     while np.linalg.norm(g) > tol:
@@ -195,6 +200,30 @@ def test_dann_oracles_on_equal_shards():
     objs, OM, PS = dann_instance(drop=0)
     assert type(stacked(objs)) is _StackedDomainAdapt
     assert_oracles_match(objs, OM, PS, tol=1e-6)
+
+
+@PROPERTY
+@given(
+    in_dim=st.integers(1, 9),
+    feat_dim=st.integers(1, 7),
+    n_classes=st.integers(2, 9),
+    sizes=st.lists(st.integers(1, 30), min_size=1, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_curvature_bounds_equal_the_per_client_bound(in_dim, feat_dim, n_classes, sizes, seed):
+    # shards of unequal sizes make a _SizeGroups view; feat_dim > 1 makes every gram a real matrix
+    rng = np.random.default_rng(seed)
+    layout = ModelLayout(in_dim, feat_dim, n_classes)
+    objs = []
+    for n in sizes:
+        domain = rng.choice([SOURCE, TARGET], size=n)
+        y = np.where(domain == SOURCE, rng.integers(0, n_classes, size=n), UNLABELED)
+        data = DomainAdaptDataset(rng.standard_normal((n, in_dim)), y, domain)
+        objs.append(DomainAdaptObjective(data, nu=0.5, layout=layout))
+    om = 2.0 * rng.standard_normal(layout.d1)
+    want = [dann_curvature_bound(o, om) for o in objs]
+    bounds = stacked(objs).curvature_bounds(om[None])
+    assert bounds.tolist() == want
 
 
 def test_stacked_oracles_check():
