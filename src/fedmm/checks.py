@@ -99,7 +99,7 @@ def check_danskin_stationarity() -> str:
     rng = seeded_rng(15)
     om = vector(rng.standard_normal(objs[0].dims[0]))
     psi_star = inner_maximizers(view, om[None], tol=1e-12)[0][0]
-    g = pooled(view).grad_psi(om[None], psi_star[None])[0]
+    g = pooled(view).grad_psi(np.concatenate((om, psi_star))[None])[0]
     worst = 0.0
     for _ in range(10):
         v = rng.standard_normal(len(psi_star))
@@ -321,7 +321,7 @@ def check_stacked_oracles() -> str:
             loss, (phi_value, phi_grad), cons = _per_client_oracles(objs, fed, gp, tol)
             got_value, got_grad = phi_value_and_grad(fed.view, gp.omega, tol)
             where = f"{len(objs)}-client {type(objs[0]).__name__} round {server.round}"
-            if pooled(fed.view).values(gp.omega[None], gp.psi[None])[0] != loss:
+            if pooled(fed.view).values(gp.row[None])[0] != loss:
                 raise AssertionError(f"{where}: stacked global loss differs")
             if got_value != phi_value or not np.array_equal(got_grad, phi_grad):
                 raise AssertionError(f"{where}: stacked phi oracle differs")

@@ -341,7 +341,7 @@ class MetricsBlock:
         Z, P = self.Z[:k], self.P[:k]
         omegas = P[:, :d1]
         spread = _consensus(Z, P, d1)
-        loss = self.pooled.values(omegas[:, None], P[:, None, d1:])[:, 0]
+        loss = self.pooled.values(P[:, None])[:, 0]
         accuracy = np.nan
         if self.accuracy is not None:
             objective, holdout = self.accuracy

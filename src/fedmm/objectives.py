@@ -2,9 +2,10 @@
 
 A client is a QuadraticSaddle or a DomainAdaptObjective, and runs evaluate
 clients only through views. `stacked(objectives)` evaluates N clients at N
-points in one call: its joint_grads takes (N, d1 + d2) joint rows [omega |
-psi] and returns the gradients as joint rows [grad_omega | grad_psi] in one
-buffer, every row evaluated (the optimizers mask rows in their step).
+points in one call: every view method takes (..., N, d1 + d2) joint rows
+[omega | psi], and joint_grads returns the gradients as joint rows
+[grad_omega | grad_psi] in one buffer, every row evaluated (the optimizers
+mask rows in their step).
 Quadratic clients get batched matmuls, DANN clients one batched pass per
 (layout, nu, shard size) group. `pooled(view)` is the clients' uniform
 average, the global objective f, as the one-row `PooledView`: the only code
@@ -14,7 +15,8 @@ that averages clients, in client order by one `row_sum` call.
 maximizers at a stack of K omegas. On quadratic clients the closed form of
 all K omegas runs as stacked calls; on domain-adaptation clients a gradient
 ascent on the pooled row runs omega by omega. `phi_grads` adds the Danskin
-gradients that a run's metric block needs; it never computes the max
+gradients that a run's metric block needs, the omega blocks of one pooled
+joint_grads call; it never computes the max
 function's value. `phi_value_and_grad`, its one-omega call, adds that for
 the checks and the tests.
 
@@ -163,13 +165,13 @@ class QuadraticSaddle:
         return len(self.a), len(self.c)
 
     def value(self, omega: Vector, psi: Vector) -> float:
-        return float(_StackedQuadratic((self,)).values(_row(omega), _row(psi))[0])
+        return float(_StackedQuadratic((self,)).values(_row(omega, psi))[0])
 
     def grad_omega(self, omega: Vector, psi: Vector) -> Vector:
-        return vector(_StackedQuadratic((self,)).grad_omega(_row(omega), _row(psi))[0])
+        return vector(_StackedQuadratic((self,)).joint_grads(_row(omega, psi))[0, : len(self.a)])
 
     def grad_psi(self, omega: Vector, psi: Vector) -> Vector:
-        return vector(_StackedQuadratic((self,)).grad_psi(_row(omega), _row(psi))[0])
+        return vector(_StackedQuadratic((self,)).grad_psi(_row(omega, psi))[0])
 
 
 # ----------------------- domain-adaptation family ----------------------- #
@@ -280,15 +282,14 @@ class DomainAdaptObjective:
         return self.layout.d1, self.layout.d2
 
     def value(self, omega: Vector, psi: Vector) -> float:
-        return float(_StackedDomainAdapt((self,)).values(_row(omega), _row(psi))[0])
+        return float(_StackedDomainAdapt((self,)).values(_row(omega, psi))[0])
 
     def grad_omega(self, omega: Vector, psi: Vector) -> Vector:
         # the omega block of one joint forward/backward pass
-        Z = np.hstack((_row(omega), _row(psi)))
-        return vector(_StackedDomainAdapt((self,)).joint_grads(Z)[0, : self.layout.d1])
+        return vector(_StackedDomainAdapt((self,)).joint_grads(_row(omega, psi))[0, : self.layout.d1])
 
     def grad_psi(self, omega: Vector, psi: Vector) -> Vector:
-        return vector(_StackedDomainAdapt((self,)).grad_psi(_row(omega), _row(psi))[0])
+        return vector(_StackedDomainAdapt((self,)).grad_psi(_row(omega, psi))[0])
 
     def predict(self, omega: Vector, X: np.ndarray) -> np.ndarray:
         """Predictor argmax over classes; ties resolve to the lowest index.
@@ -304,9 +305,9 @@ class DomainAdaptObjective:
 # ---------------------------- stacked views ---------------------------- #
 
 
-def _row(block) -> np.ndarray:
-    # an array-like omega or psi as the (1, d) float64 points of a one-row view
-    return np.asarray(block, dtype=np.float64).reshape(1, -1)
+def _row(*blocks) -> np.ndarray:
+    # array-like blocks (an omega and a psi, or an omega alone) as one (1, d) float64 row
+    return np.concatenate([np.asarray(b, dtype=np.float64).reshape(-1) for b in blocks]).reshape(1, -1)
 
 
 def _common_dims(objectives: Sequence) -> tuple[int, int]:
@@ -333,11 +334,12 @@ def _row_sums(a: np.ndarray) -> np.ndarray:
 class StackedObjectives:
     """The base of every view: N clients at N points at once, row i of every array client i.
 
-    A view has dims (d1, d2), its row count n, values(OM, PS) -> (N,), and
-    joint_grads(Z) -> the (N, d1 + d2) rows [G_OM | G_PS] at Z = [OM | PS],
-    whose blocks are grad_omega and grad_psi. All but joint_grads also take
-    leading axes, (..., N, d) points in one call. A non-finite gradient
-    raises RejectedRows, naming the first rejected row.
+    A view has dims (d1, d2), its row count n, values(Z) -> (N,) and
+    joint_grads(Z) -> the (N, d1 + d2) gradient rows [G_OM | G_PS], both at
+    the joint rows Z = [OM | PS]; the built-in views add grad_psi(Z) -> G_PS
+    for the inner ascent. Every method takes the rows with leading axes too,
+    (..., N, d1 + d2) in one call. A non-finite gradient raises
+    RejectedRows, naming the first rejected row.
     """
 
     dims: tuple[int, int]
@@ -380,8 +382,9 @@ class _StackedQuadratic(StackedObjectives):
         self.a = np.stack([o.a for o in objectives])
         self.c = np.stack([o.c for o in objectives])
 
-    def values(self, OM, PS):
+    def values(self, Z):
         # 1/2 om'A om + om'B ps - 1/2 ps'C ps + a'om + c'ps, each product left to right
+        OM, PS = Z[..., : self.dims[0]], Z[..., self.dims[0] :]
         return (
             row_dot(_row_vecmat(0.5 * OM, self.A), OM)
             + row_dot(_row_vecmat(OM, self.B), PS)
@@ -391,21 +394,17 @@ class _StackedQuadratic(StackedObjectives):
         )
 
     def joint_grads(self, Z):
+        """[A om + B ps + a | B' om - C ps + c]; leading axes broadcast, each row one client's matvecs."""
         # both blocks into one buffer; the matmuls read the joint rows' blocks in place
         d1 = self.dims[0]
-        OM, PS = Z[:, :d1], Z[:, d1:]
+        OM, PS = Z[..., :d1, None], Z[..., d1:, None]
         G = np.empty(Z.shape)
-        G[:, :d1] = self.grad_omega(OM, PS)
-        G[:, d1:] = self.grad_psi(OM, PS)
+        G[..., :d1] = (self.A @ OM)[..., 0] + (self.B @ PS)[..., 0] + self.a
+        G[..., d1:] = (self.BT @ OM)[..., 0] - (self.C @ PS)[..., 0] + self.c
         return G
 
-    def grad_omega(self, OM, PS):
-        """A om + B ps + a, (N, d1); leading axes broadcast, each row one client's matvecs."""
-        return (self.A @ OM[..., None])[..., 0] + (self.B @ PS[..., None])[..., 0] + self.a
-
-    def grad_psi(self, OM, PS):
-        """B' om - C ps + c, (N, d2)."""
-        return (self.BT @ OM[..., None])[..., 0] - (self.C @ PS[..., None])[..., 0] + self.c
+    def grad_psi(self, Z):
+        return self.joint_grads(Z)[..., self.dims[0] :]
 
     @functools.cached_property
     def bars(self) -> QuadraticBars:
@@ -420,9 +419,9 @@ class _StackedDomainAdapt(StackedObjectives):
     matmuls keep the shapes and memory layout one client's pass gives them,
     and the gradients pick the labeled points with np.where instead of by
     indexing, so every row is bit for bit what a one-row view of its
-    objective computes. `values`, `grad_omega` and
-    `grad_psi` also take leading axes (K points per client); `grad_omega` is
-    the omega block of one `joint_grads` pass per leading index. `values`
+    objective computes. On leading axes (K points per client) `values` and
+    `grad_psi` run batched and `joint_grads` runs one batched pass per
+    leading index. `values`
     sums each row's terms over that row's own points in contiguous memory
     (`_row_sums`): a sum across rows, or along strided memory, would round
     differently.
@@ -477,9 +476,9 @@ class _StackedDomainAdapt(StackedObjectives):
         s = _sigmoid(self._domain_logits(Z, PS))
         return self.nu * (self._dt_shift - s)
 
-    def values(self, OM, PS):
-        Z, _, logits = self._forward(OM)
-        T = self._domain_logits(Z, PS)[..., 0]
+    def values(self, points):
+        Z, _, logits = self._forward(points)  # the features; its slices read the omega block alone
+        T = self._domain_logits(Z, points[..., self._d1 :])[..., 0]
         out = np.empty(T.shape[:-1])
         for r, (lab, idx, rows, y, alpha) in enumerate(self._labels):
             t, total = T[..., r, :], 0.0
@@ -495,8 +494,13 @@ class _StackedDomainAdapt(StackedObjectives):
         return out
 
     def joint_grads(self, points):
+        if points.ndim > 2:  # one batched pass per leading index
+            G = np.empty(points.shape)
+            for lead in np.ndindex(points.shape[:-2]):
+                G[lead] = self.joint_grads(points[lead])
+            return G
         n, PS = self.n, points[:, self._d1 :]
-        Z, V, logits = self._forward(points)  # its slices read the omega block alone
+        Z, V, logits = self._forward(points)
         # the row max class by class: max is exact, so any order gives the reduction's bits
         top = logits[..., :1]
         for k in range(1, self.layout.n_classes):
@@ -513,15 +517,8 @@ class _StackedDomainAdapt(StackedObjectives):
         require_finite(G)
         return G
 
-    def grad_omega(self, OM, PS):
-        # one batched joint pass per leading index, its omega block kept
-        G = np.empty(OM.shape)
-        for lead in np.ndindex(OM.shape[:-2]):
-            G[lead] = self.joint_grads(np.concatenate((OM[lead], PS[lead]), axis=-1))[:, : self._d1]
-        return G
-
-    def grad_psi(self, OM, PS):
-        Z = self._features(OM)
+    def grad_psi(self, points):
+        Z, PS = self._features(points), points[..., self._d1 :]
         G_PS = self.alpha[:, self._d1 :] * (Z.swapaxes(-1, -2) @ self._dt(Z, PS)).reshape(PS.shape)
         require_finite(G_PS)
         return G_PS
@@ -549,29 +546,26 @@ class _SizeGroups(StackedObjectives):
         self.rows = [[r for r, k in enumerate(keys) if k == key] for key in dict.fromkeys(keys)]
         self.groups = [_StackedDomainAdapt([objectives[r] for r in rows]) for rows in self.rows]
 
-    def _scatter(self, method: str, out: np.ndarray, *points: np.ndarray) -> np.ndarray:
-        lead, rejected = (slice(None),) * (points[0].ndim - 2), []
+    def _scatter(self, method: str, out: np.ndarray, points: np.ndarray) -> np.ndarray:
+        lead, rejected = (slice(None),) * (points.ndim - 2), []
         for rows, group in zip(self.rows, self.groups):
             at = lead + (rows,)
             try:
-                out[at] = getattr(group, method)(*(X[at] for X in points))
+                out[at] = getattr(group, method)(points[at])
             except RejectedRows as e:
                 rejected.append(rows[e.row])
         if rejected:
             raise RejectedRows(min(rejected))
         return out
 
-    def values(self, OM, PS):
-        return self._scatter("values", np.empty(OM.shape[:-1]), OM, PS)
+    def values(self, Z):
+        return self._scatter("values", np.empty(Z.shape[:-1]), Z)
 
     def joint_grads(self, Z):
         return self._scatter("joint_grads", np.empty(Z.shape), Z)
 
-    def grad_omega(self, OM, PS):
-        return self._scatter("grad_omega", np.empty(OM.shape), OM, PS)
-
-    def grad_psi(self, OM, PS):
-        return self._scatter("grad_psi", np.empty(PS.shape), OM, PS)
+    def grad_psi(self, Z):
+        return self._scatter("grad_psi", np.empty(Z.shape[:-1] + self.dims[1:]), Z)
 
     def curvature_bounds(self, omega):
         out = np.empty(self.n)
@@ -620,8 +614,8 @@ class PooledView(StackedObjectives):
 
     The only code that averages clients. Row 0 at a point evaluates every
     client there through `clients` and adds them in client order, one `row_sum`:
-    `values` adds their + 0.0, the gradients do not. `values`, `grad_omega`
-    and `grad_psi` take leading axes (K points as (K, 1, d) rows). A
+    `values` adds their + 0.0, the gradients do not. Leading axes are K
+    points as (K, 1, d1 + d2) rows. A
     client's rejected gradient is a RejectedRows of row 0, the view's one
     row, not of the client's row in `clients`.
     """
@@ -629,35 +623,26 @@ class PooledView(StackedObjectives):
     def __init__(self, clients: StackedObjectives):
         self.clients, self.dims, self.n = clients, clients.dims, 1
 
-    def _at(self, OM, PS) -> list[np.ndarray]:
-        # every client at each (..., 1, d) point, filled into (..., N, d): cheaper than np.tile
-        at = [np.empty(X.shape[:-2] + (self.clients.n, X.shape[-1])) for X in (OM, PS)]
-        at[0][:], at[1][:] = OM, PS
-        return at
-
-    def values(self, OM, PS):
+    def values(self, Z):
         # + 0.0 as in _bars: a zero-started sum of all -0.0 values is +0.0
-        V = self.clients.values(*self._at(OM, PS))
+        V = self.clients.values(Z.repeat(self.clients.n, axis=-2))
         return (row_sum(V, axis=-1)[..., None] + 0.0) / self.clients.n
 
     def joint_grads(self, Z):
+        return self._mean(self.clients.joint_grads, Z)
+
+    def grad_psi(self, Z):
+        return self._mean(self.clients.grad_psi, Z)
+
+    def _mean(self, grads, Z):
+        # every client at each (..., 1, d) row, their (..., N, d) gradients averaged into one row;
+        # the axis is counted from the front, so a (1, d) row takes row_sum's axis-0 path
         n = self.clients.n
         try:
-            G = self.clients.joint_grads(Z.repeat(n, axis=0))
+            G = grads(Z.repeat(n, axis=-2))
         except RejectedRows as e:
             raise RejectedRows(0) from e
-        return row_sum(G)[None] / n
-
-    def _mean(self, method, OM, PS):
-        # the clients' (..., N, d) gradients at each point, averaged into one (..., 1, d) row
-        try:
-            G = getattr(self.clients, method)(*self._at(OM, PS))
-        except RejectedRows as e:
-            raise RejectedRows(0) from e
-        return row_sum(G, axis=-2)[..., None, :] / self.clients.n
-
-    grad_omega = functools.partialmethod(_mean, "grad_omega")
-    grad_psi = functools.partialmethod(_mean, "grad_psi")
+        return row_sum(G, axis=G.ndim - 2)[..., None, :] / n
 
 
 def pooled(view: StackedObjectives) -> PooledView:
@@ -679,22 +664,23 @@ def _closed_form_psi(bars: QuadraticBars, omegas: np.ndarray) -> np.ndarray:
 def _ascent(pool: PooledView, omega: np.ndarray, step: float, tol: float, max_iters: int) -> np.ndarray:
     """Gradient ascent from zero on the pooled row's psi at a (1, d1) omega: the (1, d2) maximizer.
 
-    It raises ConvergenceError at the cap, or at a non-finite gradient.
+    It raises ConvergenceError at the cap, or at a non-finite gradient with grad_norm inf.
     """
-    psi, it = np.zeros((1, pool.dims[1])), 0
+    point, it = np.concatenate((omega, np.zeros((1, pool.dims[1]))), axis=1), 0
+    psi = point[:, pool.dims[0] :]  # stepped in place
     try:
-        g = pool.grad_psi(omega, psi)
+        g = pool.grad_psi(point)
         gnorm = float(np.linalg.norm(g))
         while not gnorm <= tol and it < max_iters:
-            psi = psi + step * g
-            g = pool.grad_psi(omega, psi)
+            psi += step * g
+            g = pool.grad_psi(point)
             gnorm = float(np.linalg.norm(g))
             it += 1
     except ValueError:
-        raise ConvergenceError("inner_max gradient ascent", math.inf, it) from None
+        gnorm = math.inf  # raised below: in here the view's error, and its frames, would be its context
     if gnorm <= tol:
         return psi
-    raise ConvergenceError("inner_max gradient ascent", gnorm, max_iters)
+    raise ConvergenceError("inner_max gradient ascent", gnorm, it)
 
 
 class PhiGrads(NamedTuple):
@@ -720,8 +706,9 @@ def inner_maximizers(
     cbar) of all K omegas at once; DANN clients get `_ascent` omega by omega,
     its step 1 / the largest client bound of one `curvature_bounds` call of
     the clients' view at that omega. errors[k] is None, or the
-    ConvergenceError of omega k's failed ascent, whose psi row is NaN. Other
-    views have no known curvature bound and are rejected.
+    ConvergenceError of omega k's failed ascent, without its traceback, so
+    that no error holds this call's views; its psi row is NaN. Other views
+    have no known curvature bound and are rejected.
     """
     clients = _unpooled(view)
     if isinstance(clients, _StackedQuadratic):
@@ -741,7 +728,7 @@ def inner_maximizers(
             psi[k] = _ascent(pool, omega, step, tol, max_iters)[0]
             errors.append(None)
         except ConvergenceError as e:
-            errors.append(e)
+            errors.append(e.with_traceback(None))
     return psi, tuple(errors)
 
 
@@ -753,13 +740,15 @@ def phi_grads(
 ) -> PhiGrads:
     """Inner maximizers and gradients of Phi(omega) = max_psi f(omega, psi) at the (K, d1) omegas.
 
-    `inner_maximizers`, then the Danskin gradients of the omegas it solved as
-    one pooled `grad_omega` call. Phi's value is not computed.
+    `inner_maximizers`, then the Danskin gradients of the omegas it solved:
+    the omega blocks of one pooled `joint_grads` call at the K rows
+    [omega_k | psi_k]. Phi's value is not computed.
     """
     psi, errors = inner_maximizers(view, omegas, tol, max_iters)
     ok = [e is None for e in errors]
     grads = np.full(omegas.shape, np.nan)
-    grads[ok] = pooled(view).grad_omega(omegas[ok][:, None], psi[ok][:, None])[:, 0]
+    rows = np.concatenate((omegas[ok], psi[ok]), axis=1)[:, None]
+    grads[ok] = pooled(view).joint_grads(rows)[:, 0, : omegas.shape[1]]
     return PhiGrads(psi, grads, errors)
 
 
@@ -770,7 +759,7 @@ def phi_value_and_grad(
     out = phi_grads(view, _row(omega), tol, max_iters)
     if out.errors[0] is not None:
         raise out.errors[0]
-    return float(pooled(view).values(_row(omega), out.psi)[0]), out.grads[0]
+    return float(pooled(view).values(_row(omega, out.psi[0]))[0]), out.grads[0]
 
 
 # ------------------------- plain-text instance files ------------------------- #

@@ -307,9 +307,9 @@ class TestEstimateKappa:
         pairs = [(vector(rng.standard_normal(d1)), vector(rng.standard_normal(d1))) for _ in range(3)]
         calls = []
         for cls in {type(stacked(objs)), PooledView}:
-            grad_omega = cls.grad_omega
+            joint_grads = cls.joint_grads
             monkeypatch.setattr(
-                cls, "grad_omega", lambda self, *a, f=grad_omega: calls.append(a) or f(self, *a)
+                cls, "joint_grads", lambda self, *a, f=joint_grads: calls.append(a) or f(self, *a)
             )
         assert estimate_kappa(objs, pairs, tol=1e-8) > 0.0
         assert calls == []

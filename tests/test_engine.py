@@ -36,6 +36,7 @@ from fedmm.objectives import (
     StackedObjectives,
     _SizeGroups,
     _StackedDomainAdapt,
+    phi_grads,
     save_dataset,
     stacked,
 )
@@ -360,6 +361,31 @@ class TestStackedView:
             log = run_experiment(config)
             assert len(log.rounds) == 60
             del log
+            assert live() == before
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize(
+        "scale, tol, max_iters", [(1.0, 1e-12, 3), (1e200, 1e-6, 100_000)], ids=["at_the_cap", "non_finite"]
+    )
+    def test_a_failed_inner_solve_keeps_no_view_alive(self, scale, tol, max_iters):
+        # a kept ConvergenceError must hold no frame: its traceback, or a handled error in its context
+        objs = prepare(parse_config(CONFIGS / "label_shift_fedmm.cfg", [])).view.objectives
+        omegas = scale * seeded_rng(13).standard_normal((2, objs[0].dims[0]))
+
+        def live():
+            return sum(isinstance(o, StackedObjectives) for o in gc.get_objects())
+
+        gc.collect()
+        gc.disable()
+        try:
+            before, view = live(), stacked(objs)
+            with np.errstate(all="ignore"):
+                got = phi_grads(view, omegas, tol, max_iters)
+            assert [type(e) for e in got.errors] == [ConvergenceError] * 2
+            if scale == 1e200:
+                assert all(e.grad_norm == np.inf and e.iterations == 0 for e in got.errors)
+            del got, view
             assert live() == before
         finally:
             gc.enable()

@@ -115,9 +115,9 @@ def _consensus(fed, pair):
 
 
 def _global_loss(view, pair):
-    OM, PS = np.empty((view.n, len(pair.omega))), np.empty((view.n, len(pair.psi)))
-    OM[:], PS[:] = pair.omega, pair.psi
-    return float((row_sum(view.values(OM, PS)) + 0.0) / view.n)
+    Z = np.empty((view.n, len(pair.row)))
+    Z[:] = pair.row
+    return float((row_sum(view.values(Z)) + 0.0) / view.n)
 
 
 def _phi_grad_norm(view, omega, tol):

@@ -331,7 +331,7 @@ class TestInnerMax:
         rng = seeded_rng(10)
         om = vector(rng.standard_normal(objs[0].dims[0]))
         psi_star = inner_max(view, om, tol=1e-12)
-        g = pooled(view).grad_psi(om[None], psi_star[None])[0]
+        g = pooled(view).grad_psi(np.concatenate((om, psi_star))[None])[0]
         for _ in range(10):
             v = rng.standard_normal(len(psi_star))
             assert abs(float(g @ v)) <= 1e-9 * float(np.linalg.norm(v))
@@ -343,8 +343,8 @@ class SteepSaddle(StackedObjectives):
     k = 50.0
     dims, n = (2, 2), 1
 
-    def grad_psi(self, OM, PS):
-        return OM - self.k * PS
+    def grad_psi(self, Z):
+        return Z[..., :2] - self.k * Z[..., 2:]
 
 
 class TestInnerMaxObjectiveTypes:

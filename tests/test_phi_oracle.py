@@ -155,13 +155,13 @@ def test_a_flush_makes_one_batched_solve_and_never_evaluates_phi(monkeypatch):
         calls["solve"].append(b.shape)
         return solve(a, b)
 
-    def counted_pooled_values(self, OM, PS):
+    def counted_pooled_values(self, Z):
         calls["pooled_values"] += 1
-        return pooled_values(self, OM, PS)
+        return pooled_values(self, Z)
 
-    def counted_values(self, OM, PS):
+    def counted_values(self, Z):
         calls["values"] += 1
-        return values(self, OM, PS)
+        return values(self, Z)
 
     monkeypatch.setattr(np.linalg, "solve", counted_solve)
     monkeypatch.setattr(PooledView, "values", counted_pooled_values)

@@ -94,10 +94,11 @@ def test_batched_gradients_equal_the_per_row_ones(
     view = stacked(objs)
     assert type(view) is _StackedDomainAdapt
     want, want_psi = per_row(objs, OM, PS)
-    assert np.array_equal(view.joint_grads(np.hstack((OM, PS))), want)
-    assert np.array_equal(view.grad_psi(OM, PS), want_psi)
+    Z = np.hstack((OM, PS))
+    assert np.array_equal(view.joint_grads(Z), want)
+    assert np.array_equal(view.grad_psi(Z), want_psi)
     want_values = [dann_value(o, OM[r], PS[r]) for r, o in enumerate(objs)]
-    assert np.array_equal(view.values(OM, PS), want_values)
+    assert np.array_equal(view.values(Z), want_values)
     # each objective alone is a one-row call of its own view
     for r, o in enumerate(objs):
         assert np.array_equal(o.grad_omega(OM[r], PS[r]), want[r, : OM.shape[1]])
@@ -131,32 +132,32 @@ def test_grouped_view_equals_one_row_views_and_the_reference(
     keys = list(dict.fromkeys((len(o.dataset), o.nu) for o in objs))
     assert type(view) is (_SizeGroups if len(keys) > 1 else _StackedDomainAdapt)
     N, (d1, d2) = len(objs), view.dims
-    OM, PS = rng.standard_normal((K, N, d1)), rng.standard_normal((K, N, d2))
-    got_values, got_omega, got_psi = view.values(OM, PS), view.grad_omega(OM, PS), view.grad_psi(OM, PS)
+    Z = rng.standard_normal((K, N, d1 + d2))
+    got_values, got_joint_K, got_psi = view.values(Z), view.joint_grads(Z), view.grad_psi(Z)
     for k in range(K):
-        got_joint = view.joint_grads(np.concatenate((OM[k], PS[k]), axis=1))
+        got_joint = view.joint_grads(Z[k])
         for r, (o, one) in enumerate(zip(objs, ones)):
-            om, ps = OM[k, r], PS[k, r]
+            om, ps = Z[k, r, :d1], Z[k, r, d1:]
             g_om, g_ps = dann_grads(o, om, ps)
-            assert got_values[k, r] == dann_value(o, om, ps) == one.values(om[None], ps[None])[0]
+            assert got_values[k, r] == dann_value(o, om, ps) == one.values(Z[k, r][None])[0]
             assert np.array_equal(got_joint[r], np.concatenate((g_om, g_ps)))
-            assert np.array_equal(got_joint[r], one.joint_grads(np.concatenate((om, ps))[None])[0])
-            assert np.array_equal(got_omega[k, r], g_om)
+            assert np.array_equal(got_joint[r], one.joint_grads(Z[k, r][None])[0])
+            assert np.array_equal(got_joint_K[k, r], got_joint[r])
             assert np.array_equal(got_psi[k, r], dann_grad_psi(o, om, ps))
-            assert np.array_equal(got_psi[k, r], one.grad_psi(om[None], ps[None])[0])
+            assert np.array_equal(got_psi[k, r], one.grad_psi(Z[k, r][None])[0])
     # the pooled row at client 0's K points: client-order averages of the references
-    pool, P_OM, P_PS = pooled(view), OM[:, :1], PS[:, :1]
+    pool, P = pooled(view), Z[:, :1]
     assert type(pool) is PooledView
     for k in range(K):
-        om, ps = P_OM[k, 0], P_PS[k, 0]
+        om, ps = P[k, 0, :d1], P[k, 0, d1:]
         total = 0.0
         for o in objs:
             total += dann_value(o, om, ps)
-        assert pool.values(P_OM, P_PS)[k, 0] == total / N
+        assert pool.values(P)[k, 0] == total / N
         want = ref_mean([np.concatenate(dann_grads(o, om, ps)) for o in objs])
-        assert np.array_equal(pool.joint_grads(np.concatenate((om, ps))[None])[0], want)
-        assert np.array_equal(pool.grad_omega(P_OM, P_PS)[k, 0], want[:d1])
-        assert np.array_equal(pool.grad_psi(P_OM, P_PS)[k, 0], ref_mean([dann_grad_psi(o, om, ps) for o in objs]))
+        assert np.array_equal(pool.joint_grads(P[k])[0], want)
+        assert np.array_equal(pool.joint_grads(P)[k, 0], want)
+        assert np.array_equal(pool.grad_psi(P)[k, 0], ref_mean([dann_grad_psi(o, om, ps) for o in objs]))
 
 
 def toy_clients(sizes=(30, 30), nu=0.5, layout=ModelLayout(2, 1, 2), cls=DomainAdaptObjective):
@@ -184,9 +185,10 @@ def test_other_plain_lists_take_the_grouped_view(objs):
     rng, (d1, d2) = np.random.default_rng(6), view.dims
     OM, PS = rng.standard_normal((2, d1)), rng.standard_normal((2, d2))
     want, want_psi = per_row(objs, OM, PS)
-    assert np.array_equal(view.joint_grads(np.hstack((OM, PS))), want)
-    assert np.array_equal(view.grad_psi(OM, PS), want_psi)
-    assert np.array_equal(view.values(OM, PS), [dann_value(o, OM[r], PS[r]) for r, o in enumerate(objs)])
+    Z = np.hstack((OM, PS))
+    assert np.array_equal(view.joint_grads(Z), want)
+    assert np.array_equal(view.grad_psi(Z), want_psi)
+    assert np.array_equal(view.values(Z), [dann_value(o, OM[r], PS[r]) for r, o in enumerate(objs)])
 
 
 @pytest.mark.parametrize(
@@ -218,9 +220,8 @@ def test_nonfinite_gradient_raises_the_same_error_on_both_paths(block, scale):
     OM, PS = np.full((2, d1), scale), np.ones((2, d2))
 
     def call(view, rows):
-        if block == "grads":
-            return view.joint_grads(np.hstack((OM[rows], PS[rows])))
-        return view.grad_psi(OM[rows], PS[rows])
+        Z = np.hstack((OM[rows], PS[rows]))
+        return view.joint_grads(Z) if block == "grads" else view.grad_psi(Z)
 
     with np.errstate(all="ignore"):
         with pytest.raises(RejectedRows) as want:
@@ -232,13 +233,15 @@ def test_nonfinite_gradient_raises_the_same_error_on_both_paths(block, scale):
     assert (got.value.row, want.value.row) == (0, 0)
 
 
-def test_batched_grad_omega_is_one_joint_pass_per_point(monkeypatch):
+def test_batched_joint_grads_is_one_pass_per_point(monkeypatch):
     """K = 3 points per client, the shape of the pooled view's Danskin gradients at 3 omegas."""
     objs, _, _ = instance(2, 2, 2, 3, 20, ["mixed", "labeled"], seed=4)
     rng = np.random.default_rng(5)
     d1, d2 = objs[0].dims
     OM, PS = rng.standard_normal((3, 2, d1)), rng.standard_normal((3, 2, d2))
-    want = np.array([[dann_grads(o, OM[k, r], PS[k, r])[0] for r, o in enumerate(objs)] for k in range(3)])
+    want = np.array(
+        [[np.concatenate(dann_grads(o, OM[k, r], PS[k, r])) for r, o in enumerate(objs)] for k in range(3)]
+    )
     passes = []
     joint_grads = _StackedDomainAdapt.joint_grads
 
@@ -247,12 +250,12 @@ def test_batched_grad_omega_is_one_joint_pass_per_point(monkeypatch):
         return joint_grads(self, points)
 
     monkeypatch.setattr(_StackedDomainAdapt, "joint_grads", counted)
-    got = stacked(objs).grad_omega(OM, PS)
-    assert np.array_equal(got, want)
-    assert passes == [(2, d1 + d2)] * 3
+    Z = np.concatenate((OM, PS), axis=-1)
+    assert np.array_equal(stacked(objs).joint_grads(Z), want)
+    assert passes == [(3, 2, d1 + d2)] + [(2, d1 + d2)] * 3
     # the (N, d) points of a local step: one pass
-    assert np.array_equal(stacked(objs).grad_omega(OM[0], PS[0]), want[0])
-    assert len(passes) == 4
+    assert np.array_equal(stacked(objs).joint_grads(Z[0]), want[0])
+    assert passes[4:] == [(2, d1 + d2)]
 
 
 @pytest.mark.parametrize("sizes", [(30, 29), (30, 30)], ids=["grouped", "batched"])
@@ -266,7 +269,7 @@ def test_nonfinite_ascent_gradient_is_a_failed_inner_solve(sizes):
     assert error.grad_norm == np.inf and error.iterations == 0
 
 
-@pytest.mark.parametrize("method", ["joint_grads", "grad_omega", "grad_psi"])
+@pytest.mark.parametrize("method", ["joint_grads", "grad_psi"])
 def test_a_pooled_view_names_its_own_row_for_a_rejecting_client(method):
     """A pooled view has one row, so a client's rejected gradient is its row 0.
 
@@ -284,10 +287,9 @@ def test_a_pooled_view_names_its_own_row_for_a_rejecting_client(method):
     assert type(view) is _SizeGroups
     pool, d1 = pooled(view), layout.d1
     z = np.full((1, d1 + layout.d2), 10.0)
-    args = (z,) if method == "joint_grads" else (z[:, :d1], z[:, d1:])
     with np.errstate(all="ignore"), pytest.raises(RejectedRows) as rejected:
-        getattr(pool, method)(*args)
+        getattr(pool, method)(z)
     assert pool.n == 1 and rejected.value.row == 0
     with np.errstate(all="ignore"), pytest.raises(RejectedRows) as by_client:
-        getattr(view, method)(*(np.repeat(a, 3, axis=0) for a in args))
+        getattr(view, method)(np.repeat(z, 3, axis=0))
     assert by_client.value.row > 0  # the clients' own view names a target client

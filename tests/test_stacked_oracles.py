@@ -2,8 +2,8 @@
 
 Every comparison is exact: the stacked loss, the pooled view, the phi oracle,
 the consensus norms, the cached client averages and central GDA's pooled
-view must reproduce, bit for bit, what one objective (and one client) after
-the other computes. The
+view must reproduce, bit for bit, what the plain-numpy formulas of
+`reference_math` compute for one client after the other. The
 generated quadratic instances include d2 = 1 with N >= 17, where numpy's
 reductions would switch to pairwise summation.
 """
@@ -33,6 +33,7 @@ from fedmm.objectives import (
     StackedObjectives,
     _SizeGroups,
     _StackedDomainAdapt,
+    _StackedQuadratic,
     phi_grads,
     phi_value_and_grad,
     pooled,
@@ -41,7 +42,16 @@ from fedmm.objectives import (
 )
 from fedmm.optim import Federation
 from fedmm.problems import domain_shift_toy
-from reference_math import dann_curvature_bound, ref_mean
+from reference_math import (
+    dann_curvature_bound,
+    dann_grad_psi,
+    dann_grads,
+    dann_value,
+    quad_grad_omega,
+    quad_grad_psi,
+    quad_value,
+    ref_mean,
+)
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 SIZES = dict(
@@ -81,11 +91,23 @@ def dann_instance(drop: int):
 # ------------------------------ the reference ------------------------------ #
 
 
+def ref_value(o, om, ps):
+    return quad_value(o, om, ps) if isinstance(o, QuadraticSaddle) else dann_value(o, om, ps)
+
+
+def ref_grad_omega(o, om, ps):
+    return quad_grad_omega(o, om, ps) if isinstance(o, QuadraticSaddle) else dann_grads(o, om, ps)[0]
+
+
+def ref_grad_psi(o, om, ps):
+    return quad_grad_psi(o, om, ps) if isinstance(o, QuadraticSaddle) else dann_grad_psi(o, om, ps)
+
+
 def ref_mean_value(objs, om, ps):
     """Client average of the values, a zero-started float loop (Python's sum() may compensate)."""
     total = 0.0
     for o in objs:
-        total += o.value(om, ps)
+        total += ref_value(o, om, ps)
     return total / len(objs)
 
 
@@ -96,10 +118,10 @@ def ref_inner_max(objs, om, tol):
         return np.linalg.solve(Cbar, Bbar.T @ om + cbar)
     step = 1.0 / max(max(dann_curvature_bound(o, om) for o in objs), 1e-12)
     psi = np.zeros(objs[0].dims[1])
-    g = ref_mean([o.grad_psi(om, psi) for o in objs])
+    g = ref_mean([ref_grad_psi(o, om, psi) for o in objs])
     while np.linalg.norm(g) > tol:
         psi = psi + step * g
-        g = ref_mean([o.grad_psi(om, psi) for o in objs])
+        g = ref_mean([ref_grad_psi(o, om, psi) for o in objs])
     return psi
 
 
@@ -116,8 +138,8 @@ def assert_oracles_match(objs, OM, PS, tol):
     The client averages are the pooled view's, checked at every point (OM[k], PS[k]).
     """
     view = stacked(objs)
-    want = np.array([o.value(OM[r], PS[r]) for r, o in enumerate(objs)])
-    assert np.array_equal(view.values(OM, PS), want)
+    want = np.array([ref_value(o, OM[r], PS[r]) for r, o in enumerate(objs)])
+    assert np.array_equal(view.values(np.hstack((OM, PS))), want)
     assert_pooled_matches(objs, view, OM, PS, tol)
 
     om, ps = vector(OM[0]), vector(PS[0])
@@ -125,16 +147,16 @@ def assert_oracles_match(objs, OM, PS, tol):
     psi_star = ref_inner_max(objs, om, tol)
     value, grad = phi_value_and_grad(view, om, tol)
     assert value == ref_mean_value(objs, om, psi_star)
-    assert np.array_equal(grad, ref_mean([o.grad_omega(om, psi_star) for o in objs]))
+    assert np.array_equal(grad, ref_mean([ref_grad_omega(o, om, psi_star) for o in objs]))
 
     pair = PrimalDualPair(om, ps)
     fed = Federation(view, np.hstack((OM, PS)), np.zeros((len(OM), OM.shape[1] + PS.shape[1])))
     assert consensus(fed, pair) == ref_consensus(OM, PS, pair)
 
     # leading axes: two stacks of rows at once
-    flip_OM, flip_PS = np.ascontiguousarray(OM[::-1]), np.ascontiguousarray(PS[::-1])
-    got = view.values(np.stack((OM, flip_OM)), np.stack((PS, flip_PS)))
-    assert np.array_equal(got, [want, view.values(flip_OM, flip_PS)])
+    Z = np.hstack((OM, PS))
+    got = view.values(np.stack((Z, Z[::-1])))
+    assert np.array_equal(got, [want, view.values(np.ascontiguousarray(Z[::-1]))])
 
 
 def assert_pooled_matches(objs, view, OM, PS, tol):
@@ -146,20 +168,19 @@ def assert_pooled_matches(objs, view, OM, PS, tol):
     pooled_view = pooled(view)
     assert type(pooled_view) is PooledView and pooled(pooled_view) is pooled_view
     points = [(vector(OM[k]), vector(PS[k])) for k in range(len(OM))]
-    want_om = [ref_mean([o.grad_omega(om, ps) for o in objs]) for om, ps in points]
-    want_ps = [ref_mean([o.grad_psi(om, ps) for o in objs]) for om, ps in points]
+    want_om = [ref_mean([ref_grad_omega(o, om, ps) for o in objs]) for om, ps in points]
+    want_ps = [ref_mean([ref_grad_psi(o, om, ps) for o in objs]) for om, ps in points]
     for (om, ps), g_om, g_ps in zip(points, want_om, want_ps):
-        one_om, one_ps = om[None], ps[None]
-        assert pooled_view.values(one_om, one_ps).tolist() == [ref_mean_value(objs, om, ps)]
-        assert np.array_equal(pooled_view.joint_grads(np.hstack((one_om, one_ps))), [np.hstack((g_om, g_ps))])
-        assert np.array_equal(pooled_view.grad_omega(one_om, one_ps), [g_om])
-        assert np.array_equal(pooled_view.grad_psi(one_om, one_ps), [g_ps])
+        one = np.concatenate((om, ps))[None]
+        assert pooled_view.values(one).tolist() == [ref_mean_value(objs, om, ps)]
+        assert np.array_equal(pooled_view.joint_grads(one), [np.hstack((g_om, g_ps))])
+        assert np.array_equal(pooled_view.grad_psi(one), [g_ps])
     # leading axes: the N points as N stacked (1, d) rows of the pooled view
-    K_OM, K_PS = OM[:, None, :], PS[:, None, :]
+    K = np.hstack((OM, PS))[:, None, :]
     want_values = [[ref_mean_value(objs, om, ps)] for om, ps in points]
-    assert pooled_view.values(K_OM, K_PS).tolist() == want_values
-    assert np.array_equal(pooled_view.grad_omega(K_OM, K_PS), np.array(want_om)[:, None, :])
-    assert np.array_equal(pooled_view.grad_psi(K_OM, K_PS), np.array(want_ps)[:, None, :])
+    assert pooled_view.values(K).tolist() == want_values
+    assert np.array_equal(pooled_view.joint_grads(K), np.hstack((want_om, want_ps))[:, None, :])
+    assert np.array_equal(pooled_view.grad_psi(K), np.array(want_ps)[:, None, :])
     got, want = phi_grads(pooled_view, OM, tol), phi_grads(view, OM, tol)
     assert np.array_equal(got.psi, want.psi) and np.array_equal(got.grads, want.grads)
     assert got.errors == want.errors == (None,) * len(OM)
@@ -188,6 +209,32 @@ def test_cached_bars_are_client_order_sums(n, d1, d2, seed):
     for got, key in zip(bars, "ABCac"):
         assert np.array_equal(got, sum(getattr(o, key) for o in objs) / n)
     assert quadratic_bars(view) is bars  # cached with the view
+
+
+@PROPERTY
+@given(
+    kind=st.sampled_from([_StackedQuadratic, _StackedDomainAdapt, _SizeGroups]),
+    pool=st.booleans(),
+    K=st.integers(1, 4),
+    scale=st.sampled_from([0.3, 1.0, 3.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_leading_axes_are_separate_calls(kind, pool, K, scale, seed):
+    """The joint-row contract: every view method at (K, N, d) rows is K calls at (N, d) rows, bit for bit."""
+    rng = np.random.default_rng(seed)
+    if kind is _StackedQuadratic:
+        objs = quadratic_instance(*rng.integers(1, 6, size=3), seed)[0]
+    else:
+        objs = dann_instance(drop=7 if kind is _SizeGroups else 0)[0]
+    view = stacked(objs)
+    assert type(view) is kind
+    if pool:
+        view = pooled(view)
+    Z = scale * rng.standard_normal((K, view.n, sum(view.dims)))
+    for method in ("values", "joint_grads", "grad_psi"):
+        got = getattr(view, method)(Z)
+        want = np.stack([getattr(view, method)(Z[k]) for k in range(K)])
+        assert got.shape == want.shape and np.array_equal(got, want)
 
 
 def test_dann_oracles_on_unequal_shards():
@@ -238,8 +285,8 @@ class Constant(StackedObjectives):
     def __init__(self, c):
         self.c, self.n = np.array(c), len(c)
 
-    def values(self, OM, PS):
-        return np.broadcast_to(self.c, OM.shape[:-1]).copy()
+    def values(self, Z):
+        return np.broadcast_to(self.c, Z.shape[:-1]).copy()
 
 
 @pytest.mark.parametrize(
@@ -247,8 +294,7 @@ class Constant(StackedObjectives):
     [[-0.0], [-0.0, -0.0, -0.0], [1e16, 1.0, -1e16], [0.1] * 10, [-0.0, 2.5, -2.5]],
 )
 def test_mean_value_is_a_zero_started_loop(values):
-    zero = vector([0.0])
-    got = float(pooled(Constant(values)).values(zero[None], zero[None])[0])
+    got = float(pooled(Constant(values)).values(np.zeros((1, 2)))[0])
     want = functools.reduce(operator.add, values, 0.0) / len(values)  # a zero-started loop
     assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
     if values == [1e16, 1.0, -1e16]:
