@@ -1,5 +1,14 @@
 """Federated minimax optimization: FedMM, GDA baselines, and a simulation harness."""
 
+import numpy as _np
+
+# the per-row kernels are np.matvec, np.vecmat and np.vecdot, all in numpy 2.2
+if not all(hasattr(_np, name) for name in ("matvec", "vecmat", "vecdot")):
+    raise ImportError(
+        f"fedmm requires numpy>=2.2 (np.matvec, np.vecmat, np.vecdot); found numpy {_np.__version__}"
+    )
+del _np
+
 from fedmm.core import (
     ConvergenceError,
     DivergenceError,

@@ -41,7 +41,7 @@ from fedmm.objectives import (
     quadratic_bars,
     stacked,
 )
-from fedmm.optim import Federation, OptimizerKind, local_solve, run_round
+from fedmm.optim import Federation, LocalRound, OptimizerKind, local_solve, run_round
 from fedmm.problems import domain_shift_toy, synthetic_quadratic_specs
 
 
@@ -141,9 +141,10 @@ def _same_global_pairs(objs, kind_a, kind_b, hp: HyperParams, rounds: int) -> bo
     pair = PrimalDualPair(vector(np.zeros(d1)), vector(np.zeros(d2)))
     server_a, server_b = ServerState(pair), ServerState(pair)
     fed_a = fed_b = Federation.initial(objs, pair)
+    local_a, local_b = LocalRound(kind_a, fed_a.view, hp), LocalRound(kind_b, fed_b.view, hp)
     for _ in range(rounds):
-        fed_a = run_round(kind_a, fed_a, server_a, hp)
-        fed_b = run_round(kind_b, fed_b, server_b, hp)
+        fed_a = run_round(local_a, fed_a, server_a)
+        fed_b = run_round(local_b, fed_b, server_b)
         if not _bit_equal(server_a.global_pair, server_b.global_pair):
             return False
     return True
@@ -239,9 +240,11 @@ def check_row_independence() -> str:
         for kind in (k for k in OptimizerKind if k is not OptimizerKind.CENTRAL_GDA):
             # one round first, so that FedMM's duals are no longer zero
             server = ServerState(start)
-            fed = run_round(kind, Federation.initial(objs, start), server, hp)
+            fed = Federation.initial(objs, start)
+            local = LocalRound(kind, fed.view, hp)
+            fed = run_round(local, fed, server)
             gp, t = server.global_pair, server.round
-            whole = _outcome(*local_solve(kind, fed, gp, hp, t))
+            whole = _outcome(*local(fed, gp, t))
             for r, obj in enumerate(objs):
                 one = Federation(stacked([obj]), fed.Z[r : r + 1], fed.D[r : r + 1])
                 hp_r = replace(hp, local_steps=(hp.expanded(len(objs)).local_steps[r],))
@@ -314,9 +317,10 @@ def check_stacked_oracles() -> str:
         server = ServerState(start)
         fed = Federation.initial(objs, start)
         block = MetricsBlock(fed.view, 3, tol)
+        local = LocalRound(OptimizerKind.FEDMM, fed.view, hp)
         want = []
         for t in range(3):
-            fed = run_round(OptimizerKind.FEDMM, fed, server, hp)
+            fed = run_round(local, fed, server)
             gp = server.global_pair
             loss, (phi_value, phi_grad), cons = _per_client_oracles(objs, fed, gp, tol)
             got_value, got_grad = phi_value_and_grad(fed.view, gp.omega, tol)
@@ -355,7 +359,7 @@ def check_stationary_saddle_fixed() -> str:
     for kind in OptimizerKind:
         server = ServerState(pair)
         fed = Federation.initial(PooledView(view) if kind is OptimizerKind.CENTRAL_GDA else view, pair)
-        fed = run_round(kind, fed, server, hp)
+        fed = run_round(LocalRound(kind, fed.view, hp), fed, server)
         if not _bit_equal(server.global_pair, pair):
             raise AssertionError(f"{kind.value} moved an exact stationary saddle")
         if fed.lam.any() or fed.beta.any():

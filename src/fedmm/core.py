@@ -75,10 +75,12 @@ def zeros(n: int) -> Vector:
 def row_dot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Each row's X[..., r, :] . Y[..., r, :], bit for bit the dot product a 1-D `x @ y` takes.
 
-    Axes before the last one are rows, any number of them: (N, d) gives (N,),
-    (B, N, d) gives (B, N). A plain (N, d) @ (d,) matvec rounds differently.
+    Axes before the last one are rows, any number of them, and broadcast:
+    (N, d) gives (N,), (B, N, d) gives (B, N). np.vecdot calls the BLAS dot
+    of a 1-D `x @ y` once per row; a plain (N, d) @ (d,) matvec rounds
+    differently.
     """
-    return (X[..., None, :] @ Y[..., :, None])[..., 0, 0]
+    return np.vecdot(X, Y)
 
 
 def row_norms(G: np.ndarray) -> np.ndarray:

@@ -24,7 +24,7 @@ import numpy as np
 from fedmm.core import HyperParams, PrimalDualPair, ServerState, Vector, row_norms, row_sum, vector
 from fedmm.federation import to_csv
 from fedmm.objectives import DomainAdaptObjective, QuadraticSaddle, inner_maximizers, quadratic_bars, stacked
-from fedmm.optim import Federation, OptimizerKind, joint_weights, run_round
+from fedmm.optim import Federation, LocalRound, OptimizerKind, joint_weights, run_round
 
 BASE_TOL = 1e-8
 TOL_ERROR_FACTOR = 10.0
@@ -127,11 +127,12 @@ def run_identity_suite(
     server = ServerState(pair)
     fed = Federation.initial(objectives, pair)
     hp = replace(hp.expanded(fed.n), local_tol=local_tol)
+    local = LocalRound(OptimizerKind.FEDMM, fed.view, hp)
 
     reports: list[IdentityReport] = []
     for t in range(rounds):
         before, global_before = fed, server.global_pair
-        fed = run_round(OptimizerKind.FEDMM, fed, server, hp)
+        fed = run_round(local, fed, server)
         round_reports = check_identities(before, fed, global_before, hp, round_index=t)
         if t == 0:
             round_reports = [r for r in round_reports if r.name.startswith("sum_")]

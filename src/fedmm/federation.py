@@ -48,7 +48,7 @@ from fedmm.objectives import (
     pooled,
     stacked,
 )
-from fedmm.optim import Federation, OptimizerKind, run_round
+from fedmm.optim import Federation, LocalRound, OptimizerKind, run_round
 from fedmm import problems
 
 
@@ -619,18 +619,36 @@ class Problem:
     config: ExperimentConfig
     view: StackedObjectives
     init_pair: PrimalDualPair
-    batch_seq: np.random.SeedSequence
     accuracy: tuple[DomainAdaptObjective, DomainAdaptDataset] | None = None
+
+    @property
+    def batch_seq(self) -> np.random.SeedSequence:
+        """The minibatch stream's seed, built when it is read: only minibatch runs read it."""
+        return _stream(self.config.seed, _BATCH)
+
+
+# the config seed's child streams, numbered as SeedSequence(seed).spawn(4) numbers them
+_DATA, _INIT, _PARTITION, _BATCH = range(4)
+
+
+def _stream(seed: int, i: int) -> np.random.SeedSequence:
+    # child i of SeedSequence(seed), bit for bit spawn(4)[i], without spawning the others
+    return np.random.SeedSequence(seed, spawn_key=(i,))
+
+
+def _rng(seed: int, i: int) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(_stream(seed, i)))
 
 
 def prepare(config: ExperimentConfig) -> Problem:
     """The only place a config becomes a problem; a problem.file is read here, once.
 
-    The config seed spawns the data, init, partition and minibatch streams.
+    The config seed's child streams seed the toy data, the initial pair, the
+    partition and the minibatches; each is built only where it is read, and
+    quadratic problems read none of them.
     A bad problem.file, a partition that leaves a client without points and
     local_steps that do not fit the clients raise ValueError naming the key.
     """
-    data_seq, init_seq, part_seq, batch_seq = np.random.SeedSequence(config.seed).spawn(4)
     path, quadratic = config.problem_file, config.problem is ProblemKind.QUADRATIC
     load = load_quadratic_objectives if quadratic else load_dataset
     try:
@@ -661,12 +679,12 @@ def prepare(config: ExperimentConfig) -> Problem:
             layout = ModelLayout(dataset.X.shape[1], dataset.X.shape[1], n_classes)
         else:
             dataset, holdout, layout = problems.domain_shift_toy(
-                np.random.Generator(np.random.PCG64(data_seq)),
+                _rng(config.seed, _DATA),
                 n_per_domain=config.toy_n_per_domain,
                 holdout_n=config.toy_holdout_n,
             )
         pooled = DomainAdaptObjective(dataset, config.hyper.nu, layout)
-        init_rng = np.random.Generator(np.random.PCG64(init_seq))
+        init_rng = _rng(config.seed, _INIT)
         init = PrimalDualPair(
             vector(0.1 * init_rng.standard_normal(layout.d1)),
             vector(0.1 * init_rng.standard_normal(layout.d2)),
@@ -676,7 +694,7 @@ def prepare(config: ExperimentConfig) -> Problem:
         if central:
             objs = [pooled]
         else:
-            part_rng = np.random.Generator(np.random.PCG64(part_seq))
+            part_rng = _rng(config.seed, _PARTITION)
             try:
                 shards = partition_label_shift(dataset, config.partition, part_rng)
             except ValueError as e:  # never on the toy: it has two points per domain
@@ -695,7 +713,7 @@ def prepare(config: ExperimentConfig) -> Problem:
         config.hyper.expanded(view.n)
     except ValueError as e:
         raise ValueError(f"hyper.local_steps: {e}") from None
-    return Problem(config, view, init, batch_seq, accuracy)
+    return Problem(config, view, init, accuracy)
 
 
 def run_experiment(config: ExperimentConfig, problem: Problem | None = None) -> RunLog:
@@ -723,21 +741,24 @@ def run_experiment(config: ExperimentConfig, problem: Problem | None = None) -> 
     block = MetricsBlock(fed.view, size, hp.tol, problem.accuracy)
 
     log = RunLog()
-    batch_rng = np.random.Generator(np.random.PCG64(problem.batch_seq))
+    every, last, batch = config.metrics_every, hp.rounds - 1, config.batch_size
+    # only seeded minibatch mode draws from its stream; one round serves every sampled view
+    batch_rng = np.random.Generator(np.random.PCG64(problem.batch_seq)) if batch else None
+    local = LocalRound(config.optimizer, fed.view, hp) if hp.rounds else None
 
     for t in range(hp.rounds):
-        if config.batch_size > 0:
-            # seeded minibatch mode: fresh per-round subsample of each client's shard
+        if batch:
+            # a fresh per-round subsample of each client's shard
             view = stacked([
-                DomainAdaptObjective(o.dataset.sample(batch_rng, config.batch_size), hp.nu, o.layout)
+                DomainAdaptObjective(o.dataset.sample(batch_rng, batch), hp.nu, o.layout)
                 for o in problem.view.objectives
             ])
             fed = Federation(view, fed.Z, fed.D)
         try:
-            fed = run_round(config.optimizer, fed, server, hp)
+            fed = run_round(local, fed, server)
         except DivergenceError as e:
             raise DivergenceError(f"round {t}: {e.where}", e.step) from e
-        block.add(t, fed, server, t % config.metrics_every == 0 or t == hp.rounds - 1)
+        block.add(t, fed, server, t % every == 0 or t == last)
         if block.full:
             block.flush(log)
     block.flush(log)

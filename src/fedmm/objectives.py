@@ -6,10 +6,11 @@ points in one call: every view method takes (..., N, d1 + d2) joint rows
 [omega | psi], and joint_grads returns the gradients as joint rows
 [grad_omega | grad_psi] in one buffer, every row evaluated (the optimizers
 mask rows in their step).
-Quadratic clients get batched matmuls, DANN clients one batched pass per
-(layout, nu, shard size) group. `pooled(view)` is the clients' uniform
-average, the global objective f, as the one-row `PooledView`: the only code
-that averages clients, in client order by one `row_sum` call.
+Quadratic clients get numpy's per-row matvec/vecmat/vecdot kernels, DANN
+clients one batched pass per (layout, nu, shard size) group. `pooled(view)`
+is the clients' uniform average, the global objective f, as the one-row
+`PooledView`: the only code that averages clients, in client order by one
+`row_sum` call.
 
 `inner_maximizers` is the only inner maximizer: the max function's inner
 maximizers at a stack of K omegas. On quadratic clients the closed form of
@@ -320,11 +321,6 @@ def _common_dims(objectives: Sequence) -> tuple[int, int]:
     return dims
 
 
-def _row_vecmat(X: np.ndarray, M: np.ndarray) -> np.ndarray:
-    # each row's X[..., r, :] @ M[r], the vector-matrix product of a 1-D `x @ M`
-    return (X[..., None, :] @ M)[..., 0, :]
-
-
 def _row_sums(a: np.ndarray) -> np.ndarray:
     # each row's np.sum over the last axis, as the 1-D sum of that row takes it:
     # numpy sums a strided row in another order
@@ -365,10 +361,11 @@ def _bars(*stacks) -> QuadraticBars:
 
 
 class _StackedQuadratic(StackedObjectives):
-    """Quadratic clients: every row's value and gradient from batched matmuls.
+    """Quadratic clients: every row's value and gradient from numpy's per-row vector kernels.
 
-    It keeps the stacked matrices, not the objectives. Each row's matmuls and
-    dot products take the shapes a single client's vector products take.
+    It keeps the stacked matrices, not the objectives. np.matvec, np.vecmat
+    and np.vecdot call, for each row, the BLAS routine of a single client's
+    1-D `M @ x`, `x @ M` or `x @ y`, and so take its bits.
     """
 
     def __init__(self, objectives: Sequence[QuadraticSaddle]):
@@ -386,21 +383,21 @@ class _StackedQuadratic(StackedObjectives):
         # 1/2 om'A om + om'B ps - 1/2 ps'C ps + a'om + c'ps, each product left to right
         OM, PS = Z[..., : self.dims[0]], Z[..., self.dims[0] :]
         return (
-            row_dot(_row_vecmat(0.5 * OM, self.A), OM)
-            + row_dot(_row_vecmat(OM, self.B), PS)
-            - row_dot(_row_vecmat(0.5 * PS, self.C), PS)
+            row_dot(np.vecmat(0.5 * OM, self.A), OM)
+            + row_dot(np.vecmat(OM, self.B), PS)
+            - row_dot(np.vecmat(0.5 * PS, self.C), PS)
             + row_dot(self.a, OM)
             + row_dot(self.c, PS)
         )
 
     def joint_grads(self, Z):
         """[A om + B ps + a | B' om - C ps + c]; leading axes broadcast, each row one client's matvecs."""
-        # both blocks into one buffer; the matmuls read the joint rows' blocks in place
+        # both blocks into one buffer; the matvecs read the joint rows' blocks in place
         d1 = self.dims[0]
-        OM, PS = Z[..., :d1, None], Z[..., d1:, None]
+        OM, PS = Z[..., :d1], Z[..., d1:]
         G = np.empty(Z.shape)
-        G[..., :d1] = (self.A @ OM)[..., 0] + (self.B @ PS)[..., 0] + self.a
-        G[..., d1:] = (self.BT @ OM)[..., 0] - (self.C @ PS)[..., 0] + self.c
+        G[..., :d1] = np.matvec(self.A, OM) + np.matvec(self.B, PS) + self.a
+        G[..., d1:] = np.matvec(self.BT, OM) - np.matvec(self.C, PS) + self.c
         return G
 
     def grad_psi(self, Z):
@@ -577,11 +574,11 @@ class _SizeGroups(StackedObjectives):
 def stacked(objectives: Sequence[QuadraticSaddle | DomainAdaptObjective]) -> StackedObjectives:
     """A new stacked view of these objectives; nothing is cached.
 
-    QuadraticSaddle lists get batched matmuls, DomainAdaptObjective lists one
-    batched pass per (layout, nu, shard size) group, in a `_SizeGroups` view
-    when there are several. Subclasses and mixed lists are a ValueError
-    naming the type. A caller that evaluates the same objectives again keeps
-    the view it got.
+    QuadraticSaddle lists get per-row vector kernels, DomainAdaptObjective
+    lists one batched pass per (layout, nu, shard size) group, in a
+    `_SizeGroups` view when there are several. Subclasses and mixed lists are
+    a ValueError naming the type. A caller that evaluates the same objectives
+    again keeps the view it got.
     """
     objs = tuple(objectives)
     for i, o in enumerate(objs):
@@ -653,11 +650,11 @@ def pooled(view: StackedObjectives) -> PooledView:
 def _closed_form_psi(bars: QuadraticBars, omegas: np.ndarray) -> np.ndarray:
     """psi*(omega) = Cbar^-1 (Bbar' omega + cbar) at each of the (K, d1) omegas, (K, d2).
 
-    K gemv calls and one broadcast solve (K LAPACK solves of one right-hand
-    side each): every omega gets the calls a lone `Bbar.T @ omega` and
-    `np.linalg.solve(Cbar, rhs)` make, and so their bits.
+    One np.matvec (K gemv calls) and one broadcast solve (K LAPACK solves of
+    one right-hand side each): every omega gets the calls a lone
+    `Bbar.T @ omega` and `np.linalg.solve(Cbar, rhs)` make, and so their bits.
     """
-    rhs = (bars.B.T @ omegas[..., None])[..., 0] + bars.c
+    rhs = np.matvec(bars.B.T, omegas) + bars.c
     return np.linalg.solve(bars.C, rhs[..., None])[..., 0]
 
 

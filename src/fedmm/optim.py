@@ -10,12 +10,13 @@ the dual step and the upload are each one expression over the joint row.
 Negation is exact, so this rounds as the two blocks would on their own. A
 rule table holds what the optimizers do differently.
 
-`local_solve` is the one round function, and one loop serves both of its
-modes: fixed M_i steps, or FedMM's run-to-tolerance when hp.local_tol > 0.
-Each pass evaluates every row; once some row is done, the step's row mask
-keeps that row's iterate. Between rounds the clients' state is one
-`Federation` record of such arrays, and aggregation sums the (N, d1 + d2)
-upload rows in client order.
+`LocalRound` is the one round function, built once per run from what no
+round changes (`local_solve` is its one-off call), and one loop serves both
+of its modes: fixed M_i steps, or FedMM's run-to-tolerance when
+hp.local_tol > 0. Each pass evaluates every row; once some row is done, the
+step's row mask keeps that row's iterate. Between rounds the clients' state
+is one `Federation` record of such arrays, and aggregation sums the
+(N, d1 + d2) upload rows in client order.
 """
 
 from __future__ import annotations
@@ -173,16 +174,23 @@ def _step(Z, E, G, rows):
     return new if rows is None else np.where(rows[:, None], new, Z)
 
 
-def local_solve(
-    kind: OptimizerKind, fed: Federation, global_pair: PrimalDualPair, hp: HyperParams, t: int = 0
-) -> tuple[Federation, np.ndarray]:
-    """One local round of `kind` for every client at once, starting from the globals.
+class LocalRound:
+    """The local round of `kind` under `hp` for every client of a view's shape, built once per run.
 
-    Returns the federation after the round and the frozen (N, d1 + d2) upload
-    rows. A row stops after its client's M_i steps or, in FedMM's
-    run-to-tolerance mode (hp.local_tol > 0), once both local gradient norms
-    are at most hp.local_tol, capped by hp.local_max_iters. Every row's
-    gradient is evaluated at every step; only _step's mask keeps a finished row.
+    Everything that no round changes is computed here, once: the rule, the
+    step weights E, the penalty weights W, the upload weights U when eta3 == 1
+    (U then takes the same value every round), the tolerance, the pass count,
+    the fewest M_i with the M_i array for the row mask, and the error label.
+    It depends on the view only through its client count and dims, so one
+    round serves every federation of that shape, a minibatch run's per-round
+    views included; calling it with another shape raises ValueError.
+
+    Calling it runs one round, `local(fed, global_pair, t)`, and returns the
+    federation after the round and the frozen (N, d1 + d2) upload rows. A row
+    stops after its client's M_i steps or, in FedMM's run-to-tolerance mode
+    (hp.local_tol > 0), once both local gradient norms are at most
+    hp.local_tol, capped by hp.local_max_iters. Every row's gradient is
+    evaluated at every step; only _step's mask keeps a finished row.
 
     Every step's iterate is checked against the divergence rule, so a plain
     upload (the iterate) needs no check of its own; FedMM's dual-shifted
@@ -190,69 +198,95 @@ def local_solve(
     finite iterate (the view's RejectedRows) is a divergence at that step too,
     named after the first client whose gradient row the view rejected.
     """
-    rule, view = _RULES[kind], fed.view
-    n = view.n
-    if view.dims != global_pair.dims:
-        raise ValueError(f"objective dims {view.dims} differ from the pair's {global_pair.dims}")
-    d1, d2 = view.dims
-    Z = Z0 = np.empty(fed.Z.shape)  # the global pair in every row, where each row starts
-    Z0[:] = global_pair.row
-    D = W = None
-    if rule.penalty == "al":
-        D, W = fed.D, joint_weights(hp.mu1, hp.mu2, d1, d2, n)
-    elif rule.penalty == "prox" and hp.prox_mu != 0.0:
-        W = joint_weights(hp.prox_mu, hp.prox_mu, d1, d2, n)
-    E = joint_weights(hp.eta1, hp.eta2, d1, d2, n)
 
-    tol = hp.local_tol if D is not None else 0.0
-    if tol > 0:
-        # the last pass only evaluates: rows still above tolerance then fail
-        where, passes = "fedmm local solve (client {})", hp.local_max_iters + 1
-    elif rule.multi_step:
-        steps = hp.expanded(n).local_steps
-        where, passes, fewest = rule.where, max(steps), min(steps)
-        if fewest < passes:  # a row mask is needed only when the M_i differ
-            steps = np.array(steps)
-    else:
-        where, passes, fewest = rule.where, 1, 1
-    rows = None  # every row steps until one is done
-    for m in range(passes):
-        try:
-            G = _local_grads(view, Z, W, D, Z0)
-        except RejectedRows as e:  # the view's finiteness check
-            raise DivergenceError(f"{where.format(e.row)} gradient", m) from None
-        if tol > 0:
-            # the larger block norm; sqrt is correctly rounded and monotone, so
-            # sqrt(max) is the max of the two norms bit for bit, NaN included
-            GO, GP = G[:, :d1], G[:, d1:]
-            gn = np.sqrt(np.maximum(row_dot(GO, GO), row_dot(GP, GP)))
-            active = gn > tol if rows is None else rows & (gn > tol)
-            left = np.count_nonzero(active)
-            if not left:
-                break
-            if m == hp.local_max_iters:
-                r = np.flatnonzero(active)[0]
-                raise ConvergenceError(where.format(r), float(gn[r]), m)
-            rows = None if left == n else active
+    def __init__(self, kind: OptimizerKind, view: StackedObjectives, hp: HyperParams):
+        rule = _RULES[kind]
+        n, (d1, d2) = view.n, view.dims
+        self.kind, self.n, self.dims, self.hp = kind, n, view.dims, hp
+        self.E = joint_weights(hp.eta1, hp.eta2, d1, d2, n)
+        self.W = self.U = None
+        self.al = rule.penalty == "al"
+        if self.al:
+            self.W = joint_weights(hp.mu1, hp.mu2, d1, d2, n)
+            if hp.eta3 == 1.0:  # decay = 1.0**t = 1.0 every round
+                self.U = joint_weights(1.0 / hp.mu1, 1.0 / hp.mu2, d1, d2)
+        elif rule.penalty == "prox" and hp.prox_mu != 0.0:
+            self.W = joint_weights(hp.prox_mu, hp.prox_mu, d1, d2, n)
+
+        self.tol, self.steps = hp.local_tol if self.al else 0.0, None
+        if self.tol > 0:
+            # the last pass only evaluates: rows still above tolerance then fail
+            self.where, self.passes, self.fewest = "fedmm local solve (client {})", hp.local_max_iters + 1, 0
+        elif rule.multi_step:
+            steps = hp.expanded(n).local_steps
+            self.where, self.passes, self.fewest = rule.where, max(steps), min(steps)
+            if self.fewest < self.passes:  # a row mask is needed only when the M_i differ
+                self.steps = np.array(steps)
         else:
-            rows = None if m < fewest else steps > m
-        Z = _step(Z, E, G, rows)
-        try:
-            _check_finite(Z, where, m)
-        except DivergenceError:
-            raise _first_unbounded(Z, where, m) from None
+            self.where, self.passes, self.fewest = rule.where, 1, 1
 
-    Z = _frozen(Z)
-    if D is None:
-        return Federation(view, Z, fed.D), Z
-    # the dual step, then the dual-shifted upload Z + U*D with U = [decay/mu1 | -decay/mu2]
-    D = _frozen(D + W * (Z - Z0))
-    decay = hp.eta3**t
-    U = joint_weights(decay / hp.mu1, decay / hp.mu2, d1, d2)
-    up = Z + U * D
-    if not _bounded(up):
-        raise _first_unbounded(up, "fedmm upload (client {})", m)
-    return Federation(view, Z, D), _frozen(up)
+    def __call__(
+        self, fed: Federation, global_pair: PrimalDualPair, t: int = 0
+    ) -> tuple[Federation, np.ndarray]:
+        view, n, (d1, d2) = fed.view, self.n, self.dims
+        if view.n != n or view.dims != self.dims:
+            raise ValueError(
+                f"the round is for {n} clients of dims {self.dims}, "
+                f"the federation has {view.n} of dims {view.dims}"
+            )
+        if view.dims != global_pair.dims:
+            raise ValueError(f"objective dims {view.dims} differ from the pair's {global_pair.dims}")
+        E, W, tol, where, fewest, steps = self.E, self.W, self.tol, self.where, self.fewest, self.steps
+        D = fed.D if self.al else None
+        Z = Z0 = np.empty(fed.Z.shape)  # the global pair in every row, where each row starts
+        Z0[:] = global_pair.row
+        rows = None  # every row steps until one is done
+        for m in range(self.passes):
+            try:
+                G = _local_grads(view, Z, W, D, Z0)
+            except RejectedRows as e:  # the view's finiteness check
+                raise DivergenceError(f"{where.format(e.row)} gradient", m) from None
+            if tol > 0:
+                # the larger block norm; sqrt is correctly rounded and monotone, so
+                # sqrt(max) is the max of the two norms bit for bit, NaN included
+                GO, GP = G[:, :d1], G[:, d1:]
+                gn = np.sqrt(np.maximum(row_dot(GO, GO), row_dot(GP, GP)))
+                active = gn > tol if rows is None else rows & (gn > tol)
+                left = np.count_nonzero(active)
+                if not left:
+                    break
+                if m == self.passes - 1:
+                    r = np.flatnonzero(active)[0]
+                    raise ConvergenceError(where.format(r), float(gn[r]), m)
+                rows = None if left == n else active
+            else:
+                rows = None if m < fewest else steps > m
+            Z = _step(Z, E, G, rows)
+            try:
+                _check_finite(Z, where, m)
+            except DivergenceError:
+                raise _first_unbounded(Z, where, m) from None
+
+        Z = _frozen(Z)
+        if D is None:
+            return Federation(view, Z, fed.D), Z
+        # the dual step, then the dual-shifted upload Z + U*D with U = [decay/mu1 | -decay/mu2]
+        D = _frozen(D + W * (Z - Z0))
+        U = self.U
+        if U is None:
+            decay = self.hp.eta3**t
+            U = joint_weights(decay / self.hp.mu1, decay / self.hp.mu2, d1, d2)
+        up = Z + U * D
+        if not _bounded(up):
+            raise _first_unbounded(up, "fedmm upload (client {})", m)
+        return Federation(view, Z, D), _frozen(up)
+
+
+def local_solve(
+    kind: OptimizerKind, fed: Federation, global_pair: PrimalDualPair, hp: HyperParams, t: int = 0
+) -> tuple[Federation, np.ndarray]:
+    """One local round of `kind` for every client at once, starting from the globals: the one-off `LocalRound` call."""
+    return LocalRound(kind, fed.view, hp)(fed, global_pair, t)
 
 
 def fedmm_aggregate(uploads: np.ndarray, d1: int) -> PrimalDualPair:
@@ -260,17 +294,17 @@ def fedmm_aggregate(uploads: np.ndarray, d1: int) -> PrimalDualPair:
 
     The sum adds the rows in row (client) order, started from zero: the + 0.0
     turns a column of -0.0 rows into the +0.0 that a zero-started sum gives.
-    local_solve's uploads are at most 1e100 in magnitude, so their mean is
+    A round's uploads are at most 1e100 in magnitude, so their mean is
     finite and is not checked again.
     """
     return PrimalDualPair.of_row(_frozen((row_sum(uploads) + 0.0) / len(uploads)), d1)
 
 
-def run_round(kind: OptimizerKind, fed: Federation, server, hp: HyperParams) -> Federation:
-    """Advance one communication round of the chosen optimizer, mutating server."""
-    if kind is OptimizerKind.CENTRAL_GDA and fed.n != 1:
+def run_round(local: LocalRound, fed: Federation, server) -> Federation:
+    """Advance one communication round of the round's optimizer, mutating server."""
+    if local.kind is OptimizerKind.CENTRAL_GDA and fed.n != 1:
         raise ValueError("central_gda expects a single pooled client")
-    fed, up = local_solve(kind, fed, server.global_pair, hp, server.round)
-    server.global_pair = fedmm_aggregate(up, fed.view.dims[0])
+    fed, up = local(fed, server.global_pair, server.round)
+    server.global_pair = fedmm_aggregate(up, local.dims[0])
     server.record_round(fed.n)
     return fed

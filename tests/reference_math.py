@@ -12,6 +12,11 @@ mean, which only the tests use, are here as well.
 So are the problem-file readers as they were before they streamed: the whole
 text, then every token, then one bulk parse. The streamed readers must give
 the same arrays bit for bit, or raise the same ValueError.
+
+And so are the per-row products as batched matmuls, the `[..., None]` /
+`[..., 0]` idiom that numpy's np.vecdot, np.vecmat and np.matvec replaced in
+`core.row_dot`, `row_norms` and the quadratic view: the kernels must give
+these bits.
 """
 
 from pathlib import Path
@@ -105,6 +110,48 @@ def quad_grad_omega(obj, om, ps):
 
 def quad_grad_psi(obj, om, ps):
     return obj.B.T @ om - obj.C @ ps + obj.c
+
+
+def matmul_row_dot(X, Y):
+    """Each row's X[..., r, :] . Y[..., r, :] as a (1, d) @ (d, 1) matmul per row."""
+    return (X[..., None, :] @ Y[..., :, None])[..., 0, 0]
+
+
+def matmul_row_norms(G):
+    return np.sqrt(matmul_row_dot(G, G))
+
+
+def matmul_row_vecmat(X, M):
+    """Each row's X[..., r, :] @ M[r] as a (1, d) @ (d, e) matmul per row."""
+    return (X[..., None, :] @ M)[..., 0, :]
+
+
+def matmul_quadratic_values(view, Z):
+    """A quadratic view's values at the joint rows Z, each product a per-row matmul."""
+    OM, PS = Z[..., : view.dims[0]], Z[..., view.dims[0] :]
+    return (
+        matmul_row_dot(matmul_row_vecmat(0.5 * OM, view.A), OM)
+        + matmul_row_dot(matmul_row_vecmat(OM, view.B), PS)
+        - matmul_row_dot(matmul_row_vecmat(0.5 * PS, view.C), PS)
+        + matmul_row_dot(view.a, OM)
+        + matmul_row_dot(view.c, PS)
+    )
+
+
+def matmul_quadratic_joint_grads(view, Z):
+    """[A om + B ps + a | B' om - C ps + c] at the joint rows Z, each matvec a (d, e) @ (e, 1) matmul."""
+    d1 = view.dims[0]
+    OM, PS = Z[..., :d1, None], Z[..., d1:, None]
+    G = np.empty(Z.shape)
+    G[..., :d1] = (view.A @ OM)[..., 0] + (view.B @ PS)[..., 0] + view.a
+    G[..., d1:] = (view.BT @ OM)[..., 0] - (view.C @ PS)[..., 0] + view.c
+    return G
+
+
+def matmul_closed_form_psi(bars, omegas):
+    """Cbar^-1 (Bbar' omega + cbar) at each of the (K, d1) omegas, Bbar' omega as a matmul per omega."""
+    rhs = (bars.B.T @ omegas[..., None])[..., 0] + bars.c
+    return np.linalg.solve(bars.C, rhs[..., None])[..., 0]
 
 
 def strong_concavity_modulus(obj):

@@ -39,7 +39,7 @@ from fedmm.objectives import (
     ModelLayout,
     QuadraticSaddle,
 )
-from fedmm.optim import Federation, OptimizerKind, run_round
+from fedmm.optim import Federation, LocalRound, OptimizerKind, run_round
 from fedmm.problems import synthetic_quadratic_specs
 
 # ----- frozen experiment constants ---------------------------------------
@@ -199,7 +199,7 @@ class TestCriterion4StationarityConvergence:
         fed = Federation.initial(objs, pair)
         hp = cfg.hyper.expanded(3)
         for _ in range(ROUND_BUDGET):
-            fed = run_round(OptimizerKind.FEDMM, fed, server, hp)
+            fed = run_round(LocalRound(OptimizerKind.FEDMM, fed.view, hp), fed, server)
         dist = float(np.linalg.norm(server.global_pair.omega - wstar))
 
         elapsed = time.time() - t0

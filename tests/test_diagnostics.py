@@ -38,7 +38,7 @@ from fedmm.objectives import (
     quadratic_bars,
     stacked,
 )
-from fedmm.optim import Federation, OptimizerKind, run_round
+from fedmm.optim import Federation, LocalRound, OptimizerKind, run_round
 from fedmm.problems import domain_shift_toy, synthetic_quadratic_specs
 
 
@@ -137,7 +137,7 @@ class TestCheckIdentities:
         for t in range(3):
             before = fed
             gb = server.global_pair
-            fed = run_round(OptimizerKind.FEDMM, fed, server, hp)
+            fed = run_round(LocalRound(OptimizerKind.FEDMM, fed.view, hp), fed, server)
             # fixed tolerance shows that one M=1 step is nowhere near converged
             reports = check_identities(before, fed, gb, hp, round_index=t)
             fixed = [r.residual_norm <= 1e-8 for r in reports]
@@ -150,14 +150,15 @@ class TestCheckIdentities:
         objs = three_clients()
         pair = PrimalDualPair(zeros(objs[0].dims[0]), zeros(objs[0].dims[1]))
         server = ServerState(pair)
+        fed = Federation.initial(objs, pair)
         fed = run_round(
-            OptimizerKind.FEDMM, Federation.initial(objs, pair), server,
-            HyperParams(eta1=0.05, eta2=0.05, local_steps=(1,)),
+            LocalRound(OptimizerKind.FEDMM, fed.view, HyperParams(eta1=0.05, eta2=0.05, local_steps=(1,))),
+            fed, server,
         )
         before = fed
         gb = server.global_pair
         hp = HyperParams(eta1=0.2, eta2=0.2)
-        fed = run_round(OptimizerKind.FEDMM, fed, server, replace(hp, local_tol=1e-12))
+        fed = run_round(LocalRound(OptimizerKind.FEDMM, fed.view, replace(hp, local_tol=1e-12)), fed, server)
         reports = {r.name: r for r in check_identities(before, fed, gb, hp, round_index=1)}
         assert not reports["step_identity_psi"].passed
         assert not reports["step_identity_omega"].passed
@@ -170,7 +171,7 @@ class TestCheckIdentities:
         server = ServerState(pair)
         before = Federation.initial(objs, pair)
         hp = HyperParams(eta1=0.2, eta2=0.2, local_steps=(4,))
-        fed = run_round(OptimizerKind.FEDMM, before, server, hp)
+        fed = run_round(LocalRound(OptimizerKind.FEDMM, before.view, hp), before, server)
         e = max(local_solve_error(fed))
         reports = check_identities(before, fed, pair, hp)
         assert e > 1e-6
@@ -190,7 +191,7 @@ class TestCheckIdentities:
         server = ServerState(pair)
         hp = HyperParams(eta1=0.2, eta2=0.2)
         before = Federation.initial(objs, pair)
-        fed = run_round(OptimizerKind.FEDMM, before, server, replace(hp, local_tol=1e-11))
+        fed = run_round(LocalRound(OptimizerKind.FEDMM, before.view, replace(hp, local_tol=1e-11)), before, server)
         snap = [a.copy() for a in (fed.omega, fed.psi, fed.lam, fed.beta)]
         check_identities(before, fed, pair, hp)
         for a, want in zip((fed.omega, fed.psi, fed.lam, fed.beta), snap):
@@ -218,9 +219,10 @@ class TestCheckIdentities:
         objs = three_clients()
         pair = PrimalDualPair(zeros(objs[0].dims[0]), zeros(objs[0].dims[1]))
         server = ServerState(pair)
+        fed = Federation.initial(objs, pair)
         fed = run_round(
-            OptimizerKind.FEDMM, Federation.initial(objs, pair), server,
-            HyperParams(eta1=0.2, eta2=0.2, local_tol=1e-12),
+            LocalRound(OptimizerKind.FEDMM, fed.view, HyperParams(eta1=0.2, eta2=0.2, local_tol=1e-12)),
+            fed, server,
         )
         for r, obj in enumerate(objs):
             om, ps = fed.omega[r], fed.psi[r]

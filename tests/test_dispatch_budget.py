@@ -2,14 +2,17 @@
 
 The local step's cost is interpreter overhead: every numpy call, view and
 operator on the small arrays of a step costs about as much as its
-arithmetic. These tests count that work in eight places (one batched DANN
+arithmetic. These tests count that work in nine places (one batched DANN
 gradient on the label-shift toy's two-client view, one DANN gradient on its
 three unequal one-source-two-target shards, one quadratic gradient, one
 fixed-M FedMM local round on the toy, one FedSGDA round with its
 metric-block entry on a three-client quadratic, the flush of a full metric
 block of that run, the flush of a full metric block of the label-shift
-FedMM run, and one central-GDA step on the pooled view of three quadratic
-clients) and fail when a change makes any of them do more. Two counts are taken:
+FedMM run, one central-GDA step on the pooled view of three quadratic
+clients, and one run-to-tolerance FedMM round on eight quadratic clients)
+and fail when a change makes any of them do more. A round is counted as a
+run calls it: its `LocalRound`, which a run builds once, is built before the
+count starts. Two counts are taken:
 
 - C-level calls, the `c_call` events of `sys.setprofile`: builtins and
   method wrappers such as `ndarray.reshape` or `ufunc.reduce`. It does not
@@ -35,7 +38,7 @@ from fedmm.cli import parse_config
 from fedmm.core import HyperParams, PrimalDualPair, ServerState, zeros
 from fedmm.federation import MetricsBlock, RunLog, block_rounds, prepare, round_points
 from fedmm.objectives import PooledView, QuadraticSaddle, stacked
-from fedmm.optim import Federation, OptimizerKind, local_solve, run_round
+from fedmm.optim import Federation, LocalRound, OptimizerKind, run_round
 from fedmm.problems import synthetic_quadratic_specs
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -113,45 +116,49 @@ def test_quadratic_joint_grads():
     fed = Federation.initial(objs, PrimalDualPair(zeros(2), zeros(2)))
     Z = np.ones((3, 4))
     assert c_calls(lambda: fed.view.joint_grads(Z)) <= 1  # 1 before
-    assert operations(lambda: fed.view.joint_grads(Z)) <= 18  # 24 before the views took joint rows
+    # 18 before the four matvecs were np.matvec; 24 before the views took joint rows
+    assert operations(lambda: fed.view.joint_grads(Z)) <= 14
 
 
 def test_fixed_m_fedmm_local_round():
     fed, pair, hp = toy()
     assert hp.local_steps == (50, 50) and hp.local_tol == 0.0
+    local = LocalRound(OptimizerKind.FEDMM, fed.view, hp)  # built once per run, outside the count
 
     def round_():
-        local_solve(OptimizerKind.FEDMM, fed, pair, hp)
+        local(fed, pair)
 
-    # 809 and 4476 before; budgets of 660 and 3527 on these counts before the views took joint rows
-    assert c_calls(round_) <= 659
-    assert operations(round_) <= 3476
+    # 656 and 3476 as local_solve with its weights cached, before the round was built once per run;
+    # 809 and 4476 before that; budgets of 660 and 3527 on these counts before the views took joint rows
+    assert c_calls(round_) <= 652
+    assert operations(round_) <= 3465
 
 
 def fedsgda_run():
-    """A fresh quad_fedsgda_rounds-shaped FedSGDA run: (federation, server, hyperparameters, metric block).
+    """A fresh quad_fedsgda_rounds-shaped FedSGDA run: (federation, server, its round, metric block).
 
     Three quadratic clients with d1 = 4 and d2 = 3, with the shipped FedSGDA
-    config's instance and step sizes, and an empty 64-round metric block.
+    config's instance and step sizes, the run's one LocalRound and an empty
+    64-round metric block.
     """
     objs = [QuadraticSaddle(s) for s in synthetic_quadratic_specs(3, 4, 3)]
     pair = PrimalDualPair(zeros(4), zeros(3))
     fed, server = Federation.initial(objs, pair), ServerState(pair)
     hp = HyperParams(eta1=0.1, eta2=0.1).expanded(3)
-    return fed, server, hp, MetricsBlock(fed.view, 64, hp.tol)
+    return fed, server, LocalRound(OptimizerKind.FEDSGDA, fed.view, hp), MetricsBlock(fed.view, 64, hp.tol)
 
 
 def fedsgda_round():
     """Round 1 of a fresh FedSGDA run (`fedsgda_run`) and its metric-block entry.
 
-    Round 0 runs here, so that the counted round finds its step weights
-    cached, as every round of a run but the first does.
+    Round 0 runs here, so that the counted round is not a run's first, as
+    every round of a run but one is not.
     """
-    fed, server, hp, block = fedsgda_run()
+    fed, server, local, block = fedsgda_run()
 
     def round_():
         nonlocal fed
-        fed = run_round(OptimizerKind.FEDSGDA, fed, server, hp)
+        fed = run_round(local, fed, server)
         block.add(server.round, fed, server, False)
 
     round_()
@@ -159,8 +166,9 @@ def fedsgda_round():
 
 
 def test_fedsgda_round_and_metric_entry():
-    assert c_calls(fedsgda_round()) <= 12  # 15 before the one-row global pair
-    assert operations(fedsgda_round()) <= 61  # 67 before the views took joint rows
+    # 12 and 61 before the round was built once per run; 15 calls before the one-row global pair
+    assert c_calls(fedsgda_round()) <= 11
+    assert operations(fedsgda_round()) <= 55  # 67 before the views took joint rows
 
 
 def fedsgda_flush():
@@ -169,9 +177,9 @@ def fedsgda_flush():
     It writes into a fresh RunLog, whose buffer has room for the block, as
     four of every five 64-round flushes of a 4000-round run do.
     """
-    fed, server, hp, block = fedsgda_run()
+    fed, server, local, block = fedsgda_run()
     for t in range(64):
-        fed = run_round(OptimizerKind.FEDSGDA, fed, server, hp)
+        fed = run_round(local, fed, server)
         block.add(t, fed, server, t % 10 == 0)
     log = RunLog()
     return lambda: block.flush(log)
@@ -180,9 +188,10 @@ def fedsgda_flush():
 def test_metric_block_flush():
     # 56 and 228 before the flush appended its block's records to the log in one call;
     # 60 and 229 before the flush wrote straight into the log's columns;
-    # 52 and 228 before the views took joint rows
+    # 52 and 228 before the views took joint rows; 49 and 217 before the per-row products
+    # were np.vecdot, np.vecmat and np.matvec
     assert c_calls(fedsgda_flush()) <= 49
-    assert operations(fedsgda_flush()) <= 217
+    assert operations(fedsgda_flush()) <= 178
 
 
 def dann_flush():
@@ -198,8 +207,9 @@ def dann_flush():
     size = block_rounds(round_points(problem.view, problem.accuracy), sum(problem.view.dims))
     assert size == 9
     block, log = MetricsBlock(fed.view, size, hp.tol, problem.accuracy), RunLog()
+    local = LocalRound(OptimizerKind.FEDMM, fed.view, hp)
     for t in range(2 * size):
-        fed = run_round(OptimizerKind.FEDMM, fed, server, hp)
+        fed = run_round(local, fed, server)
         block.add(t, fed, server, t % size == 0)
         if t == size - 1:
             block.flush(log)
@@ -208,9 +218,9 @@ def dann_flush():
 
 def test_dann_metric_block_flush():
     # 239 and 616 before the curvature bounds came from one call of the clients' view;
-    # 201 and 594 before the views took joint rows
+    # 201 and 594 before the views took joint rows; 495 operations before row_dot was np.vecdot
     assert c_calls(dann_flush()) <= 182
-    assert operations(dann_flush()) <= 495
+    assert operations(dann_flush()) <= 486
 
 
 def test_central_gda_step_on_the_pooled_view():
@@ -219,10 +229,31 @@ def test_central_gda_step_on_the_pooled_view():
     pair = PrimalDualPair(zeros(4), zeros(3))
     fed = Federation.initial(PooledView(stacked(objs)), pair)
     hp = HyperParams(eta1=0.1, eta2=0.1).expanded(1)
+    local = LocalRound(OptimizerKind.CENTRAL_GDA, fed.view, hp)  # built once per run, outside the count
 
     def step():
-        local_solve(OptimizerKind.CENTRAL_GDA, fed, pair, hp)
+        local(fed, pair)
+    # 6 and 43 as local_solve with its weights cached, before the round was built once per run;
+    # 19 calls on the per-row view of a pooled MeanObjective before; 74 operations, then 47
+    # before the views took joint rows
+    assert c_calls(step) <= 5
+    assert operations(step) <= 37
 
-    step()  # the step weights are cached from here on, as in every round but a run's first
-    assert c_calls(step) <= 6  # 19 on the per-row view of a pooled MeanObjective before
-    assert operations(step) <= 43  # 74 before; 47 before the views took joint rows
+
+def test_run_to_tolerance_fedmm_round():
+    # quad_tol_identities' shape: 8 quadratic clients, d1 = 10, d2 = 6, local_tol = 1e-10;
+    # round 1 of a run from zero, so the duals are no longer zero: 129 local steps
+    objs = [QuadraticSaddle(s) for s in synthetic_quadratic_specs(8, 10, 6)]
+    pair = PrimalDualPair(zeros(10), zeros(6))
+    hp = HyperParams(eta1=0.2, eta2=0.2, eta3=1.0, local_tol=1e-10).expanded(8)
+    fed, server = Federation.initial(objs, pair), ServerState(pair)
+    local = LocalRound(OptimizerKind.FEDMM, fed.view, hp)
+    fed = run_round(local, fed, server)
+
+    def round_():
+        local(fed, server.global_pair, server.round)
+
+    # 392 and 6158 as local_solve with its weights cached, before the round was built once per
+    # run and the per-row products were np.vecdot, np.vecmat and np.matvec
+    assert c_calls(round_) <= 391
+    assert operations(round_) <= 4979

@@ -40,7 +40,7 @@ from fedmm.objectives import (
     save_dataset,
     stacked,
 )
-from fedmm.optim import Federation, OptimizerKind, run_round
+from fedmm.optim import Federation, LocalRound, OptimizerKind, run_round
 from fedmm.problems import domain_shift_toy, synthetic_quadratic_specs
 from reference_math import quad_grad_omega, quad_grad_psi
 
@@ -136,7 +136,7 @@ def assert_rounds_match(kind, objectives, hp, rounds=3, local_tol=None, start=No
         want_states, want_bar = reference_round(
             kind, objectives, fed, server.global_pair, hp, t, local_tol
         )
-        fed = run_round(kind, fed, server, replace(hp, local_tol=local_tol or 0.0))
+        fed = run_round(LocalRound(kind, fed.view, replace(hp, local_tol=local_tol or 0.0)), fed, server)
         assert np.array_equal(server.global_pair.omega, want_bar[0])
         assert np.array_equal(server.global_pair.psi, want_bar[1])
         for r, (om, ps, lam, beta) in enumerate(want_states):
@@ -246,7 +246,7 @@ class TestRunToTolerance:
         with pytest.raises(ConvergenceError) as want:
             reference_round(K.FEDMM, objs, fed, start, hp, 0, local_tol=1e-10)
         with pytest.raises(ConvergenceError) as got:
-            run_round(K.FEDMM, fed, ServerState(start), replace(hp, local_tol=1e-10))
+            run_round(LocalRound(K.FEDMM, fed.view, replace(hp, local_tol=1e-10)), fed, ServerState(start))
         assert "(client 1)" in str(got.value) and "client 1" in str(want.value)
         assert got.value.grad_norm == want.value.grad_norm
         assert got.value.iterations == want.value.iterations == 5
@@ -273,7 +273,8 @@ class TestRoundErrors:
         assert want_step is not None
         for kind in MULTI_STEP:
             with pytest.raises(DivergenceError) as exc:
-                run_round(kind, Federation.initial(objs, start), ServerState(start), hp)
+                fed = Federation.initial(objs, start)
+                run_round(LocalRound(kind, fed.view, hp), fed, ServerState(start))
             assert "(client 2)" in exc.value.where
             assert exc.value.step == want_step
 
@@ -286,7 +287,7 @@ class TestRoundErrors:
         start = PrimalDualPair(vector([1.0]), vector([0.0]))
         fed = Federation.initial([wild] * 3, start)
         with pytest.raises(DivergenceError) as exc:
-            run_round(K.FEDAVG_GDA, fed, ServerState(start), HyperParams(eta1=10.0, local_steps=(500,)))
+            run_round(LocalRound(K.FEDAVG_GDA, fed.view, HyperParams(eta1=10.0, local_steps=(500,))), fed, ServerState(start))
         assert "(client 0)" in exc.value.where
 
     @pytest.mark.parametrize("local_steps", [(5, 8), (5, 8, 9, 9)])
@@ -294,7 +295,7 @@ class TestRoundErrors:
         start = PrimalDualPair(vector(np.zeros(4)), vector(np.zeros(3)))
         fed = Federation.initial(quadratics(3), start)
         with pytest.raises(ValueError, match="local_steps has"):
-            run_round(K.FEDMM, fed, ServerState(start), HyperParams(local_steps=local_steps))
+            run_round(LocalRound(K.FEDMM, fed.view, HyperParams(local_steps=local_steps)), fed, ServerState(start))
 
     def test_disagreeing_dims_rejected(self):
         with pytest.raises(ValueError, match="dims"):
@@ -330,7 +331,8 @@ class TestStackedView:
         fed = Federation.initial(objs, start)
         server = ServerState(start)
         hp = HyperParams(eta1=0.1, eta2=0.1)
-        after = run_round(K.FEDMM, run_round(K.FEDMM, fed, server, hp), server, hp)
+        local = LocalRound(K.FEDMM, fed.view, hp)
+        after = run_round(local, run_round(local, fed, server), server)
         assert after.view is fed.view
 
     def test_finished_run_keeps_no_objectives_alive(self):

@@ -27,7 +27,7 @@ from fedmm.core import (
     vector,
 )
 from fedmm.objectives import QuadraticSaddle, QuadraticSaddleSpec, _bars, _StackedQuadratic, stacked
-from fedmm.optim import Federation, OptimizerKind, fedmm_aggregate, local_solve, run_round
+from fedmm.optim import Federation, LocalRound, OptimizerKind, fedmm_aggregate, local_solve, run_round
 from fedmm.problems import synthetic_quadratic_specs
 from reference_math import quad_grad_omega, quad_grad_psi
 
@@ -194,7 +194,7 @@ def test_joint_engine_equals_the_per_block_round(case):
         (om, ps, lam, beta, up_om, up_ps), bar = want
         solved, got_up = got
         got_up_om, got_up_ps = got_up[:, :d1], got_up[:, d1:]
-        fed = run_round(kind, fed, server, solver_hp)
+        fed = run_round(LocalRound(kind, fed.view, solver_hp), fed, server)
         for a, b in ((fed.omega, om), (fed.psi, ps), (fed.lam, lam), (fed.beta, beta),
                      (got_up_om, up_om), (got_up_ps, up_ps), (server.global_pair.omega, bar[0]),
                      (server.global_pair.psi, bar[1])):

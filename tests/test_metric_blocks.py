@@ -44,7 +44,7 @@ from fedmm.objectives import (
     save_dataset,
     stacked,
 )
-from fedmm.optim import Federation, OptimizerKind, run_round
+from fedmm.optim import Federation, LocalRound, OptimizerKind, run_round
 
 _DANN_HYPER = HyperParams(eta1=0.1, eta2=0.25, nu=0.5, local_steps=(2,), tol=1e-4)
 _DANN = dict(problem=ProblemKind.DOMAIN_ADAPT, toy_n_per_domain=12, toy_holdout_n=16, seed=3)
@@ -144,7 +144,7 @@ def reference_csv(config: ExperimentConfig) -> str:
             batches = [o.dataset.sample(batch_rng, config.batch_size) for o in objs]
             view = stacked([DomainAdaptObjective(b, hp.nu, o.layout) for b, o in zip(batches, objs)])
             fed = Federation(view, fed.Z, fed.D)
-        fed = run_round(config.optimizer, fed, server, hp)
+        fed = run_round(LocalRound(config.optimizer, fed.view, hp), fed, server)
         gp = server.global_pair
         phi = None
         if t % config.metrics_every == 0 or t == hp.rounds - 1:

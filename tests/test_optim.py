@@ -24,6 +24,7 @@ from fedmm.objectives import (
 from fedmm import optim
 from fedmm.optim import (
     Federation,
+    LocalRound,
     OptimizerKind,
     _check_finite,
     _local_grads,
@@ -84,7 +85,7 @@ def central_step(obj, pair, eta1, eta2):
     """One central GDA round on the pooled objective: the new global pair."""
     server = ServerState(pair)
     fed = Federation.initial(view_of(obj), pair)
-    run_round(K.CENTRAL_GDA, fed, server, HyperParams(eta1=eta1, eta2=eta2))
+    run_round(LocalRound(K.CENTRAL_GDA, fed.view, HyperParams(eta1=eta1, eta2=eta2)), fed, server)
     return server.global_pair
 
 
@@ -222,7 +223,7 @@ class TestDivergenceRules:
             (K.FEDPROX_GDA, HyperParams(eta1=0.1, eta2=0.1, local_steps=(4,)), 4),
         ):
             calls.clear()
-            run_round(kind, fed, ServerState(pair), hp)
+            run_round(LocalRound(kind, fed.view, hp), fed, ServerState(pair))
             assert calls == list(range(steps))
 
     def test_upload_past_the_cap_is_divergence_at_the_last_step(self):
@@ -300,7 +301,7 @@ class TestFedmmAggregate:
         fed, up = local_solve(K.FEDSGDA, Federation.initial(obj, pair), pair, HyperParams())
         assert up.shape[1] == 3
         server = ServerState(pair)
-        run_round(K.FEDSGDA, fed, server, HyperParams())
+        run_round(LocalRound(K.FEDSGDA, fed.view, HyperParams()), fed, server)
         assert server.floats_sent == 2 * 3
 
 
@@ -314,7 +315,7 @@ class TestFedSgda:
         fed = Federation.initial([obj], pair)
         central = pair
         for _ in range(100):
-            fed = run_round(K.FEDSGDA, fed, server, hp)
+            fed = run_round(LocalRound(K.FEDSGDA, fed.view, hp), fed, server)
             central = central_step(obj, central, hp.eta1, hp.eta2)
             assert np.array_equal(server.global_pair.omega, central.omega)
             assert np.array_equal(server.global_pair.psi, central.psi)
@@ -322,14 +323,16 @@ class TestFedSgda:
     def test_zero_gradient_leaves_globals(self):
         pair = pair_of([0.4], [0.2])
         server = ServerState(pair)
-        run_round(K.FEDSGDA, Federation.initial(zero_objective(n=2), pair), server, HyperParams())
+        fed = Federation.initial(zero_objective(n=2), pair)
+        run_round(LocalRound(K.FEDSGDA, fed.view, HyperParams()), fed, server)
         assert np.array_equal(server.global_pair.omega, [0.4])
 
     def test_two_client_scalar_average(self):
         view = ConstantGrad([[1.0], [3.0]], [[0.0], [0.0]])
         pair = pair_of([0.0], [0.0])
         server = ServerState(pair)
-        run_round(K.FEDSGDA, Federation.initial(view, pair), server, HyperParams(eta1=0.1, eta2=0.1))
+        fed = Federation.initial(view, pair)
+        run_round(LocalRound(K.FEDSGDA, view, HyperParams(eta1=0.1, eta2=0.1)), fed, server)
         assert np.allclose(server.global_pair.omega, [-0.2], atol=1e-15)
 
 
@@ -352,7 +355,8 @@ class TestFedAvgProx:
         hp = HyperParams(eta1=0.05, eta2=0.05, local_steps=(1,))
         _, out = one_client(K.FEDAVG_GDA, obj, pair, hp)
         server = ServerState(pair)
-        run_round(K.FEDSGDA, Federation.initial([obj], pair), server, hp)
+        fed = Federation.initial([obj], pair)
+        run_round(LocalRound(K.FEDSGDA, fed.view, hp), fed, server)
         assert np.array_equal(out.omega, server.global_pair.omega)
 
     def test_fedmm_zero_duals_matches_fedprox_first_step(self):
@@ -395,7 +399,7 @@ class TestCentralizedGda:
         pair = pair_of([0.0], [0.0])
         fed = Federation.initial(zero_objective(n=2), pair)
         with pytest.raises(ValueError, match="single pooled client"):
-            run_round(K.CENTRAL_GDA, fed, ServerState(pair), HyperParams())
+            run_round(LocalRound(K.CENTRAL_GDA, fed.view, HyperParams()), fed, ServerState(pair))
 
 
 class TestRoundInvariants:
@@ -409,7 +413,7 @@ class TestRoundInvariants:
             fed = Federation.initial(objs, pair)
             hp = HyperParams(eta1=0.05, eta2=0.05, local_steps=(5,))
             for _ in range(10):
-                fed = run_round(kind, fed, server, hp)
+                fed = run_round(LocalRound(kind, fed.view, hp), fed, server)
                 for a in (fed.omega, fed.psi, fed.lam, fed.beta):
                     for row in a[1:]:
                         assert np.array_equal(row, a[0])
@@ -444,7 +448,7 @@ class TestLocalTolIsFedmmOnly:
         for local_tol in (0.0, 1e-8):
             server, fed = ServerState(pair), Federation.initial(objs, pair)
             for _ in range(5):
-                fed = run_round(kind, fed, server, replace(hp, local_tol=local_tol))
+                fed = run_round(LocalRound(kind, fed.view, replace(hp, local_tol=local_tol)), fed, server)
             runs.append((fed.Z, fed.D, server.global_pair.omega, server.global_pair.psi))
         for a, b in zip(*runs):
             assert np.array_equal(a, b)

@@ -38,7 +38,7 @@ from fedmm.objectives import (
     quadratic_bars,
     stacked,
 )
-from fedmm.optim import Federation, OptimizerKind, run_round
+from fedmm.optim import Federation, LocalRound, OptimizerKind, run_round
 from fedmm.problems import domain_shift_toy, synthetic_quadratic_specs
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -134,7 +134,7 @@ def _quadratic_block(rounds: int, every: int):
     block = MetricsBlock(fed.view, rounds, 1e-12)
     hp = HyperParams(eta1=0.1, eta2=0.1, local_steps=(3,))
     for t in range(rounds):
-        fed = run_round(OptimizerKind.FEDMM, fed, server, hp)
+        fed = run_round(LocalRound(OptimizerKind.FEDMM, fed.view, hp), fed, server)
         block.add(t, fed, server, t % every == 0)
     return block
 
