@@ -24,6 +24,7 @@ from fedmm.federation import (
     PartitionMode,
     PartitionSpec,
     ProblemKind,
+    ProblemSpec,
     RunLog,
     run_experiment,
 )
@@ -40,6 +41,7 @@ __all__ = [
     "PartitionSpec",
     "PrimalDualPair",
     "ProblemKind",
+    "ProblemSpec",
     "RunLog",
     "ServerState",
     "run_experiment",

@@ -12,18 +12,18 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
+from dataclasses import is_dataclass, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
 from fedmm.checks import run_builtin_checks
-from fedmm.core import ConvergenceError, DivergenceError, HyperParams
+from fedmm.core import ConvergenceError, DivergenceError
 from fedmm.federation import (
     CONFIG_KEYS,
     METRIC_FIELDS,
     ExperimentConfig,
-    PartitionSpec,
     Problem,
     RunLog,
     prepare,
@@ -64,6 +64,17 @@ def _read_assignments(path: str | Path) -> list[tuple[int, str, str]]:
     return out
 
 
+def _build(cls: type, values: dict[str, object], prefix: str = ""):
+    """cls from values by attribute path, each group built first, in field order; unset fields keep defaults."""
+    kwargs = {}
+    for name, hint in get_type_hints(cls).items():
+        if is_dataclass(hint):
+            kwargs[name] = _build(hint, values, f"{prefix}{name}.")
+        elif prefix + name in values:
+            kwargs[name] = values[prefix + name]
+    return cls(**kwargs)
+
+
 def parse_config(path: str | Path, overrides: list[str] | None = None) -> ExperimentConfig:
     """Parse and validate a config file plus `key=value` overrides, then apply FEDMM_SEED.
 
@@ -76,27 +87,21 @@ def parse_config(path: str | Path, overrides: list[str] | None = None) -> Experi
         key, _, raw = item.partition("=")
         entries.append((None, key.strip(), raw.strip()))
 
-    groups: dict[str, dict] = {"": {}, "hyper": {}, "partition": {}}
+    values: dict[str, object] = {}  # attribute path -> parsed value
     for lineno, key, raw in entries:
         if key not in CONFIG_KEYS:
             raise ConfigError(f"unknown key {key!r}", lineno)
-        attr, parser = CONFIG_KEYS[key]
-        group, _, field = attr.rpartition(".")
+        path, convert, expected, _ = CONFIG_KEYS[key]
         try:
-            groups[group][field] = parser(raw)
-        except ValueError as e:
-            raise ConfigError(f"{key}: {e}", lineno) from None
-
-    top = groups[""]
-    if "optimizer" not in top:
-        raise ConfigError("missing required key 'optimizer'")
-    if "problem" not in top:
-        raise ConfigError("missing required key 'problem'")
+            values[path] = convert(raw)
+        except ValueError:
+            raise ConfigError(f"{key}: expected {expected}, got {raw!r}", lineno) from None
+    for key, (path, *_, required) in CONFIG_KEYS.items():
+        if required and path not in values:
+            raise ConfigError(f"missing required key {key!r}")
 
     try:
-        hyper = HyperParams(**groups["hyper"])
-        partition = PartitionSpec(**groups["partition"])
-        config = ExperimentConfig(hyper=hyper, partition=partition, **top)
+        config = _build(ExperimentConfig, values)
     except ValueError as e:
         raise ConfigError(str(e)) from None
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import os
 import uuid
 from collections import abc
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from enum import Enum
 from itertools import islice, starmap
 from operator import attrgetter, index
@@ -501,33 +501,50 @@ class ProblemKind(Enum):
     DOMAIN_ADAPT = "domain_adapt"
 
 
+# a synthetic instance holds at most this many floats; a larger one is a config error
+_SYNTHETIC_FLOATS = 2**24
+
+
 @dataclass(frozen=True)
+class ProblemSpec:
+    """The problem a run builds: its kind, and an instance file or the sizes of a synthetic one."""
+
+    kind: ProblemKind
+    file: str | None = None
+    n_clients: int = 3
+    d1: int = 4
+    d2: int = 3
+    n_per_domain: int = 60
+    holdout_n: int = 240
+
+    def __post_init__(self):
+        for name in ("n_clients", "d1", "d2", "n_per_domain", "holdout_n"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"problem.{name} must be >= 1, got {getattr(self, name)}")
+        n, d1, d2 = self.n_clients, self.d1, self.d2
+        if self.kind is ProblemKind.QUADRATIC:
+            names, floats = ("n_clients", "d1", "d2"), n * (d1 * d1 + d1 * d2 + d2 * d2 + d1 + d2)
+        else:
+            names, floats = ("n_per_domain", "holdout_n"), 2 * (2 * self.n_per_domain + self.holdout_n)
+        if self.file is None and floats > _SYNTHETIC_FLOATS:
+            named = " ".join(f"problem.{name}={getattr(self, name)}" for name in names)
+            raise ValueError(f"{named}: a synthetic instance of {floats} floats, past the bound of 2**24")
+
+
+# parse_config builds the groups in field order, then the config: a bad hyper.* key
+# is reported first, then partition.*, problem.* and the top-level keys
+@dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
-    optimizer: OptimizerKind
-    problem: ProblemKind
     hyper: HyperParams = HyperParams()
     partition: PartitionSpec = PartitionSpec()
+    optimizer: OptimizerKind
+    problem: ProblemSpec
     seed: int = 0
     metrics_every: int = 1
     output_path: str = "run.csv"
-    problem_file: str | None = None
-    quad_n_clients: int = 3
-    quad_d1: int = 4
-    quad_d2: int = 3
-    toy_n_per_domain: int = 60
-    toy_holdout_n: int = 240
     batch_size: int = 0
 
     def __post_init__(self):
-        for key, value in (
-            ("problem.n_clients", self.quad_n_clients),
-            ("problem.d1", self.quad_d1),
-            ("problem.d2", self.quad_d2),
-            ("problem.n_per_domain", self.toy_n_per_domain),
-            ("problem.holdout_n", self.toy_holdout_n),
-        ):
-            if value < 1:
-                raise ValueError(f"{key} must be >= 1, got {value}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.metrics_every < 1:
@@ -536,7 +553,7 @@ class ExperimentConfig:
             raise ValueError(f"batch_size must be >= 0, got {self.batch_size}")
         # minibatches subsample the clients' domain-adaptation shards; quadratic
         # clients have none, and central GDA pools them into one client
-        quadratic = self.problem is ProblemKind.QUADRATIC
+        quadratic = self.problem.kind is ProblemKind.QUADRATIC
         if self.batch_size > 0 and (quadratic or self.optimizer is OptimizerKind.CENTRAL_GDA):
             which = "problem = quadratic" if quadratic else "optimizer = central_gda"
             raise ValueError(
@@ -549,58 +566,43 @@ class ExperimentConfig:
 
     def echo(self) -> dict:
         """Every config key with this config's value, an enum by its name."""
-        out = {}
-        for key, value in zip(CONFIG_KEYS, _config_values(self)):
-            out[key] = value.value if isinstance(value, Enum) else value
-        return out
+        values = (attrgetter(path)(self) for path, *_ in CONFIG_KEYS.values())
+        return {key: v.value if isinstance(v, Enum) else v for key, v in zip(CONFIG_KEYS, values)}
 
 
-def _parser(convert: Callable[[str], object], expected: str) -> Callable[[str], object]:
-    """A config value's parser: convert(raw), or ValueError naming what was expected."""
-
-    def parse(raw: str):
-        try:
-            return convert(raw)
-        except ValueError:
-            raise ValueError(f"expected {expected}, got {raw!r}") from None
-
-    return parse
-
-
-def _enum_parser(cls: type[Enum]) -> Callable[[str], Enum]:
-    return _parser(lambda raw: cls(raw.lower()), "one of " + ", ".join(m.value for m in cls))
-
-
-_INT = _parser(int, "an integer")
-# a hyper.* or partition.* key's parser, by the type of its field's default
-_PARSERS = {
-    int: _INT,
-    float: _parser(float, "a number"),
-    tuple: _parser(lambda raw: tuple(map(int, raw.split(","))), "an integer or comma list"),
-    PartitionMode: _enum_parser(PartitionMode),
+# a config field's conversion of its value's text, and what the text must be, by the field's type
+_CONVERSIONS = {
+    int: (int, "an integer"),
+    float: (float, "a number"),
+    str: (str, "text"),
+    str | None: (str, "text"),
+    tuple[int, ...]: (lambda raw: tuple(map(int, raw.split(","))), "an integer or comma list"),
 }
-# config key -> (its ExperimentConfig attribute path, its parser): the only list of config keys
-CONFIG_KEYS = {
-    "optimizer": ("optimizer", _enum_parser(OptimizerKind)),
-    "problem": ("problem", _enum_parser(ProblemKind)),
-    "problem.file": ("problem_file", str),
-    "problem.n_clients": ("quad_n_clients", _INT),
-    "problem.d1": ("quad_d1", _INT),
-    "problem.d2": ("quad_d2", _INT),
-    "problem.n_per_domain": ("toy_n_per_domain", _INT),
-    "problem.holdout_n": ("toy_holdout_n", _INT),
-    "seed": ("seed", _INT),
-    "metrics_every": ("metrics_every", _INT),
-    "output_path": ("output_path", str),
-    "batch_size": ("batch_size", _INT),
-    **{
-        f"{group}.{f.name}": (f"{group}.{f.name}", _PARSERS[type(f.default)])
-        for group, cls in (("hyper", HyperParams), ("partition", PartitionSpec))
-        for f in fields(cls)
-    },
-}
-# a config's values, in CONFIG_KEYS order
-_config_values = attrgetter(*(path for path, _ in CONFIG_KEYS.values()))
+
+
+def _enum_conversion(cls: type[Enum]) -> tuple[Callable[[str], Enum], str]:
+    return (lambda raw: cls(raw.lower())), "one of " + ", ".join(m.value for m in cls)
+
+
+def _config_keys(cls: type, prefix: str = "") -> Iterator[tuple[str, tuple]]:
+    """(key, (attribute path, conversion, expected, required)) of each field of cls, a group's fields in its place.
+
+    A group is a dataclass-typed field. A key is its field's attribute path, but a group's
+    `kind` field takes the bare group key: `problem = quadratic` sets problem.kind.
+    """
+    hints = get_type_hints(cls)
+    for f in fields(cls):
+        path, hint = prefix + f.name, hints[f.name]
+        if is_dataclass(hint):
+            yield from _config_keys(hint, path + ".")
+        else:
+            convert, expected = _CONVERSIONS[hint] if hint in _CONVERSIONS else _enum_conversion(hint)
+            key = prefix[:-1] if f.name == "kind" else path
+            yield key, (path, convert, expected, f.default is MISSING)
+
+
+# config key -> (attribute path, conversion, expected, required): the only list of config keys
+CONFIG_KEYS = dict(_config_keys(ExperimentConfig))
 
 
 @dataclass(frozen=True)
@@ -649,7 +651,8 @@ def prepare(config: ExperimentConfig) -> Problem:
     A bad problem.file, a partition that leaves a client without points and
     local_steps that do not fit the clients raise ValueError naming the key.
     """
-    path, quadratic = config.problem_file, config.problem is ProblemKind.QUADRATIC
+    spec = config.problem
+    path, quadratic = spec.file, spec.kind is ProblemKind.QUADRATIC
     load = load_quadratic_objectives if quadratic else load_dataset
     try:
         loaded = None if path is None else load(path)
@@ -663,7 +666,7 @@ def prepare(config: ExperimentConfig) -> Problem:
     if quadratic:
         objs = loaded
         if loaded is None:
-            n, d1, d2 = config.quad_n_clients, config.quad_d1, config.quad_d2
+            n, d1, d2 = spec.n_clients, spec.d1, spec.d2
             try:
                 specs = problems.synthetic_quadratic_specs(n, d1, d2)
             except RuntimeError as e:
@@ -679,9 +682,7 @@ def prepare(config: ExperimentConfig) -> Problem:
             layout = ModelLayout(dataset.X.shape[1], dataset.X.shape[1], n_classes)
         else:
             dataset, holdout, layout = problems.domain_shift_toy(
-                _rng(config.seed, _DATA),
-                n_per_domain=config.toy_n_per_domain,
-                holdout_n=config.toy_holdout_n,
+                _rng(config.seed, _DATA), spec.n_per_domain, spec.holdout_n
             )
         pooled = DomainAdaptObjective(dataset, config.hyper.nu, layout)
         init_rng = _rng(config.seed, _INIT)

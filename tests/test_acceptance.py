@@ -28,6 +28,7 @@ from fedmm.federation import (
     PartitionMode,
     PartitionSpec,
     ProblemKind,
+    ProblemSpec,
     run_experiment,
 )
 from fedmm.objectives import (
@@ -171,7 +172,7 @@ class TestCriterion3OracleEquivalence:
 def fedmm_quadratic_config(rounds=ROUND_BUDGET):
     return ExperimentConfig(
         optimizer=OptimizerKind.FEDMM,
-        problem=ProblemKind.QUADRATIC,
+        problem=ProblemSpec(ProblemKind.QUADRATIC),
         hyper=HyperParams(
             mu1=1.0, mu2=1.0, eta1=QUAD_ETA, eta2=QUAD_ETA, eta3=1.0,
             local_steps=(QUAD_M,), rounds=rounds,
@@ -221,7 +222,7 @@ class TestCriterion5CommunicationSaving:
         fedmm_log = run_experiment(fedmm_quadratic_config())
         sgda_cfg = ExperimentConfig(
             optimizer=OptimizerKind.FEDSGDA,
-            problem=ProblemKind.QUADRATIC,
+            problem=ProblemSpec(ProblemKind.QUADRATIC),
             hyper=HyperParams(
                 eta1=QUAD_ETA, eta2=QUAD_ETA, rounds=FEDSGDA_ROUND_CAP,
             ),
@@ -243,7 +244,7 @@ class TestCriterion5CommunicationSaving:
 def toy_config(optimizer, p, rounds, local_steps):
     return ExperimentConfig(
         optimizer=optimizer,
-        problem=ProblemKind.DOMAIN_ADAPT,
+        problem=ProblemSpec(ProblemKind.DOMAIN_ADAPT),
         hyper=HyperParams(
             eta1=TOY_ETA1, eta2=TOY_ETA2, nu=TOY_NU,
             local_steps=(local_steps,), rounds=rounds, tol=1e-4,
@@ -296,7 +297,7 @@ class TestCriterion7DeterminismAndLedger:
             (OptimizerKind.CENTRAL_GDA, 1),
         ):
             cfg_k = ExperimentConfig(
-                optimizer=kind, problem=ProblemKind.QUADRATIC,
+                optimizer=kind, problem=ProblemSpec(ProblemKind.QUADRATIC),
                 hyper=HyperParams(eta1=0.05, eta2=0.05, local_steps=(5,), rounds=12),
                 seed=0,
             )

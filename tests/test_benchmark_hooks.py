@@ -30,13 +30,13 @@ recorder.install()
 DANN_RUN = """
 import json
 from fedmm.core import HyperParams
-from fedmm.federation import ExperimentConfig, PartitionSpec, ProblemKind, run_experiment
+from fedmm.federation import ExperimentConfig, PartitionSpec, ProblemKind, ProblemSpec, run_experiment
 from fedmm.optim import OptimizerKind
 config = ExperimentConfig(
-    OptimizerKind.FEDMM, ProblemKind.DOMAIN_ADAPT,
+    optimizer=OptimizerKind.FEDMM,
+    problem=ProblemSpec(ProblemKind.DOMAIN_ADAPT, n_per_domain=12, holdout_n=16),
     hyper=HyperParams(eta1=0.1, eta2=0.25, nu=0.5, local_steps=(2,), rounds=5, tol=1e-3),
     partition=PartitionSpec(p=1.0), seed=3, metrics_every=2,
-    toy_n_per_domain=12, toy_holdout_n=16,
 )
 run_experiment(config)
 names = [spans.NAMES[code] for code in recorder.name]

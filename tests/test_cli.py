@@ -5,8 +5,9 @@ import sys
 import threading
 import tracemalloc
 import warnings
-from dataclasses import fields, replace
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -21,6 +22,7 @@ from fedmm.federation import (
     PartitionMode,
     PartitionSpec,
     ProblemKind,
+    ProblemSpec,
     prepare,
     run_experiment,
 )
@@ -128,7 +130,7 @@ class TestParseConfig:
     def test_missing_problem_file(self, tmp_path, capsys):
         # parse_config reads no problem file; the run's prepare reports it
         text = "optimizer = fedmm\nproblem = quadratic\nproblem.file = nowhere.txt\n"
-        assert parse_config(write(tmp_path, text)).problem_file == "nowhere.txt"
+        assert parse_config(write(tmp_path, text)).problem.file == "nowhere.txt"
         assert main(["run", "--config", str(write(tmp_path, text))]) == 2
         assert capsys.readouterr().err == "config error: problem.file does not exist: nowhere.txt\n"
 
@@ -148,7 +150,7 @@ class TestParseConfig:
         assert cfg.hyper.local_steps == (20, 20, 25)
 
 
-# one out-of-range value of each hyper.* and partition.* key, and the error naming that key
+# one out-of-range value of each config key but problem.file, and the error naming that key
 _OUT_OF_RANGE = [
     ("hyper.mu1=-1", "hyper.mu1 must be positive, got -1.0"),
     ("hyper.mu2=0", "hyper.mu2 must be positive, got 0.0"),
@@ -168,6 +170,20 @@ _OUT_OF_RANGE = [
         "partition.mode: expected one of two_client_p, one_source_one_target, "
         "one_source_two_target, two_source_one_target, got 'three_clients'",
     ),
+    ("problem.n_clients=0", "problem.n_clients must be >= 1, got 0"),
+    ("problem.d1=0", "problem.d1 must be >= 1, got 0"),
+    ("problem.d2=0", "problem.d2 must be >= 1, got 0"),
+    ("problem.n_per_domain=0", "problem.n_per_domain must be >= 1, got 0"),
+    ("problem.holdout_n=0", "problem.holdout_n must be >= 1, got 0"),
+    ("seed=-1", "seed must be non-negative, got -1"),
+    ("metrics_every=0", "metrics_every must be >= 1, got 0"),
+    ("batch_size=-1", "batch_size must be >= 0, got -1"),
+    ("output_path=.", "output_path must name a file, got '.'"),
+    (
+        "optimizer=warp",
+        "optimizer: expected one of fedmm, fedsgda, fedavg_gda, fedprox_gda, central_gda, got 'warp'",
+    ),
+    ("problem=cube", "problem: expected one of quadratic, domain_adapt, got 'cube'"),
 ]
 
 
@@ -311,9 +327,22 @@ class TestCmdRun:
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists()
 
-    def test_every_hyper_and_partition_key_has_an_out_of_range_case(self):
-        keys = {key for key in CONFIG_KEYS if key.startswith(("hyper.", "partition."))}
+    def test_every_key_but_problem_file_has_an_out_of_range_case(self):
+        keys = set(CONFIG_KEYS) - {"problem.file"}
         assert {o.partition("=")[0] for o, _ in _OUT_OF_RANGE} == keys
+
+    def test_a_bad_hyper_key_is_reported_before_partition_problem_and_top_level_keys(
+        self, tmp_path, capsys
+    ):
+        cfg_path = write(tmp_path, MINIMAL + f"output_path = {tmp_path / 'x.csv'}\n")
+        message = dict(_OUT_OF_RANGE)
+        order = ["hyper.rounds=-1", "partition.p=2", "problem.d1=0", "seed=-1"]
+        for i, first in enumerate(order):
+            argv = ["run", "--config", str(cfg_path)]
+            for item in reversed(order[i:]):  # set last-group first: the report order is not the set order
+                argv += ["--set", item]
+            assert main(argv) == 2
+            assert capsys.readouterr().err == f"config error: {message[first]}\n"
 
     def test_huge_finite_step_may_diverge(self, tmp_path, capsys):
         cfg_path = write(tmp_path, MINIMAL + f"output_path = {tmp_path / 'x.csv'}\n")
@@ -375,6 +404,31 @@ class TestCmdRun:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: problem.n_clients=20 problem.d1=1 problem.d2=1: ")
+
+    @pytest.mark.parametrize(
+        "cfg, override, message",
+        [
+            (
+                "quadratic_fedmm.cfg", "problem.d1=10000000",
+                "problem.n_clients=3 problem.d1=10000000 problem.d2=3: a synthetic instance of "
+                "300000120000036 floats, past the bound of 2**24",
+            ),
+            (
+                "label_shift_fedmm.cfg", "problem.n_per_domain=10000000000000",
+                "problem.n_per_domain=10000000000000 problem.holdout_n=240: a synthetic instance of "
+                "40000000000480 floats, past the bound of 2**24",
+            ),
+        ],
+        ids=["quadratic", "domain_adapt"],
+    )
+    def test_synthetic_instance_past_the_float_bound_is_config_error(
+        self, tmp_path, capsys, cfg, override, message
+    ):
+        out = tmp_path / "x.csv"
+        argv = ["run", "--config", str(SHIPPED / cfg), "--set", override, "--set", f"output_path={out}"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("cfg, overrides, where", _FINITE_ITERATE, ids=_FINITE_ITERATE_IDS)
     def test_non_finite_gradient_or_upload_at_a_finite_iterate_is_divergence(
@@ -812,6 +866,11 @@ class TestConfigFuzz:
     # escapes it found: an output_path that names no file ended in a ValueError traceback
     @example(optimizer="fedmm", problem="quadratic", lines=[("output_path", "")])
     @example(optimizer="fedmm", problem="quadratic", lines=[("output_path", "\x00")])
+    # a synthetic instance too large to allocate ended in a MemoryError traceback
+    @example(optimizer="fedmm", problem="quadratic", lines=[("problem.d1", "10000000")])
+    @example(
+        optimizer="fedmm", problem="domain_adapt", lines=[("problem.n_per_domain", "10000000000000")]
+    )
     def test_run_ends_in_a_known_exit_code(self, tmp_path, monkeypatch, optimizer, problem, lines):
         """Any config text ends in exit 0, 2, 3 or 4; no exception escapes main()."""
         monkeypatch.chdir(tmp_path)
@@ -922,9 +981,17 @@ def _configs(draw):
         local_max_iters=draw(st.integers(1, 10**6)),
     )
     optimizer = draw(st.sampled_from(OptimizerKind))
-    problem = draw(st.sampled_from(ProblemKind))
+    kind = draw(st.sampled_from(ProblemKind))
     # minibatches exist only for federated domain-adaptation runs
-    minibatch = problem is ProblemKind.DOMAIN_ADAPT and optimizer is not OptimizerKind.CENTRAL_GDA
+    minibatch = kind is ProblemKind.DOMAIN_ADAPT and optimizer is not OptimizerKind.CENTRAL_GDA
+    problem = ProblemSpec(
+        kind,
+        n_clients=draw(st.integers(1, 64)),
+        d1=draw(st.integers(1, 64)),
+        d2=draw(st.integers(1, 64)),
+        n_per_domain=draw(st.integers(1, 500)),
+        holdout_n=draw(st.integers(1, 500)),
+    )
     return ExperimentConfig(
         optimizer=optimizer,
         problem=problem,
@@ -933,11 +1000,6 @@ def _configs(draw):
         seed=draw(st.integers(0, 2**63)),
         metrics_every=draw(st.integers(1, 1000)),
         output_path=draw(st.sampled_from(["run.csv", "out/a b.csv", "ünï.csv"])),
-        quad_n_clients=draw(st.integers(1, 64)),
-        quad_d1=draw(st.integers(1, 64)),
-        quad_d2=draw(st.integers(1, 64)),
-        toy_n_per_domain=draw(st.integers(1, 500)),
-        toy_holdout_n=draw(st.integers(1, 500)),
         batch_size=draw(st.integers(0, 500)) if minibatch else 0,
     ), draw(st.booleans())
 
@@ -956,13 +1018,17 @@ def _as_text(echo: dict) -> str:
 
 class TestConfigEcho:
     def test_echo_names_every_config_key(self):
-        assert set(ExperimentConfig(OptimizerKind.FEDMM, ProblemKind.QUADRATIC).echo()) == set(CONFIG_KEYS)
+        config = ExperimentConfig(optimizer=OptimizerKind.FEDMM, problem=ProblemSpec(ProblemKind.QUADRATIC))
+        assert set(config.echo()) == set(CONFIG_KEYS)
 
     def test_every_config_field_is_set_by_exactly_one_key(self):
-        groups = {"hyper": HyperParams, "partition": PartitionSpec}
-        want = [f.name for f in fields(ExperimentConfig) if f.name not in groups]
+        # a group is a dataclass-typed field; each of its fields is set instead of it
+        hints = get_type_hints(ExperimentConfig)
+        groups = {name: hint for name, hint in hints.items() if is_dataclass(hint)}
+        want = [name for name in hints if name not in groups]
         want += [f"{group}.{f.name}" for group, cls in groups.items() for f in fields(cls)]
-        assert sorted(path for path, _ in CONFIG_KEYS.values()) == sorted(want)
+        assert sorted(path for path, *_ in CONFIG_KEYS.values()) == sorted(want)
+        assert "problem" in groups and CONFIG_KEYS["problem"][0] == "problem.kind"
 
     def test_readme_config_table_names_exactly_the_keys(self):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -980,13 +1046,13 @@ class TestConfigEcho:
         monkeypatch.delenv("FEDMM_SEED", raising=False)
         config, with_file = drawn
         if with_file:
-            path = tmp_path / f"{config.problem.value}.txt"
-            if config.problem is ProblemKind.QUADRATIC:
+            path = tmp_path / f"{config.problem.kind.value}.txt"
+            if config.problem.kind is ProblemKind.QUADRATIC:
                 save_quadratic_specs(path, synthetic_quadratic_specs(2))
             else:
                 train, _, layout = domain_shift_toy(seeded_rng(5), n_per_domain=12, holdout_n=4)
                 save_dataset(path, train, layout.n_classes)
-            config = ExperimentConfig(**{**vars(config), "problem_file": str(path)})
+            config = replace(config, problem=replace(config.problem, file=str(path)))
         assert parse_config(write(tmp_path, _as_text(config.echo()))) == config
 
 

@@ -22,6 +22,7 @@ from fedmm.federation import (
     PartitionMode,
     PartitionSpec,
     ProblemKind,
+    ProblemSpec,
     RoundMetrics,
     RunLog,
     evaluate_target_accuracy,
@@ -51,8 +52,8 @@ class TestPartitionSpec:
     @pytest.mark.parametrize("mode", list(PartitionMode), ids=lambda m: m.value)
     def test_the_mode_alone_gives_the_client_count(self, mode):
         config = ExperimentConfig(
-            OptimizerKind.FEDMM, ProblemKind.DOMAIN_ADAPT, partition=PartitionSpec(mode=mode),
-            toy_n_per_domain=6, toy_holdout_n=4,
+            optimizer=OptimizerKind.FEDMM, partition=PartitionSpec(mode=mode),
+            problem=ProblemSpec(ProblemKind.DOMAIN_ADAPT, n_per_domain=6, holdout_n=4),
         )
         assert PartitionSpec(mode=mode).n_clients == prepare(config).view.n
 
@@ -64,6 +65,30 @@ class TestPartitionSpec:
     def test_p_range(self):
         with pytest.raises(ValueError):
             PartitionSpec(p=1.5)
+
+
+class TestProblemSpec:
+    @pytest.mark.parametrize(
+        "kind, sizes",
+        [
+            # n (d1^2 + d1 d2 + d2^2 + d1 + d2) floats: 16 769 026, and 16 777 217 at d1 = 4095
+            (ProblemKind.QUADRATIC, dict(n_clients=1, d2=1, d1=4094)),
+            # 2 (2 n_per_domain + holdout_n) floats: exactly 2**24
+            (ProblemKind.DOMAIN_ADAPT, dict(n_per_domain=2**21, holdout_n=2**22)),
+        ],
+        ids=["quadratic", "domain_adapt"],
+    )
+    def test_a_synthetic_instance_holds_at_most_2_to_the_24_floats(self, kind, sizes):
+        ProblemSpec(kind, **sizes)
+        key, value = list(sizes.items())[-1]
+        with pytest.raises(ValueError, match=r"floats, past the bound of 2\*\*24"):
+            ProblemSpec(kind, **{**sizes, key: value + 1})
+
+    def test_the_bound_reads_only_the_sizes_a_build_reads(self):
+        # a file fixes its own sizes, and each kind's synthetic build reads only its own
+        ProblemSpec(ProblemKind.QUADRATIC, file="instance.txt", d1=10**7)
+        ProblemSpec(ProblemKind.QUADRATIC, n_per_domain=10**13)
+        ProblemSpec(ProblemKind.DOMAIN_ADAPT, d1=10**7)
 
 
 class TestPartitionLabelShift:
@@ -197,7 +222,7 @@ class TestEvaluateTargetAccuracy:
 def quad_config(**kw):
     defaults = dict(
         optimizer=OptimizerKind.FEDMM,
-        problem=ProblemKind.QUADRATIC,
+        problem=ProblemSpec(ProblemKind.QUADRATIC),
         hyper=HyperParams(eta1=0.1, eta2=0.1, local_steps=(20,), rounds=10),
         seed=0,
     )
@@ -236,14 +261,14 @@ class TestRunExperiment:
 
     def test_domain_adapt_seed_changes_run(self):
         cfg_a = ExperimentConfig(
-            optimizer=OptimizerKind.FEDAVG_GDA, problem=ProblemKind.DOMAIN_ADAPT,
-            hyper=HyperParams(rounds=3, local_steps=(5,)),
-            partition=PartitionSpec(), seed=1, toy_n_per_domain=20, toy_holdout_n=10,
+            optimizer=OptimizerKind.FEDAVG_GDA,
+            problem=ProblemSpec(ProblemKind.DOMAIN_ADAPT, n_per_domain=20, holdout_n=10),
+            hyper=HyperParams(rounds=3, local_steps=(5,)), partition=PartitionSpec(), seed=1,
         )
         cfg_b = ExperimentConfig(
-            optimizer=OptimizerKind.FEDAVG_GDA, problem=ProblemKind.DOMAIN_ADAPT,
-            hyper=HyperParams(rounds=3, local_steps=(5,)),
-            partition=PartitionSpec(), seed=2, toy_n_per_domain=20, toy_holdout_n=10,
+            optimizer=OptimizerKind.FEDAVG_GDA,
+            problem=ProblemSpec(ProblemKind.DOMAIN_ADAPT, n_per_domain=20, holdout_n=10),
+            hyper=HyperParams(rounds=3, local_steps=(5,)), partition=PartitionSpec(), seed=2,
         )
         assert run_experiment(cfg_a).csv_text() != run_experiment(cfg_b).csv_text()
 
@@ -257,25 +282,28 @@ class TestRunExperiment:
 
     def test_two_client_fedmm_default_steps_converges(self):
         # package-default step sizes, 200 rounds: stationarity below 1e-4
-        cfg = quad_config(hyper=HyperParams(rounds=200), quad_n_clients=2, metrics_every=200)
+        cfg = quad_config(
+            hyper=HyperParams(rounds=200), problem=ProblemSpec(ProblemKind.QUADRATIC, n_clients=2),
+            metrics_every=200,
+        )
         log = run_experiment(cfg)
         assert log.final().phi_grad_norm <= 1e-4
 
     def test_domain_adapt_accuracy_present(self):
         cfg = ExperimentConfig(
-            optimizer=OptimizerKind.FEDMM, problem=ProblemKind.DOMAIN_ADAPT,
-            hyper=HyperParams(rounds=2, local_steps=(3,)),
-            partition=PartitionSpec(), seed=3, toy_n_per_domain=16, toy_holdout_n=8,
+            optimizer=OptimizerKind.FEDMM,
+            problem=ProblemSpec(ProblemKind.DOMAIN_ADAPT, n_per_domain=16, holdout_n=8),
+            hyper=HyperParams(rounds=2, local_steps=(3,)), partition=PartitionSpec(), seed=3,
         )
         log = run_experiment(cfg)
         assert all(m.target_accuracy is not None for m in log.rounds)
 
     def test_fedprox_mu0_equals_fedavg_end_to_end(self):
         base = dict(
-            problem=ProblemKind.DOMAIN_ADAPT,
+            problem=ProblemSpec(ProblemKind.DOMAIN_ADAPT, n_per_domain=20, holdout_n=10),
             hyper=HyperParams(rounds=4, local_steps=(6,), prox_mu=0.0),
             partition=PartitionSpec(p=1.0),
-            seed=9, toy_n_per_domain=20, toy_holdout_n=10,
+            seed=9,
         )
         prox = run_experiment(ExperimentConfig(optimizer=OptimizerKind.FEDPROX_GDA, **base))
         avg = run_experiment(ExperimentConfig(optimizer=OptimizerKind.FEDAVG_GDA, **base))
@@ -283,10 +311,10 @@ class TestRunExperiment:
 
     def test_minibatch_mode_deterministic(self):
         cfg = dict(
-            optimizer=OptimizerKind.FEDAVG_GDA, problem=ProblemKind.DOMAIN_ADAPT,
+            optimizer=OptimizerKind.FEDAVG_GDA,
+            problem=ProblemSpec(ProblemKind.DOMAIN_ADAPT, n_per_domain=24, holdout_n=8),
             hyper=HyperParams(rounds=3, local_steps=(2,)),
-            partition=PartitionSpec(), seed=5, toy_n_per_domain=24,
-            toy_holdout_n=8, batch_size=6,
+            partition=PartitionSpec(), seed=5, batch_size=6,
         )
         a = run_experiment(ExperimentConfig(**cfg)).csv_text()
         b = run_experiment(ExperimentConfig(**cfg)).csv_text()
@@ -297,10 +325,12 @@ class TestRunExperiment:
 
 # small runs of both problems; the DANN toy's holdout gives the accuracy column
 _REUSE_PROBLEMS = {
-    "quadratic": dict(problem=ProblemKind.QUADRATIC, hyper=HyperParams(rounds=3, local_steps=(4,))),
+    "quadratic": dict(
+        problem=ProblemSpec(ProblemKind.QUADRATIC), hyper=HyperParams(rounds=3, local_steps=(4,))
+    ),
     "dann_toy": dict(
-        problem=ProblemKind.DOMAIN_ADAPT, hyper=HyperParams(rounds=3, local_steps=(4,)),
-        seed=5, toy_n_per_domain=40, toy_holdout_n=10,
+        problem=ProblemSpec(ProblemKind.DOMAIN_ADAPT, n_per_domain=40, holdout_n=10),
+        hyper=HyperParams(rounds=3, local_steps=(4,)), seed=5,
     ),
 }
 _REUSE_CASES = [(name, kind, 0) for name in _REUSE_PROBLEMS for kind in OptimizerKind] + [
@@ -470,9 +500,9 @@ class TestLoggedRounds:
         quad = run_experiment(quad_config(hyper=HyperParams(rounds=70), metrics_every=3))
         toy_log = run_experiment(
             ExperimentConfig(
-                optimizer=OptimizerKind.FEDMM, problem=ProblemKind.DOMAIN_ADAPT,
+                optimizer=OptimizerKind.FEDMM,
+                problem=ProblemSpec(ProblemKind.DOMAIN_ADAPT, n_per_domain=12, holdout_n=16),
                 hyper=HyperParams(eta1=0.1, eta2=0.1, local_steps=(2,), rounds=3, tol=1e-3),
-                toy_n_per_domain=12, toy_holdout_n=16,
             )
         )
         for log in (quad, toy_log):

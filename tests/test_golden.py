@@ -7,10 +7,12 @@ four shipped configs they cover each optimizer on both problems, minibatches,
 unequal DANN shards in full batches and in minibatches, mixed label shift,
 unequal local step counts, run-to-tolerance rounds, and the identity-suite
 reports. The standard output of `fedmm check` is pinned too, the numbers in
-its rows included, and so are the bytes the problem-file writers write.
+its rows included, and so are the bytes the problem-file writers write and
+the values each shipped config parses to.
 """
 
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -88,6 +90,14 @@ RUNS = {
     ),
 }
 
+# json.dumps(parse_config(cfg).echo(), sort_keys=True) of each file in configs/: every key's value
+PARSED = {
+    "label_shift_fedavg": "1ac87b2680c48102b584ff7da963e3f3b3f85009869a28ecf545de84076e42bd",
+    "label_shift_fedmm": "69598b80ebcca5cf969ecba3aae8c53ce598e0994d3892123c3600762d139aac",
+    "quadratic_fedmm": "45e50774e8bf38d8baa61af53af464e77c9cd081ec038936e856d5f39c03f58f",
+    "quadratic_fedsgda": "1e7f62c9b5eeabfa6c55a84f35c21bc6f5c4d1c8e023eee364abde4532117a8b",
+}
+
 # reports_to_csv of 60 run-to-tolerance FedMM rounds on 8-client quadratics
 IDENTITIES = [
     "a8034e28bce15920306246366dc705034c1948c67cbc27259e6e1ae1a316bf92",
@@ -117,6 +127,13 @@ def test_shipped_config_csv_digest(name, monkeypatch):
     monkeypatch.delenv("FEDMM_SEED", raising=False)
     log = run_experiment(parse_config(CONFIGS / f"{name}.cfg"))
     assert _digest(log.csv_text()) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(path.stem for path in CONFIGS.glob("*.cfg")))
+def test_shipped_config_parse_digest(name, monkeypatch):
+    monkeypatch.delenv("FEDMM_SEED", raising=False)
+    echo = parse_config(CONFIGS / f"{name}.cfg").echo()
+    assert _digest(json.dumps(echo, sort_keys=True)) == PARSED[name]
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))

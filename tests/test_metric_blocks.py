@@ -27,6 +27,7 @@ from fedmm.federation import (
     PartitionMode,
     PartitionSpec,
     ProblemKind,
+    ProblemSpec,
     RoundMetrics,
     RunLog,
     block_rounds,
@@ -47,15 +48,17 @@ from fedmm.objectives import (
 from fedmm.optim import Federation, LocalRound, OptimizerKind, run_round
 
 _DANN_HYPER = HyperParams(eta1=0.1, eta2=0.25, nu=0.5, local_steps=(2,), tol=1e-4)
-_DANN = dict(problem=ProblemKind.DOMAIN_ADAPT, toy_n_per_domain=12, toy_holdout_n=16, seed=3)
+_DANN_TOY = ProblemSpec(ProblemKind.DOMAIN_ADAPT, n_per_domain=12, holdout_n=16)
+_DANN = dict(problem=_DANN_TOY, seed=3)
 
 # name -> the config but its optimizer, rounds and metrics_every
 PROBLEMS = {
     "quadratic": dict(
-        problem=ProblemKind.QUADRATIC, hyper=HyperParams(eta1=0.1, eta2=0.1, local_steps=(3,)),
+        problem=ProblemSpec(ProblemKind.QUADRATIC),
+        hyper=HyperParams(eta1=0.1, eta2=0.1, local_steps=(3,)),
     ),
     "quadratic_32": dict(
-        problem=ProblemKind.QUADRATIC, quad_n_clients=32, quad_d1=20, quad_d2=10,
+        problem=ProblemSpec(ProblemKind.QUADRATIC, n_clients=32, d1=20, d2=10),
         hyper=HyperParams(eta1=0.05, eta2=0.05, local_steps=(2,)),
     ),
     # p = 1.0 gives two shards of 12 points: the batched DANN view
@@ -67,11 +70,12 @@ PROBLEMS = {
     "dann_minibatch": dict(**_DANN, hyper=_DANN_HYPER, partition=PartitionSpec(p=1.0), batch_size=5),
     # the shipped toy's 240-point holdout
     "dann_holdout_240": dict(
-        **{**_DANN, "toy_holdout_n": 240}, hyper=_DANN_HYPER, partition=PartitionSpec(p=1.0),
+        **{**_DANN, "problem": replace(_DANN_TOY, holdout_n=240)}, hyper=_DANN_HYPER,
+        partition=PartitionSpec(p=1.0),
     ),
     # `dataset_file`'s 2 x 1000 points, no holdout
     "dataset_file": dict(
-        problem=ProblemKind.DOMAIN_ADAPT, hyper=replace(_DANN_HYPER, local_steps=(1,)),
+        problem=ProblemSpec(ProblemKind.DOMAIN_ADAPT), hyper=replace(_DANN_HYPER, local_steps=(1,)),
     ),
 }
 # the block each problem's run builds, the same for every optimizer: B = min(64, 16384 // (P d))
@@ -167,7 +171,7 @@ def _config(
 ) -> ExperimentConfig:
     base = PROBLEMS[name]
     if name == "dataset_file":
-        base = {**base, "problem_file": dataset_file}
+        base = {**base, "problem": replace(base["problem"], file=dataset_file)}
     return ExperimentConfig(
         optimizer=kind, metrics_every=metrics_every,
         **{**base, "hyper": replace(base["hyper"], rounds=rounds)},

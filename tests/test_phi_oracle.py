@@ -22,6 +22,7 @@ from fedmm.federation import (
     MetricsBlock,
     PartitionSpec,
     ProblemKind,
+    ProblemSpec,
     RunLog,
     partition_label_shift,
     prepare,
@@ -96,7 +97,9 @@ def test_batched_gradients_equal_one_omega_calls(instance):
 def test_the_views_are_the_ones_named():
     views = _views(synthetic_quadratic_specs(3))
     assert type(views["batched"]) is _StackedQuadratic
-    central = prepare(ExperimentConfig(OptimizerKind.CENTRAL_GDA, ProblemKind.QUADRATIC)).view
+    central = prepare(
+        ExperimentConfig(optimizer=OptimizerKind.CENTRAL_GDA, problem=ProblemSpec(ProblemKind.QUADRATIC))
+    ).view
     for pooled in (central, views["pooled"]):
         assert type(pooled) is PooledView and type(pooled.clients) is _StackedQuadratic
 
