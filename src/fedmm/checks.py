@@ -1,8 +1,9 @@
 """Built-in verification suite behind the `check` subcommand.
 
-Each check runs on small fixed fixtures and either returns a detail string
+Each check runs on a small fixture and either returns a detail string
 (pass) or raises (fail); the runner traps exceptions so a bad fixture shows
-up as a named failure instead of a crash.
+up as a named failure instead of a crash. A check's keyword arguments are
+its fixture's inputs, and their defaults are the fixture `fedmm check` runs.
 """
 
 from __future__ import annotations
@@ -41,25 +42,27 @@ from fedmm.objectives import (
     quadratic_bars,
     stacked,
 )
-from fedmm.optim import Federation, LocalRound, OptimizerKind, local_solve, run_round
+from fedmm.optim import Federation, LocalRound, OptimizerKind, run_round
 from fedmm.problems import domain_shift_toy, synthetic_quadratic_specs
 
 
-def _rel_err(got: np.ndarray, want: np.ndarray) -> float:
+def rel_err(got: np.ndarray, want: np.ndarray) -> float:
+    """||got - want|| / ||want||, the denominator at least 1e-12."""
     denom = max(float(np.linalg.norm(want)), 1e-12)
     return float(np.linalg.norm(np.asarray(got) - np.asarray(want))) / denom
 
 
-def _grad_check(obj, rng, n_probes: int, tol: float = 1e-5, h: float = 1e-6) -> float:
+def grad_check(obj, rng, n_probes: int, tol: float = 1e-5, h: float = 1e-6, scale: float = 1.0) -> float:
+    """obj's worst gradient error against central differences at omega, then psi, drawn scale * N(0, I)."""
     d1, d2 = obj.dims
     worst = 0.0
     for _ in range(n_probes):
-        om = vector(rng.standard_normal(d1))
-        ps = vector(rng.standard_normal(d2))
+        om = vector(scale * rng.standard_normal(d1))
+        ps = vector(scale * rng.standard_normal(d2))
         fd_om = finite_diff_grad(lambda v: obj.value(v, ps), om, h)
         fd_ps = finite_diff_grad(lambda v: obj.value(om, v), ps, h)
-        worst = max(worst, _rel_err(obj.grad_omega(om, ps), fd_om))
-        worst = max(worst, _rel_err(obj.grad_psi(om, ps), fd_ps))
+        worst = max(worst, rel_err(obj.grad_omega(om, ps), fd_om))
+        worst = max(worst, rel_err(obj.grad_psi(om, ps), fd_ps))
     if worst > tol:
         raise AssertionError(f"gradient mismatch: relative error {worst:.3e} > {tol}")
     return worst
@@ -68,21 +71,20 @@ def _grad_check(obj, rng, n_probes: int, tol: float = 1e-5, h: float = 1e-6) -> 
 def check_quadratic_gradients() -> str:
     objs = [QuadraticSaddle(s) for s in synthetic_quadratic_specs(3)]
     rng = seeded_rng(11)
-    worst = max(_grad_check(o, rng, 7) for o in objs)
+    worst = max(grad_check(o, rng, 7) for o in objs)
     return f"max rel err {worst:.2e}"
 
 
 def check_domain_adapt_gradients() -> str:
     train, _, layout = domain_shift_toy(seeded_rng(12), n_per_domain=20, holdout_n=4)
     obj = DomainAdaptObjective(train, nu=0.5, layout=layout)
-    worst = _grad_check(obj, seeded_rng(13), 10)
+    worst = grad_check(obj, seeded_rng(13), 10)
     return f"max rel err {worst:.2e}"
 
 
-def check_inner_max_paths_agree() -> str:
+def check_inner_max_paths_agree(seed: int = 14) -> str:
     objs = [QuadraticSaddle(s) for s in synthetic_quadratic_specs(3)]
-    rng = seeded_rng(14)
-    om = vector(rng.standard_normal(objs[0].dims[0]))
+    om = vector(seeded_rng(seed).standard_normal(objs[0].dims[0]))
     view = stacked(objs)
     closed = inner_maximizers(view, om[None], tol=1e-12)[0][0]
     step = 1.0 / float(np.linalg.norm(quadratic_bars(view).C, 2))  # 1 / ||Cbar||
@@ -93,10 +95,10 @@ def check_inner_max_paths_agree() -> str:
     return f"paths agree to {gap:.2e}"
 
 
-def check_danskin_stationarity() -> str:
+def check_danskin_stationarity(seed: int = 15) -> str:
     objs = [QuadraticSaddle(s) for s in synthetic_quadratic_specs(3)]
     view = stacked(objs)
-    rng = seeded_rng(15)
+    rng = seeded_rng(seed)
     om = vector(rng.standard_normal(objs[0].dims[0]))
     psi_star = inner_maximizers(view, om[None], tol=1e-12)[0][0]
     g = pooled(view).grad_psi(np.concatenate((om, psi_star))[None])[0]
@@ -124,15 +126,12 @@ def check_dual_recovery() -> str:
     hp = HyperParams(eta1=0.2, eta2=0.2, local_tol=1e-12)
     d1, d2 = objs[0].dims
     pair = PrimalDualPair(vector(np.zeros(d1)), vector(np.zeros(d2)))
-    fed, _ = local_solve(OptimizerKind.FEDMM, Federation.initial(objs, pair), pair, hp)
+    fed = Federation.initial(objs, pair)
+    fed, _ = LocalRound(OptimizerKind.FEDMM, fed.view, hp)(fed, pair)
     worst = max(local_solve_error(fed).tolist())
     if worst > 1e-8:
         raise AssertionError(f"dual recovery residual {worst:.3e} > 1e-8")
     return f"worst residual {worst:.2e}"
-
-
-def _bit_equal(a: PrimalDualPair, b: PrimalDualPair) -> bool:
-    return np.array_equal(a.row, b.row)
 
 
 def _same_global_pairs(objs, kind_a, kind_b, hp: HyperParams, rounds: int) -> bool:
@@ -145,7 +144,7 @@ def _same_global_pairs(objs, kind_a, kind_b, hp: HyperParams, rounds: int) -> bo
     for _ in range(rounds):
         fed_a = run_round(local_a, fed_a, server_a)
         fed_b = run_round(local_b, fed_b, server_b)
-        if not _bit_equal(server_a.global_pair, server_b.global_pair):
+        if not np.array_equal(server_a.global_pair.row, server_b.global_pair.row):
             return False
     return True
 
@@ -159,24 +158,28 @@ def check_equiv_fedsgda_central(rounds: int = 100, eta1: float = 0.05, eta2: flo
     return f"{rounds} steps bit-exact"
 
 
-def check_equiv_fedprox_fedavg(seed: int = 16, eta: float = 0.05, local_steps: int = 13) -> str:
+def check_equiv_fedprox_fedavg(
+    seed: int = 16, eta1: float = 0.05, eta2: float = 0.05, local_steps: int = 13
+) -> str:
     """FedProxGDA with prox_mu = 0 uploads FedAvgGDA's rows, bit for bit, from a seeded start."""
     obj = QuadraticSaddle(synthetic_quadratic_specs(1)[0])
     d1, d2 = obj.dims
     rng = seeded_rng(seed)
     pair = PrimalDualPair(vector(rng.standard_normal(d1)), vector(rng.standard_normal(d2)))
-    hp = HyperParams(eta1=eta, eta2=eta, prox_mu=0.0, local_steps=(local_steps,))
+    hp = HyperParams(eta1=eta1, eta2=eta2, prox_mu=0.0, local_steps=(local_steps,))
     fed = Federation.initial([obj], pair)
-    _, a = local_solve(OptimizerKind.FEDAVG_GDA, fed, pair, hp)
-    _, b = local_solve(OptimizerKind.FEDPROX_GDA, fed, pair, hp)
+    _, a = LocalRound(OptimizerKind.FEDAVG_GDA, fed.view, hp)(fed, pair)
+    _, b = LocalRound(OptimizerKind.FEDPROX_GDA, fed.view, hp)(fed, pair)
     if not np.array_equal(a, b):
         raise AssertionError("FedProxGDA(prox_mu=0) differs from FedAvgGDA")
     return "outputs bit-exact"
 
 
-def check_equiv_fedavg_fedsgda(rounds: int = 50, eta1: float = 0.05, eta2: float = 0.05) -> str:
-    """FedAvgGDA with one local step is FedSGDA, bit for bit, every round, on two clients."""
-    objs = [QuadraticSaddle(s) for s in synthetic_quadratic_specs(2)]
+def check_equiv_fedavg_fedsgda(
+    rounds: int = 50, eta1: float = 0.05, eta2: float = 0.05, n_clients: int = 2
+) -> str:
+    """FedAvgGDA with one local step is FedSGDA, bit for bit, every round."""
+    objs = [QuadraticSaddle(s) for s in synthetic_quadratic_specs(n_clients)]
     hp = HyperParams(eta1=eta1, eta2=eta2, local_steps=(1,))
     if not _same_global_pairs(objs, OptimizerKind.FEDAVG_GDA, OptimizerKind.FEDSGDA, hp, rounds):
         raise AssertionError("FedAvgGDA(M=1) differs from FedSGDA")
@@ -248,7 +251,7 @@ def check_row_independence() -> str:
             for r, obj in enumerate(objs):
                 one = Federation(stacked([obj]), fed.Z[r : r + 1], fed.D[r : r + 1])
                 hp_r = replace(hp, local_steps=(hp.expanded(len(objs)).local_steps[r],))
-                alone = _outcome(*local_solve(kind, one, gp, hp_r, t))
+                alone = _outcome(*LocalRound(kind, one.view, hp_r)(one, gp, t))
                 for name, a, b in zip(_OUTCOME, whole, alone):
                     if not np.array_equal(a[r], b[0]):
                         raise AssertionError(
@@ -329,7 +332,7 @@ def check_stacked_oracles() -> str:
                 raise AssertionError(f"{where}: stacked global loss differs")
             if got_value != phi_value or not np.array_equal(got_grad, phi_grad):
                 raise AssertionError(f"{where}: stacked phi oracle differs")
-            if consensus(fed, gp) != cons:
+            if consensus(fed.Z, gp.row, d1) != cons:
                 raise AssertionError(f"{where}: stacked consensus differs")
             block.add(t, fed, server, True)
             want.append((loss, float(np.linalg.norm(phi_grad)), cons))
@@ -360,40 +363,46 @@ def check_stationary_saddle_fixed() -> str:
         server = ServerState(pair)
         fed = Federation.initial(PooledView(view) if kind is OptimizerKind.CENTRAL_GDA else view, pair)
         fed = run_round(LocalRound(kind, fed.view, hp), fed, server)
-        if not _bit_equal(server.global_pair, pair):
+        if not np.array_equal(server.global_pair.row, pair.row):
             raise AssertionError(f"{kind.value} moved an exact stationary saddle")
         if fed.lam.any() or fed.beta.any():
             raise AssertionError(f"{kind.value} perturbed zero duals at a saddle")
     return "all optimizers leave the saddle fixed"
 
 
-def check_kappa_bound() -> str:
+def check_kappa_bound(seed: int = 17, pairs: int = 10) -> str:
     objs = [QuadraticSaddle(s) for s in synthetic_quadratic_specs(3)]
-    rng = seeded_rng(17)
+    rng = seeded_rng(seed)
     d1 = objs[0].dims[0]
-    pairs = [
-        (vector(rng.standard_normal(d1)), vector(rng.standard_normal(d1))) for _ in range(10)
+    probes = [
+        (vector(rng.standard_normal(d1)), vector(rng.standard_normal(d1))) for _ in range(pairs)
     ]
-    est = estimate_kappa(objs, pairs, tol=1e-12)
+    est = estimate_kappa(objs, probes, tol=1e-12)
     bound = quadratic_kappa_bound(objs)
     if est > bound + 1e-8:
         raise AssertionError(f"kappa estimate {est:.6f} exceeds closed form {bound:.6f}")
     return f"estimate {est:.4f} <= bound {bound:.4f}"
 
 
-def check_partition_cover() -> str:
-    train, _, _ = domain_shift_toy(seeded_rng(18), n_per_domain=40, holdout_n=4)
-    spec = PartitionSpec(p=0.75, mode=PartitionMode.TWO_CLIENT_P)
-    shards_a = partition_label_shift(train, spec, seeded_rng(99))
-    shards_b = partition_label_shift(train, spec, seeded_rng(99))
+def _records(datasets) -> np.ndarray:
+    """Every point of the datasets, in order, as one row [x | y | domain]."""
+    return np.concatenate([np.column_stack((d.X, d.y, d.domain)) for d in datasets])
+
+
+def check_partition_cover(p: float = 0.75, seed: int = 99, data_seed: int = 18) -> str:
+    """The split at p is a function of its seed, and its shards hold the input's points, each once."""
+    train, _, _ = domain_shift_toy(seeded_rng(data_seed), n_per_domain=40, holdout_n=4)
+    spec = PartitionSpec(p=p, mode=PartitionMode.TWO_CLIENT_P)
+    shards_a = partition_label_shift(train, spec, seeded_rng(seed))
+    shards_b = partition_label_shift(train, spec, seeded_rng(seed))
     for sa, sb in zip(shards_a, shards_b):
-        if not np.array_equal(sa.X, sb.X):
+        if not np.array_equal(_records([sa]), _records([sb])):
             raise AssertionError("partition is not deterministic for a fixed seed")
     total = sum(len(s) for s in shards_a)
     if total != len(train):
         raise AssertionError(f"partition does not cover: {total} != {len(train)}")
-    merged = np.sort(np.concatenate([s.X[:, 0] for s in shards_a]))
-    if not np.array_equal(merged, np.sort(train.X[:, 0])):
+    merged, want = _records(shards_a), _records([train])
+    if not np.array_equal(merged[np.lexsort(merged.T)], want[np.lexsort(want.T)]):
         raise AssertionError("partition multiset differs from input")
     return f"{len(shards_a)} shards cover {total} points deterministically"
 

@@ -232,22 +232,16 @@ def to_csv(header: str, rows: Iterable[Sequence]) -> Iterator[str]:
         yield "\n".join(piece) + "\n"
 
 
-def _consensus(Z: np.ndarray, P: np.ndarray, d1: int) -> tuple[np.ndarray, np.ndarray]:
-    """max_i ||omega_i - omega|| and max_i ||psi_i - psi|| of each of B rounds, two (B,) arrays.
+def consensus(Z: np.ndarray, P: np.ndarray, d1: int) -> tuple[np.ndarray, np.ndarray]:
+    """(max_i ||omega_i - omega||, max_i ||psi_i - psi||): the clients' spread around the pair.
 
-    Z holds the rounds' (B, N, d1 + d2) client rows and P their (B, d1 + d2)
-    pairs. Each norm is row_norms' one-vector norm; max is exact.
+    Z holds one round's (N, d1 + d2) client rows, or B rounds', and P the
+    pairs' joint rows. Each norm is row_norms' one-vector norm; max is exact.
     """
     return (
         row_norms(Z[..., :d1] - P[..., None, :d1]).max(axis=-1),
         row_norms(Z[..., d1:] - P[..., None, d1:]).max(axis=-1),
     )
-
-
-def consensus(fed: Federation, pair: PrimalDualPair) -> tuple[float, float]:
-    """(max_i ||omega_i - omega||, max_i ||psi_i - psi||): the clients' spread around the pair."""
-    omega, psi = _consensus(fed.Z, pair.row, pair.dims[0])
-    return float(omega), float(psi)
 
 
 # A metric block holds at most this many rounds, and its evaluation, B rounds
@@ -299,10 +293,10 @@ class MetricsBlock:
       row_norms; a round whose inner maximization failed gets None. Phi's
       value is never computed.
 
-    Every value is bit for bit what the one-round calls (`consensus`, a
-    one-pair pooled `values`, a one-omega `evaluate_target_accuracy` or
-    `phi_value_and_grad`) give: each row's dot products, matrix products and
-    solves keep the one-round shapes, and max and argmax are exact. A
+    Every value is bit for bit what the one-round calls (`consensus` of one
+    round, a one-pair pooled `values`, a one-omega `evaluate_target_accuracy`
+    or `phi_value_and_grad`) give: each row's dot products, matrix products
+    and solves keep the one-round shapes, and max and argmax are exact. A
     flush's temporaries grow as size * P * (d1 + d2) floats, P the
     `round_points` of the view and accuracy, so run_experiment takes size
     from `block_rounds`.
@@ -340,7 +334,7 @@ class MetricsBlock:
             return
         Z, P = self.Z[:k], self.P[:k]
         omegas = P[:, :d1]
-        spread = _consensus(Z, P, d1)
+        spread = consensus(Z, P, d1)
         loss = self.pooled.values(P[:, None])[:, 0]
         accuracy = np.nan
         if self.accuracy is not None:

@@ -11,12 +11,12 @@ Negation is exact, so this rounds as the two blocks would on their own. A
 rule table holds what the optimizers do differently.
 
 `LocalRound` is the one round function, built once per run from what no
-round changes (`local_solve` is its one-off call), and one loop serves both
-of its modes: fixed M_i steps, or FedMM's run-to-tolerance when
-hp.local_tol > 0. Each pass evaluates every row; once some row is done, the
-step's row mask keeps that row's iterate. Between rounds the clients' state
-is one `Federation` record of such arrays, and aggregation sums the
-(N, d1 + d2) upload rows in client order.
+round changes (a one-off round is `LocalRound(kind, fed.view, hp)(fed, pair,
+t)`), and one loop serves both of its modes: fixed M_i steps, or FedMM's
+run-to-tolerance when hp.local_tol > 0. Each pass evaluates every row; once
+some row is done, the step's row mask keeps that row's iterate. Between
+rounds the clients' state is one `Federation` record of such arrays, and
+aggregation sums the (N, d1 + d2) upload rows in client order.
 """
 
 from __future__ import annotations
@@ -280,13 +280,6 @@ class LocalRound:
         if not _bounded(up):
             raise _first_unbounded(up, "fedmm upload (client {})", m)
         return Federation(view, Z, D), _frozen(up)
-
-
-def local_solve(
-    kind: OptimizerKind, fed: Federation, global_pair: PrimalDualPair, hp: HyperParams, t: int = 0
-) -> tuple[Federation, np.ndarray]:
-    """One local round of `kind` for every client at once, starting from the globals: the one-off `LocalRound` call."""
-    return LocalRound(kind, fed.view, hp)(fed, global_pair, t)
 
 
 def fedmm_aggregate(uploads: np.ndarray, d1: int) -> PrimalDualPair:

@@ -15,13 +15,13 @@ from fedmm.checks import (
     check_equiv_fedavg_fedsgda,
     check_equiv_fedprox_fedavg,
     check_equiv_fedsgda_central,
+    grad_check,
 )
-from fedmm.core import HyperParams, PrimalDualPair, ServerState, seeded_rng, vector, zeros
+from fedmm.core import HyperParams, PrimalDualPair, ServerState, seeded_rng, zeros
 from fedmm.diagnostics import (
     quadratic_phi_minimizer,
     run_identity_suite,
     stationarity_series,
-    finite_diff_grad,
 )
 from fedmm.federation import (
     ExperimentConfig,
@@ -68,12 +68,6 @@ def _line(n, name, ok):
     print(f"ACCEPTANCE {n} {name}: {'PASS' if ok else 'FAIL'}")
 
 
-def rel_err(got, want):
-    return float(np.linalg.norm(np.asarray(got) - np.asarray(want))) / max(
-        float(np.linalg.norm(want)), 1e-12
-    )
-
-
 def big_domain_adapt_objective():
     """A wider model (d1 + d2 = 48 <= 50) than the frozen toy, for probing."""
     rng = seeded_rng(1001)
@@ -88,23 +82,17 @@ def big_domain_adapt_objective():
 class TestCriterion1GradientOracle:
     def test_gradients_match_finite_differences(self):
         t0 = time.time()
-        worst = 0.0
         quad = [QuadraticSaddle(s) for s in synthetic_quadratic_specs(2, d1=30, d2=20)]
         da = big_domain_adapt_objective()
         rng = seeded_rng(1002)
-        for obj, n_probes in ((quad[0], 50), (quad[1], 50), (da, 100)):
-            d1, d2 = obj.dims
-            for _ in range(n_probes):
-                om = vector(0.7 * rng.standard_normal(d1))
-                ps = vector(0.7 * rng.standard_normal(d2))
-                fd_om = finite_diff_grad(lambda v: obj.value(v, ps), om, 1e-6)
-                fd_ps = finite_diff_grad(lambda v: obj.value(om, v), ps, 1e-6)
-                worst = max(worst, rel_err(obj.grad_omega(om, ps), fd_om))
-                worst = max(worst, rel_err(obj.grad_psi(om, ps), fd_ps))
+        try:
+            for obj, n_probes in ((quad[0], 50), (quad[1], 50), (da, 100)):
+                grad_check(obj, rng, n_probes, tol=1e-5, scale=0.7)
+        except AssertionError:
+            _line(1, "gradient_oracle", False)
+            raise
         elapsed = time.time() - t0
-        ok = worst <= 1e-5 and elapsed < 5.0
-        _line(1, "gradient_oracle", ok)
-        assert worst <= 1e-5, f"worst relative error {worst:.3e}"
+        _line(1, "gradient_oracle", elapsed < 5.0)
         assert elapsed < 5.0, f"runtime {elapsed:.1f}s exceeds 5s"
 
 
@@ -159,7 +147,7 @@ class TestCriterion3OracleEquivalence:
     def test_fedprox_mu0_is_fedavg(self):
         _criterion_check(
             3, "oracle_equivalence_fedprox_fedavg", check_equiv_fedprox_fedavg,
-            seed=1003, eta=0.04, local_steps=17,
+            seed=1003, eta1=0.04, eta2=0.04, local_steps=17,
         )
 
     def test_fedavg_m1_is_fedsgda(self):

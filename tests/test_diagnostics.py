@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fedmm import diagnostics
+from fedmm.checks import check_kappa_bound, grad_check
 from fedmm.core import (
     ConvergenceError,
     HyperParams,
@@ -95,12 +96,7 @@ class TestFiniteDiffGrad:
                 domain=np.concatenate([np.full(n_src, SOURCE), np.full(n_tgt, TARGET)]),
             )
             obj = DomainAdaptObjective(ds, nu=float(rng.uniform(0.1, 1.0)), layout=layout)
-            om = vector(0.6 * rng.standard_normal(layout.d1))
-            ps = vector(0.6 * rng.standard_normal(layout.d2))
-            fd = finite_diff_grad(lambda v: obj.value(v, ps), om, 1e-6)
-            got = obj.grad_omega(om, ps)
-            rel = float(np.linalg.norm(got - fd)) / max(float(np.linalg.norm(fd)), 1e-12)
-            assert rel <= 1e-5
+            grad_check(obj, rng, 1, tol=1e-5, scale=0.6)
 
 
 class ZeroObjective(StackedObjectives):
@@ -239,12 +235,7 @@ class TestCheckIdentities:
 
 class TestEstimateKappa:
     def test_quadratic_never_exceeds_operator_norm(self):
-        objs = three_clients()
-        rng = seeded_rng(41)
-        d1 = objs[0].dims[0]
-        pairs = [(vector(rng.standard_normal(d1)), vector(rng.standard_normal(d1))) for _ in range(20)]
-        est = estimate_kappa(objs, pairs, tol=1e-12)
-        assert est <= quadratic_kappa_bound(objs) + 1e-8
+        check_kappa_bound(seed=41, pairs=20)
 
     def test_estimate_tightens_with_dense_probes(self):
         objs = three_clients()

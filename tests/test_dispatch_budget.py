@@ -21,14 +21,21 @@ count starts. Two counts are taken:
   (`CALL...`), binary operator and subscript (`BINARY_...`) and unary
   minus the package's code executes, numpy's included.
 
+Both counts are taken with the cyclic garbage collector off, after a full
+collection: a collection inside the counted call would add the finalizers
+of garbage that earlier tests left, so the count would depend on what ran
+before it. The collector's previous state is restored afterwards.
+
 The budgets are the counts of the current code under CPython 3.11 and
 numpy 2.4; each comment gives the count before the change that set it. Raise a
 budget only with a reason, in the commit that needs it.
 """
 
 import dis
+import gc
 import sys
 from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +53,19 @@ PACKAGE = str(Path(fedmm.__file__).resolve().parent)
 OPERATIONS = ("CALL", "BINARY_", "STORE_SUBSCR", "STORE_SLICE", "UNARY_NEGATIVE")
 
 
+@contextmanager
+def collector_off():
+    """A full collection, then the collector off; its previous state again on exit."""
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def c_calls(fn) -> int:
     """The c_call events while fn() runs, without the call that stops the count."""
     count = Counter()
@@ -54,11 +74,12 @@ def c_calls(fn) -> int:
         if event == "c_call":
             count[arg] += 1
 
-    sys.setprofile(profile)
-    try:
-        fn()
-    finally:
-        sys.setprofile(None)
+    with collector_off():
+        sys.setprofile(profile)
+        try:
+            fn()
+        finally:
+            sys.setprofile(None)
     return sum(count.values()) - 1
 
 
@@ -78,11 +99,12 @@ def operations(fn) -> int:
             return opcode
         return None
 
-    sys.settrace(call)
-    try:
-        fn()
-    finally:
-        sys.settrace(None)
+    with collector_off():
+        sys.settrace(call)
+        try:
+            fn()
+        finally:
+            sys.settrace(None)
     return count
 
 

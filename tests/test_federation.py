@@ -13,6 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fedmm import federation
+from fedmm.checks import check_partition_cover
 from fedmm.core import HyperParams, seeded_rng, vector
 from fedmm.federation import (
     CSV_HEADER,
@@ -109,23 +110,12 @@ class TestPartitionLabelShift:
         assert (one.domain == SOURCE).all()
         assert (two.domain == TARGET).all()
 
+    # toy()'s training set, seed 31 and 40 points per domain: the holdout is drawn after it
     def test_union_is_exact_multiset(self):
-        train, _, _ = toy()
-        spec = PartitionSpec(p=0.3, mode=PartitionMode.TWO_CLIENT_P)
-        shards = partition_label_shift(train, spec, seeded_rng(2))
-        merged = np.concatenate([s.X for s in shards])
-        assert merged.shape == train.X.shape
-        order_a = np.lexsort(merged.T)
-        order_b = np.lexsort(train.X.T)
-        assert np.array_equal(merged[order_a], train.X[order_b])
+        check_partition_cover(p=0.3, seed=2, data_seed=31)
 
     def test_deterministic_given_seed(self):
-        train, _, _ = toy()
-        spec = PartitionSpec(p=0.7, mode=PartitionMode.TWO_CLIENT_P)
-        a = partition_label_shift(train, spec, seeded_rng(5))
-        b = partition_label_shift(train, spec, seeded_rng(5))
-        for sa, sb in zip(a, b):
-            assert np.array_equal(sa.X, sb.X)
+        check_partition_cover(p=0.7, seed=5, data_seed=31)
 
     def test_multi_client_modes(self):
         train, _, _ = toy()

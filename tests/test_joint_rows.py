@@ -27,7 +27,7 @@ from fedmm.core import (
     vector,
 )
 from fedmm.objectives import QuadraticSaddle, QuadraticSaddleSpec, _bars, _StackedQuadratic, stacked
-from fedmm.optim import Federation, LocalRound, OptimizerKind, fedmm_aggregate, local_solve, run_round
+from fedmm.optim import Federation, LocalRound, OptimizerKind, fedmm_aggregate, run_round
 from fedmm.problems import synthetic_quadratic_specs
 from reference_math import quad_grad_omega, quad_grad_psi
 
@@ -187,7 +187,7 @@ def test_joint_engine_equals_the_per_block_round(case):
     for t in range(case["rounds"]):
         gp = server.global_pair
         want = outcome(lambda: per_block_round(kind, objs, lam, beta, gp, hp, t, case["local_tol"]))
-        got = outcome(lambda: local_solve(kind, fed, gp, solver_hp, t))
+        got = outcome(lambda: LocalRound(kind, fed.view, solver_hp)(fed, gp, t))
         if isinstance(want[0], type):
             assert got == want
             return

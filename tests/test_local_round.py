@@ -1,8 +1,8 @@
 """One LocalRound kept across a run against one rebuilt every round, bit for bit.
 
-A run builds its `LocalRound` once and calls it every round; `local_solve`
-builds one per call. Both must give the same federation records and upload
-rows: for all five optimizers, unequal M_i, a decaying upload weight
+A run builds its `LocalRound` once and calls it every round; a one-off
+round builds one per call. Both must give the same federation records and
+upload rows: for all five optimizers, unequal M_i, a decaying upload weight
 (eta3 < 1, where U changes every round), minibatch DANN (where the view
 changes every round) and run-to-tolerance rounds. A record that a round
 returns shares no memory with what the round keeps, so no later round can
@@ -19,7 +19,7 @@ from fedmm.cli import parse_config
 from fedmm.core import HyperParams, PrimalDualPair, vector
 from fedmm.federation import prepare
 from fedmm.objectives import DomainAdaptObjective, PooledView, QuadraticSaddle, QuadraticSaddleSpec, stacked
-from fedmm.optim import Federation, LocalRound, OptimizerKind, fedmm_aggregate, local_solve
+from fedmm.optim import Federation, LocalRound, OptimizerKind, fedmm_aggregate
 from fedmm.problems import synthetic_quadratic_specs
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -50,7 +50,7 @@ def run_both(kind, views, pair, hp):
     pair_a = pair_b = pair
     for t, view in enumerate(views):
         fed_a, up_a = local(Federation(view, fed_a.Z, fed_a.D), pair_a, t)
-        fed_b, up_b = local_solve(kind, Federation(view, fed_b.Z, fed_b.D), pair_b, hp, t)
+        fed_b, up_b = LocalRound(kind, view, hp)(Federation(view, fed_b.Z, fed_b.D), pair_b, t)
         for a in (fed_a.Z, fed_a.D, up_a):
             assert not any(np.shares_memory(a, b) for b in kept_arrays(local))
         kept.append(record(fed_a, up_a))
@@ -118,7 +118,8 @@ def test_a_round_converged_at_pass_zero_returns_fresh_arrays():
     fed = Federation.initial(view, pair)
     first, up = local(fed, pair)
     second, up_2 = local(first, pair, 1)
-    assert record(first, up) == record(second, up_2) == record(*local_solve(K.FEDMM, fed, pair, local.hp))
+    one_off = LocalRound(K.FEDMM, view, local.hp)(fed, pair)
+    assert record(first, up) == record(second, up_2) == record(*one_off)
     returned = (first.Z, first.D, up, second.Z, second.D, up_2)
     for i, a in enumerate(returned):
         assert not a.flags.writeable

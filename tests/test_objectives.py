@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedmm.checks import check_danskin_stationarity, check_inner_max_paths_agree, grad_check, rel_err
 from fedmm.core import ConvergenceError, seeded_rng, vector
 from fedmm.diagnostics import finite_diff_grad
 from fedmm.objectives import (
@@ -49,12 +50,6 @@ def scalar_saddle():
         QuadraticSaddleSpec(
             A=np.zeros((1, 1)), B=np.ones((1, 1)), C=np.eye(1), a=vector([0.0]), c=vector([0.0])
         )
-    )
-
-
-def rel_err(got, want):
-    return float(np.linalg.norm(np.asarray(got) - np.asarray(want))) / max(
-        float(np.linalg.norm(want)), 1e-12
     )
 
 
@@ -185,14 +180,7 @@ class TestDomainAdaptObjective:
     def test_gradients_match_finite_differences(self):
         train, _, layout = domain_shift_toy(seeded_rng(21), n_per_domain=16, holdout_n=4)
         obj = DomainAdaptObjective(train, nu=0.4, layout=layout)
-        rng = seeded_rng(22)
-        for _ in range(10):
-            om = vector(0.5 * rng.standard_normal(layout.d1))
-            ps = vector(0.5 * rng.standard_normal(layout.d2))
-            fd_om = finite_diff_grad(lambda v: obj.value(v, ps), om, 1e-6)
-            fd_ps = finite_diff_grad(lambda v: obj.value(om, v), ps, 1e-6)
-            assert rel_err(obj.grad_omega(om, ps), fd_om) <= 1e-5
-            assert rel_err(obj.grad_psi(om, ps), fd_ps) <= 1e-5
+        grad_check(obj, seeded_rng(22), 10, tol=1e-5, scale=0.5)
 
     def test_deterministic_evaluation(self):
         train, _, layout = domain_shift_toy(seeded_rng(23), n_per_domain=10, holdout_n=4)
@@ -310,12 +298,7 @@ class TestInnerMax:
         assert np.allclose(inner_max(stacked([obj]), vector([0.0]), tol=1e-12), [0.0])
 
     def test_ascent_agrees_with_closed_form(self):
-        objs = [QuadraticSaddle(s) for s in synthetic_quadratic_specs(3)]
-        om = vector(seeded_rng(8).standard_normal(objs[0].dims[0]))
-        view = stacked(objs)
-        closed = inner_max(view, om, tol=1e-12)
-        ascent = _ascent(pooled(view), om[None], ascent_step(view), tol=1e-10, max_iters=100_000)
-        assert np.linalg.norm(closed - ascent[0]) <= 1e-8
+        check_inner_max_paths_agree(seed=8)
 
     def test_nonconvergence_raises_with_grad_norm(self):
         objs = [QuadraticSaddle(s) for s in synthetic_quadratic_specs(2)]
@@ -326,15 +309,7 @@ class TestInnerMax:
         assert exc.value.grad_norm > 0
 
     def test_danskin_directional_derivative(self):
-        objs = [QuadraticSaddle(s) for s in synthetic_quadratic_specs(3)]
-        view = stacked(objs)
-        rng = seeded_rng(10)
-        om = vector(rng.standard_normal(objs[0].dims[0]))
-        psi_star = inner_max(view, om, tol=1e-12)
-        g = pooled(view).grad_psi(np.concatenate((om, psi_star))[None])[0]
-        for _ in range(10):
-            v = rng.standard_normal(len(psi_star))
-            assert abs(float(g @ v)) <= 1e-9 * float(np.linalg.norm(v))
+        check_danskin_stationarity(seed=10)
 
 
 class SteepSaddle(StackedObjectives):

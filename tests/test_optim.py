@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from fedmm.checks import check_equiv_fedavg_fedsgda, check_equiv_fedprox_fedavg, check_equiv_fedsgda_central
 from fedmm.core import (
     DivergenceError,
     HyperParams,
@@ -30,7 +31,6 @@ from fedmm.optim import (
     _local_grads,
     fedmm_aggregate,
     joint_weights,
-    local_solve,
     run_round,
 )
 from fedmm.problems import synthetic_quadratic_specs
@@ -76,7 +76,8 @@ def al_grads(obj, pair, lam, beta, global_pair, hp):
 
 def one_client(kind, obj, global_pair, hp, t=0):
     """One client's local round from the globals with zero duals: (federation, upload pair)."""
-    fed, up = local_solve(kind, Federation.initial(view_of(obj), global_pair), global_pair, hp, t)
+    fed = Federation.initial(view_of(obj), global_pair)
+    fed, up = LocalRound(kind, fed.view, hp)(fed, global_pair, t)
     d1 = obj.dims[0]
     return fed, PrimalDualPair(up[0, :d1], up[0, d1:])
 
@@ -234,10 +235,11 @@ class TestDivergenceRules:
         hp = HyperParams(eta1=1.0, mu1=1e60, local_steps=(1,))
         fed = Federation.initial(view, pair)
         with pytest.raises(DivergenceError) as exc:
-            local_solve(K.FEDMM, fed, pair, hp)
+            LocalRound(K.FEDMM, fed.view, hp)(fed, pair)
         assert (exc.value.where, exc.value.step) == ("fedmm upload (client 1)", 0)
         # client 0 alone passes: its upload is -2g = -2
-        _, up = local_solve(K.FEDMM, Federation.initial(ConstantGrad([1.0], [0.0]), pair), pair, hp)
+        fed = Federation.initial(ConstantGrad([1.0], [0.0]), pair)
+        _, up = LocalRound(K.FEDMM, fed.view, hp)(fed, pair)
         assert np.array_equal(up, [[-2.0, 0.0]])
 
     @pytest.mark.parametrize("kind", [K.FEDAVG_GDA, K.FEDMM])
@@ -247,7 +249,7 @@ class TestDivergenceRules:
         hp = HyperParams(eta1=1.0, mu1=1e-9, local_steps=(5,))
         # omega is 0, -1, -2, then -3 before step 3, whose gradient the objective rejects
         with pytest.raises(DivergenceError) as exc:
-            local_solve(kind, fed, pair, hp)
+            LocalRound(kind, fed.view, hp)(fed, pair)
         assert (exc.value.where, exc.value.step) == (f"{kind.value} local round (client 0) gradient", 3)
 
     def test_a_rejected_gradient_names_the_first_rejecting_client(self):
@@ -255,7 +257,7 @@ class TestDivergenceRules:
         # both rows step alike; only client 1's row rejects its gradient at omega = -3
         fed = Federation.initial(RejectsPastMinusTwo([False, True]), pair)
         with pytest.raises(DivergenceError) as exc:
-            local_solve(K.FEDMM, fed, pair, HyperParams(eta1=1.0, mu1=1e-9, local_steps=(5,)))
+            LocalRound(K.FEDMM, fed.view, HyperParams(eta1=1.0, mu1=1e-9, local_steps=(5,)))(fed, pair)
         assert (exc.value.where, exc.value.step) == ("fedmm local round (client 1) gradient", 3)
 
     def test_a_rejected_gradient_names_the_first_rejecting_client_across_size_groups(self):
@@ -274,7 +276,7 @@ class TestDivergenceRules:
         fed = Federation.initial(objs, pair)
         assert [list(rows) for rows in fed.view.rows] == [[0, 2], [1]]
         with np.errstate(all="ignore"), pytest.raises(DivergenceError) as exc:
-            local_solve(K.FEDAVG_GDA, fed, pair, HyperParams(local_steps=(5,)))
+            LocalRound(K.FEDAVG_GDA, fed.view, HyperParams(local_steps=(5,)))(fed, pair)
         assert (exc.value.where, exc.value.step) == ("fedavg_gda local round (client 1) gradient", 0)
 
 
@@ -298,7 +300,8 @@ class TestFedmmAggregate:
         # each client uploads d1 + d2 = 3 floats and downloads as many
         obj = ConstantGrad([1.0, 2.0], [3.0])
         pair = pair_of([0.0, 0.0], [0.0])
-        fed, up = local_solve(K.FEDSGDA, Federation.initial(obj, pair), pair, HyperParams())
+        fed = Federation.initial(obj, pair)
+        fed, up = LocalRound(K.FEDSGDA, fed.view, HyperParams())(fed, pair)
         assert up.shape[1] == 3
         server = ServerState(pair)
         run_round(LocalRound(K.FEDSGDA, fed.view, HyperParams()), fed, server)
@@ -307,18 +310,7 @@ class TestFedmmAggregate:
 
 class TestFedSgda:
     def test_matches_centralized_bit_exact(self):
-        obj = QuadraticSaddle(synthetic_quadratic_specs(1)[0])
-        d1, d2 = obj.dims
-        pair = pair_of(np.zeros(d1), np.zeros(d2))
-        hp = HyperParams(eta1=0.05, eta2=0.07)
-        server = ServerState(pair)
-        fed = Federation.initial([obj], pair)
-        central = pair
-        for _ in range(100):
-            fed = run_round(LocalRound(K.FEDSGDA, fed.view, hp), fed, server)
-            central = central_step(obj, central, hp.eta1, hp.eta2)
-            assert np.array_equal(server.global_pair.omega, central.omega)
-            assert np.array_equal(server.global_pair.psi, central.psi)
+        check_equiv_fedsgda_central(rounds=100, eta1=0.05, eta2=0.07)
 
     def test_zero_gradient_leaves_globals(self):
         pair = pair_of([0.4], [0.2])
@@ -338,26 +330,10 @@ class TestFedSgda:
 
 class TestFedAvgProx:
     def test_prox_zero_equals_fedavg_bit_exact(self):
-        obj = QuadraticSaddle(synthetic_quadratic_specs(1)[0])
-        d1, d2 = obj.dims
-        rng = np.random.default_rng(4)
-        pair = pair_of(rng.standard_normal(d1), rng.standard_normal(d2))
-        hp = HyperParams(eta1=0.03, eta2=0.04, prox_mu=0.0, local_steps=(11,))
-        _, a = one_client(K.FEDAVG_GDA, obj, pair, hp)
-        _, b = one_client(K.FEDPROX_GDA, obj, pair, hp)
-        assert np.array_equal(a.omega, b.omega)
-        assert np.array_equal(a.psi, b.psi)
+        check_equiv_fedprox_fedavg(seed=4, eta1=0.03, eta2=0.04, local_steps=11)
 
     def test_m1_equals_fedsgda_step(self):
-        obj = QuadraticSaddle(synthetic_quadratic_specs(1)[0])
-        d1, d2 = obj.dims
-        pair = pair_of(np.zeros(d1), np.zeros(d2))
-        hp = HyperParams(eta1=0.05, eta2=0.05, local_steps=(1,))
-        _, out = one_client(K.FEDAVG_GDA, obj, pair, hp)
-        server = ServerState(pair)
-        fed = Federation.initial([obj], pair)
-        run_round(LocalRound(K.FEDSGDA, fed.view, hp), fed, server)
-        assert np.array_equal(out.omega, server.global_pair.omega)
+        check_equiv_fedavg_fedsgda(rounds=1, eta1=0.05, eta2=0.05, n_clients=1)
 
     def test_fedmm_zero_duals_matches_fedprox_first_step(self):
         # mu1=mu2=prox_mu, M=1, duals 0: the two update rules coincide
@@ -425,7 +401,7 @@ class TestRoundInvariants:
         fed = Federation.initial([obj], pair)
         om_before = fed.omega.copy()
         lam_before = fed.lam.copy()
-        local_solve(K.FEDMM, fed, pair, HyperParams(local_steps=(3,)), t=0)
+        LocalRound(K.FEDMM, fed.view, HyperParams(local_steps=(3,)))(fed, pair, 0)
         assert np.array_equal(fed.omega, om_before)
         assert np.array_equal(fed.lam, lam_before)
 

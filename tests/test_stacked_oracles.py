@@ -40,7 +40,6 @@ from fedmm.objectives import (
     quadratic_bars,
     stacked,
 )
-from fedmm.optim import Federation
 from fedmm.problems import domain_shift_toy
 from reference_math import (
     dann_curvature_bound,
@@ -149,12 +148,10 @@ def assert_oracles_match(objs, OM, PS, tol):
     assert value == ref_mean_value(objs, om, psi_star)
     assert np.array_equal(grad, ref_mean([ref_grad_omega(o, om, psi_star) for o in objs]))
 
-    pair = PrimalDualPair(om, ps)
-    fed = Federation(view, np.hstack((OM, PS)), np.zeros((len(OM), OM.shape[1] + PS.shape[1])))
-    assert consensus(fed, pair) == ref_consensus(OM, PS, pair)
+    Z, pair = np.hstack((OM, PS)), PrimalDualPair(om, ps)
+    assert consensus(Z, pair.row, len(om)) == ref_consensus(OM, PS, pair)
 
     # leading axes: two stacks of rows at once
-    Z = np.hstack((OM, PS))
     got = view.values(np.stack((Z, Z[::-1])))
     assert np.array_equal(got, [want, view.values(np.ascontiguousarray(Z[::-1]))])
 
