@@ -4,22 +4,22 @@ Each check runs on a small fixture and either returns a detail string
 (pass) or raises (fail); the runner traps exceptions so a bad fixture shows
 up as a named failure instead of a crash. A check's keyword arguments are
 its fixture's inputs, and their defaults are the fixture `fedmm check` runs.
+
+The reference that the checks and the tests compare the views with ends the
+module: each objective's value and gradients for one client at one point in
+plain numpy, bit for bit the objective's own, and the client-order means. It
+calls no objective method and no view, so a fault in a view cannot hide in it.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
+from typing import Callable
 
 import numpy as np
 
-from fedmm.core import HyperParams, PrimalDualPair, ServerState, seeded_rng, vector
-from fedmm.diagnostics import (
-    estimate_kappa,
-    finite_diff_grad,
-    local_solve_error,
-    quadratic_kappa_bound,
-    run_identity_suite,
-)
+from fedmm.core import HyperParams, PrimalDualPair, ServerState, Vector, seeded_rng, vector
+from fedmm.diagnostics import _solve_errors, estimate_kappa, quadratic_kappa_bound, run_identity_suite
 from fedmm.federation import (
     MetricsBlock,
     PartitionMode,
@@ -29,6 +29,7 @@ from fedmm.federation import (
     partition_label_shift,
 )
 from fedmm.objectives import (
+    SOURCE,
     DomainAdaptObjective,
     PooledView,
     QuadraticSaddle,
@@ -44,6 +45,34 @@ from fedmm.objectives import (
 )
 from fedmm.optim import Federation, LocalRound, OptimizerKind, run_round
 from fedmm.problems import domain_shift_toy, synthetic_quadratic_specs
+
+
+def finite_diff_grad(f: Callable[[Vector], float], x: Vector, h: float) -> Vector:
+    """Central-difference gradient, one coordinate at a time."""
+    if h <= 0:
+        raise ValueError(f"h must be positive, got {h}")
+    x = np.asarray(x, dtype=np.float64)
+    g = np.empty_like(x)
+    for j in range(len(x)):
+        xp = x.copy()
+        xm = x.copy()
+        xp[j] += h
+        xm[j] -= h
+        fp, fm = f(vector(xp)), f(vector(xm))
+        if not (np.isfinite(fp) and np.isfinite(fm)):
+            raise ValueError(f"non-finite objective value at coordinate {j}")
+        g[j] = (fp - fm) / (2.0 * h)
+    return vector(g)
+
+
+def local_solve_error(fed: Federation) -> np.ndarray:
+    """Each client's achieved local gradient norm after a round, read off the dual recovery.
+
+    At an exact local solve the new duals satisfy lam = -grad_om f and
+    beta = +grad_ps f at the end-of-round iterate, so the mismatch equals the
+    residual gradient of the local augmented Lagrangian.
+    """
+    return _solve_errors(fed, fed.view.joint_grads(fed.Z))
 
 
 def rel_err(got: np.ndarray, want: np.ndarray) -> float:
@@ -101,7 +130,7 @@ def check_danskin_stationarity(seed: int = 15) -> str:
     rng = seeded_rng(seed)
     om = vector(rng.standard_normal(objs[0].dims[0]))
     psi_star = inner_maximizers(view, om[None], tol=1e-12)[0][0]
-    g = pooled(view).grad_psi(np.concatenate((om, psi_star))[None])[0]
+    g = ref_mean([quad_grad_psi(o, om, psi_star) for o in objs])
     worst = 0.0
     for _ in range(10):
         v = rng.standard_normal(len(psi_star))
@@ -262,41 +291,8 @@ def check_row_independence() -> str:
     return f"{rows} client rows bit-exact"
 
 
-def _mean_in_client_order(rows):
-    # zero-started, one client after the other: a plain loop, never sum()'s compensated sum
-    total = 0.0
-    for row in rows:
-        total = total + row
-    return total / len(rows)
-
-
-def _per_client_oracles(objs, fed: Federation, pair: PrimalDualPair, tol: float):
-    """(loss, (phi value, phi gradient), consensus), one objective after the other."""
-    om, ps = pair.omega, pair.psi
-    loss = _mean_in_client_order([o.value(om, ps) for o in objs])
-    if all(isinstance(o, QuadraticSaddle) for o in objs):
-        Bbar, Cbar, cbar = (_mean_in_client_order([getattr(o, k) for o in objs]) for k in "BCc")
-        psi = np.linalg.solve(Cbar, Bbar.T @ om + cbar)
-    else:
-        step = 1.0 / max(max(stacked([o]).curvature_bounds(om[None])[0] for o in objs), 1e-12)
-        psi = np.zeros(objs[0].dims[1])
-        g = _mean_in_client_order([o.grad_psi(om, psi) for o in objs])
-        while float(np.linalg.norm(g)) > tol:
-            psi = psi + step * g
-            g = _mean_in_client_order([o.grad_psi(om, psi) for o in objs])
-    phi = (
-        _mean_in_client_order([o.value(om, psi) for o in objs]),
-        _mean_in_client_order([o.grad_omega(om, psi) for o in objs]),
-    )
-    cons = (
-        max(float(np.linalg.norm(row - om)) for row in fed.omega),
-        max(float(np.linalg.norm(row - ps)) for row in fed.psi),
-    )
-    return loss, phi, cons
-
-
 def check_stacked_oracles() -> str:
-    """The metric oracles through the stacked view equal the per-client path, bit for bit.
+    """The metric oracles through the stacked view equal the plain per-client formulas, bit for bit.
 
     Each case runs three rounds and checks every round twice: the one-round
     calls right after it, and run_experiment's MetricsBlock over the whole
@@ -325,7 +321,7 @@ def check_stacked_oracles() -> str:
         for t in range(3):
             fed = run_round(local, fed, server)
             gp = server.global_pair
-            loss, (phi_value, phi_grad), cons = _per_client_oracles(objs, fed, gp, tol)
+            loss, (phi_value, phi_grad), cons = per_client_oracles(objs, fed.omega, fed.psi, gp, tol)
             got_value, got_grad = phi_value_and_grad(fed.view, gp.omega, tol)
             where = f"{len(objs)}-client {type(objs[0]).__name__} round {server.round}"
             if pooled(fed.view).values(gp.row[None])[0] != loss:
@@ -389,10 +385,12 @@ def _records(datasets) -> np.ndarray:
     return np.concatenate([np.column_stack((d.X, d.y, d.domain)) for d in datasets])
 
 
-def check_partition_cover(p: float = 0.75, seed: int = 99, data_seed: int = 18) -> str:
-    """The split at p is a function of its seed, and its shards hold the input's points, each once."""
+def check_partition_cover(
+    p: float = 0.75, seed: int = 99, data_seed: int = 18, mode: PartitionMode = PartitionMode.TWO_CLIENT_P
+) -> str:
+    """The split in `mode` at p is a function of its seed, and its shards hold the input's points, each once."""
     train, _, _ = domain_shift_toy(seeded_rng(data_seed), n_per_domain=40, holdout_n=4)
-    spec = PartitionSpec(p=p, mode=PartitionMode.TWO_CLIENT_P)
+    spec = PartitionSpec(p=p, mode=mode)
     shards_a = partition_label_shift(train, spec, seeded_rng(seed))
     shards_b = partition_label_shift(train, spec, seeded_rng(seed))
     for sa, sb in zip(shards_a, shards_b):
@@ -455,3 +453,136 @@ def run_builtin_checks(verbose_print=print) -> bool:
             all_ok = False
             verbose_print(f"FAIL  {name:<26} {e}")
     return all_ok
+
+
+# ------------------- the plain-numpy per-client reference ------------------- #
+
+
+def _softplus(t):
+    return np.logaddexp(0.0, t)
+
+
+def _dann_forward(obj, om, ps):
+    W, V = obj.layout.unpack_omega(np.asarray(om))
+    Z = obj.dataset.X @ W.T
+    return V, Z, Z @ V.T, Z @ ps
+
+
+def _dann_dt(obj, t):
+    lab = obj.dataset.domain == SOURCE
+    s = np.exp(-_softplus(-t))
+    return np.where(lab, -obj.nu * s, obj.nu * (1.0 - s))
+
+
+def dann_value(obj, om, ps):
+    """alpha * (cross-entropy + nu*log(1-h) over labeled points + nu*log(h) over the rest)."""
+    ds = obj.dataset
+    lab = ds.domain == SOURCE
+    _, _, logits, t = _dann_forward(obj, om, ps)
+    total = 0.0
+    if lab.any():
+        lab_logits = logits[lab]
+        picked = lab_logits[np.arange(lab.sum()), ds.y[lab]]
+        total += float(np.sum(np.logaddexp.reduce(lab_logits, axis=1) - picked))
+        total += float(np.sum(-obj.nu * _softplus(t[lab])))
+    if (~lab).any():
+        total += float(np.sum(-obj.nu * _softplus(-t[~lab])))
+    return obj.alpha * total
+
+
+def dann_grads(obj, om, ps):
+    """Both DANN gradient blocks from one forward/backward pass."""
+    ds = obj.dataset
+    lab = ds.domain == SOURCE
+    V, Z, logits, t = _dann_forward(obj, om, ps)
+    dlogits = np.zeros_like(logits)
+    if lab.any():
+        shifted = logits[lab] - logits[lab].max(axis=1, keepdims=True)
+        p = np.exp(shifted)
+        p /= p.sum(axis=1, keepdims=True)
+        p[np.arange(lab.sum()), ds.y[lab]] -= 1.0
+        dlogits[lab] = p
+    dt = _dann_dt(obj, t)
+    gV = obj.alpha * (dlogits.T @ Z)
+    dZ = dlogits @ V + dt[:, None] * ps[None, :]
+    gW = obj.alpha * (dZ.T @ ds.X)
+    return np.concatenate([gW.reshape(-1), gV.reshape(-1)]), obj.alpha * (Z.T @ dt)
+
+
+def dann_grad_psi(obj, om, ps):
+    """The psi block alone: the features and dt, no predictor pass."""
+    _, Z, _, t = _dann_forward(obj, om, ps)
+    return obj.alpha * (Z.T @ _dann_dt(obj, t))
+
+
+def dann_curvature_bound(obj, om):
+    """0.25 * nu * ||alpha Z'Z||_2, the bound on the psi-Hessian norm that sizes the ascent's step."""
+    W, _ = obj.layout.unpack_omega(np.asarray(om))
+    Z = obj.dataset.X @ W.T
+    return 0.25 * obj.nu * float(np.linalg.norm(obj.alpha * (Z.T @ Z), 2))
+
+
+def quad_value(obj, om, ps):
+    return float(
+        0.5 * om @ obj.A @ om + om @ obj.B @ ps - 0.5 * ps @ obj.C @ ps + obj.a @ om + obj.c @ ps
+    )
+
+
+def quad_grad_omega(obj, om, ps):
+    return obj.A @ om + obj.B @ ps + obj.a
+
+
+def quad_grad_psi(obj, om, ps):
+    return obj.B.T @ om - obj.C @ ps + obj.c
+
+
+def client_value(obj, om, ps) -> float:
+    """One quadratic or DANN client's value by the formulas above."""
+    return quad_value(obj, om, ps) if isinstance(obj, QuadraticSaddle) else dann_value(obj, om, ps)
+
+
+def client_grads(obj, om, ps):
+    """(grad_omega, grad_psi) of one quadratic or DANN client by the formulas above."""
+    if isinstance(obj, QuadraticSaddle):
+        return quad_grad_omega(obj, om, ps), quad_grad_psi(obj, om, ps)
+    return dann_grads(obj, om, ps)
+
+
+def ref_mean(rows):
+    """Client average, adding one client after the other from a copy of the first."""
+    total = np.array(rows[0])
+    for row in rows[1:]:
+        total += row
+    return total / len(rows)
+
+
+def mean_value(objs, om, ps) -> float:
+    """The clients' mean value at one point: a zero-started loop in client order, never a compensated sum."""
+    total = 0.0
+    for o in objs:
+        total = total + client_value(o, om, ps)
+    return total / len(objs)
+
+
+def per_client_oracles(objs, OM, PS, pair: PrimalDualPair, tol: float):
+    """(loss, (phi value, phi gradient), consensus) at the clients' rows (OM, PS) and the global pair.
+
+    psi* is the quadratic's closed form, or for DANN an ascent from zero to tol.
+    """
+    om, ps = pair.omega, pair.psi
+    if isinstance(objs[0], QuadraticSaddle):
+        Bbar, Cbar, cbar = (sum(getattr(o, k) for o in objs) / len(objs) for k in "BCc")
+        psi = np.linalg.solve(Cbar, Bbar.T @ om + cbar)
+    else:
+        step = 1.0 / max(max(dann_curvature_bound(o, om) for o in objs), 1e-12)
+        psi = np.zeros(objs[0].dims[1])
+        g = ref_mean([dann_grad_psi(o, om, psi) for o in objs])
+        while float(np.linalg.norm(g)) > tol:
+            psi = psi + step * g
+            g = ref_mean([dann_grad_psi(o, om, psi) for o in objs])
+    phi = (mean_value(objs, om, psi), ref_mean([client_grads(o, om, psi)[0] for o in objs]))
+    cons = (
+        max(float(np.linalg.norm(row - om)) for row in OM),
+        max(float(np.linalg.norm(row - ps)) for row in PS),
+    )
+    return mean_value(objs, om, ps), phi, cons

@@ -1,5 +1,5 @@
-"""Verification oracles: algebraic identity checks, finite differences,
-stationarity summaries, and empirical constant estimation.
+"""Verification oracles: algebraic identity checks, stationarity summaries,
+and empirical and closed-form constant estimation.
 
 The four identity checks compare one converged federated round against the
 closed-form relations that exact local solves imply:
@@ -17,7 +17,7 @@ All checks are read-only: they never mutate optimizer state.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -56,16 +56,6 @@ def _block_norms(fed: Federation, R: np.ndarray) -> tuple[np.ndarray, np.ndarray
 def _solve_errors(fed: Federation, G: np.ndarray) -> np.ndarray:
     # each row's max(||grad_om f + lam||, ||grad_ps f - beta||), G + D with D = [lam | -beta]
     return np.maximum(*_block_norms(fed, G + fed.D))
-
-
-def local_solve_error(fed: Federation) -> np.ndarray:
-    """Each client's achieved local gradient norm after a round, read off the dual recovery.
-
-    At an exact local solve the new duals satisfy lam = -grad_om f and
-    beta = +grad_ps f at the end-of-round iterate, so the mismatch equals the
-    residual gradient of the local augmented Lagrangian.
-    """
-    return _solve_errors(fed, fed.view.joint_grads(fed.Z))
 
 
 def check_identities(
@@ -140,24 +130,6 @@ def run_identity_suite(
     return reports
 
 
-def finite_diff_grad(f: Callable[[Vector], float], x: Vector, h: float) -> Vector:
-    """Central-difference gradient, one coordinate at a time."""
-    if h <= 0:
-        raise ValueError(f"h must be positive, got {h}")
-    x = np.asarray(x, dtype=np.float64)
-    g = np.empty_like(x)
-    for j in range(len(x)):
-        xp = x.copy()
-        xm = x.copy()
-        xp[j] += h
-        xm[j] -= h
-        fp, fm = f(vector(xp)), f(vector(xm))
-        if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise ValueError(f"non-finite objective value at coordinate {j}")
-        g[j] = (fp - fm) / (2.0 * h)
-    return vector(g)
-
-
 def estimate_kappa(
     objectives: Sequence[QuadraticSaddle | DomainAdaptObjective],
     omega_pairs: Sequence[tuple[Vector, Vector]],
@@ -204,14 +176,6 @@ def stationarity_series(log, tol: float) -> StationaritySummary:
 
 
 # ------------------------- quadratic closed forms ------------------------- #
-
-
-def quadratic_phi_minimizer(objectives: Sequence[QuadraticSaddle]) -> Vector:
-    """Brute-force reference: the unique stationary point of the max-function."""
-    Abar, Bbar, Cbar, abar, cbar = quadratic_bars(stacked(objectives))
-    H = Abar + Bbar @ np.linalg.solve(Cbar, Bbar.T)
-    rhs = -(abar + Bbar @ np.linalg.solve(Cbar, cbar))
-    return vector(np.linalg.solve(H, rhs))
 
 
 def quadratic_kappa_bound(objectives: Sequence[QuadraticSaddle]) -> float:

@@ -1,115 +1,137 @@
-"""Independent per-client references for the objectives' math.
+"""Test-only references: the engine's round, problem-file readers and per-row kernels.
 
-The objectives compute through their stacked views, so comparing a view
-with an objective's own methods only shows that the rows are independent.
-These are the formulas written out for one client at one point in plain
-numpy: boolean-mask indexing of the labeled points, a two-pass softmax with
-the row max subtracted, and 1-D matrix-vector products. Each returns what
-the objective's method returns, bit for bit. The quadratic's curvature and
-Lipschitz bounds, the DANN ascent's curvature bound and the client-order
-mean, which only the tests use, are here as well.
+The per-client formulas for the objectives' values and gradients, and the
+client-order means, are `fedmm.checks`'s: `fedmm check` and the tests
+compare the views with the same plain-numpy reference. This module builds on
+them:
 
-So are the problem-file readers as they were before they streamed: the whole
-text, then every token, then one bulk parse. The streamed readers must give
-the same arrays bit for bit, or raise the same ValueError.
-
-And so are the per-row products as batched matmuls, the `[..., None]` /
-`[..., 0]` idiom that numpy's np.vecdot, np.vecmat and np.matvec replaced in
-`core.row_dot`, `row_norms` and the quadratic view: the kernels must give
-these bits.
+- `per_block_round`, one federated round in plain numpy, each block on its
+  own in the order of operations of the per-block engine the joint-row
+  engine replaced. Its clients are quadratic or DANN objectives, or a
+  `MeanOfClients`: the pooled client central GDA trains.
+- The quadratic's curvature and Lipschitz bounds and the brute-force
+  minimizer of its max-function, which only the tests use.
+- The problem-file readers as they were before they streamed: the whole
+  text, then every token, then one bulk parse. The streamed readers must
+  give the same arrays bit for bit, or raise the same ValueError.
+- The per-row products as batched matmuls, the `[..., None]` / `[..., 0]`
+  idiom that numpy's np.vecdot, np.vecmat and np.matvec replaced in
+  `core.row_dot`, `row_norms` and the quadratic view: the kernels must give
+  these bits.
 """
 
 from pathlib import Path
 
 import numpy as np
 
-from fedmm.objectives import SOURCE, UNLABELED, DomainAdaptDataset, _blocks, _quadratic_fault
+from fedmm.checks import client_grads, ref_mean
+from fedmm.core import ConvergenceError, DivergenceError, row_norms, vector
+from fedmm.objectives import UNLABELED, DomainAdaptDataset, _blocks, _quadratic_fault, quadratic_bars, stacked
+from fedmm.optim import OptimizerKind
+
+K = OptimizerKind
+MULTI_STEP = (K.FEDMM, K.FEDAVG_GDA, K.FEDPROX_GDA)
+WHERE = {
+    K.FEDMM: "fedmm local round (client {})",
+    K.FEDAVG_GDA: "fedavg_gda local round (client {})",
+    K.FEDPROX_GDA: "fedprox_gda local round (client {})",
+    K.FEDSGDA: "fedsgda round (client {})",
+    K.CENTRAL_GDA: "centralized gda step",
+}
 
 
-def _softplus(t):
-    return np.logaddexp(0.0, t)
+class MeanOfClients:
+    """A pooled client: each gradient block the `ref_mean` of its clients' at the same point."""
+
+    def __init__(self, objectives):
+        self.objectives, self.dims = objectives, objectives[0].dims
 
 
-def _dann_forward(obj, om, ps):
-    W, V = obj.layout.unpack_omega(np.asarray(om))
-    Z = obj.dataset.X @ W.T
-    return V, Z, Z @ V.T, Z @ ps
+def reference_grads(obj, om, ps):
+    """(grad_omega, grad_psi) of a quadratic or DANN client, or of a MeanOfClients, at one point."""
+    if isinstance(obj, MeanOfClients):
+        g_om, g_ps = zip(*(client_grads(o, om, ps) for o in obj.objectives))
+        return ref_mean(g_om), ref_mean(g_ps)
+    return client_grads(obj, om, ps)
 
 
-def _dann_dt(obj, t):
-    lab = obj.dataset.domain == SOURCE
-    s = np.exp(-_softplus(-t))
-    return np.where(lab, -obj.nu * s, obj.nu * (1.0 - s))
+def per_block_round(kind, objs, lam, beta, gp, hp, t, local_tol):
+    """One round, each block on its own, in the per-block engine's order of operations.
+
+    Client r is objs[r] with duals lam[r] and beta[r]. Returns (omega, psi,
+    lam, beta, upload omega, upload psi) as (N, d) arrays and the aggregated
+    (omega_bar, psi_bar); raises the engine's DivergenceError or
+    ConvergenceError, naming the lowest failing client.
+    """
+    n = len(objs)
+    OM, PS = np.empty((n, len(gp.omega))), np.empty((n, len(gp.psi)))
+    OM[:], PS[:] = gp.omega, gp.psi
+
+    def grads(OM, PS, rows):
+        G_OM, G_PS = np.zeros(OM.shape), np.zeros(PS.shape)
+        for r, obj in enumerate(objs):
+            if rows is None or rows[r]:
+                G_OM[r], G_PS[r] = reference_grads(obj, OM[r], PS[r])
+        if kind is K.FEDMM:
+            return G_OM + lam + hp.mu1 * (OM - gp.omega), G_PS - beta - hp.mu2 * (PS - gp.psi)
+        if kind is K.FEDPROX_GDA and hp.prox_mu != 0.0:
+            return (
+                G_OM + hp.prox_mu * (OM - gp.omega), G_PS - hp.prox_mu * (PS - gp.psi)
+            )
+        return G_OM, G_PS
+
+    def step(OM, PS, G, rows):
+        new_om, new_ps = OM - hp.eta1 * G[0], PS + hp.eta2 * G[1]
+        if rows is None:
+            return new_om, new_ps
+        return np.where(rows[:, None], new_om, OM), np.where(rows[:, None], new_ps, PS)
+
+    def check(OM, PS, where, m):
+        for r in range(n):
+            if not (np.abs(OM[r]).max() <= 1e100 and np.abs(PS[r]).max() <= 1e100):
+                raise DivergenceError(where.format(r), m)
+
+    if kind is K.FEDMM and local_tol:
+        where = "fedmm local solve (client {})"
+        rows = None
+        for m in range(hp.local_max_iters + 1):
+            G = grads(OM, PS, rows)
+            gn = np.maximum(row_norms(G[0]), row_norms(G[1]))
+            active = gn > local_tol if rows is None else rows & (gn > local_tol)
+            if not active.any():
+                break
+            if m == hp.local_max_iters:
+                r = np.flatnonzero(active)[0]
+                raise ConvergenceError(where.format(r), float(gn[r]), m)
+            rows = None if active.all() else active
+            OM, PS = step(OM, PS, G, rows)
+            check(OM, PS, where, m)
+    else:
+        steps = np.array(hp.expanded(n).local_steps if kind in MULTI_STEP else (1,) * n)
+        for m in range(steps.max()):
+            rows = None if m < steps.min() else steps > m
+            OM, PS = step(OM, PS, grads(OM, PS, rows), rows)
+            check(OM, PS, WHERE[kind], m)
+
+    up_om, up_ps = OM, PS
+    if kind is K.FEDMM:
+        lam = lam + hp.mu1 * (OM - gp.omega)
+        beta = beta + hp.mu2 * (PS - gp.psi)
+        up_om = OM + (hp.eta3**t / hp.mu1) * lam
+        up_ps = PS + (hp.eta3**t / hp.mu2) * beta
+    bar_om, bar_ps = np.zeros(OM.shape[1]), np.zeros(PS.shape[1])
+    for r in range(n):
+        bar_om += up_om[r]
+        bar_ps += up_ps[r]
+    return (OM, PS, lam, beta, up_om, up_ps), (bar_om / n, bar_ps / n)
 
 
-def dann_value(obj, om, ps):
-    """alpha * (cross-entropy + nu*log(1-h) over labeled points + nu*log(h) over the rest)."""
-    ds = obj.dataset
-    lab = ds.domain == SOURCE
-    _, _, logits, t = _dann_forward(obj, om, ps)
-    total = 0.0
-    if lab.any():
-        lab_logits = logits[lab]
-        picked = lab_logits[np.arange(lab.sum()), ds.y[lab]]
-        total += float(np.sum(np.logaddexp.reduce(lab_logits, axis=1) - picked))
-        total += float(np.sum(-obj.nu * _softplus(t[lab])))
-    if (~lab).any():
-        total += float(np.sum(-obj.nu * _softplus(-t[~lab])))
-    return obj.alpha * total
-
-
-def dann_grads(obj, om, ps):
-    """Both DANN gradient blocks from one forward/backward pass."""
-    ds = obj.dataset
-    lab = ds.domain == SOURCE
-    V, Z, logits, t = _dann_forward(obj, om, ps)
-    dlogits = np.zeros_like(logits)
-    if lab.any():
-        shifted = logits[lab] - logits[lab].max(axis=1, keepdims=True)
-        p = np.exp(shifted)
-        p /= p.sum(axis=1, keepdims=True)
-        p[np.arange(lab.sum()), ds.y[lab]] -= 1.0
-        dlogits[lab] = p
-    dt = _dann_dt(obj, t)
-    gV = obj.alpha * (dlogits.T @ Z)
-    dZ = dlogits @ V + dt[:, None] * ps[None, :]
-    gW = obj.alpha * (dZ.T @ ds.X)
-    return np.concatenate([gW.reshape(-1), gV.reshape(-1)]), obj.alpha * (Z.T @ dt)
-
-
-def dann_grad_psi(obj, om, ps):
-    """The psi block alone: the features and dt, no predictor pass."""
-    _, Z, _, t = _dann_forward(obj, om, ps)
-    return obj.alpha * (Z.T @ _dann_dt(obj, t))
-
-
-def dann_curvature_bound(obj, om):
-    """0.25 * nu * ||alpha Z'Z||_2, the bound on the psi-Hessian norm that sizes the ascent's step."""
-    W, _ = obj.layout.unpack_omega(np.asarray(om))
-    Z = obj.dataset.X @ W.T
-    return 0.25 * obj.nu * float(np.linalg.norm(obj.alpha * (Z.T @ Z), 2))
-
-
-def ref_mean(rows):
-    """Client average, adding one client after the other from a copy of the first."""
-    total = np.array(rows[0])
-    for row in rows[1:]:
-        total += row
-    return total / len(rows)
-
-
-def quad_value(obj, om, ps):
-    return float(
-        0.5 * om @ obj.A @ om + om @ obj.B @ ps - 0.5 * ps @ obj.C @ ps + obj.a @ om + obj.c @ ps
-    )
-
-
-def quad_grad_omega(obj, om, ps):
-    return obj.A @ om + obj.B @ ps + obj.a
-
-
-def quad_grad_psi(obj, om, ps):
-    return obj.B.T @ om - obj.C @ ps + obj.c
+def quadratic_phi_minimizer(objectives):
+    """Brute-force reference: the unique stationary point of the max-function."""
+    Abar, Bbar, Cbar, abar, cbar = quadratic_bars(stacked(objectives))
+    H = Abar + Bbar @ np.linalg.solve(Cbar, Bbar.T)
+    rhs = -(abar + Bbar @ np.linalg.solve(Cbar, cbar))
+    return vector(np.linalg.solve(H, rhs))
 
 
 def matmul_row_dot(X, Y):

@@ -18,11 +18,7 @@ from fedmm.checks import (
     grad_check,
 )
 from fedmm.core import HyperParams, PrimalDualPair, ServerState, seeded_rng, zeros
-from fedmm.diagnostics import (
-    quadratic_phi_minimizer,
-    run_identity_suite,
-    stationarity_series,
-)
+from fedmm.diagnostics import run_identity_suite, stationarity_series
 from fedmm.federation import (
     ExperimentConfig,
     PartitionMode,
@@ -42,6 +38,7 @@ from fedmm.objectives import (
 )
 from fedmm.optim import Federation, LocalRound, OptimizerKind, run_round
 from fedmm.problems import synthetic_quadratic_specs
+from reference_math import quadratic_phi_minimizer
 
 # ----- frozen experiment constants ---------------------------------------
 # Quadratic stationarity/communication runs (criteria 4, 5):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fedmm import diagnostics
-from fedmm.checks import check_kappa_bound, grad_check
+from fedmm.checks import check_kappa_bound, finite_diff_grad, grad_check, local_solve_error
 from fedmm.core import (
     ConvergenceError,
     HyperParams,
@@ -19,10 +19,7 @@ from fedmm.diagnostics import (
     StationaritySummary,
     check_identities,
     estimate_kappa,
-    finite_diff_grad,
-    local_solve_error,
     quadratic_kappa_bound,
-    quadratic_phi_minimizer,
     reports_to_csv,
     run_identity_suite,
     stationarity_series,
@@ -41,6 +38,7 @@ from fedmm.objectives import (
 )
 from fedmm.optim import Federation, LocalRound, OptimizerKind, run_round
 from fedmm.problems import domain_shift_toy, synthetic_quadratic_specs
+from reference_math import quadratic_phi_minimizer
 
 
 def three_clients():

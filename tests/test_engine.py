@@ -1,7 +1,11 @@
 """The client-stacked local solve against a plain per-client numpy reference.
 
-Every comparison is exact (np.array_equal): stacking the clients must not
-change a single bit of any client's iterates, duals, uploads or the average.
+The reference is `reference_math.per_block_round` on the plain-numpy client
+formulas of `fedmm.checks`, which call no objective method and no view: on
+quadratic and DANN clients, and on the pooled client (`MeanOfClients`) that
+central GDA trains. Every comparison is exact (np.array_equal): stacking the
+clients must not change a single bit of any client's iterates, duals,
+uploads or the average.
 """
 
 import gc
@@ -12,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fedmm.checks import check_row_independence
+from fedmm.checks import check_row_independence, quad_grad_omega, quad_grad_psi
 from fedmm.cli import parse_config
 from fedmm.core import (
     ConvergenceError,
@@ -42,86 +46,15 @@ from fedmm.objectives import (
 )
 from fedmm.optim import Federation, LocalRound, OptimizerKind, run_round
 from fedmm.problems import domain_shift_toy, synthetic_quadratic_specs
-from reference_math import quad_grad_omega, quad_grad_psi
+from reference_math import MULTI_STEP, MeanOfClients, per_block_round
 
 K = OptimizerKind
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
-MULTI_STEP = (K.FEDMM, K.FEDAVG_GDA, K.FEDPROX_GDA)
 FEDERATED = (K.FEDMM, K.FEDSGDA, K.FEDAVG_GDA, K.FEDPROX_GDA)
 
 
-def reference_round(kind, objectives, fed, gp, hp, t, local_tol=None):
-    """One round, one client after the other, in plain numpy; client r is objectives[r]
-    with fed's duals of row r.
-
-    Returns ([(omega, psi, lam, beta) of each client], (omega_bar, psi_bar)).
-    """
-    states, uploads = [], []
-    for r, obj in enumerate(objectives):
-        lam, beta = fed.lam[r], fed.beta[r]
-
-        def grads(om, ps):
-            g_om, g_ps = obj.grad_omega(om, ps), obj.grad_psi(om, ps)
-            if kind is K.FEDMM:
-                g_om = g_om + lam + hp.mu1 * (om - gp.omega)
-                g_ps = g_ps - beta - hp.mu2 * (ps - gp.psi)
-            elif kind is K.FEDPROX_GDA and hp.prox_mu != 0.0:
-                g_om = g_om + hp.prox_mu * (om - gp.omega)
-                g_ps = g_ps - hp.prox_mu * (ps - gp.psi)
-            return g_om, g_ps
-
-        om, ps = np.array(gp.omega), np.array(gp.psi)
-        if kind is K.FEDMM and local_tol:
-            for _ in range(hp.local_max_iters):
-                g_om, g_ps = grads(om, ps)
-                if max(np.linalg.norm(g_om), np.linalg.norm(g_ps)) <= local_tol:
-                    break
-                om, ps = om - hp.eta1 * g_om, ps + hp.eta2 * g_ps
-            else:
-                g_om, g_ps = grads(om, ps)
-                gn = max(float(np.linalg.norm(g_om)), float(np.linalg.norm(g_ps)))
-                if gn > local_tol:
-                    raise ConvergenceError(f"client {r}", gn, hp.local_max_iters)
-        else:
-            for _ in range(hp.expanded(len(objectives)).local_steps[r] if kind in MULTI_STEP else 1):
-                g_om, g_ps = grads(om, ps)
-                om, ps = om - hp.eta1 * g_om, ps + hp.eta2 * g_ps
-        up_om, up_ps = om, ps
-        if kind is K.FEDMM:
-            lam = lam + hp.mu1 * (om - gp.omega)
-            beta = beta + hp.mu2 * (ps - gp.psi)
-            up_om = om + (hp.eta3**t / hp.mu1) * lam
-            up_ps = ps + (hp.eta3**t / hp.mu2) * beta
-        states.append((om, ps, lam, beta))
-        uploads.append((up_om, up_ps))
-    bar_om, bar_ps = np.zeros(len(gp.omega)), np.zeros(len(gp.psi))
-    for up_om, up_ps in uploads:
-        bar_om += up_om
-        bar_ps += up_ps
-    return states, (bar_om / len(uploads), bar_ps / len(uploads))
-
-
-class MeanOfClients:
-    """The reference of a pooled client: each gradient block added over the clients in order."""
-
-    def __init__(self, objectives):
-        self.objectives, self.dims = objectives, objectives[0].dims
-
-    def _mean(self, grads):
-        total = np.array(grads[0])
-        for g in grads[1:]:
-            total += g
-        return total / len(grads)
-
-    def grad_omega(self, om, ps):
-        return self._mean([o.grad_omega(om, ps) for o in self.objectives])
-
-    def grad_psi(self, om, ps):
-        return self._mean([o.grad_psi(om, ps) for o in self.objectives])
-
-
 def assert_rounds_match(kind, objectives, hp, rounds=3, local_tol=None, start=None, view=None):
-    """Run `rounds` stacked rounds, checking each one against the reference.
+    """Run `rounds` stacked rounds, checking each one against `per_block_round`.
 
     The engine steps `view` when one is given, else the objectives' own view.
     """
@@ -133,15 +66,14 @@ def assert_rounds_match(kind, objectives, hp, rounds=3, local_tol=None, start=No
     fed = Federation.initial(objectives if view is None else view, start)
     hp = hp.expanded(fed.n)
     for t in range(rounds):
-        want_states, want_bar = reference_round(
-            kind, objectives, fed, server.global_pair, hp, t, local_tol
+        (om, ps, lam, beta, _, _), want_bar = per_block_round(
+            kind, objectives, fed.lam, fed.beta, server.global_pair, hp, t, local_tol
         )
         fed = run_round(LocalRound(kind, fed.view, replace(hp, local_tol=local_tol or 0.0)), fed, server)
         assert np.array_equal(server.global_pair.omega, want_bar[0])
         assert np.array_equal(server.global_pair.psi, want_bar[1])
-        for r, (om, ps, lam, beta) in enumerate(want_states):
-            assert np.array_equal(fed.omega[r], om) and np.array_equal(fed.psi[r], ps)
-            assert np.array_equal(fed.lam[r], lam) and np.array_equal(fed.beta[r], beta)
+        assert np.array_equal(fed.omega, om) and np.array_equal(fed.psi, ps)
+        assert np.array_equal(fed.lam, lam) and np.array_equal(fed.beta, beta)
     return fed
 
 
@@ -244,7 +176,7 @@ class TestRunToTolerance:
         start = PrimalDualPair(vector(np.zeros(d)), vector(np.zeros(d)))
         fed = Federation.initial(objs, start)
         with pytest.raises(ConvergenceError) as want:
-            reference_round(K.FEDMM, objs, fed, start, hp, 0, local_tol=1e-10)
+            per_block_round(K.FEDMM, objs, fed.lam, fed.beta, start, hp, 0, local_tol=1e-10)
         with pytest.raises(ConvergenceError) as got:
             run_round(LocalRound(K.FEDMM, fed.view, replace(hp, local_tol=1e-10)), fed, ServerState(start))
         assert "(client 1)" in str(got.value) and "client 1" in str(want.value)

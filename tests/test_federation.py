@@ -118,16 +118,13 @@ class TestPartitionLabelShift:
         check_partition_cover(p=0.7, seed=5, data_seed=31)
 
     def test_multi_client_modes(self):
-        train, _, _ = toy()
         for mode, n in (
             (PartitionMode.ONE_SOURCE_ONE_TARGET, 2),
             (PartitionMode.ONE_SOURCE_TWO_TARGET, 3),
             (PartitionMode.TWO_SOURCE_ONE_TARGET, 3),
         ):
-            spec = PartitionSpec(mode=mode)
-            shards = partition_label_shift(train, spec, seeded_rng(3))
-            assert len(shards) == n
-            assert sum(len(s) for s in shards) == len(train)
+            got = check_partition_cover(p=0.5, seed=3, data_seed=31, mode=mode)
+            assert got == f"{n} shards cover 80 points deterministically"
 
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(

@@ -2,11 +2,13 @@
 
 The engine keeps each client as one (d1 + d2) row [omega | psi] with its
 duals stored as [lam | -beta] and folds the ascent block's signs into signed
-weight vectors. The reference here computes every round the way the
-per-block engine did, each block on its own: descent on omega with
+weight vectors. The reference, `reference_math.per_block_round` on the
+plain-numpy client formulas of `fedmm.checks`, computes every round the way
+the per-block engine did, each block on its own: descent on omega with
 +lam + mu1 (om - om0), ascent on psi with -beta - mu2 (ps - ps0), then the
 dual step, the dual-shifted upload and a zero-started sum of the uploads.
-Every comparison is np.array_equal.
+`test_engine.py` checks the engine against the same round on DANN clients
+and pooled clients. Every comparison is np.array_equal.
 """
 
 from dataclasses import replace
@@ -22,24 +24,15 @@ from fedmm.core import (
     HyperParams,
     PrimalDualPair,
     ServerState,
-    row_norms,
     row_sum,
     vector,
 )
 from fedmm.objectives import QuadraticSaddle, QuadraticSaddleSpec, _bars, _StackedQuadratic, stacked
 from fedmm.optim import Federation, LocalRound, OptimizerKind, fedmm_aggregate, run_round
 from fedmm.problems import synthetic_quadratic_specs
-from reference_math import quad_grad_omega, quad_grad_psi
+from reference_math import per_block_round
 
 K = OptimizerKind
-MULTI_STEP = (K.FEDMM, K.FEDAVG_GDA, K.FEDPROX_GDA)
-WHERE = {
-    K.FEDMM: "fedmm local round (client {})",
-    K.FEDAVG_GDA: "fedavg_gda local round (client {})",
-    K.FEDPROX_GDA: "fedprox_gda local round (client {})",
-    K.FEDSGDA: "fedsgda round (client {})",
-    K.CENTRAL_GDA: "centralized gda step",
-}
 
 
 def quadratics(n, d1, d2, rng):
@@ -53,79 +46,6 @@ def quadratics(n, d1, d2, rng):
         )
         objs.append(QuadraticSaddle(spec))
     return objs
-
-
-# ------------------------------ the reference ------------------------------ #
-
-
-def per_block_round(kind, objs, lam, beta, gp, hp, t, local_tol):
-    """One round, each block on its own, in the per-block engine's order of operations.
-
-    Returns (omega, psi, lam, beta, upload omega, upload psi) as (N, d) arrays
-    and the aggregated (omega_bar, psi_bar).
-    """
-    n = len(objs)
-    OM, PS = np.empty((n, len(gp.omega))), np.empty((n, len(gp.psi)))
-    OM[:], PS[:] = gp.omega, gp.psi
-
-    def grads(OM, PS, rows):
-        G_OM, G_PS = np.zeros(OM.shape), np.zeros(PS.shape)
-        for r, obj in enumerate(objs):
-            if rows is None or rows[r]:
-                G_OM[r] = quad_grad_omega(obj, OM[r], PS[r])
-                G_PS[r] = quad_grad_psi(obj, OM[r], PS[r])
-        if kind is K.FEDMM:
-            return G_OM + lam + hp.mu1 * (OM - gp.omega), G_PS - beta - hp.mu2 * (PS - gp.psi)
-        if kind is K.FEDPROX_GDA and hp.prox_mu != 0.0:
-            return (
-                G_OM + hp.prox_mu * (OM - gp.omega), G_PS - hp.prox_mu * (PS - gp.psi)
-            )
-        return G_OM, G_PS
-
-    def step(OM, PS, G, rows):
-        new_om, new_ps = OM - hp.eta1 * G[0], PS + hp.eta2 * G[1]
-        if rows is None:
-            return new_om, new_ps
-        return np.where(rows[:, None], new_om, OM), np.where(rows[:, None], new_ps, PS)
-
-    def check(OM, PS, where, m):
-        for r in range(n):
-            if not (np.abs(OM[r]).max() <= 1e100 and np.abs(PS[r]).max() <= 1e100):
-                raise DivergenceError(where.format(r), m)
-
-    if kind is K.FEDMM and local_tol:
-        where = "fedmm local solve (client {})"
-        rows = None
-        for m in range(hp.local_max_iters + 1):
-            G = grads(OM, PS, rows)
-            gn = np.maximum(row_norms(G[0]), row_norms(G[1]))
-            active = gn > local_tol if rows is None else rows & (gn > local_tol)
-            if not active.any():
-                break
-            if m == hp.local_max_iters:
-                r = np.flatnonzero(active)[0]
-                raise ConvergenceError(where.format(r), float(gn[r]), m)
-            rows = None if active.all() else active
-            OM, PS = step(OM, PS, G, rows)
-            check(OM, PS, where, m)
-    else:
-        steps = np.array(hp.expanded(n).local_steps if kind in MULTI_STEP else (1,) * n)
-        for m in range(steps.max()):
-            rows = None if m < steps.min() else steps > m
-            OM, PS = step(OM, PS, grads(OM, PS, rows), rows)
-            check(OM, PS, WHERE[kind], m)
-
-    up_om, up_ps = OM, PS
-    if kind is K.FEDMM:
-        lam = lam + hp.mu1 * (OM - gp.omega)
-        beta = beta + hp.mu2 * (PS - gp.psi)
-        up_om = OM + (hp.eta3**t / hp.mu1) * lam
-        up_ps = PS + (hp.eta3**t / hp.mu2) * beta
-    bar_om, bar_ps = np.zeros(OM.shape[1]), np.zeros(PS.shape[1])
-    for r in range(n):
-        bar_om += up_om[r]
-        bar_ps += up_ps[r]
-    return (OM, PS, lam, beta, up_om, up_ps), (bar_om / n, bar_ps / n)
 
 
 def outcome(fn):

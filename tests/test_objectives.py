@@ -5,9 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedmm.checks import check_danskin_stationarity, check_inner_max_paths_agree, grad_check, rel_err
+from fedmm.checks import (
+    check_danskin_stationarity,
+    check_inner_max_paths_agree,
+    client_grads,
+    client_value,
+    dann_grads,
+    finite_diff_grad,
+    grad_check,
+    rel_err,
+)
 from fedmm.core import ConvergenceError, seeded_rng, vector
-from fedmm.diagnostics import finite_diff_grad
 from fedmm.objectives import (
     SOURCE,
     TARGET,
@@ -32,16 +40,7 @@ from fedmm.objectives import (
     stacked,
 )
 from fedmm.problems import domain_shift_toy, synthetic_quadratic_specs
-from reference_math import (
-    dann_grad_psi,
-    dann_grads,
-    dann_value,
-    lipschitz_bounds,
-    quad_grad_omega,
-    quad_grad_psi,
-    quad_value,
-    strong_concavity_modulus,
-)
+from reference_math import lipschitz_bounds, strong_concavity_modulus
 
 
 def scalar_saddle():
@@ -236,13 +235,11 @@ class TestFusedGrads:
 
 
 def one_row_objective(kind):
-    """A built-in objective and its (value, grad_omega, grad_psi) references."""
+    """A built-in quadratic or DANN objective."""
     if kind == "quadratic":
-        obj = QuadraticSaddle(synthetic_quadratic_specs(1, 5, 3)[0])
-        return obj, (quad_value, quad_grad_omega, quad_grad_psi)
+        return QuadraticSaddle(synthetic_quadratic_specs(1, 5, 3)[0])
     train, _, layout = domain_shift_toy(seeded_rng(30), n_per_domain=12, holdout_n=4)
-    obj = DomainAdaptObjective(train, nu=0.4, layout=layout)
-    return obj, (dann_value, lambda o, om, ps: dann_grads(o, om, ps)[0], dann_grad_psi)
+    return DomainAdaptObjective(train, nu=0.4, layout=layout)
 
 
 class TestOneRowViews:
@@ -250,15 +247,15 @@ class TestOneRowViews:
 
     @pytest.mark.parametrize("kind", ["quadratic", "dann"])
     def test_methods_equal_the_reference(self, kind):
-        obj, (value, grad_omega, grad_psi) = one_row_objective(kind)
+        obj = one_row_objective(kind)
         d1, d2 = obj.dims
         rng = seeded_rng(31)
         for _ in range(5):
             om, ps = rng.standard_normal(d1), rng.standard_normal(d2)
-            want = (grad_omega(obj, om, ps), grad_psi(obj, om, ps))
+            want = client_grads(obj, om, ps)
             # array-likes work as well as arrays
             for args in ((om, ps), (om.tolist(), ps.tolist())):
-                assert obj.value(*args) == value(obj, om, ps)
+                assert obj.value(*args) == client_value(obj, om, ps)
                 got = (obj.grad_omega(*args), obj.grad_psi(*args))
                 for g, w in zip(got, want):
                     assert np.array_equal(g, w) and not g.flags.writeable
@@ -267,7 +264,7 @@ class TestOneRowViews:
 
     @pytest.mark.parametrize("kind", ["quadratic", "dann"])
     def test_single_block_calls_keep_no_view(self, kind):
-        obj, _ = one_row_objective(kind)
+        obj = one_row_objective(kind)
         attrs = set(vars(obj))
         om, ps = np.ones(obj.dims[0]), np.ones(obj.dims[1])
         obj.value(om, ps), obj.grad_omega(om, ps), obj.grad_psi(om, ps)

@@ -4,7 +4,7 @@
 and one shard size a batched forward/backward pass, other plain lists one
 such pass per (layout, nu, shard size) group, and each objective's own
 methods are a one-row call of the same view. Every comparison is exact
-(np.array_equal) against the plain-numpy formulas of `reference_math` and
+(np.array_equal) against the plain-numpy formulas of `fedmm.checks` and
 the one-row views: batching and grouping must not change a single bit of any
 row.
 """
@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fedmm.checks import dann_grad_psi, dann_grads, dann_value, ref_mean
 from fedmm.core import ConvergenceError, RejectedRows, seeded_rng
 from fedmm.objectives import (
     SOURCE,
@@ -29,7 +30,6 @@ from fedmm.objectives import (
     pooled,
     stacked,
 )
-from reference_math import dann_grad_psi, dann_grads, dann_value, ref_mean
 
 PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 LABELING = ("labeled", "unlabeled", "mixed")

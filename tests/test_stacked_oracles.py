@@ -3,9 +3,11 @@
 Every comparison is exact: the stacked loss, the pooled view, the phi oracle,
 the consensus norms, the cached client averages and central GDA's pooled
 view must reproduce, bit for bit, what the plain-numpy formulas of
-`reference_math` compute for one client after the other. The
-generated quadratic instances include d2 = 1 with N >= 17, where numpy's
-reductions would switch to pairwise summation.
+`fedmm.checks` compute for one client after the other. The loss, the phi
+oracle and the consensus come from `per_client_oracles`, the reference
+`fedmm check` (`stacked_oracles`) compares with, so a fault in the views
+fails both. The generated quadratic instances include d2 = 1 with N >= 17,
+where numpy's reductions would switch to pairwise summation.
 """
 
 import functools
@@ -17,7 +19,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fedmm.checks import check_stacked_oracles
+from fedmm.checks import (
+    check_stacked_oracles,
+    client_value,
+    dann_curvature_bound,
+    mean_value,
+    per_client_oracles,
+)
 from fedmm.core import PrimalDualPair, seeded_rng, vector
 from fedmm.federation import PartitionSpec, consensus, partition_label_shift
 from fedmm.objectives import (
@@ -41,16 +49,7 @@ from fedmm.objectives import (
     stacked,
 )
 from fedmm.problems import domain_shift_toy
-from reference_math import (
-    dann_curvature_bound,
-    dann_grad_psi,
-    dann_grads,
-    dann_value,
-    quad_grad_omega,
-    quad_grad_psi,
-    quad_value,
-    ref_mean,
-)
+from reference_math import MeanOfClients, reference_grads
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 SIZES = dict(
@@ -87,69 +86,24 @@ def dann_instance(drop: int):
     return objs, 0.3 * rng.standard_normal((2, layout.d1)), 0.3 * rng.standard_normal((2, layout.d2))
 
 
-# ------------------------------ the reference ------------------------------ #
-
-
-def ref_value(o, om, ps):
-    return quad_value(o, om, ps) if isinstance(o, QuadraticSaddle) else dann_value(o, om, ps)
-
-
-def ref_grad_omega(o, om, ps):
-    return quad_grad_omega(o, om, ps) if isinstance(o, QuadraticSaddle) else dann_grads(o, om, ps)[0]
-
-
-def ref_grad_psi(o, om, ps):
-    return quad_grad_psi(o, om, ps) if isinstance(o, QuadraticSaddle) else dann_grad_psi(o, om, ps)
-
-
-def ref_mean_value(objs, om, ps):
-    """Client average of the values, a zero-started float loop (Python's sum() may compensate)."""
-    total = 0.0
-    for o in objs:
-        total += ref_value(o, om, ps)
-    return total / len(objs)
-
-
-def ref_inner_max(objs, om, tol):
-    if all(isinstance(o, QuadraticSaddle) for o in objs):
-        n = len(objs)
-        Bbar, Cbar, cbar = (sum(getattr(o, k) for o in objs) / n for k in "BCc")
-        return np.linalg.solve(Cbar, Bbar.T @ om + cbar)
-    step = 1.0 / max(max(dann_curvature_bound(o, om) for o in objs), 1e-12)
-    psi = np.zeros(objs[0].dims[1])
-    g = ref_mean([ref_grad_psi(o, om, psi) for o in objs])
-    while np.linalg.norm(g) > tol:
-        psi = psi + step * g
-        g = ref_mean([ref_grad_psi(o, om, psi) for o in objs])
-    return psi
-
-
-def ref_consensus(OM, PS, pair):
-    return (
-        max(float(np.linalg.norm(om - pair.omega)) for om in OM),
-        max(float(np.linalg.norm(ps - pair.psi)) for ps in PS),
-    )
-
-
 def assert_oracles_match(objs, OM, PS, tol):
     """Every stacked oracle against the reference at rows (OM, PS) and at the point (OM[0], PS[0]).
 
-    The client averages are the pooled view's, checked at every point (OM[k], PS[k]).
+    The loss, the phi oracle and the consensus are `per_client_oracles`', the
+    reference `fedmm check` runs; the client averages are the pooled view's,
+    checked at every point (OM[k], PS[k]).
     """
     view = stacked(objs)
-    want = np.array([ref_value(o, OM[r], PS[r]) for r, o in enumerate(objs)])
+    want = np.array([client_value(o, OM[r], PS[r]) for r, o in enumerate(objs)])
     assert np.array_equal(view.values(np.hstack((OM, PS))), want)
     assert_pooled_matches(objs, view, OM, PS, tol)
 
-    om, ps = vector(OM[0]), vector(PS[0])
-
-    psi_star = ref_inner_max(objs, om, tol)
-    value, grad = phi_value_and_grad(view, om, tol)
-    assert value == ref_mean_value(objs, om, psi_star)
-    assert np.array_equal(grad, ref_mean([ref_grad_omega(o, om, psi_star) for o in objs]))
-
-    Z, pair = np.hstack((OM, PS)), PrimalDualPair(om, ps)
-    assert consensus(Z, pair.row, len(om)) == ref_consensus(OM, PS, pair)
+    Z, pair = np.hstack((OM, PS)), PrimalDualPair(vector(OM[0]), vector(PS[0]))
+    loss, (phi_value, phi_grad), cons = per_client_oracles(objs, OM, PS, pair, tol)
+    assert pooled(view).values(pair.row[None]).tolist() == [loss]
+    value, grad = phi_value_and_grad(view, pair.omega, tol)
+    assert value == phi_value and np.array_equal(grad, phi_grad)
+    assert consensus(Z, pair.row, OM.shape[1]) == cons
 
     # leading axes: two stacks of rows at once
     got = view.values(np.stack((Z, Z[::-1])))
@@ -165,16 +119,16 @@ def assert_pooled_matches(objs, view, OM, PS, tol):
     pooled_view = pooled(view)
     assert type(pooled_view) is PooledView and pooled(pooled_view) is pooled_view
     points = [(vector(OM[k]), vector(PS[k])) for k in range(len(OM))]
-    want_om = [ref_mean([ref_grad_omega(o, om, ps) for o in objs]) for om, ps in points]
-    want_ps = [ref_mean([ref_grad_psi(o, om, ps) for o in objs]) for om, ps in points]
+    pool = MeanOfClients(objs)
+    want_om, want_ps = zip(*(reference_grads(pool, om, ps) for om, ps in points))
     for (om, ps), g_om, g_ps in zip(points, want_om, want_ps):
         one = np.concatenate((om, ps))[None]
-        assert pooled_view.values(one).tolist() == [ref_mean_value(objs, om, ps)]
+        assert pooled_view.values(one).tolist() == [mean_value(objs, om, ps)]
         assert np.array_equal(pooled_view.joint_grads(one), [np.hstack((g_om, g_ps))])
         assert np.array_equal(pooled_view.grad_psi(one), [g_ps])
     # leading axes: the N points as N stacked (1, d) rows of the pooled view
     K = np.hstack((OM, PS))[:, None, :]
-    want_values = [[ref_mean_value(objs, om, ps)] for om, ps in points]
+    want_values = [[mean_value(objs, om, ps)] for om, ps in points]
     assert pooled_view.values(K).tolist() == want_values
     assert np.array_equal(pooled_view.joint_grads(K), np.hstack((want_om, want_ps))[:, None, :])
     assert np.array_equal(pooled_view.grad_psi(K), np.array(want_ps)[:, None, :])
@@ -272,6 +226,19 @@ def test_batched_curvature_bounds_equal_the_per_client_bound(in_dim, feat_dim, n
 
 def test_stacked_oracles_check():
     assert "bit-exact" in check_stacked_oracles()
+
+
+def test_stacked_oracles_check_catches_a_doubled_nu(monkeypatch):
+    # a planted fault in the batched DANN view: its domain terms weighted by 2 nu
+    init = _StackedDomainAdapt.__init__
+
+    def doubled(self, objectives):
+        init(self, objectives)
+        self.nu = 2.0 * self.nu
+
+    monkeypatch.setattr(_StackedDomainAdapt, "__init__", doubled)
+    with pytest.raises(AssertionError, match="stacked global loss differs"):
+        check_stacked_oracles()
 
 
 class Constant(StackedObjectives):
