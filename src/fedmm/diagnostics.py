@@ -64,22 +64,27 @@ def check_identities(
     global_before: PrimalDualPair,
     hp: HyperParams,
     round_index: int = 0,
+    grads: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> list[IdentityReport]:
     """Residuals of the four converged-round identities for one federated round.
 
     `before`/`after` are the federation records just before and just after
     one FedMM round with run-to-tolerance local solves; `global_before` is
     the consensus pair the round started from. Each side's gradients are one stacked call,
-    each client sum one `row_sum` in client order. Both blocks of each identity
-    are one joint-row expression with W = [mu1 | -mu2]: the psi block's residual
-    comes out negated, which no norm sees.
+    each client sum one `row_sum` in client order; grads, when given, are
+    (before's, after's) `joint_grads` stacks, which a caller that has them
+    passes instead. Both blocks of each identity are one joint-row expression
+    with W = [mu1 | -mu2]: the psi block's residual comes out negated, which
+    no norm sees.
     """
     if before.view.dims != after.view.dims or before.Z.shape != after.Z.shape:
         raise ValueError("before/after federations do not match")
     d1, d2 = after.view.dims
     W = joint_weights(hp.mu1, hp.mu2, d1, d2)
     Z0 = global_before.row
-    G_a, G_b = after.view.joint_grads(after.Z), before.view.joint_grads(before.Z)
+    if grads is None:
+        grads = before.view.joint_grads(before.Z), after.view.joint_grads(after.Z)
+    G_b, G_a = grads
     e = max(_solve_errors(after, G_a).tolist())
     tol_step = BASE_TOL + TOL_ERROR_FACTOR * e
     tol_sum = tol_step * after.n
@@ -111,6 +116,8 @@ def run_identity_suite(
     local_tol replaces hp.local_tol. The per-client step identities need the
     *previous* round to have been solved to optimality, which is vacuous at
     round 0 (duals are zero there), so they are skipped for the first round.
+    Each round's gradient stack is evaluated once: as the round's `after`,
+    then again as the next round's `before`, the same view at the same rows.
     """
     d1, d2 = objectives[0].dims
     pair = PrimalDualPair(vector(np.zeros(d1)), vector(np.zeros(d2)))
@@ -120,10 +127,12 @@ def run_identity_suite(
     local = LocalRound(OptimizerKind.FEDMM, fed.view, hp)
 
     reports: list[IdentityReport] = []
+    G = fed.view.joint_grads(fed.Z)
     for t in range(rounds):
-        before, global_before = fed, server.global_pair
+        before, G_before, global_before = fed, G, server.global_pair
         fed = run_round(local, fed, server)
-        round_reports = check_identities(before, fed, global_before, hp, round_index=t)
+        G = fed.view.joint_grads(fed.Z)
+        round_reports = check_identities(before, fed, global_before, hp, round_index=t, grads=(G_before, G))
         if t == 0:
             round_reports = [r for r in round_reports if r.name.startswith("sum_")]
         reports.extend(round_reports)

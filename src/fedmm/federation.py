@@ -244,9 +244,8 @@ def consensus(Z: np.ndarray, P: np.ndarray, d1: int) -> tuple[np.ndarray, np.nda
     )
 
 
-# A metric block holds at most this many rounds, and its evaluation, B rounds
-# of P data points times d = d1 + d2 parameters, at most this many floats
-_BLOCK_ROUNDS = 64
+# A metric block's evaluation, B rounds of P data points times d = d1 + d2
+# parameters, holds at most this many floats: the only bound on B
 _BLOCK_FLOATS = 16384
 
 
@@ -270,21 +269,24 @@ def round_points(
 def block_rounds(points: int, d: int) -> int:
     """Rounds B per metric block when a round's metrics evaluate P points of d = d1 + d2 parameters.
 
-    B = min(64, 16384 // (P d)), at least 1, so that B P d, about the floats
-    a flush's evaluation holds, stays within 16 384 unless one round alone
-    exceeds it. That also bounds the buffered client rows, N d a round
-    (P >= N). P is `round_points`: N on quadratic clients.
+    B = 16384 // (P d), at least 1, so that B P d, about the floats a flush's
+    evaluation holds, stays within 16 384 unless one round alone exceeds it.
+    That budget is the only bound: it also bounds the buffered client rows,
+    N d a round (P >= N), and B reaches 8192 on one quadratic client with
+    d1 = d2 = 1. P is `round_points`: N on quadratic clients.
     """
-    return min(_BLOCK_ROUNDS, max(1, _BLOCK_FLOATS // (points * d)))
+    return max(1, _BLOCK_FLOATS // (points * d))
 
 
 class MetricsBlock:
     """Several rounds' metric inputs, evaluated together once the block is full.
 
-    `add` copies a round's client rows fed.Z and its global pair's joint row
-    [omega | psi] into preallocated buffers. `flush` evaluates the buffered
-    rounds' metrics, fills the block's `RECORD`s by field name, appends them
-    to a RunLog in one call and empties the block:
+    `add` copies a round's client rows fed.Z, its global pair's joint row
+    [omega | psi], its index, its ledger and whether phi is sampled into
+    preallocated arrays, the index and the ledger straight into the block's
+    `RECORD`s, so the block holds no Python object per round. `flush`
+    evaluates the buffered rounds' metrics, fills the rest of the records by
+    field name, appends them to a RunLog in one call and empties the block:
 
     - consensus: row_norms of Z - pair on each block, then the max over clients;
     - global loss: one `values` call of `pooled(view)` at all the pairs;
@@ -298,8 +300,10 @@ class MetricsBlock:
     or `phi_value_and_grad`) give: each row's dot products, matrix products
     and solves keep the one-round shapes, and max and argmax are exact. A
     flush's temporaries grow as size * P * (d1 + d2) floats, P the
-    `round_points` of the view and accuracy, so run_experiment takes size
-    from `block_rounds`.
+    `round_points` of the view and accuracy, and the buffers as size rounds
+    of N (d1 + d2) + d1 + d2 floats and a 59-byte record and flag, so
+    run_experiment takes size from `block_rounds`, whose float budget bounds
+    both.
     """
 
     def __init__(
@@ -314,22 +318,26 @@ class MetricsBlock:
         self.Z = np.empty((size, view.n, d))
         self.P = np.empty((size, d))
         self.records = np.empty(size, RECORD)
-        self.rounds: list[tuple[int, int, bool]] = []  # (round, floats sent, phi sampled)
+        # views of the records' round and ledger columns, which add fills
+        self._round, self._floats = self.records["round"], self.records["floats_communicated"]
+        self.sampled = np.empty(size, bool)  # whether each round's phi_grad_norm is sampled
+        self.size, self.k = size, 0  # the rounds it holds, and the rounds buffered
 
     @property
     def full(self) -> bool:
-        return len(self.rounds) == len(self.Z)
+        return self.k == self.size
 
     def add(self, t: int, fed: Federation, server: ServerState, sample_phi: bool) -> None:
         """Buffer round t: the clients' rows, the server's pair and its ledger."""
-        k = len(self.rounds)
+        k = self.k
         self.Z[k] = fed.Z
         self.P[k] = server.global_pair.row
-        self.rounds.append((t, server.floats_sent, sample_phi))
+        self._round[k], self._floats[k], self.sampled[k] = t, server.floats_sent, sample_phi
+        self.k = k + 1
 
     def flush(self, log: RunLog) -> None:
         """Log the buffered rounds' metrics after log's rounds, in round order; the block is empty afterwards."""
-        k, d1 = len(self.rounds), self.view.dims[0]
+        k, d1 = self.k, self.view.dims[0]
         if not k:
             return
         Z, P = self.Z[:k], self.P[:k]
@@ -340,21 +348,20 @@ class MetricsBlock:
         if self.accuracy is not None:
             objective, holdout = self.accuracy
             accuracy = evaluate_target_accuracy(objective, omegas, holdout)
-        ts, floats, sample_phi = zip(*self.rounds)
-        sampled = [b for b, sample in enumerate(sample_phi) if sample]
-        if sampled:
+        sampled = self.sampled[:k]
+        some = True in sampled  # any() without a call
+        if some:
             got = phi_grads(self.pooled, omegas[sampled], self.tol, max_iters=_PHI_ORACLE_ITER_CAP)
         r = self.records[:k]
-        r["round"], r["floats_communicated"] = ts, floats
         r["consensus_omega"], r["consensus_psi"] = spread
         r["global_loss"], r["target_accuracy"] = loss, accuracy
         r["phi_grad_norm"], r["phi_grad_norm_missing"] = np.nan, True  # but where sampled, below
         r["target_accuracy_missing"] = self.accuracy is None
-        if sampled:
+        if some:
             r["phi_grad_norm"][sampled] = row_norms(got.grads)  # NaN where the inner max failed
             r["phi_grad_norm_missing"][sampled] = [error is not None for error in got.errors]
         log._extend(r)
-        self.rounds = []
+        self.k = 0
 
 
 def write_atomic(path: str | Path, text: str | Iterable[str]) -> None:
@@ -720,7 +727,9 @@ def run_experiment(config: ExperimentConfig, problem: Problem | None = None) -> 
     of a block of rounds at once (and the last, shorter block after the
     final round), all on problem.view. The block holds
     block_rounds(round_points(problem.view, problem.accuracy), d1 + d2)
-    rounds, fewer the more data a round's metrics evaluate.
+    rounds, or the run's rounds when they are fewer: the float budget alone
+    sizes it, fewer rounds the more data a round's metrics evaluate (780 on
+    the shipped three-client quadratic, 9 on the label-shift toy).
     phi_grad_norm is computed every metrics_every-th round and on the final
     round; an inner-max failure degrades it to None instead of aborting.
     """

@@ -121,6 +121,31 @@ class TestCheckIdentities:
         assert all(r.passed for r in reports)
         assert max(r.residual_norm for r in reports) <= 1e-8
 
+    def test_suite_evaluates_each_round_gradient_stack_once(self, monkeypatch):
+        # round t's `before` stack is round t-1's `after` stack: after each round the suite
+        # evaluates one stack, where it evaluated the after's and again the before's
+        events, inside = [], []
+        view_type = type(stacked(three_clients()))
+        joint_grads = view_type.joint_grads
+
+        def spied_grads(self, Z):
+            if not inside:
+                events.append("grads")
+            return joint_grads(self, Z)
+
+        def spied_round(*args):
+            events.append("round")
+            inside.append(True)
+            try:
+                return run_round(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(view_type, "joint_grads", spied_grads)
+        monkeypatch.setattr(diagnostics, "run_round", spied_round)
+        run_identity_suite(three_clients(), HyperParams(eta1=0.2, eta2=0.2), rounds=5, local_tol=1e-10)
+        assert events == ["grads"] + ["round", "grads"] * 5
+
     def test_truncated_local_solve_fails_some_identity(self):
         objs = three_clients()
         pair = PrimalDualPair(zeros(objs[0].dims[0]), zeros(objs[0].dims[1]))

@@ -7,9 +7,12 @@ phi oracle on sampled rounds and the target accuracy of one omega, each
 written out here with (N, d) arrays. The runs cover every block boundary
 (0, 1, B - 1, B, B + 1 and 2B + 3 rounds, B the size of the block the run
 builds), three metrics_every values, all five optimizers, both problems,
-minibatch mode, and the blocks under 64 rounds: a 32-client quadratic, a
-DANN toy with a 240-point holdout, and a 2000-point dataset file whose block
-is one round.
+minibatch mode, and blocks of every size the float budget gives: 780 rounds
+on a 3-client quadratic, 81 on the DANN toys, 17 on a 32-client quadratic,
+12 with a 240-point holdout, one round on a 2000-point dataset file, and
+8192 on one quadratic client with d1 = d2 = 1. A block above 64 rounds takes
+its boundary runs at 64 rounds, under a smaller float budget, and one run of
+its own full block.
 """
 
 import tracemalloc
@@ -78,16 +81,24 @@ PROBLEMS = {
         problem=ProblemSpec(ProblemKind.DOMAIN_ADAPT), hyper=replace(_DANN_HYPER, local_steps=(1,)),
     ),
 }
-# the block each problem's run builds, the same for every optimizer: B = min(64, 16384 // (P d))
-# with P the clients' points (1 per quadratic client) plus the holdout's, d = d1 + d2
+# the block each problem's run builds, the same for every optimizer: B = 16384 // (P d), at
+# least 1, with P the clients' points (1 per quadratic client) plus the holdout's, d = d1 + d2
 BLOCK_ROUNDS = {
-    "quadratic": 64,  # P = 3, d = 7
+    "quadratic": 780,  # P = 3, d = 7
     "quadratic_32": 17,  # P = 32, d = 30
-    "dann_equal": 64,  # P = 24 + 16, d = 5
-    "dann_unequal": 64,  # P = 24 + 16, d = 5
-    "dann_minibatch": 64,  # the full shards': P = 24 + 16, d = 5
+    "dann_equal": 81,  # P = 24 + 16, d = 5
+    "dann_unequal": 81,  # P = 24 + 16, d = 5
+    "dann_minibatch": 81,  # the full shards': P = 24 + 16, d = 5
     "dann_holdout_240": 12,  # P = 24 + 240, d = 5
     "dataset_file": 1,  # P = 2000, d = 8 * 8 + 2 * 8 + 8
+}
+# the float budget, 64 P d, of the boundary runs of a block above 64 rounds: their 64-round blocks
+# keep the per-round reference's round counts, and so the tests' time, as they were
+BOUNDARY_FLOATS = {
+    "quadratic": 64 * 3 * 7,
+    "dann_equal": 64 * 40 * 5,
+    "dann_unequal": 64 * 40 * 5,
+    "dann_minibatch": 64 * 40 * 5,
 }
 METRICS_EVERY = (1, 3, 7)
 CASES = [
@@ -185,7 +196,9 @@ class _Built(Exception):
 def built_block_rounds(config: ExperimentConfig) -> int:
     """The rounds of the metric block run_experiment builds for config, stopped before round 0.
 
-    The run gets 64 rounds, the most a block holds, so the block is never cut short.
+    The run gets as many rounds as the float budget has floats, more than any
+    block holds (a round evaluates at least one point of two parameters), so
+    the block is never cut short.
     """
     sizes = []
 
@@ -196,33 +209,74 @@ def built_block_rounds(config: ExperimentConfig) -> int:
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(federation, "MetricsBlock", spy)
         with pytest.raises(_Built):
-            run_experiment(replace(config, hyper=replace(config.hyper, rounds=64)))
+            run_experiment(replace(config, hyper=replace(config.hyper, rounds=federation._BLOCK_FLOATS)))
     return sizes[0]
 
 
 def test_block_sizes(dataset_file):
-    # the sizes the README states: 64 rounds at the small shapes, 17 at N = 32, d = 30, and
-    # fewer the more points a round's metrics evaluate; central GDA's pooled row evaluates
-    # the same points as the clients
+    # the sizes the README states: 780 rounds on the shipped 3-client quadratic, 17 at N = 32,
+    # d = 30, and fewer the more points a round's metrics evaluate; central GDA's pooled row
+    # evaluates the same points as the clients
     for kind in (OptimizerKind.FEDMM, OptimizerKind.CENTRAL_GDA):
         names = [name for name, k in CASES if k is kind]
-        got = {name: built_block_rounds(_config(name, kind, 64, 1, dataset_file)) for name in names}
+        got = {name: built_block_rounds(_config(name, kind, 1, 1, dataset_file)) for name in names}
         assert got == {name: BLOCK_ROUNDS[name] for name in names}, kind
     # the shipped label-shift toy: (60 + 60 + 240) points x d = 5, 1800 floats a round
     toy = parse_config(Path(__file__).parent.parent / "configs" / "label_shift_fedmm.cfg")
     assert built_block_rounds(toy) == 9
+    # the float budget is the only bound: one point of two parameters takes 8192 rounds
+    assert built_block_rounds(_one_point_config(1)) == block_rounds(1, 2) == 8192
     assert block_rounds(1, 10**6) == 1
 
 
 @pytest.mark.parametrize("name, kind", CASES, ids=[f"{n}-{k.value}" for n, k in CASES])
 def test_block_csv_equals_per_round_reference(name, kind, dataset_file):
-    b = built_block_rounds(_config(name, kind, 64, 1, dataset_file))
-    assert b == BLOCK_ROUNDS[name]
-    for rounds in sorted({0, 1, b - 1, b, b + 1, 2 * b + 3}):
-        for every in METRICS_EVERY:
-            config = _config(name, kind, rounds, every, dataset_file)
-            got = run_experiment(config).csv_text()
-            assert got == reference_csv(config), f"rounds={rounds} metrics_every={every} (B={b})"
+    assert built_block_rounds(_config(name, kind, 1, 1, dataset_file)) == BLOCK_ROUNDS[name]
+    with pytest.MonkeyPatch.context() as mp:
+        if name in BOUNDARY_FLOATS:
+            mp.setattr(federation, "_BLOCK_FLOATS", BOUNDARY_FLOATS[name])
+        b = built_block_rounds(_config(name, kind, 1, 1, dataset_file))
+        for rounds in sorted({0, 1, b - 1, b, b + 1, 2 * b + 3}):
+            for every in METRICS_EVERY:
+                config = _config(name, kind, rounds, every, dataset_file)
+                got = run_experiment(config).csv_text()
+                assert got == reference_csv(config), f"rounds={rounds} metrics_every={every} (B={b})"
+
+
+@pytest.mark.parametrize("name", BOUNDARY_FLOATS)
+def test_a_full_block_above_64_rounds_equals_the_per_round_reference(name, dataset_file):
+    # B + 1 FedSGDA rounds at the run's own block size: one full flush, then a one-round flush
+    config = _config(name, OptimizerKind.FEDSGDA, BLOCK_ROUNDS[name] + 1, 7, dataset_file)
+    assert run_experiment(config).csv_text() == reference_csv(config)
+
+
+def _one_point_config(rounds: int) -> ExperimentConfig:
+    """FedSGDA on one quadratic client with d1 = d2 = 1: P d = 2, the largest block the budget allows."""
+    return ExperimentConfig(
+        optimizer=OptimizerKind.FEDSGDA,
+        problem=ProblemSpec(ProblemKind.QUADRATIC, n_clients=1, d1=1, d2=1),
+        hyper=HyperParams(eta1=0.1, eta2=0.1, rounds=rounds),
+    )
+
+
+def test_the_largest_block_runs_in_bounded_memory():
+    """20 000 rounds in 8192-round blocks, phi sampled every round, peak under 4 MB.
+
+    The run peaks at about 2.4 MB under tracemalloc, of which the log is about
+    1.2 MB and the block's preallocated rows, pairs, records and sampled flags
+    about 0.8 MB. Held as a list of per-round Python tuples, the block's round
+    index, ledger and sampled flag took the peak to 4.0 MB.
+    """
+    config = _one_point_config(20_000)
+    problem = prepare(config)
+    tracemalloc.start()
+    try:
+        log = run_experiment(config, problem)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(log.rounds) == 20_000
+    assert peak < 4_000_000, f"peak {peak / 1e6:.2f} MB"
 
 
 def test_a_big_dataset_file_flushes_in_bounded_memory(dataset_file):
